@@ -19,7 +19,7 @@ from .errors import (
     IncompatibleData,
     InvalidGeometry,
 )
-from .geometry import CurveSpec, build_mesh, locate_points, topology_of
+from .geometry import CurveSpec, build_mesh, locate_points
 from .operators import operator_set
 from .distributions import dist_normal_derivative, pair_from_dict
 from .solvers import (
@@ -61,7 +61,6 @@ class RunConfig:
     out_dir: str | None = None
     tol: float = 1e-7
     tol_overrides: dict = field(default_factory=dict)
-    alpha: float | None = None
     seed: int = DEFAULT_SEED
 
     def validate(self):
@@ -165,7 +164,6 @@ def load_config(path, **overrides):
         out_dir=raw.get("out"),
         tol=float(raw.get("tol", 1e-7)),
         tol_overrides=dict(raw.get("tol_overrides", {})),
-        alpha=raw.get("alpha"),  # metadata only, never used in computation
         seed=int(raw.get("seed", DEFAULT_SEED)),
     )
     for key, value in overrides.items():
@@ -184,7 +182,7 @@ def build_data(cfg, mesh):
             value = float(arg) if arg else 1.0
         except ValueError as exc:
             raise ConfigError(f"constant data needs a number, got {arg!r}") from exc
-        return np.full(mesh.n, value)
+        return _require_finite(np.full(mesh.n, value), f"constant data {arg!r}")
     if name == "fourier":
         try:
             k = int(arg) if arg else 1
@@ -220,14 +218,22 @@ def build_data(cfg, mesh):
             raise ConfigError(
                 f"data file has {values.shape[0]} samples, mesh has {mesh.n} nodes"
             )
-        return values
+        return _require_finite(values, f"data file {arg}")
     if name == "pairjson":
         try:
             with open(arg) as fh:
-                return pair_from_dict(mesh, json.load(fh))
+                tau = pair_from_dict(mesh, json.load(fh))
         except OSError as exc:
             raise ConfigError(f"cannot read pair file {arg}: {exc}") from exc
+        _require_finite(np.concatenate([tau.mu0, tau.mu1]), f"pair file {arg}")
+        return tau
     raise ConfigError(f"unknown data spec {cfg.data!r}")
+
+
+def _require_finite(values, source):
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{source} holds non-finite values")
+    return values
 
 
 def hadamard_trace(t, terms):
@@ -276,7 +282,7 @@ def write_field_csv(fld, grid, path):
     """
     pts = grid.points()
     mesh = fld.mesh
-    locs = locate_points(mesh, topology_of(mesh), pts)
+    locs = locate_points(mesh, mesh.topology, pts)
     usable = np.array([loc.kind == fld.region for loc in locs])
     values = np.full(pts.shape[0], np.nan)
     if usable.any():
@@ -310,6 +316,12 @@ _SOLVERS = {
     "neumann-ext": neumann_exterior,
 }
 
+# independent second solver whose field is compared at one probe point
+_CROSS_SOLVERS = {
+    "dirichlet-int": dirichlet_interior_via_decomposition,
+    "dirichlet-ext": dirichlet_exterior_via_decomposition,
+}
+
 
 def cmd_solve(cfg, out_prefix="solve"):
     """Run one boundary value problem; write report JSON and field CSV."""
@@ -318,17 +330,8 @@ def cmd_solve(cfg, out_prefix="solve"):
     mesh = cfg.build_mesh()
     data = build_data(cfg, mesh)
     report = _SOLVERS[cfg.problem](mesh, data)
-    if cfg.problem == "dirichlet-int":
-        cross = dirichlet_interior_via_decomposition(mesh, np.asarray(data, dtype=float))
-        probe = _cross_check_probe(mesh, report.field)
-        if probe is not None:
-            diff = abs(
-                report.field.eval_unchecked(probe[None, :])[0]
-                - cross.field.eval_unchecked(probe[None, :])[0]
-            )
-            report.residuals["cross_solver"] = diff
-    elif cfg.problem == "dirichlet-ext":
-        cross = dirichlet_exterior_via_decomposition(mesh, np.asarray(data, dtype=float))
+    if cfg.problem in _CROSS_SOLVERS:
+        cross = _CROSS_SOLVERS[cfg.problem](mesh, np.asarray(data, dtype=float))
         probe = _cross_check_probe(mesh, report.field)
         if probe is not None:
             diff = abs(
@@ -362,10 +365,8 @@ def cmd_verify(cfg, negative_control=False):
     """Run the identity suite; one row per check and geometry."""
     meshes = None
     if cfg is not None and cfg.components:
-        n = cfg.n_override
-        counts = cfg.node_counts()
-        meshes = {"config": build_mesh(cfg.components, counts)}
-        n_report = n or max(counts)
+        meshes = {"config": cfg.build_mesh()}
+        n_report = cfg.n_override or max(cfg.node_counts())
     else:
         n_report = (cfg.n_override if cfg else None) or 256
     report = run_verify(

@@ -132,13 +132,6 @@ def J_inverse(mesh, g, side="plus", rtol=1e-7):
     return PairDistribution(side, z[:n], z[n:], mesh)
 
 
-def mass_from_j_image(mesh, g):
-    """<tau, 1> of the distribution whose J image is g."""
-    ops = operator_set(mesh)
-    length = integrate(mesh, np.ones(mesh.n))
-    return length * float(ops.q @ g)
-
-
 def Wt_on_distribution(tau):
     """Adjoint double-layer operator applied to a pair distribution.
 

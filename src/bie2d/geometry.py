@@ -6,6 +6,12 @@ components of its exterior.  Meshes use uniform parameter nodes, so all
 quadrature is the periodic trapezoid rule (spectrally accurate on analytic
 curves).  Normals always point out of the open set: outer curves end up
 traversed counterclockwise and holes clockwise, whatever the input says.
+
+A BoundaryMesh owns everything derived from it: build_mesh works out which
+curve contains which once and stores the resulting DomainTopology on the
+mesh, and operators.operator_set fills the mesh's operator field on first
+use.  Neither the topology nor the operators point back at the mesh, so a
+dropped mesh is freed by reference counting alone.
 """
 
 from collections import namedtuple
@@ -99,6 +105,30 @@ class CurveSpec:
 
 
 @dataclass(eq=False)
+class DomainTopology:
+    """Component bookkeeping of the open set and of its exterior.
+
+    kappa_plus counts the connected components of the open set, kappa_minus
+    the bounded components of the exterior.  outer_comps / hole_comps list
+    curve indices, hole_parent maps every hole to the outer curve
+    containing it, and omega_of_comp / omega_minus_of_comp give, for every
+    curve, the component of the open set (1..kappa_plus) and of the
+    exterior (0 = unbounded) it touches.  n and offsets repeat the mesh's
+    node count and component offsets, so indicators need no mesh.
+    """
+
+    n: int
+    offsets: np.ndarray
+    kappa_plus: int
+    kappa_minus: int
+    outer_comps: list
+    hole_comps: list
+    hole_parent: dict
+    omega_of_comp: dict
+    omega_minus_of_comp: dict
+
+
+@dataclass(eq=False)
 class BoundaryMesh:
     """Nystrom mesh of a multiply connected boundary.
 
@@ -106,6 +136,8 @@ class BoundaryMesh:
     outward normals, unit tangents, signed curvature, parametrization speed
     |x'|, trapezoid weights w_i = |x'(t_i)| 2 pi / N_c and the component
     label of every node.  offsets[c] is the first node of component c.
+    topology is computed by build_mesh; operators is the OperatorSet that
+    operators.operator_set builds on first use.
     """
 
     specs: list
@@ -119,7 +151,9 @@ class BoundaryMesh:
     weights: np.ndarray
     comp: np.ndarray
     offsets: np.ndarray
+    topology: DomainTopology
     orientation_signs: list = field(default_factory=list)
+    operators: object = field(default=None, repr=False)
 
     @property
     def n(self):
@@ -242,10 +276,41 @@ def build_mesh(specs, nodes_per_component):
         weights=weights,
         comp=comp,
         offsets=offsets,
+        topology=_topology(contains, depth, offsets),
         orientation_signs=[p[2] for p in parts],
     )
     _check_node_separation(mesh)
     return mesh
+
+
+def _topology(contains, depth, offsets):
+    """DomainTopology from the containment matrix and nesting depths."""
+    ncomp = len(depth)
+    outer = [c for c in range(ncomp) if depth[c] == 0]
+    holes = [c for c in range(ncomp) if depth[c] == 1]
+    hole_parent = {h: next(o for o in outer if contains[o, h]) for h in holes}
+
+    omega_of_comp = {}
+    for j, o in enumerate(outer, start=1):
+        omega_of_comp[o] = j
+        for h in holes:
+            if hole_parent[h] == o:
+                omega_of_comp[h] = j
+    omega_minus_of_comp = {o: 0 for o in outer}
+    for k, h in enumerate(holes, start=1):
+        omega_minus_of_comp[h] = k
+
+    return DomainTopology(
+        n=int(offsets[-1]),
+        offsets=offsets,
+        kappa_plus=len(outer),
+        kappa_minus=len(holes),
+        outer_comps=outer,
+        hole_comps=holes,
+        hole_parent=hole_parent,
+        omega_of_comp=omega_of_comp,
+        omega_minus_of_comp=omega_minus_of_comp,
+    )
 
 
 def _check_node_separation(mesh):
@@ -285,82 +350,9 @@ def _check_node_separation(mesh):
                 raise InvalidGeometry(f"curves {c} and {c2} are not disjoint")
 
 
-@dataclass(eq=False)
-class DomainTopology:
-    """Component bookkeeping of the open set and of its exterior.
-
-    kappa_plus counts the connected components of the open set, kappa_minus
-    the bounded components of the exterior.  outer_comps / hole_comps list
-    curve indices, hole_parent maps every hole to the outer curve
-    containing it, and omega_of_comp / omega_minus_of_comp give, for every
-    curve, the component of the open set (1..kappa_plus) and of the
-    exterior (0 = unbounded) it touches.
-    """
-
-    mesh: BoundaryMesh
-    kappa_plus: int
-    kappa_minus: int
-    outer_comps: list
-    hole_comps: list
-    hole_parent: dict
-    omega_of_comp: dict
-    omega_minus_of_comp: dict
-
-
-_TOPOLOGY_CACHE = {}
-
-
 def topology_of(mesh):
-    """Compute (and cache per mesh) the domain topology from containment tests."""
-    cached = _TOPOLOGY_CACHE.get(id(mesh))
-    if cached is not None and cached.mesh is mesh:
-        return cached
-
-    ncomp = mesh.n_components
-    contains = np.zeros((ncomp, ncomp), dtype=bool)
-    for i in range(ncomp):
-        sli = mesh.component_slice(i)
-        for j in range(ncomp):
-            if i == j:
-                continue
-            slj = mesh.component_slice(j)
-            xj = mesh.x[slj]
-            probe = xj[:: max(1, xj.shape[0] // 16)]
-            wind = _winding_of_points(mesh.x[sli], probe)
-            contains[i, j] = bool(np.all(np.abs(wind) > 0.5))
-    depth = contains.sum(axis=0)
-    if np.any(depth > 1):
-        raise InvalidGeometry("nesting deeper than one level of holes")
-
-    outer = [c for c in range(ncomp) if depth[c] == 0]
-    holes = [c for c in range(ncomp) if depth[c] == 1]
-    hole_parent = {}
-    for h in holes:
-        parents = [o for o in outer if contains[o, h]]
-        hole_parent[h] = parents[0]
-
-    omega_of_comp = {}
-    for j, o in enumerate(outer, start=1):
-        omega_of_comp[o] = j
-        for h in holes:
-            if hole_parent[h] == o:
-                omega_of_comp[h] = j
-    omega_minus_of_comp = {o: 0 for o in outer}
-    for k, h in enumerate(holes, start=1):
-        omega_minus_of_comp[h] = k
-
-    topo = DomainTopology(
-        mesh=mesh,
-        kappa_plus=len(outer),
-        kappa_minus=len(holes),
-        outer_comps=outer,
-        hole_comps=holes,
-        hole_parent=hole_parent,
-        omega_of_comp=omega_of_comp,
-        omega_minus_of_comp=omega_minus_of_comp,
-    )
-    _TOPOLOGY_CACHE[id(mesh)] = topo
-    return topo
+    """The domain topology that build_mesh computed for the mesh."""
+    return mesh.topology
 
 
 def indicator(topology, region, index):
@@ -371,28 +363,27 @@ def indicator(topology, region, index):
     with index k in 0..kappa_minus marks the boundary of the k-th exterior
     component (k = 0 is the unbounded one).
     """
-    mesh = topology.mesh
-    out = np.zeros(mesh.n)
     if region == "omega":
         if not 1 <= index <= topology.kappa_plus:
             raise OutOfRange(f"omega index {index} not in 1..{topology.kappa_plus}")
-        for c, j in topology.omega_of_comp.items():
-            if j == index:
-                out[mesh.component_slice(c)] = 1.0
+        labels = topology.omega_of_comp
     elif region == "omega_minus":
         if not 0 <= index <= topology.kappa_minus:
             raise OutOfRange(
                 f"omega_minus index {index} not in 0..{topology.kappa_minus}"
             )
-        for c, k in topology.omega_minus_of_comp.items():
-            if k == index:
-                out[mesh.component_slice(c)] = 1.0
+        labels = topology.omega_minus_of_comp
     else:
         raise OutOfRange(f"unknown region {region!r}")
+    out = np.zeros(topology.n)
+    for c, label in labels.items():
+        if label == index:
+            out[topology.offsets[c]:topology.offsets[c + 1]] = 1.0
     return out
 
 
 def _check_aligned(mesh, f):
+    # mesh is anything that carries a node count n: a mesh or an OperatorSet
     f = np.asarray(f, dtype=float)
     if f.shape != (mesh.n,):
         raise LengthMismatch(f"grid function of length {f.shape} on mesh with {mesh.n} nodes")

@@ -18,6 +18,10 @@ single-layer-plus-constant representation of the harmonic extension
 (V eta + c = v with zero-mean eta, a system that stays well posed at
 logarithmic capacity one); then the interior and exterior maps are
 (-1/2 I + Wt) R and (-1/2 I - Wt) R.
+
+All of these live in one OperatorSet per mesh, stored in the mesh's
+operators field by operator_set.  The OperatorSet keeps the node count and
+the weights it needs, never the mesh itself.
 """
 
 from dataclasses import dataclass
@@ -26,33 +30,29 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import InvalidGeometry, OutOfRange, SingularPoint, SingularSystem
-from .geometry import topology_of, _check_aligned
+from .geometry import _check_aligned
 
 
 def fundamental_solution(n, xi):
-    """Fundamental solution of the Laplacian in dimension n (2 or 3)."""
+    """Fundamental solution of the Laplacian; only n = 2 is supported."""
+    if n != 2:
+        raise SingularPoint(f"dimension {n} not supported")
     xi = np.asarray(xi, dtype=float)
     r = np.linalg.norm(xi, axis=-1)
     if np.any(r == 0.0):
         raise SingularPoint("fundamental solution evaluated at zero offset")
-    if n == 2:
-        return np.log(r) / (2.0 * np.pi)
-    if n == 3:
-        return -1.0 / (4.0 * np.pi * r)
-    raise SingularPoint(f"dimension {n} not supported")
+    return np.log(r) / (2.0 * np.pi)
 
 
 def grad_fundamental_solution(n, xi):
     """Gradient of the fundamental solution with respect to its argument."""
+    if n != 2:
+        raise SingularPoint(f"dimension {n} not supported")
     xi = np.asarray(xi, dtype=float)
     r = np.linalg.norm(xi, axis=-1)
     if np.any(r == 0.0):
         raise SingularPoint("gradient evaluated at zero offset")
-    if n == 2:
-        return xi / (2.0 * np.pi * r[..., None] ** 2)
-    if n == 3:
-        return xi / (4.0 * np.pi * r[..., None] ** 3)
-    raise SingularPoint(f"dimension {n} not supported")
+    return xi / (2.0 * np.pi * r[..., None] ** 2)
 
 
 @dataclass(eq=False)
@@ -65,11 +65,6 @@ class OperatorMatrix:
 
     def apply(self, f):
         return self.matrix @ _check_aligned(self.mesh, f)
-
-
-def apply(op, f):
-    """Matrix-vector product of an OperatorMatrix with a grid function."""
-    return op.apply(f)
 
 
 def log_weight_row(nc):
@@ -159,12 +154,10 @@ class OperatorSet:
     """
 
     def __init__(self, mesh):
-        self.mesh = mesh
-        self.topology = topology_of(mesh)
-        n = mesh.n
+        self.n = n = mesh.n
+        self.weights = w = mesh.weights
         self.V = assemble_V(mesh).matrix
         self.W = assemble_W(mesh).matrix
-        w = mesh.weights
         self.Wt = (self.W.T * w[None, :]) / w[:, None]
 
         B = np.zeros((n + 1, n + 1))
@@ -184,7 +177,7 @@ class OperatorSet:
 
     def harmonic_density(self, g):
         """Density and constant with V eta + c = g and zero-mean eta."""
-        g = _check_aligned(self.mesh, g)
+        g = _check_aligned(self, g)
         rhs = np.concatenate([g, [0.0]])
         sol = lu_solve(self._bordered_lu, rhs)
         return sol[:-1], float(sol[-1])
@@ -197,13 +190,13 @@ class OperatorSet:
     @property
     def S_plus(self):
         return self._get(
-            "S_plus", lambda: (-0.5 * np.eye(self.mesh.n) + self.Wt) @ self.R
+            "S_plus", lambda: (-0.5 * np.eye(self.n) + self.Wt) @ self.R
         )
 
     @property
     def S_minus(self):
         return self._get(
-            "S_minus", lambda: (-0.5 * np.eye(self.mesh.n) - self.Wt) @ self.R
+            "S_minus", lambda: (-0.5 * np.eye(self.n) - self.Wt) @ self.R
         )
 
     def steklov(self, side):
@@ -218,19 +211,17 @@ class OperatorSet:
 
         def build():
             S = self.steklov(side)
-            w = self.mesh.weights
+            w = self.weights
             return (S.T * w[None, :]) / w[:, None]
 
         return self._get(f"rep_{side}", build)
 
 
 def operator_set(mesh):
-    """Operator bundle for a mesh, cached on the mesh object itself."""
-    ops = getattr(mesh, "_operator_set", None)
-    if ops is None:
-        ops = OperatorSet(mesh)
-        mesh._operator_set = ops
-    return ops
+    """The mesh's OperatorSet, built on first use and kept in mesh.operators."""
+    if mesh.operators is None:
+        mesh.operators = OperatorSet(mesh)
+    return mesh.operators
 
 
 def steklov(mesh, side):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidProbe, LengthMismatch, NearBoundary, NoLimit
-from .geometry import _check_aligned, integrate, locate_points, topology_of
+from .geometry import _check_aligned, integrate, locate_points
 from .operators import operator_set, _double_layer_kernel
 
 
@@ -101,7 +101,7 @@ class HarmonicField:
     def eval(self, points):
         pts, single = _as_points(points)
         _band_check(self.mesh, pts)
-        locs = locate_points(self.mesh, topology_of(self.mesh), pts)
+        locs = locate_points(self.mesh, self.mesh.topology, pts)
         for loc in locs:
             if loc.kind != self.region:
                 raise InvalidProbe(

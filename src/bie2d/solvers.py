@@ -12,6 +12,7 @@ density in the transpose kernel, cross-checking the direct route.
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import subspace_angles
@@ -23,12 +24,7 @@ from .errors import (
     OutOfRange,
     SingularSystem,
 )
-from .geometry import (
-    _check_aligned,
-    indicator,
-    integrate,
-    topology_of,
-)
+from .geometry import _check_aligned, indicator, integrate
 from .operators import operator_set
 from .potentials import HarmonicField
 from .distributions import (
@@ -62,49 +58,42 @@ class SolveReport:
         }
 
 
-def dirichlet_interior(mesh, g):
-    """Interior Dirichlet solve through the bordered single-layer system."""
+def _dirichlet(mesh, g, region):
     g = _check_aligned(mesh, g)
     ops = operator_set(mesh)
     eta, c = ops.harmonic_density(g)
     resid = float(np.max(np.abs(ops.V @ eta + c - g)))
     if resid > 1e-7 * max(1.0, float(np.max(np.abs(g)))):
         raise SingularSystem(f"boundary residual {resid:.3e} of the Dirichlet solve")
-    fld = HarmonicField(mesh, [("single", eta)], constant=c, region="interior")
+    fld = HarmonicField(mesh, [("single", eta)], constant=c, region=region)
     return SolveReport(
         field=fld,
         densities={"eta": eta, "constant": c},
         residuals={"boundary": resid},
+        u_infinity=c if region == "exterior" else None,
     )
+
+
+def dirichlet_interior(mesh, g):
+    """Interior Dirichlet solve through the bordered single-layer system."""
+    return _dirichlet(mesh, g, "interior")
 
 
 def dirichlet_exterior(mesh, g):
     """Exterior Dirichlet solve; the representation constant is the value at infinity."""
-    g = _check_aligned(mesh, g)
-    ops = operator_set(mesh)
-    eta, c = ops.harmonic_density(g)
-    resid = float(np.max(np.abs(ops.V @ eta + c - g)))
-    if resid > 1e-7 * max(1.0, float(np.max(np.abs(g)))):
-        raise SingularSystem(f"boundary residual {resid:.3e} of the Dirichlet solve")
-    fld = HarmonicField(mesh, [("single", eta)], constant=c, region="exterior")
-    return SolveReport(
-        field=fld,
-        densities={"eta": eta, "constant": c},
-        residuals={"boundary": resid},
-        u_infinity=c,
+    return _dirichlet(mesh, g, "exterior")
+
+
+def _compat_pairings(mesh, g, region, indices):
+    tau = as_pair(mesh, g.representer if hasattr(g, "representer") else g)
+    return np.array(
+        [dist_pairing(tau, indicator(mesh.topology, region, k)) for k in indices]
     )
 
 
 def check_compat_interior(mesh, g):
     """Pairings of the datum with the indicators of the open-set components."""
-    topo = topology_of(mesh)
-    tau = as_pair(mesh, g.representer if hasattr(g, "representer") else g)
-    return np.array(
-        [
-            dist_pairing(tau, indicator(topo, "omega", j))
-            for j in range(1, topo.kappa_plus + 1)
-        ]
-    )
+    return _compat_pairings(mesh, g, "omega", range(1, mesh.topology.kappa_plus + 1))
 
 
 def check_compat_exterior(mesh, g):
@@ -113,13 +102,8 @@ def check_compat_exterior(mesh, g):
     Row k corresponds to the k-th exterior component; row 0 (the unbounded
     component) belongs to the two-dimensional compatibility conditions.
     """
-    topo = topology_of(mesh)
-    tau = as_pair(mesh, g.representer if hasattr(g, "representer") else g)
-    return np.array(
-        [
-            dist_pairing(tau, indicator(topo, "omega_minus", k))
-            for k in range(0, topo.kappa_minus + 1)
-        ]
+    return _compat_pairings(
+        mesh, g, "omega_minus", range(0, mesh.topology.kappa_minus + 1)
     )
 
 
@@ -138,6 +122,72 @@ def _lstsq_minnorm(A, b):
     return z, rank, sv
 
 
+class _NeumannSide(NamedTuple):
+    shift: float  # the equation is (shift I + Wt) phi = g
+    compat: Callable  # compatibility pairings of the datum
+    boundary: str  # where a nonzero flux is reported
+    kernel: str  # nullspace kind of shift I + Wt
+    steklov: str  # side of the Dirichlet-to-Neumann map
+    identity_sign: float  # rep_matrix(steklov) V phi + identity_sign A phi = 0
+    kappa: str  # topology count that equals the rank deficiency
+
+
+_NEUMANN_SIDES = {
+    "interior": _NeumannSide(-0.5, check_compat_interior, "a component boundary",
+                             "minus_half_plus_Wt", "plus", -1.0, "kappa_plus"),
+    "exterior": _NeumannSide(0.5, check_compat_exterior,
+                             "an exterior component boundary",
+                             "half_plus_Wt", "minus", 1.0, "kappa_minus"),
+}
+
+
+def _neumann(mesh, g, region, compat_tol, kernel_shift):
+    side = _NEUMANN_SIDES[region]
+    exterior = region == "exterior"
+    rep, tau = _as_neumann_rep(mesh, g)
+    ops = operator_set(mesh)
+    scale = max(1e-30, float(np.max(np.abs(rep))) * integrate(mesh, np.ones(mesh.n)))
+    compat = side.compat(mesh, tau)
+    if np.max(np.abs(compat)) > compat_tol * scale:
+        raise IncompatibleData(
+            f"datum has nonzero flux through {side.boundary}", pairings=compat
+        )
+    A = side.shift * np.eye(mesh.n) + ops.Wt
+    phi, rank, _ = _lstsq_minnorm(A, rep)
+    resid = float(np.linalg.norm(A @ phi - rep))
+    if resid > compat_tol * max(1.0, float(np.linalg.norm(rep))):
+        raise IncompatibleData(
+            f"least-squares residual {resid:.3e} exceeds tolerance", pairings=compat
+        )
+    if kernel_shift is not None:
+        basis = nullspace(mesh, side.kernel).vectors
+        rng = np.random.default_rng(kernel_shift)
+        phi = phi + basis @ rng.uniform(-1.0, 1.0, size=basis.shape[1])
+    if exterior:
+        phi_mass = integrate(mesh, phi)
+        if abs(phi_mass) > 1e-8 * scale:
+            raise SingularSystem(
+                f"exterior Neumann density carries mass {phi_mass:.3e}"
+            )
+    fld = HarmonicField(mesh, [("single", phi)], region=region)
+    trace = ops.V @ phi
+    check = np.max(
+        np.abs(ops.rep_matrix(side.steklov) @ trace + side.identity_sign * (A @ phi))
+    )
+    residuals = {"equation": resid, "neumann_identity": float(check)}
+    if exterior:
+        residuals["density_mass"] = abs(phi_mass)
+    return SolveReport(
+        field=fld,
+        densities={"phi": phi},
+        residuals=residuals,
+        compat=list(compat),
+        rank_info={"rank": rank, "deficiency": mesh.n - rank,
+                   "expected_deficiency": getattr(mesh.topology, side.kappa)},
+        u_infinity=0.0 if exterior else None,
+    )
+
+
 def neumann_interior(mesh, g, compat_tol=1e-7, kernel_shift=None):
     """Interior Neumann problem with distributional datum g.
 
@@ -146,84 +196,12 @@ def neumann_interior(mesh, g, compat_tol=1e-7, kernel_shift=None):
     seed) adds a combination of transpose-kernel vectors, producing a
     different representative of the same solution family.
     """
-    rep, tau = _as_neumann_rep(mesh, g)
-    ops = operator_set(mesh)
-    topo = ops.topology
-    scale = max(1e-30, float(np.max(np.abs(rep))) * integrate(mesh, np.ones(mesh.n)))
-    compat = check_compat_interior(mesh, tau)
-    if np.max(np.abs(compat)) > compat_tol * scale:
-        raise IncompatibleData(
-            "datum has nonzero flux through a component boundary", pairings=compat
-        )
-    A = -0.5 * np.eye(mesh.n) + ops.Wt
-    phi, rank, _ = _lstsq_minnorm(A, rep)
-    resid = float(np.linalg.norm(A @ phi - rep))
-    if resid > compat_tol * max(1.0, float(np.linalg.norm(rep))):
-        raise IncompatibleData(
-            f"least-squares residual {resid:.3e} exceeds tolerance", pairings=compat
-        )
-    if kernel_shift is not None:
-        basis = nullspace(mesh, "minus_half_plus_Wt").vectors
-        rng = np.random.default_rng(kernel_shift)
-        phi = phi + basis @ rng.uniform(-1.0, 1.0, size=basis.shape[1])
-    fld = HarmonicField(mesh, [("single", phi)], region="interior")
-    trace = ops.V @ phi
-    check = np.max(
-        np.abs(
-            (ops.rep_matrix("plus") @ trace) - (A @ phi)
-        )
-    )
-    return SolveReport(
-        field=fld,
-        densities={"phi": phi},
-        residuals={"equation": resid, "neumann_identity": float(check)},
-        compat=list(compat),
-        rank_info={"rank": rank, "deficiency": mesh.n - rank,
-                   "expected_deficiency": topo.kappa_plus},
-    )
+    return _neumann(mesh, g, "interior", compat_tol, kernel_shift)
 
 
 def neumann_exterior(mesh, g, compat_tol=1e-7, kernel_shift=None):
     """Exterior Neumann problem (datum is minus the exterior normal derivative)."""
-    rep, tau = _as_neumann_rep(mesh, g)
-    ops = operator_set(mesh)
-    topo = ops.topology
-    scale = max(1e-30, float(np.max(np.abs(rep))) * integrate(mesh, np.ones(mesh.n)))
-    compat = check_compat_exterior(mesh, tau)
-    if np.max(np.abs(compat)) > compat_tol * scale:
-        raise IncompatibleData(
-            "datum has nonzero flux through an exterior component boundary",
-            pairings=compat,
-        )
-    A = 0.5 * np.eye(mesh.n) + ops.Wt
-    phi, rank, _ = _lstsq_minnorm(A, rep)
-    resid = float(np.linalg.norm(A @ phi - rep))
-    if resid > compat_tol * max(1.0, float(np.linalg.norm(rep))):
-        raise IncompatibleData(
-            f"least-squares residual {resid:.3e} exceeds tolerance", pairings=compat
-        )
-    if kernel_shift is not None:
-        basis = nullspace(mesh, "half_plus_Wt").vectors
-        rng = np.random.default_rng(kernel_shift)
-        phi = phi + basis @ rng.uniform(-1.0, 1.0, size=basis.shape[1])
-    phi_mass = integrate(mesh, phi)
-    if abs(phi_mass) > 1e-8 * scale:
-        raise SingularSystem(
-            f"exterior Neumann density carries mass {phi_mass:.3e}"
-        )
-    fld = HarmonicField(mesh, [("single", phi)], region="exterior")
-    trace = ops.V @ phi
-    check = np.max(np.abs((ops.rep_matrix("minus") @ trace) + (A @ phi)))
-    return SolveReport(
-        field=fld,
-        densities={"phi": phi},
-        residuals={"equation": resid, "neumann_identity": float(check),
-                   "density_mass": abs(phi_mass)},
-        compat=list(compat),
-        rank_info={"rank": rank, "deficiency": mesh.n - rank,
-                   "expected_deficiency": topo.kappa_minus},
-        u_infinity=0.0,
-    )
+    return _neumann(mesh, g, "exterior", compat_tol, kernel_shift)
 
 
 @dataclass
@@ -404,12 +382,9 @@ def green_h(mesh, x, side):
     d = np.linalg.norm(mesh.x - x[None, :], axis=1)
     if np.min(d) < mesh.band_width():
         raise NearBoundary("source point inside the near-boundary band")
-    data = np.log(d) / (2.0 * np.pi)
-    if side == "interior":
-        return dirichlet_interior(mesh, data)
-    if side == "exterior":
-        return dirichlet_exterior(mesh, data)
-    raise OutOfRange(f"unknown side {side!r}")
+    if side not in ("interior", "exterior"):
+        raise OutOfRange(f"unknown side {side!r}")
+    return _dirichlet(mesh, np.log(d) / (2.0 * np.pi), side)
 
 
 def _poisson_kernel_column(mesh, x):

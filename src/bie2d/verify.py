@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IncompatibleData
-from .geometry import indicator, integrate, locate_points, pairing, stock_mesh, topology_of
+from .geometry import indicator, integrate, locate_points, pairing, stock_mesh
 from .operators import operator_set
 from .potentials import eval_double_layer, eval_single_layer
 from .distributions import (
@@ -143,7 +143,7 @@ def probe_points(mesh, region, count=25, min_dist=0.2, prefer="far"):
     candidates (accuracy), prefer='near' the closest admissible ones
     (useful to expose the convergence rate).
     """
-    topo = topology_of(mesh)
+    topo = mesh.topology
     band = mesh.band_width()
     keep_dist = max(min_dist, 1.2 * band)
     sign = -1.0 if region == "interior" else 1.0
@@ -387,7 +387,7 @@ def check_space_coincidence(mesh, rng, count=5):
 
 
 def check_nullspace_dims(mesh, rng):
-    topo = topology_of(mesh)
+    topo = mesh.topology
     expected = {
         "half_plus_W": topo.kappa_minus,
         "minus_half_plus_W": topo.kappa_plus,
@@ -424,7 +424,7 @@ def check_poisson_reps(mesh, rng):
 
 
 def check_compat_rejection(mesh, rng):
-    topo = topology_of(mesh)
+    topo = mesh.topology
     ones = np.ones(mesh.n)
     res = 0.0
     try:

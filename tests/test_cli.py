@@ -130,7 +130,8 @@ def test_verify_negative_control(tmp_path):
 
 
 def test_verify_custom_config(tmp_path):
-    path = write_disk_config(tmp_path / "disk.json")
+    # "alpha" is not a config key; the loader must ignore it
+    path = write_disk_config(tmp_path / "disk.json", alpha=0.3)
     code = main(["verify", "--config", path, "--n", "64",
                  "--out", str(tmp_path / "v")])
     assert code == EXIT_OK
@@ -202,3 +203,41 @@ def test_solve_data_csv(tmp_path):
     report = json.loads((tmp_path / "out2" / "solve_report.json").read_text())
     assert report["residuals"]["boundary"] < 1e-10
     assert report["residuals"]["cross_solver"] < 1e-6
+
+
+def test_verify_bad_geometry_is_config_error(tmp_path, capsys):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"components": [
+        {"kind": "circle", "radius": 1.0, "nodes": 17}]}))
+    assert main(["solve", "--config", str(path), "--problem", "dirichlet-int",
+                 "--data", "fourier:1", "--out", str(tmp_path / "s")]) == EXIT_CONFIG
+    assert main(["verify", "--config", str(path),
+                 "--out", str(tmp_path / "v")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("config error") == 2 and "17" in err
+
+
+@pytest.mark.parametrize("problem", ["neumann-int", "dirichlet-int"])
+@pytest.mark.parametrize("kind", ["constant-nan", "constant-inf", "csv", "pairjson"])
+def test_solve_rejects_non_finite_data(tmp_path, capsys, kind, problem):
+    path = write_disk_config(tmp_path / "disk.json")
+    mesh = stock_mesh("disk", 128)
+    values = np.cos(mesh.t)
+    values[5] = np.nan
+    if kind == "csv":
+        np.savetxt(tmp_path / "g.csv", values, delimiter=",")
+        data = f"csv:{tmp_path / 'g.csv'}"
+    elif kind == "pairjson":
+        # json writes the bare token NaN, which json.load accepts
+        pair = {"side": "plus", "mu0": list(values), "mu1": [0.0] * mesh.n}
+        (tmp_path / "pair.json").write_text(json.dumps(pair))
+        data = f"pairjson:{tmp_path / 'pair.json'}"
+    else:
+        data = "constant:" + kind.split("-")[1]
+    code = main(["solve", "--config", path, "--problem", problem,
+                 "--data", data, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "non-finite" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "solve_report.json").exists()

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from bie2d.geometry import (
 )
 from bie2d.operators import operator_set
 from bie2d.potentials import value_at_infinity
-from bie2d.verify import probe_points, seeded_density
+from bie2d.cli import default_grid, write_field_csv
+from bie2d.verify import probe_points, run_verify, seeded_density
 from bie2d.distributions import J_inverse, dist_single_layer_field, mass_of
 from bie2d.solvers import (
     check_compat_exterior,
@@ -319,3 +322,28 @@ def test_identity_suite_on_kite_with_hole():
     assert topology_of(mesh).kappa_minus == 1
     report = run_verify(meshes={"kite-hole": mesh}, n=256)
     assert report.passed, [r.name for r in report.rows if not r.passed]
+
+
+def test_dropped_meshes_are_freed_without_gc(tmp_path):
+    # a mesh owns its topology and operators and nothing refers back to it,
+    # so reference counting alone must free it once the caller drops it
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        refs = []
+        for solver in (neumann_interior, neumann_exterior):
+            mesh = stock_mesh("annulus", 64)
+            assert topology_of(mesh) is mesh.topology
+            operator_set(mesh)
+            report = solver(mesh, np.cos(mesh.t))
+            write_field_csv(report.field, default_grid(mesh), tmp_path / "u.csv")
+            refs.append(weakref.ref(mesh))
+            del mesh, report
+        mesh = stock_mesh("annulus", 64)
+        run_verify(meshes={"annulus": mesh}, n=64)
+        refs.append(weakref.ref(mesh))
+        del mesh
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
