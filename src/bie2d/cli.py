@@ -18,6 +18,7 @@ from .errors import (
     ConfigError,
     IncompatibleData,
     InvalidGeometry,
+    LengthMismatch,
 )
 from .geometry import CurveSpec, build_mesh, locate_points
 from .operators import operator_set
@@ -91,50 +92,55 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
 
+def _number(value, where, integer=False):
+    """A finite JSON number as a float, or with integer set a JSON integer."""
+    kind = int if integer else (int, float)
+    # the bound fails for NaN and inf, and an int compares with it exactly
+    finite = isinstance(value, kind) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        need = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{where}: expected {need}, got {value!r}")
+    return value if integer else float(value)
+
+
+def _numbers(value, where, count=None):
+    """A JSON list of finite numbers, of the given length if count is set."""
+    if not isinstance(value, list) or count not in (None, len(value)):
+        raise ConfigError(f"{where}: expected a list of {count or 'finite'} numbers, "
+                          f"got {value!r}")
+    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
 def _curve_from_dict(idx, entry):
+    where = f"components[{idx}]"
     if not isinstance(entry, dict):
-        raise ConfigError(f"components[{idx}] is not an object")
+        raise ConfigError(f"{where} is not an object")
     kind = entry.get("kind")
     if kind not in ("circle", "ellipse", "fourier"):
-        raise ConfigError(f"components[{idx}].kind: unknown kind {kind!r}")
+        raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
     orientation = entry.get("orientation", "positive")
     if orientation not in ("positive", "negative"):
         raise ConfigError(
-            f"components[{idx}].orientation: got {orientation!r}, "
+            f"{where}.orientation: got {orientation!r}, "
             "expected 'positive' or 'negative'"
         )
-    center = tuple(entry.get("center", (0.0, 0.0)))
+    center = _numbers(entry.get("center", [0.0, 0.0]), f"{where}.center", 2)
     try:
         if kind == "circle":
-            spec = CurveSpec(
-                "circle",
-                center=center,
-                radius=float(entry["radius"]),
-                orientation=orientation,
-            )
+            shape = {"radius": _number(entry["radius"], f"{where}.radius")}
         elif kind == "ellipse":
-            spec = CurveSpec(
-                "ellipse",
-                center=center,
-                axes=tuple(entry["axes"]),
-                orientation=orientation,
-            )
+            shape = {"axes": _numbers(entry["axes"], f"{where}.axes", 2)}
         else:
-            spec = CurveSpec(
-                "fourier",
-                center=center,
-                cos_x=tuple(entry.get("cos_x", ())),
-                sin_x=tuple(entry.get("sin_x", ())),
-                cos_y=tuple(entry.get("cos_y", ())),
-                sin_y=tuple(entry.get("sin_y", ())),
-                orientation=orientation,
-            )
+            shape = {
+                key: _numbers(entry.get(key, []), f"{where}.{key}")
+                for key in ("cos_x", "sin_x", "cos_y", "sin_y")
+            }
+        spec = CurveSpec(kind, center=center, orientation=orientation, **shape)
     except KeyError as exc:
-        raise ConfigError(f"components[{idx}]: missing field {exc}") from exc
-    except (TypeError, ValueError, InvalidGeometry) as exc:
-        raise ConfigError(f"components[{idx}]: {exc}") from exc
-    nodes = int(entry.get("nodes", 128))
-    return spec, nodes
+        raise ConfigError(f"{where}: missing field {exc}") from exc
+    except InvalidGeometry as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return spec, _number(entry.get("nodes", 128), f"{where}.nodes", integer=True)
 
 
 def load_config(path, **overrides):
@@ -148,13 +154,21 @@ def load_config(path, **overrides):
         raise ConfigError(
             f"config {path} is not valid JSON (line {exc.lineno}, col {exc.colno})"
         ) from exc
-    if "components" not in raw or not raw["components"]:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    if not isinstance(raw.get("components"), list) or not raw["components"]:
         raise ConfigError("config needs a nonempty 'components' list")
     comps, nodes = [], []
     for idx, entry in enumerate(raw["components"]):
         spec, nc = _curve_from_dict(idx, entry)
         comps.append(spec)
         nodes.append(nc)
+    for key in ("problem", "data", "out"):
+        if not isinstance(raw.get(key, ""), (str, type(None))):
+            raise ConfigError(f"{key}: expected a string, got {raw[key]!r}")
+    tol_overrides = raw.get("tol_overrides", {})
+    if not isinstance(tol_overrides, dict):
+        raise ConfigError(f"tol_overrides: expected an object, got {tol_overrides!r}")
     cfg = RunConfig(
         config_path=path,
         components=comps,
@@ -162,9 +176,11 @@ def load_config(path, **overrides):
         problem=raw.get("problem"),
         data=raw.get("data"),
         out_dir=raw.get("out"),
-        tol=float(raw.get("tol", 1e-7)),
-        tol_overrides=dict(raw.get("tol_overrides", {})),
-        seed=int(raw.get("seed", DEFAULT_SEED)),
+        tol=_number(raw.get("tol", 1e-7), "tol"),
+        tol_overrides={
+            k: _number(v, f"tol_overrides.{k}") for k, v in tol_overrides.items()
+        },
+        seed=_number(raw.get("seed", DEFAULT_SEED), "seed", integer=True),
     )
     for key, value in overrides.items():
         if value is not None:
@@ -178,32 +194,19 @@ def build_data(cfg, mesh):
         raise ConfigError("this problem needs a --data specification")
     name, _, arg = cfg.data.partition(":")
     if name == "constant":
-        try:
-            value = float(arg) if arg else 1.0
-        except ValueError as exc:
-            raise ConfigError(f"constant data needs a number, got {arg!r}") from exc
+        value = _spec_arg(arg, float, 1.0, "constant data needs a number")
         return _require_finite(np.full(mesh.n, value), f"constant data {arg!r}")
     if name == "fourier":
-        try:
-            k = int(arg) if arg else 1
-        except ValueError as exc:
-            raise ConfigError(f"fourier data needs a mode index, got {arg!r}") from exc
-        return np.cos(k * mesh.t)
+        return np.cos(_spec_arg(arg, int, 1, "fourier data needs a mode index") * mesh.t)
     if name == "indicator":
-        try:
-            j = int(arg) if arg else 0
-        except ValueError as exc:
-            raise ConfigError(f"indicator data needs a curve index, got {arg!r}") from exc
+        j = _spec_arg(arg, int, 0, "indicator data needs a curve index")
         if not 0 <= j < mesh.n_components:
             raise ConfigError(f"indicator curve index {j} out of range")
         out = np.zeros(mesh.n)
         out[mesh.component_slice(j)] = 1.0
         return out
     if name == "hadamard":
-        try:
-            terms = int(arg) if arg else 4
-        except ValueError as exc:
-            raise ConfigError(f"hadamard data needs a term count, got {arg!r}") from exc
+        terms = _spec_arg(arg, int, 4, "hadamard data needs a term count")
         _require_resolution(terms, min(mesh.n_per_comp))
         trace = hadamard_trace(mesh.t, terms)
         if cfg.problem == "dirichlet-int":
@@ -214,6 +217,8 @@ def build_data(cfg, mesh):
             values = np.loadtxt(arg, delimiter=",", ndmin=1)
         except OSError as exc:
             raise ConfigError(f"cannot read data file {arg}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"data file {arg} holds a non-numeric value") from exc
         if values.shape != (mesh.n,):
             raise ConfigError(
                 f"data file has {values.shape[0]} samples, mesh has {mesh.n} nodes"
@@ -222,12 +227,28 @@ def build_data(cfg, mesh):
     if name == "pairjson":
         try:
             with open(arg) as fh:
-                tau = pair_from_dict(mesh, json.load(fh))
+                raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read pair file {arg}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"pair file {arg} is not valid JSON") from exc
+        if not isinstance(raw, dict) or not {"side", "mu0", "mu1"} <= raw.keys():
+            raise ConfigError(f"pair file {arg} needs an object with side, mu0 and mu1")
+        try:
+            tau = pair_from_dict(mesh, raw)
+        except (LengthMismatch, TypeError, ValueError) as exc:
+            raise ConfigError(f"pair file {arg}: {exc}") from exc
         _require_finite(np.concatenate([tau.mu0, tau.mu1]), f"pair file {arg}")
         return tau
     raise ConfigError(f"unknown data spec {cfg.data!r}")
+
+
+def _spec_arg(arg, cast, default, need):
+    """The argument of a data spec cast to a number, or the default when empty."""
+    try:
+        return cast(arg) if arg else default
+    except ValueError as exc:
+        raise ConfigError(f"{need}, got {arg!r}") from exc
 
 
 def _require_finite(values, source):
@@ -424,7 +445,7 @@ def cmd_demo_hadamard(terms, n, out_dir="."):
     for k in range(1, terms + 1):
         closed = np.pi * 2.0**k / k**4.0
         mode = k**-2.0 * np.cos(2.0**k * mesh.t)
-        disc = float(np.dot(mesh.weights * mode, ops.S_plus @ mode))
+        disc = float(np.dot(mesh.weights * mode, ops.dtn("plus", mode)))
         closed_total += closed
         disc_total += disc
         rows.append(
@@ -450,17 +471,12 @@ def cmd_demo_hadamard(terms, n, out_dir="."):
         json.dump(out, fh, indent=2, sort_keys=True)
         fh.write("\n")
     csv_path = os.path.join(out_dir, "hadamard_energy.csv")
+    columns = ("energy_closed_form", "energy_partial_sum", "energy_discrete_partial_sum")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["k", "energy_closed_form", "energy_partial_sum",
-                         "energy_discrete_partial_sum"])
+        writer.writerow(["k", *columns])
         for row in rows:
-            writer.writerow(
-                ["%d" % row["k"]]
-                + ["%.17g" % row[c] for c in
-                   ("energy_closed_form", "energy_partial_sum",
-                    "energy_discrete_partial_sum")]
-            )
+            writer.writerow(["%d" % row["k"]] + ["%.17g" % row[c] for c in columns])
     print(f"recovery sup error at r=1/2: {recovery:.3e}")
     print("energy partial sums:", ", ".join("%.6f" % r["energy_partial_sum"] for r in rows))
     print(f"report: {path}")

@@ -12,12 +12,14 @@ the diagonal.  Wt is built as D^-1 W^T D (D = diag of quadrature weights),
 which is simultaneously the Nystrom matrix of the transposed kernel and an
 exact discrete adjoint in the weighted pairing.
 
-The Dirichlet-to-Neumann maps are produced from one bordered solve: the
-density map R takes boundary values v to the density eta of the
-single-layer-plus-constant representation of the harmonic extension
-(V eta + c = v with zero-mean eta, a system that stays well posed at
-logarithmic capacity one); then the interior and exterior maps are
-(-1/2 I + Wt) R and (-1/2 I - Wt) R.
+The Dirichlet-to-Neumann maps come from one bordered system
+[V, 1; w^T, 0]: its solution map R takes boundary values v to the density
+eta of the single-layer-plus-constant representation of the harmonic
+extension (V eta + c = v with zero-mean eta, a system that stays well posed
+at logarithmic capacity one), and the interior and exterior maps are
+(-1/2 I + Wt) R and (-1/2 I - Wt) R.  Neither R nor these maps is ever
+formed: each application is a solve with the LU factors of the bordered
+matrix, and their weighted transposes are transposed solves.
 
 All of these live in one OperatorSet per mesh, stored in the mesh's
 operators field by operator_set.  The OperatorSet keeps the node count and
@@ -29,7 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import InvalidGeometry, OutOfRange, SingularPoint, SingularSystem
+from .errors import (
+    InvalidGeometry,
+    LengthMismatch,
+    OutOfRange,
+    SingularPoint,
+    SingularSystem,
+)
 from .geometry import _check_aligned
 
 
@@ -144,13 +152,21 @@ def assemble_Wt(mesh):
     return OperatorMatrix(operator_set(mesh).Wt, "Wt", mesh)
 
 
+def _side_sign(side):
+    """+1 for the interior ('plus') side, -1 for the exterior ('minus')."""
+    if side not in ("plus", "minus"):
+        raise OutOfRange(f"unknown side {side!r}")
+    return 1.0 if side == "plus" else -1.0
+
+
 class OperatorSet:
     """All dense operators for one mesh, assembled once and shared.
 
-    Cheap pieces (V, W, Wt, the bordered factorization, the density map R
-    and the value-at-infinity functional q) are built eagerly; the
-    Dirichlet-to-Neumann matrices and their weighted transposes are built
-    on first use.
+    The only state is V, W, Wt, the LU factors of the bordered matrix
+    [V, 1; w^T, 0] and the value-at-infinity functional q (the last row of
+    its inverse, from one transposed solve).  The Dirichlet-to-Neumann maps
+    and their weighted transposes are applied through the factors by dtn
+    and rep and are never formed or cached.
     """
 
     def __init__(self, mesh):
@@ -168,53 +184,51 @@ class OperatorSet:
             self._bordered_lu = lu_factor(B)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise SingularSystem("bordered single-layer system is singular") from exc
-        rhs = np.zeros((n + 1, n))
-        rhs[:n, :] = np.eye(n)
-        sol = lu_solve(self._bordered_lu, rhs)
-        self.R = sol[:n, :]
-        self.q = sol[n, :]
-        self._lazy = {}
+        e_n = np.zeros(n + 1)
+        e_n[n] = 1.0
+        self.q = lu_solve(self._bordered_lu, e_n, trans=1)[:n]
 
     def harmonic_density(self, g):
         """Density and constant with V eta + c = g and zero-mean eta."""
-        g = _check_aligned(self, g)
-        rhs = np.concatenate([g, [0.0]])
-        sol = lu_solve(self._bordered_lu, rhs)
+        sol = lu_solve(self._bordered_lu, np.append(_check_aligned(self, g), 0.0))
         return sol[:-1], float(sol[-1])
 
-    def _get(self, name, builder):
-        if name not in self._lazy:
-            self._lazy[name] = builder()
-        return self._lazy[name]
+    def _bordered_solve(self, top, trans=0):
+        """First n rows of B^-1 [top; 0], or of B^-T [top; 0] with trans=1."""
+        if top.shape[:1] != (self.n,):
+            raise LengthMismatch(
+                f"grid function of length {top.shape} on mesh with {self.n} nodes"
+            )
+        rhs = np.zeros((self.n + 1,) + top.shape[1:])
+        rhs[: self.n] = top
+        return lu_solve(self._bordered_lu, rhs, trans=trans)[: self.n]
+
+    def dtn(self, side, v):
+        """Dirichlet-to-Neumann map of one side applied to v.
+
+        (-1/2 I + Wt) R v for 'plus' (interior), (-1/2 I - Wt) R v for 'minus'
+        (exterior); v is a grid function or an (n, k) block of them.
+        """
+        sign = _side_sign(side)
+        eta = self._bordered_solve(np.asarray(v, dtype=float))
+        return -0.5 * eta + sign * (self.Wt @ eta)
+
+    def rep(self, side, mu):
+        """Weighted transpose D^-1 S^T D mu of the side's Dirichlet-to-Neumann map S."""
+        sign = _side_sign(side)
+        mu = _check_aligned(self, mu)
+        w = self.weights
+        return self._bordered_solve(w * (-0.5 * mu + sign * (self.W @ mu)), trans=1) / w
 
     @property
     def S_plus(self):
-        return self._get(
-            "S_plus", lambda: (-0.5 * np.eye(self.n) + self.Wt) @ self.R
-        )
+        """Dense interior Dirichlet-to-Neumann matrix, rebuilt on every access."""
+        return self.dtn("plus", np.eye(self.n))
 
     @property
     def S_minus(self):
-        return self._get(
-            "S_minus", lambda: (-0.5 * np.eye(self.n) - self.Wt) @ self.R
-        )
-
-    def steklov(self, side):
-        if side == "plus":
-            return self.S_plus
-        if side == "minus":
-            return self.S_minus
-        raise OutOfRange(f"unknown side {side!r}")
-
-    def rep_matrix(self, side):
-        """Weighted transpose of the Dirichlet-to-Neumann map of one side."""
-
-        def build():
-            S = self.steklov(side)
-            w = self.weights
-            return (S.T * w[None, :]) / w[:, None]
-
-        return self._get(f"rep_{side}", build)
+        """Dense exterior Dirichlet-to-Neumann matrix, rebuilt on every access."""
+        return self.dtn("minus", np.eye(self.n))
 
 
 def operator_set(mesh):
@@ -225,10 +239,10 @@ def operator_set(mesh):
 
 
 def steklov(mesh, side):
-    """Dirichlet-to-Neumann operator of the interior (plus) or exterior (minus)."""
+    """Dense Dirichlet-to-Neumann matrix of one side, rebuilt on every call."""
     ops = operator_set(mesh)
-    kind = "Splus" if side == "plus" else "Sminus"
-    return OperatorMatrix(ops.steklov(side), kind, mesh)
+    matrix = ops.dtn(side, np.eye(mesh.n))
+    return OperatorMatrix(matrix, "Splus" if side == "plus" else "Sminus", mesh)
 
 
 def save_matrix(op, path, fmt="csv"):

@@ -26,7 +26,12 @@ from .errors import (
 )
 from .geometry import _check_aligned, indicator, integrate
 from .operators import operator_set
-from .potentials import HarmonicField
+from .potentials import (
+    HarmonicField,
+    normal_derivative_single,
+    trace_double,
+    trace_single,
+)
 from .distributions import (
     J_inverse,
     PairDistribution,
@@ -85,7 +90,7 @@ def dirichlet_exterior(mesh, g):
 
 
 def _compat_pairings(mesh, g, region, indices):
-    tau = as_pair(mesh, g.representer if hasattr(g, "representer") else g)
+    tau = as_pair(mesh, getattr(g, "representer", g))
     return np.array(
         [dist_pairing(tau, indicator(mesh.topology, region, k)) for k in indices]
     )
@@ -110,10 +115,7 @@ def check_compat_exterior(mesh, g):
 def _as_neumann_rep(mesh, g):
     if isinstance(g, PairDistribution):
         return to_grid_representer(g).representer, g
-    if hasattr(g, "representer"):
-        rep = _check_aligned(mesh, g.representer)
-        return rep, as_pair(mesh, rep)
-    rep = _check_aligned(mesh, g)
+    rep = _check_aligned(mesh, getattr(g, "representer", g))
     return rep, as_pair(mesh, rep)
 
 
@@ -128,7 +130,7 @@ class _NeumannSide(NamedTuple):
     boundary: str  # where a nonzero flux is reported
     kernel: str  # nullspace kind of shift I + Wt
     steklov: str  # side of the Dirichlet-to-Neumann map
-    identity_sign: float  # rep_matrix(steklov) V phi + identity_sign A phi = 0
+    identity_sign: float  # rep(steklov, V phi) + identity_sign A phi = 0
     kappa: str  # topology count that equals the rank deficiency
 
 
@@ -172,7 +174,7 @@ def _neumann(mesh, g, region, compat_tol, kernel_shift):
     fld = HarmonicField(mesh, [("single", phi)], region=region)
     trace = ops.V @ phi
     check = np.max(
-        np.abs(ops.rep_matrix(side.steklov) @ trace + side.identity_sign * (A @ phi))
+        np.abs(ops.rep(side.steklov, trace) + side.identity_sign * (A @ phi))
     )
     residuals = {"equation": resid, "neumann_identity": float(check)}
     if exterior:
@@ -361,14 +363,12 @@ def dirichlet_exterior_via_decomposition(mesh, g):
 
 def trace_of_field_terms(mesh, terms, side):
     """Boundary limit of a sum of layer terms from the given side."""
-    ops = operator_set(mesh)
-    half = 0.5 if side == "plus" else -0.5
     out = np.zeros(mesh.n)
     for kind, density in terms:
         if kind == "single":
-            out += ops.V @ density
+            out += trace_single(mesh, density)
         else:
-            out += half * density + ops.W @ density
+            out += trace_double(mesh, density, side)
     return out
 
 
@@ -394,32 +394,29 @@ def _poisson_kernel_column(mesh, x):
     return np.einsum("ij,ij->i", mesh.normal, d) / (2.0 * np.pi * r2)
 
 
+def _poisson(mesh, g, x, region):
+    """Pairing of g with d/dnu_y of the Green function of the region at x."""
+    g = _check_aligned(mesh, g)
+    eta = green_h(mesh, x, region).densities["eta"]
+    side = "plus" if region == "interior" else "minus"
+    dh = normal_derivative_single(mesh, eta, side)
+    return float(np.dot(mesh.weights * g, _poisson_kernel_column(mesh, x) - dh))
+
+
 def poisson_interior(mesh, g, x):
     """Green-function representation of the interior harmonic extension at x.
 
     For x in the open set this reproduces the Dirichlet solution; for x in
     the exterior the same integral vanishes.
     """
-    g = _check_aligned(mesh, g)
-    ops = operator_set(mesh)
-    rep = green_h(mesh, x, "interior")
-    eta = rep.densities["eta"]
-    dh = -0.5 * eta + ops.Wt @ eta
-    kernel = _poisson_kernel_column(mesh, x)
-    return float(np.dot(mesh.weights * g, kernel - dh))
+    return _poisson(mesh, g, x, "interior")
 
 
 def poisson_exterior(mesh, g, x):
     """Exterior Green representation; returns (value, constant at infinity)."""
-    g = _check_aligned(mesh, g)
-    ops = operator_set(mesh)
-    rep = green_h(mesh, x, "exterior")
-    eta = rep.densities["eta"]
-    dh = 0.5 * eta + ops.Wt @ eta
-    kernel = _poisson_kernel_column(mesh, x)
-    c_g = float(ops.q @ g)
-    val = -float(np.dot(mesh.weights * g, kernel - dh)) + c_g
-    return val, c_g
+    val = _poisson(mesh, g, x, "exterior")
+    c_g = float(operator_set(mesh).q @ _check_aligned(mesh, g))
+    return c_g - val, c_g
 
 
 def transpose_kernel_pair_basis(mesh, op_kind):

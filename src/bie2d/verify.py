@@ -255,50 +255,36 @@ def check_dist_jump(mesh, rng, count=6):
     return res
 
 
-def check_third_green_interior(mesh, rng, prefer="far"):
-    ops = operator_set(mesh)
+def _third_green(mesh, rng, region, prefer):
+    """Green's third identity in the region; the same integral vanishes off it."""
+    interior = region == "interior"
     g = seeded_density(mesh, rng)
-    rep_solution = dirichlet_interior(mesh, g)
-    u_trace = g
-    rep_nd = ops.rep_matrix("plus") @ u_trace
-    res = 0.0
-    pts = probe_points(mesh, "interior", prefer=prefer)
-    recon = eval_double_layer(mesh, u_trace, pts) - eval_single_layer(mesh, rep_nd, pts)
-    res = max(res, _sup(recon - rep_solution.field.eval_unchecked(pts)))
-    pts = probe_points(mesh, "exterior", prefer=prefer)
-    zero = eval_double_layer(mesh, u_trace, pts) - eval_single_layer(mesh, rep_nd, pts)
-    res = max(res, _sup(zero))
-    return res
+    solution = (dirichlet_interior if interior else dirichlet_exterior)(mesh, g)
+    rep_nd = operator_set(mesh).rep("plus" if interior else "minus", g)
+    sign, const = (1.0, 0.0) if interior else (-1.0, solution.u_infinity)
+
+    def recon(pts):
+        single = eval_single_layer(mesh, rep_nd, pts)
+        return sign * eval_double_layer(mesh, g, pts) - single + const
+
+    pts = probe_points(mesh, region, prefer=prefer)
+    res = _sup(recon(pts) - solution.field.eval_unchecked(pts))
+    other = probe_points(mesh, "exterior" if interior else "interior", prefer=prefer)
+    return max(res, _sup(recon(other)))
+
+
+def check_third_green_interior(mesh, rng, prefer="far"):
+    return _third_green(mesh, rng, "interior", prefer)
 
 
 def check_third_green_exterior(mesh, rng, prefer="far"):
-    ops = operator_set(mesh)
-    g = seeded_density(mesh, rng)
-    rep_solution = dirichlet_exterior(mesh, g)
-    u_inf = rep_solution.u_infinity
-    rep_nd = ops.rep_matrix("minus") @ g
-    res = 0.0
-    pts = probe_points(mesh, "exterior", prefer=prefer)
-    recon = (
-        -eval_double_layer(mesh, g, pts)
-        - eval_single_layer(mesh, rep_nd, pts)
-        + u_inf
-    )
-    res = max(res, _sup(recon - rep_solution.field.eval_unchecked(pts)))
-    pts = probe_points(mesh, "interior", prefer=prefer)
-    zero = (
-        -eval_double_layer(mesh, g, pts)
-        - eval_single_layer(mesh, rep_nd, pts)
-        + u_inf
-    )
-    res = max(res, _sup(zero))
-    return res
+    return _third_green(mesh, rng, "exterior", prefer)
 
 
 def check_dlintesl_plus(mesh, rng):
     ops = operator_set(mesh)
     mu = seeded_density(mesh, rng)
-    rep = ops.rep_matrix("plus") @ mu
+    rep = ops.rep("plus", mu)
     res = 0.0
     pts = probe_points(mesh, "interior")
     eta, c = ops.harmonic_density(mu)
@@ -317,7 +303,7 @@ def check_dlintesl_plus(mesh, rng):
 def check_dlintesl_minus(mesh, rng):
     ops = operator_set(mesh)
     mu = seeded_density(mesh, rng)
-    rep = ops.rep_matrix("minus") @ mu
+    rep = ops.rep("minus", mu)
     c_mu = float(ops.q @ mu)
     res = 0.0
     pts = probe_points(mesh, "interior")
@@ -335,10 +321,10 @@ def check_vst_identities(mesh, rng, count=10):
     res = 0.0
     for _ in range(count):
         mu = seeded_density(mesh, rng)
-        lhs = ops.V @ (ops.rep_matrix("plus") @ mu)
+        lhs = ops.V @ ops.rep("plus", mu)
         rhs = -0.5 * mu + ops.W @ mu
         res = max(res, _sup(lhs - rhs))
-        lhs = ops.V @ (ops.rep_matrix("minus") @ mu)
+        lhs = ops.V @ ops.rep("minus", mu)
         rhs = -0.5 * mu - ops.W @ mu + float(ops.q @ mu)
         res = max(res, _sup(lhs - rhs))
     return res
@@ -427,24 +413,18 @@ def check_compat_rejection(mesh, rng):
     topo = mesh.topology
     ones = np.ones(mesh.n)
     res = 0.0
-    try:
-        neumann_interior(mesh, ones)
-        return float("inf")
-    except IncompatibleData:
-        pass
-    vals = check_compat_interior(mesh, ones)
-    for j in range(1, topo.kappa_plus + 1):
-        chi = indicator(topo, "omega", j)
-        res = max(res, abs(vals[j - 1] - integrate(mesh, chi)))
-    try:
-        neumann_exterior(mesh, ones)
-        return float("inf")
-    except IncompatibleData:
-        pass
-    vals = check_compat_exterior(mesh, ones)
-    for k in range(0, topo.kappa_minus + 1):
-        chi = indicator(topo, "omega_minus", k)
-        res = max(res, abs(vals[k] - integrate(mesh, chi)))
+    # pairing k of each side belongs to the k-th component of its region
+    for solve, pairings, region, first in (
+        (neumann_interior, check_compat_interior, "omega", 1),
+        (neumann_exterior, check_compat_exterior, "omega_minus", 0),
+    ):
+        try:
+            solve(mesh, ones)
+            return float("inf")
+        except IncompatibleData:
+            pass
+        for k, val in enumerate(pairings(mesh, ones), start=first):
+            res = max(res, abs(val - integrate(mesh, indicator(topo, region, k))))
     return res
 
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from bie2d.errors import ConfigError
+from bie2d import cli
+from bie2d.errors import ConfigError, SingularSystem
 from bie2d.geometry import stock_mesh
 from bie2d.potentials import HarmonicField
 from bie2d.cli import (
@@ -179,15 +180,21 @@ def test_demo_hadamard_resolution_guard():
     assert main(["demo-hadamard", "--terms", "6", "--n", "64"]) == EXIT_CONFIG
 
 
-def test_solve_numerical_failure_exit_code(tmp_path):
+def test_solve_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a library failure inside the solve maps to exit 4 with a one-line reason
+    # (a pair file of the wrong length is a config error: see the table below)
+    def failing_solver(mesh, data):
+        raise SingularSystem("boundary residual 1.000e+00 of the Dirichlet solve")
+
+    monkeypatch.setitem(cli._SOLVERS, "neumann-int", failing_solver)
     path = write_disk_config(tmp_path / "disk.json")
-    bad_pair = tmp_path / "pair.json"
-    bad_pair.write_text(json.dumps({"side": "plus", "mu0": [1.0, 2.0], "mu1": [0.0]}))
     code = main(
         ["solve", "--config", path, "--problem", "neumann-int",
-         "--data", f"pairjson:{bad_pair}", "--out", str(tmp_path / "bad")]
+         "--data", "fourier:1", "--out", str(tmp_path / "bad")]
     )
     assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and len(err.strip().splitlines()) == 1
 
 
 def test_solve_data_csv(tmp_path):
@@ -241,3 +248,58 @@ def test_solve_rejects_non_finite_data(tmp_path, capsys, kind, problem):
     assert len(err.strip().splitlines()) == 1
     assert "non-finite" in err and "Traceback" not in err
     assert not (tmp_path / "out" / "solve_report.json").exists()
+
+
+def _assert_config_error(code, capsys, out_dir):
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not (out_dir / "solve_report.json").exists()
+
+
+_MALFORMED_DATA = {
+    "csv-text": ("g.csv", "abc\n"),
+    "pair-no-side": ("p.json", json.dumps({"mu0": [0.0] * 128, "mu1": [0.0] * 128})),
+    "pair-list": ("p.json", json.dumps([0.0] * 128)),
+    "pair-short": ("p.json", json.dumps({"side": "plus", "mu0": [1.0, 2.0], "mu1": [0.0]})),
+    "pair-side-up": (
+        "p.json", json.dumps({"side": "up", "mu0": [0.0] * 128, "mu1": [0.0] * 128})
+    ),
+    "pair-not-json": ("p.json", "{side: plus"),
+}
+
+
+@pytest.mark.parametrize("problem", ["neumann-int", "dirichlet-int"])
+@pytest.mark.parametrize("kind", sorted(_MALFORMED_DATA))
+def test_solve_rejects_malformed_data_files(tmp_path, capsys, kind, problem):
+    path = write_disk_config(tmp_path / "disk.json")
+    name, text = _MALFORMED_DATA[kind]
+    (tmp_path / name).write_text(text)
+    spec = ("csv:" if name.endswith(".csv") else "pairjson:") + str(tmp_path / name)
+    code = main(["solve", "--config", path, "--problem", problem,
+                 "--data", spec, "--out", str(tmp_path / "out")])
+    _assert_config_error(code, capsys, tmp_path / "out")
+
+
+_DISK = {"kind": "circle", "center": [0, 0], "radius": 1.0, "nodes": 128}
+_MALFORMED_CONFIGS = {
+    "nodes-text": {"components": [dict(_DISK, nodes="abc")]},
+    "nodes-fraction": {"components": [dict(_DISK, nodes=64.5)]},
+    "top-level-number": 5,
+    "center-3d": {"components": [dict(_DISK, center=[0, 0, 0])]},
+    "radius-nan": {"components": [dict(_DISK, radius=float("nan"))]},
+    "tol-text": {"components": [_DISK], "tol": "x"},
+    "seed-text": {"components": [_DISK], "seed": "x"},
+    "tol-overrides-number": {"components": [_DISK], "tol_overrides": 5},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MALFORMED_CONFIGS))
+def test_malformed_config_is_config_error(tmp_path, capsys, kind):
+    path = tmp_path / "bad.json"
+    # json writes float("nan") as the bare token NaN, which json.load accepts
+    path.write_text(json.dumps(_MALFORMED_CONFIGS[kind]))
+    code = main(["solve", "--config", str(path), "--problem", "dirichlet-int",
+                 "--data", "fourier:1", "--out", str(tmp_path / "out")])
+    _assert_config_error(code, capsys, tmp_path / "out")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bie2d.errors import LengthMismatch, SingularPoint
+from bie2d.errors import LengthMismatch, OutOfRange, SingularPoint
 from bie2d.geometry import CurveSpec, build_mesh, pairing, stock_mesh
 from bie2d.operators import (
     OperatorMatrix,
@@ -172,7 +172,8 @@ def test_matrix_dump_roundtrip(tmp_path, disk128):
     V = assemble_V(disk128)
     path = tmp_path / "v.csv"
     save_matrix(V, path)
-    header = open(path).readline()
+    with open(path) as fh:
+        header = fh.readline()
     assert "kind=V" in header and f"n={disk128.n}" in header
     back = np.loadtxt(path, delimiter=",")
     assert np.allclose(back, V.matrix, atol=1e-12)
@@ -213,3 +214,72 @@ def test_steklov_against_harmonic_oracles(ellipse, kite):
         uy = -2.0 * x * y / r2**2
         dn_minus = -(mesh.normal[:, 0] * ux + mesh.normal[:, 1] * uy)
         assert np.max(np.abs(ops.S_minus @ u - dn_minus)) < 1e-9
+
+
+def _held_bytes(ops):
+    """nbytes of the arrays each OperatorSet attribute holds, containers included."""
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            return [value]
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, (tuple, list)):
+            return [a for v in value for a in arrays(v)]
+        return []
+
+    held = {name: arrays(value) for name, value in vars(ops).items()}
+    return {name: sum(a.nbytes for a in found) for name, found in held.items() if found}
+
+
+def test_operator_set_holds_only_its_factors():
+    from bie2d.distributions import PairDistribution, dist_jump_check
+    from bie2d.solvers import neumann_exterior, neumann_interior
+    from bie2d.verify import run_verify
+
+    mesh = stock_mesh("annulus", 96)
+    n = mesh.n
+    ops = operator_set(mesh)
+    held = _held_bytes(ops)
+    assert set(held) == {"V", "W", "Wt", "q", "weights", "_bordered_lu"}
+    assert sum(held.values()) <= 8 * (3 * n**2 + (n + 1) ** 2) + 64 * (n + 1)
+
+    g = np.cos(mesh.t)  # no flux through any component of either side
+    neumann_interior(mesh, g)
+    neumann_exterior(mesh, g)
+    dist_jump_check(PairDistribution("minus", g - np.mean(g), np.sin(mesh.t), mesh))
+    assert run_verify(meshes={"annulus": mesh}, n=96).passed
+    ops.S_plus, ops.S_minus
+    assert mesh.operators is ops
+    assert _held_bytes(ops) == held
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_rep_is_the_weighted_transpose_of_the_dense_map(annulus, kite, rng, side):
+    # independent route: the dense map, transposed in the weighted pairing
+    for mesh in (annulus, kite):
+        ops = operator_set(mesh)
+        w = mesh.weights
+        S = steklov(mesh, side).matrix
+        dense = (S.T * w[None, :]) / w[:, None]
+        for _ in range(3):
+            mu = rng.standard_normal(mesh.n)
+            expected = dense @ mu
+            err = np.max(np.abs(ops.rep(side, mu) - expected))
+            assert err <= 1e-10 * np.max(np.abs(expected))
+
+
+def test_dtn_applies_blocks_and_checks_its_input(ellipse, rng):
+    ops = operator_set(ellipse)
+    block = rng.standard_normal((ellipse.n, 3))
+    for side in ("plus", "minus"):
+        out = ops.dtn(side, block)
+        for j in range(3):
+            col = ops.dtn(side, block[:, j])
+            assert np.max(np.abs(out[:, j] - col)) <= 1e-12 * np.max(np.abs(col))
+    for apply in (ops.dtn, ops.rep):
+        with pytest.raises(OutOfRange):
+            apply("sideways", block[:, 0])
+        with pytest.raises(LengthMismatch):
+            apply("plus", np.ones(ellipse.n + 1))
+
