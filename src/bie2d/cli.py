@@ -19,6 +19,7 @@ from .errors import (
     IncompatibleData,
     InvalidGeometry,
     LengthMismatch,
+    NonFiniteResult,
 )
 from .geometry import CurveSpec, build_mesh, locate_points
 from .operators import operator_set
@@ -266,6 +267,8 @@ def hadamard_trace(t, terms):
 
 
 def _require_resolution(terms, n):
+    if terms < 1:
+        raise ConfigError(f"hadamard data needs at least 1 term, got {terms}")
     needed = 8 * 2**terms
     if n < needed:
         raise ConfigError(
@@ -330,6 +333,22 @@ def read_field_csv(path):
     return np.array(xs), np.array(ys), np.array(us)
 
 
+def write_report(path, payload):
+    """Write a report as strict JSON; a NaN or infinity in it is a numerical failure.
+
+    The text is built before the file is opened, so a rejected report
+    leaves no file behind.
+    """
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResult(
+            f"{os.path.basename(path)} would hold a non-finite value"
+        ) from exc
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
 _SOLVERS = {
     "dirichlet-int": dirichlet_interior,
     "dirichlet-ext": dirichlet_exterior,
@@ -364,9 +383,7 @@ def cmd_solve(cfg, out_prefix="solve"):
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, f"{out_prefix}_report.json")
     csv_path = os.path.join(out_dir, f"{out_prefix}_field.csv")
-    with open(json_path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_report(json_path, report.to_dict())
     write_field_csv(report.field, default_grid(mesh), csv_path)
     print(f"report: {json_path}")
     print(f"field:  {csv_path}")
@@ -400,15 +417,13 @@ def cmd_verify(cfg, negative_control=False):
     out_dir = (cfg.out_dir if cfg else None) or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "verify_report.json")
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
     for row in report.rows:
         flag = "PASS" if row.passed else "FAIL"
         print(
             f"{flag} {row.geometry:10s} {row.name:24s} "
             f"residual={row.residual:.3e} tol={row.tol:.1e}"
         )
+    write_report(path, report.to_dict())
     print(f"report: {path}")
     print("overall:", "PASS" if report.passed else "FAIL")
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
@@ -467,9 +482,7 @@ def cmd_demo_hadamard(terms, n, out_dir="."):
     }
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "hadamard_report.json")
-    with open(path, "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_report(path, out)
     csv_path = os.path.join(out_dir, "hadamard_energy.csv")
     columns = ("energy_closed_form", "energy_partial_sum", "energy_discrete_partial_sum")
     with open(csv_path, "w", newline="") as fh:

@@ -13,12 +13,14 @@ the trace of the single layer of (plus, 0, mu) is (-1/2 I + W) mu, and for
 the minus side (-1/2 I - W) mu plus the constant carried by the exterior
 harmonic extension of mu.  The J map sends tau to
 V[tau - mean] + mean (mean = <tau,1>/<1,1>) and identifies distributions
-with grid functions; its inverse is a dense least-squares solve.
+with grid functions.  Its inverse picks the minimum-norm pair through a
+Cholesky factorization of the Gram matrix of the J map's dense matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import LengthMismatch, SingularSystem
 from .geometry import _check_aligned, integrate, pairing
@@ -117,13 +119,18 @@ def _j_forward_matrix(mesh, side):
 def J_inverse(mesh, g, side="plus", rtol=1e-7):
     """A pair distribution of the requested side with J image g.
 
-    Minimum-norm least squares on the underdetermined map
-    (mu0, mu1) -> J[mu0 + transpose-part(mu1)]; raises SingularSystem when
-    the residual exceeds rtol times the data norm.
+    The map (mu0, mu1) -> J[mu0 + transpose-part(mu1)] is onto, so the
+    minimum-norm preimage is z = A^T (A A^T)^-1 g with A its n x 2n matrix,
+    solved with a Cholesky factorization of A A^T.  Raises SingularSystem
+    when that factorization fails or the residual exceeds rtol times the
+    data norm.
     """
     g = _check_aligned(mesh, g)
     A = _j_forward_matrix(mesh, side)
-    z, _, _, _ = np.linalg.lstsq(A, g, rcond=1e-12)
+    try:
+        z = A.T @ cho_solve(cho_factor(A @ A.T), g)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("J map is not onto: its Gram matrix is singular") from exc
     resid = float(np.linalg.norm(A @ z - g))
     if resid > rtol * max(1.0, float(np.linalg.norm(g))):
         raise SingularSystem(f"J inverse residual {resid:.3e} too large")

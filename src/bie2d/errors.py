@@ -26,7 +26,11 @@ class SingularPoint(Bie2dError):
 
 
 class SingularSystem(Bie2dError):
-    """A dense solve or least-squares problem failed its residual check."""
+    """A dense solve failed its residual check or its condition estimate."""
+
+
+class NonFiniteResult(Bie2dError):
+    """A computed result holds NaN or infinity."""
 
 
 class InvalidProbe(Bie2dError):

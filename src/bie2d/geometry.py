@@ -14,6 +14,7 @@ use.  Neither the topology nor the operators point back at the mesh, so a
 dropped mesh is freed by reference counting alone.
 """
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -207,7 +208,9 @@ def build_mesh(specs, nodes_per_component):
 
     Node counts must be even and at least 16.  Curves must be pairwise
     disjoint and free of self-intersections (checked through node
-    distances).  Normals are oriented outward for the open set: curves
+    distances), and two curves may not come closer than the node spacing
+    of either: such a gap is under-resolved, and the error suggests node
+    counts that resolve it.  Normals are oriented outward for the open set: curves
     that contain no other curve are traversed counterclockwise, hole
     curves clockwise; the input orientation is flipped when needed.
     """
@@ -342,12 +345,35 @@ def _check_node_separation(mesh):
                 )
         for c2 in range(c + 1, mesh.n_components):
             sl2 = mesh.component_slice(c2)
-            x2 = mesh.x[sl2]
-            dmin = float(
-                np.min(np.linalg.norm(xc[:, None, :] - x2[None, :, :], axis=-1))
-            )
-            if dmin <= 1e-9 * scale:
+            d = np.linalg.norm(xc[:, None, :] - mesh.x[sl2][None, :, :], axis=-1)
+            i, j = np.unravel_index(np.argmin(d), d.shape)
+            gap = float(d[i, j])
+            if gap <= 1e-9 * scale:
                 raise InvalidGeometry(f"curves {c} and {c2} are not disjoint")
+            _check_gap_resolved(mesh, (c, c2), gap, (wc[i], mesh.weights[sl2][j]))
+
+
+# The trapezoid rule on one curve loses its accuracy at points of another
+# curve closer than a few node spacings (for two circles, W 1 = 1/2 to 1e-8
+# needs a gap of a little over three).  A gap below one spacing is refused
+# outright, and the node counts suggested then make it four spacings wide.
+_MIN_GAP_SPACINGS = 1.0
+_SUGGESTED_GAP_SPACINGS = 4.0
+
+
+def _check_gap_resolved(mesh, pair, gap, spacings):
+    if gap >= _MIN_GAP_SPACINGS * max(spacings):
+        return
+    counts = [
+        max(mesh.n_per_comp[c], 2 * math.ceil(
+            mesh.n_per_comp[c] * _SUGGESTED_GAP_SPACINGS * h / (2.0 * gap)))
+        for c, h in zip(pair, spacings)
+    ]
+    raise InvalidGeometry(
+        f"under-resolved: curves {pair[0]} and {pair[1]} come within {gap:.1e} of "
+        f"each other, less than their node spacing there ({spacings[0]:.1e} and "
+        f"{spacings[1]:.1e}); use about {counts[0]} and {counts[1]} nodes"
+    )
 
 
 def topology_of(mesh):

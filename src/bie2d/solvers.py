@@ -3,11 +3,16 @@
 Dirichlet problems use the single-layer-plus-constant representation whose
 bordered system stays well posed at logarithmic capacity one.  The
 nonvariational Neumann problems solve (-1/2 I + Wt) phi = g (interior) and
-(1/2 I + Wt) phi = g (exterior) by minimum-norm least squares; the known
-rank deficiencies equal the number of components of the open set and of
-the bounded exterior components.  A second pair of Dirichlet solvers goes
-through the image/kernel splitting of +-1/2 I + W and a single layer with
-density in the transpose kernel, cross-checking the direct route.
+(1/2 I + Wt) phi = g (exterior) for the minimum-norm density.  The domain
+topology gives the left kernels: the weighted indicators of the components
+of the open set (interior) and of the bounded exterior components
+(exterior).  One LU of the matrix bordered with them yields a solution and
+a basis of the right kernel, which is then projected out; the rank
+deficiency is measured on that basis, not taken from the topology.  A
+second pair of Dirichlet solvers goes through the image/kernel splitting
+of +-1/2 I + W and a single layer with density in the transpose kernel,
+cross-checking the direct route.  The SVD survives only in nullspace and
+transpose_kernel_pair_basis, as the independent check of those kernels.
 """
 
 import warnings
@@ -15,7 +20,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import subspace_angles
+from scipy.linalg import lu_factor, lu_solve, subspace_angles
+from scipy.linalg.lapack import dgecon
 
 from .errors import (
     ConditioningWarning,
@@ -119,16 +125,63 @@ def _as_neumann_rep(mesh, g):
     return rep, as_pair(mesh, rep)
 
 
-def _lstsq_minnorm(A, b):
-    z, _, rank, sv = np.linalg.lstsq(A, b, rcond=1e-10)
-    return z, rank, sv
+# reciprocal condition estimate below which a bordered matrix counts as singular
+_RCOND_FLOOR = 1e-12
+
+
+class _Bordered(NamedTuple):
+    solution: np.ndarray  # minimum-norm solution of A x = rhs
+    kernel: np.ndarray  # orthonormal basis of the measured right kernel of A
+    border: int  # number of border columns: the kernel dimension assumed
+
+
+def _bordered_minnorm(op, shift, left_kernel, rhs, tol=1e-10):
+    """Minimum-norm solution of (shift I + op) x = rhs by one bordered LU.
+
+    left_kernel spans the left kernel of A = shift I + op.  With B its
+    columns scaled to unit length, [A, B; B^T, 0] is factored once, and the
+    datum and the unit vectors of the border rows are solved together: for
+    rhs in the range of A the first solution solves A x = rhs, the others
+    span the right kernel of A.  That span is orthonormalized, the vectors A
+    maps below tol times the inf-norm of the bordered matrix are kept as the
+    measured kernel, and the kernel is projected out of x in the Euclidean
+    norm, which is the answer of a minimum-norm least-squares solve.
+    Raises SingularSystem when the LAPACK condition estimate of the factors
+    falls below _RCOND_FLOOR.
+    """
+    n, k = left_kernel.shape
+    M = np.zeros((n + k, n + k))
+    M[:n, :n] = op
+    M[range(n), range(n)] += shift
+    M[:n, n:] = left_kernel / np.linalg.norm(left_kernel, axis=0)
+    M[n:, :n] = M[:n, n:].T
+    anorm = float(np.linalg.norm(M, np.inf))
+    # LAPACK factors the Fortran-ordered M.T in place, without a copy, so the
+    # condition estimate takes the inf-norm of M and the solve uses trans=1
+    lu, piv = lu_factor(M.T, overwrite_a=True, check_finite=False)
+    rcond, _ = dgecon(lu, anorm)
+    if not rcond >= _RCOND_FLOOR:
+        raise SingularSystem(
+            f"bordered second-kind system is singular (rcond {rcond:.1e})"
+        )
+    rhs_block = np.zeros((n + k, k + 1))
+    rhs_block[:n, 0] = rhs
+    rhs_block[n:, 1:] = np.eye(k)
+    sol = lu_solve((lu, piv), rhs_block, trans=1, check_finite=False)[:n]
+    kernel = np.zeros((n, 0))
+    if k:
+        span, _ = np.linalg.qr(sol[:, 1:])
+        _, sv, vt = np.linalg.svd(shift * span + op @ span, full_matrices=False)
+        kernel = span @ vt[sv <= tol * anorm].T
+    x = sol[:, 0]
+    return _Bordered(x - kernel @ (kernel.T @ x), kernel, k)
 
 
 class _NeumannSide(NamedTuple):
     shift: float  # the equation is (shift I + Wt) phi = g
     compat: Callable  # compatibility pairings of the datum
     boundary: str  # where a nonzero flux is reported
-    kernel: str  # nullspace kind of shift I + Wt
+    region: str  # indicator region whose weighted indicators span the left kernel
     steklov: str  # side of the Dirichlet-to-Neumann map
     identity_sign: float  # rep(steklov, V phi) + identity_sign A phi = 0
     kappa: str  # topology count that equals the rank deficiency
@@ -136,11 +189,29 @@ class _NeumannSide(NamedTuple):
 
 _NEUMANN_SIDES = {
     "interior": _NeumannSide(-0.5, check_compat_interior, "a component boundary",
-                             "minus_half_plus_Wt", "plus", -1.0, "kappa_plus"),
+                             "omega", "plus", -1.0, "kappa_plus"),
     "exterior": _NeumannSide(0.5, check_compat_exterior,
                              "an exterior component boundary",
-                             "half_plus_Wt", "minus", 1.0, "kappa_minus"),
+                             "omega_minus", "minus", 1.0, "kappa_minus"),
 }
+
+
+def _indicators(mesh, side):
+    """Indicators spanning the kernel of shift I + W, one column each.
+
+    They are the components of the open set for shift -1/2 and the bounded
+    exterior components for +1/2; weighted by the quadrature weights they
+    span the left kernel of shift I + Wt.
+    """
+    count = getattr(mesh.topology, side.kappa)
+    cols = [indicator(mesh.topology, side.region, j) for j in range(1, count + 1)]
+    return np.array(cols).reshape(count, mesh.n).T
+
+
+def _wt_solve(mesh, side, rhs):
+    """Minimum-norm solve with shift I + Wt, bordered by the weighted indicators."""
+    border = _indicators(mesh, side) * mesh.weights[:, None]
+    return _bordered_minnorm(operator_set(mesh).Wt, side.shift, border, rhs)
 
 
 def _neumann(mesh, g, region, compat_tol, kernel_shift):
@@ -154,17 +225,17 @@ def _neumann(mesh, g, region, compat_tol, kernel_shift):
         raise IncompatibleData(
             f"datum has nonzero flux through {side.boundary}", pairings=compat
         )
-    A = side.shift * np.eye(mesh.n) + ops.Wt
-    phi, rank, _ = _lstsq_minnorm(A, rep)
-    resid = float(np.linalg.norm(A @ phi - rep))
+    solve = _wt_solve(mesh, side, rep)
+    phi = solve.solution
+    resid = float(np.linalg.norm(side.shift * phi + ops.Wt @ phi - rep))
     if resid > compat_tol * max(1.0, float(np.linalg.norm(rep))):
         raise IncompatibleData(
             f"least-squares residual {resid:.3e} exceeds tolerance", pairings=compat
         )
+    deficiency = solve.kernel.shape[1]
     if kernel_shift is not None:
-        basis = nullspace(mesh, side.kernel).vectors
         rng = np.random.default_rng(kernel_shift)
-        phi = phi + basis @ rng.uniform(-1.0, 1.0, size=basis.shape[1])
+        phi = phi + solve.kernel @ rng.uniform(-1.0, 1.0, size=deficiency)
     if exterior:
         phi_mass = integrate(mesh, phi)
         if abs(phi_mass) > 1e-8 * scale:
@@ -173,9 +244,8 @@ def _neumann(mesh, g, region, compat_tol, kernel_shift):
             )
     fld = HarmonicField(mesh, [("single", phi)], region=region)
     trace = ops.V @ phi
-    check = np.max(
-        np.abs(ops.rep(side.steklov, trace) + side.identity_sign * (A @ phi))
-    )
+    A_phi = side.shift * phi + ops.Wt @ phi
+    check = np.max(np.abs(ops.rep(side.steklov, trace) + side.identity_sign * A_phi))
     residuals = {"equation": resid, "neumann_identity": float(check)}
     if exterior:
         residuals["density_mass"] = abs(phi_mass)
@@ -184,8 +254,8 @@ def _neumann(mesh, g, region, compat_tol, kernel_shift):
         densities={"phi": phi},
         residuals=residuals,
         compat=list(compat),
-        rank_info={"rank": rank, "deficiency": mesh.n - rank,
-                   "expected_deficiency": getattr(mesh.topology, side.kappa)},
+        rank_info={"rank": mesh.n - deficiency, "deficiency": deficiency,
+                   "expected_deficiency": solve.border},
         u_infinity=0.0 if exterior else None,
     )
 
@@ -251,35 +321,42 @@ def nullspace(mesh, op_kind, tol=1e-10):
     return NullspaceBasis(vectors, sv, gap, warning)
 
 
+def _decompose(mesh, g, sign):
+    """Image/kernel split of g under sign/2 I + W, with the image's density.
+
+    Returns (g_im, g_ker, psi, P): psi is the minimum-norm solution of
+    (sign/2 I + W) psi = g_im and P an orthonormal basis of the kernel of
+    the transpose operator sign/2 I + Wt.  The kernel of sign/2 I + W is
+    spanned by the indicators of the topology, its left kernel by D P.
+    """
+    g = _check_aligned(mesh, g)
+    # sign/2 I + Wt is the operator of the Neumann side with that shift
+    side = _NEUMANN_SIDES["exterior" if sign == "plus" else "interior"]
+    K = _indicators(mesh, side)
+    P = _wt_solve(mesh, side, np.zeros(mesh.n)).kernel
+    DP = P * mesh.weights[:, None]
+    g_ker = np.zeros(mesh.n)
+    if K.shape[1]:
+        try:
+            g_ker = K @ np.linalg.solve(DP.T @ K, DP.T @ g)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem("oblique projection system is singular") from exc
+    g_im = g - g_ker
+    W = operator_set(mesh).W
+    psi = _bordered_minnorm(W, side.shift, DP, g_im).solution
+    resid = float(np.linalg.norm(side.shift * psi + W @ psi - g_im))
+    if resid > 1e-7 * max(1.0, float(np.linalg.norm(g))):
+        raise SingularSystem(f"image part not reachable: residual {resid:.3e}")
+    return g_im, g_ker, psi, P
+
+
 def decompose(mesh, g, sign):
     """Split g into an image part and a kernel part of sign/2 I + W.
 
     The image is the weighted-pairing orthogonal complement of the kernel
     of the transpose operator, so the projection is generally oblique.
     """
-    g = _check_aligned(mesh, g)
-    ops = operator_set(mesh)
-    op_w = "half_plus_W" if sign == "plus" else "minus_half_plus_W"
-    op_wt = "half_plus_Wt" if sign == "plus" else "minus_half_plus_Wt"
-    K = nullspace(mesh, op_w).vectors
-    P = nullspace(mesh, op_wt).vectors
-    if K.shape[1] == 0:
-        g_ker = np.zeros(mesh.n)
-    else:
-        M = (P * mesh.weights[:, None]).T @ K
-        rhs = (P * mesh.weights[:, None]).T @ g
-        try:
-            a = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem("oblique projection system is singular") from exc
-        g_ker = K @ a
-    g_im = g - g_ker
-    shift = 0.5 if sign == "plus" else -0.5
-    A = shift * np.eye(mesh.n) + ops.W
-    x, _, _ = _lstsq_minnorm(A, g_im)
-    resid = float(np.linalg.norm(A @ x - g_im))
-    if resid > 1e-7 * max(1.0, float(np.linalg.norm(g))):
-        raise SingularSystem(f"image part not reachable: residual {resid:.3e}")
+    g_im, g_ker, _, _ = _decompose(mesh, g, sign)
     return g_im, g_ker
 
 
@@ -287,15 +364,12 @@ def dirichlet_interior_via_decomposition(mesh, g):
     """Interior Dirichlet solve as double layer plus a transpose-kernel single layer."""
     g = _check_aligned(mesh, g)
     ops = operator_set(mesh)
-    g_im, g_ker = decompose(mesh, g, "plus")
-    A = 0.5 * np.eye(mesh.n) + ops.W
-    psi, _, _ = _lstsq_minnorm(A, g_im)
+    _, g_ker, psi, P = _decompose(mesh, g, "plus")
     terms = [("double", psi)]
     densities = {"psi": psi}
     resid_ker = 0.0
     if np.max(np.abs(g_ker)) > 0:
-        P = nullspace(mesh, "half_plus_Wt").vectors
-        b, _, _ = _lstsq_minnorm(ops.V @ P, g_ker)
+        b, _, _, _ = np.linalg.lstsq(ops.V @ P, g_ker, rcond=1e-10)
         mu = P @ b
         resid_ker = float(np.linalg.norm(ops.V @ mu - g_ker))
         if resid_ker > 1e-6 * max(1.0, float(np.linalg.norm(g))):
@@ -320,12 +394,9 @@ def dirichlet_exterior_via_decomposition(mesh, g):
     """Exterior Dirichlet solve as double layer + kernel single layer + constant."""
     g = _check_aligned(mesh, g)
     ops = operator_set(mesh)
-    g_im, g_ker = decompose(mesh, g, "minus")
-    A = -0.5 * np.eye(mesh.n) + ops.W
-    psi, _, _ = _lstsq_minnorm(A, g_im)
+    _, g_ker, psi, Q = _decompose(mesh, g, "minus")
     terms = [("double", psi)]
     densities = {"psi": psi}
-    Q = nullspace(mesh, "minus_half_plus_Wt").vectors
     # zero-mean subspace of the transpose kernel plus the constant direction
     wq = mesh.weights @ Q
     if Q.shape[1]:
@@ -337,7 +408,7 @@ def dirichlet_exterior_via_decomposition(mesh, g):
         Q0 = Q
     cols = [ops.V @ Q0, np.ones((mesh.n, 1))]
     Amat = np.concatenate(cols, axis=1)
-    coeff, _, _ = _lstsq_minnorm(Amat, g_ker)
+    coeff, _, _, _ = np.linalg.lstsq(Amat, g_ker, rcond=1e-10)
     rho = float(coeff[-1])
     resid_ker = float(np.linalg.norm(Amat @ coeff - g_ker))
     if resid_ker > 1e-6 * max(1.0, float(np.linalg.norm(g))):

@@ -180,6 +180,45 @@ def test_demo_hadamard_resolution_guard():
     assert main(["demo-hadamard", "--terms", "6", "--n", "64"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("terms", ["0", "-1"])
+def test_demo_hadamard_needs_a_term(tmp_path, capsys, terms):
+    code = main(["demo-hadamard", "--terms", terms, "--n", "64",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "hadamard_report.json").exists()
+
+
+def _assert_numerical_failure(code, capsys, report):
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and len(err.strip().splitlines()) == 1
+    assert "non-finite" in err
+    assert not report.exists()
+
+
+def test_solve_nan_residual_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    def nan_solver(mesh, data):
+        report = cli.neumann_interior(mesh, data)
+        report.residuals["equation"] = float("nan")
+        return report
+
+    monkeypatch.setitem(cli._SOLVERS, "neumann-int", nan_solver)
+    path = write_disk_config(tmp_path / "disk.json")
+    code = main(["solve", "--config", path, "--problem", "neumann-int",
+                 "--data", "fourier:1", "--out", str(tmp_path / "out")])
+    _assert_numerical_failure(code, capsys, tmp_path / "out" / "solve_report.json")
+
+
+def test_verify_non_finite_residual_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        "bie2d.verify._CHECKS", [("w1-half", lambda mesh, rng, **_: float("inf"))]
+    )
+    code = main(["verify", "--n", "32", "--out", str(tmp_path)])
+    _assert_numerical_failure(code, capsys, tmp_path / "verify_report.json")
+
+
 def test_solve_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     # a library failure inside the solve maps to exit 4 with a one-line reason
     # (a pair file of the wrong length is a config error: see the table below)
@@ -303,3 +342,21 @@ def test_malformed_config_is_config_error(tmp_path, capsys, kind):
     code = main(["solve", "--config", str(path), "--problem", "dirichlet-int",
                  "--data", "fourier:1", "--out", str(tmp_path / "out")])
     _assert_config_error(code, capsys, tmp_path / "out")
+
+
+def test_under_resolved_gap_is_config_error(tmp_path, capsys):
+    # two unit circles 2e-4 apart: 64 nodes are far too coarse for the gap
+    path = tmp_path / "close.json"
+    path.write_text(json.dumps({"components": [
+        {"kind": "circle", "center": [-1.0001, 0.0], "radius": 1.0, "nodes": 64},
+        {"kind": "circle", "center": [1.0001, 0.0], "radius": 1.0, "nodes": 64},
+    ]}))
+    code = main(["solve", "--config", str(path), "--problem", "dirichlet-int",
+                 "--data", "fourier:1", "--out", str(tmp_path / "s")])
+    _assert_config_error(code, capsys, tmp_path / "s")
+    code = main(["verify", "--config", str(path), "--out", str(tmp_path / "v")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: under-resolved:") and "nodes" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "v" / "verify_report.json").exists()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from bie2d.geometry import (
     locate_point,
     pairing,
     stock_mesh,
+    stock_specs,
     topology_of,
 )
 
@@ -178,6 +181,27 @@ def test_disjointness_enforced():
     ]
     with pytest.raises(InvalidGeometry):
         build_mesh(specs, [64, 64])
+
+
+def test_under_resolved_gap_rejected_with_a_node_count():
+    specs = [
+        CurveSpec("circle", center=(-1.0001, 0.0), radius=1.0),
+        CurveSpec("circle", center=(1.0001, 0.0), radius=1.0),
+    ]
+    with pytest.raises(InvalidGeometry, match=r"under-resolved: .* (\d+) and (\d+) nodes") as err:
+        build_mesh(specs, [64, 32])
+    counts = [int(v) for v in re.findall(r"(\d+) and (\d+) nodes", str(err.value))[0]]
+    # the suggested counts make the gap about four node spacings on each curve
+    assert counts[0] % 2 == 0 and counts[1] % 2 == 0
+    assert abs(counts[0] - 4 * 2 * np.pi / 2e-4) < 4 and counts[1] == counts[0]
+    # a gap of a little over three spacings builds
+    build_mesh([CurveSpec("circle", center=(-1.15, 0.0), radius=1.0),
+                CurveSpec("circle", center=(1.15, 0.0), radius=1.0)], [64, 64])
+
+
+@pytest.mark.parametrize("name", ["disk", "disk2", "ellipse", "annulus", "kite", "two-disks"])
+def test_stock_geometries_build_at_the_smallest_node_count(name):
+    assert stock_mesh(name, 16).n == 16 * len(stock_specs(name))
 
 
 def test_outer_curve_declared_clockwise_is_flipped():

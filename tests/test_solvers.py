@@ -4,8 +4,10 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg import subspace_angles
 
-from bie2d.errors import IncompatibleData, NearBoundary
+from bie2d import solvers
+from bie2d.errors import IncompatibleData, NearBoundary, SingularSystem
 from bie2d.geometry import (
     CurveSpec,
     build_mesh,
@@ -18,7 +20,12 @@ from bie2d.operators import operator_set
 from bie2d.potentials import value_at_infinity
 from bie2d.cli import default_grid, write_field_csv
 from bie2d.verify import probe_points, run_verify, seeded_density
-from bie2d.distributions import J_inverse, dist_single_layer_field, mass_of
+from bie2d.distributions import (
+    J_inverse,
+    _j_forward_matrix,
+    dist_single_layer_field,
+    mass_of,
+)
 from bie2d.solvers import (
     check_compat_exterior,
     check_compat_interior,
@@ -347,3 +354,87 @@ def test_dropped_meshes_are_freed_without_gc(tmp_path):
     finally:
         if was_enabled:
             gc.enable()
+
+
+# The bordered LU replaced SVD least squares on the solver paths; the SVD
+# routes stay here as the independent check of the same answers.
+_KERNEL_KINDS = {"interior": "minus_half_plus_Wt", "exterior": "half_plus_Wt"}
+_NEUMANN = {"interior": neumann_interior, "exterior": neumann_exterior}
+
+
+def _range_datum(mesh, region, seed):
+    """A datum in the range of the Neumann operator, of zero total flux."""
+    shift = solvers._NEUMANN_SIDES[region].shift
+    f = seeded_density(mesh, np.random.default_rng(seed), zero_mean=True)
+    return shift * f + operator_set(mesh).Wt @ f
+
+
+@pytest.mark.parametrize("region", ["interior", "exterior"])
+@pytest.mark.parametrize("name", ["disk", "kite", "annulus", "two-disks"])
+def test_neumann_density_is_the_minimum_norm_lstsq_solution(name, region):
+    mesh = stock_mesh(name, 128)
+    g = _range_datum(mesh, region, 5)
+    A = solvers._NEUMANN_SIDES[region].shift * np.eye(mesh.n) + operator_set(mesh).Wt
+    expected, _, rank, _ = np.linalg.lstsq(A, g, rcond=1e-10)
+    report = _NEUMANN[region](mesh, g)
+    phi = report.densities["phi"]
+    assert np.linalg.norm(phi - expected) <= 1e-10 * np.linalg.norm(expected)
+    assert report.rank_info["rank"] == rank
+    assert report.rank_info["deficiency"] == report.rank_info["expected_deficiency"]
+
+
+@pytest.mark.parametrize("region", ["interior", "exterior"])
+@pytest.mark.parametrize("name", ["disk", "kite", "annulus", "two-disks"])
+def test_kernel_shift_basis_spans_the_svd_nullspace(name, region):
+    mesh = stock_mesh(name, 128)
+    side = solvers._NEUMANN_SIDES[region]
+    basis = solvers._wt_solve(mesh, side, np.zeros(mesh.n)).kernel
+    svd = nullspace(mesh, _KERNEL_KINDS[region]).vectors
+    assert basis.shape == svd.shape
+    if svd.shape[1]:
+        assert np.max(subspace_angles(basis, svd)) < 1e-10
+    # the shift a seed adds to the density lies in that span
+    g = _range_datum(mesh, region, 6)
+    shift = (_NEUMANN[region](mesh, g, kernel_shift=4).densities["phi"]
+             - _NEUMANN[region](mesh, g).densities["phi"])
+    assert np.linalg.norm(shift - svd @ (svd.T @ shift)) < 1e-10
+    assert (np.linalg.norm(shift) > 0.1) == (svd.shape[1] > 0)
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+@pytest.mark.parametrize("name", ["ellipse", "two-disks"])
+def test_j_inverse_is_the_minimum_norm_lstsq_solution(name, side):
+    mesh = stock_mesh(name, 128)
+    g = seeded_density(mesh, np.random.default_rng(8))
+    expected, _, _, _ = np.linalg.lstsq(_j_forward_matrix(mesh, side), g, rcond=1e-12)
+    tau = J_inverse(mesh, g, side=side)
+    z = np.concatenate([tau.mu0, tau.mu1])
+    assert tau.side == side
+    assert np.linalg.norm(z - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_rank_deficiency_is_measured_not_copied(monkeypatch):
+    # a border one column too wide still factors, but the measured kernel
+    # keeps the dimension of the operator, not the width of the border
+    mesh = stock_mesh("annulus", 64)
+    indicators = solvers._indicators
+    monkeypatch.setattr(
+        solvers, "_indicators",
+        lambda mesh, side: np.column_stack([indicators(mesh, side), np.cos(mesh.t)]),
+    )
+    for solve in (neumann_interior, neumann_exterior):
+        info = solve(mesh, np.zeros(mesh.n)).rank_info
+        assert info == {"rank": mesh.n - 1, "deficiency": 1, "expected_deficiency": 2}
+    # the datum now has to satisfy one condition too many
+    with pytest.raises(IncompatibleData, match="residual"):
+        neumann_interior(mesh, _range_datum(mesh, "interior", 3))
+
+
+def test_too_narrow_border_is_a_singular_system(monkeypatch):
+    mesh = stock_mesh("two-disks", 64)
+    indicators = solvers._indicators
+    monkeypatch.setattr(
+        solvers, "_indicators", lambda mesh, side: indicators(mesh, side)[:, :1]
+    )
+    with pytest.raises(SingularSystem, match="rcond"):
+        neumann_interior(mesh, np.zeros(mesh.n))
