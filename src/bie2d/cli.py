@@ -20,6 +20,7 @@ from .errors import (
     InvalidGeometry,
     LengthMismatch,
     NonFiniteResult,
+    OutOfRange,
 )
 from .geometry import CurveSpec, build_mesh, locate_points
 from .operators import operator_set
@@ -237,7 +238,7 @@ def build_data(cfg, mesh):
             raise ConfigError(f"pair file {arg} needs an object with side, mu0 and mu1")
         try:
             tau = pair_from_dict(mesh, raw)
-        except (LengthMismatch, TypeError, ValueError) as exc:
+        except (LengthMismatch, OutOfRange, TypeError, ValueError) as exc:
             raise ConfigError(f"pair file {arg}: {exc}") from exc
         _require_finite(np.concatenate([tau.mu0, tau.mu1]), f"pair file {arg}")
         return tau

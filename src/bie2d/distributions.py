@@ -8,10 +8,9 @@ in two interchangeable encodings: the exact pair, and a grid representer
 phi whose weighted pairing reproduces the distribution's action on grid
 functions.  Conversions are explicit.
 
-The single-layer trace of a pair is computed through closed identities:
-the trace of the single layer of (plus, 0, mu) is (-1/2 I + W) mu, and for
-the minus side (-1/2 I - W) mu plus the constant carried by the exterior
-harmonic extension of mu.  The J map sends tau to
+The single layer of a pair is computed through closed identities in the
+side's sign (README, "Sides and signs"): its trace for (side, 0, mu) is
+-mu/2 + sign W mu, plus q.mu on the exterior side.  The J map sends tau to
 V[tau - mean] + mean (mean = <tau,1>/<1,1>) and identifies distributions
 with grid functions.  Its inverse picks the minimum-norm pair through a
 Cholesky factorization of the Gram matrix of the J map's dense matrix.
@@ -22,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import LengthMismatch, SingularSystem
+from .errors import SingularSystem
 from .geometry import _check_aligned, integrate, pairing
-from .operators import operator_set
+from .operators import _side, operator_set
 from .potentials import eval_double_layer, eval_single_layer, _as_points, _band_check
 
 
@@ -38,8 +37,7 @@ class PairDistribution:
     mesh: object
 
     def __post_init__(self):
-        if self.side not in ("plus", "minus"):
-            raise LengthMismatch(f"unknown side {self.side!r}")
+        _side(self.side)
         self.mu0 = _check_aligned(self.mesh, self.mu0)
         self.mu1 = _check_aligned(self.mesh, self.mu1)
 
@@ -81,14 +79,12 @@ def dist_pairing(tau, v):
 
 def V_of_distribution(tau):
     """Boundary trace of the single layer of a pair distribution."""
+    sign = _side(tau.side).sign
     ops = operator_set(tau.mesh)
-    out = ops.V @ tau.mu0
-    if tau.side == "plus":
-        out += -0.5 * tau.mu1 + ops.W @ tau.mu1
-    else:
-        c_mu = float(ops.q @ tau.mu1)
-        out += -0.5 * tau.mu1 - ops.W @ tau.mu1 + c_mu
-    return out
+    transpose_part = -0.5 * tau.mu1 + sign * (ops.W @ tau.mu1)
+    if sign < 0:
+        transpose_part += float(ops.q @ tau.mu1)
+    return ops.V @ tau.mu0 + transpose_part
 
 
 def J_isometry(tau):
@@ -103,16 +99,16 @@ def J_isometry(tau):
 
 def _j_forward_matrix(mesh, side):
     """Dense matrix of (mu0, mu1) -> J[pair] used by the inverse solve."""
+    sign = _side(side).sign
     ops = operator_set(mesh)
     n = mesh.n
     length = integrate(mesh, np.ones(n))
     ones = np.ones(n)
     # J on the mu0 block: V mu0 - mbar (V 1 - 1) with mbar = w.mu0 / length
     A0 = ops.V - np.outer(ops.V @ ones - ones, mesh.weights / length)
-    if side == "plus":
-        A1 = -0.5 * np.eye(n) + ops.W
-    else:
-        A1 = -0.5 * np.eye(n) - ops.W + np.outer(ones, ops.q)
+    A1 = -0.5 * np.eye(n) + sign * ops.W
+    if sign < 0:
+        A1 += np.outer(ones, ops.q)
     return np.concatenate([A0, A1], axis=1)
 
 
@@ -165,30 +161,23 @@ def dist_single_layer_field(tau, points, region):
 
     The transpose part is evaluated through the double-layer and
     harmonic-extension representation of its potential, never through the
-    grid representer.
+    grid representer: with V eta + c = mu1 it is
+    sign D[mu1] + [exterior side] c - [region is the side's own] (S[eta] + c).
     """
+    side = _side(tau.side)
+    own = _side(region, "region") is side
     mesh = tau.mesh
-    ops = operator_set(mesh)
     pts, single = _as_points(points)
     _band_check(mesh, pts)
     vals = eval_single_layer(mesh, tau.mu0, pts, check_band=False)
     mu1 = tau.mu1
     if np.any(mu1):
-        if tau.side == "plus":
-            if region == "interior":
-                eta, c = ops.harmonic_density(mu1)
-                vals += eval_double_layer(mesh, mu1, pts, check_band=False)
-                vals -= eval_single_layer(mesh, eta, pts, check_band=False) + c
-            else:
-                vals += eval_double_layer(mesh, mu1, pts, check_band=False)
-        else:
-            c_mu = float(ops.q @ mu1)
-            if region == "interior":
-                vals += -eval_double_layer(mesh, mu1, pts, check_band=False) + c_mu
-            else:
-                eta, _ = ops.harmonic_density(mu1)
-                vals -= eval_double_layer(mesh, mu1, pts, check_band=False)
-                vals -= eval_single_layer(mesh, eta, pts, check_band=False)
+        eta, c = operator_set(mesh).harmonic_density(mu1)
+        vals += side.sign * eval_double_layer(mesh, mu1, pts, check_band=False)
+        if side.sign < 0:
+            vals += c
+        if own:
+            vals -= eval_single_layer(mesh, eta, pts, check_band=False) + c
     return float(vals[0]) if single else vals
 
 
@@ -231,14 +220,15 @@ def dist_jump_check(tau, n_test=16):
     basis = _test_basis(mesh, n_test)
     scale = max(1.0, float(np.max(np.abs(rep))))
 
-    def residual(side, sign):
-        jump = ops.rep(side, trace) - (-0.5 * rep + sign * (ops.Wt @ rep))
+    def residual(side):
+        sign = _side(side).sign
+        jump = ops.rep(side, trace) - (-0.5 * rep + sign * ops._wt(rep))
         return max(abs(pairing(mesh, jump, v)) for v in basis) / scale
 
-    r_int = residual("plus", 1.0)
+    r_int = residual("plus")
     if abs(mass_of(tau)) > 1e-8 * scale:
         return JumpCheckResult(r_int, None, note="no-limit: <tau,1> != 0")
-    return JumpCheckResult(r_int, residual("minus", -1.0))
+    return JumpCheckResult(r_int, residual("minus"))
 
 
 def pair_to_dict(tau):

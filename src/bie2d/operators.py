@@ -8,25 +8,27 @@ diagonal blocks: the kernel is written as
 and the logarithmic factor gets the spectral product-quadrature weights,
 the smooth remainder the plain trapezoid rule.  The double-layer kernel is
 smooth on a C^2 curve, so W is plain trapezoid with the curvature limit on
-the diagonal.  Wt is built as D^-1 W^T D (D = diag of quadrature weights),
-which is simultaneously the Nystrom matrix of the transposed kernel and an
-exact discrete adjoint in the weighted pairing.
+the diagonal.  Wt = D^-1 W^T D (D = diag of quadrature weights), applied
+from W and never stored, is both the Nystrom matrix of the transposed kernel
+and an exact discrete adjoint in the weighted pairing.
 
 The Dirichlet-to-Neumann maps come from one bordered system
 [V, 1; w^T, 0]: its solution map R takes boundary values v to the density
 eta of the single-layer-plus-constant representation of the harmonic
 extension (V eta + c = v with zero-mean eta, a system that stays well posed
-at logarithmic capacity one), and the interior and exterior maps are
-(-1/2 I + Wt) R and (-1/2 I - Wt) R.  Neither R nor these maps is ever
-formed: each application is a solve with the LU factors of the bordered
-matrix, and their weighted transposes are transposed solves.
+at logarithmic capacity one), and the map of a side is (-1/2 I + sign Wt) R.
+Neither R nor these maps is ever formed: each application is a solve with
+the LU factors of the bordered matrix, and their weighted transposes are
+transposed solves.
 
-All of these live in one OperatorSet per mesh, stored in the mesh's
-operators field by operator_set.  The OperatorSet keeps the node count and
+The _Side table holds each side's sign and the name every layer gives it
+(README, "Sides and signs").  The operators live in one OperatorSet per
+mesh, stored in mesh.operators by operator_set; it keeps the node count and
 the weights it needs, never the mesh itself.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -130,7 +132,10 @@ def assemble_W(mesh):
     """Nystrom matrix of the double-layer boundary operator.
 
     The diagonal holds the continuous limit kappa_i / (4 pi); the sign
-    convention is pinned by asserting W 1 = 1/2 at build time.
+    convention is pinned by asserting W 1 = 1/2 at build time.  A reversed
+    normal moves the row sums on its curve by about 1 (to -1/2 on an outer
+    curve, 3/2 on a hole); a smaller miss means the nodes do not resolve
+    the curve or its neighbours.
     """
     d = mesh.x[:, None, :] - mesh.x[None, :, :]
     dist2 = np.einsum("ijk,ijk->ij", d, d)
@@ -139,11 +144,14 @@ def assemble_W(mesh):
     kw = -num / (2.0 * np.pi * dist2)
     np.fill_diagonal(kw, mesh.curvature / (4.0 * np.pi))
     W = kw * mesh.weights[None, :]
-    resid = float(np.max(np.abs(W @ np.ones(mesh.n) - 0.5)))
-    if resid > 1e-8:
-        raise InvalidGeometry(
-            f"double-layer sign/orientation check failed: |W 1 - 1/2| = {resid:.3e}"
-        )
+    w1 = W @ np.ones(mesh.n)
+    if np.max(np.abs(w1 - 0.5)) > 1e-8:
+        rows = [w1[mesh.component_slice(c)] for c in range(mesh.n_components)]
+        c = int(np.argmax([np.max(np.abs(r - 0.5)) for r in rows]))
+        resid = float(np.max(np.abs(rows[c] - 0.5)))
+        cause = "sign/orientation check failed" if resid > 0.5 else "under-resolved"
+        raise InvalidGeometry(f"double layer {cause}: |W 1 - 1/2| = {resid:.3e} "
+                              f"on curve {c} with {rows[c].size} nodes")
     return OperatorMatrix(W, "W", mesh)
 
 
@@ -152,21 +160,44 @@ def assemble_Wt(mesh):
     return OperatorMatrix(operator_set(mesh).Wt, "Wt", mesh)
 
 
-def _side_sign(side):
-    """+1 for the interior ('plus') side, -1 for the exterior ('minus')."""
-    if side not in ("plus", "minus"):
-        raise OutOfRange(f"unknown side {side!r}")
-    return 1.0 if side == "plus" else -1.0
+class _Side(NamedTuple):
+    """One side of the boundary: its sign and the name each layer gives it."""
+
+    sign: float  # +1 interior, -1 exterior
+    name: str  # traces, Dirichlet-to-Neumann maps and pair tags
+    region: str  # fields, solvers and probe points
+    indicator: str  # indicator region of the side's components
+    kappa: str  # DomainTopology count of those components
+
+    @property
+    def opposite(self):
+        return _SIDES[self.sign > 0]
+
+
+_SIDES = (
+    _Side(1.0, "plus", "interior", "omega", "kappa_plus"),
+    _Side(-1.0, "minus", "exterior", "omega_minus", "kappa_minus"),
+)
+
+
+def _side(value, by="name"):
+    """The side whose name in the `by` vocabulary is value; OutOfRange otherwise."""
+    for side in _SIDES:
+        if getattr(side, by) == value:
+            return side
+    known = " or ".join(repr(getattr(side, by)) for side in _SIDES)
+    what = "side" if by == "name" else by
+    raise OutOfRange(f"unknown {what} {value!r}, expected {known}")
 
 
 class OperatorSet:
     """All dense operators for one mesh, assembled once and shared.
 
-    The only state is V, W, Wt, the LU factors of the bordered matrix
+    The only state is V, W, the LU factors of the bordered matrix
     [V, 1; w^T, 0] and the value-at-infinity functional q (the last row of
-    its inverse, from one transposed solve).  The Dirichlet-to-Neumann maps
-    and their weighted transposes are applied through the factors by dtn
-    and rep and are never formed or cached.
+    its inverse, from one transposed solve).  Wt is applied from W, and the
+    Dirichlet-to-Neumann maps and their weighted transposes are applied
+    through the factors by dtn and rep; none of them is stored.
     """
 
     def __init__(self, mesh):
@@ -174,7 +205,6 @@ class OperatorSet:
         self.weights = w = mesh.weights
         self.V = assemble_V(mesh).matrix
         self.W = assemble_W(mesh).matrix
-        self.Wt = (self.W.T * w[None, :]) / w[:, None]
 
         B = np.zeros((n + 1, n + 1))
         B[:n, :n] = self.V
@@ -203,19 +233,29 @@ class OperatorSet:
         rhs[: self.n] = top
         return lu_solve(self._bordered_lu, rhs, trans=trans)[: self.n]
 
-    def dtn(self, side, v):
-        """Dirichlet-to-Neumann map of one side applied to v.
+    @property
+    def Wt(self):
+        """Dense adjoint double layer D^-1 W^T D, rebuilt on every access."""
+        w = self.weights
+        return (self.W.T * w[None, :]) / w[:, None]
 
-        (-1/2 I + Wt) R v for 'plus' (interior), (-1/2 I - Wt) R v for 'minus'
-        (exterior); v is a grid function or an (n, k) block of them.
+    def _wt(self, x):
+        """Wt x for a grid function or an (n, k) block, without forming Wt."""
+        w = self.weights if x.ndim == 1 else self.weights[:, None]
+        return (self.W.T @ (w * x)) / w
+
+    def dtn(self, side, v):
+        """The side's Dirichlet-to-Neumann map (-1/2 I + sign Wt) R applied to v.
+
+        v is a grid function or an (n, k) block of them.
         """
-        sign = _side_sign(side)
+        sign = _side(side).sign
         eta = self._bordered_solve(np.asarray(v, dtype=float))
-        return -0.5 * eta + sign * (self.Wt @ eta)
+        return -0.5 * eta + sign * self._wt(eta)
 
     def rep(self, side, mu):
         """Weighted transpose D^-1 S^T D mu of the side's Dirichlet-to-Neumann map S."""
-        sign = _side_sign(side)
+        sign = _side(side).sign
         mu = _check_aligned(self, mu)
         w = self.weights
         return self._bordered_solve(w * (-0.5 * mu + sign * (self.W @ mu)), trans=1) / w
@@ -240,9 +280,8 @@ def operator_set(mesh):
 
 def steklov(mesh, side):
     """Dense Dirichlet-to-Neumann matrix of one side, rebuilt on every call."""
-    ops = operator_set(mesh)
-    matrix = ops.dtn(side, np.eye(mesh.n))
-    return OperatorMatrix(matrix, "Splus" if side == "plus" else "Sminus", mesh)
+    matrix = operator_set(mesh).dtn(side, np.eye(mesh.n))
+    return OperatorMatrix(matrix, "S" + side, mesh)
 
 
 def save_matrix(op, path, fmt="csv"):

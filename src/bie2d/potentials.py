@@ -3,7 +3,8 @@
 Off-boundary evaluation is plain trapezoid quadrature of the smooth kernel;
 it refuses points inside the near-boundary band (twice the largest node
 spacing) instead of regularizing.  Boundary values come from the assembled
-operators through the jump relations.
+operators through the jump relations, written once in the side's sign
+(README, "Sides and signs").
 """
 
 from collections import namedtuple
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidProbe, LengthMismatch, NearBoundary, NoLimit
 from .geometry import _check_aligned, integrate, locate_points
-from .operators import operator_set, _double_layer_kernel
+from .operators import _double_layer_kernel, _side, operator_set
 
 
 def _as_points(points):
@@ -65,23 +66,21 @@ def trace_single(mesh, mu):
 
 
 def trace_double(mesh, psi, side):
-    """Boundary limit of the double layer: +-psi/2 + W psi."""
+    """Boundary limit of the double layer from one side: sign/2 psi + W psi."""
+    sign = _side(side).sign
     psi = _check_aligned(mesh, psi)
-    ops = operator_set(mesh)
-    half = 0.5 if side == "plus" else -0.5
-    return half * psi + ops.W @ psi
+    return (sign / 2) * psi + operator_set(mesh).W @ psi
 
 
 def normal_derivative_single(mesh, mu, side):
     """Normal derivative (along the outward normal) of the single layer.
 
-    side 'plus' is the limit from inside, 'minus' from outside; the jump
-    relation gives -mu/2 + Wt mu and +mu/2 + Wt mu respectively.
+    The limit from one side is -sign/2 mu + Wt mu: 'plus' is the limit from
+    inside, 'minus' from outside.
     """
+    sign = _side(side).sign
     mu = _check_aligned(mesh, mu)
-    ops = operator_set(mesh)
-    half = -0.5 if side == "plus" else 0.5
-    return half * mu + ops.Wt @ mu
+    return (-sign / 2) * mu + operator_set(mesh)._wt(mu)
 
 
 @dataclass
@@ -131,7 +130,7 @@ class HarmonicField:
 
     def value_at_infinity_representation(self):
         """Limit at infinity read off the representation."""
-        if self.region != "exterior":
+        if _side(self.region, "region").sign > 0:
             raise InvalidProbe("value at infinity of an interior field")
         mass = self.single_layer_mass()
         scale = 1.0 + max(

@@ -9,9 +9,10 @@ of the open set (interior) and of the bounded exterior components
 (exterior).  One LU of the matrix bordered with them yields a solution and
 a basis of the right kernel, which is then projected out; the rank
 deficiency is measured on that basis, not taken from the topology.  A
-second pair of Dirichlet solvers goes through the image/kernel splitting
-of +-1/2 I + W and a single layer with density in the transpose kernel,
-cross-checking the direct route.  The SVD survives only in nullspace and
+second Dirichlet solver goes through the image/kernel splitting of
+sign/2 I + W and a single layer with density in the transpose kernel,
+cross-checking the direct route.  Every +- is the side's sign (README,
+"Sides and signs").  The SVD survives only in nullspace and
 transpose_kernel_pair_basis, as the independent check of those kernels.
 """
 
@@ -31,7 +32,7 @@ from .errors import (
     SingularSystem,
 )
 from .geometry import _check_aligned, indicator, integrate
-from .operators import operator_set
+from .operators import _side, operator_set
 from .potentials import (
     HarmonicField,
     normal_derivative_single,
@@ -70,6 +71,7 @@ class SolveReport:
 
 
 def _dirichlet(mesh, g, region):
+    exterior = _side(region, "region").sign < 0
     g = _check_aligned(mesh, g)
     ops = operator_set(mesh)
     eta, c = ops.harmonic_density(g)
@@ -81,7 +83,7 @@ def _dirichlet(mesh, g, region):
         field=fld,
         densities={"eta": eta, "constant": c},
         residuals={"boundary": resid},
-        u_infinity=c if region == "exterior" else None,
+        u_infinity=c if exterior else None,
     )
 
 
@@ -178,45 +180,43 @@ def _bordered_minnorm(op, shift, left_kernel, rhs, tol=1e-10):
 
 
 class _NeumannSide(NamedTuple):
-    shift: float  # the equation is (shift I + Wt) phi = g
+    side: object  # the operators._Side of the problem
     compat: Callable  # compatibility pairings of the datum
     boundary: str  # where a nonzero flux is reported
-    region: str  # indicator region whose weighted indicators span the left kernel
-    steklov: str  # side of the Dirichlet-to-Neumann map
-    identity_sign: float  # rep(steklov, V phi) + identity_sign A phi = 0
-    kappa: str  # topology count that equals the rank deficiency
+    # the equation is (shift I + Wt) phi = g
+    shift = property(lambda self: -0.5 * self.side.sign)
 
 
 _NEUMANN_SIDES = {
-    "interior": _NeumannSide(-0.5, check_compat_interior, "a component boundary",
-                             "omega", "plus", -1.0, "kappa_plus"),
-    "exterior": _NeumannSide(0.5, check_compat_exterior,
-                             "an exterior component boundary",
-                             "omega_minus", "minus", 1.0, "kappa_minus"),
+    "interior": _NeumannSide(_side("plus"), check_compat_interior,
+                             "a component boundary"),
+    "exterior": _NeumannSide(_side("minus"), check_compat_exterior,
+                             "an exterior component boundary"),
 }
 
 
 def _indicators(mesh, side):
-    """Indicators spanning the kernel of shift I + W, one column each.
+    """Indicators of the components of one side, one column each.
 
-    They are the components of the open set for shift -1/2 and the bounded
-    exterior components for +1/2; weighted by the quadrature weights they
-    span the left kernel of shift I + Wt.
+    They span the kernel of -sign/2 I + W (the components of the open set
+    for the interior, the bounded exterior components for the exterior);
+    weighted by the quadrature weights they span the left kernel of
+    -sign/2 I + Wt.
     """
     count = getattr(mesh.topology, side.kappa)
-    cols = [indicator(mesh.topology, side.region, j) for j in range(1, count + 1)]
+    cols = [indicator(mesh.topology, side.indicator, j) for j in range(1, count + 1)]
     return np.array(cols).reshape(count, mesh.n).T
 
 
 def _wt_solve(mesh, side, rhs):
     """Minimum-norm solve with shift I + Wt, bordered by the weighted indicators."""
-    border = _indicators(mesh, side) * mesh.weights[:, None]
+    border = _indicators(mesh, side.side) * mesh.weights[:, None]
     return _bordered_minnorm(operator_set(mesh).Wt, side.shift, border, rhs)
 
 
 def _neumann(mesh, g, region, compat_tol, kernel_shift):
     side = _NEUMANN_SIDES[region]
-    exterior = region == "exterior"
+    exterior = side.side.sign < 0
     rep, tau = _as_neumann_rep(mesh, g)
     ops = operator_set(mesh)
     scale = max(1e-30, float(np.max(np.abs(rep))) * integrate(mesh, np.ones(mesh.n)))
@@ -227,7 +227,7 @@ def _neumann(mesh, g, region, compat_tol, kernel_shift):
         )
     solve = _wt_solve(mesh, side, rep)
     phi = solve.solution
-    resid = float(np.linalg.norm(side.shift * phi + ops.Wt @ phi - rep))
+    resid = float(np.linalg.norm(side.shift * phi + ops._wt(phi) - rep))
     if resid > compat_tol * max(1.0, float(np.linalg.norm(rep))):
         raise IncompatibleData(
             f"least-squares residual {resid:.3e} exceeds tolerance", pairings=compat
@@ -244,8 +244,9 @@ def _neumann(mesh, g, region, compat_tol, kernel_shift):
             )
     fld = HarmonicField(mesh, [("single", phi)], region=region)
     trace = ops.V @ phi
-    A_phi = side.shift * phi + ops.Wt @ phi
-    check = np.max(np.abs(ops.rep(side.steklov, trace) + side.identity_sign * A_phi))
+    A_phi = side.shift * phi + ops._wt(phi)
+    # rep(side, V phi) = sign (shift I + Wt) phi
+    check = np.max(np.abs(ops.rep(side.side.name, trace) - side.side.sign * A_phi))
     residuals = {"equation": resid, "neumann_identity": float(check)}
     if exterior:
         residuals["density_mass"] = abs(phi_mass)
@@ -327,12 +328,12 @@ def _decompose(mesh, g, sign):
     Returns (g_im, g_ker, psi, P): psi is the minimum-norm solution of
     (sign/2 I + W) psi = g_im and P an orthonormal basis of the kernel of
     the transpose operator sign/2 I + Wt.  The kernel of sign/2 I + W is
-    spanned by the indicators of the topology, its left kernel by D P.
+    spanned by the indicators of the opposite side, its left kernel by D P.
     """
+    # sign/2 I + Wt is the operator of the Neumann problem on the opposite side
+    side = _NEUMANN_SIDES[_side(sign).opposite.region]
     g = _check_aligned(mesh, g)
-    # sign/2 I + Wt is the operator of the Neumann side with that shift
-    side = _NEUMANN_SIDES["exterior" if sign == "plus" else "interior"]
-    K = _indicators(mesh, side)
+    K = _indicators(mesh, side.side)
     P = _wt_solve(mesh, side, np.zeros(mesh.n)).kernel
     DP = P * mesh.weights[:, None]
     g_ker = np.zeros(mesh.n)
@@ -353,33 +354,50 @@ def _decompose(mesh, g, sign):
 def decompose(mesh, g, sign):
     """Split g into an image part and a kernel part of sign/2 I + W.
 
-    The image is the weighted-pairing orthogonal complement of the kernel
-    of the transpose operator, so the projection is generally oblique.
+    sign is 'plus' or 'minus'.  The image is the weighted-pairing
+    orthogonal complement of the kernel of the transpose operator, so the
+    projection is generally oblique.
     """
     g_im, g_ker, _, _ = _decompose(mesh, g, sign)
     return g_im, g_ker
 
 
-def dirichlet_interior_via_decomposition(mesh, g):
-    """Interior Dirichlet solve as double layer plus a transpose-kernel single layer."""
+def _via_decomposition(mesh, g, side):
+    """Dirichlet solve as double layer plus transpose-kernel single layers.
+
+    The exterior side keeps the zero-mean part of the transpose kernel and
+    adds the constant, which is the value at infinity.
+    """
+    side = _side(side)
+    exterior = side.sign < 0
     g = _check_aligned(mesh, g)
     ops = operator_set(mesh)
-    _, g_ker, psi, P = _decompose(mesh, g, "plus")
+    _, g_ker, psi, P = _decompose(mesh, g, side.name)
     terms = [("double", psi)]
     densities = {"psi": psi}
-    resid_ker = 0.0
+    rho = resid_ker = 0.0
     if np.max(np.abs(g_ker)) > 0:
-        b, _, _, _ = np.linalg.lstsq(ops.V @ P, g_ker, rcond=1e-10)
-        mu = P @ b
-        resid_ker = float(np.linalg.norm(ops.V @ mu - g_ker))
+        wp = mesh.weights @ P
+        if exterior and np.linalg.norm(wp) >= 1e-12:
+            _, _, vt = np.linalg.svd(wp[None, :])
+            P = P @ vt[1:].T
+        A = ops.V @ P
+        if exterior:
+            A = np.column_stack([A, np.ones(mesh.n)])
+        coeff, _, _, _ = np.linalg.lstsq(A, g_ker, rcond=1e-10)
+        resid_ker = float(np.linalg.norm(A @ coeff - g_ker))
         if resid_ker > 1e-6 * max(1.0, float(np.linalg.norm(g))):
             raise SingularSystem(
-                f"kernel part not a single-layer trace: residual {resid_ker:.3e}"
+                f"kernel part not representable: residual {resid_ker:.3e}"
             )
-        terms.append(("single", mu))
-        densities["mu"] = mu
-    fld = HarmonicField(mesh, terms, region="interior")
-    boundary = trace_of_field_terms(mesh, terms, "plus")
+        if exterior:
+            rho = float(coeff[-1])
+        if P.shape[1]:
+            mu = P @ coeff[: P.shape[1]]
+            terms.append(("single", mu))
+            densities["mu"] = mu
+    fld = HarmonicField(mesh, terms, constant=rho, region=side.region)
+    boundary = trace_of_field_terms(mesh, terms, side.name) + rho
     resid = float(np.max(np.abs(boundary - g)))
     if resid > 1e-6 * max(1.0, float(np.max(np.abs(g)))):
         raise SingularSystem(f"boundary residual {resid:.3e}")
@@ -387,49 +405,18 @@ def dirichlet_interior_via_decomposition(mesh, g):
         field=fld,
         densities=densities,
         residuals={"boundary": resid, "kernel_part": resid_ker},
+        u_infinity=rho if exterior else None,
     )
+
+
+def dirichlet_interior_via_decomposition(mesh, g):
+    """Interior Dirichlet solve as double layer plus a transpose-kernel single layer."""
+    return _via_decomposition(mesh, g, "plus")
 
 
 def dirichlet_exterior_via_decomposition(mesh, g):
     """Exterior Dirichlet solve as double layer + kernel single layer + constant."""
-    g = _check_aligned(mesh, g)
-    ops = operator_set(mesh)
-    _, g_ker, psi, Q = _decompose(mesh, g, "minus")
-    terms = [("double", psi)]
-    densities = {"psi": psi}
-    # zero-mean subspace of the transpose kernel plus the constant direction
-    wq = mesh.weights @ Q
-    if Q.shape[1]:
-        _, _, vt = np.linalg.svd(wq[None, :])
-        Q0 = Q @ vt[1:].T if Q.shape[1] > 1 else np.zeros((mesh.n, 0))
-        if abs(np.linalg.norm(wq)) < 1e-12:
-            Q0 = Q
-    else:
-        Q0 = Q
-    cols = [ops.V @ Q0, np.ones((mesh.n, 1))]
-    Amat = np.concatenate(cols, axis=1)
-    coeff, _, _, _ = np.linalg.lstsq(Amat, g_ker, rcond=1e-10)
-    rho = float(coeff[-1])
-    resid_ker = float(np.linalg.norm(Amat @ coeff - g_ker))
-    if resid_ker > 1e-6 * max(1.0, float(np.linalg.norm(g))):
-        raise SingularSystem(
-            f"kernel part not representable: residual {resid_ker:.3e}"
-        )
-    if Q0.shape[1]:
-        mu = Q0 @ coeff[:-1]
-        terms.append(("single", mu))
-        densities["mu"] = mu
-    fld = HarmonicField(mesh, terms, constant=rho, region="exterior")
-    boundary = trace_of_field_terms(mesh, terms, "minus") + rho
-    resid = float(np.max(np.abs(boundary - g)))
-    if resid > 1e-6 * max(1.0, float(np.max(np.abs(g)))):
-        raise SingularSystem(f"boundary residual {resid:.3e}")
-    return SolveReport(
-        field=fld,
-        densities=densities,
-        residuals={"boundary": resid, "kernel_part": resid_ker},
-        u_infinity=rho,
-    )
+    return _via_decomposition(mesh, g, "minus")
 
 
 def trace_of_field_terms(mesh, terms, side):
@@ -453,8 +440,6 @@ def green_h(mesh, x, side):
     d = np.linalg.norm(mesh.x - x[None, :], axis=1)
     if np.min(d) < mesh.band_width():
         raise NearBoundary("source point inside the near-boundary band")
-    if side not in ("interior", "exterior"):
-        raise OutOfRange(f"unknown side {side!r}")
     return _dirichlet(mesh, np.log(d) / (2.0 * np.pi), side)
 
 
@@ -469,8 +454,7 @@ def _poisson(mesh, g, x, region):
     """Pairing of g with d/dnu_y of the Green function of the region at x."""
     g = _check_aligned(mesh, g)
     eta = green_h(mesh, x, region).densities["eta"]
-    side = "plus" if region == "interior" else "minus"
-    dh = normal_derivative_single(mesh, eta, side)
+    dh = normal_derivative_single(mesh, eta, _side(region, "region").name)
     return float(np.dot(mesh.weights * g, _poisson_kernel_column(mesh, x) - dh))
 
 
@@ -506,20 +490,20 @@ def transpose_kernel_pair_basis(mesh, op_kind):
     M = shift * np.eye(mesh.n) + ops.W + np.outer(correction, ops.q)
     _, sv, vt = np.linalg.svd(M)
     dim = int(np.sum(sv < 1e-10 * sv[0]))
-    reps = []
-    for row in vt[mesh.n - dim:] if dim else []:
-        tau = J_inverse(mesh, row, side="plus")
-        reps.append(to_grid_representer(tau).representer)
-    basis = np.array(reps).T if reps else np.zeros((mesh.n, 0))
-    return basis
+    reps = [to_grid_representer(J_inverse(mesh, row, side="plus")).representer
+            for row in vt[mesh.n - dim:]]
+    return np.array(reps).T if reps else np.zeros((mesh.n, 0))
 
 
 def kernel_coincidence_angle(mesh, op_kind):
-    """Largest principal angle between grid and distributional kernels."""
+    """Largest principal angle between grid and distributional kernels.
+
+    Kernels of different dimension return pi/2, the largest angle there is.
+    """
     grid = nullspace(mesh, op_kind).vectors
     dist = transpose_kernel_pair_basis(mesh, op_kind)
     if grid.shape[1] != dist.shape[1]:
-        return float("inf")
+        return np.pi / 2
     if grid.shape[1] == 0:
         return 0.0
     return float(np.max(subspace_angles(grid, dist)))

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from bie2d import cli
+from bie2d import cli, verify
 from bie2d.errors import ConfigError, SingularSystem
 from bie2d.geometry import stock_mesh
 from bie2d.potentials import HarmonicField
@@ -217,6 +218,45 @@ def test_verify_non_finite_residual_is_numerical_failure(tmp_path, capsys, monke
     )
     code = main(["verify", "--n", "32", "--out", str(tmp_path)])
     _assert_numerical_failure(code, capsys, tmp_path / "verify_report.json")
+
+
+def _short_nullspace(real):
+    def short(mesh, kind, tol=1e-10):
+        basis = real(mesh, kind, tol)
+        return dataclasses.replace(basis, vectors=basis.vectors[:, 1:])
+    return short
+
+
+@pytest.mark.parametrize("row", ["nullspace-dims", "compat-rejection"])
+def test_verify_identity_failure_is_a_failing_row(tmp_path, capsys, monkeypatch, row):
+    # a failed identity has a finite sentinel residual, so the report is written
+    # (at 32 or 48 nodes the annulus leaves no interior probe point)
+    if row == "nullspace-dims":
+        monkeypatch.setattr(verify, "nullspace", _short_nullspace(verify.nullspace))
+    else:
+        monkeypatch.setattr(verify, "neumann_interior", lambda mesh, g, **_: None)
+    code = main(["verify", "--n", "64", "--out", str(tmp_path)])
+    assert code == EXIT_VERIFY_FAIL
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    failing = {(c["geometry"], c["name"]) for c in report["checks"] if not c["passed"]}
+    assert failing == {(geom, row) for geom in ("disk", "ellipse", "annulus")}
+    assert f"FAIL disk       {row}" in out
+
+
+def test_under_resolved_double_layer_is_numerical_failure(tmp_path, capsys):
+    # the gap passes the mesh check, but W 1 = 1/2 fails at assembly
+    path = tmp_path / "close.json"
+    path.write_text(json.dumps({"components": [
+        {"kind": "circle", "center": [-1.05, 0], "radius": 1.0, "nodes": 64},
+        {"kind": "circle", "center": [1.05, 0], "radius": 1.0, "nodes": 64}]}))
+    code = main(["solve", "--config", str(path), "--problem", "dirichlet-int",
+                 "--data", "fourier:1", "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and len(err.strip().splitlines()) == 1
+    assert "under-resolved" in err and "orientation" not in err
 
 
 def test_solve_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -241,8 +243,8 @@ def test_operator_set_holds_only_its_factors():
     n = mesh.n
     ops = operator_set(mesh)
     held = _held_bytes(ops)
-    assert set(held) == {"V", "W", "Wt", "q", "weights", "_bordered_lu"}
-    assert sum(held.values()) <= 8 * (3 * n**2 + (n + 1) ** 2) + 64 * (n + 1)
+    assert set(held) == {"V", "W", "q", "weights", "_bordered_lu"}
+    assert sum(held.values()) <= 8 * (2 * n**2 + (n + 1) ** 2) + 64 * (n + 1)
 
     g = np.cos(mesh.t)  # no flux through any component of either side
     neumann_interior(mesh, g)
@@ -283,3 +285,28 @@ def test_dtn_applies_blocks_and_checks_its_input(ellipse, rng):
         with pytest.raises(LengthMismatch):
             apply("plus", np.ones(ellipse.n + 1))
 
+
+def _reversed(mesh, curve):
+    """The mesh with the normal and curvature of one curve flipped."""
+    sl = mesh.component_slice(curve)
+    normal, curvature = mesh.normal.copy(), mesh.curvature.copy()
+    normal[sl] *= -1.0
+    curvature[sl] *= -1.0
+    return dataclasses.replace(mesh, normal=normal, curvature=curvature, operators=None)
+
+
+def test_w1_check_tells_under_resolution_from_orientation():
+    from bie2d.errors import InvalidGeometry
+
+    two_close = build_mesh(
+        [CurveSpec("circle", center=(-1.05, 0.0), radius=1.0),
+         CurveSpec("circle", center=(1.05, 0.0), radius=1.0)], [64, 64]
+    )
+    for mesh, curves in ((stock_mesh("kite", 16), "0"), (two_close, "[01]")):
+        with pytest.raises(InvalidGeometry, match=f"under-resolved.* on curve {curves} "):
+            assemble_W(mesh)
+    # a reversed normal moves W 1 by about 1 on its curve: to -1/2 on an
+    # outer curve, to 3/2 on a hole
+    for name, curve in (("disk", 0), ("annulus", 1)):
+        with pytest.raises(InvalidGeometry, match=f"orientation.* on curve {curve} "):
+            assemble_W(_reversed(stock_mesh(name, 64), curve))
