@@ -22,9 +22,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import SingularSystem
-from .geometry import _check_aligned, integrate, pairing
+from .geometry import _check_aligned, _target_pass, integrate, pairing
 from .operators import _side, operator_set
-from .potentials import eval_double_layer, eval_single_layer, _as_points, _band_check
+from .potentials import _layer
 
 
 @dataclass
@@ -167,18 +167,18 @@ def dist_single_layer_field(tau, points, region):
     side = _side(tau.side)
     own = _side(region, "region") is side
     mesh = tau.mesh
-    pts, single = _as_points(points)
-    _band_check(mesh, pts)
-    vals = eval_single_layer(mesh, tau.mu0, pts, check_band=False)
+    targets = _target_pass(mesh, points)
+    targets.check_band()
+    vals = _layer(targets, "single", tau.mu0)
     mu1 = tau.mu1
     if np.any(mu1):
         eta, c = operator_set(mesh).harmonic_density(mu1)
-        vals += side.sign * eval_double_layer(mesh, mu1, pts, check_band=False)
+        vals += side.sign * _layer(targets, "double", mu1)
         if side.sign < 0:
             vals += c
         if own:
-            vals -= eval_single_layer(mesh, eta, pts, check_band=False) + c
-    return float(vals[0]) if single else vals
+            vals -= _layer(targets, "single", eta) + c
+    return float(vals[0]) if targets.single else vals
 
 
 def dist_normal_derivative(mesh, trace, side):

@@ -10,7 +10,7 @@ class InvalidGeometry(Bie2dError):
 
 
 class LengthMismatch(Bie2dError):
-    """A grid function does not align with the mesh it is used on."""
+    """A grid function does not align with its mesh, or points are not (2,) or (m, 2)."""
 
 
 class OutOfRange(Bie2dError):
@@ -34,7 +34,7 @@ class NonFiniteResult(Bie2dError):
 
 
 class InvalidProbe(Bie2dError):
-    """Probe circle does not enclose the domain (or touches it)."""
+    """A point is non-finite or off its field's region, or no probe fits the domain."""
 
 
 class NoLimit(Bie2dError):

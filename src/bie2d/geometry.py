@@ -8,19 +8,28 @@ curves).  Normals always point out of the open set: outer curves end up
 traversed counterclockwise and holes clockwise, whatever the input says.
 
 A BoundaryMesh owns everything derived from it: build_mesh works out which
-curve contains which once and stores the resulting DomainTopology on the
-mesh, and operators.operator_set fills the mesh's operator field on first
-use.  Neither the topology nor the operators point back at the mesh, so a
-dropped mesh is freed by reference counting alone.
+curve contains which once, by polygon winding numbers, and stores the
+resulting DomainTopology on the mesh, and operators.operator_set fills the
+mesh's operator field on first use.  Neither the topology nor the
+operators point back at the mesh, so a dropped mesh is freed by reference
+counting alone.
+
+Pairwise geometry between the nodes and a set of target points is
+computed in one pass (_target_pass): the squared distances and the normal
+components of the offsets.  The near-boundary band check, point location
+and both layer kernels read that one pass.  Points are located by Gauss's
+law: the double layer of a curve's indicator is 1 in absolute value inside
+the curve and 0 outside it, to trapezoid accuracy off the band.
 """
 
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidGeometry, LengthMismatch, OutOfRange
+from .errors import InvalidGeometry, InvalidProbe, LengthMismatch, NearBoundary, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -316,6 +325,24 @@ def _topology(contains, depth, offsets):
     )
 
 
+def _pair_geometry(targets, nodes, normals=None):
+    """r2 = |x - y|^2 and, given the normals, nd = nu(y) . (x - y), each (m, n).
+
+    With d = x - y they are d_x d_x + d_y d_y and d_x nu_x + d_y nu_y, and
+    no other (m, n) array outlives the call.
+    """
+    dx = targets[:, 0, None] - nodes[None, :, 0]
+    dy = targets[:, 1, None] - nodes[None, :, 1]
+    r2 = dx * dx
+    nd = None if normals is None else dy * normals[:, 1]
+    dy *= dy
+    r2 += dy
+    if normals is not None:
+        dx *= normals[:, 0]
+        nd += dx
+    return r2, nd
+
+
 def _check_node_separation(mesh):
     # cross-component disjointness and a cheap self-intersection screen:
     # a simple closed C^1 curve has turning number +-1, and nodes that are
@@ -331,23 +358,21 @@ def _check_node_separation(mesh):
         xc = mesh.x[sl]
         wc = mesh.weights[sl]
         nc = xc.shape[0]
-        d = np.linalg.norm(xc[:, None, :] - xc[None, :, :], axis=-1)
-        idx = np.arange(nc)
-        ring = np.minimum(np.abs(idx[:, None] - idx[None, :]),
-                          nc - np.abs(idx[:, None] - idx[None, :]))
-        far = ring >= 4
-        if far.any():
-            local = 0.5 * (wc[:, None] + wc[None, :])
-            bad = far & (d < 0.25 * local)
-            if bad.any():
-                raise InvalidGeometry(
-                    f"curve {c} self-intersects (distant nodes nearly coincide)"
-                )
+        # only pairs closer than half the largest spacing can fail the test
+        # d < 0.25 (w_i + w_j) / 2, so they are screened first
+        r2 = _pair_geometry(xc, xc)[0]
+        i, j = np.nonzero(r2 < (0.5 * float(np.max(wc))) ** 2)
+        ring = np.minimum(np.abs(i - j), nc - np.abs(i - j))
+        close = np.sqrt(r2[i, j]) < 0.25 * (0.5 * (wc[i] + wc[j]))
+        if np.any((ring >= 4) & close):
+            raise InvalidGeometry(
+                f"curve {c} self-intersects (distant nodes nearly coincide)"
+            )
         for c2 in range(c + 1, mesh.n_components):
             sl2 = mesh.component_slice(c2)
-            d = np.linalg.norm(xc[:, None, :] - mesh.x[sl2][None, :, :], axis=-1)
-            i, j = np.unravel_index(np.argmin(d), d.shape)
-            gap = float(d[i, j])
+            r2 = _pair_geometry(xc, mesh.x[sl2])[0]
+            i, j = np.unravel_index(np.argmin(r2), r2.shape)
+            gap = math.sqrt(r2[i, j])
             if gap <= 1e-9 * scale:
                 raise InvalidGeometry(f"curves {c} and {c2} are not disjoint")
             _check_gap_resolved(mesh, (c, c2), gap, (wc[i], mesh.weights[sl2][j]))
@@ -426,45 +451,90 @@ def pairing(mesh, f, g):
     return float(np.dot(mesh.weights * _check_aligned(mesh, f), _check_aligned(mesh, g)))
 
 
+class _Targets:
+    """One geometry pass from m target points x to the n nodes y of a mesh.
+
+    r2 = |x - y|^2 and nd = nu(y) . (x - y) have shape (m, n), and dist is
+    each point's distance to the nearest node.  The band check, point
+    location and both layer kernels read them.
+    """
+
+    def __init__(self, mesh, r2, nd, single=False):
+        self.mesh, self.r2, self.nd, self.single = mesh, r2, nd, single
+        self.dist = np.sqrt(np.min(r2, axis=1))
+
+    def rows(self, keep):
+        return _Targets(self.mesh, self.r2[keep], self.nd[keep])
+
+    @cached_property
+    def single_kernel(self):
+        """log|x - y| / (2 pi)"""
+        k = np.sqrt(self.r2)
+        return np.divide(np.log(k, out=k), 2.0 * np.pi, out=k)
+
+    @cached_property
+    def double_kernel(self):
+        """-nu(y) . (x - y) / (2 pi |x - y|^2)"""
+        k = (2.0 * np.pi) * self.r2
+        return np.negative(np.divide(self.nd, k, out=k), out=k)
+
+    def check_band(self):
+        band = self.mesh.band_width()
+        if np.any(self.dist < band):
+            raise NearBoundary(f"point at distance {np.min(self.dist):.3e} inside "
+                               f"the near-boundary band {band:.3e}")
+
+    def locations(self, topology):
+        """The distinct Locations of the points, and each point's index among them.
+
+        Off the band, the double layer of a curve's indicator is +-1 inside
+        the curve and 0 outside.  A point inside a hole lies in the hole's
+        exterior component, though the outer curve around it holds it too.
+        """
+        mesh = self.mesh
+        near = self.dist < mesh.band_width()
+        per_curve = np.zeros((mesh.n, mesh.n_components))
+        per_curve[np.arange(mesh.n), mesh.comp] = mesh.weights
+        inside = np.zeros((near.size, mesh.n_components), dtype=bool)
+        clear = self.rows(~near) if near.any() else self
+        inside[~near] = np.abs(clear.double_kernel @ per_curve) > 0.5
+        table = [Location("exterior", 0), Location("near_boundary", None)]
+        code = np.zeros(near.size, dtype=int)
+        # holes come after outer curves, so that they win
+        for c in topology.outer_comps + topology.hole_comps:
+            code[inside[:, c]] = len(table)
+            table.append(Location("exterior", topology.omega_minus_of_comp[c])
+                         if c in topology.hole_comps
+                         else Location("interior", topology.omega_of_comp[c]))
+        code[near] = 1
+        return table, code
+
+    def in_region(self, region):
+        """Mask of the points in the region, 'interior' or 'exterior'."""
+        table, code = self.locations(self.mesh.topology)
+        return np.array([loc.kind == region for loc in table])[code]
+
+
+def _target_pass(mesh, points):
+    """The _Targets of a point (2,) or of points (m, 2), which must be finite."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != 2:
+        raise LengthMismatch(f"points must have shape (2,) or (m, 2), got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidProbe("point coordinates must be finite")
+    r2, nd = _pair_geometry(np.atleast_2d(pts), mesh.x, mesh.normal)
+    return _Targets(mesh, r2, nd, single=pts.ndim == 1)
+
+
 def locate_point(mesh, topology, p):
     """Classify a point: interior(j), exterior(k), or near_boundary."""
-    return locate_points(mesh, topology, np.asarray(p, dtype=float)[None, :])[0]
+    return locate_points(mesh, topology, [p])[0]
 
 
 def locate_points(mesh, topology, points):
     """Vectorized locate_point over an array of points, shape (m, 2)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    band = mesh.band_width()
-    d = np.linalg.norm(pts[:, None, :] - mesh.x[None, :, :], axis=-1)
-    near = np.min(d, axis=1) < band
-
-    # winding numbers are only needed (and well defined) off the band
-    clear = pts[~near]
-    inside = {}
-    for c in range(mesh.n_components):
-        sl = mesh.component_slice(c)
-        flags = np.zeros(pts.shape[0], dtype=bool)
-        if clear.shape[0]:
-            flags[~near] = np.abs(_winding_of_points(mesh.x[sl], clear)) > 0.5
-        inside[c] = flags
-
-    out = []
-    for i in range(pts.shape[0]):
-        if near[i]:
-            out.append(Location("near_boundary", None))
-            continue
-        loc = None
-        for h in topology.hole_comps:
-            if inside[h][i]:
-                loc = Location("exterior", topology.omega_minus_of_comp[h])
-                break
-        if loc is None:
-            for o in topology.outer_comps:
-                if inside[o][i]:
-                    loc = Location("interior", topology.omega_of_comp[o])
-                    break
-        out.append(loc if loc is not None else Location("exterior", 0))
-    return out
+    table, code = _target_pass(mesh, points).locations(topology)
+    return [table[k] for k in code.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ diagonal blocks: the kernel is written as
 and the logarithmic factor gets the spectral product-quadrature weights,
 the smooth remainder the plain trapezoid rule.  The double-layer kernel is
 smooth on a C^2 curve, so W is plain trapezoid with the curvature limit on
-the diagonal.  Wt = D^-1 W^T D (D = diag of quadrature weights), applied
+the diagonal.  V and W are assembled together, from one pass over the
+squared node distances.  Wt = D^-1 W^T D (D = diag of quadrature weights), applied
 from W and never stored, is both the Nystrom matrix of the transposed kernel
 and an exact discrete adjoint in the weighted pairing.
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import circulant, lu_factor, lu_solve
 
 from .errors import (
     InvalidGeometry,
@@ -40,7 +41,7 @@ from .errors import (
     SingularPoint,
     SingularSystem,
 )
-from .geometry import _check_aligned
+from .geometry import _check_aligned, _pair_geometry
 
 
 def fundamental_solution(n, xi):
@@ -91,41 +92,64 @@ def log_weight_row(nc):
     return row
 
 
-def assemble_V(mesh):
-    """Nystrom matrix of the single-layer boundary trace."""
-    n = mesh.n
-    A = np.empty((n, n))
-    # smooth cross-component fill first, then overwrite diagonal blocks
-    d = mesh.x[:, None, :] - mesh.x[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", d, d)
-    np.fill_diagonal(dist2, 1.0)
-    A[:] = (0.25 / np.pi) * np.log(dist2) * mesh.weights[None, :]
+def _assemble(mesh):
+    """V and W from one pass over the node pairs; W is not yet checked.
 
+    Both read r2 = |x_i - x_j|^2 (1 on the diagonal).  W is the trapezoid
+    rule of the double-layer kernel with the curvature limit on the
+    diagonal; V is the smooth (0.25 / pi) log r2 fill, with each diagonal
+    block overwritten by the Kussmaul-Martensen product rule.  The steps
+    work in place, so at most four N x N arrays are alive at once.
+    """
+    r2, nd = _pair_geometry(mesh.x, mesh.x, mesh.normal)
+    np.fill_diagonal(r2, 1.0)
+    W = (2.0 * np.pi) * r2
+    np.divide(nd, W, out=W)
+    del nd
+    np.negative(W, out=W)
+    np.fill_diagonal(W, mesh.curvature / (4.0 * np.pi))
+    W *= mesh.weights
+
+    V = np.log(r2)
+    V *= 0.25 / np.pi
+    V *= mesh.weights
     for c in range(mesh.n_components):
         sl = mesh.component_slice(c)
         tc = mesh.t[sl]
         nc = tc.shape[0]
         speed = mesh.speed[sl]
-        dt = tc[:, None] - tc[None, :]
-        s2 = 4.0 * np.sin(dt / 2.0) ** 2
+        s2 = np.sin((tc[:, None] - tc[None, :]) / 2.0)
+        np.square(s2, out=s2)
+        s2 *= 4.0
         np.fill_diagonal(s2, 1.0)
-        block_dist2 = dist2[sl, sl]
-        ratio = block_dist2 / s2
-        np.fill_diagonal(ratio, speed**2)
-        k2 = (0.25 / np.pi) * speed[None, :] * np.log(ratio)
-        row = log_weight_row(nc)
-        idx = np.arange(nc)
-        R = row[(idx[:, None] - idx[None, :]) % nc]
-        A[sl, sl] = R * ((0.25 / np.pi) * speed[None, :]) + (2.0 * np.pi / nc) * k2
-    return OperatorMatrix(A, "V", mesh)
+        k2 = np.divide(r2[sl, sl], s2, out=s2)
+        np.fill_diagonal(k2, speed**2)
+        np.log(k2, out=k2)
+        k2 *= (0.25 / np.pi) * speed
+        k2 *= 2.0 * np.pi / nc
+        block = circulant(log_weight_row(nc))
+        block *= (0.25 / np.pi) * speed
+        block += k2
+        V[sl, sl] = block
+    return V, W
 
 
-def _double_layer_kernel(mesh, points):
-    """Double-layer kernel -nu(y) . grad S2(x - y) at points x, nodes y."""
-    d = points[:, None, :] - mesh.x[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", d, d)
-    num = d[:, :, 0] * mesh.normal[None, :, 0] + d[:, :, 1] * mesh.normal[None, :, 1]
-    return -num / (2.0 * np.pi * dist2)
+def assemble_V(mesh):
+    """Nystrom matrix of the single-layer boundary trace."""
+    return OperatorMatrix(_assemble(mesh)[0], "V", mesh)
+
+
+def _checked_W(mesh, W):
+    """W itself, once W 1 = 1/2 holds on every curve."""
+    w1 = W @ np.ones(mesh.n)
+    if np.max(np.abs(w1 - 0.5)) > 1e-8:
+        rows = [w1[mesh.component_slice(c)] for c in range(mesh.n_components)]
+        c = int(np.argmax([np.max(np.abs(r - 0.5)) for r in rows]))
+        resid = float(np.max(np.abs(rows[c] - 0.5)))
+        cause = "sign/orientation check failed" if resid > 0.5 else "under-resolved"
+        raise InvalidGeometry(f"double layer {cause}: |W 1 - 1/2| = {resid:.3e} "
+                              f"on curve {c} with {rows[c].size} nodes")
+    return W
 
 
 def assemble_W(mesh):
@@ -137,22 +161,7 @@ def assemble_W(mesh):
     curve, 3/2 on a hole); a smaller miss means the nodes do not resolve
     the curve or its neighbours.
     """
-    d = mesh.x[:, None, :] - mesh.x[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", d, d)
-    np.fill_diagonal(dist2, 1.0)
-    num = d[:, :, 0] * mesh.normal[None, :, 0] + d[:, :, 1] * mesh.normal[None, :, 1]
-    kw = -num / (2.0 * np.pi * dist2)
-    np.fill_diagonal(kw, mesh.curvature / (4.0 * np.pi))
-    W = kw * mesh.weights[None, :]
-    w1 = W @ np.ones(mesh.n)
-    if np.max(np.abs(w1 - 0.5)) > 1e-8:
-        rows = [w1[mesh.component_slice(c)] for c in range(mesh.n_components)]
-        c = int(np.argmax([np.max(np.abs(r - 0.5)) for r in rows]))
-        resid = float(np.max(np.abs(rows[c] - 0.5)))
-        cause = "sign/orientation check failed" if resid > 0.5 else "under-resolved"
-        raise InvalidGeometry(f"double layer {cause}: |W 1 - 1/2| = {resid:.3e} "
-                              f"on curve {c} with {rows[c].size} nodes")
-    return OperatorMatrix(W, "W", mesh)
+    return OperatorMatrix(_checked_W(mesh, _assemble(mesh)[1]), "W", mesh)
 
 
 def assemble_Wt(mesh):
@@ -203,8 +212,9 @@ class OperatorSet:
     def __init__(self, mesh):
         self.n = n = mesh.n
         self.weights = w = mesh.weights
-        self.V = assemble_V(mesh).matrix
-        self.W = assemble_W(mesh).matrix
+        V, W = _assemble(mesh)
+        self.V = V
+        self.W = _checked_W(mesh, W)
 
         B = np.zeros((n + 1, n + 1))
         B[:n, :n] = self.V

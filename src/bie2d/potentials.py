@@ -2,9 +2,12 @@
 
 Off-boundary evaluation is plain trapezoid quadrature of the smooth kernel;
 it refuses points inside the near-boundary band (twice the largest node
-spacing) instead of regularizing.  Boundary values come from the assembled
-operators through the jump relations, written once in the side's sign
-(README, "Sides and signs").
+spacing) instead of regularizing.  Each evaluation makes one geometry pass
+over its points (geometry._target_pass): the band check, the location of
+the points and the kernels of every layer term read the same squared
+distances.  Boundary values come from the assembled operators through the
+jump relations, written once in the side's sign (README, "Sides and
+signs").
 """
 
 from collections import namedtuple
@@ -12,52 +15,39 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidProbe, LengthMismatch, NearBoundary, NoLimit
-from .geometry import _check_aligned, integrate, locate_points
-from .operators import _double_layer_kernel, _side, operator_set
+from .errors import InvalidProbe, LengthMismatch, NoLimit
+from .geometry import _check_aligned, _target_pass, integrate
+from .operators import _side, operator_set
 
 
-def _as_points(points):
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != 2:
-        raise LengthMismatch("points must have shape (m, 2)")
-    return pts, single
+def _layer(targets, kind, density):
+    """Trapezoid quadrature of one layer term at the pass's points."""
+    density = _check_aligned(targets.mesh, density)
+    if kind == "single":
+        kernel = targets.single_kernel
+    elif kind == "double":
+        kernel = targets.double_kernel
+    else:
+        raise LengthMismatch(f"unknown layer kind {kind!r}")
+    return kernel @ (targets.mesh.weights * density)
 
 
-def _band_check(mesh, pts):
-    d = np.linalg.norm(pts[:, None, :] - mesh.x[None, :, :], axis=-1)
-    dmin = np.min(d, axis=1)
-    if np.any(dmin < mesh.band_width()):
-        worst = float(np.min(dmin))
-        raise NearBoundary(
-            f"point at distance {worst:.3e} inside the near-boundary band "
-            f"{mesh.band_width():.3e}"
-        )
+def _eval_layer(mesh, kind, density, points, check_band):
+    targets = _target_pass(mesh, points)
+    if check_band:
+        targets.check_band()
+    vals = _layer(targets, kind, density)
+    return vals[0] if targets.single else vals
 
 
 def eval_single_layer(mesh, mu, points, check_band=True):
     """Single layer potential at off-boundary points."""
-    mu = _check_aligned(mesh, mu)
-    pts, single = _as_points(points)
-    if check_band:
-        _band_check(mesh, pts)
-    d = pts[:, None, :] - mesh.x[None, :, :]
-    r = np.linalg.norm(d, axis=-1)
-    vals = (np.log(r) / (2.0 * np.pi)) @ (mesh.weights * mu)
-    return vals[0] if single else vals
+    return _eval_layer(mesh, "single", mu, points, check_band)
 
 
 def eval_double_layer(mesh, psi, points, check_band=True):
     """Double layer potential at off-boundary points."""
-    psi = _check_aligned(mesh, psi)
-    pts, single = _as_points(points)
-    if check_band:
-        _band_check(mesh, pts)
-    K = _double_layer_kernel(mesh, pts)
-    vals = K @ (mesh.weights * psi)
-    return vals[0] if single else vals
+    return _eval_layer(mesh, "double", psi, points, check_band)
 
 
 def trace_single(mesh, mu):
@@ -98,27 +88,24 @@ class HarmonicField:
     region: str = "interior"
 
     def eval(self, points):
-        pts, single = _as_points(points)
-        _band_check(self.mesh, pts)
-        locs = locate_points(self.mesh, self.mesh.topology, pts)
-        for loc in locs:
-            if loc.kind != self.region:
-                raise InvalidProbe(
-                    f"field is defined on the {self.region} but a point is {loc.kind}"
-                )
-        vals = self.eval_unchecked(pts)
-        return float(vals[0]) if single else vals
+        targets = _target_pass(self.mesh, points)
+        targets.check_band()
+        if not np.all(targets.in_region(self.region)):
+            other = _side(self.region, "region").opposite.region
+            raise InvalidProbe(
+                f"field is defined on the {self.region} but a point is {other}"
+            )
+        vals = self._values(targets)
+        return float(vals[0]) if targets.single else vals
 
     def eval_unchecked(self, points):
-        pts, _ = _as_points(points)
-        vals = np.full(pts.shape[0], self.constant, dtype=float)
+        return self._values(_target_pass(self.mesh, points))
+
+    def _values(self, targets):
+        """The field at the points of a geometry pass, without checks."""
+        vals = np.full(targets.r2.shape[0], self.constant, dtype=float)
         for kind, density in self.terms:
-            if kind == "single":
-                vals += eval_single_layer(self.mesh, density, pts, check_band=False)
-            elif kind == "double":
-                vals += eval_double_layer(self.mesh, density, pts, check_band=False)
-            else:
-                raise LengthMismatch(f"unknown layer kind {kind!r}")
+            vals += _layer(targets, kind, density)
         return vals
 
     def single_layer_mass(self):

@@ -31,7 +31,7 @@ from .errors import (
     OutOfRange,
     SingularSystem,
 )
-from .geometry import _check_aligned, indicator, integrate
+from .geometry import _check_aligned, _target_pass, indicator, integrate
 from .operators import _side, operator_set
 from .potentials import (
     HarmonicField,
@@ -436,18 +436,10 @@ def green_h(mesh, x, side):
     side 'interior' solves in the open set, 'exterior' outside (harmonic
     at infinity); returns the SolveReport of the bordered solve.
     """
-    x = np.asarray(x, dtype=float)
-    d = np.linalg.norm(mesh.x - x[None, :], axis=1)
-    if np.min(d) < mesh.band_width():
+    source = _target_pass(mesh, x)
+    if source.dist[0] < mesh.band_width():
         raise NearBoundary("source point inside the near-boundary band")
-    return _dirichlet(mesh, np.log(d) / (2.0 * np.pi), side)
-
-
-def _poisson_kernel_column(mesh, x):
-    """d/dnu_y S2(x - y) at the nodes, for a fixed off-boundary x."""
-    d = mesh.x - np.asarray(x, dtype=float)[None, :]
-    r2 = np.einsum("ij,ij->i", d, d)
-    return np.einsum("ij,ij->i", mesh.normal, d) / (2.0 * np.pi * r2)
+    return _dirichlet(mesh, source.single_kernel[0], side)
 
 
 def _poisson(mesh, g, x, region):
@@ -455,7 +447,9 @@ def _poisson(mesh, g, x, region):
     g = _check_aligned(mesh, g)
     eta = green_h(mesh, x, region).densities["eta"]
     dh = normal_derivative_single(mesh, eta, _side(region, "region").name)
-    return float(np.dot(mesh.weights * g, _poisson_kernel_column(mesh, x) - dh))
+    # d/dnu_y S2(x - y) is the double-layer kernel at x
+    kernel = _target_pass(mesh, x).double_kernel[0]
+    return float(np.dot(mesh.weights * g, kernel - dh))
 
 
 def poisson_interior(mesh, g, x):

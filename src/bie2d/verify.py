@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IncompatibleData
-from .geometry import indicator, integrate, locate_points, pairing, stock_mesh
+from .errors import IncompatibleData, InvalidProbe
+from .geometry import _target_pass, indicator, integrate, pairing, stock_mesh
 from .operators import _SIDES, _side, operator_set
 from .potentials import eval_double_layer, eval_single_layer, trace_double
 from .distributions import (
@@ -143,10 +143,11 @@ def probe_points(mesh, region, count=25, min_dist=0.2, prefer="far"):
     resolution) still yield points clear of both the minimum distance and
     the near-boundary band.  prefer='far' keeps the most distant
     candidates (accuracy), prefer='near' the closest admissible ones
-    (useful to expose the convergence rate).
+    (useful to expose the convergence rate).  Raises InvalidProbe when no
+    candidate qualifies: the region is too narrow for the band at this
+    node count.
     """
     sign = _side(region, "region").sign
-    topo = mesh.topology
     band = mesh.band_width()
     keep_dist = max(min_dist, 1.2 * band)
     step = max(1, mesh.n // (2 * count))
@@ -157,17 +158,15 @@ def probe_points(mesh, region, count=25, min_dist=0.2, prefer="far"):
         theta = np.linspace(0, 2 * np.pi, 8, endpoint=False)
         blocks.append(far * np.stack([np.cos(theta), np.sin(theta)], axis=-1))
     candidates = np.concatenate(blocks)
-    locs = locate_points(mesh, topo, candidates)
-    dist = np.min(
-        np.linalg.norm(candidates[:, None, :] - mesh.x[None, :, :], axis=-1), axis=1
-    )
-    keep = [
-        i
-        for i, loc in enumerate(locs)
-        if loc.kind == region and dist[i] >= keep_dist
-    ]
-    keep.sort(key=lambda i: dist[i] if prefer == "near" else -dist[i])
-    return candidates[keep][:count]
+    targets = _target_pass(mesh, candidates)
+    dist = targets.dist
+    keep = np.flatnonzero(targets.in_region(region) & (dist >= keep_dist))
+    if not keep.size:
+        nodes = "/".join(str(m) for m in mesh.n_per_comp)
+        raise InvalidProbe(f"no {region} probe point clears the near-boundary band "
+                           f"with {nodes} nodes per curve")
+    order = np.argsort(dist[keep] if prefer == "near" else -dist[keep], kind="stable")
+    return candidates[keep[order]][:count]
 
 
 def _sup(x):

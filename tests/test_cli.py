@@ -121,6 +121,28 @@ def test_verify_cli_deterministic(tmp_path):
     }
 
 
+@pytest.mark.parametrize("n", [32, 48])
+def test_verify_too_coarse_for_probe_points_is_config_error(tmp_path, capsys, n):
+    # the annulus is too narrow for an interior probe clear of the band
+    out = tmp_path / "v"
+    assert main(["verify", "--n", str(n), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "interior probe point" in err[0] and "--n" in err[0]
+    assert f"{n}/{n} nodes" in err[0]
+    assert not out.exists()
+
+
+def test_solve_without_cross_check_probe(tmp_path):
+    path = tmp_path / "annulus.json"
+    path.write_text(json.dumps({"components": [
+        {"kind": "circle", "radius": 2.0, "nodes": 32},
+        {"kind": "circle", "radius": 1.0, "orientation": "negative", "nodes": 32}]}))
+    assert main(["solve", "--config", str(path), "--problem", "dirichlet-int",
+                 "--data", "fourier:1", "--out", str(tmp_path / "s")]) == EXIT_OK
+    report = json.loads((tmp_path / "s" / "solve_report.json").read_text())
+    assert "cross_solver" not in report["residuals"]
+
+
 def test_verify_negative_control(tmp_path):
     code = main(
         ["verify", "--n", "64", "--out", str(tmp_path / "neg"), "--negative-control"]

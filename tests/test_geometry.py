@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import winding_locations
 
 from bie2d.errors import InvalidGeometry, LengthMismatch, OutOfRange
 from bie2d.geometry import (
@@ -10,6 +11,7 @@ from bie2d.geometry import (
     indicator,
     integrate,
     locate_point,
+    locate_points,
     pairing,
     stock_mesh,
     stock_specs,
@@ -156,6 +158,20 @@ def test_locate_point_examples():
     assert locate_point(ann, topo, (1.5, 0.0)) == ("interior", 1)
     assert locate_point(ann, topo, (0.5, 0.0)) == ("exterior", 1)
     assert locate_point(ann, topo, (2.5, 0.0)) == ("exterior", 0)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 256])
+@pytest.mark.parametrize("name", ["disk", "disk2", "ellipse", "annulus", "kite", "two-disks"])
+def test_gauss_law_location_matches_winding_numbers(name, n):
+    mesh = stock_mesh(name, n)
+    rng = np.random.default_rng([n, len(name)])
+    lo, hi = mesh.x.min(axis=0) - 1.0, mesh.x.max(axis=0) + 1.0
+    # just outside the band along both normals, where the quadrature is least accurate
+    edge = 1.0001 * mesh.band_width() * mesh.normal
+    points = np.concatenate([rng.uniform(lo, hi, size=(20000, 2)),
+                             mesh.x + edge, mesh.x - edge])
+    for chunk in np.array_split(points, 10):
+        assert locate_points(mesh, mesh.topology, chunk) == winding_locations(mesh, chunk)
 
 
 def test_refinement_consistency():

@@ -13,6 +13,7 @@ from bie2d.operators import (
     assemble_Wt,
     fundamental_solution,
     grad_fundamental_solution,
+    log_weight_row,
     operator_set,
     save_matrix,
     steklov,
@@ -310,3 +311,37 @@ def test_w1_check_tells_under_resolution_from_orientation():
     for name, curve in (("disk", 0), ("annulus", 1)):
         with pytest.raises(InvalidGeometry, match=f"orientation.* on curve {curve} "):
             assemble_W(_reversed(stock_mesh(name, 64), curve))
+
+
+def _separate_assembly(mesh):
+    """V and W by the formulas of two independent passes over the node pairs."""
+    d = mesh.x[:, None, :] - mesh.x[None, :, :]
+    dist2 = np.einsum("ijk,ijk->ij", d, d)
+    np.fill_diagonal(dist2, 1.0)
+    V = (0.25 / np.pi) * np.log(dist2) * mesh.weights[None, :]
+    for c in range(mesh.n_components):
+        sl = mesh.component_slice(c)
+        tc, speed = mesh.t[sl], mesh.speed[sl]
+        nc = tc.shape[0]
+        s2 = 4.0 * np.sin((tc[:, None] - tc[None, :]) / 2.0) ** 2
+        np.fill_diagonal(s2, 1.0)
+        ratio = dist2[sl, sl] / s2
+        np.fill_diagonal(ratio, speed**2)
+        k2 = (0.25 / np.pi) * speed[None, :] * np.log(ratio)
+        idx = np.arange(nc)
+        R = log_weight_row(nc)[(idx[:, None] - idx[None, :]) % nc]
+        V[sl, sl] = R * ((0.25 / np.pi) * speed[None, :]) + (2.0 * np.pi / nc) * k2
+    num = d[:, :, 0] * mesh.normal[None, :, 0] + d[:, :, 1] * mesh.normal[None, :, 1]
+    kw = -num / (2.0 * np.pi * dist2)
+    np.fill_diagonal(kw, mesh.curvature / (4.0 * np.pi))
+    return V, kw * mesh.weights[None, :]
+
+
+@pytest.mark.parametrize("name", ["disk", "ellipse", "annulus", "kite", "two-disks"])
+def test_shared_pass_matches_separate_assembly(name):
+    mesh = stock_mesh(name, 64)
+    V, W = _separate_assembly(mesh)
+    ops = operator_set(mesh)
+    for got, want in ((assemble_V(mesh).matrix, V), (assemble_W(mesh).matrix, W),
+                      (ops.V, V), (ops.W, W)):
+        assert np.array_equal(got, want)

@@ -1,8 +1,14 @@
+import csv
+
 import numpy as np
 import pytest
+from conftest import winding_locations
 
-from bie2d.errors import InvalidProbe, NearBoundary, NoLimit
-from bie2d.geometry import CurveSpec, build_mesh, stock_mesh
+from bie2d.cli import default_grid, write_field_csv
+from bie2d.distributions import PairDistribution, dist_single_layer_field
+from bie2d.errors import InvalidProbe, LengthMismatch, NearBoundary, NoLimit
+from bie2d.geometry import CurveSpec, build_mesh, locate_points, stock_mesh
+from bie2d.solvers import dirichlet_exterior
 from bie2d.potentials import (
     HarmonicField,
     eval_double_layer,
@@ -179,3 +185,82 @@ def test_field_region_guard(disk128):
         fld.eval(np.array([3.0, 0.0]))
     with pytest.raises(NearBoundary):
         fld.eval(np.array([1.0 + 0.2 * disk128.band_width(), 0.0]))
+
+
+def _layer_by_norms(mesh, kind, density, points):
+    """A layer potential with its kernel built from the (m, n, 2) offsets."""
+    d = points[:, None, :] - mesh.x[None, :, :]
+    if kind == "single":
+        kernel = np.log(np.linalg.norm(d, axis=-1)) / (2.0 * np.pi)
+    else:
+        num = d[:, :, 0] * mesh.normal[None, :, 0] + d[:, :, 1] * mesh.normal[None, :, 1]
+        kernel = -num / (2.0 * np.pi * np.einsum("ijk,ijk->ij", d, d))
+    return kernel @ (mesh.weights * density)
+
+
+def _field_by_norms(fld, points):
+    vals = np.full(points.shape[0], fld.constant)
+    for kind, density in fld.terms:
+        vals += _layer_by_norms(fld.mesh, kind, density, points)
+    return vals
+
+
+@pytest.mark.parametrize("name, region", [("annulus", "interior"), ("kite", "exterior")])
+def test_one_geometry_pass_is_bit_identical_to_the_norm_route(tmp_path, name, region):
+    mesh = stock_mesh(name, 256)
+    mu, psi = np.cos(3 * mesh.t) + 0.2, np.sin(2 * mesh.t)
+    fld = HarmonicField(mesh, [("single", mu), ("double", psi)], constant=0.3, region=region)
+    grid = default_grid(mesh)
+    points = grid.points()
+    kinds = np.array([kind for kind, _ in winding_locations(mesh, points)])
+    clear = points[kinds != "near_boundary"]
+    for kind, density, evaluate in (("single", mu, eval_single_layer),
+                                    ("double", psi, eval_double_layer)):
+        expected = _layer_by_norms(mesh, kind, density, clear)
+        assert np.array_equal(evaluate(mesh, density, clear), expected)
+    usable = kinds == region
+    assert np.array_equal(fld.eval(points[usable]), _field_by_norms(fld, points[usable]))
+
+    path = tmp_path / "field.csv"
+    write_field_csv(fld, grid, path)
+    values = np.full(points.shape[0], np.nan)
+    values[usable] = _field_by_norms(fld, points[usable])
+    rows = [["x", "y", "u"]] + [
+        ["%.17g" % px, "%.17g" % py, "%.17g" % val if ok else ""]
+        for (px, py), ok, val in zip(points, usable, values)
+    ]
+    with open(path, newline="") as fh:
+        assert list(csv.reader(fh)) == rows
+
+
+@pytest.fixture(scope="module")
+def disk_exterior_field():
+    mesh = stock_mesh("disk", 64)
+    return dirichlet_exterior(mesh, np.cos(mesh.t)).field
+
+
+_POINT_ENTRIES = {
+    "eval": lambda fld, p: fld.eval(p),
+    "eval_unchecked": lambda fld, p: fld.eval_unchecked(p),
+    "eval_single_layer": lambda fld, p: eval_single_layer(fld.mesh, np.ones(fld.mesh.n), p),
+    "eval_double_layer": lambda fld, p: eval_double_layer(fld.mesh, np.ones(fld.mesh.n), p),
+    "dist_single_layer_field": lambda fld, p: dist_single_layer_field(
+        PairDistribution("plus", np.ones(fld.mesh.n), np.zeros(fld.mesh.n), fld.mesh),
+        p, "exterior"),
+    "locate_points": lambda fld, p: locate_points(fld.mesh, fld.mesh.topology, p),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_POINT_ENTRIES))
+@pytest.mark.parametrize("points, error", [
+    ([np.nan, 0.0], InvalidProbe),
+    ([np.inf, 0.0], InvalidProbe),
+    ([[3.0, 0.0], [0.0, -np.inf]], InvalidProbe),
+    (np.full((2, 2, 2), 3.0), LengthMismatch),
+    ([3.0, 0.0, 0.0], LengthMismatch),
+    (np.full((4, 3), 3.0), LengthMismatch),
+    (3.0, LengthMismatch),
+])
+def test_bad_points_are_refused(disk_exterior_field, entry, points, error):
+    with pytest.raises(error):
+        _POINT_ENTRIES[entry](disk_exterior_field, points)
