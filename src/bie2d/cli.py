@@ -9,6 +9,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     NonFiniteResult,
     OutOfRange,
 )
-from .geometry import CurveSpec, _target_pass, build_mesh
+from .geometry import CurveSpec, _target_pass, build_mesh, stock_mesh
 from .operators import operator_set
 from .distributions import dist_normal_derivative, pair_from_dict
 from .solvers import (
@@ -34,7 +35,7 @@ from .solvers import (
     neumann_exterior,
     neumann_interior,
 )
-from .verify import DEFAULT_SEED, probe_points, run_verify
+from .verify import _CHECKS, DEFAULT_SEED, STOCK_TRIO, probe_points, run_verify
 
 PROBLEMS = (
     "dirichlet-int",
@@ -56,14 +57,12 @@ EXIT_NUMERICAL = 4
 class RunConfig:
     """Validated run description assembled from the config file and CLI flags."""
 
-    config_path: str | None = None
     components: list = field(default_factory=list)
     nodes: list = field(default_factory=list)
     problem: str | None = None
     data: str | None = None
     n_override: int | None = None
     out_dir: str | None = None
-    tol: float = 1e-7
     tol_overrides: dict = field(default_factory=dict)
     seed: int = DEFAULT_SEED
 
@@ -89,10 +88,15 @@ class RunConfig:
         return list(self.nodes)
 
     def build_mesh(self):
-        try:
-            return build_mesh(self.components, self.node_counts())
-        except InvalidGeometry as exc:
-            raise ConfigError(str(exc)) from exc
+        return _geometry(build_mesh, self.components, self.node_counts())
+
+
+def _geometry(build, *args):
+    """build(*args) for a mesh, with a bad geometry reported as a configuration error."""
+    try:
+        return build(*args)
+    except InvalidGeometry as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _number(value, where, integer=False):
@@ -104,6 +108,23 @@ def _number(value, where, integer=False):
         need = "an integer" if integer else "a finite number"
         raise ConfigError(f"{where}: expected {need}, got {value!r}")
     return value if integer else float(value)
+
+
+@contextmanager
+def _output(path):
+    """Report an output under path that cannot be created or written as a config error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror}") from exc
+
+
+def _nonnegative(value, where, integer=False):
+    """_number of a value that must not be negative."""
+    value = _number(value, where, integer)
+    if value < 0:
+        raise ConfigError(f"{where}: expected a non-negative number, got {value!r}")
+    return value
 
 
 def _numbers(value, where, count=None):
@@ -172,18 +193,20 @@ def load_config(path, **overrides):
     tol_overrides = raw.get("tol_overrides", {})
     if not isinstance(tol_overrides, dict):
         raise ConfigError(f"tol_overrides: expected an object, got {tol_overrides!r}")
+    checks = [check.name for check in _CHECKS]
+    for name in tol_overrides:
+        if name not in checks:
+            raise ConfigError(f"tol_overrides: {name!r} names no verify check")
     cfg = RunConfig(
-        config_path=path,
         components=comps,
         nodes=nodes,
         problem=raw.get("problem"),
         data=raw.get("data"),
         out_dir=raw.get("out"),
-        tol=_number(raw.get("tol", 1e-7), "tol"),
         tol_overrides={
-            k: _number(v, f"tol_overrides.{k}") for k, v in tol_overrides.items()
+            k: _nonnegative(v, f"tol_overrides.{k}") for k, v in tol_overrides.items()
         },
-        seed=_number(raw.get("seed", DEFAULT_SEED), "seed", integer=True),
+        seed=_nonnegative(raw.get("seed", DEFAULT_SEED), "seed", integer=True),
     )
     for key, value in overrides.items():
         if value is not None:
@@ -382,11 +405,12 @@ def cmd_solve(cfg, out_prefix="solve"):
             )
             report.residuals["cross_solver"] = diff
     out_dir = cfg.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, f"{out_prefix}_report.json")
     csv_path = os.path.join(out_dir, f"{out_prefix}_field.csv")
-    write_report(json_path, report.to_dict())
-    write_field_csv(report.field, default_grid(mesh), csv_path)
+    with _output(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+        write_report(json_path, report.to_dict())
+        write_field_csv(report.field, default_grid(mesh), csv_path)
     print(f"report: {json_path}")
     print(f"field:  {csv_path}")
     worst = max(report.residuals.values(), default=0.0)
@@ -396,26 +420,25 @@ def cmd_solve(cfg, out_prefix="solve"):
 
 def cmd_verify(cfg, negative_control=False):
     """Run the identity suite; one row per check and geometry."""
-    meshes = None
-    if cfg is not None and cfg.components:
+    if cfg.components:
         meshes = {"config": cfg.build_mesh()}
-        n_report = cfg.n_override or max(cfg.node_counts())
+        n = max(cfg.node_counts())
     else:
-        n_report = (cfg.n_override if cfg else None) or 256
+        n = 256 if cfg.n_override is None else cfg.n_override
+        meshes = {name: _geometry(stock_mesh, name, n) for name in STOCK_TRIO}
     try:
         report = run_verify(
             meshes=meshes,
-            n=n_report,
-            seed=cfg.seed if cfg else DEFAULT_SEED,
-            tol_overrides=cfg.tol_overrides if cfg else None,
+            n=n,
+            seed=cfg.seed,
+            tol_overrides=cfg.tol_overrides,
             negative_control=negative_control,
         )
     except InvalidProbe as exc:
         # the suite evaluates fields only at its own probe points, so this
         # means a region too narrow for the band at this node count
         raise ConfigError(f"{exc}; raise --n") from exc
-    out_dir = (cfg.out_dir if cfg else None) or "."
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = cfg.out_dir or "."
     path = os.path.join(out_dir, "verify_report.json")
     for row in report.rows:
         flag = "PASS" if row.passed else "FAIL"
@@ -423,7 +446,9 @@ def cmd_verify(cfg, negative_control=False):
             f"{flag} {row.geometry:10s} {row.name:24s} "
             f"residual={row.residual:.3e} tol={row.tol:.1e}"
         )
-    write_report(path, report.to_dict())
+    with _output(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+        write_report(path, report.to_dict())
     print(f"report: {path}")
     print("overall:", "PASS" if report.passed else "FAIL")
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
@@ -440,7 +465,7 @@ def cmd_demo_hadamard(terms, n, out_dir="."):
     Dirichlet-to-Neumann pairing).
     """
     _require_resolution(terms, n)
-    mesh = build_mesh([CurveSpec("circle", radius=1.0)], [n])
+    mesh = _geometry(build_mesh, [CurveSpec("circle", radius=1.0)], [n])
     ops = operator_set(mesh)
     trace = hadamard_trace(mesh.t, terms)
     tau = dist_normal_derivative(mesh, trace, "plus")
@@ -480,16 +505,16 @@ def cmd_demo_hadamard(terms, n, out_dir="."):
         "energy_table": rows,
         "neumann_residuals": {k: float(v) for k, v in report.residuals.items()},
     }
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "hadamard_report.json")
-    write_report(path, out)
-    csv_path = os.path.join(out_dir, "hadamard_energy.csv")
     columns = ("energy_closed_form", "energy_partial_sum", "energy_discrete_partial_sum")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", *columns])
-        for row in rows:
-            writer.writerow(["%d" % row["k"]] + ["%.17g" % row[c] for c in columns])
+    with _output(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+        write_report(path, out)
+        with open(os.path.join(out_dir, "hadamard_energy.csv"), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["k", *columns])
+            for row in rows:
+                writer.writerow(["%d" % row["k"]] + ["%.17g" % row[c] for c in columns])
     print(f"recovery sup error at r=1/2: {recovery:.3e}")
     print("energy partial sums:", ", ".join("%.6f" % r["energy_partial_sum"] for r in rows))
     print(f"report: {path}")
@@ -537,11 +562,9 @@ def main(argv=None):
             )
             return cmd_solve(cfg)
         if args.command == "verify":
-            cfg = None
-            if args.config:
-                cfg = load_config(args.config, n_override=args.n, out_dir=args.out)
-            elif args.n or args.out:
-                cfg = RunConfig(n_override=args.n, out_dir=args.out)
+            overrides = {"n_override": args.n, "out_dir": args.out}
+            cfg = (load_config(args.config, **overrides) if args.config
+                   else RunConfig(**overrides))
             return cmd_verify(cfg, negative_control=args.negative_control)
         if args.command == "demo-hadamard":
             code, _ = cmd_demo_hadamard(args.terms, args.n, args.out or ".")

@@ -43,7 +43,8 @@ class CurveSpec:
         x(t) = center[0] + sum_m cos_x[m] cos(m t) + sin_x[m] sin(m t)
         y(t) = center[1] + sum_m cos_y[m] cos(m t) + sin_y[m] sin(m t)
 
-    with coefficient arrays indexed by mode m starting at 0.  orientation
+    with coefficient arrays indexed by mode m starting at 0; a circle or an
+    ellipse is the fourier curve cos_x = (0, a), sin_y = (0, b).  orientation
     'positive' means counterclockwise traversal of the parametrization as
     given; build_mesh may still flip a curve to meet the outward-normal
     convention.
@@ -82,32 +83,22 @@ class CurveSpec:
         t = np.asarray(t, dtype=float)
         sg = self._sign() if orientation_sign is None else orientation_sign
         s = sg * t
-        if self.kind == "circle":
-            r = float(self.radius)
-            c, sn = np.cos(s), np.sin(s)
-            x = np.stack([r * c, r * sn], axis=-1)
-            dx = np.stack([-r * sn, r * c], axis=-1)
-            ddx = -x
-        elif self.kind == "ellipse":
-            a, b = map(float, self.axes)
-            c, sn = np.cos(s), np.sin(s)
-            x = np.stack([a * c, b * sn], axis=-1)
-            dx = np.stack([-a * sn, b * c], axis=-1)
-            ddx = -x
-        else:
-            x = np.zeros(t.shape + (2,))
-            dx = np.zeros_like(x)
-            ddx = np.zeros_like(x)
-            for axis, (cc, ss) in enumerate(((self.cos_x, self.sin_x),
-                                             (self.cos_y, self.sin_y))):
-                nm = max(len(cc), len(ss))
-                for m in range(nm):
-                    a = cc[m] if m < len(cc) else 0.0
-                    b = ss[m] if m < len(ss) else 0.0
-                    cm, sm = np.cos(m * s), np.sin(m * s)
-                    x[..., axis] += a * cm + b * sm
-                    dx[..., axis] += m * (-a * sm + b * cm)
-                    ddx[..., axis] += m * m * (-a * cm - b * sm)
+        coeffs = ((self.cos_x, self.sin_x), (self.cos_y, self.sin_y))
+        if self.kind != "fourier":
+            a, b = self.axes if self.kind == "ellipse" else (self.radius, self.radius)
+            coeffs = (((0.0, a), ()), ((), (0.0, b)))
+        x = np.zeros(t.shape + (2,))
+        dx = np.zeros_like(x)
+        ddx = np.zeros_like(x)
+        for axis, (cc, ss) in enumerate(coeffs):
+            nm = max(len(cc), len(ss))
+            for m in range(nm):
+                a = cc[m] if m < len(cc) else 0.0
+                b = ss[m] if m < len(ss) else 0.0
+                cm, sm = np.cos(m * s), np.sin(m * s)
+                x[..., axis] += a * cm + b * sm
+                dx[..., axis] += m * (-a * sm + b * cm)
+                ddx[..., axis] += m * m * (-a * cm - b * sm)
         x = x + np.asarray(self.center, dtype=float)
         dx = dx * sg
         # ddx picks up sg**2 == 1
@@ -120,8 +111,7 @@ class DomainTopology:
 
     kappa_plus counts the connected components of the open set, kappa_minus
     the bounded components of the exterior.  outer_comps / hole_comps list
-    curve indices, hole_parent maps every hole to the outer curve
-    containing it, and omega_of_comp / omega_minus_of_comp give, for every
+    curve indices, and omega_of_comp / omega_minus_of_comp give, for every
     curve, the component of the open set (1..kappa_plus) and of the
     exterior (0 = unbounded) it touches.  n and offsets repeat the mesh's
     node count and component offsets, so indicators need no mesh.
@@ -133,7 +123,6 @@ class DomainTopology:
     kappa_minus: int
     outer_comps: list
     hole_comps: list
-    hole_parent: dict
     omega_of_comp: dict
     omega_minus_of_comp: dict
 
@@ -143,26 +132,23 @@ class BoundaryMesh:
     """Nystrom mesh of a multiply connected boundary.
 
     Arrays are node-aligned over all components: positions x (n, 2), unit
-    outward normals, unit tangents, signed curvature, parametrization speed
+    outward normals, signed curvature, parametrization speed
     |x'|, trapezoid weights w_i = |x'(t_i)| 2 pi / N_c and the component
     label of every node.  offsets[c] is the first node of component c.
     topology is computed by build_mesh; operators is the OperatorSet that
     operators.operator_set builds on first use.
     """
 
-    specs: list
     n_per_comp: list
     t: np.ndarray
     x: np.ndarray
     normal: np.ndarray
-    tangent: np.ndarray
     curvature: np.ndarray
     speed: np.ndarray
     weights: np.ndarray
     comp: np.ndarray
     offsets: np.ndarray
     topology: DomainTopology
-    orientation_signs: list = field(default_factory=list)
     operators: object = field(default=None, repr=False)
 
     @property
@@ -194,7 +180,7 @@ def _component_arrays(spec, nc, sign):
     normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=-1)
     curvature = (dx[:, 0] * ddx[:, 1] - dx[:, 1] * ddx[:, 0]) / speed**3
     weights = speed * (2.0 * np.pi / nc)
-    return t, x, normal, tangent, curvature, speed, weights
+    return t, x, normal, curvature, speed, weights
 
 
 def _signed_area(x, dx, nc):
@@ -256,40 +242,32 @@ def build_mesh(specs, nodes_per_component):
 
     # orientation fix: outer curves CCW (positive area), holes CW
     for k, part in enumerate(parts):
-        spec, nc, sign = part[0], part[1], part[2]
-        _, x, _, _, _, _, _ = part[3:]
+        spec, nc, sign = part[:3]
         dx = spec.evaluate(part[3], orientation_sign=sign)[1]
-        area = _signed_area(x, dx, nc)
+        area = _signed_area(part[4], dx, nc)
         want_ccw = depth[k] == 0
         if (area > 0) != want_ccw:
             sign = -sign
             part[2] = sign
             part[3:] = _component_arrays(spec, nc, sign)
 
-    t = np.concatenate([p[3] for p in parts])
-    x = np.concatenate([p[4] for p in parts])
-    normal = np.concatenate([p[5] for p in parts])
-    tangent = np.concatenate([p[6] for p in parts])
-    curvature = np.concatenate([p[7] for p in parts])
-    speed = np.concatenate([p[8] for p in parts])
-    weights = np.concatenate([p[9] for p in parts])
+    t, x, normal, curvature, speed, weights = (
+        np.concatenate([p[i] for p in parts]) for i in range(3, 9)
+    )
     comp = np.concatenate([np.full(p[1], k, dtype=int) for k, p in enumerate(parts)])
     offsets = np.concatenate([[0], np.cumsum(counts)])
 
     mesh = BoundaryMesh(
-        specs=specs,
         n_per_comp=counts,
         t=t,
         x=x,
         normal=normal,
-        tangent=tangent,
         curvature=curvature,
         speed=speed,
         weights=weights,
         comp=comp,
         offsets=offsets,
         topology=_topology(contains, depth, offsets),
-        orientation_signs=[p[2] for p in parts],
     )
     _check_node_separation(mesh)
     return mesh
@@ -300,13 +278,11 @@ def _topology(contains, depth, offsets):
     ncomp = len(depth)
     outer = [c for c in range(ncomp) if depth[c] == 0]
     holes = [c for c in range(ncomp) if depth[c] == 1]
-    hole_parent = {h: next(o for o in outer if contains[o, h]) for h in holes}
-
     omega_of_comp = {}
     for j, o in enumerate(outer, start=1):
         omega_of_comp[o] = j
         for h in holes:
-            if hole_parent[h] == o:
+            if contains[o, h]:
                 omega_of_comp[h] = j
     omega_minus_of_comp = {o: 0 for o in outer}
     for k, h in enumerate(holes, start=1):
@@ -319,7 +295,6 @@ def _topology(contains, depth, offsets):
         kappa_minus=len(holes),
         outer_comps=outer,
         hole_comps=holes,
-        hole_parent=hole_parent,
         omega_of_comp=omega_of_comp,
         omega_minus_of_comp=omega_minus_of_comp,
     )

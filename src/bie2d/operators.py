@@ -22,10 +22,10 @@ Neither R nor these maps is ever formed: each application is a solve with
 the LU factors of the bordered matrix, and their weighted transposes are
 transposed solves.
 
-The _Side table holds each side's sign and the name every layer gives it
-(README, "Sides and signs").  The operators live in one OperatorSet per
-mesh, stored in mesh.operators by operator_set; it keeps the node count and
-the weights it needs, never the mesh itself.
+The _Side table holds each side's sign, its Neumann shift -sign/2 and the
+name every layer gives it (README, "Sides and signs").  The operators live
+in one OperatorSet per mesh, stored in mesh.operators by operator_set; it
+keeps the node count and the weights it needs, never the mesh itself.
 """
 
 from dataclasses import dataclass
@@ -177,6 +177,11 @@ class _Side(NamedTuple):
     region: str  # fields, solvers and probe points
     indicator: str  # indicator region of the side's components
     kappa: str  # DomainTopology count of those components
+
+    @property
+    def shift(self):
+        """-sign/2: the side's Neumann operator is shift I + Wt, its transpose shift I + W."""
+        return -0.5 * self.sign
 
     @property
     def opposite(self):

@@ -32,22 +32,21 @@ def _layer(targets, kind, density):
     return kernel @ (targets.mesh.weights * density)
 
 
-def _eval_layer(mesh, kind, density, points, check_band):
+def _eval_layer(mesh, kind, density, points):
     targets = _target_pass(mesh, points)
-    if check_band:
-        targets.check_band()
+    targets.check_band()
     vals = _layer(targets, kind, density)
     return vals[0] if targets.single else vals
 
 
-def eval_single_layer(mesh, mu, points, check_band=True):
+def eval_single_layer(mesh, mu, points):
     """Single layer potential at off-boundary points."""
-    return _eval_layer(mesh, "single", mu, points, check_band)
+    return _eval_layer(mesh, "single", mu, points)
 
 
-def eval_double_layer(mesh, psi, points, check_band=True):
+def eval_double_layer(mesh, psi, points):
     """Double layer potential at off-boundary points."""
-    return _eval_layer(mesh, "double", psi, points, check_band)
+    return _eval_layer(mesh, "double", psi, points)
 
 
 def trace_single(mesh, mu):
@@ -65,12 +64,12 @@ def trace_double(mesh, psi, side):
 def normal_derivative_single(mesh, mu, side):
     """Normal derivative (along the outward normal) of the single layer.
 
-    The limit from one side is -sign/2 mu + Wt mu: 'plus' is the limit from
-    inside, 'minus' from outside.
+    The limit from one side is the side's Neumann operator, shift I + Wt
+    with shift = -sign/2: 'plus' is the limit from inside, 'minus' from
+    outside.
     """
-    sign = _side(side).sign
     mu = _check_aligned(mesh, mu)
-    return (-sign / 2) * mu + operator_set(mesh)._wt(mu)
+    return _side(side).shift * mu + operator_set(mesh)._wt(mu)
 
 
 @dataclass

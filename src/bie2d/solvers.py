@@ -18,7 +18,7 @@ transpose_kernel_pair_basis, as the independent check of those kernels.
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve, subspace_angles
@@ -97,27 +97,26 @@ def dirichlet_exterior(mesh, g):
     return _dirichlet(mesh, g, "exterior")
 
 
-def _compat_pairings(mesh, g, region, indices):
+def _compat_rows(topology, side):
+    """Indicator indices of a side's compatibility rows: 1..kappa_plus inside,
+    0..kappa_minus outside, where row 0 is the unbounded component."""
+    return range(0 if side.sign < 0 else 1, getattr(topology, side.kappa) + 1)
+
+
+def _compat_pairings(mesh, g, side):
     tau = as_pair(mesh, getattr(g, "representer", g))
-    return np.array(
-        [dist_pairing(tau, indicator(mesh.topology, region, k)) for k in indices]
-    )
+    return np.array([dist_pairing(tau, indicator(mesh.topology, side.indicator, k))
+                     for k in _compat_rows(mesh.topology, side)])
 
 
 def check_compat_interior(mesh, g):
     """Pairings of the datum with the indicators of the open-set components."""
-    return _compat_pairings(mesh, g, "omega", range(1, mesh.topology.kappa_plus + 1))
+    return _compat_pairings(mesh, g, _side("plus"))
 
 
 def check_compat_exterior(mesh, g):
-    """Pairings with the exterior-component indicators, unbounded one included.
-
-    Row k corresponds to the k-th exterior component; row 0 (the unbounded
-    component) belongs to the two-dimensional compatibility conditions.
-    """
-    return _compat_pairings(
-        mesh, g, "omega_minus", range(0, mesh.topology.kappa_minus + 1)
-    )
+    """Pairings with the exterior-component indicators, unbounded one included (row 0)."""
+    return _compat_pairings(mesh, g, _side("minus"))
 
 
 def _as_neumann_rep(mesh, g):
@@ -179,22 +178,6 @@ def _bordered_minnorm(op, shift, left_kernel, rhs, tol=1e-10):
     return _Bordered(x - kernel @ (kernel.T @ x), kernel, k)
 
 
-class _NeumannSide(NamedTuple):
-    side: object  # the operators._Side of the problem
-    compat: Callable  # compatibility pairings of the datum
-    boundary: str  # where a nonzero flux is reported
-    # the equation is (shift I + Wt) phi = g
-    shift = property(lambda self: -0.5 * self.side.sign)
-
-
-_NEUMANN_SIDES = {
-    "interior": _NeumannSide(_side("plus"), check_compat_interior,
-                             "a component boundary"),
-    "exterior": _NeumannSide(_side("minus"), check_compat_exterior,
-                             "an exterior component boundary"),
-}
-
-
 def _indicators(mesh, side):
     """Indicators of the components of one side, one column each.
 
@@ -209,22 +192,22 @@ def _indicators(mesh, side):
 
 
 def _wt_solve(mesh, side, rhs):
-    """Minimum-norm solve with shift I + Wt, bordered by the weighted indicators."""
-    border = _indicators(mesh, side.side) * mesh.weights[:, None]
+    """Minimum-norm solve with the side's shift I + Wt, bordered by the weighted indicators."""
+    border = _indicators(mesh, side) * mesh.weights[:, None]
     return _bordered_minnorm(operator_set(mesh).Wt, side.shift, border, rhs)
 
 
 def _neumann(mesh, g, region, compat_tol, kernel_shift):
-    side = _NEUMANN_SIDES[region]
-    exterior = side.side.sign < 0
+    side = _side(region, "region")
+    exterior = side.sign < 0
     rep, tau = _as_neumann_rep(mesh, g)
     ops = operator_set(mesh)
     scale = max(1e-30, float(np.max(np.abs(rep))) * integrate(mesh, np.ones(mesh.n)))
-    compat = side.compat(mesh, tau)
+    compat = _compat_pairings(mesh, tau, side)
     if np.max(np.abs(compat)) > compat_tol * scale:
-        raise IncompatibleData(
-            f"datum has nonzero flux through {side.boundary}", pairings=compat
-        )
+        raise IncompatibleData(f"datum has nonzero flux through "
+                               f"{'an exterior' if exterior else 'a'} component boundary",
+                               pairings=compat)
     solve = _wt_solve(mesh, side, rep)
     phi = solve.solution
     resid = float(np.linalg.norm(side.shift * phi + ops._wt(phi) - rep))
@@ -246,7 +229,7 @@ def _neumann(mesh, g, region, compat_tol, kernel_shift):
     trace = ops.V @ phi
     A_phi = side.shift * phi + ops._wt(phi)
     # rep(side, V phi) = sign (shift I + Wt) phi
-    check = np.max(np.abs(ops.rep(side.side.name, trace) - side.side.sign * A_phi))
+    check = np.max(np.abs(ops.rep(side.name, trace) - side.sign * A_phi))
     residuals = {"equation": resid, "neumann_identity": float(check)}
     if exterior:
         residuals["density_mass"] = abs(phi_mass)
@@ -291,21 +274,29 @@ class NullspaceBasis:
         return self.vectors.shape[1]
 
 
-_NULLSPACE_OPS = {
-    "half_plus_W": ("W", 0.5),
-    "minus_half_plus_W": ("W", -0.5),
-    "half_plus_Wt": ("Wt", 0.5),
-    "minus_half_plus_Wt": ("Wt", -0.5),
+# each kind names the operator shift I + W or shift I + Wt of one side: the
+# transpose of that side's Neumann operator, or the operator itself
+_OP_KINDS = {
+    "minus_half_plus_W": (_side("plus"), "W"),
+    "minus_half_plus_Wt": (_side("plus"), "Wt"),
+    "half_plus_W": (_side("minus"), "W"),
+    "half_plus_Wt": (_side("minus"), "Wt"),
 }
+
+
+def _op_kind(op_kind, ops=("W", "Wt")):
+    """The side and operator name of a kind among ops; OutOfRange otherwise."""
+    side, op = _OP_KINDS.get(op_kind, (None, None))
+    if op not in ops:
+        known = " or ".join(repr(k) for k, (_, o) in _OP_KINDS.items() if o in ops)
+        raise OutOfRange(f"unknown operator kind {op_kind!r}, expected {known}")
+    return side, op
 
 
 def nullspace(mesh, op_kind, tol=1e-10):
     """SVD null space of one of the four second-kind operators."""
-    if op_kind not in _NULLSPACE_OPS:
-        raise OutOfRange(f"unknown operator kind {op_kind!r}")
-    name, shift = _NULLSPACE_OPS[op_kind]
-    ops = operator_set(mesh)
-    A = shift * np.eye(mesh.n) + getattr(ops, name)
+    side, op = _op_kind(op_kind)
+    A = side.shift * np.eye(mesh.n) + getattr(operator_set(mesh), op)
     _, sv, vt = np.linalg.svd(A)
     cut = tol * sv[0]
     below = sv < cut
@@ -331,9 +322,9 @@ def _decompose(mesh, g, sign):
     spanned by the indicators of the opposite side, its left kernel by D P.
     """
     # sign/2 I + Wt is the operator of the Neumann problem on the opposite side
-    side = _NEUMANN_SIDES[_side(sign).opposite.region]
+    side = _side(sign).opposite
     g = _check_aligned(mesh, g)
-    K = _indicators(mesh, side.side)
+    K = _indicators(mesh, side)
     P = _wt_solve(mesh, side, np.zeros(mesh.n)).kernel
     DP = P * mesh.weights[:, None]
     g_ker = np.zeros(mesh.n)
@@ -474,14 +465,14 @@ def transpose_kernel_pair_basis(mesh, op_kind):
     The operator is realized in J coordinates (image g plus the mass
     functional), its kernel vectors are mapped back to representers, and
     the span must coincide with the grid-operator kernel; the subspace
-    angle quantifies the agreement.
+    angle quantifies the agreement.  op_kind is a Wt kind of nullspace.
     """
+    side, _ = _op_kind(op_kind, ("Wt",))
     ops = operator_set(mesh)
-    shift = {"half_plus_Wt": 0.5, "minus_half_plus_Wt": -0.5}[op_kind]
     v1 = ops.V @ np.ones(mesh.n)
     correction = ops.W @ v1 - 0.5 * v1
     # J-coordinate matrix of shift I + Wt
-    M = shift * np.eye(mesh.n) + ops.W + np.outer(correction, ops.q)
+    M = side.shift * np.eye(mesh.n) + ops.W + np.outer(correction, ops.q)
     _, sv, vt = np.linalg.svd(M)
     dim = int(np.sum(sv < 1e-10 * sv[0]))
     reps = [to_grid_representer(J_inverse(mesh, row, side="plus")).representer
@@ -489,15 +480,20 @@ def transpose_kernel_pair_basis(mesh, op_kind):
     return np.array(reps).T if reps else np.zeros((mesh.n, 0))
 
 
-def kernel_coincidence_angle(mesh, op_kind):
-    """Largest principal angle between grid and distributional kernels.
-
-    Kernels of different dimension return pi/2, the largest angle there is.
-    """
-    grid = nullspace(mesh, op_kind).vectors
+def _kernel_angle(mesh, op_kind, grid):
+    """Largest principal angle between a grid kernel basis and the pair-route kernel."""
     dist = transpose_kernel_pair_basis(mesh, op_kind)
     if grid.shape[1] != dist.shape[1]:
         return np.pi / 2
     if grid.shape[1] == 0:
         return 0.0
     return float(np.max(subspace_angles(grid, dist)))
+
+
+def kernel_coincidence_angle(mesh, op_kind):
+    """Largest principal angle between grid and distributional kernels.
+
+    Kernels of different dimension return pi/2, the largest angle there is.
+    """
+    _op_kind(op_kind, ("Wt",))  # a W kind is refused before its SVD, not after
+    return _kernel_angle(mesh, op_kind, nullspace(mesh, op_kind).vectors)

@@ -11,6 +11,7 @@ series, so two runs of the same configuration produce identical reports.
 
 import zlib
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,12 +30,13 @@ from .distributions import (
     to_grid_representer,
 )
 from .solvers import (
+    _OP_KINDS,
+    _compat_pairings,
+    _compat_rows,
     _dirichlet,
-    check_compat_exterior,
-    check_compat_interior,
+    _kernel_angle,
     dirichlet_exterior,
     dirichlet_interior,
-    kernel_coincidence_angle,
     neumann_exterior,
     neumann_interior,
     nullspace,
@@ -43,45 +45,6 @@ from .solvers import (
 )
 
 DEFAULT_SEED = 20260810
-DEFAULT_TOLS = {
-    "w1-half": 1e-10,
-    "plemelj-classical": 1e-7,
-    "plemelj-distributional": 1e-6,
-    "jump-single": 1e-6,
-    "jump-double": 1e-6,
-    "dist-jump": 1e-6,
-    "third-green-int": 1e-6,
-    "third-green-ext": 1e-6,
-    "dlintesl-plus": 1e-6,
-    "dlintesl-minus": 1e-6,
-    "VSt-identities": 1e-6,
-    "symmetry": 1e-6,
-    "J-isometry-roundtrip": 1e-6,
-    "space-coincidence": 1e-6,
-    "nullspace-dims": 1e-5,
-    "poisson-reps": 1e-6,
-    "compat-rejection": 1e-10,
-}
-
-IDENTITY_TEXT = {
-    "w1-half": "double-layer operator maps the constant 1 to 1/2",
-    "plemelj-classical": "V Wt = W V on grid densities",
-    "plemelj-distributional": "V[Wt tau] = W V[tau] on pair distributions",
-    "jump-single": "harmonic extensions of the single-layer trace match the field on both sides",
-    "jump-double": "harmonic extensions of +-psi/2 + W psi match the double-layer field",
-    "dist-jump": "normal derivative of the single layer of tau is -tau/2 +- Wt tau",
-    "third-green-int": "u = double layer of trace minus single layer of normal derivative",
-    "third-green-ext": "u = -double layer - single layer + value at infinity",
-    "dlintesl-plus": "single layer of interior transpose part = double layer minus harmonic extension",
-    "dlintesl-minus": "single layer of exterior transpose part = -double layer (+ extension, constant)",
-    "VSt-identities": "closed traces: V rep(S+^t mu) = (-1/2+W) mu and minus-side analogue",
-    "symmetry": "<tau, V psi> = <V[tau], psi> in the weighted pairing",
-    "J-isometry-roundtrip": "mean-corrected single-layer trace is invertible on pairs",
-    "space-coincidence": "plus- and minus-side pair encodings represent the same distributions",
-    "nullspace-dims": "kernel dims of +-1/2+W count exterior/interior components; transpose kernels agree",
-    "poisson-reps": "Green-function representation reproduces Dirichlet solutions, vanishes off-side",
-    "compat-rejection": "constant Neumann datum is rejected with per-component fluxes",
-}
 
 
 @dataclass
@@ -343,22 +306,19 @@ def check_space_coincidence(mesh, rng, count=5):
 
 
 def check_nullspace_dims(mesh, rng):
-    """Largest kernel angle; pi/2, the largest angle, for a wrong dimension or gap."""
-    topo = mesh.topology
-    expected = {
-        "half_plus_W": topo.kappa_minus,
-        "minus_half_plus_W": topo.kappa_plus,
-        "half_plus_Wt": topo.kappa_minus,
-        "minus_half_plus_Wt": topo.kappa_plus,
-    }
-    for kind, dim in expected.items():
+    """Largest angle between the Wt kernels and their pair-route twins.
+
+    pi/2, the largest angle, when a kernel misses its side's component count
+    or its singular-value gap.
+    """
+    worst = 0.0
+    for kind, (side, op) in _OP_KINDS.items():
         basis = nullspace(mesh, kind)
-        if basis.dimension != dim or basis.gap < 1e4:
+        if basis.dimension != getattr(mesh.topology, side.kappa) or basis.gap < 1e4:
             return np.pi / 2
-    return max(
-        kernel_coincidence_angle(mesh, "half_plus_Wt"),
-        kernel_coincidence_angle(mesh, "minus_half_plus_Wt"),
-    )
+        if op == "Wt":
+            worst = max(worst, _kernel_angle(mesh, kind, basis.vectors))
+    return worst
 
 
 def check_poisson_reps(mesh, rng):
@@ -383,40 +343,60 @@ def check_compat_rejection(mesh, rng):
     topo = mesh.topology
     ones = np.ones(mesh.n)
     res = 0.0
-    # pairing k of each side belongs to the k-th component of its region
-    for solve, pairings, region, first in (
-        (neumann_interior, check_compat_interior, "omega", 1),
-        (neumann_exterior, check_compat_exterior, "omega_minus", 0),
-    ):
+    for side, solve in zip(_SIDES, (neumann_interior, neumann_exterior)):
         try:
             solve(mesh, ones)
             return 1.0
         except IncompatibleData:
             pass
-        for k, val in enumerate(pairings(mesh, ones), start=first):
-            res = max(res, abs(val - integrate(mesh, indicator(topo, region, k))))
+        for k, val in zip(_compat_rows(topo, side), _compat_pairings(mesh, ones, side)):
+            res = max(res, abs(val - integrate(mesh, indicator(topo, side.indicator, k))))
     return res
 
 
-_CHECKS = [
-    ("w1-half", check_w1_half),
-    ("plemelj-classical", check_plemelj_classical),
-    ("plemelj-distributional", check_plemelj_distributional),
-    ("jump-single", check_jump_single),
-    ("jump-double", check_jump_double),
-    ("dist-jump", check_dist_jump),
-    ("third-green-int", check_third_green_interior),
-    ("third-green-ext", check_third_green_exterior),
-    ("dlintesl-plus", check_dlintesl_plus),
-    ("dlintesl-minus", check_dlintesl_minus),
-    ("VSt-identities", check_vst_identities),
-    ("symmetry", check_symmetry),
-    ("J-isometry-roundtrip", check_j_roundtrip),
-    ("space-coincidence", check_space_coincidence),
-    ("nullspace-dims", check_nullspace_dims),
-    ("poisson-reps", check_poisson_reps),
-    ("compat-rejection", check_compat_rejection),
-]
+class _Check(NamedTuple):
+    name: str
+    run: Callable  # (mesh, rng) -> residual
+    tol: float  # default tolerance, which tol_overrides may replace
+    identity: str
+
+
+_CHECKS = (
+    _Check("w1-half", check_w1_half, 1e-10,
+           "double-layer operator maps the constant 1 to 1/2"),
+    _Check("plemelj-classical", check_plemelj_classical, 1e-7,
+           "V Wt = W V on grid densities"),
+    _Check("plemelj-distributional", check_plemelj_distributional, 1e-6,
+           "V[Wt tau] = W V[tau] on pair distributions"),
+    _Check("jump-single", check_jump_single, 1e-6,
+           "harmonic extensions of the single-layer trace match the field on both sides"),
+    _Check("jump-double", check_jump_double, 1e-6,
+           "harmonic extensions of +-psi/2 + W psi match the double-layer field"),
+    _Check("dist-jump", check_dist_jump, 1e-6,
+           "normal derivative of the single layer of tau is -tau/2 +- Wt tau"),
+    _Check("third-green-int", check_third_green_interior, 1e-6,
+           "u = double layer of trace minus single layer of normal derivative"),
+    _Check("third-green-ext", check_third_green_exterior, 1e-6,
+           "u = -double layer - single layer + value at infinity"),
+    _Check("dlintesl-plus", check_dlintesl_plus, 1e-6,
+           "single layer of interior transpose part = double layer minus harmonic extension"),
+    _Check("dlintesl-minus", check_dlintesl_minus, 1e-6,
+           "single layer of exterior transpose part = -double layer (+ extension, constant)"),
+    _Check("VSt-identities", check_vst_identities, 1e-6,
+           "closed traces: V rep(S+^t mu) = (-1/2+W) mu and minus-side analogue"),
+    _Check("symmetry", check_symmetry, 1e-6,
+           "<tau, V psi> = <V[tau], psi> in the weighted pairing"),
+    _Check("J-isometry-roundtrip", check_j_roundtrip, 1e-6,
+           "mean-corrected single-layer trace is invertible on pairs"),
+    _Check("space-coincidence", check_space_coincidence, 1e-6,
+           "plus- and minus-side pair encodings represent the same distributions"),
+    _Check("nullspace-dims", check_nullspace_dims, 1e-5,
+           "kernel dims of +-1/2+W count exterior/interior components; transpose kernels agree"),
+    _Check("poisson-reps", check_poisson_reps, 1e-6,
+           "Green-function representation reproduces Dirichlet solutions, vanishes off-side"),
+    _Check("compat-rejection", check_compat_rejection, 1e-10,
+           "constant Neumann datum is rejected with per-component fluxes"),
+)
 
 STOCK_TRIO = ("disk", "ellipse", "annulus")
 
@@ -435,28 +415,18 @@ def run_verify(
     """
     if meshes is None:
         meshes = {name: stock_mesh(name, n) for name in STOCK_TRIO}
-    tols = dict(DEFAULT_TOLS)
-    if tol_overrides:
-        tols.update(tol_overrides)
     report = VerifyReport(seed=seed, n=n, geometries=list(meshes))
     for geom, mesh in meshes.items():
-        for name, fn in _CHECKS:
+        for check in _CHECKS:
             rng = np.random.default_rng(
-                [seed, zlib.crc32(name.encode()), zlib.crc32(geom.encode())]
+                [seed, zlib.crc32(check.name.encode()), zlib.crc32(geom.encode())]
             )
-            if name == "w1-half":
-                residual = fn(mesh, rng, negative_control=negative_control)
+            if check.name == "w1-half":
+                residual = check.run(mesh, rng, negative_control=negative_control)
             else:
-                residual = fn(mesh, rng)
-            tol = tols[name]
-            report.rows.append(
-                CheckRow(
-                    name=name,
-                    identity=IDENTITY_TEXT[name],
-                    geometry=geom,
-                    residual=residual,
-                    tol=tol,
-                    passed=bool(residual <= tol),
-                )
-            )
+                residual = check.run(mesh, rng)
+            tol = (tol_overrides or {}).get(check.name, check.tol)
+            report.rows.append(CheckRow(name=check.name, identity=check.identity,
+                                        geometry=geom, residual=residual, tol=tol,
+                                        passed=bool(residual <= tol)))
     return report

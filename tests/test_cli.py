@@ -40,7 +40,6 @@ def test_load_config_defaults(tmp_path):
     path.write_text(json.dumps({"components": [{"kind": "circle", "radius": 1.0}]}))
     cfg = load_config(str(path))
     assert cfg.nodes == [128]
-    assert cfg.tol == 1e-7
     mesh = cfg.build_mesh()
     assert mesh.n == 128
 
@@ -235,9 +234,8 @@ def test_solve_nan_residual_is_numerical_failure(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_non_finite_residual_is_numerical_failure(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(
-        "bie2d.verify._CHECKS", [("w1-half", lambda mesh, rng, **_: float("inf"))]
-    )
+    check = verify._Check("w1-half", lambda mesh, rng, **_: float("inf"), 1e-10, "W 1 = 1/2")
+    monkeypatch.setattr("bie2d.verify._CHECKS", [check])
     code = main(["verify", "--n", "32", "--out", str(tmp_path)])
     _assert_numerical_failure(code, capsys, tmp_path / "verify_report.json")
 
@@ -390,9 +388,11 @@ _MALFORMED_CONFIGS = {
     "top-level-number": 5,
     "center-3d": {"components": [dict(_DISK, center=[0, 0, 0])]},
     "radius-nan": {"components": [dict(_DISK, radius=float("nan"))]},
-    "tol-text": {"components": [_DISK], "tol": "x"},
     "seed-text": {"components": [_DISK], "seed": "x"},
+    "seed-negative": {"components": [_DISK], "seed": -1},
     "tol-overrides-number": {"components": [_DISK], "tol_overrides": 5},
+    "tol-overrides-unknown-check": {"components": [_DISK], "tol_overrides": {"w1-hlf": 1e-9}},
+    "tol-overrides-negative": {"components": [_DISK], "tol_overrides": {"w1-half": -1e-9}},
 }
 
 
@@ -422,3 +422,30 @@ def test_under_resolved_gap_is_config_error(tmp_path, capsys):
     assert err.startswith("config error: under-resolved:") and "nodes" in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "v" / "verify_report.json").exists()
+
+
+# argv (with {tmp} for the test directory) -> text the one stderr line must hold
+_BAD_CLI_INPUT = {
+    "verify-odd-n": (["verify", "--n", "33"], "node count 33"),
+    "verify-zero-n": (["verify", "--n", "0"], "node count 0"),
+    "demo-odd-n": (["demo-hadamard", "--terms", "2", "--n", "33"], "node count 33"),
+    "out-is-a-file": (["verify", "--n", "64", "--out", "{tmp}/file"], "file: File exists"),
+    "out-below-a-file": (["demo-hadamard", "--terms", "1", "--n", "64",
+                          "--out", "{tmp}/file/sub"], "file/sub: Not a directory"),
+    "output-is-a-directory": (["solve", "--config", "{tmp}/disk.json", "--problem",
+                               "dirichlet-int", "--data", "fourier:1", "--out", "{tmp}/o"],
+                              "solve_field.csv: Is a directory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CLI_INPUT))
+def test_bad_cli_input_is_config_error(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    write_disk_config(tmp_path / "disk.json")
+    (tmp_path / "file").write_text("")
+    (tmp_path / "o" / "solve_field.csv").mkdir(parents=True)
+    argv, reason = _BAD_CLI_INPUT[case]
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+    assert reason in err and "Traceback" not in err

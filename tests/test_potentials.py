@@ -107,7 +107,7 @@ def test_trace_consistency_single_layer(disk2_fine):
     expected = trace_single(mesh, mu)
     for side in ("plus", "minus"):
         limit, idx = _extrapolate(
-            mesh, lambda p: eval_single_layer(mesh, mu, p, check_band=False), side
+            mesh, HarmonicField(mesh, [("single", mu)]).eval_unchecked, side
         )
         assert np.max(np.abs(limit - expected[idx])) < 1e-5
 
@@ -118,7 +118,7 @@ def test_trace_consistency_double_layer(disk2_fine):
     for side in ("plus", "minus"):
         expected = trace_double(mesh, psi, side)
         limit, idx = _extrapolate(
-            mesh, lambda p: eval_double_layer(mesh, psi, p, check_band=False), side
+            mesh, HarmonicField(mesh, [("double", psi)]).eval_unchecked, side
         )
         assert np.max(np.abs(limit - expected[idx])) < 1e-5
 

@@ -8,7 +8,13 @@ from bie2d.errors import OutOfRange
 from bie2d.geometry import stock_mesh
 from bie2d.operators import operator_set, steklov
 from bie2d.potentials import normal_derivative_single, trace_double
-from bie2d.solvers import decompose, green_h
+from bie2d.solvers import (
+    decompose,
+    green_h,
+    kernel_coincidence_angle,
+    nullspace,
+    transpose_kernel_pair_basis,
+)
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +57,13 @@ def test_unknown_side_or_region_is_out_of_range(mesh, name, valid, bad):
     call(mesh, valid)
     with pytest.raises(OutOfRange, match="unknown"):
         call(mesh, bad)
+
+
+@pytest.mark.parametrize("entry", [kernel_coincidence_angle, transpose_kernel_pair_basis])
+def test_transpose_kernel_routes_take_only_a_wt_kind(mesh, entry):
+    entry(mesh, "half_plus_Wt")
+    for bad in ("half_plus_W", "minus_half_plus_W", "half_plus_V", ""):
+        with pytest.raises(OutOfRange, match="unknown operator kind"):
+            entry(mesh, bad)
+    with pytest.raises(OutOfRange, match="unknown operator kind"):
+        nullspace(mesh, "half_plus_V")

@@ -16,7 +16,7 @@ from bie2d.geometry import (
     stock_mesh,
     topology_of,
 )
-from bie2d.operators import operator_set
+from bie2d.operators import _side, operator_set
 from bie2d.potentials import value_at_infinity
 from bie2d.cli import default_grid, write_field_csv
 from bie2d.verify import probe_points, run_verify, seeded_density
@@ -364,7 +364,7 @@ _NEUMANN = {"interior": neumann_interior, "exterior": neumann_exterior}
 
 def _range_datum(mesh, region, seed):
     """A datum in the range of the Neumann operator, of zero total flux."""
-    shift = solvers._NEUMANN_SIDES[region].shift
+    shift = _side(region, "region").shift
     f = seeded_density(mesh, np.random.default_rng(seed), zero_mean=True)
     return shift * f + operator_set(mesh).Wt @ f
 
@@ -374,7 +374,7 @@ def _range_datum(mesh, region, seed):
 def test_neumann_density_is_the_minimum_norm_lstsq_solution(name, region):
     mesh = stock_mesh(name, 128)
     g = _range_datum(mesh, region, 5)
-    A = solvers._NEUMANN_SIDES[region].shift * np.eye(mesh.n) + operator_set(mesh).Wt
+    A = _side(region, "region").shift * np.eye(mesh.n) + operator_set(mesh).Wt
     expected, _, rank, _ = np.linalg.lstsq(A, g, rcond=1e-10)
     report = _NEUMANN[region](mesh, g)
     phi = report.densities["phi"]
@@ -387,7 +387,7 @@ def test_neumann_density_is_the_minimum_norm_lstsq_solution(name, region):
 @pytest.mark.parametrize("name", ["disk", "kite", "annulus", "two-disks"])
 def test_kernel_shift_basis_spans_the_svd_nullspace(name, region):
     mesh = stock_mesh(name, 128)
-    side = solvers._NEUMANN_SIDES[region]
+    side = _side(region, "region")
     basis = solvers._wt_solve(mesh, side, np.zeros(mesh.n)).kernel
     svd = nullspace(mesh, _KERNEL_KINDS[region]).vectors
     assert basis.shape == svd.shape
