@@ -35,7 +35,7 @@ from .solvers import (
     neumann_exterior,
     neumann_interior,
 )
-from .verify import _CHECKS, DEFAULT_SEED, STOCK_TRIO, probe_points, run_verify
+from .verify import DEFAULT_SEED, STOCK_TRIO, check_tol_overrides, probe_points, run_verify
 
 PROBLEMS = (
     "dirichlet-int",
@@ -190,22 +190,13 @@ def load_config(path, **overrides):
     for key in ("problem", "data", "out"):
         if not isinstance(raw.get(key, ""), (str, type(None))):
             raise ConfigError(f"{key}: expected a string, got {raw[key]!r}")
-    tol_overrides = raw.get("tol_overrides", {})
-    if not isinstance(tol_overrides, dict):
-        raise ConfigError(f"tol_overrides: expected an object, got {tol_overrides!r}")
-    checks = [check.name for check in _CHECKS]
-    for name in tol_overrides:
-        if name not in checks:
-            raise ConfigError(f"tol_overrides: {name!r} names no verify check")
     cfg = RunConfig(
         components=comps,
         nodes=nodes,
         problem=raw.get("problem"),
         data=raw.get("data"),
         out_dir=raw.get("out"),
-        tol_overrides={
-            k: _nonnegative(v, f"tol_overrides.{k}") for k, v in tol_overrides.items()
-        },
+        tol_overrides=check_tol_overrides(raw.get("tol_overrides", {})),
         seed=_nonnegative(raw.get("seed", DEFAULT_SEED), "seed", integer=True),
     )
     for key, value in overrides.items():
@@ -356,20 +347,25 @@ def read_field_csv(path):
     return np.array(xs), np.array(ys), np.array(us)
 
 
+def _report_text(path, payload):
+    """A report as strict JSON text; a NaN or infinity in it is a numerical failure."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteResult(
+            f"{os.path.basename(path)} would hold a non-finite value"
+        ) from exc
+
+
 def write_report(path, payload):
     """Write a report as strict JSON; a NaN or infinity in it is a numerical failure.
 
     The text is built before the file is opened, so a rejected report
     leaves no file behind.
     """
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise NonFiniteResult(
-            f"{os.path.basename(path)} would hold a non-finite value"
-        ) from exc
+    text = _report_text(path, payload)
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
 
 
 _SOLVERS = {
@@ -407,10 +403,14 @@ def cmd_solve(cfg, out_prefix="solve"):
     out_dir = cfg.out_dir or "."
     json_path = os.path.join(out_dir, f"{out_prefix}_report.json")
     csv_path = os.path.join(out_dir, f"{out_prefix}_field.csv")
+    # a non-finite report fails before any output, and the report is written
+    # last: it marks a finished run, so a failed CSV write leaves none behind
+    text = _report_text(json_path, report.to_dict())
     with _output(out_dir):
         os.makedirs(out_dir, exist_ok=True)
-        write_report(json_path, report.to_dict())
         write_field_csv(report.field, default_grid(mesh), csv_path)
+        with open(json_path, "w") as fh:
+            fh.write(text)
     print(f"report: {json_path}")
     print(f"field:  {csv_path}")
     worst = max(report.residuals.values(), default=0.0)

@@ -13,7 +13,11 @@ side's sign (README, "Sides and signs"): its trace for (side, 0, mu) is
 -mu/2 + sign W mu, plus q.mu on the exterior side.  The J map sends tau to
 V[tau - mean] + mean (mean = <tau,1>/<1,1>) and identifies distributions
 with grid functions.  Its inverse picks the minimum-norm pair through a
-Cholesky factorization of the Gram matrix of the J map's dense matrix.
+Cholesky factorization of the Gram matrix of the J map's dense matrix.  A
+JMap holds that factor for one (mesh, side): it is built once and applied
+to a vector or to an (n, k) block of them, and a caller that inverts
+often (Wt_on_distribution, the verify suite, the pair-route transpose
+kernel) passes one in rather than factoring again.
 """
 
 from dataclasses import dataclass
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import SingularSystem
+from .errors import OutOfRange, SingularSystem
 from .geometry import _check_aligned, _target_pass, integrate, pairing
 from .operators import _side, operator_set
 from .potentials import _layer
@@ -112,43 +116,70 @@ def _j_forward_matrix(mesh, side):
     return np.concatenate([A0, A1], axis=1)
 
 
-def J_inverse(mesh, g, side="plus", rtol=1e-7):
-    """A pair distribution of the requested side with J image g.
+class JMap:
+    """The J map of one (mesh, side), factored once for its minimum-norm inverse.
 
     The map (mu0, mu1) -> J[mu0 + transpose-part(mu1)] is onto, so the
-    minimum-norm preimage is z = A^T (A A^T)^-1 g with A its n x 2n matrix,
-    solved with a Cholesky factorization of A A^T.  Raises SingularSystem
-    when that factorization fails or the residual exceeds rtol times the
-    data norm.
+    minimum-norm preimage of g is z = A^T (A A^T)^-1 g with A its n x 2n
+    matrix.  A and the Cholesky factor of A A^T are built here, once; every
+    inverse reuses them.  Raises SingularSystem when that factorization fails.
     """
-    g = _check_aligned(mesh, g)
-    A = _j_forward_matrix(mesh, side)
-    try:
-        z = A.T @ cho_solve(cho_factor(A @ A.T), g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("J map is not onto: its Gram matrix is singular") from exc
-    resid = float(np.linalg.norm(A @ z - g))
-    if resid > rtol * max(1.0, float(np.linalg.norm(g))):
-        raise SingularSystem(f"J inverse residual {resid:.3e} too large")
-    n = mesh.n
-    return PairDistribution(side, z[:n], z[n:], mesh)
+
+    def __init__(self, mesh, side="plus"):
+        self.mesh = mesh
+        self.side = _side(side).name
+        self._A = _j_forward_matrix(mesh, side)
+        try:
+            self._gram = cho_factor(self._A @ self._A.T)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem("J map is not onto: its Gram matrix is singular") from exc
+
+    def inverse(self, g, rtol=1e-7):
+        """(mu0, mu1) of the minimum-norm preimage of an (n,) vector or an (n, k) block.
+
+        Raises SingularSystem when the residual of any column exceeds rtol
+        times that column's norm (at least 1), or is not finite: no pair
+        reaches a column that holds NaN or infinity.
+        """
+        g = _check_aligned(self.mesh, g, block=True)
+        z = self._A.T @ cho_solve(self._gram, g, check_finite=False)
+        resid = np.linalg.norm(self._A @ z - g, axis=0)
+        if not np.all(resid <= rtol * np.maximum(1.0, np.linalg.norm(g, axis=0))):
+            raise SingularSystem(f"J inverse residual {np.max(resid):.3e} too large")
+        return z[: self.mesh.n], z[self.mesh.n:]
+
+    def pair(self, g, rtol=1e-7):
+        """The pair distribution of this side with J image g, a grid function."""
+        return PairDistribution(self.side, *self.inverse(_check_aligned(self.mesh, g), rtol),
+                                self.mesh)
 
 
-def Wt_on_distribution(tau):
+def J_inverse(mesh, g, side="plus", rtol=1e-7):
+    """A pair distribution of the requested side with J image g (see JMap)."""
+    return JMap(mesh, side).pair(g, rtol)
+
+
+def Wt_on_distribution(tau, jmap=None):
     """Adjoint double-layer operator applied to a pair distribution.
 
     Computed in J coordinates: the image of W^t tau is
     W g + (W V 1 - V 1 / 2) <tau,1>/<1,1> with g the image of tau, and the
-    mass halves exactly.
+    mass halves exactly.  jmap, the JMap of tau's mesh and side, saves
+    factoring the J map again.
     """
     mesh = tau.mesh
+    if jmap is None:
+        jmap = JMap(mesh, tau.side)
+    elif jmap.mesh is not mesh or jmap.side != tau.side:
+        raise OutOfRange(f"J factor of side {jmap.side!r} given for a {tau.side!r} pair "
+                         "or another mesh")
     ops = operator_set(mesh)
     g = J_isometry(tau)
     m = mass_of(tau)
     length = integrate(mesh, np.ones(mesh.n))
     v1 = ops.V @ np.ones(mesh.n)
     g_out = ops.W @ g + (ops.W @ v1 - 0.5 * v1) * (m / length)
-    out = J_inverse(mesh, g_out, side=tau.side)
+    out = jmap.pair(g_out)
     # pin the mass law <Wt tau, 1> = <tau, 1> / 2 in the stored densities
     target = 0.5 * m
     correction = (target - mass_of(out)) / length

@@ -36,7 +36,6 @@ from scipy.linalg import circulant, lu_factor, lu_solve
 
 from .errors import (
     InvalidGeometry,
-    LengthMismatch,
     OutOfRange,
     SingularPoint,
     SingularSystem,
@@ -240,10 +239,7 @@ class OperatorSet:
 
     def _bordered_solve(self, top, trans=0):
         """First n rows of B^-1 [top; 0], or of B^-T [top; 0] with trans=1."""
-        if top.shape[:1] != (self.n,):
-            raise LengthMismatch(
-                f"grid function of length {top.shape} on mesh with {self.n} nodes"
-            )
+        top = _check_aligned(self, top, block=True)
         rhs = np.zeros((self.n + 1,) + top.shape[1:])
         rhs[: self.n] = top
         return lu_solve(self._bordered_lu, rhs, trans=trans)[: self.n]
@@ -265,14 +261,17 @@ class OperatorSet:
         v is a grid function or an (n, k) block of them.
         """
         sign = _side(side).sign
-        eta = self._bordered_solve(np.asarray(v, dtype=float))
+        eta = self._bordered_solve(v)
         return -0.5 * eta + sign * self._wt(eta)
 
     def rep(self, side, mu):
-        """Weighted transpose D^-1 S^T D mu of the side's Dirichlet-to-Neumann map S."""
+        """Weighted transpose D^-1 S^T D mu of the side's Dirichlet-to-Neumann map S.
+
+        mu is a grid function or an (n, k) block of them.
+        """
         sign = _side(side).sign
-        mu = _check_aligned(self, mu)
-        w = self.weights
+        mu = _check_aligned(self, mu, block=True)
+        w = self.weights if mu.ndim == 1 else self.weights[:, None]
         return self._bordered_solve(w * (-0.5 * mu + sign * (self.W @ mu)), trans=1) / w
 
     @property

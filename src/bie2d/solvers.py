@@ -40,7 +40,7 @@ from .potentials import (
     trace_single,
 )
 from .distributions import (
-    J_inverse,
+    JMap,
     PairDistribution,
     as_pair,
     dist_pairing,
@@ -459,13 +459,15 @@ def poisson_exterior(mesh, g, x):
     return c_g - val, c_g
 
 
-def transpose_kernel_pair_basis(mesh, op_kind):
+def transpose_kernel_pair_basis(mesh, op_kind, jmap=None):
     """Kernel of +-1/2 I + Wt computed through the pair-distribution route.
 
     The operator is realized in J coordinates (image g plus the mass
-    functional), its kernel vectors are mapped back to representers, and
-    the span must coincide with the grid-operator kernel; the subspace
-    angle quantifies the agreement.  op_kind is a Wt kind of nullspace.
+    functional), its kernel vectors are mapped back to representers in one
+    block solve with the J map, and the span must coincide with the
+    grid-operator kernel; the subspace angle quantifies the agreement.
+    op_kind is a Wt kind of nullspace; jmap, a JMap of mesh on either side,
+    saves factoring the J map again.
     """
     side, _ = _op_kind(op_kind, ("Wt",))
     ops = operator_set(mesh)
@@ -475,19 +477,25 @@ def transpose_kernel_pair_basis(mesh, op_kind):
     M = side.shift * np.eye(mesh.n) + ops.W + np.outer(correction, ops.q)
     _, sv, vt = np.linalg.svd(M)
     dim = int(np.sum(sv < 1e-10 * sv[0]))
-    reps = [to_grid_representer(J_inverse(mesh, row, side="plus")).representer
-            for row in vt[mesh.n - dim:]]
-    return np.array(reps).T if reps else np.zeros((mesh.n, 0))
+    if not dim:
+        return np.zeros((mesh.n, 0))
+    jmap = jmap or JMap(mesh, "plus")
+    mu0, mu1 = jmap.inverse(vt[mesh.n - dim:].T)
+    return mu0 + ops.rep(jmap.side, mu1)
 
 
-def _kernel_angle(mesh, op_kind, grid):
-    """Largest principal angle between a grid kernel basis and the pair-route kernel."""
-    dist = transpose_kernel_pair_basis(mesh, op_kind)
-    if grid.shape[1] != dist.shape[1]:
+def _subspace_angle(a, b):
+    """Largest principal angle between two column spans; pi/2 when their dimensions differ."""
+    if a.shape[1] != b.shape[1]:
         return np.pi / 2
-    if grid.shape[1] == 0:
+    if a.shape[1] == 0:
         return 0.0
-    return float(np.max(subspace_angles(grid, dist)))
+    return float(np.max(subspace_angles(a, b)))
+
+
+def _kernel_angle(mesh, op_kind, grid, jmap=None):
+    """Largest principal angle between a grid kernel basis and the pair-route kernel."""
+    return _subspace_angle(grid, transpose_kernel_pair_basis(mesh, op_kind, jmap))
 
 
 def kernel_coincidence_angle(mesh, op_kind):

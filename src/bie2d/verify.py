@@ -7,23 +7,32 @@ of a transpose-part distribution is evaluated both through its grid
 representer (plain quadrature) and through its double-layer/harmonic-
 extension representation.  Randomness is a seeded truncated Fourier
 series, so two runs of the same configuration produce identical reports.
+
+run_verify holds one _MeshCache per mesh: the J factor of each side
+(distributions.JMap) and the probe point sets, keyed by (region, count,
+prefer).  Each is built once on first use, shared read-only by the checks
+on that mesh, and dropped with the cache before the next mesh.  Every
+check also runs on its own, with a cache of its own.
 """
 
+import numbers
+import sys
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import IncompatibleData, InvalidProbe
+from .errors import ConfigError, IncompatibleData, InvalidProbe
 from .geometry import _target_pass, indicator, integrate, pairing, stock_mesh
 from .operators import _SIDES, _side, operator_set
 from .potentials import eval_double_layer, eval_single_layer, trace_double
 from .distributions import (
-    J_inverse,
     J_isometry,
+    JMap,
     PairDistribution,
     V_of_distribution,
+    Wt_on_distribution,
     dist_jump_check,
     dist_pairing,
     dist_single_layer_field,
@@ -35,6 +44,8 @@ from .solvers import (
     _compat_rows,
     _dirichlet,
     _kernel_angle,
+    _subspace_angle,
+    _wt_solve,
     dirichlet_exterior,
     dirichlet_interior,
     neumann_exterior,
@@ -132,6 +143,34 @@ def probe_points(mesh, region, count=25, min_dist=0.2, prefer="far"):
     return candidates[keep[order]][:count]
 
 
+class _MeshCache:
+    """What the checks on one mesh share: the J factor of each side and the probe sets.
+
+    Each is built on first use.  run_verify holds one cache per mesh and
+    drops it before the next mesh; a check called on its own builds its own.
+    """
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        self._jmaps = {}
+        self._probes = {}
+
+    def jmap(self, side):
+        """The JMap of the mesh on one side."""
+        if side not in self._jmaps:
+            self._jmaps[side] = JMap(self.mesh, side)
+        return self._jmaps[side]
+
+    def probes(self, region, count=25, prefer="far"):
+        """probe_points of the mesh, found once per (region, count, prefer) and read-only."""
+        key = (region, count, prefer)
+        if key not in self._probes:
+            pts = probe_points(self.mesh, region, count, prefer=prefer)
+            pts.flags.writeable = False
+            self._probes[key] = pts
+        return self._probes[key]
+
+
 def _sup(x):
     return float(np.max(np.abs(x)))
 
@@ -164,34 +203,35 @@ def _seeded_pairs(mesh, rng, count=10, zero_mean=False):
     return pairs
 
 
-def check_plemelj_distributional(mesh, rng, count=10):
-    from .distributions import Wt_on_distribution
-
+def check_plemelj_distributional(mesh, rng, count=10, cache=None):
+    cache = cache or _MeshCache(mesh)
     ops = operator_set(mesh)
     res = 0.0
     for tau in _seeded_pairs(mesh, rng, count):
-        lhs = V_of_distribution(Wt_on_distribution(tau))
+        lhs = V_of_distribution(Wt_on_distribution(tau, cache.jmap(tau.side)))
         rhs = ops.W @ V_of_distribution(tau)
         res = max(res, _sup(lhs - rhs))
     return res
 
 
-def check_jump_single(mesh, rng):
+def check_jump_single(mesh, rng, cache=None):
+    cache = cache or _MeshCache(mesh)
     mu = seeded_density(mesh, rng, zero_mean=True)
     trace = operator_set(mesh).V @ mu
     res = 0.0
     for side in _SIDES:
-        pts = probe_points(mesh, side.region)
+        pts = cache.probes(side.region)
         fld = _dirichlet(mesh, trace, side.region).field
         res = max(res, _sup(fld.eval_unchecked(pts) - eval_single_layer(mesh, mu, pts)))
     return res
 
 
-def check_jump_double(mesh, rng):
+def check_jump_double(mesh, rng, cache=None):
+    cache = cache or _MeshCache(mesh)
     psi = seeded_density(mesh, rng)
     res = 0.0
     for side in _SIDES:
-        pts = probe_points(mesh, side.region)
+        pts = cache.probes(side.region)
         fld = _dirichlet(mesh, trace_double(mesh, psi, side.name), side.region).field
         res = max(res, _sup(fld.eval_unchecked(pts) - eval_double_layer(mesh, psi, pts)))
     return res
@@ -213,8 +253,9 @@ def check_dist_jump(mesh, rng, count=6):
     return res
 
 
-def _third_green(mesh, rng, region, prefer):
+def _third_green(mesh, rng, region, prefer, cache):
     """Green's third identity in the region; the same integral vanishes off it."""
+    cache = cache or _MeshCache(mesh)
     side = _side(region, "region")
     g = seeded_density(mesh, rng)
     solution = _dirichlet(mesh, g, region)
@@ -225,39 +266,40 @@ def _third_green(mesh, rng, region, prefer):
         single = eval_single_layer(mesh, rep_nd, pts)
         return side.sign * eval_double_layer(mesh, g, pts) - single + const
 
-    pts = probe_points(mesh, region, prefer=prefer)
+    pts = cache.probes(region, prefer=prefer)
     res = _sup(recon(pts) - solution.field.eval_unchecked(pts))
-    other = probe_points(mesh, side.opposite.region, prefer=prefer)
+    other = cache.probes(side.opposite.region, prefer=prefer)
     return max(res, _sup(recon(other)))
 
 
-def check_third_green_interior(mesh, rng, prefer="far"):
-    return _third_green(mesh, rng, "interior", prefer)
+def check_third_green_interior(mesh, rng, prefer="far", cache=None):
+    return _third_green(mesh, rng, "interior", prefer, cache)
 
 
-def check_third_green_exterior(mesh, rng, prefer="far"):
-    return _third_green(mesh, rng, "exterior", prefer)
+def check_third_green_exterior(mesh, rng, prefer="far", cache=None):
+    return _third_green(mesh, rng, "exterior", prefer, cache)
 
 
-def _dlintesl(mesh, rng, side):
+def _dlintesl(mesh, rng, side, cache):
     """Single layer of (side, 0, mu): its grid representer against the closed form."""
+    cache = cache or _MeshCache(mesh)
     mu = seeded_density(mesh, rng)
     rep = operator_set(mesh).rep(side, mu)
     tau = PairDistribution(side, np.zeros(mesh.n), mu, mesh)
     res = 0.0
     for region in (s.region for s in _SIDES):
-        pts = probe_points(mesh, region)
+        pts = cache.probes(region)
         closed = dist_single_layer_field(tau, pts, region)
         res = max(res, _sup(eval_single_layer(mesh, rep, pts) - closed))
     return res
 
 
-def check_dlintesl_plus(mesh, rng):
-    return _dlintesl(mesh, rng, "plus")
+def check_dlintesl_plus(mesh, rng, cache=None):
+    return _dlintesl(mesh, rng, "plus", cache)
 
 
-def check_dlintesl_minus(mesh, rng):
-    return _dlintesl(mesh, rng, "minus")
+def check_dlintesl_minus(mesh, rng, cache=None):
+    return _dlintesl(mesh, rng, "minus", cache)
 
 
 def check_vst_identities(mesh, rng, count=10):
@@ -284,54 +326,60 @@ def check_symmetry(mesh, rng, count=10):
     return res
 
 
-def check_j_roundtrip(mesh, rng, count=5):
+def check_j_roundtrip(mesh, rng, count=5, cache=None):
+    cache = cache or _MeshCache(mesh)
     res = 0.0
     for tau in _seeded_pairs(mesh, rng, count):
         g = J_isometry(tau)
-        back = J_inverse(mesh, g, side=tau.side)
+        back = cache.jmap(tau.side).pair(g)
         res = max(res, _sup(J_isometry(back) - g))
         rep = to_grid_representer(tau).representer
         res = max(res, _sup(to_grid_representer(back).representer - rep))
     return res
 
 
-def check_space_coincidence(mesh, rng, count=5):
+def check_space_coincidence(mesh, rng, count=5, cache=None):
+    cache = cache or _MeshCache(mesh)
     res = 0.0
     for tau in _seeded_pairs(mesh, rng, count):
-        other = _side(tau.side).opposite.name
-        tau2 = J_inverse(mesh, J_isometry(tau), side=other)
+        tau2 = cache.jmap(_side(tau.side).opposite.name).pair(J_isometry(tau))
         rep = to_grid_representer(tau).representer
         res = max(res, _sup(to_grid_representer(tau2).representer - rep))
     return res
 
 
-def check_nullspace_dims(mesh, rng):
-    """Largest angle between the Wt kernels and their pair-route twins.
+def check_nullspace_dims(mesh, rng, cache=None):
+    """Largest angle between each SVD Wt kernel and its two twins.
 
-    pi/2, the largest angle, when a kernel misses its side's component count
-    or its singular-value gap.
+    The twins are the pair-route kernel and the measured kernel of the
+    bordered LU the Neumann solvers use.  pi/2, the largest angle, when a
+    kernel misses its side's component count or its singular-value gap.
     """
+    cache = cache or _MeshCache(mesh)
     worst = 0.0
     for kind, (side, op) in _OP_KINDS.items():
         basis = nullspace(mesh, kind)
         if basis.dimension != getattr(mesh.topology, side.kappa) or basis.gap < 1e4:
             return np.pi / 2
         if op == "Wt":
-            worst = max(worst, _kernel_angle(mesh, kind, basis.vectors))
+            lu_kernel = _wt_solve(mesh, side, np.zeros(mesh.n)).kernel
+            worst = max(worst, _kernel_angle(mesh, kind, basis.vectors, cache.jmap("plus")),
+                        _subspace_angle(basis.vectors, lu_kernel))
     return worst
 
 
-def check_poisson_reps(mesh, rng):
+def check_poisson_reps(mesh, rng, cache=None):
+    cache = cache or _MeshCache(mesh)
     g = seeded_density(mesh, rng)
     rd = dirichlet_interior(mesh, g)
     re_ = dirichlet_exterior(mesh, g)
     res = 0.0
-    for p in probe_points(mesh, "interior", count=10):
+    for p in cache.probes("interior", count=10):
         res = max(res, abs(poisson_interior(mesh, g, p) - rd.field.eval_unchecked(p[None, :])[0]))
         val, c_g = poisson_exterior(mesh, g, p)
         res = max(res, abs(val))
         res = max(res, abs(c_g - re_.u_infinity))
-    for p in probe_points(mesh, "exterior", count=10):
+    for p in cache.probes("exterior", count=10):
         res = max(res, abs(poisson_interior(mesh, g, p)))
         val, _ = poisson_exterior(mesh, g, p)
         res = max(res, abs(val - re_.field.eval_unchecked(p[None, :])[0]))
@@ -356,49 +404,79 @@ def check_compat_rejection(mesh, rng):
 
 class _Check(NamedTuple):
     name: str
-    run: Callable  # (mesh, rng) -> residual
+    run: Callable  # (mesh, rng, **options) -> residual
     tol: float  # default tolerance, which tol_overrides may replace
     identity: str
+    takes: tuple = ()  # the run_verify options run reads: "cache", "negative_control"
+
+
+_CACHE = ("cache",)
 
 
 _CHECKS = (
     _Check("w1-half", check_w1_half, 1e-10,
-           "double-layer operator maps the constant 1 to 1/2"),
+           "double-layer operator maps the constant 1 to 1/2", ("negative_control",)),
     _Check("plemelj-classical", check_plemelj_classical, 1e-7,
            "V Wt = W V on grid densities"),
     _Check("plemelj-distributional", check_plemelj_distributional, 1e-6,
-           "V[Wt tau] = W V[tau] on pair distributions"),
+           "V[Wt tau] = W V[tau] on pair distributions", _CACHE),
     _Check("jump-single", check_jump_single, 1e-6,
-           "harmonic extensions of the single-layer trace match the field on both sides"),
+           "harmonic extensions of the single-layer trace match the field on both sides", _CACHE),
     _Check("jump-double", check_jump_double, 1e-6,
-           "harmonic extensions of +-psi/2 + W psi match the double-layer field"),
+           "harmonic extensions of +-psi/2 + W psi match the double-layer field", _CACHE),
     _Check("dist-jump", check_dist_jump, 1e-6,
            "normal derivative of the single layer of tau is -tau/2 +- Wt tau"),
     _Check("third-green-int", check_third_green_interior, 1e-6,
-           "u = double layer of trace minus single layer of normal derivative"),
+           "u = double layer of trace minus single layer of normal derivative", _CACHE),
     _Check("third-green-ext", check_third_green_exterior, 1e-6,
-           "u = -double layer - single layer + value at infinity"),
+           "u = -double layer - single layer + value at infinity", _CACHE),
     _Check("dlintesl-plus", check_dlintesl_plus, 1e-6,
-           "single layer of interior transpose part = double layer minus harmonic extension"),
+           "single layer of interior transpose part = double layer minus harmonic extension",
+           _CACHE),
     _Check("dlintesl-minus", check_dlintesl_minus, 1e-6,
-           "single layer of exterior transpose part = -double layer (+ extension, constant)"),
+           "single layer of exterior transpose part = -double layer (+ extension, constant)",
+           _CACHE),
     _Check("VSt-identities", check_vst_identities, 1e-6,
            "closed traces: V rep(S+^t mu) = (-1/2+W) mu and minus-side analogue"),
     _Check("symmetry", check_symmetry, 1e-6,
            "<tau, V psi> = <V[tau], psi> in the weighted pairing"),
     _Check("J-isometry-roundtrip", check_j_roundtrip, 1e-6,
-           "mean-corrected single-layer trace is invertible on pairs"),
+           "mean-corrected single-layer trace is invertible on pairs", _CACHE),
     _Check("space-coincidence", check_space_coincidence, 1e-6,
-           "plus- and minus-side pair encodings represent the same distributions"),
+           "plus- and minus-side pair encodings represent the same distributions", _CACHE),
     _Check("nullspace-dims", check_nullspace_dims, 1e-5,
-           "kernel dims of +-1/2+W count exterior/interior components; transpose kernels agree"),
+           "kernel dims of +-1/2+W count exterior/interior components; transpose kernels agree",
+           _CACHE),
     _Check("poisson-reps", check_poisson_reps, 1e-6,
-           "Green-function representation reproduces Dirichlet solutions, vanishes off-side"),
+           "Green-function representation reproduces Dirichlet solutions, vanishes off-side",
+           _CACHE),
     _Check("compat-rejection", check_compat_rejection, 1e-10,
            "constant Neumann datum is rejected with per-component fluxes"),
 )
 
 STOCK_TRIO = ("disk", "ellipse", "annulus")
+
+
+def check_tol_overrides(tol_overrides):
+    """tol_overrides (None or a dict check name -> tolerance) as a dict of floats.
+
+    Raises ConfigError for anything but a dict, for a key that names no
+    check, and for a tolerance that is not a finite non-negative number.
+    """
+    if tol_overrides is None:
+        return {}
+    if not isinstance(tol_overrides, dict):
+        raise ConfigError(f"tol_overrides: expected an object, got {tol_overrides!r}")
+    names = {check.name for check in _CHECKS}
+    for name, tol in tol_overrides.items():
+        if name not in names:
+            raise ConfigError(f"tol_overrides: {name!r} names no verify check")
+        # the bound fails for NaN and inf, and an int compares with it exactly
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) \
+                or not 0 <= tol <= sys.float_info.max:
+            raise ConfigError(f"tol_overrides.{name}: expected a finite non-negative "
+                              f"number, got {tol!r}")
+    return {name: float(tol) for name, tol in tol_overrides.items()}
 
 
 def run_verify(
@@ -411,21 +489,25 @@ def run_verify(
     """Run the whole identity suite and collect a VerifyReport.
 
     meshes is a dict name -> BoundaryMesh; by default the stock trio
-    (disk, ellipse, annulus) at n nodes per component.
+    (disk, ellipse, annulus) at n nodes per component.  The checks on one
+    mesh share one _MeshCache, which is dropped before the next mesh.
+    tol_overrides is checked by check_tol_overrides.
     """
+    tols = {check.name: check.tol for check in _CHECKS}
+    tols.update(check_tol_overrides(tol_overrides))
     if meshes is None:
         meshes = {name: stock_mesh(name, n) for name in STOCK_TRIO}
     report = VerifyReport(seed=seed, n=n, geometries=list(meshes))
+    options = {"negative_control": negative_control}
     for geom, mesh in meshes.items():
+        # replacing the previous mesh's cache drops its factors and probes
+        options["cache"] = _MeshCache(mesh)
         for check in _CHECKS:
             rng = np.random.default_rng(
                 [seed, zlib.crc32(check.name.encode()), zlib.crc32(geom.encode())]
             )
-            if check.name == "w1-half":
-                residual = check.run(mesh, rng, negative_control=negative_control)
-            else:
-                residual = check.run(mesh, rng)
-            tol = (tol_overrides or {}).get(check.name, check.tol)
+            residual = check.run(mesh, rng, **{key: options[key] for key in check.takes})
+            tol = tols[check.name]
             report.rows.append(CheckRow(name=check.name, identity=check.identity,
                                         geometry=geom, residual=residual, tol=tol,
                                         passed=bool(residual <= tol)))

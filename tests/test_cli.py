@@ -231,6 +231,15 @@ def test_solve_nan_residual_is_numerical_failure(tmp_path, capsys, monkeypatch):
     code = main(["solve", "--config", path, "--problem", "neumann-int",
                  "--data", "fourier:1", "--out", str(tmp_path / "out")])
     _assert_numerical_failure(code, capsys, tmp_path / "out" / "solve_report.json")
+    assert not (tmp_path / "out" / "solve_field.csv").exists()
+
+
+def test_solve_leaves_no_report_behind_a_failed_csv_write(tmp_path, capsys):
+    path = write_disk_config(tmp_path / "disk.json")
+    (tmp_path / "o" / "solve_field.csv").mkdir(parents=True)
+    code = main(["solve", "--config", path, "--problem", "dirichlet-int",
+                 "--data", "fourier:1", "--out", str(tmp_path / "o")])
+    _assert_config_error(code, capsys, tmp_path / "o")
 
 
 def test_verify_non_finite_residual_is_numerical_failure(tmp_path, capsys, monkeypatch):
@@ -393,6 +402,8 @@ _MALFORMED_CONFIGS = {
     "tol-overrides-number": {"components": [_DISK], "tol_overrides": 5},
     "tol-overrides-unknown-check": {"components": [_DISK], "tol_overrides": {"w1-hlf": 1e-9}},
     "tol-overrides-negative": {"components": [_DISK], "tol_overrides": {"w1-half": -1e-9}},
+    "tol-overrides-infinite": {"components": [_DISK], "tol_overrides": {"w1-half": float("inf")}},
+    "tol-overrides-text": {"components": [_DISK], "tol_overrides": {"w1-half": "1e-9"}},
 }
 
 

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from bie2d.errors import OutOfRange, SingularSystem
 from bie2d.geometry import integrate, pairing, stock_mesh
 from bie2d.operators import operator_set
 from bie2d.potentials import eval_double_layer, eval_single_layer
@@ -7,6 +9,7 @@ from bie2d.verify import seeded_density
 from bie2d.distributions import (
     J_inverse,
     J_isometry,
+    JMap,
     PairDistribution,
     V_of_distribution,
     Wt_on_distribution,
@@ -138,6 +141,45 @@ def test_wt_on_distribution(disk128, rng):
     out = Wt_on_distribution(tau)
     assert np.max(np.abs(J_isometry(out) - ops.W @ g)) < 1e-8
     assert abs(mass_of(out)) < 1e-12
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+@pytest.mark.parametrize("name", ["ellipse", "two_disks"])
+def test_j_factor_block_inverse_matches_single_inverses(request, rng, name, side):
+    mesh = request.getfixturevalue(name)
+    block = np.column_stack([
+        J_isometry(PairDistribution(side, seeded_density(mesh, rng),
+                                    seeded_density(mesh, rng), mesh))
+        for _ in range(3)
+    ])
+    mu0, mu1 = JMap(mesh, side).inverse(block)
+    for j in range(3):
+        single = J_inverse(mesh, block[:, j], side=side)
+        assert np.max(np.abs(mu0[:, j] - single.mu0)) <= 1e-14
+        assert np.max(np.abs(mu1[:, j] - single.mu1)) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_j_factor_refuses_a_block_with_an_unreachable_column(ellipse, bad):
+    jmap = JMap(ellipse, "minus")
+    block = np.column_stack([np.cos(ellipse.t), np.ones(ellipse.n), np.sin(2 * ellipse.t)])
+    jmap.inverse(block)
+    # no pair has a non-finite J image; the other two columns stay reachable
+    block[7, 1] = bad
+    with pytest.raises(SingularSystem, match="J inverse residual"):
+        jmap.inverse(block)
+    with pytest.raises(SingularSystem, match="J inverse residual"):
+        jmap.pair(block[:, 1])
+
+
+def test_wt_on_distribution_takes_the_factor_of_its_side(ellipse, rng):
+    tau = PairDistribution("minus", seeded_density(ellipse, rng),
+                           seeded_density(ellipse, rng), ellipse)
+    alone = Wt_on_distribution(tau)
+    given = Wt_on_distribution(tau, JMap(ellipse, "minus"))
+    assert np.array_equal(alone.mu0, given.mu0) and np.array_equal(alone.mu1, given.mu1)
+    with pytest.raises(OutOfRange, match="J factor"):
+        Wt_on_distribution(tau, JMap(ellipse, "plus"))
 
 
 def test_mass_laws(ellipse, rng):

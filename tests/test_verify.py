@@ -1,8 +1,12 @@
 """The identity suite's table: its rows, and the dense work it does per mesh."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from bie2d import distributions, verify
+from bie2d.errors import ConfigError
 from bie2d.geometry import stock_mesh
 from bie2d.verify import run_verify
 
@@ -57,3 +61,99 @@ def test_verify_takes_six_square_svds_per_mesh(monkeypatch, name):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     assert run_verify(meshes={name: mesh}, n=64).passed
     assert shapes.count((mesh.n, mesh.n)) == 6
+
+
+def test_verify_factors_each_j_map_once_and_finds_each_probe_set_once(monkeypatch):
+    # one J factor per side and one candidate pass per (region, count, prefer),
+    # where each identity check used to redo both (21 factors, 14 passes)
+    factors, passes, requests = [], [], []
+
+    def counting(real, calls):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        return wrapper
+
+    def recording_probes(mesh, region, count=25, min_dist=0.2, prefer="far"):
+        requests.append((region, count, prefer))
+        return real_probes(mesh, region, count, min_dist, prefer)
+
+    real_probes = verify.probe_points
+    monkeypatch.setattr(distributions, "cho_factor", counting(distributions.cho_factor, factors))
+    monkeypatch.setattr(verify, "_target_pass", counting(verify._target_pass, passes))
+    monkeypatch.setattr(verify, "probe_points", recording_probes)
+    assert run_verify(meshes={"disk": stock_mesh("disk", 64)}, n=64).passed
+    assert len(factors) == 2
+    assert len(passes) == len(requests) == len(set(requests)) == 4
+
+
+def test_verify_drops_each_mesh_cache_before_the_next(monkeypatch):
+    # (weak reference, mesh) of every J factor and probe set the run builds
+    built = []
+
+    def gone_before(mesh):
+        return all(ref() is None for ref, owner in built if owner is not mesh)
+
+    def tracking(real):
+        def wrapper(mesh, *args, **kwargs):
+            assert gone_before(mesh)
+            out = real(mesh, *args, **kwargs)
+            built.append((weakref.ref(out), mesh))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(verify, "JMap", tracking(verify.JMap))
+    monkeypatch.setattr(verify, "probe_points", tracking(verify.probe_points))
+    meshes = {name: stock_mesh(name, 64) for name in ("disk", "ellipse")}
+    assert run_verify(meshes=meshes, n=64).passed
+    assert len(built) == 2 * (2 + 4)
+    assert all(ref() is None for ref, _ in built)
+
+
+def test_shared_probe_sets_are_read_only(disk128):
+    cache = verify._MeshCache(disk128)
+    pts = cache.probes("exterior", count=10)
+    assert cache.probes("exterior", count=10) is pts and not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 0.0
+    assert np.array_equal(pts, verify.probe_points(disk128, "exterior", count=10))
+
+
+@pytest.mark.parametrize("overrides, reason", [
+    ({"w1-hlf": 1.0, "symmetry": 1e-6}, "'w1-hlf' names no verify check"),
+    ({"symmetry": -1.0}, "symmetry: expected a finite non-negative number"),
+    ({"symmetry": float("nan")}, "finite non-negative"),
+    ({"symmetry": float("inf")}, "finite non-negative"),
+    ({"symmetry": 10**400}, "finite non-negative"),
+    ({"symmetry": True}, "finite non-negative"),
+    ({"symmetry": "1e-6"}, "finite non-negative"),
+    ([("symmetry", 1e-6)], "expected an object"),
+])
+def test_run_verify_refuses_bad_tol_overrides(overrides, reason):
+    with pytest.raises(ConfigError, match=reason):
+        run_verify(meshes={"disk": stock_mesh("disk", 32)}, n=32, tol_overrides=overrides)
+
+
+def test_run_verify_applies_tol_overrides(monkeypatch):
+    check = verify._Check("symmetry", lambda mesh, rng: 0.25, 1e-6, "a fixed residual")
+    monkeypatch.setattr(verify, "_CHECKS", (check,))
+    mesh = stock_mesh("disk", 32)
+    assert not run_verify(meshes={"disk": mesh}, n=32).passed
+    report = run_verify(meshes={"disk": mesh}, n=32, tol_overrides={"symmetry": 1})
+    assert report.rows[0].tol == 1.0 and report.passed
+
+
+def test_nullspace_dims_compares_the_kernel_the_solvers_use(monkeypatch):
+    mesh = stock_mesh("annulus", 64)
+    rng = np.random.default_rng(0)
+    real = verify._wt_solve
+
+    def turned(mesh, side, rhs):
+        # the bordered-LU kernel, rotated 1e-3 rad out of the true one
+        out = real(mesh, side, rhs)
+        kernel = np.linalg.qr(out.kernel + 1e-3 * np.cos(3 * mesh.t)[:, None])[0]
+        return out._replace(kernel=kernel)
+
+    assert verify.check_nullspace_dims(mesh, rng) <= 1e-5
+    monkeypatch.setattr(verify, "_wt_solve", turned)
+    assert verify.check_nullspace_dims(mesh, rng) > 1e-5
