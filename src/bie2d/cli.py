@@ -24,7 +24,7 @@ from .errors import (
     NonFiniteResult,
     OutOfRange,
 )
-from .geometry import CurveSpec, _target_pass, build_mesh, stock_mesh
+from .geometry import CurveSpec, _TargetBlocks, build_mesh, stock_mesh
 from .operators import operator_set
 from .distributions import dist_normal_derivative, pair_from_dict
 from .solvers import (
@@ -321,10 +321,11 @@ def write_field_csv(fld, grid, path):
     an empty value cell.
     """
     pts = grid.points()
-    targets = _target_pass(fld.mesh, pts)
-    usable = targets.in_region(fld.region)
+    usable = _TargetBlocks(fld.mesh, pts).in_region(fld.region)[1]
     values = np.full(pts.shape[0], np.nan)
-    values[usable] = fld._values(targets.rows(usable))
+    # one set of points rather than each block's usable rows, so that BLAS
+    # sums every row as in one product over all usable points
+    values[usable] = fld.eval_unchecked(pts[usable])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "u"])

@@ -21,14 +21,15 @@ kernel) passes one in rather than factoring again.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import OutOfRange, SingularSystem
-from .geometry import _check_aligned, _target_pass, integrate, pairing
+from .geometry import _check_aligned, integrate, pairing
 from .operators import _side, operator_set
-from .potentials import _layer
+from .potentials import _evaluate, _layer
 
 
 @dataclass
@@ -198,18 +199,27 @@ def dist_single_layer_field(tau, points, region):
     side = _side(tau.side)
     own = _side(region, "region") is side
     mesh = tau.mesh
-    targets = _target_pass(mesh, points)
-    targets.check_band()
-    vals = _layer(targets, "single", tau.mu0)
     mu1 = tau.mu1
-    if np.any(mu1):
-        eta, c = operator_set(mesh).harmonic_density(mu1)
-        vals += side.sign * _layer(targets, "double", mu1)
-        if side.sign < 0:
-            vals += c
-        if own:
-            vals -= _layer(targets, "single", eta) + c
-    return float(vals[0]) if targets.single else vals
+    transpose = bool(np.any(mu1))
+
+    @cache
+    def extension():
+        # eta and c, solved for at the first block that is evaluated
+        return operator_set(mesh).harmonic_density(mu1)
+
+    def values(targets):
+        vals = _layer(targets, "single", tau.mu0)
+        if transpose:
+            eta, c = extension()
+            vals += side.sign * _layer(targets, "double", mu1)
+            if side.sign < 0:
+                vals += c
+            if own:
+                vals -= _layer(targets, "single", eta) + c
+        return vals
+
+    vals, single = _evaluate(mesh, points, values)
+    return float(vals[0]) if single else vals
 
 
 def dist_normal_derivative(mesh, trace, side):

@@ -15,9 +15,12 @@ operators point back at the mesh, so a dropped mesh is freed by reference
 counting alone.
 
 Pairwise geometry between the nodes and a set of target points is
-computed in one pass (_target_pass): the squared distances and the normal
+computed in one pass (_TargetBlocks): the squared distances and the normal
 components of the offsets.  The near-boundary band check, point location
-and both layer kernels read that one pass.  Points are located by Gauss's
+and both layer kernels read that one pass.  Every pairwise pass, this one,
+the node-separation check and the operator assembly, walks its rows in
+blocks of about _BLOCK_PAIRS pairs and reuses one set of block arrays, so
+no array over all pairs is ever allocated.  Points are located by Gauss's
 law: the double layer of a curve's indicator is 1 in absolute value inside
 the curve and 0 outside it, to trapezoid accuracy off the band.
 """
@@ -29,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidGeometry, InvalidProbe, LengthMismatch, NearBoundary, OutOfRange
+from .errors import InvalidGeometry, InvalidProbe, LengthMismatch, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -300,22 +303,65 @@ def _topology(contains, depth, offsets):
     )
 
 
-def _pair_geometry(targets, nodes, normals=None):
-    """r2 = |x - y|^2 and, given the normals, nd = nu(y) . (x - y), each (m, n).
+# A pairwise pass walks its rows in blocks of about this many pairs (512 KB
+# per float array), so that a block's arrays stay in cache and no array
+# over all pairs is ever allocated.
+_BLOCK_PAIRS = 1 << 16
 
-    With d = x - y they are d_x d_x + d_y d_y and d_x nu_x + d_y nu_y, and
-    no other (m, n) array outlives the call.
+
+def _row_blocks(start, stop, n):
+    """(lo, hi) of consecutive blocks of the rows start..stop, each against n columns.
+
+    A block has about _BLOCK_PAIRS pairs, in a multiple of 8 rows from 8
+    rows on, so that blocks start where BLAS matrix-vector kernels start a
+    group of rows and every row sums as it would in one product over all
+    rows.  For the same reason a lone last row joins the block before it:
+    numpy computes a one-row product as a dot product, which sums in
+    another order.
     """
-    dx = targets[:, 0, None] - nodes[None, :, 0]
-    dy = targets[:, 1, None] - nodes[None, :, 1]
-    r2 = dx * dx
-    nd = None if normals is None else dy * normals[:, 1]
-    dy *= dy
-    r2 += dy
+    step = max(1, _BLOCK_PAIRS // n)
+    if step >= 8:
+        step -= step % 8
+    bounds = list(range(start, stop, step)) + [stop]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _block_scratch(blocks, n):
+    """Four (rows, n) arrays, enough for any of the blocks; each block reuses them."""
+    return np.empty((4, max((hi - lo for lo, hi in blocks), default=0), n))
+
+
+def _pair_geometry(targets, nodes, normals, out):
+    """r2 = |x - y|^2 and, given the normals, nd = nu(y) . (x - y), written into out.
+
+    out is four (m, n) arrays: r2, nd (unused without normals) and two
+    scratch arrays.  With d = x - y, r2 = d_x d_x + d_y d_y and
+    nd = d_y nu_y + d_x nu_x, and no array is allocated.
+    """
+    r2, nd, dx, dy = out
+    np.subtract(targets[:, 0, None], nodes[None, :, 0], out=dx)
+    np.subtract(targets[:, 1, None], nodes[None, :, 1], out=dy)
+    np.multiply(dx, dx, out=r2)
     if normals is not None:
+        np.multiply(dy, normals[:, 1], out=nd)
         dx *= normals[:, 0]
         nd += dx
+    dy *= dy
+    r2 += dy
     return r2, nd
+
+
+def _r2_blocks(targets, nodes):
+    """(lo, r2) of each block of rows of the squared distances from targets to nodes.
+
+    The arrays of a block are overwritten by the next block.
+    """
+    blocks = _row_blocks(0, targets.shape[0], nodes.shape[0])
+    scratch = _block_scratch(blocks, nodes.shape[0])
+    for lo, hi in blocks:
+        yield lo, _pair_geometry(targets[lo:hi], nodes, None, scratch[:, : hi - lo])[0]
 
 
 def _check_node_separation(mesh):
@@ -335,19 +381,26 @@ def _check_node_separation(mesh):
         nc = xc.shape[0]
         # only pairs closer than half the largest spacing can fail the test
         # d < 0.25 (w_i + w_j) / 2, so they are screened first
-        r2 = _pair_geometry(xc, xc)[0]
-        i, j = np.nonzero(r2 < (0.5 * float(np.max(wc))) ** 2)
-        ring = np.minimum(np.abs(i - j), nc - np.abs(i - j))
-        close = np.sqrt(r2[i, j]) < 0.25 * (0.5 * (wc[i] + wc[j]))
-        if np.any((ring >= 4) & close):
-            raise InvalidGeometry(
-                f"curve {c} self-intersects (distant nodes nearly coincide)"
-            )
+        screen = (0.5 * float(np.max(wc))) ** 2
+        for lo, r2 in _r2_blocks(xc, xc):
+            i, j = np.nonzero(r2 < screen)
+            ring = np.abs(i + lo - j)
+            ring = np.minimum(ring, nc - ring)
+            close = np.sqrt(r2[i, j]) < 0.25 * (0.5 * (wc[i + lo] + wc[j]))
+            if np.any((ring >= 4) & close):
+                raise InvalidGeometry(
+                    f"curve {c} self-intersects (distant nodes nearly coincide)"
+                )
         for c2 in range(c + 1, mesh.n_components):
             sl2 = mesh.component_slice(c2)
-            r2 = _pair_geometry(xc, mesh.x[sl2])[0]
-            i, j = np.unravel_index(np.argmin(r2), r2.shape)
-            gap = math.sqrt(r2[i, j])
+            # the first closest pair in row order, as one argmin over all pairs finds it
+            gap2, i, j = np.inf, 0, 0
+            for lo, r2 in _r2_blocks(xc, mesh.x[sl2]):
+                k = int(np.argmin(r2))
+                if r2.flat[k] < gap2:
+                    gap2, (i, j) = float(r2.flat[k]), divmod(k, r2.shape[1])
+                    i += lo
+            gap = math.sqrt(gap2)
             if gap <= 1e-9 * scale:
                 raise InvalidGeometry(f"curves {c} and {c2} are not disjoint")
             _check_gap_resolved(mesh, (c, c2), gap, (wc[i], mesh.weights[sl2][j]))
@@ -428,15 +481,16 @@ def pairing(mesh, f, g):
 
 
 class _Targets:
-    """One geometry pass from m target points x to the n nodes y of a mesh.
+    """One block of a geometry pass: target points x against the n nodes y of a mesh.
 
-    r2 = |x - y|^2 and nd = nu(y) . (x - y) have shape (m, n), and dist is
-    each point's distance to the nearest node.  The band check, point
-    location and both layer kernels read them.
+    r2 = |x - y|^2 and nd = nu(y) . (x - y) have one row per point, and
+    dist is each point's distance to the nearest node.  The band check,
+    point location and both layer kernels read them.  The kernels are
+    written into the two scratch arrays given, or into new arrays.
     """
 
-    def __init__(self, mesh, r2, nd, single=False):
-        self.mesh, self.r2, self.nd, self.single = mesh, r2, nd, single
+    def __init__(self, mesh, r2, nd, scratch=(None, None)):
+        self.mesh, self.r2, self.nd, self._scratch = mesh, r2, nd, scratch
         self.dist = np.sqrt(np.min(r2, axis=1))
 
     def rows(self, keep):
@@ -445,23 +499,17 @@ class _Targets:
     @cached_property
     def single_kernel(self):
         """log|x - y| / (2 pi)"""
-        k = np.sqrt(self.r2)
+        k = np.sqrt(self.r2, out=self._scratch[0])
         return np.divide(np.log(k, out=k), 2.0 * np.pi, out=k)
 
     @cached_property
     def double_kernel(self):
         """-nu(y) . (x - y) / (2 pi |x - y|^2)"""
-        k = (2.0 * np.pi) * self.r2
+        k = np.multiply(2.0 * np.pi, self.r2, out=self._scratch[1])
         return np.negative(np.divide(self.nd, k, out=k), out=k)
 
-    def check_band(self):
-        band = self.mesh.band_width()
-        if np.any(self.dist < band):
-            raise NearBoundary(f"point at distance {np.min(self.dist):.3e} inside "
-                               f"the near-boundary band {band:.3e}")
-
-    def locations(self, topology):
-        """The distinct Locations of the points, and each point's index among them.
+    def location_codes(self, topology):
+        """Each point's index into _location_table(topology).
 
         Off the band, the double layer of a curve's indicator is +-1 inside
         the curve and 0 outside.  A point inside a hole lies in the hole's
@@ -469,37 +517,83 @@ class _Targets:
         """
         mesh = self.mesh
         near = self.dist < mesh.band_width()
-        per_curve = np.zeros((mesh.n, mesh.n_components))
-        per_curve[np.arange(mesh.n), mesh.comp] = mesh.weights
-        inside = np.zeros((near.size, mesh.n_components), dtype=bool)
-        clear = self.rows(~near) if near.any() else self
-        inside[~near] = np.abs(clear.double_kernel @ per_curve) > 0.5
-        table = [Location("exterior", 0), Location("near_boundary", None)]
+        kernel = (self.rows(~near) if near.any() else self).double_kernel
         code = np.zeros(near.size, dtype=int)
+        clear = code[~near]
         # holes come after outer curves, so that they win
-        for c in topology.outer_comps + topology.hole_comps:
-            code[inside[:, c]] = len(table)
-            table.append(Location("exterior", topology.omega_minus_of_comp[c])
-                         if c in topology.hole_comps
-                         else Location("interior", topology.omega_of_comp[c]))
+        for k, c in enumerate(topology.outer_comps + topology.hole_comps, start=2):
+            sl = mesh.component_slice(c)
+            clear[np.abs(kernel[:, sl] @ mesh.weights[sl]) > 0.5] = k
+        code[~near] = clear
         code[near] = 1
-        return table, code
+        return code
 
     def in_region(self, region):
         """Mask of the points in the region, 'interior' or 'exterior'."""
-        table, code = self.locations(self.mesh.topology)
-        return np.array([loc.kind == region for loc in table])[code]
+        topology = self.mesh.topology
+        return _location_kinds(topology)[self.location_codes(topology)] == region
 
 
-def _target_pass(mesh, points):
-    """The _Targets of a point (2,) or of points (m, 2), which must be finite."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim not in (1, 2) or pts.shape[-1] != 2:
-        raise LengthMismatch(f"points must have shape (2,) or (m, 2), got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidProbe("point coordinates must be finite")
-    r2, nd = _pair_geometry(np.atleast_2d(pts), mesh.x, mesh.normal)
-    return _Targets(mesh, r2, nd, single=pts.ndim == 1)
+def _location_table(topology):
+    """The Location of each code: exterior(0), near_boundary, then one per curve.
+
+    Outer curves come first, then holes.
+    """
+    holes = topology.hole_comps
+    return [Location("exterior", 0), Location("near_boundary", None)] + [
+        Location("exterior", topology.omega_minus_of_comp[c]) if c in holes
+        else Location("interior", topology.omega_of_comp[c])
+        for c in topology.outer_comps + holes
+    ]
+
+
+def _location_kinds(topology):
+    """The kind of each location code, as an array of strings."""
+    return np.array([loc.kind for loc in _location_table(topology)])
+
+
+class _TargetBlocks:
+    """A point (2,) or points (m, 2), checked once, and their geometry pass by blocks.
+
+    The points must be finite.  Iterating yields (rows, _Targets) for
+    consecutive blocks of rows (see _row_blocks); the arrays of a block
+    are overwritten by the next block.
+    """
+
+    def __init__(self, mesh, points):
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim not in (1, 2) or pts.shape[-1] != 2:
+            raise LengthMismatch(f"points must have shape (2,) or (m, 2), got {pts.shape}")
+        if not np.all(np.isfinite(pts)):
+            raise InvalidProbe("point coordinates must be finite")
+        self.mesh, self.single, self.points = mesh, pts.ndim == 1, np.atleast_2d(pts)
+
+    def __len__(self):
+        return self.points.shape[0]
+
+    def __iter__(self):
+        mesh = self.mesh
+        blocks = _row_blocks(0, len(self), mesh.n)
+        scratch = _block_scratch(blocks, mesh.n)
+        for lo, hi in blocks:
+            out = scratch[:, : hi - lo]
+            r2, nd = _pair_geometry(self.points[lo:hi], mesh.x, mesh.normal, out)
+            yield slice(lo, hi), _Targets(mesh, r2, nd, out[2:])
+
+    def locate(self, topology):
+        """Each point's distance to the nearest node and its location code."""
+        dist = np.empty(len(self))
+        code = np.empty(len(self), dtype=int)
+        for rows, targets in self:
+            dist[rows] = targets.dist
+            code[rows] = targets.location_codes(topology)
+        return dist, code
+
+    def in_region(self, region):
+        """Each point's distance to the nearest node, and the mask of the points in the region."""
+        topology = self.mesh.topology
+        dist, code = self.locate(topology)
+        return dist, _location_kinds(topology)[code] == region
 
 
 def locate_point(mesh, topology, p):
@@ -509,8 +603,8 @@ def locate_point(mesh, topology, p):
 
 def locate_points(mesh, topology, points):
     """Vectorized locate_point over an array of points, shape (m, 2)."""
-    table, code = _target_pass(mesh, points).locations(topology)
-    return [table[k] for k in code.tolist()]
+    table = _location_table(topology)
+    return [table[k] for k in _TargetBlocks(mesh, points).locate(topology)[1].tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ and the logarithmic factor gets the spectral product-quadrature weights,
 the smooth remainder the plain trapezoid rule.  The double-layer kernel is
 smooth on a C^2 curve, so W is plain trapezoid with the curvature limit on
 the diagonal.  V and W are assembled together, from one pass over the
-squared node distances.  Wt = D^-1 W^T D (D = diag of quadrature weights), applied
+squared node distances that walks the rows in blocks (geometry._row_blocks)
+and writes each block into V and W.  Wt = D^-1 W^T D (D = diag of quadrature weights), applied
 from W and never stored, is both the Nystrom matrix of the transposed kernel
 and an exact discrete adjoint in the weighted pairing.
 
@@ -25,14 +26,18 @@ transposed solves.
 The _Side table holds each side's sign, its Neumann shift -sign/2 and the
 name every layer gives it (README, "Sides and signs").  The operators live
 in one OperatorSet per mesh, stored in mesh.operators by operator_set; it
-keeps the node count and the weights it needs, never the mesh itself.
+keeps the node count and the weights it needs, never the mesh itself.  V
+is assembled straight into the bordered matrix and kept as a view of it,
+so the set holds three dense arrays: the bordered matrix, W and the LU
+factors.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import circulant, lu_factor, lu_solve
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import lu_factor, lu_solve
 
 from .errors import (
     InvalidGeometry,
@@ -40,7 +45,7 @@ from .errors import (
     SingularPoint,
     SingularSystem,
 )
-from .geometry import _check_aligned, _pair_geometry
+from .geometry import _block_scratch, _check_aligned, _pair_geometry, _row_blocks
 
 
 def fundamental_solution(n, xi):
@@ -91,45 +96,69 @@ def log_weight_row(nc):
     return row
 
 
-def _assemble(mesh):
-    """V and W from one pass over the node pairs; W is not yet checked.
+def _circulant(row):
+    """Read-only view of the circulant matrix C[i, j] = row[(i - j) % n]."""
+    n = row.size
+    return sliding_window_view(np.concatenate((row[::-1], row[:0:-1])), n)[::-1]
+
+
+def _assemble(mesh, V=None):
+    """V and W, filled one block of rows at a time; W is not yet checked.
 
     Both read r2 = |x_i - x_j|^2 (1 on the diagonal).  W is the trapezoid
     rule of the double-layer kernel with the curvature limit on the
-    diagonal; V is the smooth (0.25 / pi) log r2 fill, with each diagonal
-    block overwritten by the Kussmaul-Martensen product rule.  The steps
-    work in place, so at most four N x N arrays are alive at once.
+    diagonal; V is the smooth (0.25 / pi) log r2 fill, with the columns of
+    each row's own curve overwritten by the Kussmaul-Martensen product
+    rule.  No block spans two curves.  V is written into the given (n, n)
+    array (OperatorSet passes a view of its bordered matrix), or into a
+    new one; apart from V and W only block-sized arrays are allocated.
     """
-    r2, nd = _pair_geometry(mesh.x, mesh.x, mesh.normal)
-    np.fill_diagonal(r2, 1.0)
-    W = (2.0 * np.pi) * r2
-    np.divide(nd, W, out=W)
-    del nd
-    np.negative(W, out=W)
-    np.fill_diagonal(W, mesh.curvature / (4.0 * np.pi))
-    W *= mesh.weights
-
-    V = np.log(r2)
-    V *= 0.25 / np.pi
-    V *= mesh.weights
-    for c in range(mesh.n_components):
+    n = mesh.n
+    V = np.empty((n, n)) if V is None else V
+    W = np.empty((n, n))
+    # the generators first, so that their temporaries are freed before the
+    # block arrays are allocated
+    generators = [log_weight_row(nc) for nc in mesh.n_per_comp]
+    blocks = [_row_blocks(mesh.offsets[c], mesh.offsets[c + 1], n)
+              for c in range(mesh.n_components)]
+    scratch = _block_scratch([b for curve in blocks for b in curve], n)
+    for c, R in enumerate(generators):
         sl = mesh.component_slice(c)
+        nc = R.size
         tc = mesh.t[sl]
-        nc = tc.shape[0]
-        speed = mesh.speed[sl]
-        s2 = np.sin((tc[:, None] - tc[None, :]) / 2.0)
-        np.square(s2, out=s2)
-        s2 *= 4.0
-        np.fill_diagonal(s2, 1.0)
-        k2 = np.divide(r2[sl, sl], s2, out=s2)
-        np.fill_diagonal(k2, speed**2)
-        np.log(k2, out=k2)
-        k2 *= (0.25 / np.pi) * speed
-        k2 *= 2.0 * np.pi / nc
-        block = circulant(log_weight_row(nc))
-        block *= (0.25 / np.pi) * speed
-        block += k2
-        V[sl, sl] = block
+        scale = (0.25 / np.pi) * mesh.speed[sl]
+        circulant = _circulant(R)
+        for lo, hi in blocks[c]:
+            b, first = hi - lo, lo - sl.start  # first: the block's first node on its curve
+            rows = np.arange(b)
+            r2, nd, s2, _ = out = scratch[:, :b]
+            _pair_geometry(mesh.x[lo:hi], mesh.x, mesh.normal, out)
+            r2[rows, lo + rows] = 1.0
+
+            Wb = np.multiply(2.0 * np.pi, r2, out=W[lo:hi])
+            np.divide(nd, Wb, out=Wb)
+            np.negative(Wb, out=Wb)
+            Wb[rows, lo + rows] = mesh.curvature[lo:hi] / (4.0 * np.pi)
+            Wb *= mesh.weights
+
+            # k2 = log(r2 / (4 sin^2((t - s)/2))), with the limit speed^2 on the diagonal
+            k2 = s2.reshape(-1)[: b * nc].reshape(b, nc)
+            np.subtract(tc[first:first + b, None], tc, out=k2)
+            k2 /= 2.0
+            np.sin(k2, out=k2)
+            np.square(k2, out=k2)
+            k2 *= 4.0
+            k2[rows, first + rows] = 1.0
+            np.divide(r2[:, sl], k2, out=k2)
+            k2[rows, first + rows] = mesh.speed[lo:hi] ** 2
+            np.log(k2, out=k2)
+            k2 *= scale
+            k2 *= 2.0 * np.pi / nc
+
+            Vb = np.multiply(np.log(r2, out=r2), 0.25 / np.pi, out=V[lo:hi])
+            Vb *= mesh.weights
+            np.multiply(circulant[first:first + b], scale, out=Vb[:, sl])
+            Vb[:, sl] += k2
     return V, W
 
 
@@ -206,24 +235,24 @@ def _side(value, by="name"):
 class OperatorSet:
     """All dense operators for one mesh, assembled once and shared.
 
-    The only state is V, W, the LU factors of the bordered matrix
-    [V, 1; w^T, 0] and the value-at-infinity functional q (the last row of
-    its inverse, from one transposed solve).  Wt is applied from W, and the
-    Dirichlet-to-Neumann maps and their weighted transposes are applied
-    through the factors by dtn and rep; none of them is stored.
+    The only state is V (a view of the bordered matrix [V, 1; w^T, 0]),
+    W, the LU factors of the bordered matrix and the value-at-infinity
+    functional q (the last row of its inverse, from one transposed solve).
+    Wt is applied from W, and the Dirichlet-to-Neumann maps and their
+    weighted transposes are applied through the factors by dtn and rep;
+    none of them is stored.
     """
 
     def __init__(self, mesh):
         self.n = n = mesh.n
         self.weights = w = mesh.weights
-        V, W = _assemble(mesh)
-        self.V = V
+        # V lives in the bordered matrix, which is factored into a copy
+        B = np.empty((n + 1, n + 1))
+        self.V, W = _assemble(mesh, B[:n, :n])
         self.W = _checked_W(mesh, W)
-
-        B = np.zeros((n + 1, n + 1))
-        B[:n, :n] = self.V
         B[:n, n] = 1.0
         B[n, :n] = w
+        B[n, n] = 0.0
         try:
             self._bordered_lu = lu_factor(B)
         except np.linalg.LinAlgError as exc:  # pragma: no cover

@@ -3,11 +3,12 @@
 Off-boundary evaluation is plain trapezoid quadrature of the smooth kernel;
 it refuses points inside the near-boundary band (twice the largest node
 spacing) instead of regularizing.  Each evaluation makes one geometry pass
-over its points (geometry._target_pass): the band check, the location of
-the points and the kernels of every layer term read the same squared
-distances.  Boundary values come from the assembled operators through the
-jump relations, written once in the side's sign (README, "Sides and
-signs").
+over its points, walked in blocks of rows (geometry._TargetBlocks): the
+band check, the location of the points and the kernels of every layer
+term read the same squared distances of a block, and each block writes
+its values straight into the result.  Boundary values come from the
+assembled operators through the jump relations, written once in the
+side's sign (README, "Sides and signs").
 """
 
 from collections import namedtuple
@@ -15,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidProbe, LengthMismatch, NoLimit
-from .geometry import _check_aligned, _target_pass, integrate
+from .errors import Bie2dError, InvalidProbe, LengthMismatch, NearBoundary, NoLimit
+from .geometry import _check_aligned, _TargetBlocks, integrate
 from .operators import _side, operator_set
 
 
@@ -32,11 +33,45 @@ def _layer(targets, kind, density):
     return kernel @ (targets.mesh.weights * density)
 
 
+def _evaluate(mesh, points, values, region=None, checked=True):
+    """values(targets) of each block of the points' pass, gathered in one
+    array, and whether the points were one point (2,).
+
+    checked refuses points in the near-boundary band (NearBoundary) and,
+    given a region, points outside it (InvalidProbe).  Every block is
+    scanned before either is raised, so NearBoundary reports the minimum
+    distance over all points and wins over InvalidProbe, which wins over a
+    toolkit error of values; values is not called after the first of them.
+    """
+    blocks = _TargetBlocks(mesh, points)
+    band = mesh.band_width()
+    out = np.empty(len(blocks))
+    nearest, stray, error = np.inf, False, None
+    for rows, targets in blocks:
+        if checked:
+            nearest = min(nearest, np.min(targets.dist))
+            if nearest < band or stray:
+                continue
+            stray = region is not None and not np.all(targets.in_region(region))
+        if not (stray or error):
+            try:
+                out[rows] = values(targets)
+            except Bie2dError as exc:
+                error = exc
+    if nearest < band:
+        raise NearBoundary(f"point at distance {nearest:.3e} inside "
+                           f"the near-boundary band {band:.3e}")
+    if stray:
+        other = _side(region, "region").opposite.region
+        raise InvalidProbe(f"field is defined on the {region} but a point is {other}")
+    if error is not None:
+        raise error
+    return out, blocks.single
+
+
 def _eval_layer(mesh, kind, density, points):
-    targets = _target_pass(mesh, points)
-    targets.check_band()
-    vals = _layer(targets, kind, density)
-    return vals[0] if targets.single else vals
+    vals, single = _evaluate(mesh, points, lambda targets: _layer(targets, kind, density))
+    return vals[0] if single else vals
 
 
 def eval_single_layer(mesh, mu, points):
@@ -87,21 +122,14 @@ class HarmonicField:
     region: str = "interior"
 
     def eval(self, points):
-        targets = _target_pass(self.mesh, points)
-        targets.check_band()
-        if not np.all(targets.in_region(self.region)):
-            other = _side(self.region, "region").opposite.region
-            raise InvalidProbe(
-                f"field is defined on the {self.region} but a point is {other}"
-            )
-        vals = self._values(targets)
-        return float(vals[0]) if targets.single else vals
+        vals, single = _evaluate(self.mesh, points, self._values, self.region)
+        return float(vals[0]) if single else vals
 
     def eval_unchecked(self, points):
-        return self._values(_target_pass(self.mesh, points))
+        return _evaluate(self.mesh, points, self._values, checked=False)[0]
 
     def _values(self, targets):
-        """The field at the points of a geometry pass, without checks."""
+        """The field at the points of one block of a geometry pass, without checks."""
         vals = np.full(targets.r2.shape[0], self.constant, dtype=float)
         for kind, density in self.terms:
             vals += _layer(targets, kind, density)

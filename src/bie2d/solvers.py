@@ -31,7 +31,7 @@ from .errors import (
     OutOfRange,
     SingularSystem,
 )
-from .geometry import _check_aligned, _target_pass, indicator, integrate
+from .geometry import _check_aligned, _TargetBlocks, indicator, integrate
 from .operators import _side, operator_set
 from .potentials import (
     HarmonicField,
@@ -427,7 +427,7 @@ def green_h(mesh, x, side):
     side 'interior' solves in the open set, 'exterior' outside (harmonic
     at infinity); returns the SolveReport of the bordered solve.
     """
-    source = _target_pass(mesh, x)
+    _, source = next(iter(_TargetBlocks(mesh, x)))
     if source.dist[0] < mesh.band_width():
         raise NearBoundary("source point inside the near-boundary band")
     return _dirichlet(mesh, source.single_kernel[0], side)
@@ -439,7 +439,7 @@ def _poisson(mesh, g, x, region):
     eta = green_h(mesh, x, region).densities["eta"]
     dh = normal_derivative_single(mesh, eta, _side(region, "region").name)
     # d/dnu_y S2(x - y) is the double-layer kernel at x
-    kernel = _target_pass(mesh, x).double_kernel[0]
+    kernel = next(iter(_TargetBlocks(mesh, x)))[1].double_kernel[0]
     return float(np.dot(mesh.weights * g, kernel - dh))
 
 

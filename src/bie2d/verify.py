@@ -9,22 +9,24 @@ extension representation.  Randomness is a seeded truncated Fourier
 series, so two runs of the same configuration produce identical reports.
 
 run_verify holds one _MeshCache per mesh: the J factor of each side
-(distributions.JMap) and the probe point sets, keyed by (region, count,
-prefer).  Each is built once on first use, shared read-only by the checks
-on that mesh, and dropped with the cache before the next mesh.  Every
-check also runs on its own, with a cache of its own.
+(distributions.JMap), the probe point sets, keyed by (region, count,
+prefer), and the cos(k t), sin(k t) table of the seeded densities.  Each
+is built once on first use, shared read-only by the checks on that mesh,
+and dropped with the cache before the next mesh.  Every check also runs
+on its own, with a cache of its own.
 """
 
 import numbers
 import sys
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, IncompatibleData, InvalidProbe
-from .geometry import _target_pass, indicator, integrate, pairing, stock_mesh
+from .geometry import _TargetBlocks, indicator, integrate, pairing, stock_mesh
 from .operators import _SIDES, _side, operator_set
 from .potentials import eval_double_layer, eval_single_layer, trace_double
 from .distributions import (
@@ -99,12 +101,27 @@ class VerifyReport:
         }
 
 
-def seeded_density(mesh, rng, degree=8, zero_mean=False):
-    """Smooth random density: truncated Fourier series in the parameter."""
+def _fourier_table(t, degree):
+    """cos(k t) and sin(k t) for k = 1..degree, each of shape (degree, len(t))."""
+    kt = np.arange(1, degree + 1)[:, None] * t
+    return np.cos(kt), np.sin(kt)
+
+
+# Fourier modes of a seeded density
+_DEGREE = 8
+
+
+def seeded_density(mesh, rng, degree=_DEGREE, zero_mean=False, table=None):
+    """Smooth random density: truncated Fourier series in the parameter.
+
+    table is _fourier_table(mesh.t, degree), which a caller that draws many
+    densities on one mesh builds once.
+    """
+    cos_kt, sin_kt = _fourier_table(mesh.t, degree) if table is None else table
     f = rng.uniform(-1.0, 1.0) * np.ones(mesh.n)
     for k in range(1, degree + 1):
         a, b = rng.uniform(-1.0, 1.0, size=2) / (1.0 + k)
-        f = f + a * np.cos(k * mesh.t) + b * np.sin(k * mesh.t)
+        f = f + a * cos_kt[k - 1] + b * sin_kt[k - 1]
     if zero_mean:
         f = f - integrate(mesh, f) / integrate(mesh, np.ones(mesh.n))
     return f
@@ -132,9 +149,8 @@ def probe_points(mesh, region, count=25, min_dist=0.2, prefer="far"):
         theta = np.linspace(0, 2 * np.pi, 8, endpoint=False)
         blocks.append(far * np.stack([np.cos(theta), np.sin(theta)], axis=-1))
     candidates = np.concatenate(blocks)
-    targets = _target_pass(mesh, candidates)
-    dist = targets.dist
-    keep = np.flatnonzero(targets.in_region(region) & (dist >= keep_dist))
+    dist, inside = _TargetBlocks(mesh, candidates).in_region(region)
+    keep = np.flatnonzero(inside & (dist >= keep_dist))
     if not keep.size:
         nodes = "/".join(str(m) for m in mesh.n_per_comp)
         raise InvalidProbe(f"no {region} probe point clears the near-boundary band "
@@ -144,7 +160,8 @@ def probe_points(mesh, region, count=25, min_dist=0.2, prefer="far"):
 
 
 class _MeshCache:
-    """What the checks on one mesh share: the J factor of each side and the probe sets.
+    """What the checks on one mesh share: the J factor of each side, the probe
+    sets and the Fourier table of the seeded densities.
 
     Each is built on first use.  run_verify holds one cache per mesh and
     drops it before the next mesh; a check called on its own builds its own.
@@ -154,6 +171,15 @@ class _MeshCache:
         self.mesh = mesh
         self._jmaps = {}
         self._probes = {}
+
+    @cached_property
+    def fourier(self):
+        """_fourier_table of the mesh at seeded_density's default degree."""
+        return _fourier_table(self.mesh.t, _DEGREE)
+
+    def density(self, rng, zero_mean=False):
+        """seeded_density of the mesh, from the cached Fourier table."""
+        return seeded_density(self.mesh, rng, zero_mean=zero_mean, table=self.fourier)
 
     def jmap(self, side):
         """The JMap of the mesh on one side."""
@@ -184,22 +210,23 @@ def check_w1_half(mesh, rng, negative_control=False):
     return _sup(W @ np.ones(mesh.n) - 0.5)
 
 
-def check_plemelj_classical(mesh, rng, count=20):
+def check_plemelj_classical(mesh, rng, count=20, cache=None):
+    cache = cache or _MeshCache(mesh)
     ops = operator_set(mesh)
     res = 0.0
     for _ in range(count):
-        f = seeded_density(mesh, rng)
+        f = cache.density(rng)
         res = max(res, _sup(ops.V @ ops._wt(f) - ops.W @ (ops.V @ f)))
     return res
 
 
-def _seeded_pairs(mesh, rng, count=10, zero_mean=False):
+def _seeded_pairs(cache, rng, count=10, zero_mean=False):
     pairs = []
     for i in range(count):
         side = _SIDES[i % 2].name
-        mu0 = seeded_density(mesh, rng, zero_mean=zero_mean)
-        mu1 = seeded_density(mesh, rng)
-        pairs.append(PairDistribution(side, mu0, mu1, mesh))
+        mu0 = cache.density(rng, zero_mean=zero_mean)
+        mu1 = cache.density(rng)
+        pairs.append(PairDistribution(side, mu0, mu1, cache.mesh))
     return pairs
 
 
@@ -207,7 +234,7 @@ def check_plemelj_distributional(mesh, rng, count=10, cache=None):
     cache = cache or _MeshCache(mesh)
     ops = operator_set(mesh)
     res = 0.0
-    for tau in _seeded_pairs(mesh, rng, count):
+    for tau in _seeded_pairs(cache, rng, count):
         lhs = V_of_distribution(Wt_on_distribution(tau, cache.jmap(tau.side)))
         rhs = ops.W @ V_of_distribution(tau)
         res = max(res, _sup(lhs - rhs))
@@ -216,7 +243,7 @@ def check_plemelj_distributional(mesh, rng, count=10, cache=None):
 
 def check_jump_single(mesh, rng, cache=None):
     cache = cache or _MeshCache(mesh)
-    mu = seeded_density(mesh, rng, zero_mean=True)
+    mu = cache.density(rng, zero_mean=True)
     trace = operator_set(mesh).V @ mu
     res = 0.0
     for side in _SIDES:
@@ -228,7 +255,7 @@ def check_jump_single(mesh, rng, cache=None):
 
 def check_jump_double(mesh, rng, cache=None):
     cache = cache or _MeshCache(mesh)
-    psi = seeded_density(mesh, rng)
+    psi = cache.density(rng)
     res = 0.0
     for side in _SIDES:
         pts = cache.probes(side.region)
@@ -237,16 +264,17 @@ def check_jump_double(mesh, rng, cache=None):
     return res
 
 
-def check_dist_jump(mesh, rng, count=6):
+def check_dist_jump(mesh, rng, count=6, cache=None):
+    cache = cache or _MeshCache(mesh)
     res = 0.0
-    for tau in _seeded_pairs(mesh, rng, count, zero_mean=True):
+    for tau in _seeded_pairs(cache, rng, count, zero_mean=True):
         out = dist_jump_check(tau)
         res = max(res, out.interior)
         if out.exterior is not None:
             res = max(res, out.exterior)
     # a massful pair exercises only the interior branch
     tau = PairDistribution(
-        "plus", 1.0 + seeded_density(mesh, rng), seeded_density(mesh, rng), mesh
+        "plus", 1.0 + cache.density(rng), cache.density(rng), mesh
     )
     out = dist_jump_check(tau)
     res = max(res, out.interior)
@@ -257,7 +285,7 @@ def _third_green(mesh, rng, region, prefer, cache):
     """Green's third identity in the region; the same integral vanishes off it."""
     cache = cache or _MeshCache(mesh)
     side = _side(region, "region")
-    g = seeded_density(mesh, rng)
+    g = cache.density(rng)
     solution = _dirichlet(mesh, g, region)
     rep_nd = operator_set(mesh).rep(side.name, g)
     const = solution.u_infinity or 0.0
@@ -283,7 +311,7 @@ def check_third_green_exterior(mesh, rng, prefer="far", cache=None):
 def _dlintesl(mesh, rng, side, cache):
     """Single layer of (side, 0, mu): its grid representer against the closed form."""
     cache = cache or _MeshCache(mesh)
-    mu = seeded_density(mesh, rng)
+    mu = cache.density(rng)
     rep = operator_set(mesh).rep(side, mu)
     tau = PairDistribution(side, np.zeros(mesh.n), mu, mesh)
     res = 0.0
@@ -302,24 +330,26 @@ def check_dlintesl_minus(mesh, rng, cache=None):
     return _dlintesl(mesh, rng, "minus", cache)
 
 
-def check_vst_identities(mesh, rng, count=10):
+def check_vst_identities(mesh, rng, count=10, cache=None):
     """V rep(side, mu) against the closed trace of the pair (side, 0, mu)."""
+    cache = cache or _MeshCache(mesh)
     ops = operator_set(mesh)
     zero = np.zeros(mesh.n)
     res = 0.0
     for _ in range(count):
-        mu = seeded_density(mesh, rng)
+        mu = cache.density(rng)
         for side in _SIDES:
             closed = V_of_distribution(PairDistribution(side.name, zero, mu, mesh))
             res = max(res, _sup(ops.V @ ops.rep(side.name, mu) - closed))
     return res
 
 
-def check_symmetry(mesh, rng, count=10):
+def check_symmetry(mesh, rng, count=10, cache=None):
+    cache = cache or _MeshCache(mesh)
     ops = operator_set(mesh)
     res = 0.0
-    for tau in _seeded_pairs(mesh, rng, count):
-        psi = seeded_density(mesh, rng)
+    for tau in _seeded_pairs(cache, rng, count):
+        psi = cache.density(rng)
         lhs = dist_pairing(tau, ops.V @ psi)
         rhs = pairing(mesh, V_of_distribution(tau), psi)
         res = max(res, abs(lhs - rhs))
@@ -329,7 +359,7 @@ def check_symmetry(mesh, rng, count=10):
 def check_j_roundtrip(mesh, rng, count=5, cache=None):
     cache = cache or _MeshCache(mesh)
     res = 0.0
-    for tau in _seeded_pairs(mesh, rng, count):
+    for tau in _seeded_pairs(cache, rng, count):
         g = J_isometry(tau)
         back = cache.jmap(tau.side).pair(g)
         res = max(res, _sup(J_isometry(back) - g))
@@ -341,7 +371,7 @@ def check_j_roundtrip(mesh, rng, count=5, cache=None):
 def check_space_coincidence(mesh, rng, count=5, cache=None):
     cache = cache or _MeshCache(mesh)
     res = 0.0
-    for tau in _seeded_pairs(mesh, rng, count):
+    for tau in _seeded_pairs(cache, rng, count):
         tau2 = cache.jmap(_side(tau.side).opposite.name).pair(J_isometry(tau))
         rep = to_grid_representer(tau).representer
         res = max(res, _sup(to_grid_representer(tau2).representer - rep))
@@ -370,7 +400,7 @@ def check_nullspace_dims(mesh, rng, cache=None):
 
 def check_poisson_reps(mesh, rng, cache=None):
     cache = cache or _MeshCache(mesh)
-    g = seeded_density(mesh, rng)
+    g = cache.density(rng)
     rd = dirichlet_interior(mesh, g)
     re_ = dirichlet_exterior(mesh, g)
     res = 0.0
@@ -417,7 +447,7 @@ _CHECKS = (
     _Check("w1-half", check_w1_half, 1e-10,
            "double-layer operator maps the constant 1 to 1/2", ("negative_control",)),
     _Check("plemelj-classical", check_plemelj_classical, 1e-7,
-           "V Wt = W V on grid densities"),
+           "V Wt = W V on grid densities", _CACHE),
     _Check("plemelj-distributional", check_plemelj_distributional, 1e-6,
            "V[Wt tau] = W V[tau] on pair distributions", _CACHE),
     _Check("jump-single", check_jump_single, 1e-6,
@@ -425,7 +455,7 @@ _CHECKS = (
     _Check("jump-double", check_jump_double, 1e-6,
            "harmonic extensions of +-psi/2 + W psi match the double-layer field", _CACHE),
     _Check("dist-jump", check_dist_jump, 1e-6,
-           "normal derivative of the single layer of tau is -tau/2 +- Wt tau"),
+           "normal derivative of the single layer of tau is -tau/2 +- Wt tau", _CACHE),
     _Check("third-green-int", check_third_green_interior, 1e-6,
            "u = double layer of trace minus single layer of normal derivative", _CACHE),
     _Check("third-green-ext", check_third_green_exterior, 1e-6,
@@ -437,9 +467,9 @@ _CHECKS = (
            "single layer of exterior transpose part = -double layer (+ extension, constant)",
            _CACHE),
     _Check("VSt-identities", check_vst_identities, 1e-6,
-           "closed traces: V rep(S+^t mu) = (-1/2+W) mu and minus-side analogue"),
+           "closed traces: V rep(S+^t mu) = (-1/2+W) mu and minus-side analogue", _CACHE),
     _Check("symmetry", check_symmetry, 1e-6,
-           "<tau, V psi> = <V[tau], psi> in the weighted pairing"),
+           "<tau, V psi> = <V[tau], psi> in the weighted pairing", _CACHE),
     _Check("J-isometry-roundtrip", check_j_roundtrip, 1e-6,
            "mean-corrected single-layer trace is invertible on pairs", _CACHE),
     _Check("space-coincidence", check_space_coincidence, 1e-6,

@@ -1,7 +1,38 @@
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 
 from bie2d.geometry import build_mesh, stock_mesh, CurveSpec
+
+
+def _one_blas_thread():
+    """Run numpy's OpenBLAS on one thread for the whole session.
+
+    Evaluation sums its rows in blocks, and the tests compare it bit for
+    bit with one matrix-vector product over all rows.  OpenBLAS splits
+    such a product between its threads at a row that depends on the thread
+    count, and the rows next to the split then sum in another order: with
+    two threads, 5 of 1485 rows of a 512-node product move by one ulp.  On
+    one thread every row sums the same way in both routes.  numpy is
+    already loaded when this file is (the warning filters import bie2d),
+    so OPENBLAS_NUM_THREADS would come too late.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "lib*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                set_threads = getattr(lib, name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+                break
+
+
+_one_blas_thread()
 
 
 @pytest.fixture(scope="session")

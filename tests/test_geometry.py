@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from conftest import winding_locations
 
+from bie2d import geometry
 from bie2d.errors import InvalidGeometry, LengthMismatch, OutOfRange
 from bie2d.geometry import (
     CurveSpec,
+    _row_blocks,
     build_mesh,
     indicator,
     integrate,
@@ -172,6 +174,28 @@ def test_gauss_law_location_matches_winding_numbers(name, n):
                              mesh.x + edge, mesh.x - edge])
     for chunk in np.array_split(points, 10):
         assert locate_points(mesh, mesh.topology, chunk) == winding_locations(mesh, chunk)
+
+
+@pytest.mark.parametrize("name", ["disk", "disk2", "ellipse", "annulus", "kite", "two-disks"])
+def test_location_in_ragged_blocks_matches_winding_numbers(monkeypatch, name):
+    mesh = stock_mesh(name, 64)
+    monkeypatch.setattr(geometry, "_BLOCK_PAIRS", 7 * mesh.n)  # blocks of 7 rows
+    rng = np.random.default_rng(len(name))
+    lo, hi = mesh.x.min(axis=0) - 1.0, mesh.x.max(axis=0) + 1.0
+    edge = 1.0001 * mesh.band_width() * mesh.normal
+    points = np.concatenate([rng.uniform(lo, hi, size=(148, 2)), mesh.x + edge, mesh.x - edge])
+    assert len(points) % 7 > 1
+    assert locate_points(mesh, mesh.topology, points) == winding_locations(mesh, points)
+
+
+def test_row_blocks_start_on_multiples_of_8_and_leave_no_lone_row():
+    # 2^16 pairs are 85 rows of 768 nodes, rounded down to 80
+    assert _row_blocks(0, 200, 768) == [(0, 80), (80, 160), (160, 200)]
+    assert _row_blocks(0, 161, 768) == [(0, 80), (80, 161)]
+    assert _row_blocks(0, 1, 768) == [(0, 1)]
+    assert _row_blocks(0, 0, 768) == []
+    # fewer than 8 rows per block are not rounded; curves start anywhere
+    assert _row_blocks(64, 80, 9362) == [(64, 71), (71, 78), (78, 80)]
 
 
 def test_refinement_consistency():

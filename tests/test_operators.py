@@ -1,13 +1,16 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from bie2d import geometry
 from bie2d.errors import LengthMismatch, OutOfRange, SingularPoint
 from bie2d.geometry import CurveSpec, build_mesh, pairing, stock_mesh
 from bie2d.operators import (
     OperatorMatrix,
+    OperatorSet,
     assemble_V,
     assemble_W,
     assemble_Wt,
@@ -224,6 +227,8 @@ def _held_bytes(ops):
 
     def arrays(value):
         if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):  # a view holds its base
+                value = value.base
             return [value]
         if isinstance(value, dict):
             value = list(value.values())
@@ -345,3 +350,27 @@ def test_shared_pass_matches_separate_assembly(name):
     for got, want in ((assemble_V(mesh).matrix, V), (assemble_W(mesh).matrix, W),
                       (ops.V, V), (ops.W, W)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["disk", "ellipse", "annulus", "kite", "two-disks"])
+def test_assembly_in_ragged_blocks_matches_separate_assembly(monkeypatch, name):
+    mesh = stock_mesh(name, 64)
+    # blocks of 3 rows, and of 4 rows where the 64 rows of a curve end
+    monkeypatch.setattr(geometry, "_BLOCK_PAIRS", 3 * mesh.n)
+    V, W = _separate_assembly(mesh)
+    ops = operator_set(mesh)
+    assert np.array_equal(ops.V, V) and np.array_equal(ops.W, W)
+
+
+def test_operator_set_build_allocates_three_bordered_sized_arrays():
+    # the bordered matrix holding V, W and the LU factors; the assembly
+    # itself allocates only block-sized arrays besides
+    mesh = stock_mesh("annulus", 512)
+    n = mesh.n
+    tracemalloc.start()
+    try:
+        OperatorSet(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * (n + 1) ** 2 + 4 * 2**20

@@ -1,14 +1,17 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import winding_locations
 
-from bie2d.cli import default_grid, write_field_csv
+from bie2d import geometry
+from bie2d.cli import GridSpec, default_grid, write_field_csv
 from bie2d.distributions import PairDistribution, dist_single_layer_field
 from bie2d.errors import InvalidProbe, LengthMismatch, NearBoundary, NoLimit
 from bie2d.geometry import CurveSpec, build_mesh, locate_points, stock_mesh
-from bie2d.solvers import dirichlet_exterior
+from bie2d.operators import operator_set
+from bie2d.solvers import dirichlet_exterior, dirichlet_interior
 from bie2d.potentials import (
     HarmonicField,
     eval_double_layer,
@@ -223,14 +226,146 @@ def test_one_geometry_pass_is_bit_identical_to_the_norm_route(tmp_path, name, re
 
     path = tmp_path / "field.csv"
     write_field_csv(fld, grid, path)
-    values = np.full(points.shape[0], np.nan)
-    values[usable] = _field_by_norms(fld, points[usable])
-    rows = [["x", "y", "u"]] + [
-        ["%.17g" % px, "%.17g" % py, "%.17g" % val if ok else ""]
-        for (px, py), ok, val in zip(points, usable, values)
-    ]
     with open(path, newline="") as fh:
-        assert list(csv.reader(fh)) == rows
+        assert list(csv.reader(fh)) == _csv_rows(points, usable, _field_by_norms(fld, points[usable]))
+
+
+def _csv_rows(points, usable, values):
+    """The rows write_field_csv writes, given the values at the usable points."""
+    column = np.full(points.shape[0], np.nan)
+    column[usable] = values
+    return [["x", "y", "u"]] + [
+        ["%.17g" % px, "%.17g" % py, "%.17g" % val if ok else ""]
+        for (px, py), ok, val in zip(points, usable, column)
+    ]
+
+
+def _ring_points(rng, count, r_min, r_max):
+    r = rng.uniform(r_min, r_max, count)
+    theta = rng.uniform(0.0, 2.0 * np.pi, count)
+    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+
+
+def _by_rows(rows, values_of, points):
+    """values_of over consecutive chunks of `rows` points, concatenated."""
+    return np.concatenate([values_of(points[i:i + rows]) for i in range(0, len(points), rows)])
+
+
+@pytest.fixture
+def seven_row_blocks(monkeypatch):
+    """An annulus of 64 nodes per curve, whose target passes take blocks of 7 rows."""
+    monkeypatch.setattr(geometry, "_BLOCK_PAIRS", 7 * 128)
+    return stock_mesh("annulus", 64)
+
+
+@pytest.mark.parametrize("region, radii", [("interior", (1.42, 1.58)), ("exterior", (2.45, 3.5))])
+def test_ragged_blocks_fill_every_row(seven_row_blocks, region, radii):
+    # 25 points: three whole blocks of 7 and a partial one; within a block of
+    # 7 rows BLAS sums the tail rows in another order, so the reference
+    # route takes the same chunks
+    mesh = seven_row_blocks
+    points = _ring_points(np.random.default_rng(3), 25, *radii)
+    mu, psi = np.cos(3 * mesh.t) + 0.2, np.sin(2 * mesh.t)
+    fld = HarmonicField(mesh, [("single", mu), ("double", psi)], constant=0.3, region=region)
+    expected = _by_rows(7, lambda p: _field_by_norms(fld, p), points)
+    assert np.array_equal(fld.eval(points), expected)
+    assert np.array_equal(fld.eval_unchecked(points), expected)
+    for kind, density, evaluate in (("single", mu, eval_single_layer),
+                                    ("double", psi, eval_double_layer)):
+        expected = _by_rows(7, lambda p: _layer_by_norms(mesh, kind, density, p), points)
+        assert np.array_equal(evaluate(mesh, density, points), expected)
+
+    eta, c = operator_set(mesh).harmonic_density(psi)
+
+    def closed(p):
+        vals = _layer_by_norms(mesh, "single", mu, p)
+        vals += -1.0 * _layer_by_norms(mesh, "double", psi, p)
+        vals += c
+        if region == "exterior":  # the minus side's own region
+            vals -= _layer_by_norms(mesh, "single", eta, p) + c
+        return vals
+
+    tau = PairDistribution("minus", mu, psi, mesh)
+    assert np.array_equal(dist_single_layer_field(tau, points, region), _by_rows(7, closed, points))
+
+
+def test_field_csv_in_ragged_blocks(seven_row_blocks, tmp_path):
+    mesh = seven_row_blocks
+    fld = HarmonicField(mesh, [("single", np.cos(3 * mesh.t) + 0.2), ("double", np.sin(mesh.t))],
+                        constant=0.3, region="interior")
+    grid = GridSpec(-2.4, 2.4, -2.4, 2.4, 21, 19)
+    points = grid.points()
+    usable = np.array([kind for kind, _ in winding_locations(mesh, points)]) == "interior"
+    assert usable.sum() == 32  # four whole blocks of 7 and a partial one
+    path = tmp_path / "field.csv"
+    write_field_csv(fld, grid, path)
+    values = _by_rows(7, lambda p: _field_by_norms(fld, p), points[usable])
+    with open(path, newline="") as fh:
+        assert list(csv.reader(fh)) == _csv_rows(points, usable, values)
+
+
+def test_a_lone_last_row_sums_as_in_one_product():
+    # 64 nodes make blocks of 1024 rows; of 1025 points one row is left over,
+    # and it joins the block before it instead of forming a one-row product
+    mesh = stock_mesh("disk", 64)
+    points = _ring_points(np.random.default_rng(4), 1025, 0.1, 0.7)
+    fld = HarmonicField(mesh, [("single", np.cos(3 * mesh.t)), ("double", np.sin(mesh.t))])
+    assert np.array_equal(fld.eval_unchecked(points), _field_by_norms(fld, points))
+
+
+def _point_entries(mesh):
+    """Every checked evaluator of a 64-node annulus, as point -> value functions."""
+    mu = np.cos(mesh.t)
+    fld = HarmonicField(mesh, [("single", mu)], region="interior")
+    tau = PairDistribution("plus", mu, np.sin(mesh.t), mesh)
+    return {
+        "eval": fld.eval,
+        "eval_single_layer": lambda p: eval_single_layer(mesh, mu, p),
+        "eval_double_layer": lambda p: eval_double_layer(mesh, mu, p),
+        "dist_single_layer_field": lambda p: dist_single_layer_field(tau, p, "interior"),
+    }
+
+
+def test_the_band_error_reports_the_minimum_over_all_blocks(seven_row_blocks):
+    mesh = seven_row_blocks
+    band = mesh.band_width()
+    points = _ring_points(np.random.default_rng(5), 28, 1.42, 1.58)
+    points[2] = (3.0, 0.0)  # block 0: outside the interior
+    points[10] = mesh.x[5] + 0.5 * band * mesh.normal[5]  # block 1: in the band
+    points[24] = mesh.x[9] - 0.2 * band * mesh.normal[9]  # block 3: nearer still
+    nearest = np.min(np.linalg.norm(points[:, None, :] - mesh.x[None, :, :], axis=-1))
+    message = f"point at distance {nearest:.3e} inside the near-boundary band {band:.3e}"
+    for name, evaluate in _point_entries(mesh).items():
+        with pytest.raises(NearBoundary) as err:
+            evaluate(points)
+        assert str(err.value) == message, name
+    with pytest.raises(InvalidProbe, match="defined on the interior but a point is exterior"):
+        _point_entries(mesh)["eval"](points[:10])
+
+
+def test_a_point_on_a_node_is_refused_without_a_warning(seven_row_blocks):
+    # RuntimeWarning is an error in this suite: no kernel may read r2 = 0
+    mesh = seven_row_blocks
+    points = _ring_points(np.random.default_rng(6), 20, 1.42, 1.58)
+    points[12] = mesh.x[3]
+    for evaluate in _point_entries(mesh).values():
+        with pytest.raises(NearBoundary, match="point at distance 0.000e"):
+            evaluate(points)
+    assert locate_points(mesh, mesh.topology, points)[12] == ("near_boundary", None)
+
+
+def test_eval_allocates_no_array_over_all_pairs():
+    # one (m, n) array of 4000 points and 512 nodes is 15.6 MiB
+    mesh = stock_mesh("annulus", 256)
+    fld = dirichlet_interior(mesh, np.cos(mesh.t)).field
+    points = _ring_points(np.random.default_rng(7), 4000, 1.2, 1.8)
+    tracemalloc.start()
+    try:
+        fld.eval(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from bie2d import distributions, verify
+from bie2d import distributions, geometry, verify
 from bie2d.errors import ConfigError
 from bie2d.geometry import stock_mesh
 from bie2d.verify import run_verify
@@ -79,8 +79,10 @@ def test_verify_factors_each_j_map_once_and_finds_each_probe_set_once(monkeypatc
         return real_probes(mesh, region, count, min_dist, prefer)
 
     real_probes = verify.probe_points
+    # blocks of 8 rows: each candidate pass spans several, and counts once
+    monkeypatch.setattr(geometry, "_BLOCK_PAIRS", 8 * 64)
     monkeypatch.setattr(distributions, "cho_factor", counting(distributions.cho_factor, factors))
-    monkeypatch.setattr(verify, "_target_pass", counting(verify._target_pass, passes))
+    monkeypatch.setattr(verify, "_TargetBlocks", counting(verify._TargetBlocks, passes))
     monkeypatch.setattr(verify, "probe_points", recording_probes)
     assert run_verify(meshes={"disk": stock_mesh("disk", 64)}, n=64).passed
     assert len(factors) == 2
