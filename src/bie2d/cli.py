@@ -318,13 +318,16 @@ def write_field_csv(fld, grid, path):
     """Evaluate a field on a grid and write x,y,u rows (17 significant digits).
 
     Points outside the field's region or inside the near-boundary band get
-    an empty value cell.
+    an empty value cell.  The grid takes two geometry passes: one locates
+    every point, and a second evaluates the usable points as one set, so
+    that their blocks start on multiples of 8 rows of that set and each
+    value has the bits of one product over all usable points on one BLAS
+    thread.  Evaluating each block's usable rows would move some values
+    by an ulp.
     """
     pts = grid.points()
     usable = _TargetBlocks(fld.mesh, pts).in_region(fld.region)[1]
     values = np.full(pts.shape[0], np.nan)
-    # one set of points rather than each block's usable rows, so that BLAS
-    # sums every row as in one product over all usable points
     values[usable] = fld.eval_unchecked(pts[usable])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

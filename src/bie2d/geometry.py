@@ -305,23 +305,23 @@ def _topology(contains, depth, offsets):
 
 # A pairwise pass walks its rows in blocks of about this many pairs (512 KB
 # per float array), so that a block's arrays stay in cache and no array
-# over all pairs is ever allocated.
+# over all pairs is ever allocated.  A block holds a multiple of
+# _ROW_ALIGN rows, and at least _ROW_ALIGN.
 _BLOCK_PAIRS = 1 << 16
+_ROW_ALIGN = 8
 
 
 def _row_blocks(start, stop, n):
     """(lo, hi) of consecutive blocks of the rows start..stop, each against n columns.
 
-    A block has about _BLOCK_PAIRS pairs, in a multiple of 8 rows from 8
-    rows on, so that blocks start where BLAS matrix-vector kernels start a
-    group of rows and every row sums as it would in one product over all
-    rows.  For the same reason a lone last row joins the block before it:
-    numpy computes a one-row product as a dot product, which sums in
-    another order.
+    A block has about _BLOCK_PAIRS pairs, in a multiple of 8 rows, so that
+    blocks start where BLAS matrix-vector kernels start a group of rows and
+    every row sums as it would in one product over all rows (on one BLAS
+    thread; see write_field_csv).  For the same reason a lone last row
+    joins the block before it: numpy computes a one-row product as a dot
+    product, which sums in another order.
     """
-    step = max(1, _BLOCK_PAIRS // n)
-    if step >= 8:
-        step -= step % 8
+    step = max(_ROW_ALIGN, _BLOCK_PAIRS // n // _ROW_ALIGN * _ROW_ALIGN)
     bounds = list(range(start, stop, step)) + [stop]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]

@@ -111,17 +111,17 @@ def _fourier_table(t, degree):
 _DEGREE = 8
 
 
-def seeded_density(mesh, rng, degree=_DEGREE, zero_mean=False, table=None):
-    """Smooth random density: truncated Fourier series in the parameter.
+def seeded_density(mesh, rng, degree=_DEGREE, zero_mean=False):
+    """Smooth random density: truncated Fourier series in the parameter."""
+    return _draw(mesh, rng, *_fourier_table(mesh.t, degree), zero_mean)
 
-    table is _fourier_table(mesh.t, degree), which a caller that draws many
-    densities on one mesh builds once.
-    """
-    cos_kt, sin_kt = _fourier_table(mesh.t, degree) if table is None else table
+
+def _draw(mesh, rng, cos_kt, sin_kt, zero_mean):
+    """seeded_density from its _fourier_table, whose rows set the degree."""
     f = rng.uniform(-1.0, 1.0) * np.ones(mesh.n)
-    for k in range(1, degree + 1):
+    for k, (cos_k, sin_k) in enumerate(zip(cos_kt, sin_kt), start=1):
         a, b = rng.uniform(-1.0, 1.0, size=2) / (1.0 + k)
-        f = f + a * cos_kt[k - 1] + b * sin_kt[k - 1]
+        f = f + a * cos_k + b * sin_k
     if zero_mean:
         f = f - integrate(mesh, f) / integrate(mesh, np.ones(mesh.n))
     return f
@@ -179,7 +179,7 @@ class _MeshCache:
 
     def density(self, rng, zero_mean=False):
         """seeded_density of the mesh, from the cached Fourier table."""
-        return seeded_density(self.mesh, rng, zero_mean=zero_mean, table=self.fourier)
+        return _draw(self.mesh, rng, *self.fourier, zero_mean)
 
     def jmap(self, side):
         """The JMap of the mesh on one side."""

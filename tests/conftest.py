@@ -1,5 +1,5 @@
 import ctypes
-import glob
+import itertools
 import os
 
 import numpy as np
@@ -8,31 +8,59 @@ import pytest
 from bie2d.geometry import build_mesh, stock_mesh, CurveSpec
 
 
-def _one_blas_thread():
-    """Run numpy's OpenBLAS on one thread for the whole session.
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of every OpenBLAS loaded in this process.
 
-    Evaluation sums its rows in blocks, and the tests compare it bit for
-    bit with one matrix-vector product over all rows.  OpenBLAS splits
-    such a product between its threads at a row that depends on the thread
-    count, and the rows next to the split then sum in another order: with
-    two threads, 5 of 1485 rows of a 512-node product move by one ulp.  On
-    one thread every row sums the same way in both routes.  numpy is
-    already loaded when this file is (the warning filters import bie2d),
-    so OPENBLAS_NUM_THREADS would come too late.
+    The libraries are found by name in the process's memory map; the list
+    is empty where there is none (another BLAS, or no /proc).
     """
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "lib*openblas*")):
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {parts[5].strip() for parts in (line.split(None, 5) for line in fh)
+                     if len(parts) == 6 and "openblas" in os.path.basename(parts[5]).lower()}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(paths):
         lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            if hasattr(lib, name):
-                set_threads = getattr(lib, name)
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                set_threads(1)
+        for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
                 break
+    return controls
 
 
-_one_blas_thread()
+@pytest.fixture
+def one_blas_thread():
+    """Run the test with every loaded OpenBLAS on one thread.
+
+    For tests that compare blocked evaluation bit for bit with one
+    matrix-vector product over all rows.  OpenBLAS splits a product that
+    large between its threads at a row that depends on the thread count,
+    and the rows next to the split sum in another order; on one thread
+    every row sums the same way in both routes.
+    """
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("cannot set the BLAS thread count, which the one-product reference needs")
+    before = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    yield
+    for (_, put), count in zip(controls, before):
+        put(count)
+
+
+def rows_per_block(monkeypatch, rows):
+    """Make every pairwise pass take blocks of the given number of rows."""
+    from bie2d import geometry
+
+    monkeypatch.setattr(geometry, "_ROW_ALIGN", rows)
+    monkeypatch.setattr(geometry, "_BLOCK_PAIRS", 0)
 
 
 @pytest.fixture(scope="session")

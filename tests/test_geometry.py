@@ -2,9 +2,8 @@ import re
 
 import numpy as np
 import pytest
-from conftest import winding_locations
+from conftest import rows_per_block, winding_locations
 
-from bie2d import geometry
 from bie2d.errors import InvalidGeometry, LengthMismatch, OutOfRange
 from bie2d.geometry import (
     CurveSpec,
@@ -179,7 +178,7 @@ def test_gauss_law_location_matches_winding_numbers(name, n):
 @pytest.mark.parametrize("name", ["disk", "disk2", "ellipse", "annulus", "kite", "two-disks"])
 def test_location_in_ragged_blocks_matches_winding_numbers(monkeypatch, name):
     mesh = stock_mesh(name, 64)
-    monkeypatch.setattr(geometry, "_BLOCK_PAIRS", 7 * mesh.n)  # blocks of 7 rows
+    rows_per_block(monkeypatch, 7)
     rng = np.random.default_rng(len(name))
     lo, hi = mesh.x.min(axis=0) - 1.0, mesh.x.max(axis=0) + 1.0
     edge = 1.0001 * mesh.band_width() * mesh.normal
@@ -194,8 +193,8 @@ def test_row_blocks_start_on_multiples_of_8_and_leave_no_lone_row():
     assert _row_blocks(0, 161, 768) == [(0, 80), (80, 161)]
     assert _row_blocks(0, 1, 768) == [(0, 1)]
     assert _row_blocks(0, 0, 768) == []
-    # fewer than 8 rows per block are not rounded; curves start anywhere
-    assert _row_blocks(64, 80, 9362) == [(64, 71), (71, 78), (78, 80)]
+    # a block holds 8 rows at least, even past 2^16 pairs; curves start anywhere
+    assert _row_blocks(64, 89, 9362) == [(64, 72), (72, 80), (80, 89)]
 
 
 def test_refinement_consistency():

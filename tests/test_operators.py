@@ -3,9 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import rows_per_block
 from scipy.integrate import quad
 
-from bie2d import geometry
 from bie2d.errors import LengthMismatch, OutOfRange, SingularPoint
 from bie2d.geometry import CurveSpec, build_mesh, pairing, stock_mesh
 from bie2d.operators import (
@@ -356,7 +356,7 @@ def test_shared_pass_matches_separate_assembly(name):
 def test_assembly_in_ragged_blocks_matches_separate_assembly(monkeypatch, name):
     mesh = stock_mesh(name, 64)
     # blocks of 3 rows, and of 4 rows where the 64 rows of a curve end
-    monkeypatch.setattr(geometry, "_BLOCK_PAIRS", 3 * mesh.n)
+    rows_per_block(monkeypatch, 3)
     V, W = _separate_assembly(mesh)
     ops = operator_set(mesh)
     assert np.array_equal(ops.V, V) and np.array_equal(ops.W, W)

@@ -3,9 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import winding_locations
+from conftest import rows_per_block, winding_locations
 
-from bie2d import geometry
 from bie2d.cli import GridSpec, default_grid, write_field_csv
 from bie2d.distributions import PairDistribution, dist_single_layer_field
 from bie2d.errors import InvalidProbe, LengthMismatch, NearBoundary, NoLimit
@@ -209,7 +208,8 @@ def _field_by_norms(fld, points):
 
 
 @pytest.mark.parametrize("name, region", [("annulus", "interior"), ("kite", "exterior")])
-def test_one_geometry_pass_is_bit_identical_to_the_norm_route(tmp_path, name, region):
+def test_one_geometry_pass_is_bit_identical_to_the_norm_route(one_blas_thread, tmp_path, name,
+                                                               region):
     mesh = stock_mesh(name, 256)
     mu, psi = np.cos(3 * mesh.t) + 0.2, np.sin(2 * mesh.t)
     fld = HarmonicField(mesh, [("single", mu), ("double", psi)], constant=0.3, region=region)
@@ -254,7 +254,7 @@ def _by_rows(rows, values_of, points):
 @pytest.fixture
 def seven_row_blocks(monkeypatch):
     """An annulus of 64 nodes per curve, whose target passes take blocks of 7 rows."""
-    monkeypatch.setattr(geometry, "_BLOCK_PAIRS", 7 * 128)
+    rows_per_block(monkeypatch, 7)
     return stock_mesh("annulus", 64)
 
 
@@ -304,7 +304,7 @@ def test_field_csv_in_ragged_blocks(seven_row_blocks, tmp_path):
         assert list(csv.reader(fh)) == _csv_rows(points, usable, values)
 
 
-def test_a_lone_last_row_sums_as_in_one_product():
+def test_a_lone_last_row_sums_as_in_one_product(one_blas_thread):
     # 64 nodes make blocks of 1024 rows; of 1025 points one row is left over,
     # and it joins the block before it instead of forming a one-row product
     mesh = stock_mesh("disk", 64)
