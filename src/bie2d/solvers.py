@@ -14,8 +14,13 @@ sign/2 I + W and a single layer with density in the transpose kernel,
 cross-checking the direct route.  Every +- is the side's sign (README,
 "Sides and signs").  The SVD survives only in nullspace and
 transpose_kernel_pair_basis, as the independent check of those kernels.
+nullspace takes one SVD of shift I + W per side and reads both of the
+side's kernels from it: the right null vectors span the kernel of
+shift I + W, and, since Wt = D^-1 W^T D, the left null vectors scaled by
+D^-1 span the kernel of shift I + Wt.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -262,7 +267,13 @@ def neumann_exterior(mesh, g, compat_tol=1e-7, kernel_shift=None):
 
 @dataclass
 class NullspaceBasis:
-    """Orthonormal kernel basis with the singular values that selected it."""
+    """Orthonormal kernel basis with the singular values that selected it.
+
+    For a W kind these are the SVD of shift I + W and its right null
+    vectors.  A Wt kind shares that SVD: singular_values and gap are those
+    of shift I + W, and the vectors are D^-1 times its left null vectors,
+    orthonormalized (Wt = D^-1 W^T D, so ker(shift I + Wt) = D^-1 ker((shift I + W)^T)).
+    """
 
     vectors: np.ndarray
     singular_values: np.ndarray
@@ -293,24 +304,46 @@ def _op_kind(op_kind, ops=("W", "Wt")):
     return side, op
 
 
-def nullspace(mesh, op_kind, tol=1e-10):
-    """SVD null space of one of the four second-kind operators."""
-    side, op = _op_kind(op_kind)
-    A = side.shift * np.eye(mesh.n) + getattr(operator_set(mesh), op)
-    _, sv, vt = np.linalg.svd(A)
-    cut = tol * sv[0]
-    below = sv < cut
-    dim = int(np.sum(below))
-    if 0 < dim < mesh.n:
-        gap = float(sv[mesh.n - dim - 1] / sv[mesh.n - dim])
-    else:
-        gap = float("inf")
+class _SideKernels(NamedTuple):
+    W: NullspaceBasis  # kernel of shift I + W
+    Wt: NullspaceBasis  # kernel of shift I + Wt
+
+
+def _side_kernels(mesh, side, tol=1e-10):
+    """Kernels of one side's shift I + W and shift I + Wt from one SVD of shift I + W.
+
+    The right null vectors span the W kernel.  The left null vectors
+    scaled by D^-1 span the Wt kernel, and a thin QR orthonormalizes them.
+    Singular values below tol times the largest count as zero; tol must be
+    a finite real in (0, 1), else OutOfRange.
+    """
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < 1:
+        raise OutOfRange(f"nullspace tol must be a finite real in (0, 1), got {tol!r}")
+    n = mesh.n
+    A = side.shift * np.eye(n) + operator_set(mesh).W
+    u, sv, vt = np.linalg.svd(A)
+    dim = int(np.sum(sv < tol * sv[0]))
+    # tol < 1 keeps sv[0], so the kernel is never all of R^n
+    gap = float(sv[n - dim - 1] / sv[n - dim]) if dim else float("inf")
     warning = None
     if gap < 1e4:
         warning = f"singular-value gap {gap:.2e} below 1e4"
         warnings.warn(warning, ConditioningWarning)
-    vectors = vt[mesh.n - dim:].T if dim else np.zeros((mesh.n, 0))
-    return NullspaceBasis(vectors, sv, gap, warning)
+    # copies, so that no n x n factor outlives this call
+    w_kernel = vt[n - dim:].T.copy()
+    wt_kernel, _ = np.linalg.qr(u[:, n - dim:] / mesh.weights[:, None])
+    return _SideKernels(NullspaceBasis(w_kernel, sv, gap, warning),
+                        NullspaceBasis(wt_kernel, sv, gap, warning))
+
+
+def nullspace(mesh, op_kind, tol=1e-10):
+    """Null space of one of the four second-kind operators, from the side's SVD.
+
+    Both kinds of a side read one SVD of shift I + W (see NullspaceBasis);
+    tol, the relative singular-value cut, must be a finite real in (0, 1).
+    """
+    side, op = _op_kind(op_kind)
+    return getattr(_side_kernels(mesh, side, tol), op)
 
 
 def _decompose(mesh, g, sign):

@@ -46,13 +46,13 @@ from .solvers import (
     _compat_rows,
     _dirichlet,
     _kernel_angle,
+    _side_kernels,
     _subspace_angle,
     _wt_solve,
     dirichlet_exterior,
     dirichlet_interior,
     neumann_exterior,
     neumann_interior,
-    nullspace,
     poisson_exterior,
     poisson_interior,
 )
@@ -379,22 +379,27 @@ def check_space_coincidence(mesh, rng, count=5, cache=None):
 
 
 def check_nullspace_dims(mesh, rng, cache=None):
-    """Largest angle between each SVD Wt kernel and its two twins.
+    """Largest angle between each side's Wt kernel and its two twins.
 
-    The twins are the pair-route kernel and the measured kernel of the
-    bordered LU the Neumann solvers use.  pi/2, the largest angle, when a
-    kernel misses its side's component count or its singular-value gap.
+    _side_kernels gives both kernels of a side from one SVD of shift I + W.
+    The twins of the Wt kernel are the pair-route kernel and the measured
+    kernel of the bordered LU the Neumann solvers use; both come from other
+    matrices than that SVD.  pi/2, the largest angle, when a kernel misses
+    its side's component count or its singular-value gap.
     """
     cache = cache or _MeshCache(mesh)
     worst = 0.0
     for kind, (side, op) in _OP_KINDS.items():
-        basis = nullspace(mesh, kind)
-        if basis.dimension != getattr(mesh.topology, side.kappa) or basis.gap < 1e4:
+        if op != "Wt":
+            continue
+        kernels = _side_kernels(mesh, side)
+        count = getattr(mesh.topology, side.kappa)
+        if kernels.W.gap < 1e4 or any(b.dimension != count for b in kernels):
             return np.pi / 2
-        if op == "Wt":
-            lu_kernel = _wt_solve(mesh, side, np.zeros(mesh.n)).kernel
-            worst = max(worst, _kernel_angle(mesh, kind, basis.vectors, cache.jmap("plus")),
-                        _subspace_angle(basis.vectors, lu_kernel))
+        wt = kernels.Wt.vectors
+        lu_kernel = _wt_solve(mesh, side, np.zeros(mesh.n)).kernel
+        worst = max(worst, _kernel_angle(mesh, kind, wt, cache.jmap("plus")),
+                    _subspace_angle(wt, lu_kernel))
     return worst
 
 

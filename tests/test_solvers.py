@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import subspace_angles
 
 from bie2d import solvers
-from bie2d.errors import IncompatibleData, NearBoundary, SingularSystem
+from bie2d.errors import IncompatibleData, NearBoundary, OutOfRange, SingularSystem
 from bie2d.geometry import (
     CurveSpec,
     build_mesh,
@@ -189,6 +189,43 @@ def test_nullspace_basis_structure():
     basis = nullspace(mesh, "minus_half_plus_W").vectors
     const = np.ones(mesh.n) / np.sqrt(mesh.n)
     assert abs(float(basis[:, 0] @ const)) > 1.0 - 1e-10
+
+
+@pytest.mark.parametrize("tol", [2.0, 1.0, 0.0, -1.0, float("nan"), float("inf"),
+                                 True, "1e-10", None])
+def test_nullspace_refuses_a_bad_tol(tol):
+    mesh = stock_mesh("disk", 64)
+    with pytest.raises(OutOfRange, match="tol"):
+        nullspace(mesh, "minus_half_plus_W", tol)
+
+
+@pytest.mark.parametrize("kind", ["half_plus_W", "minus_half_plus_W"])
+@pytest.mark.parametrize("name", ["disk", "annulus"])
+def test_w_kind_nullspace_is_the_right_singular_vectors(one_blas_thread, name, kind):
+    # the W kernel is the right null vectors of that SVD, bit for bit
+    mesh = stock_mesh(name, 128)
+    side, _ = solvers._OP_KINDS[kind]
+    _, sv, vt = np.linalg.svd(side.shift * np.eye(mesh.n) + operator_set(mesh).W)
+    dim = int(np.sum(sv < 1e-10 * sv[0]))
+    basis = nullspace(mesh, kind)
+    assert np.array_equal(basis.singular_values, sv)
+    assert np.array_equal(basis.vectors, vt[mesh.n - dim:].T)
+
+
+@pytest.mark.parametrize("name, n", [("disk", 64), ("disk", 256), ("ellipse", 256),
+                                     ("annulus", 256), ("kite", 128), ("two-disks", 128)])
+def test_wt_kernel_matches_a_direct_svd_of_shift_plus_wt(name, n):
+    # the reference takes the SVD of shift I + Wt itself, so it does not
+    # rest on the duality Wt = D^-1 W^T D that the helper reads its kernel from
+    mesh = stock_mesh(name, n)
+    for side in (_side("plus"), _side("minus")):
+        got = solvers._side_kernels(mesh, side).Wt.vectors
+        _, sv, vt = np.linalg.svd(side.shift * np.eye(mesh.n) + operator_set(mesh).Wt)
+        ref = vt[mesh.n - int(np.sum(sv < 1e-10 * sv[0])):].T
+        assert got.shape == ref.shape
+        if ref.shape[1]:
+            assert np.max(subspace_angles(got, ref)) <= 1e-12
+        assert np.max(np.abs(got.T @ got - np.eye(got.shape[1])), initial=0.0) <= 1e-14
 
 
 def test_transpose_kernel_coincidence(annulus):

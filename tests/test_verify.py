@@ -48,9 +48,9 @@ def test_default_report_rows_are_pinned():
 
 
 @pytest.mark.parametrize("name", ["disk", "ellipse", "annulus"])
-def test_verify_takes_six_square_svds_per_mesh(monkeypatch, name):
-    # four SVD null spaces and two pair-route transpose kernels; the Wt
-    # angles reuse the null spaces rather than computing them again
+def test_verify_takes_four_square_svds_per_mesh(monkeypatch, name):
+    # one SVD of shift I + W per side, which gives both of its null spaces,
+    # and two pair-route transpose kernels
     mesh = stock_mesh(name, 64)
     svd, shapes = np.linalg.svd, []
 
@@ -60,7 +60,7 @@ def test_verify_takes_six_square_svds_per_mesh(monkeypatch, name):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     assert run_verify(meshes={name: mesh}, n=64).passed
-    assert shapes.count((mesh.n, mesh.n)) == 6
+    assert shapes.count((mesh.n, mesh.n)) == 4
 
 
 def test_verify_factors_each_j_map_once_and_finds_each_probe_set_once(monkeypatch):
