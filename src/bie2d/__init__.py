@@ -13,7 +13,6 @@ from .errors import (
     NoLimit,
     NonFiniteResult,
     OutOfRange,
-    SingularPoint,
     SingularSystem,
 )
 from .geometry import (
@@ -28,19 +27,10 @@ from .geometry import (
     pairing,
     stock_mesh,
     stock_specs,
-    topology_of,
 )
 from .operators import (
-    OperatorMatrix,
     OperatorSet,
-    assemble_V,
-    assemble_W,
-    assemble_Wt,
-    fundamental_solution,
-    grad_fundamental_solution,
     operator_set,
-    save_matrix,
-    steklov,
 )
 from .potentials import (
     HarmonicField,

@@ -21,10 +21,6 @@ class NearBoundary(Bie2dError):
     """Evaluation point falls inside the near-boundary quadrature band."""
 
 
-class SingularPoint(Bie2dError):
-    """Kernel evaluated at a zero offset."""
-
-
 class SingularSystem(Bie2dError):
     """A dense solve failed its residual check or its condition estimate."""
 

@@ -429,11 +429,6 @@ def _check_gap_resolved(mesh, pair, gap, spacings):
     )
 
 
-def topology_of(mesh):
-    """The domain topology that build_mesh computed for the mesh."""
-    return mesh.topology
-
-
 def indicator(topology, region, index):
     """Indicator grid function of a boundary component group.
 
@@ -508,8 +503,8 @@ class _Targets:
         k = np.multiply(2.0 * np.pi, self.r2, out=self._scratch[1])
         return np.negative(np.divide(self.nd, k, out=k), out=k)
 
-    def location_codes(self, topology):
-        """Each point's index into _location_table(topology).
+    def location_codes(self):
+        """Each point's index into _location_table(mesh.topology).
 
         Off the band, the double layer of a curve's indicator is +-1 inside
         the curve and 0 outside.  A point inside a hole lies in the hole's
@@ -521,7 +516,7 @@ class _Targets:
         code = np.zeros(near.size, dtype=int)
         clear = code[~near]
         # holes come after outer curves, so that they win
-        for k, c in enumerate(topology.outer_comps + topology.hole_comps, start=2):
+        for k, c in enumerate(mesh.topology.outer_comps + mesh.topology.hole_comps, start=2):
             sl = mesh.component_slice(c)
             clear[np.abs(kernel[:, sl] @ mesh.weights[sl]) > 0.5] = k
         code[~near] = clear
@@ -530,8 +525,7 @@ class _Targets:
 
     def in_region(self, region):
         """Mask of the points in the region, 'interior' or 'exterior'."""
-        topology = self.mesh.topology
-        return _location_kinds(topology)[self.location_codes(topology)] == region
+        return _location_kinds(self.mesh.topology)[self.location_codes()] == region
 
 
 def _location_table(topology):
@@ -580,31 +574,30 @@ class _TargetBlocks:
             r2, nd = _pair_geometry(self.points[lo:hi], mesh.x, mesh.normal, out)
             yield slice(lo, hi), _Targets(mesh, r2, nd, out[2:])
 
-    def locate(self, topology):
+    def locate(self):
         """Each point's distance to the nearest node and its location code."""
         dist = np.empty(len(self))
         code = np.empty(len(self), dtype=int)
         for rows, targets in self:
             dist[rows] = targets.dist
-            code[rows] = targets.location_codes(topology)
+            code[rows] = targets.location_codes()
         return dist, code
 
     def in_region(self, region):
         """Each point's distance to the nearest node, and the mask of the points in the region."""
-        topology = self.mesh.topology
-        dist, code = self.locate(topology)
-        return dist, _location_kinds(topology)[code] == region
+        dist, code = self.locate()
+        return dist, _location_kinds(self.mesh.topology)[code] == region
 
 
-def locate_point(mesh, topology, p):
+def locate_point(mesh, p):
     """Classify a point: interior(j), exterior(k), or near_boundary."""
-    return locate_points(mesh, topology, [p])[0]
+    return locate_points(mesh, [p])[0]
 
 
-def locate_points(mesh, topology, points):
+def locate_points(mesh, points):
     """Vectorized locate_point over an array of points, shape (m, 2)."""
-    table = _location_table(topology)
-    return [table[k] for k in _TargetBlocks(mesh, points).locate(topology)[1].tolist()]
+    table = _location_table(mesh.topology)
+    return [table[k] for k in _TargetBlocks(mesh, points).locate()[1].tolist()]
 
 
 # ---------------------------------------------------------------------------

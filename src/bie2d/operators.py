@@ -32,54 +32,14 @@ so the set holds three dense arrays: the bordered matrix, W and the LU
 factors.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import (
-    InvalidGeometry,
-    OutOfRange,
-    SingularPoint,
-    SingularSystem,
-)
+from .errors import InvalidGeometry, OutOfRange, SingularSystem
 from .geometry import _block_scratch, _check_aligned, _pair_geometry, _row_blocks
-
-
-def fundamental_solution(n, xi):
-    """Fundamental solution of the Laplacian; only n = 2 is supported."""
-    if n != 2:
-        raise SingularPoint(f"dimension {n} not supported")
-    xi = np.asarray(xi, dtype=float)
-    r = np.linalg.norm(xi, axis=-1)
-    if np.any(r == 0.0):
-        raise SingularPoint("fundamental solution evaluated at zero offset")
-    return np.log(r) / (2.0 * np.pi)
-
-
-def grad_fundamental_solution(n, xi):
-    """Gradient of the fundamental solution with respect to its argument."""
-    if n != 2:
-        raise SingularPoint(f"dimension {n} not supported")
-    xi = np.asarray(xi, dtype=float)
-    r = np.linalg.norm(xi, axis=-1)
-    if np.any(r == 0.0):
-        raise SingularPoint("gradient evaluated at zero offset")
-    return xi / (2.0 * np.pi * r[..., None] ** 2)
-
-
-@dataclass(eq=False)
-class OperatorMatrix:
-    """Dense operator with its mesh and a kind tag (V, W, Wt, Splus, Sminus)."""
-
-    matrix: np.ndarray
-    kind: str
-    mesh: object
-
-    def apply(self, f):
-        return self.matrix @ _check_aligned(self.mesh, f)
 
 
 def log_weight_row(nc):
@@ -102,7 +62,7 @@ def _circulant(row):
     return sliding_window_view(np.concatenate((row[::-1], row[:0:-1])), n)[::-1]
 
 
-def _assemble(mesh, V=None):
+def _assemble(mesh, V):
     """V and W, filled one block of rows at a time; W is not yet checked.
 
     Both read r2 = |x_i - x_j|^2 (1 on the diagonal).  W is the trapezoid
@@ -110,11 +70,10 @@ def _assemble(mesh, V=None):
     diagonal; V is the smooth (0.25 / pi) log r2 fill, with the columns of
     each row's own curve overwritten by the Kussmaul-Martensen product
     rule.  No block spans two curves.  V is written into the given (n, n)
-    array (OperatorSet passes a view of its bordered matrix), or into a
-    new one; apart from V and W only block-sized arrays are allocated.
+    array (OperatorSet passes a view of its bordered matrix); apart from
+    W only block-sized arrays are allocated.
     """
     n = mesh.n
-    V = np.empty((n, n)) if V is None else V
     W = np.empty((n, n))
     # the generators first, so that their temporaries are freed before the
     # block arrays are allocated
@@ -162,13 +121,15 @@ def _assemble(mesh, V=None):
     return V, W
 
 
-def assemble_V(mesh):
-    """Nystrom matrix of the single-layer boundary trace."""
-    return OperatorMatrix(_assemble(mesh)[0], "V", mesh)
-
-
 def _checked_W(mesh, W):
-    """W itself, once W 1 = 1/2 holds on every curve."""
+    """W itself, once W 1 = 1/2 holds on every curve.
+
+    W's diagonal holds the continuous limit kappa_i / (4 pi), and this
+    check, made when the OperatorSet is built, pins the sign convention.
+    A reversed normal moves the row sums on its curve by about 1 (to
+    -1/2 on an outer curve, 3/2 on a hole); a smaller miss means the
+    nodes do not resolve the curve or its neighbours.
+    """
     w1 = W @ np.ones(mesh.n)
     if np.max(np.abs(w1 - 0.5)) > 1e-8:
         rows = [w1[mesh.component_slice(c)] for c in range(mesh.n_components)]
@@ -178,23 +139,6 @@ def _checked_W(mesh, W):
         raise InvalidGeometry(f"double layer {cause}: |W 1 - 1/2| = {resid:.3e} "
                               f"on curve {c} with {rows[c].size} nodes")
     return W
-
-
-def assemble_W(mesh):
-    """Nystrom matrix of the double-layer boundary operator.
-
-    The diagonal holds the continuous limit kappa_i / (4 pi); the sign
-    convention is pinned by asserting W 1 = 1/2 at build time.  A reversed
-    normal moves the row sums on its curve by about 1 (to -1/2 on an outer
-    curve, 3/2 on a hole); a smaller miss means the nodes do not resolve
-    the curve or its neighbours.
-    """
-    return OperatorMatrix(_checked_W(mesh, _assemble(mesh)[1]), "W", mesh)
-
-
-def assemble_Wt(mesh):
-    """Adjoint double-layer operator, exact in the weighted pairing."""
-    return OperatorMatrix(operator_set(mesh).Wt, "Wt", mesh)
 
 
 class _Side(NamedTuple):
@@ -319,20 +263,3 @@ def operator_set(mesh):
     if mesh.operators is None:
         mesh.operators = OperatorSet(mesh)
     return mesh.operators
-
-
-def steklov(mesh, side):
-    """Dense Dirichlet-to-Neumann matrix of one side, rebuilt on every call."""
-    matrix = operator_set(mesh).dtn(side, np.eye(mesh.n))
-    return OperatorMatrix(matrix, "S" + side, mesh)
-
-
-def save_matrix(op, path, fmt="csv"):
-    """Dump a dense operator row-major with a small header for debugging."""
-    if fmt == "csv":
-        header = f"kind={op.kind} n={op.matrix.shape[0]}"
-        np.savetxt(path, op.matrix, delimiter=",", header=header)
-    elif fmt == "npy":
-        np.save(path, op.matrix)
-    else:
-        raise ValueError(f"unknown dump format {fmt!r}")

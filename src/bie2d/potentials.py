@@ -159,14 +159,18 @@ class HarmonicField:
 
 InfinityValue = namedtuple("InfinityValue", ["mean", "representation"])
 
+_N_PROBE = 256
+_PROBE_TOL = 1e-6
 
-def value_at_infinity(fld, probe_radius, n_probe=256, tol=1e-6):
+
+def value_at_infinity(fld, probe_radius):
     """Value of an exterior field at infinity.
 
-    Returns the mean over a probe circle together with the value implied
-    by the representation; the two must agree within tol.  Raises NoLimit
-    when the representation grows logarithmically and InvalidProbe when
-    the circle does not safely enclose the boundary.
+    Returns the mean over a probe circle of _N_PROBE points together with
+    the value implied by the representation; the two must agree within
+    _PROBE_TOL.  Raises NoLimit when the representation grows
+    logarithmically and InvalidProbe when the circle does not safely
+    enclose the boundary.
     """
     mesh = fld.mesh
     rmax = float(np.max(np.linalg.norm(mesh.x, axis=1)))
@@ -175,10 +179,10 @@ def value_at_infinity(fld, probe_radius, n_probe=256, tol=1e-6):
             f"probe radius {probe_radius} does not enclose the boundary (r_max={rmax:.3f})"
         )
     rep = fld.value_at_infinity_representation()
-    theta = 2.0 * np.pi * np.arange(n_probe) / n_probe
+    theta = 2.0 * np.pi * np.arange(_N_PROBE) / _N_PROBE
     circle = probe_radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     mean = float(np.mean(fld.eval_unchecked(circle)))
-    if abs(mean - rep) > tol:
+    if abs(mean - rep) > _PROBE_TOL:
         raise InvalidProbe(
             f"probe mean {mean:.3e} disagrees with representation value {rep:.3e}"
         )

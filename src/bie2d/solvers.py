@@ -32,6 +32,7 @@ from scipy.linalg.lapack import dgecon
 from .errors import (
     ConditioningWarning,
     IncompatibleData,
+    LengthMismatch,
     NearBoundary,
     OutOfRange,
     SingularSystem,
@@ -454,13 +455,21 @@ def trace_of_field_terms(mesh, terms, side):
     return out
 
 
+def _one_point(mesh, x):
+    """The geometry pass of a single point x of shape (2,)."""
+    blocks = _TargetBlocks(mesh, x)
+    if not blocks.single:
+        raise LengthMismatch(f"expected one point of shape (2,), got {blocks.points.shape}")
+    return next(iter(blocks))[1]
+
+
 def green_h(mesh, x, side):
-    """Harmonic function matching the fundamental solution centered at x.
+    """Harmonic function matching the fundamental solution centered at x, shape (2,).
 
     side 'interior' solves in the open set, 'exterior' outside (harmonic
     at infinity); returns the SolveReport of the bordered solve.
     """
-    _, source = next(iter(_TargetBlocks(mesh, x)))
+    source = _one_point(mesh, x)
     if source.dist[0] < mesh.band_width():
         raise NearBoundary("source point inside the near-boundary band")
     return _dirichlet(mesh, source.single_kernel[0], side)
@@ -472,12 +481,12 @@ def _poisson(mesh, g, x, region):
     eta = green_h(mesh, x, region).densities["eta"]
     dh = normal_derivative_single(mesh, eta, _side(region, "region").name)
     # d/dnu_y S2(x - y) is the double-layer kernel at x
-    kernel = next(iter(_TargetBlocks(mesh, x)))[1].double_kernel[0]
+    kernel = _one_point(mesh, x).double_kernel[0]
     return float(np.dot(mesh.weights * g, kernel - dh))
 
 
 def poisson_interior(mesh, g, x):
-    """Green-function representation of the interior harmonic extension at x.
+    """Green-function representation of the interior harmonic extension at one point x.
 
     For x in the open set this reproduces the Dirichlet solution; for x in
     the exterior the same integral vanishes.
@@ -486,7 +495,7 @@ def poisson_interior(mesh, g, x):
 
 
 def poisson_exterior(mesh, g, x):
-    """Exterior Green representation; returns (value, constant at infinity)."""
+    """Exterior Green representation at one point x; returns (value, constant at infinity)."""
     val = _poisson(mesh, g, x, "exterior")
     c_g = float(operator_set(mesh).q @ _check_aligned(mesh, g))
     return c_g - val, c_g

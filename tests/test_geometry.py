@@ -16,7 +16,6 @@ from bie2d.geometry import (
     pairing,
     stock_mesh,
     stock_specs,
-    topology_of,
 )
 
 
@@ -36,7 +35,7 @@ def test_ellipse_arclength_against_refined_mesh():
 
 def test_annulus_hole_normal_points_into_hole():
     mesh = stock_mesh("annulus", 64)
-    topo = topology_of(mesh)
+    topo = mesh.topology
     assert mesh.n_components == 2
     (hole,) = topo.hole_comps
     sl = mesh.component_slice(hole)
@@ -53,7 +52,7 @@ def test_orientation_autofix():
         CurveSpec("circle", radius=1.0, orientation="positive"),
     ]
     mesh = build_mesh(specs, [64, 64])
-    topo = topology_of(mesh)
+    topo = mesh.topology
     sl = mesh.component_slice(topo.hole_comps[0])
     x, nu = mesh.x[sl][0], mesh.normal[sl][0]
     assert np.dot(nu, -x) > 0
@@ -61,7 +60,7 @@ def test_orientation_autofix():
 
 def test_signed_area_orientation_invariant():
     mesh = stock_mesh("annulus", 64)
-    topo = topology_of(mesh)
+    topo = mesh.topology
     for c in range(mesh.n_components):
         sl = mesh.component_slice(c)
         area2 = 0.5 * np.sum(
@@ -74,11 +73,11 @@ def test_signed_area_orientation_invariant():
 
 
 def test_topology_counts():
-    assert topology_of(stock_mesh("disk", 32)).kappa_plus == 1
-    assert topology_of(stock_mesh("disk", 32)).kappa_minus == 0
-    topo = topology_of(stock_mesh("annulus", 32))
+    assert stock_mesh("disk", 32).topology.kappa_plus == 1
+    assert stock_mesh("disk", 32).topology.kappa_minus == 0
+    topo = stock_mesh("annulus", 32).topology
     assert (topo.kappa_plus, topo.kappa_minus) == (1, 1)
-    topo = topology_of(stock_mesh("two-disks", 32))
+    topo = stock_mesh("two-disks", 32).topology
     assert (topo.kappa_plus, topo.kappa_minus) == (2, 0)
 
 
@@ -109,10 +108,10 @@ def test_node_count_validation():
 
 def test_indicator_examples():
     disk = stock_mesh("disk", 32)
-    topo = topology_of(disk)
+    topo = disk.topology
     assert np.all(indicator(topo, "omega", 1) == 1.0)
     ann = stock_mesh("annulus", 32)
-    topo = topology_of(ann)
+    topo = ann.topology
     inner = indicator(topo, "omega_minus", 1)
     outer = indicator(topo, "omega_minus", 0)
     hole_sl = ann.component_slice(topo.hole_comps[0])
@@ -126,7 +125,7 @@ def test_indicator_examples():
 def test_indicator_partitions():
     for name in ("annulus", "two-disks"):
         mesh = stock_mesh(name, 32)
-        topo = topology_of(mesh)
+        topo = mesh.topology
         total = sum(
             indicator(topo, "omega", j) for j in range(1, topo.kappa_plus + 1)
         )
@@ -150,15 +149,13 @@ def test_integrate_examples():
 
 def test_locate_point_examples():
     disk = stock_mesh("disk", 64)
-    topo = topology_of(disk)
-    assert locate_point(disk, topo, (0.0, 0.0)) == ("interior", 1)
-    assert locate_point(disk, topo, (3.0, 0.0)) == ("exterior", 0)
-    assert locate_point(disk, topo, (1.0, 0.0)).kind == "near_boundary"
+    assert locate_point(disk, (0.0, 0.0)) == ("interior", 1)
+    assert locate_point(disk, (3.0, 0.0)) == ("exterior", 0)
+    assert locate_point(disk, (1.0, 0.0)).kind == "near_boundary"
     ann = stock_mesh("annulus", 64)
-    topo = topology_of(ann)
-    assert locate_point(ann, topo, (1.5, 0.0)) == ("interior", 1)
-    assert locate_point(ann, topo, (0.5, 0.0)) == ("exterior", 1)
-    assert locate_point(ann, topo, (2.5, 0.0)) == ("exterior", 0)
+    assert locate_point(ann, (1.5, 0.0)) == ("interior", 1)
+    assert locate_point(ann, (0.5, 0.0)) == ("exterior", 1)
+    assert locate_point(ann, (2.5, 0.0)) == ("exterior", 0)
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 256])
@@ -172,7 +169,7 @@ def test_gauss_law_location_matches_winding_numbers(name, n):
     points = np.concatenate([rng.uniform(lo, hi, size=(20000, 2)),
                              mesh.x + edge, mesh.x - edge])
     for chunk in np.array_split(points, 10):
-        assert locate_points(mesh, mesh.topology, chunk) == winding_locations(mesh, chunk)
+        assert locate_points(mesh, chunk) == winding_locations(mesh, chunk)
 
 
 @pytest.mark.parametrize("name", ["disk", "disk2", "ellipse", "annulus", "kite", "two-disks"])
@@ -184,7 +181,7 @@ def test_location_in_ragged_blocks_matches_winding_numbers(monkeypatch, name):
     edge = 1.0001 * mesh.band_width() * mesh.normal
     points = np.concatenate([rng.uniform(lo, hi, size=(148, 2)), mesh.x + edge, mesh.x - edge])
     assert len(points) % 7 > 1
-    assert locate_points(mesh, mesh.topology, points) == winding_locations(mesh, points)
+    assert locate_points(mesh, points) == winding_locations(mesh, points)
 
 
 def test_row_blocks_start_on_multiples_of_8_and_leave_no_lone_row():

@@ -6,45 +6,43 @@ import pytest
 from conftest import rows_per_block
 from scipy.integrate import quad
 
-from bie2d.errors import LengthMismatch, OutOfRange, SingularPoint
-from bie2d.geometry import CurveSpec, build_mesh, pairing, stock_mesh
-from bie2d.operators import (
-    OperatorMatrix,
-    OperatorSet,
-    assemble_V,
-    assemble_W,
-    assemble_Wt,
-    fundamental_solution,
-    grad_fundamental_solution,
-    log_weight_row,
-    operator_set,
-    save_matrix,
-    steklov,
-)
+from bie2d.errors import LengthMismatch, OutOfRange
+from bie2d.geometry import CurveSpec, _TargetBlocks, build_mesh, pairing, stock_mesh
+from bie2d.operators import OperatorSet, log_weight_row, operator_set
+from bie2d.potentials import trace_single
 
 
 def circle_mesh(radius, n):
     return build_mesh([CurveSpec("circle", radius=radius)], [n])
 
 
+def _kernels(mesh, points):
+    """Both layer kernels of the points against every node of the mesh."""
+    (_, targets), = _TargetBlocks(mesh, points)
+    return targets.single_kernel.copy(), targets.double_kernel.copy()
+
+
 def test_fundamental_solution_values():
-    assert abs(fundamental_solution(2, np.array([1.0, 0.0]))) < 1e-15
-    assert abs(fundamental_solution(2, np.array([np.e, 0.0])) - 1 / (2 * np.pi)) < 1e-15
-    with pytest.raises(SingularPoint):
-        fundamental_solution(2, np.zeros(2))
-    with pytest.raises(SingularPoint):
-        fundamental_solution(3, np.array([0.0, 1.0, 0.0]))
+    # the single-layer kernel is the fundamental solution log|x - y| / 2 pi
+    mesh = circle_mesh(1.0, 16)
+    y = mesh.x[0]
+    single, _ = _kernels(mesh, [y + (1.0, 0.0), y + (np.e, 0.0)])
+    assert abs(single[0, 0]) < 1e-15
+    assert abs(single[1, 0] - 1 / (2 * np.pi)) < 1e-15
 
 
 def test_gradient_matches_finite_differences():
+    # the double-layer kernel is the derivative of the single-layer kernel
+    # along nu(y), the node's normal, at fixed x
     h = 1e-6
-    xi = np.array([0.7, -0.4])
-    g = grad_fundamental_solution(2, xi)
-    for axis in range(2):
-        e = np.zeros(2)
-        e[axis] = h
-        fd = (fundamental_solution(2, xi + e) - fundamental_solution(2, xi - e)) / (2 * h)
-        assert abs(g[axis] - fd) < 1e-8
+    mesh = circle_mesh(1.0, 16)
+    x = np.array([0.7, -0.4])
+    _, double = _kernels(mesh, x)
+    for j in range(mesh.n):
+        e = h * mesh.normal[j]
+        # moving x by -e moves x - y as moving y by +e does
+        fd = (_kernels(mesh, x - e)[0][0, j] - _kernels(mesh, x + e)[0][0, j]) / (2 * h)
+        assert abs(double[0, j] - fd) < 1e-8
 
 
 def log_kernel_mode_integral(k):
@@ -69,75 +67,72 @@ def test_single_layer_circle_modes(a, k):
     assert abs(eigval + a / (2 * k)) < 1e-10
     mesh = circle_mesh(a, 128)
     f = np.cos(k * mesh.t)
-    V = assemble_V(mesh)
-    assert np.max(np.abs(V.apply(f) - eigval * f)) < 1e-8
+    V = operator_set(mesh).V
+    assert np.max(np.abs(V @ f - eigval * f)) < 1e-8
 
 
 def test_single_layer_circle_constants():
     mesh = circle_mesh(1.0, 64)
-    V = assemble_V(mesh)
-    assert np.max(np.abs(V.apply(np.ones(64)))) < 1e-10
+    V = operator_set(mesh).V
+    assert np.max(np.abs(V @ np.ones(64))) < 1e-10
     mesh = circle_mesh(2.0, 64)
-    V = assemble_V(mesh)
-    assert np.max(np.abs(V.apply(np.ones(64)) - 2 * np.log(2.0))) < 1e-10
+    V = operator_set(mesh).V
+    assert np.max(np.abs(V @ np.ones(64) - 2 * np.log(2.0))) < 1e-10
 
 
 def test_w_of_one_is_half(disk, ellipse, annulus, kite):
     for mesh in (disk, ellipse, annulus, kite):
-        W = assemble_W(mesh)
-        assert np.max(np.abs(W.apply(np.ones(mesh.n)) - 0.5)) < 1e-10
+        W = operator_set(mesh).W
+        assert np.max(np.abs(W @ np.ones(mesh.n) - 0.5)) < 1e-10
 
 
 def test_w_kills_circle_modes():
     mesh = circle_mesh(2.0, 64)
-    W = assemble_W(mesh)
+    ops = operator_set(mesh)
     for k in (1, 2, 3):
-        assert np.max(np.abs(W.apply(np.cos(k * mesh.t)))) < 1e-10
-    Wt = assemble_Wt(mesh)
-    assert np.max(np.abs(Wt.apply(np.ones(64)) - 0.5)) < 1e-10
+        assert np.max(np.abs(ops.W @ np.cos(k * mesh.t))) < 1e-10
+    assert np.max(np.abs(ops.Wt @ np.ones(64) - 0.5)) < 1e-10
 
 
 def test_wt_duality_exact(ellipse, rng):
-    W = assemble_W(ellipse)
-    Wt = assemble_Wt(ellipse)
+    ops = operator_set(ellipse)
     f = rng.standard_normal(ellipse.n)
     g = rng.standard_normal(ellipse.n)
-    lhs = pairing(ellipse, Wt.apply(f), g)
-    rhs = pairing(ellipse, f, W.apply(g))
+    lhs = pairing(ellipse, ops.Wt @ f, g)
+    rhs = pairing(ellipse, f, ops.W @ g)
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
 def test_v_symmetry(kite, rng):
-    V = assemble_V(kite)
+    V = operator_set(kite).V
     f = rng.standard_normal(kite.n)
     g = rng.standard_normal(kite.n)
-    assert abs(pairing(kite, V.apply(f), g) - pairing(kite, f, V.apply(g))) < 1e-8
+    assert abs(pairing(kite, V @ f, g) - pairing(kite, f, V @ g)) < 1e-8
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 def test_steklov_circle_modes(a):
     mesh = circle_mesh(a, 128)
-    Sp = steklov(mesh, "plus")
-    Sm = steklov(mesh, "minus")
+    ops = operator_set(mesh)
+    Sp, Sm = ops.S_plus, ops.S_minus
     for k in (1, 2, 3):
         f = np.cos(k * mesh.t)
-        assert np.max(np.abs(Sp.apply(f) - (k / a) * f)) < 1e-8
-        assert np.max(np.abs(Sm.apply(f) - (k / a) * f)) < 1e-8
+        assert np.max(np.abs(Sp @ f - (k / a) * f)) < 1e-8
+        assert np.max(np.abs(Sm @ f - (k / a) * f)) < 1e-8
 
 
 def test_steklov_of_constant_vanishes(ellipse, annulus):
     for mesh in (ellipse, annulus):
-        Sp = steklov(mesh, "plus")
-        assert np.max(np.abs(Sp.apply(np.ones(mesh.n)))) < 1e-9
-        Sm = steklov(mesh, "minus")
-        assert np.max(np.abs(Sm.apply(np.ones(mesh.n)))) < 1e-9
+        ops = operator_set(mesh)
+        assert np.max(np.abs(ops.S_plus @ np.ones(mesh.n))) < 1e-9
+        assert np.max(np.abs(ops.S_minus @ np.ones(mesh.n))) < 1e-9
 
 
 def test_steklov_flux_vanishes_per_component(annulus, rng):
-    from bie2d.geometry import indicator, topology_of
+    from bie2d.geometry import indicator
 
     ops = operator_set(annulus)
-    topo = topology_of(annulus)
+    topo = annulus.topology
     v = np.cos(annulus.t) + 0.5 * np.sin(2 * annulus.t) + 0.3
     flux = ops.S_plus @ v
     for j in range(1, topo.kappa_plus + 1):
@@ -156,10 +151,9 @@ def test_plemelj_symmetrization(disk, ellipse, kite, rng):
 
 
 def test_apply_validation(disk):
-    V = assemble_V(disk)
-    assert np.max(np.abs(V.apply(np.zeros(disk.n)))) == 0.0
+    assert np.max(np.abs(trace_single(disk, np.zeros(disk.n)))) == 0.0
     with pytest.raises(LengthMismatch):
-        V.apply(np.ones(disk.n + 2))
+        trace_single(disk, np.ones(disk.n + 2))
 
 
 def test_spectral_convergence_of_w_identity():
@@ -168,41 +162,16 @@ def test_spectral_convergence_of_w_identity():
     residuals = []
     for n in (64, 128, 256):
         mesh = stock_mesh("kite", n)
-        W = assemble_W(mesh)
-        residuals.append(np.max(np.abs(W.apply(np.ones(n)) - 0.5)))
+        W = operator_set(mesh).W
+        residuals.append(np.max(np.abs(W @ np.ones(n) - 0.5)))
     assert residuals[1] < residuals[0] / 10 or residuals[1] < 1e-13
     assert residuals[2] < residuals[1] / 10 or residuals[2] < 1e-13
 
 
-def test_matrix_dump_roundtrip(tmp_path, disk128):
-    V = assemble_V(disk128)
-    path = tmp_path / "v.csv"
-    save_matrix(V, path)
-    with open(path) as fh:
-        header = fh.readline()
-    assert "kind=V" in header and f"n={disk128.n}" in header
-    back = np.loadtxt(path, delimiter=",")
-    assert np.allclose(back, V.matrix, atol=1e-12)
-    save_matrix(V, tmp_path / "v.npy", fmt="npy")
-    assert np.array_equal(np.load(tmp_path / "v.npy"), V.matrix)
-
-
 def test_operator_matrix_kind_tags(disk128):
-    assert np.all(np.isfinite(assemble_V(disk128).matrix))
-    assert np.all(np.isfinite(assemble_W(disk128).matrix))
-    assert assemble_V(disk128).kind == "V"
-    assert assemble_W(disk128).kind == "W"
-    assert assemble_Wt(disk128).kind == "Wt"
-    assert steklov(disk128, "plus").kind == "Splus"
-    assert steklov(disk128, "minus").kind == "Sminus"
-    assert isinstance(steklov(disk128, "plus"), OperatorMatrix)
-
-
-def test_steklov_rejects_unknown_side(disk128):
-    from bie2d.errors import OutOfRange
-
-    with pytest.raises(OutOfRange):
-        steklov(disk128, "sideways")
+    ops = operator_set(disk128)
+    assert np.all(np.isfinite(ops.V))
+    assert np.all(np.isfinite(ops.W))
 
 
 def test_steklov_against_harmonic_oracles(ellipse, kite):
@@ -268,7 +237,7 @@ def test_rep_is_the_weighted_transpose_of_the_dense_map(annulus, kite, rng, side
     for mesh in (annulus, kite):
         ops = operator_set(mesh)
         w = mesh.weights
-        S = steklov(mesh, side).matrix
+        S = ops.dtn(side, np.eye(mesh.n))
         dense = (S.T * w[None, :]) / w[:, None]
         for _ in range(3):
             mu = rng.standard_normal(mesh.n)
@@ -310,12 +279,12 @@ def test_w1_check_tells_under_resolution_from_orientation():
     )
     for mesh, curves in ((stock_mesh("kite", 16), "0"), (two_close, "[01]")):
         with pytest.raises(InvalidGeometry, match=f"under-resolved.* on curve {curves} "):
-            assemble_W(mesh)
+            OperatorSet(mesh)
     # a reversed normal moves W 1 by about 1 on its curve: to -1/2 on an
     # outer curve, to 3/2 on a hole
     for name, curve in (("disk", 0), ("annulus", 1)):
         with pytest.raises(InvalidGeometry, match=f"orientation.* on curve {curve} "):
-            assemble_W(_reversed(stock_mesh(name, 64), curve))
+            OperatorSet(_reversed(stock_mesh(name, 64), curve))
 
 
 def _separate_assembly(mesh):
@@ -347,9 +316,7 @@ def test_shared_pass_matches_separate_assembly(name):
     mesh = stock_mesh(name, 64)
     V, W = _separate_assembly(mesh)
     ops = operator_set(mesh)
-    for got, want in ((assemble_V(mesh).matrix, V), (assemble_W(mesh).matrix, W),
-                      (ops.V, V), (ops.W, W)):
-        assert np.array_equal(got, want)
+    assert np.array_equal(ops.V, V) and np.array_equal(ops.W, W)
 
 
 @pytest.mark.parametrize("name", ["disk", "ellipse", "annulus", "kite", "two-disks"])

@@ -351,7 +351,7 @@ def test_a_point_on_a_node_is_refused_without_a_warning(seven_row_blocks):
     for evaluate in _point_entries(mesh).values():
         with pytest.raises(NearBoundary, match="point at distance 0.000e"):
             evaluate(points)
-    assert locate_points(mesh, mesh.topology, points)[12] == ("near_boundary", None)
+    assert locate_points(mesh, points)[12] == ("near_boundary", None)
 
 
 def test_eval_allocates_no_array_over_all_pairs():
@@ -382,7 +382,7 @@ _POINT_ENTRIES = {
     "dist_single_layer_field": lambda fld, p: dist_single_layer_field(
         PairDistribution("plus", np.ones(fld.mesh.n), np.zeros(fld.mesh.n), fld.mesh),
         p, "exterior"),
-    "locate_points": lambda fld, p: locate_points(fld.mesh, fld.mesh.topology, p),
+    "locate_points": lambda fld, p: locate_points(fld.mesh, p),
 }
 
 

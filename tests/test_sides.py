@@ -6,7 +6,7 @@ import pytest
 from bie2d.distributions import PairDistribution, dist_single_layer_field
 from bie2d.errors import OutOfRange
 from bie2d.geometry import stock_mesh
-from bie2d.operators import operator_set, steklov
+from bie2d.operators import operator_set
 from bie2d.potentials import normal_derivative_single, trace_double
 from bie2d.solvers import (
     decompose,
@@ -33,7 +33,6 @@ _SIDE_ENTRIES = {
         lambda mesh, side: normal_derivative_single(mesh, np.ones(mesh.n), side),
     "dtn": lambda mesh, side: operator_set(mesh).dtn(side, np.ones(mesh.n)),
     "rep": lambda mesh, side: operator_set(mesh).rep(side, np.ones(mesh.n)),
-    "steklov": steklov,
     "PairDistribution": _pair,
     "decompose": lambda mesh, side: decompose(mesh, np.cos(mesh.t), side),
 }

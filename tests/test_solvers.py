@@ -7,14 +7,19 @@ import pytest
 from scipy.linalg import subspace_angles
 
 from bie2d import solvers
-from bie2d.errors import IncompatibleData, NearBoundary, OutOfRange, SingularSystem
+from bie2d.errors import (
+    IncompatibleData,
+    LengthMismatch,
+    NearBoundary,
+    OutOfRange,
+    SingularSystem,
+)
 from bie2d.geometry import (
     CurveSpec,
     build_mesh,
     indicator,
     integrate,
     stock_mesh,
-    topology_of,
 )
 from bie2d.operators import _side, operator_set
 from bie2d.potentials import value_at_infinity
@@ -87,7 +92,7 @@ def test_compat_exterior_examples(disk128, annulus):
     assert vals.shape == (1,) and abs(vals[0]) < 1e-10
     vals = check_compat_exterior(disk128, np.ones(disk128.n))
     assert abs(vals[0] - 2 * np.pi) < 1e-10
-    topo = topology_of(annulus)
+    topo = annulus.topology
     g = indicator(topo, "omega_minus", 1) * np.cos(annulus.t)
     vals = check_compat_exterior(annulus, g)
     assert np.max(np.abs(vals)) < 1e-9
@@ -155,7 +160,7 @@ def test_neumann_exterior_zero_datum_and_uniqueness(annulus):
     far = rep.field.eval(np.array([5.0, 0.0]))
     assert abs(far) < 1e-9
     # shifting by a transpose-kernel density moves the hole constant only
-    g = indicator(topology_of(annulus), "omega_minus", 1) * np.cos(annulus.t)
+    g = indicator(annulus.topology, "omega_minus", 1) * np.cos(annulus.t)
     rep1 = neumann_exterior(annulus, g)
     rep2 = neumann_exterior(annulus, g, kernel_shift=3)
     theta = np.linspace(0, 2 * np.pi, 12, endpoint=False)
@@ -180,7 +185,7 @@ def test_nullspace_dimensions():
 
 def test_nullspace_basis_structure():
     mesh = stock_mesh("annulus", 128)
-    topo = topology_of(mesh)
+    topo = mesh.topology
     basis = nullspace(mesh, "half_plus_W").vectors
     chi = indicator(topo, "omega_minus", 1)
     chi = chi / np.linalg.norm(chi)
@@ -237,7 +242,7 @@ def test_decompose_examples(disk128, annulus, rng):
     g = seeded_density(disk128, rng)
     g_im, g_ker = decompose(disk128, g, "plus")
     assert np.max(np.abs(g_ker)) == 0.0
-    topo = topology_of(annulus)
+    topo = annulus.topology
     chi = indicator(topo, "omega_minus", 1)
     g_im, g_ker = decompose(annulus, chi, "plus")
     assert np.max(np.abs(g_ker - chi)) < 1e-9
@@ -257,7 +262,7 @@ def test_cross_solver_interior(disk128, annulus, rng):
     r2 = dirichlet_interior_via_decomposition(disk128, np.cos(disk128.t))
     p = np.array([0.3, 0.4])
     assert abs(r1.field.eval(p) - r2.field.eval(p)) < 1e-7
-    chi = indicator(topology_of(annulus), "omega_minus", 1)
+    chi = indicator(annulus.topology, "omega_minus", 1)
     r1 = dirichlet_interior(annulus, chi)
     r2 = dirichlet_interior_via_decomposition(annulus, chi)
     p = np.array([1.5, 0.0])
@@ -316,6 +321,22 @@ def test_poisson_exterior(disk128, rng):
         assert abs(val) < 1e-6
 
 
+def test_green_and_poisson_take_exactly_one_point():
+    # g = x is harmonic, so the interior Poisson integral at (0.3, 0) is 0.3
+    mesh = stock_mesh("disk", 64)
+    g = mesh.x[:, 0]
+    assert abs(poisson_interior(mesh, g, np.array([0.3, 0.0])) - 0.3) < 1e-8
+    bad = (np.array([[0.3, 0.0], [0.0, 0.2], [-0.1, 0.4]]), np.zeros((0, 2)),
+           np.array([[0.3, 0.0]]))
+    for call in (lambda x: green_h(mesh, x, "interior"),
+                 lambda x: poisson_interior(mesh, g, x),
+                 lambda x: poisson_exterior(mesh, g, x)):
+        call(np.array([0.3, 0.0]))
+        for points in bad:
+            with pytest.raises(LengthMismatch, match=r"^[^\n]*one point[^\n]*$"):
+                call(points)
+
+
 def test_third_green_identities(ellipse, rng):
     from bie2d.verify import check_third_green_exterior, check_third_green_interior
 
@@ -363,7 +384,7 @@ def test_identity_suite_on_kite_with_hole():
         CurveSpec("circle", center=(0.15, 0.2), radius=0.35, orientation="negative")
     ]
     mesh = build_mesh(specs, [256, 128])
-    assert topology_of(mesh).kappa_minus == 1
+    assert mesh.topology.kappa_minus == 1
     report = run_verify(meshes={"kite-hole": mesh}, n=256)
     assert report.passed, [r.name for r in report.rows if not r.passed]
 
@@ -377,7 +398,6 @@ def test_dropped_meshes_are_freed_without_gc(tmp_path):
         refs = []
         for solver in (neumann_interior, neumann_exterior):
             mesh = stock_mesh("annulus", 64)
-            assert topology_of(mesh) is mesh.topology
             operator_set(mesh)
             report = solver(mesh, np.cos(mesh.t))
             write_field_csv(report.field, default_grid(mesh), tmp_path / "u.csv")
