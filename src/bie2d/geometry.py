@@ -546,12 +546,18 @@ def _location_kinds(topology):
     return np.array([loc.kind for loc in _location_table(topology)])
 
 
+# The largest distance r for which 2 pi r^2, the double-layer kernel's
+# denominator, is a finite float
+_MAX_DISTANCE = math.sqrt(np.finfo(float).max / (2.0 * math.pi))
+
+
 class _TargetBlocks:
     """A point (2,) or points (m, 2), checked once, and their geometry pass by blocks.
 
-    The points must be finite.  Iterating yields (rows, _Targets) for
-    consecutive blocks of rows (see _row_blocks); the arrays of a block
-    are overwritten by the next block.
+    The points must be finite, and near enough to the nodes that their
+    squared distances cannot overflow (InvalidProbe otherwise).  Iterating
+    yields (rows, _Targets) for consecutive blocks of rows (see
+    _row_blocks); the arrays of a block are overwritten by the next block.
     """
 
     def __init__(self, mesh, points):
@@ -561,6 +567,11 @@ class _TargetBlocks:
         if not np.all(np.isfinite(pts)):
             raise InvalidProbe("point coordinates must be finite")
         self.mesh, self.single, self.points = mesh, pts.ndim == 1, np.atleast_2d(pts)
+        # a bound on each point's distance to the nodes that cannot overflow
+        far = np.hypot(*(np.abs(self.points) + np.max(np.abs(mesh.x), axis=0)).T)
+        if np.max(far, initial=0.0) > _MAX_DISTANCE:
+            raise InvalidProbe(f"point too far from the nodes: squared distances "
+                               f"overflow beyond {_MAX_DISTANCE:.3e}")
 
     def __len__(self):
         return self.points.shape[0]

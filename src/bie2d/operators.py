@@ -6,7 +6,10 @@ diagonal blocks: the kernel is written as
     k(t, s) = k1(t, s) log(4 sin^2((t - s)/2)) + k2(t, s)
 
 and the logarithmic factor gets the spectral product-quadrature weights,
-the smooth remainder the plain trapezoid rule.  The double-layer kernel is
+the smooth remainder the plain trapezoid rule.  On uniform nodes those
+weights differ from the trapezoid rule of the log factor by a circulant,
+so V is the trapezoid rule of log r2 everywhere, corrected on each
+curve's own block by one circulant per curve.  The double-layer kernel is
 smooth on a C^2 curve, so W is plain trapezoid with the curvature limit on
 the diagonal.  V and W are assembled together, from one pass over the
 squared node distances that walks the rows in blocks (geometry._row_blocks)
@@ -42,18 +45,21 @@ from .errors import InvalidGeometry, OutOfRange, SingularSystem
 from .geometry import _block_scratch, _check_aligned, _pair_geometry, _row_blocks
 
 
-def log_weight_row(nc):
-    """Product-quadrature weights for the 2pi-periodic log kernel.
+def _log_correction(nc):
+    """Circulant generator G of the single layer's correction on a curve of nc nodes.
 
-    Returns the circulant generator R with R[(i - j) % nc] approximating
+    G[m] = R[m] - (2 pi / nc) log(4 sin^2(pi m / nc)), and G[0] = R[0].  R
+    is the product-quadrature row of the 2pi-periodic log kernel (Kress,
+    Linear Integral Equations, ch. 12): R[(i - j) % nc] approximates
     int_0^{2pi} log(4 sin^2((t_i - s)/2)) f(s) ds at the uniform nodes.
+    Its cosine series -(4 pi / nc) sum_k cos(2 pi m k / nc) / k
+    - (4 pi / nc^2) cos(pi m) is one inverse FFT of 1/k; the subtracted
+    term is the trapezoid rule of the log kernel, which the smooth fill
+    applies already.
     """
-    m = np.arange(nc)
-    k = np.arange(1, nc // 2)
-    cosines = np.cos(2.0 * np.pi * np.outer(m, k) / nc)
-    row = -(4.0 * np.pi / nc) * (cosines @ (1.0 / k))
-    row -= (4.0 * np.pi / nc**2) * np.cos(np.pi * m)
-    return row
+    G = -2.0 * np.pi * np.fft.irfft(np.append(0.0, 1.0 / np.arange(1, nc // 2 + 1)), nc)
+    G[1:] -= (2.0 * np.pi / nc) * np.log(4.0 * np.sin(np.pi * np.arange(1, nc) / nc) ** 2)
+    return G
 
 
 def _circulant(row):
@@ -65,34 +71,30 @@ def _circulant(row):
 def _assemble(mesh, V):
     """V and W, filled one block of rows at a time; W is not yet checked.
 
-    Both read r2 = |x_i - x_j|^2 (1 on the diagonal).  W is the trapezoid
-    rule of the double-layer kernel with the curvature limit on the
-    diagonal; V is the smooth (0.25 / pi) log r2 fill, with the columns of
-    each row's own curve overwritten by the Kussmaul-Martensen product
-    rule.  No block spans two curves.  V is written into the given (n, n)
-    array (OperatorSet passes a view of its bordered matrix); apart from
-    W only block-sized arrays are allocated.
+    Both read r2 = |x_i - x_j|^2, with speed_i^2 on the diagonal, the limit
+    of r2 / 4 sin^2((t_i - t_j)/2).  W is the trapezoid rule of the
+    double-layer kernel with the curvature limit on the diagonal.  V is the
+    smooth (0.25 / pi) w_j log r2 fill, with the columns of each row's own
+    curve corrected by the circulant of _log_correction times
+    (0.25 / pi) speed_j: together the Kussmaul-Martensen product rule, at
+    one logarithm per pair.  No block spans two curves.  V is written into
+    the given (n, n) array (OperatorSet passes a view of its bordered
+    matrix); apart from W only block-sized arrays are allocated.
     """
     n = mesh.n
     W = np.empty((n, n))
-    # the generators first, so that their temporaries are freed before the
-    # block arrays are allocated
-    generators = [log_weight_row(nc) for nc in mesh.n_per_comp]
     blocks = [_row_blocks(mesh.offsets[c], mesh.offsets[c + 1], n)
               for c in range(mesh.n_components)]
     scratch = _block_scratch([b for curve in blocks for b in curve], n)
-    for c, R in enumerate(generators):
+    for c, nc in enumerate(mesh.n_per_comp):
         sl = mesh.component_slice(c)
-        nc = R.size
-        tc = mesh.t[sl]
+        correction = _circulant(_log_correction(nc))
         scale = (0.25 / np.pi) * mesh.speed[sl]
-        circulant = _circulant(R)
         for lo, hi in blocks[c]:
             b, first = hi - lo, lo - sl.start  # first: the block's first node on its curve
             rows = np.arange(b)
-            r2, nd, s2, _ = out = scratch[:, :b]
-            _pair_geometry(mesh.x[lo:hi], mesh.x, mesh.normal, out)
-            r2[rows, lo + rows] = 1.0
+            r2, nd = _pair_geometry(mesh.x[lo:hi], mesh.x, mesh.normal, scratch[:, :b])
+            r2[rows, lo + rows] = mesh.speed[lo:hi] ** 2
 
             Wb = np.multiply(2.0 * np.pi, r2, out=W[lo:hi])
             np.divide(nd, Wb, out=Wb)
@@ -100,24 +102,9 @@ def _assemble(mesh, V):
             Wb[rows, lo + rows] = mesh.curvature[lo:hi] / (4.0 * np.pi)
             Wb *= mesh.weights
 
-            # k2 = log(r2 / (4 sin^2((t - s)/2))), with the limit speed^2 on the diagonal
-            k2 = s2.reshape(-1)[: b * nc].reshape(b, nc)
-            np.subtract(tc[first:first + b, None], tc, out=k2)
-            k2 /= 2.0
-            np.sin(k2, out=k2)
-            np.square(k2, out=k2)
-            k2 *= 4.0
-            k2[rows, first + rows] = 1.0
-            np.divide(r2[:, sl], k2, out=k2)
-            k2[rows, first + rows] = mesh.speed[lo:hi] ** 2
-            np.log(k2, out=k2)
-            k2 *= scale
-            k2 *= 2.0 * np.pi / nc
-
             Vb = np.multiply(np.log(r2, out=r2), 0.25 / np.pi, out=V[lo:hi])
             Vb *= mesh.weights
-            np.multiply(circulant[first:first + b], scale, out=Vb[:, sl])
-            Vb[:, sl] += k2
+            Vb[:, sl] += correction[first:first + b] * scale
     return V, W
 
 

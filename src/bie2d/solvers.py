@@ -20,6 +20,7 @@ shift I + W, and, since Wt = D^-1 W^T D, the left null vectors scaled by
 D^-1 span the kernel of shift I + Wt.
 """
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -204,6 +205,13 @@ def _wt_solve(mesh, side, rhs):
 
 
 def _neumann(mesh, g, region, compat_tol, kernel_shift):
+    # the bound fails for NaN and inf
+    if isinstance(compat_tol, bool) or not isinstance(compat_tol, numbers.Real) \
+            or not 0 < compat_tol < math.inf:
+        raise OutOfRange(f"compat_tol must be a finite real > 0, got {compat_tol!r}")
+    if kernel_shift is not None and (isinstance(kernel_shift, bool) or not isinstance(
+            kernel_shift, numbers.Integral) or kernel_shift < 0):
+        raise OutOfRange(f"kernel_shift must be None or a non-negative int, got {kernel_shift!r}")
     side = _side(region, "region")
     exterior = side.sign < 0
     rep, tau = _as_neumann_rep(mesh, g)
@@ -256,7 +264,9 @@ def neumann_interior(mesh, g, compat_tol=1e-7, kernel_shift=None):
     g may be a grid function, a DistRep, or a PairDistribution.  The
     minimum-norm density solves (-1/2 I + Wt) phi = g; kernel_shift (a
     seed) adds a combination of transpose-kernel vectors, producing a
-    different representative of the same solution family.
+    different representative of the same solution family.  compat_tol
+    must be a finite real > 0 and kernel_shift None or an int >= 0, else
+    OutOfRange before anything is solved.
     """
     return _neumann(mesh, g, "interior", compat_tol, kernel_shift)
 

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, IncompatibleData, InvalidProbe
+from .errors import ConfigError, IncompatibleData, InvalidProbe, OutOfRange
 from .geometry import _TargetBlocks, indicator, integrate, pairing, stock_mesh
 from .operators import _SIDES, _side, operator_set
 from .potentials import eval_double_layer, eval_single_layer, trace_double
@@ -136,8 +136,10 @@ def probe_points(mesh, region, count=25, min_dist=0.2, prefer="far"):
     candidates (accuracy), prefer='near' the closest admissible ones
     (useful to expose the convergence rate).  Raises InvalidProbe when no
     candidate qualifies: the region is too narrow for the band at this
-    node count.
+    node count.  count must be an int >= 1, else OutOfRange.
     """
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise OutOfRange(f"count must be an int >= 1, got {count!r}")
     sign = _side(region, "region").sign
     band = mesh.band_width()
     keep_dist = max(min_dist, 1.2 * band)

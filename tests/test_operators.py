@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from bie2d.errors import LengthMismatch, OutOfRange
 from bie2d.geometry import CurveSpec, _TargetBlocks, build_mesh, pairing, stock_mesh
-from bie2d.operators import OperatorSet, log_weight_row, operator_set
+from bie2d.operators import OperatorSet, _log_correction, operator_set
 from bie2d.potentials import trace_single
 
 
@@ -291,24 +291,79 @@ def _separate_assembly(mesh):
     """V and W by the formulas of two independent passes over the node pairs."""
     d = mesh.x[:, None, :] - mesh.x[None, :, :]
     dist2 = np.einsum("ijk,ijk->ij", d, d)
+    # V's smooth fill reads speed^2 on the diagonal, W's kernel 1
+    limit = dist2.copy()
+    np.fill_diagonal(limit, mesh.speed**2)
     np.fill_diagonal(dist2, 1.0)
-    V = (0.25 / np.pi) * np.log(dist2) * mesh.weights[None, :]
-    for c in range(mesh.n_components):
+    V = (0.25 / np.pi) * np.log(limit) * mesh.weights[None, :]
+    for c, nc in enumerate(mesh.n_per_comp):
         sl = mesh.component_slice(c)
-        tc, speed = mesh.t[sl], mesh.speed[sl]
-        nc = tc.shape[0]
-        s2 = 4.0 * np.sin((tc[:, None] - tc[None, :]) / 2.0) ** 2
-        np.fill_diagonal(s2, 1.0)
-        ratio = dist2[sl, sl] / s2
-        np.fill_diagonal(ratio, speed**2)
-        k2 = (0.25 / np.pi) * speed[None, :] * np.log(ratio)
         idx = np.arange(nc)
-        R = log_weight_row(nc)[(idx[:, None] - idx[None, :]) % nc]
-        V[sl, sl] = R * ((0.25 / np.pi) * speed[None, :]) + (2.0 * np.pi / nc) * k2
+        G = _log_correction(nc)[(idx[:, None] - idx[None, :]) % nc]
+        V[sl, sl] += G * ((0.25 / np.pi) * mesh.speed[sl][None, :])
     num = d[:, :, 0] * mesh.normal[None, :, 0] + d[:, :, 1] * mesh.normal[None, :, 1]
     kw = -num / (2.0 * np.pi * dist2)
     np.fill_diagonal(kw, mesh.curvature / (4.0 * np.pi))
     return V, kw * mesh.weights[None, :]
+
+
+def _cosine_log_row(nc):
+    """Kress's product-quadrature row of the log kernel, summed as its cosine series."""
+    m = np.arange(nc)
+    k = np.arange(1, nc // 2)
+    cosines = np.cos(2.0 * np.pi * np.outer(m, k) / nc)
+    row = -(4.0 * np.pi / nc) * (cosines @ (1.0 / k))
+    row -= (4.0 * np.pi / nc**2) * np.cos(np.pi * m)
+    return row
+
+
+def _sin_log_V(mesh):
+    """V by the Kussmaul-Martensen split itself: on each curve's own block the
+    product rule of the log-sin factor plus the trapezoid rule of
+    k2 = log(r2 / 4 sin^2((t - s)/2)), with the limit speed^2 on the diagonal."""
+    d = mesh.x[:, None, :] - mesh.x[None, :, :]
+    dist2 = np.einsum("ijk,ijk->ij", d, d)
+    np.fill_diagonal(dist2, 1.0)
+    V = (0.25 / np.pi) * np.log(dist2) * mesh.weights[None, :]
+    for c, nc in enumerate(mesh.n_per_comp):
+        sl = mesh.component_slice(c)
+        tc, scale = mesh.t[sl], (0.25 / np.pi) * mesh.speed[sl][None, :]
+        s2 = 4.0 * np.sin((tc[:, None] - tc[None, :]) / 2.0) ** 2
+        np.fill_diagonal(s2, 1.0)
+        ratio = dist2[sl, sl] / s2
+        np.fill_diagonal(ratio, mesh.speed[sl] ** 2)
+        idx = np.arange(nc)
+        R = _cosine_log_row(nc)[(idx[:, None] - idx[None, :]) % nc]
+        V[sl, sl] = R * scale + (2.0 * np.pi / nc) * scale * np.log(ratio)
+    return V
+
+
+@pytest.mark.parametrize("name, n", [
+    ("disk", 64), ("disk", 1024), ("disk2", 128), ("ellipse", 256), ("kite", 512),
+    ("annulus", 384), ("two-disks", 128),
+])
+def test_single_layer_matches_the_sin_log_split(name, n):
+    mesh = stock_mesh(name, n)
+    assert np.max(np.abs(operator_set(mesh).V - _sin_log_V(mesh))) <= 1e-15
+
+
+@pytest.mark.parametrize("nc", [16, 18, 64, 250, 1024, 2048])
+def test_log_correction_matches_the_cosine_series(nc):
+    m = np.arange(1, nc)
+    reference = _cosine_log_row(nc)
+    reference[1:] -= (2.0 * np.pi / nc) * np.log(4.0 * np.sin(np.pi * m / nc) ** 2)
+    assert np.max(np.abs(_log_correction(nc) - reference)) <= 2e-15
+
+
+def test_log_correction_allocates_no_table():
+    # the cosine series through an (nc, nc/2) table peaks at 32 MiB here
+    tracemalloc.start()
+    try:
+        _log_correction(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 @pytest.mark.parametrize("name", ["disk", "ellipse", "annulus", "kite", "two-disks"])

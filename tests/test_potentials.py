@@ -395,7 +395,18 @@ _POINT_ENTRIES = {
     ([3.0, 0.0, 0.0], LengthMismatch),
     (np.full((4, 3), 3.0), LengthMismatch),
     (3.0, LengthMismatch),
+    # finite, but r^2 overflows (RuntimeWarning is an error in this suite)
+    ([1e160, 0.0], InvalidProbe),
 ])
 def test_bad_points_are_refused(disk_exterior_field, entry, points, error):
     with pytest.raises(error):
         _POINT_ENTRIES[entry](disk_exterior_field, points)
+
+
+def test_far_points_evaluate_until_their_squared_distances_overflow(disk_exterior_field):
+    fld = disk_exterior_field
+    with pytest.raises(InvalidProbe, match=r"^point too far[^\n]*$"):
+        value_at_infinity(fld, 1e200)
+    # far, but every squared distance is finite: the field is its value at
+    # infinity there, 0 to rounding
+    assert abs(fld.eval([1e150, 0.0])) < 1e-12

@@ -204,6 +204,27 @@ def test_nullspace_refuses_a_bad_tol(tol):
         nullspace(mesh, "minus_half_plus_W", tol)
 
 
+_BAD_ARGUMENTS = (
+    [("compat_tol", v) for v in (float("nan"), float("inf"), 0.0, -1e-7, True, "1e-7")]
+    + [("kernel_shift", v) for v in (-1, 1.5, "a", True)]
+    + [("count", v) for v in (0, -3, True, 2.0)]
+)
+
+
+@pytest.mark.parametrize("region", ["interior", "exterior"])
+@pytest.mark.parametrize("arg, value", _BAD_ARGUMENTS)
+def test_neumann_and_probe_arguments_are_refused_before_any_solve(region, arg, value):
+    mesh = stock_mesh("disk", 64)
+    solve = neumann_interior if region == "interior" else neumann_exterior
+    with pytest.raises(OutOfRange, match=rf"^{arg}[^\n]*{value!r}$"):
+        if arg == "count":
+            probe_points(mesh, region, count=value)
+        else:
+            # a datum with no flux, which both sides accept
+            solve(mesh, np.cos(mesh.t), **{arg: value})
+    assert mesh.operators is None
+
+
 @pytest.mark.parametrize("kind", ["half_plus_W", "minus_half_plus_W"])
 @pytest.mark.parametrize("name", ["disk", "annulus"])
 def test_w_kind_nullspace_is_the_right_singular_vectors(one_blas_thread, name, kind):
