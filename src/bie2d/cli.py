@@ -9,6 +9,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -231,7 +232,10 @@ def build_data(cfg, mesh):
         return dist_normal_derivative(mesh, trace, "plus")
     if name == "csv":
         try:
-            values = np.loadtxt(arg, delimiter=",", ndmin=1)
+            with warnings.catch_warnings():
+                # an empty file is refused below, as a file of 0 samples
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(arg, delimiter=",", ndmin=1)
         except OSError as exc:
             raise ConfigError(f"cannot read data file {arg}: {exc}") from exc
         except ValueError as exc:
@@ -308,9 +312,10 @@ class GridSpec:
         return np.stack([gx.ravel(), gy.ravel()], axis=-1)
 
 
-def default_grid(mesh, margin=0.75):
-    lo = np.min(mesh.x, axis=0) - margin
-    hi = np.max(mesh.x, axis=0) + margin
+def default_grid(mesh):
+    """The 41 x 41 grid over the mesh's bounding box widened by 0.75 on each side."""
+    lo = np.min(mesh.x, axis=0) - 0.75
+    hi = np.max(mesh.x, axis=0) + 0.75
     return GridSpec(lo[0], hi[0], lo[1], hi[1])
 
 
@@ -386,7 +391,7 @@ _CROSS_SOLVERS = {
 }
 
 
-def cmd_solve(cfg, out_prefix="solve"):
+def cmd_solve(cfg):
     """Run one boundary value problem; write report JSON and field CSV."""
     if cfg.problem not in _SOLVERS:
         raise ConfigError(f"problem {cfg.problem!r} is not a solve problem")
@@ -405,8 +410,8 @@ def cmd_solve(cfg, out_prefix="solve"):
             )
             report.residuals["cross_solver"] = diff
     out_dir = cfg.out_dir or "."
-    json_path = os.path.join(out_dir, f"{out_prefix}_report.json")
-    csv_path = os.path.join(out_dir, f"{out_prefix}_field.csv")
+    json_path = os.path.join(out_dir, "solve_report.json")
+    csv_path = os.path.join(out_dir, "solve_field.csv")
     # a non-finite report fails before any output, and the report is written
     # last: it marks a finished run, so a failed CSV write leaves none behind
     text = _report_text(json_path, report.to_dict())
@@ -422,7 +427,7 @@ def cmd_solve(cfg, out_prefix="solve"):
     return EXIT_OK
 
 
-def cmd_verify(cfg, negative_control=False):
+def cmd_verify(cfg):
     """Run the identity suite; one row per check and geometry."""
     if cfg.components:
         meshes = {"config": cfg.build_mesh()}
@@ -431,13 +436,8 @@ def cmd_verify(cfg, negative_control=False):
         n = 256 if cfg.n_override is None else cfg.n_override
         meshes = {name: _geometry(stock_mesh, name, n) for name in STOCK_TRIO}
     try:
-        report = run_verify(
-            meshes=meshes,
-            n=n,
-            seed=cfg.seed,
-            tol_overrides=cfg.tol_overrides,
-            negative_control=negative_control,
-        )
+        report = run_verify(meshes=meshes, n=n, seed=cfg.seed,
+                            tol_overrides=cfg.tol_overrides)
     except InvalidProbe as exc:
         # the suite evaluates fields only at its own probe points, so this
         # means a region too narrow for the band at this node count
@@ -545,8 +545,6 @@ def _build_parser():
                     help="domain config JSON (default: disk, ellipse, annulus)")
     pv.add_argument("--n", type=int, default=None, help="nodes per component")
     pv.add_argument("--out", default=None, help="output directory")
-    pv.add_argument("--negative-control", action="store_true",
-                    help=argparse.SUPPRESS)
 
     pd = sub.add_parser("demo-hadamard", help="infinite-energy Neumann demo")
     pd.add_argument("--terms", type=int, required=True, help="number of lacunary modes")
@@ -569,7 +567,7 @@ def main(argv=None):
             overrides = {"n_override": args.n, "out_dir": args.out}
             cfg = (load_config(args.config, **overrides) if args.config
                    else RunConfig(**overrides))
-            return cmd_verify(cfg, negative_control=args.negative_control)
+            return cmd_verify(cfg)
         if args.command == "demo-hadamard":
             code, _ = cmd_demo_hadamard(args.terms, args.n, args.out or ".")
             return code

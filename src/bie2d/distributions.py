@@ -135,29 +135,29 @@ class JMap:
         except np.linalg.LinAlgError as exc:
             raise SingularSystem("J map is not onto: its Gram matrix is singular") from exc
 
-    def inverse(self, g, rtol=1e-7):
+    def inverse(self, g):
         """(mu0, mu1) of the minimum-norm preimage of an (n,) vector or an (n, k) block.
 
-        Raises SingularSystem when the residual of any column exceeds rtol
+        Raises SingularSystem when the residual of any column exceeds 1e-7
         times that column's norm (at least 1), or is not finite: no pair
         reaches a column that holds NaN or infinity.
         """
         g = _check_aligned(self.mesh, g, block=True)
         z = self._A.T @ cho_solve(self._gram, g, check_finite=False)
         resid = np.linalg.norm(self._A @ z - g, axis=0)
-        if not np.all(resid <= rtol * np.maximum(1.0, np.linalg.norm(g, axis=0))):
+        if not np.all(resid <= 1e-7 * np.maximum(1.0, np.linalg.norm(g, axis=0))):
             raise SingularSystem(f"J inverse residual {np.max(resid):.3e} too large")
         return z[: self.mesh.n], z[self.mesh.n:]
 
-    def pair(self, g, rtol=1e-7):
+    def pair(self, g):
         """The pair distribution of this side with J image g, a grid function."""
-        return PairDistribution(self.side, *self.inverse(_check_aligned(self.mesh, g), rtol),
+        return PairDistribution(self.side, *self.inverse(_check_aligned(self.mesh, g)),
                                 self.mesh)
 
 
-def J_inverse(mesh, g, side="plus", rtol=1e-7):
+def J_inverse(mesh, g, side="plus"):
     """A pair distribution of the requested side with J image g (see JMap)."""
-    return JMap(mesh, side).pair(g, rtol)
+    return JMap(mesh, side).pair(g)
 
 
 def Wt_on_distribution(tau, jmap=None):
@@ -228,12 +228,12 @@ def dist_normal_derivative(mesh, trace, side):
     return PairDistribution(side, np.zeros(mesh.n), trace, mesh)
 
 
-def _test_basis(mesh, count=16):
+def _test_basis(mesh):
     basis = [np.ones(mesh.n)]
     k = 1
-    while len(basis) < count:
+    while len(basis) < 16:
         basis.append(np.cos(k * mesh.t))
-        if len(basis) < count:
+        if len(basis) < 16:
             basis.append(np.sin(k * mesh.t))
         k += 1
     return basis
@@ -246,19 +246,20 @@ class JumpCheckResult:
     note: str | None = None
 
 
-def dist_jump_check(tau, n_test=16):
+def dist_jump_check(tau):
     """Residuals of the jump formulas for the single layer of a pair.
 
     Interior: the normal derivative of v+[tau], read as the transpose
     Dirichlet-to-Neumann derivative of its boundary trace, must pair like
-    -tau/2 + Wt tau.  Exterior: same with -tau/2 - Wt tau, meaningful only
-    for mass-free tau in two dimensions (otherwise skipped with a note).
+    -tau/2 + Wt tau against 16 test functions (1, cos t, sin t, cos 2t,
+    ...).  Exterior: same with -tau/2 - Wt tau, meaningful only for
+    mass-free tau in two dimensions (otherwise skipped with a note).
     """
     mesh = tau.mesh
     ops = operator_set(mesh)
     trace = V_of_distribution(tau)
     rep = to_grid_representer(tau).representer
-    basis = _test_basis(mesh, n_test)
+    basis = _test_basis(mesh)
     scale = max(1.0, float(np.max(np.abs(rep))))
 
     def residual(side):

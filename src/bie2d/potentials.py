@@ -11,12 +11,13 @@ assembled operators through the jump relations, written once in the
 side's sign (README, "Sides and signs").
 """
 
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Bie2dError, InvalidProbe, LengthMismatch, NearBoundary, NoLimit
+from .errors import Bie2dError, InvalidProbe, LengthMismatch, NearBoundary, NoLimit, OutOfRange
 from .geometry import _check_aligned, _TargetBlocks, integrate
 from .operators import _side, operator_set
 
@@ -169,9 +170,11 @@ def value_at_infinity(fld, probe_radius):
     Returns the mean over a probe circle of _N_PROBE points together with
     the value implied by the representation; the two must agree within
     _PROBE_TOL.  Raises NoLimit when the representation grows
-    logarithmically and InvalidProbe when the circle does not safely
-    enclose the boundary.
+    logarithmically, InvalidProbe when the circle does not safely enclose
+    the boundary, and OutOfRange when probe_radius is not a real number.
     """
+    if isinstance(probe_radius, bool) or not isinstance(probe_radius, numbers.Real):
+        raise OutOfRange(f"probe_radius must be a real number, got {probe_radius!r}")
     mesh = fld.mesh
     rmax = float(np.max(np.linalg.norm(mesh.x, axis=1)))
     if probe_radius <= rmax + mesh.band_width():

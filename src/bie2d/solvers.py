@@ -20,7 +20,6 @@ shift I + W, and, since Wt = D^-1 W^T D, the left null vectors scaled by
 D^-1 span the kernel of shift I + Wt.
 """
 
-import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -77,9 +76,26 @@ class SolveReport:
         }
 
 
+# The largest datum magnitude a solve takes.  Its squared 2-norm over up to
+# 1e8 nodes stays below the largest float (1.8e308), and so do the densities,
+# pairings and fields the solves make of it; a larger datum (or a NaN) is
+# refused before anything is solved, as geometry._MAX_DISTANCE refuses points.
+_MAX_DATUM = 1e150
+
+
+def _datum(mesh, g):
+    """A grid-function datum aligned with the mesh and within _MAX_DATUM (OutOfRange otherwise)."""
+    g = _check_aligned(mesh, g)
+    size = float(np.max(np.abs(g)))
+    if not size <= _MAX_DATUM:
+        raise OutOfRange(f"datum of magnitude {size:.3e} is beyond {_MAX_DATUM:.0e}, "
+                         "the largest a solve takes")
+    return g
+
+
 def _dirichlet(mesh, g, region):
     exterior = _side(region, "region").sign < 0
-    g = _check_aligned(mesh, g)
+    g = _datum(mesh, g)
     ops = operator_set(mesh)
     eta, c = ops.harmonic_density(g)
     resid = float(np.max(np.abs(ops.V @ eta + c - g)))
@@ -128,13 +144,20 @@ def check_compat_exterior(mesh, g):
 
 def _as_neumann_rep(mesh, g):
     if isinstance(g, PairDistribution):
-        return to_grid_representer(g).representer, g
-    rep = _check_aligned(mesh, getattr(g, "representer", g))
+        for density in (g.mu0, g.mu1):  # the representer's sums would overflow first
+            _datum(mesh, density)
+        return _datum(mesh, to_grid_representer(g).representer), g
+    rep = _datum(mesh, getattr(g, "representer", g))
     return rep, as_pair(mesh, rep)
 
 
 # reciprocal condition estimate below which a bordered matrix counts as singular
 _RCOND_FLOOR = 1e-12
+# singular values below this times the largest count as zero
+_RANK_TOL = 1e-10
+# relative size of a Neumann datum's component fluxes and of the solve's
+# residual above which the datum counts as incompatible
+_COMPAT_TOL = 1e-7
 
 
 class _Bordered(NamedTuple):
@@ -143,7 +166,7 @@ class _Bordered(NamedTuple):
     border: int  # number of border columns: the kernel dimension assumed
 
 
-def _bordered_minnorm(op, shift, left_kernel, rhs, tol=1e-10):
+def _bordered_minnorm(op, shift, left_kernel, rhs):
     """Minimum-norm solution of (shift I + op) x = rhs by one bordered LU.
 
     left_kernel spans the left kernel of A = shift I + op.  With B its
@@ -151,9 +174,10 @@ def _bordered_minnorm(op, shift, left_kernel, rhs, tol=1e-10):
     datum and the unit vectors of the border rows are solved together: for
     rhs in the range of A the first solution solves A x = rhs, the others
     span the right kernel of A.  That span is orthonormalized, the vectors A
-    maps below tol times the inf-norm of the bordered matrix are kept as the
-    measured kernel, and the kernel is projected out of x in the Euclidean
-    norm, which is the answer of a minimum-norm least-squares solve.
+    maps below _RANK_TOL times the inf-norm of the bordered matrix are kept
+    as the measured kernel, and the kernel is projected out of x in the
+    Euclidean norm, which is the answer of a minimum-norm least-squares
+    solve.
     Raises SingularSystem when the LAPACK condition estimate of the factors
     falls below _RCOND_FLOOR.
     """
@@ -180,7 +204,7 @@ def _bordered_minnorm(op, shift, left_kernel, rhs, tol=1e-10):
     if k:
         span, _ = np.linalg.qr(sol[:, 1:])
         _, sv, vt = np.linalg.svd(shift * span + op @ span, full_matrices=False)
-        kernel = span @ vt[sv <= tol * anorm].T
+        kernel = span @ vt[sv <= _RANK_TOL * anorm].T
     x = sol[:, 0]
     return _Bordered(x - kernel @ (kernel.T @ x), kernel, k)
 
@@ -204,11 +228,7 @@ def _wt_solve(mesh, side, rhs):
     return _bordered_minnorm(operator_set(mesh).Wt, side.shift, border, rhs)
 
 
-def _neumann(mesh, g, region, compat_tol, kernel_shift):
-    # the bound fails for NaN and inf
-    if isinstance(compat_tol, bool) or not isinstance(compat_tol, numbers.Real) \
-            or not 0 < compat_tol < math.inf:
-        raise OutOfRange(f"compat_tol must be a finite real > 0, got {compat_tol!r}")
+def _neumann(mesh, g, region, kernel_shift):
     if kernel_shift is not None and (isinstance(kernel_shift, bool) or not isinstance(
             kernel_shift, numbers.Integral) or kernel_shift < 0):
         raise OutOfRange(f"kernel_shift must be None or a non-negative int, got {kernel_shift!r}")
@@ -218,14 +238,15 @@ def _neumann(mesh, g, region, compat_tol, kernel_shift):
     ops = operator_set(mesh)
     scale = max(1e-30, float(np.max(np.abs(rep))) * integrate(mesh, np.ones(mesh.n)))
     compat = _compat_pairings(mesh, tau, side)
-    if np.max(np.abs(compat)) > compat_tol * scale:
+    # each gate fails for NaN and inf as well
+    if not np.max(np.abs(compat)) <= _COMPAT_TOL * scale:
         raise IncompatibleData(f"datum has nonzero flux through "
                                f"{'an exterior' if exterior else 'a'} component boundary",
                                pairings=compat)
     solve = _wt_solve(mesh, side, rep)
     phi = solve.solution
     resid = float(np.linalg.norm(side.shift * phi + ops._wt(phi) - rep))
-    if resid > compat_tol * max(1.0, float(np.linalg.norm(rep))):
+    if not resid <= _COMPAT_TOL * max(1.0, float(np.linalg.norm(rep))):
         raise IncompatibleData(
             f"least-squares residual {resid:.3e} exceeds tolerance", pairings=compat
         )
@@ -235,7 +256,7 @@ def _neumann(mesh, g, region, compat_tol, kernel_shift):
         phi = phi + solve.kernel @ rng.uniform(-1.0, 1.0, size=deficiency)
     if exterior:
         phi_mass = integrate(mesh, phi)
-        if abs(phi_mass) > 1e-8 * scale:
+        if not abs(phi_mass) <= 1e-8 * scale:
             raise SingularSystem(
                 f"exterior Neumann density carries mass {phi_mass:.3e}"
             )
@@ -258,22 +279,24 @@ def _neumann(mesh, g, region, compat_tol, kernel_shift):
     )
 
 
-def neumann_interior(mesh, g, compat_tol=1e-7, kernel_shift=None):
+def neumann_interior(mesh, g, kernel_shift=None):
     """Interior Neumann problem with distributional datum g.
 
     g may be a grid function, a DistRep, or a PairDistribution.  The
     minimum-norm density solves (-1/2 I + Wt) phi = g; kernel_shift (a
     seed) adds a combination of transpose-kernel vectors, producing a
-    different representative of the same solution family.  compat_tol
-    must be a finite real > 0 and kernel_shift None or an int >= 0, else
-    OutOfRange before anything is solved.
+    different representative of the same solution family.  kernel_shift
+    must be None or an int >= 0, and the datum's grid representer within
+    _MAX_DATUM, else OutOfRange before anything is solved.  A datum whose
+    component fluxes or solve residual exceed _COMPAT_TOL relative to its
+    size raises IncompatibleData.
     """
-    return _neumann(mesh, g, "interior", compat_tol, kernel_shift)
+    return _neumann(mesh, g, "interior", kernel_shift)
 
 
-def neumann_exterior(mesh, g, compat_tol=1e-7, kernel_shift=None):
+def neumann_exterior(mesh, g, kernel_shift=None):
     """Exterior Neumann problem (datum is minus the exterior normal derivative)."""
-    return _neumann(mesh, g, "exterior", compat_tol, kernel_shift)
+    return _neumann(mesh, g, "exterior", kernel_shift)
 
 
 @dataclass
@@ -320,21 +343,18 @@ class _SideKernels(NamedTuple):
     Wt: NullspaceBasis  # kernel of shift I + Wt
 
 
-def _side_kernels(mesh, side, tol=1e-10):
+def _side_kernels(mesh, side):
     """Kernels of one side's shift I + W and shift I + Wt from one SVD of shift I + W.
 
     The right null vectors span the W kernel.  The left null vectors
     scaled by D^-1 span the Wt kernel, and a thin QR orthonormalizes them.
-    Singular values below tol times the largest count as zero; tol must be
-    a finite real in (0, 1), else OutOfRange.
+    Singular values below _RANK_TOL times the largest count as zero.
     """
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < 1:
-        raise OutOfRange(f"nullspace tol must be a finite real in (0, 1), got {tol!r}")
     n = mesh.n
     A = side.shift * np.eye(n) + operator_set(mesh).W
     u, sv, vt = np.linalg.svd(A)
-    dim = int(np.sum(sv < tol * sv[0]))
-    # tol < 1 keeps sv[0], so the kernel is never all of R^n
+    dim = int(np.sum(sv < _RANK_TOL * sv[0]))
+    # _RANK_TOL < 1 keeps sv[0], so the kernel is never all of R^n
     gap = float(sv[n - dim - 1] / sv[n - dim]) if dim else float("inf")
     warning = None
     if gap < 1e4:
@@ -347,14 +367,14 @@ def _side_kernels(mesh, side, tol=1e-10):
                         NullspaceBasis(wt_kernel, sv, gap, warning))
 
 
-def nullspace(mesh, op_kind, tol=1e-10):
+def nullspace(mesh, op_kind):
     """Null space of one of the four second-kind operators, from the side's SVD.
 
-    Both kinds of a side read one SVD of shift I + W (see NullspaceBasis);
-    tol, the relative singular-value cut, must be a finite real in (0, 1).
+    Both kinds of a side read one SVD of shift I + W (see NullspaceBasis),
+    cut at the relative singular value _RANK_TOL.
     """
     side, op = _op_kind(op_kind)
-    return getattr(_side_kernels(mesh, side, tol), op)
+    return getattr(_side_kernels(mesh, side), op)
 
 
 def _decompose(mesh, g, sign):
@@ -367,7 +387,7 @@ def _decompose(mesh, g, sign):
     """
     # sign/2 I + Wt is the operator of the Neumann problem on the opposite side
     side = _side(sign).opposite
-    g = _check_aligned(mesh, g)
+    g = _datum(mesh, g)
     K = _indicators(mesh, side)
     P = _wt_solve(mesh, side, np.zeros(mesh.n)).kernel
     DP = P * mesh.weights[:, None]
@@ -528,7 +548,7 @@ def transpose_kernel_pair_basis(mesh, op_kind, jmap=None):
     # J-coordinate matrix of shift I + Wt
     M = side.shift * np.eye(mesh.n) + ops.W + np.outer(correction, ops.q)
     _, sv, vt = np.linalg.svd(M)
-    dim = int(np.sum(sv < 1e-10 * sv[0]))
+    dim = int(np.sum(sv < _RANK_TOL * sv[0]))
     if not dim:
         return np.zeros((mesh.n, 0))
     jmap = jmap or JMap(mesh, "plus")

@@ -12,15 +12,16 @@ run_verify holds one _MeshCache per mesh: the J factor of each side
 (distributions.JMap), the probe point sets, keyed by (region, count,
 prefer), and the cos(k t), sin(k t) table of the seeded densities.  Each
 is built once on first use, shared read-only by the checks on that mesh,
-and dropped with the cache before the next mesh.  Every check also runs
-on its own, with a cache of its own.
+and dropped with the cache before the next mesh.  run_verify calls every
+check as run(mesh, rng, cache=cache); every check also runs on its own,
+with a cache of its own, and gives the same residual.
 """
 
 import numbers
 import sys
 import zlib
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -101,23 +102,19 @@ class VerifyReport:
         }
 
 
-def _fourier_table(t, degree):
-    """cos(k t) and sin(k t) for k = 1..degree, each of shape (degree, len(t))."""
-    kt = np.arange(1, degree + 1)[:, None] * t
+def _fourier_table(t):
+    """cos(k t) and sin(k t) for k = 1..8, the modes of a seeded density."""
+    kt = np.arange(1, 9)[:, None] * t
     return np.cos(kt), np.sin(kt)
 
 
-# Fourier modes of a seeded density
-_DEGREE = 8
-
-
-def seeded_density(mesh, rng, degree=_DEGREE, zero_mean=False):
-    """Smooth random density: truncated Fourier series in the parameter."""
-    return _draw(mesh, rng, *_fourier_table(mesh.t, degree), zero_mean)
+def seeded_density(mesh, rng, zero_mean=False):
+    """Smooth random density: Fourier series in the parameter, truncated at degree 8."""
+    return _draw(mesh, rng, *_fourier_table(mesh.t), zero_mean)
 
 
 def _draw(mesh, rng, cos_kt, sin_kt, zero_mean):
-    """seeded_density from its _fourier_table, whose rows set the degree."""
+    """seeded_density from its _fourier_table."""
     f = rng.uniform(-1.0, 1.0) * np.ones(mesh.n)
     for k, (cos_k, sin_k) in enumerate(zip(cos_kt, sin_kt), start=1):
         a, b = rng.uniform(-1.0, 1.0, size=2) / (1.0 + k)
@@ -127,8 +124,8 @@ def _draw(mesh, rng, cos_kt, sin_kt, zero_mean):
     return f
 
 
-def probe_points(mesh, region, count=25, min_dist=0.2, prefer="far"):
-    """Probes offset along the normals, at least min_dist from the nodes.
+def probe_points(mesh, region, count=25, prefer="far"):
+    """Probes offset along the normals, at least 0.2 from the nodes.
 
     Several offsets are tried so that narrow regions (an annulus at coarse
     resolution) still yield points clear of both the minimum distance and
@@ -136,13 +133,16 @@ def probe_points(mesh, region, count=25, min_dist=0.2, prefer="far"):
     candidates (accuracy), prefer='near' the closest admissible ones
     (useful to expose the convergence rate).  Raises InvalidProbe when no
     candidate qualifies: the region is too narrow for the band at this
-    node count.  count must be an int >= 1, else OutOfRange.
+    node count.  count must be an int >= 1 and prefer 'far' or 'near', else
+    OutOfRange.
     """
     if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
         raise OutOfRange(f"count must be an int >= 1, got {count!r}")
+    if prefer not in ("far", "near"):
+        raise OutOfRange(f"prefer must be 'far' or 'near', got {prefer!r}")
     sign = _side(region, "region").sign
     band = mesh.band_width()
-    keep_dist = max(min_dist, 1.2 * band)
+    keep_dist = max(0.2, 1.2 * band)
     step = max(1, mesh.n // (2 * count))
     offsets = sorted({1.25 * keep_dist, 0.25, 0.35, 0.5, 2.5 * band})
     blocks = [mesh.x[::step] - sign * d * mesh.normal[::step] for d in offsets]
@@ -176,8 +176,8 @@ class _MeshCache:
 
     @cached_property
     def fourier(self):
-        """_fourier_table of the mesh at seeded_density's default degree."""
-        return _fourier_table(self.mesh.t, _DEGREE)
+        """_fourier_table of the mesh."""
+        return _fourier_table(self.mesh.t)
 
     def density(self, rng, zero_mean=False):
         """seeded_density of the mesh, from the cached Fourier table."""
@@ -206,23 +206,21 @@ def _sup(x):
 # --- individual checks -----------------------------------------------------
 
 
-def check_w1_half(mesh, rng, negative_control=False):
-    ops = operator_set(mesh)
-    W = -ops.W if negative_control else ops.W
-    return _sup(W @ np.ones(mesh.n) - 0.5)
+def check_w1_half(mesh, rng, cache=None):
+    return _sup(operator_set(mesh).W @ np.ones(mesh.n) - 0.5)
 
 
-def check_plemelj_classical(mesh, rng, count=20, cache=None):
+def check_plemelj_classical(mesh, rng, cache=None):
     cache = cache or _MeshCache(mesh)
     ops = operator_set(mesh)
     res = 0.0
-    for _ in range(count):
+    for _ in range(20):
         f = cache.density(rng)
         res = max(res, _sup(ops.V @ ops._wt(f) - ops.W @ (ops.V @ f)))
     return res
 
 
-def _seeded_pairs(cache, rng, count=10, zero_mean=False):
+def _seeded_pairs(cache, rng, count, zero_mean=False):
     pairs = []
     for i in range(count):
         side = _SIDES[i % 2].name
@@ -232,11 +230,11 @@ def _seeded_pairs(cache, rng, count=10, zero_mean=False):
     return pairs
 
 
-def check_plemelj_distributional(mesh, rng, count=10, cache=None):
+def check_plemelj_distributional(mesh, rng, cache=None):
     cache = cache or _MeshCache(mesh)
     ops = operator_set(mesh)
     res = 0.0
-    for tau in _seeded_pairs(cache, rng, count):
+    for tau in _seeded_pairs(cache, rng, 10):
         lhs = V_of_distribution(Wt_on_distribution(tau, cache.jmap(tau.side)))
         rhs = ops.W @ V_of_distribution(tau)
         res = max(res, _sup(lhs - rhs))
@@ -266,10 +264,10 @@ def check_jump_double(mesh, rng, cache=None):
     return res
 
 
-def check_dist_jump(mesh, rng, count=6, cache=None):
+def check_dist_jump(mesh, rng, cache=None):
     cache = cache or _MeshCache(mesh)
     res = 0.0
-    for tau in _seeded_pairs(cache, rng, count, zero_mean=True):
+    for tau in _seeded_pairs(cache, rng, 6, zero_mean=True):
         out = dist_jump_check(tau)
         res = max(res, out.interior)
         if out.exterior is not None:
@@ -310,7 +308,7 @@ def check_third_green_exterior(mesh, rng, prefer="far", cache=None):
     return _third_green(mesh, rng, "exterior", prefer, cache)
 
 
-def _dlintesl(mesh, rng, side, cache):
+def _dlintesl(mesh, rng, side, cache=None):
     """Single layer of (side, 0, mu): its grid representer against the closed form."""
     cache = cache or _MeshCache(mesh)
     mu = cache.density(rng)
@@ -324,21 +322,13 @@ def _dlintesl(mesh, rng, side, cache):
     return res
 
 
-def check_dlintesl_plus(mesh, rng, cache=None):
-    return _dlintesl(mesh, rng, "plus", cache)
-
-
-def check_dlintesl_minus(mesh, rng, cache=None):
-    return _dlintesl(mesh, rng, "minus", cache)
-
-
-def check_vst_identities(mesh, rng, count=10, cache=None):
+def check_vst_identities(mesh, rng, cache=None):
     """V rep(side, mu) against the closed trace of the pair (side, 0, mu)."""
     cache = cache or _MeshCache(mesh)
     ops = operator_set(mesh)
     zero = np.zeros(mesh.n)
     res = 0.0
-    for _ in range(count):
+    for _ in range(10):
         mu = cache.density(rng)
         for side in _SIDES:
             closed = V_of_distribution(PairDistribution(side.name, zero, mu, mesh))
@@ -346,11 +336,11 @@ def check_vst_identities(mesh, rng, count=10, cache=None):
     return res
 
 
-def check_symmetry(mesh, rng, count=10, cache=None):
+def check_symmetry(mesh, rng, cache=None):
     cache = cache or _MeshCache(mesh)
     ops = operator_set(mesh)
     res = 0.0
-    for tau in _seeded_pairs(cache, rng, count):
+    for tau in _seeded_pairs(cache, rng, 10):
         psi = cache.density(rng)
         lhs = dist_pairing(tau, ops.V @ psi)
         rhs = pairing(mesh, V_of_distribution(tau), psi)
@@ -358,10 +348,10 @@ def check_symmetry(mesh, rng, count=10, cache=None):
     return res
 
 
-def check_j_roundtrip(mesh, rng, count=5, cache=None):
+def check_j_roundtrip(mesh, rng, cache=None):
     cache = cache or _MeshCache(mesh)
     res = 0.0
-    for tau in _seeded_pairs(cache, rng, count):
+    for tau in _seeded_pairs(cache, rng, 5):
         g = J_isometry(tau)
         back = cache.jmap(tau.side).pair(g)
         res = max(res, _sup(J_isometry(back) - g))
@@ -370,10 +360,10 @@ def check_j_roundtrip(mesh, rng, count=5, cache=None):
     return res
 
 
-def check_space_coincidence(mesh, rng, count=5, cache=None):
+def check_space_coincidence(mesh, rng, cache=None):
     cache = cache or _MeshCache(mesh)
     res = 0.0
-    for tau in _seeded_pairs(cache, rng, count):
+    for tau in _seeded_pairs(cache, rng, 5):
         tau2 = cache.jmap(_side(tau.side).opposite.name).pair(J_isometry(tau))
         rep = to_grid_representer(tau).representer
         res = max(res, _sup(to_grid_representer(tau2).representer - rep))
@@ -423,7 +413,7 @@ def check_poisson_reps(mesh, rng, cache=None):
     return res
 
 
-def check_compat_rejection(mesh, rng):
+def check_compat_rejection(mesh, rng, cache=None):
     """Flux pairings against the component lengths; 1.0 if the datum is accepted."""
     topo = mesh.topology
     ones = np.ones(mesh.n)
@@ -441,52 +431,44 @@ def check_compat_rejection(mesh, rng):
 
 class _Check(NamedTuple):
     name: str
-    run: Callable  # (mesh, rng, **options) -> residual
+    run: Callable  # (mesh, rng, cache=None) -> residual
     tol: float  # default tolerance, which tol_overrides may replace
     identity: str
-    takes: tuple = ()  # the run_verify options run reads: "cache", "negative_control"
-
-
-_CACHE = ("cache",)
 
 
 _CHECKS = (
     _Check("w1-half", check_w1_half, 1e-10,
-           "double-layer operator maps the constant 1 to 1/2", ("negative_control",)),
+           "double-layer operator maps the constant 1 to 1/2"),
     _Check("plemelj-classical", check_plemelj_classical, 1e-7,
-           "V Wt = W V on grid densities", _CACHE),
+           "V Wt = W V on grid densities"),
     _Check("plemelj-distributional", check_plemelj_distributional, 1e-6,
-           "V[Wt tau] = W V[tau] on pair distributions", _CACHE),
+           "V[Wt tau] = W V[tau] on pair distributions"),
     _Check("jump-single", check_jump_single, 1e-6,
-           "harmonic extensions of the single-layer trace match the field on both sides", _CACHE),
+           "harmonic extensions of the single-layer trace match the field on both sides"),
     _Check("jump-double", check_jump_double, 1e-6,
-           "harmonic extensions of +-psi/2 + W psi match the double-layer field", _CACHE),
+           "harmonic extensions of +-psi/2 + W psi match the double-layer field"),
     _Check("dist-jump", check_dist_jump, 1e-6,
-           "normal derivative of the single layer of tau is -tau/2 +- Wt tau", _CACHE),
+           "normal derivative of the single layer of tau is -tau/2 +- Wt tau"),
     _Check("third-green-int", check_third_green_interior, 1e-6,
-           "u = double layer of trace minus single layer of normal derivative", _CACHE),
+           "u = double layer of trace minus single layer of normal derivative"),
     _Check("third-green-ext", check_third_green_exterior, 1e-6,
-           "u = -double layer - single layer + value at infinity", _CACHE),
-    _Check("dlintesl-plus", check_dlintesl_plus, 1e-6,
-           "single layer of interior transpose part = double layer minus harmonic extension",
-           _CACHE),
-    _Check("dlintesl-minus", check_dlintesl_minus, 1e-6,
-           "single layer of exterior transpose part = -double layer (+ extension, constant)",
-           _CACHE),
+           "u = -double layer - single layer + value at infinity"),
+    _Check("dlintesl-plus", partial(_dlintesl, side="plus"), 1e-6,
+           "single layer of interior transpose part = double layer minus harmonic extension"),
+    _Check("dlintesl-minus", partial(_dlintesl, side="minus"), 1e-6,
+           "single layer of exterior transpose part = -double layer (+ extension, constant)"),
     _Check("VSt-identities", check_vst_identities, 1e-6,
-           "closed traces: V rep(S+^t mu) = (-1/2+W) mu and minus-side analogue", _CACHE),
+           "closed traces: V rep(S+^t mu) = (-1/2+W) mu and minus-side analogue"),
     _Check("symmetry", check_symmetry, 1e-6,
-           "<tau, V psi> = <V[tau], psi> in the weighted pairing", _CACHE),
+           "<tau, V psi> = <V[tau], psi> in the weighted pairing"),
     _Check("J-isometry-roundtrip", check_j_roundtrip, 1e-6,
-           "mean-corrected single-layer trace is invertible on pairs", _CACHE),
+           "mean-corrected single-layer trace is invertible on pairs"),
     _Check("space-coincidence", check_space_coincidence, 1e-6,
-           "plus- and minus-side pair encodings represent the same distributions", _CACHE),
+           "plus- and minus-side pair encodings represent the same distributions"),
     _Check("nullspace-dims", check_nullspace_dims, 1e-5,
-           "kernel dims of +-1/2+W count exterior/interior components; transpose kernels agree",
-           _CACHE),
+           "kernel dims of +-1/2+W count exterior/interior components; transpose kernels agree"),
     _Check("poisson-reps", check_poisson_reps, 1e-6,
-           "Green-function representation reproduces Dirichlet solutions, vanishes off-side",
-           _CACHE),
+           "Green-function representation reproduces Dirichlet solutions, vanishes off-side"),
     _Check("compat-rejection", check_compat_rejection, 1e-10,
            "constant Neumann datum is rejected with per-component fluxes"),
 )
@@ -516,13 +498,7 @@ def check_tol_overrides(tol_overrides):
     return {name: float(tol) for name, tol in tol_overrides.items()}
 
 
-def run_verify(
-    meshes=None,
-    n=256,
-    seed=DEFAULT_SEED,
-    tol_overrides=None,
-    negative_control=False,
-):
+def run_verify(meshes=None, n=256, seed=DEFAULT_SEED, tol_overrides=None):
     """Run the whole identity suite and collect a VerifyReport.
 
     meshes is a dict name -> BoundaryMesh; by default the stock trio
@@ -535,15 +511,14 @@ def run_verify(
     if meshes is None:
         meshes = {name: stock_mesh(name, n) for name in STOCK_TRIO}
     report = VerifyReport(seed=seed, n=n, geometries=list(meshes))
-    options = {"negative_control": negative_control}
     for geom, mesh in meshes.items():
         # replacing the previous mesh's cache drops its factors and probes
-        options["cache"] = _MeshCache(mesh)
+        cache = _MeshCache(mesh)
         for check in _CHECKS:
             rng = np.random.default_rng(
                 [seed, zlib.crc32(check.name.encode()), zlib.crc32(geom.encode())]
             )
-            residual = check.run(mesh, rng, **{key: options[key] for key in check.takes})
+            residual = check.run(mesh, rng, cache=cache)
             tol = tols[check.name]
             report.rows.append(CheckRow(name=check.name, identity=check.identity,
                                         geometry=geom, residual=residual, tol=tol,

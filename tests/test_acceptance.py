@@ -86,7 +86,7 @@ def test_criterion_03_classical_plemelj(meshes):
     worst = 0.0
     for name in ("disk", "ellipse", "annulus", "kite"):
         rng = np.random.default_rng(RNG_SEED)
-        worst = max(worst, check_plemelj_classical(meshes[name], rng, count=20))
+        worst = max(worst, check_plemelj_classical(meshes[name], rng))
     assert _report(3, "classical-plemelj", worst, tol)
 
 
@@ -144,7 +144,7 @@ def test_criterion_06_closed_trace_identities(meshes):
     worst = 0.0
     for name in ("disk", "ellipse", "annulus"):
         rng = np.random.default_rng(RNG_SEED)
-        worst = max(worst, check_vst_identities(meshes[name], rng, count=10))
+        worst = max(worst, check_vst_identities(meshes[name], rng))
     assert _report(6, "closed-trace-identities", worst, tol)
 
 
@@ -255,8 +255,8 @@ def test_criterion_12_hadamard_demo(tmp_path):
 def test_criterion_13_convergence():
     names = {
         "w1-half": check_w1_half,
-        "plemelj": lambda m, r: check_plemelj_classical(m, r, count=20),
-        "closed-trace": lambda m, r: check_vst_identities(m, r, count=10),
+        "plemelj": check_plemelj_classical,
+        "closed-trace": check_vst_identities,
         "third-green": lambda m, r: max(
             check_third_green_interior(m, r, prefer="near"),
             check_third_green_exterior(m, r, prefer="near"),

@@ -22,11 +22,12 @@ from bie2d.geometry import (
     stock_mesh,
 )
 from bie2d.operators import _side, operator_set
-from bie2d.potentials import value_at_infinity
+from bie2d.potentials import HarmonicField, value_at_infinity
 from bie2d.cli import default_grid, write_field_csv
 from bie2d.verify import probe_points, run_verify, seeded_density
 from bie2d.distributions import (
     J_inverse,
+    PairDistribution,
     _j_forward_matrix,
     dist_single_layer_field,
     mass_of,
@@ -196,18 +197,10 @@ def test_nullspace_basis_structure():
     assert abs(float(basis[:, 0] @ const)) > 1.0 - 1e-10
 
 
-@pytest.mark.parametrize("tol", [2.0, 1.0, 0.0, -1.0, float("nan"), float("inf"),
-                                 True, "1e-10", None])
-def test_nullspace_refuses_a_bad_tol(tol):
-    mesh = stock_mesh("disk", 64)
-    with pytest.raises(OutOfRange, match="tol"):
-        nullspace(mesh, "minus_half_plus_W", tol)
-
-
 _BAD_ARGUMENTS = (
-    [("compat_tol", v) for v in (float("nan"), float("inf"), 0.0, -1e-7, True, "1e-7")]
-    + [("kernel_shift", v) for v in (-1, 1.5, "a", True)]
+    [("kernel_shift", v) for v in (-1, 1.5, "a", True)]
     + [("count", v) for v in (0, -3, True, 2.0)]
+    + [("prefer", "Near"), ("probe_radius", "10")]
 )
 
 
@@ -217,12 +210,31 @@ def test_neumann_and_probe_arguments_are_refused_before_any_solve(region, arg, v
     mesh = stock_mesh("disk", 64)
     solve = neumann_interior if region == "interior" else neumann_exterior
     with pytest.raises(OutOfRange, match=rf"^{arg}[^\n]*{value!r}$"):
-        if arg == "count":
-            probe_points(mesh, region, count=value)
-        else:
+        if arg == "kernel_shift":
             # a datum with no flux, which both sides accept
-            solve(mesh, np.cos(mesh.t), **{arg: value})
+            solve(mesh, np.cos(mesh.t), kernel_shift=value)
+        elif arg == "probe_radius":
+            value_at_infinity(HarmonicField(mesh, [], region=region), value)
+        else:
+            probe_points(mesh, region, **{arg: value})
     assert mesh.operators is None
+
+
+@pytest.mark.parametrize("solve", [dirichlet_interior, dirichlet_exterior,
+                                   neumann_interior, neumann_exterior])
+def test_a_datum_past_the_bound_is_refused_and_one_at_it_solves(solve):
+    # the squared norms of a 1e200 datum overflow: it is refused before any solve
+    mesh = stock_mesh("annulus", 64)
+    data = [1e200 * np.cos(mesh.t)]
+    if solve in (neumann_interior, neumann_exterior):
+        # the pair's mass, a sum over mu0, would overflow before its representer is formed
+        data.append(PairDistribution("plus", np.full(mesh.n, 1e308), np.zeros(mesh.n), mesh))
+    for g in data:
+        with pytest.raises(OutOfRange, match=r"^datum of magnitude [^\n]*1e\+150"):
+            solve(mesh, g)
+    assert mesh.operators is None
+    report = solve(mesh, solvers._MAX_DATUM * np.cos(mesh.t))
+    assert all(np.isfinite(v) for v in report.residuals.values())
 
 
 @pytest.mark.parametrize("kind", ["half_plus_W", "minus_half_plus_W"])

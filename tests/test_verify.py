@@ -1,6 +1,7 @@
 """The identity suite's table: its rows, and the dense work it does per mesh."""
 
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ def test_default_report_rows_are_pinned():
     assert len(got) == 51 and report.passed
 
 
+@pytest.mark.parametrize("name", ["disk", "annulus"])
+def test_each_check_run_alone_gives_its_suite_row(name):
+    # run_verify calls every row as run(mesh, rng, cache=cache); alone, a
+    # check builds its own cache and must give the same residual bit for bit
+    mesh = stock_mesh(name, 64)
+    rows = run_verify(meshes={name: mesh}, n=64).rows
+    for check, row in zip(verify._CHECKS, rows, strict=True):
+        rng = np.random.default_rng([verify.DEFAULT_SEED, zlib.crc32(check.name.encode()),
+                                     zlib.crc32(name.encode())])
+        assert check.run(mesh, rng) == row.residual, check.name
+
+
 @pytest.mark.parametrize("name", ["disk", "ellipse", "annulus"])
 def test_verify_takes_four_square_svds_per_mesh(monkeypatch, name):
     # one SVD of shift I + W per side, which gives both of its null spaces,
@@ -74,9 +87,9 @@ def test_verify_factors_each_j_map_once_and_finds_each_probe_set_once(monkeypatc
             return real(*args, **kwargs)
         return wrapper
 
-    def recording_probes(mesh, region, count=25, min_dist=0.2, prefer="far"):
+    def recording_probes(mesh, region, count=25, prefer="far"):
         requests.append((region, count, prefer))
-        return real_probes(mesh, region, count, min_dist, prefer)
+        return real_probes(mesh, region, count, prefer)
 
     real_probes = verify.probe_points
     # blocks of 8 rows: each candidate pass spans several, and counts once
@@ -137,7 +150,7 @@ def test_run_verify_refuses_bad_tol_overrides(overrides, reason):
 
 
 def test_run_verify_applies_tol_overrides(monkeypatch):
-    check = verify._Check("symmetry", lambda mesh, rng: 0.25, 1e-6, "a fixed residual")
+    check = verify._Check("symmetry", lambda mesh, rng, cache: 0.25, 1e-6, "a fixed residual")
     monkeypatch.setattr(verify, "_CHECKS", (check,))
     mesh = stock_mesh("disk", 32)
     assert not run_verify(meshes={"disk": mesh}, n=32).passed
