@@ -260,6 +260,10 @@ def build_data(cfg, mesh):
         except (LengthMismatch, OutOfRange, TypeError, ValueError) as exc:
             raise ConfigError(f"pair file {arg}: {exc}") from exc
         _require_finite(np.concatenate([tau.mu0, tau.mu1]), f"pair file {arg}")
+        # a density pair is a Neumann datum; a sound file is read before it is refused
+        if cfg.problem in ("dirichlet-int", "dirichlet-ext"):
+            raise ConfigError(f"data spec 'pairjson' is only valid with neumann-int or "
+                              f"neumann-ext, not {cfg.problem!r}")
         return tau
     raise ConfigError(f"unknown data spec {cfg.data!r}")
 
@@ -287,10 +291,12 @@ def hadamard_trace(t, terms):
 
 
 def _require_resolution(terms, n):
+    """Refuse fewer than 8 * 2**terms nodes, compared through bit lengths so
+    that a huge term count forms no power."""
     if terms < 1:
         raise ConfigError(f"hadamard data needs at least 1 term, got {terms}")
-    needed = 8 * 2**terms
-    if n < needed:
+    if n < 1 or terms + 3 >= int(n).bit_length():
+        needed = 8 * 2**terms if terms < 64 else f"2**{terms + 3}"
         raise ConfigError(
             f"hadamard data with {terms} terms needs at least {needed} nodes, got {n}"
         )

@@ -108,13 +108,15 @@ def _j_forward_matrix(mesh, side):
     ops = operator_set(mesh)
     n = mesh.n
     length = integrate(mesh, np.ones(n))
-    ones = np.ones(n)
+    A = np.empty((n, 2 * n))
     # J on the mu0 block: V mu0 - mbar (V 1 - 1) with mbar = w.mu0 / length
-    A0 = ops.V - np.outer(ops.V @ ones - ones, mesh.weights / length)
-    A1 = -0.5 * np.eye(n) + sign * ops.W
+    A0 = np.multiply((ops.V @ np.ones(n) - 1.0)[:, None], mesh.weights / length, out=A[:, :n])
+    np.subtract(ops.V, A0, out=A0)
+    A1 = np.multiply(ops.W, sign, out=A[:, n:])
+    A1[range(n), range(n)] -= 0.5
     if sign < 0:
-        A1 += np.outer(ones, ops.q)
-    return np.concatenate([A0, A1], axis=1)
+        A1 += ops.q
+    return A
 
 
 class JMap:

@@ -204,12 +204,6 @@ class OperatorSet:
         rhs[: self.n] = top
         return lu_solve(self._bordered_lu, rhs, trans=trans)[: self.n]
 
-    @property
-    def Wt(self):
-        """Dense adjoint double layer D^-1 W^T D, rebuilt on every access."""
-        w = self.weights
-        return (self.W.T * w[None, :]) / w[:, None]
-
     def _wt(self, x):
         """Wt x for a grid function or an (n, k) block, without forming Wt."""
         w = self.weights if x.ndim == 1 else self.weights[:, None]

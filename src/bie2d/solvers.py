@@ -6,12 +6,12 @@ nonvariational Neumann problems solve (-1/2 I + Wt) phi = g (interior) and
 (1/2 I + Wt) phi = g (exterior) for the minimum-norm density.  The domain
 topology gives the left kernels: the weighted indicators of the components
 of the open set (interior) and of the bounded exterior components
-(exterior).  One LU of the matrix bordered with them yields a solution and
-a basis of the right kernel, which is then projected out; the rank
-deficiency is measured on that basis, not taken from the topology.  A
-second Dirichlet solver goes through the image/kernel splitting of
-sign/2 I + W and a single layer with density in the transpose kernel,
-cross-checking the direct route.  Every +- is the side's sign (README,
+(exterior).  One LU of the matrix bordered with them, written from W
+(Wt is never formed), yields a solution and a basis of the right kernel,
+which is then projected out; the rank deficiency is measured on that
+basis.  A second Dirichlet solver splits g under sign/2 I + W, its image's
+density read from the same LU, and adds a single layer with density in the
+transpose kernel, cross-checking the direct route.  Every +- is the side's sign (README,
 "Sides and signs").  The SVD survives only in nullspace and
 transpose_kernel_pair_basis, as the independent check of those kernels.
 nullspace takes one SVD of shift I + W per side and reads both of the
@@ -161,52 +161,10 @@ _COMPAT_TOL = 1e-7
 
 
 class _Bordered(NamedTuple):
-    solution: np.ndarray  # minimum-norm solution of A x = rhs
-    kernel: np.ndarray  # orthonormal basis of the measured right kernel of A
+    solution: np.ndarray  # minimum-norm solution of (shift I + Wt) x = rhs
+    kernel: np.ndarray  # orthonormal basis of the measured right kernel of shift I + Wt
     border: int  # number of border columns: the kernel dimension assumed
-
-
-def _bordered_minnorm(op, shift, left_kernel, rhs):
-    """Minimum-norm solution of (shift I + op) x = rhs by one bordered LU.
-
-    left_kernel spans the left kernel of A = shift I + op.  With B its
-    columns scaled to unit length, [A, B; B^T, 0] is factored once, and the
-    datum and the unit vectors of the border rows are solved together: for
-    rhs in the range of A the first solution solves A x = rhs, the others
-    span the right kernel of A.  That span is orthonormalized, the vectors A
-    maps below _RANK_TOL times the inf-norm of the bordered matrix are kept
-    as the measured kernel, and the kernel is projected out of x in the
-    Euclidean norm, which is the answer of a minimum-norm least-squares
-    solve.
-    Raises SingularSystem when the LAPACK condition estimate of the factors
-    falls below _RCOND_FLOOR.
-    """
-    n, k = left_kernel.shape
-    M = np.zeros((n + k, n + k))
-    M[:n, :n] = op
-    M[range(n), range(n)] += shift
-    M[:n, n:] = left_kernel / np.linalg.norm(left_kernel, axis=0)
-    M[n:, :n] = M[:n, n:].T
-    anorm = float(np.linalg.norm(M, np.inf))
-    # LAPACK factors the Fortran-ordered M.T in place, without a copy, so the
-    # condition estimate takes the inf-norm of M and the solve uses trans=1
-    lu, piv = lu_factor(M.T, overwrite_a=True, check_finite=False)
-    rcond, _ = dgecon(lu, anorm)
-    if not rcond >= _RCOND_FLOOR:
-        raise SingularSystem(
-            f"bordered second-kind system is singular (rcond {rcond:.1e})"
-        )
-    rhs_block = np.zeros((n + k, k + 1))
-    rhs_block[:n, 0] = rhs
-    rhs_block[n:, 1:] = np.eye(k)
-    sol = lu_solve((lu, piv), rhs_block, trans=1, check_finite=False)[:n]
-    kernel = np.zeros((n, 0))
-    if k:
-        span, _ = np.linalg.qr(sol[:, 1:])
-        _, sv, vt = np.linalg.svd(shift * span + op @ span, full_matrices=False)
-        kernel = span @ vt[sv <= _RANK_TOL * anorm].T
-    x = sol[:, 0]
-    return _Bordered(x - kernel @ (kernel.T @ x), kernel, k)
+    factors: tuple  # lu_solve factors of the transposed bordered matrix
 
 
 def _indicators(mesh, side):
@@ -223,9 +181,47 @@ def _indicators(mesh, side):
 
 
 def _wt_solve(mesh, side, rhs):
-    """Minimum-norm solve with the side's shift I + Wt, bordered by the weighted indicators."""
-    border = _indicators(mesh, side) * mesh.weights[:, None]
-    return _bordered_minnorm(operator_set(mesh).Wt, side.shift, border, rhs)
+    """Minimum-norm solution of (shift I + Wt) x = rhs by one bordered LU.
+
+    A = shift I + D^-1 W^T D (the side's shift) is written from W straight
+    into M = [A, B; B^T, 0], B the side's weighted indicators with unit
+    columns, which span the left kernel of A.  LAPACK factors M once, in
+    place, as the Fortran-ordered M^T, whose block shift I + D W D^-1 is
+    written in the order W is stored.  The datum and the unit vectors of the
+    border rows are solved together (trans=1): for rhs in the range of A the
+    first solution solves A x = rhs, the others span the right kernel of A.
+    That span is orthonormalized, the vectors A maps below _RANK_TOL times
+    the inf-norm of M are kept as the measured kernel, and the kernel is
+    projected out of x in the Euclidean norm, the answer of a minimum-norm
+    least-squares solve.  _decompose solves with M^T on the same factors.
+    Raises SingularSystem when their LAPACK condition estimate is below _RCOND_FLOOR.
+    """
+    n, w = mesh.n, mesh.weights
+    ops = operator_set(mesh)
+    border = _indicators(mesh, side) * w[:, None]
+    k = border.shape[1]
+    M = np.zeros((n + k, n + k))
+    At = np.multiply(ops.W, w[:, None], out=M.T[:n, :n])
+    At /= w
+    At[range(n), range(n)] += side.shift
+    M[:n, n:] = border / np.linalg.norm(border, axis=0)
+    M[n:, :n] = M[:n, n:].T
+    anorm = float(np.linalg.norm(M, np.inf))
+    factors = lu_factor(M.T, overwrite_a=True, check_finite=False)
+    rcond, _ = dgecon(factors[0], anorm)
+    if not rcond >= _RCOND_FLOOR:
+        raise SingularSystem(f"bordered second-kind system is singular (rcond {rcond:.1e})")
+    rhs_block = np.zeros((n + k, k + 1))
+    rhs_block[:n, 0] = rhs
+    rhs_block[n:, 1:] = np.eye(k)
+    sol = lu_solve(factors, rhs_block, trans=1, check_finite=False)[:n]
+    kernel = np.zeros((n, 0))
+    if k:
+        span, _ = np.linalg.qr(sol[:, 1:])
+        _, sv, vt = np.linalg.svd(side.shift * span + ops._wt(span), full_matrices=False)
+        kernel = span @ vt[sv <= _RANK_TOL * anorm].T
+    x = sol[:, 0]
+    return _Bordered(x - kernel @ (kernel.T @ x), kernel, k, factors)
 
 
 def _neumann(mesh, g, region, kernel_shift):
@@ -236,16 +232,17 @@ def _neumann(mesh, g, region, kernel_shift):
     exterior = side.sign < 0
     rep, tau = _as_neumann_rep(mesh, g)
     ops = operator_set(mesh)
-    scale = max(1e-30, float(np.max(np.abs(rep))) * integrate(mesh, np.ones(mesh.n)))
+    scale = float(np.max(np.abs(rep))) * integrate(mesh, np.ones(mesh.n))
     compat = _compat_pairings(mesh, tau, side)
-    # each gate fails for NaN and inf as well
+    # each gate fails for NaN and inf as well, and a zero datum passes them all
     if not np.max(np.abs(compat)) <= _COMPAT_TOL * scale:
         raise IncompatibleData(f"datum has nonzero flux through "
                                f"{'an exterior' if exterior else 'a'} component boundary",
                                pairings=compat)
     solve = _wt_solve(mesh, side, rep)
     phi = solve.solution
-    resid = float(np.linalg.norm(side.shift * phi + ops._wt(phi) - rep))
+    A_phi = side.shift * phi + ops._wt(phi)
+    resid = float(np.linalg.norm(A_phi - rep))
     if not resid <= _COMPAT_TOL * max(1.0, float(np.linalg.norm(rep))):
         raise IncompatibleData(
             f"least-squares residual {resid:.3e} exceeds tolerance", pairings=compat
@@ -254,6 +251,7 @@ def _neumann(mesh, g, region, kernel_shift):
     if kernel_shift is not None:
         rng = np.random.default_rng(kernel_shift)
         phi = phi + solve.kernel @ rng.uniform(-1.0, 1.0, size=deficiency)
+        A_phi = side.shift * phi + ops._wt(phi)
     if exterior:
         phi_mass = integrate(mesh, phi)
         if not abs(phi_mass) <= 1e-8 * scale:
@@ -262,7 +260,6 @@ def _neumann(mesh, g, region, kernel_shift):
             )
     fld = HarmonicField(mesh, [("single", phi)], region=region)
     trace = ops.V @ phi
-    A_phi = side.shift * phi + ops._wt(phi)
     # rep(side, V phi) = sign (shift I + Wt) phi
     check = np.max(np.abs(ops.rep(side.name, trace) - side.sign * A_phi))
     residuals = {"equation": resid, "neumann_identity": float(check)}
@@ -351,7 +348,8 @@ def _side_kernels(mesh, side):
     Singular values below _RANK_TOL times the largest count as zero.
     """
     n = mesh.n
-    A = side.shift * np.eye(n) + operator_set(mesh).W
+    A = operator_set(mesh).W.copy()
+    A[range(n), range(n)] += side.shift
     u, sv, vt = np.linalg.svd(A)
     dim = int(np.sum(sv < _RANK_TOL * sv[0]))
     # _RANK_TOL < 1 keeps sv[0], so the kernel is never all of R^n
@@ -383,13 +381,15 @@ def _decompose(mesh, g, sign):
     Returns (g_im, g_ker, psi, P): psi is the minimum-norm solution of
     (sign/2 I + W) psi = g_im and P an orthonormal basis of the kernel of
     the transpose operator sign/2 I + Wt.  The kernel of sign/2 I + W is
-    spanned by the indicators of the opposite side, its left kernel by D P.
+    spanned by the indicators K of the opposite side, its left kernel by D P.
+    The factors of P's _wt_solve also solve [D (sign/2 I + W) D^-1, D K;
+    (D K)^T, 0] [D psi0; 0] = [D g_im; 0], and psi is psi0 minus its K part.
     """
     # sign/2 I + Wt is the operator of the Neumann problem on the opposite side
     side = _side(sign).opposite
     g = _datum(mesh, g)
     K = _indicators(mesh, side)
-    P = _wt_solve(mesh, side, np.zeros(mesh.n)).kernel
+    _, P, k, factors = _wt_solve(mesh, side, np.zeros(mesh.n))
     DP = P * mesh.weights[:, None]
     g_ker = np.zeros(mesh.n)
     if K.shape[1]:
@@ -398,8 +398,10 @@ def _decompose(mesh, g, sign):
         except np.linalg.LinAlgError as exc:
             raise SingularSystem("oblique projection system is singular") from exc
     g_im = g - g_ker
+    rhs = np.append(mesh.weights * g_im, np.zeros(k))
+    psi = lu_solve(factors, rhs, check_finite=False)[:mesh.n] / mesh.weights
+    psi -= K @ ((K.T @ psi) / np.sum(K, axis=0))  # K^T K is diagonal
     W = operator_set(mesh).W
-    psi = _bordered_minnorm(W, side.shift, DP, g_im).solution
     resid = float(np.linalg.norm(side.shift * psi + W @ psi - g_im))
     if resid > 1e-7 * max(1.0, float(np.linalg.norm(g))):
         raise SingularSystem(f"image part not reachable: residual {resid:.3e}")
@@ -546,7 +548,9 @@ def transpose_kernel_pair_basis(mesh, op_kind, jmap=None):
     v1 = ops.V @ np.ones(mesh.n)
     correction = ops.W @ v1 - 0.5 * v1
     # J-coordinate matrix of shift I + Wt
-    M = side.shift * np.eye(mesh.n) + ops.W + np.outer(correction, ops.q)
+    M = ops.W.copy()
+    M[range(mesh.n), range(mesh.n)] += side.shift
+    M += np.outer(correction, ops.q)
     _, sv, vt = np.linalg.svd(M)
     dim = int(np.sum(sv < _RANK_TOL * sv[0]))
     if not dim:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bie2d.geometry import build_mesh, stock_mesh, CurveSpec
+from bie2d.operators import operator_set
 
 
 def _openblas_thread_controls():
@@ -53,6 +54,12 @@ def one_blas_thread():
     yield
     for (_, put), count in zip(controls, before):
         put(count)
+
+
+def dense_wt(mesh):
+    """Dense adjoint double layer D^-1 W^T D of a mesh, the reference the library never forms."""
+    w = mesh.weights
+    return (operator_set(mesh).W.T * w) / w[:, None]
 
 
 def rows_per_block(monkeypatch, rows):

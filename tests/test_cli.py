@@ -1,9 +1,15 @@
 import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import bie2d
 from bie2d import cli, verify
 from bie2d.errors import ConfigError, SingularSystem
 from bie2d.geometry import stock_mesh
@@ -469,3 +475,98 @@ def test_bad_cli_input_is_config_error(tmp_path, capsys, monkeypatch, case):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
     assert reason in err and "Traceback" not in err
+
+
+# problems x data specs of the exit-code contract; {tmp} is the test directory
+_CONTRACT_PROBLEMS = ["dirichlet-int", "dirichlet-ext", "neumann-int", "neumann-ext"]
+_CONTRACT_DATA = ["constant:1", "constant:0", "fourier:2", "indicator:0", "hadamard:2",
+                  "csv:{tmp}/g.csv", "pairjson:{tmp}/plus.json", "pairjson:{tmp}/minus.json"]
+_EXIT_REASONS = {2: "config error:", 3: "incompatible data:", 4: "numerical failure:"}
+
+
+def _contract_solve(tmp_path, problem, data):
+    """main(["solve", ...]) on a 64-node disk, with the csv and pair files the specs name."""
+    mesh = stock_mesh("disk", 64)
+    np.savetxt(tmp_path / "g.csv", np.cos(mesh.t), delimiter=",")
+    for side in ("plus", "minus"):
+        pair = {"side": side, "mu0": list(np.cos(mesh.t)), "mu1": list(np.sin(2 * mesh.t))}
+        (tmp_path / f"{side}.json").write_text(json.dumps(pair))
+    return main(["solve", "--config", write_disk_config(tmp_path / "disk.json"),
+                 "--problem", problem, "--data", data.format(tmp=tmp_path), "--n", "64",
+                 "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("data", _CONTRACT_DATA)
+@pytest.mark.parametrize("problem", _CONTRACT_PROBLEMS)
+def test_solve_exit_code_contract(tmp_path, capsys, problem, data):
+    # no exception escapes; a failure prints one reason line, and an
+    # incompatible datum adds only its component pairings
+    code = _contract_solve(tmp_path, problem, data)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INCOMPATIBLE, 4)
+    err = capsys.readouterr().err.splitlines()
+    if code == EXIT_OK:
+        assert err == []
+        return
+    reason, *rest = err
+    assert reason.startswith(_EXIT_REASONS[code])
+    if code == EXIT_INCOMPATIBLE:
+        assert rest and all(re.fullmatch(r"  component pairing \[\d+\] = \S+", line)
+                            for line in rest)
+    else:
+        assert rest == []
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+@pytest.mark.parametrize("problem", ["dirichlet-int", "dirichlet-ext"])
+def test_pair_datum_is_refused_for_dirichlet_problems(tmp_path, capsys, problem, side):
+    code = _contract_solve(tmp_path, problem, f"pairjson:{{tmp}}/{side}.json")
+    _assert_config_error(code, capsys, tmp_path / "out")
+
+
+@pytest.mark.parametrize("problem, data, expected", [
+    ("neumann-int", "constant:1e-320", EXIT_INCOMPATIBLE),
+    ("neumann-ext", "constant:1e-40", EXIT_INCOMPATIBLE),
+    ("neumann-int", "constant:0", EXIT_OK),
+    ("neumann-ext", "constant:0", EXIT_OK),
+])
+def test_tiny_constant_neumann_datum_meets_the_compatibility_gate(tmp_path, capsys, problem,
+                                                                   data, expected):
+    # the gates scale with the datum all the way down; only zero is compatible
+    assert _contract_solve(tmp_path, problem, data) == expected
+    assert ("incompatible data:" in capsys.readouterr().err) == (expected != EXIT_OK)
+
+
+_HUGE_HADAMARD = {
+    "solve-20000": ["solve", "--config", "{tmp}/disk.json", "--problem", "neumann-int",
+                    "--data", "hadamard:20000", "--n", "64", "--out", "{tmp}/out"],
+    "demo-20000": ["demo-hadamard", "--terms", "20000", "--n", "64", "--out", "{tmp}/out"],
+    "solve-1e20": ["solve", "--config", "{tmp}/disk.json", "--problem", "neumann-int",
+                   "--data", "hadamard:99999999999999999999", "--n", "64",
+                   "--out", "{tmp}/out"],
+}
+
+# runs main in a child whose address space is capped, so a term count that
+# forms 8 * 2**terms fails there instead of filling this machine's memory
+_TIMED_MAIN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+from bie2d.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("case", sorted(_HUGE_HADAMARD))
+def test_huge_hadamard_term_count_is_a_quick_config_error(tmp_path, case):
+    write_disk_config(tmp_path / "disk.json")
+    argv = [arg.format(tmp=tmp_path) for arg in _HUGE_HADAMARD[case]]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bie2d.__file__)))
+    run = subprocess.run([sys.executable, "-c", _TIMED_MAIN, *argv], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == EXIT_CONFIG
+    assert run.stderr.startswith("config error: hadamard data with")
+    assert len(run.stderr.strip().splitlines()) == 1
+    assert float(run.stdout) < 1.0
+    assert not (tmp_path / "out").exists()

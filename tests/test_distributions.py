@@ -13,6 +13,7 @@ from bie2d.distributions import (
     PairDistribution,
     V_of_distribution,
     Wt_on_distribution,
+    _j_forward_matrix,
     dist_jump_check,
     dist_normal_derivative,
     dist_pairing,
@@ -312,3 +313,22 @@ def test_pair_machinery_on_two_components(two_disks, rng):
             - to_grid_representer(tau).representer
         )
         assert np.max(np.abs(diff)) < 1e-6
+
+
+def _stacked_j_forward_matrix(mesh, side):
+    """The J map's matrix as np.eye, np.outer and np.concatenate build it."""
+    ops = operator_set(mesh)
+    n, ones = mesh.n, np.ones(mesh.n)
+    length = integrate(mesh, ones)
+    A0 = ops.V - np.outer(ops.V @ ones - ones, mesh.weights / length)
+    A1 = -0.5 * np.eye(n) + (1.0 if side == "plus" else -1.0) * ops.W
+    if side == "minus":
+        A1 += np.outer(ones, ops.q)
+    return np.concatenate([A0, A1], axis=1)
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+@pytest.mark.parametrize("name", ["disk", "ellipse", "annulus", "kite", "two-disks"])
+def test_j_forward_matrix_is_built_in_place_bit_for_bit(name, side):
+    mesh = stock_mesh(name, 64)
+    assert np.array_equal(_j_forward_matrix(mesh, side), _stacked_j_forward_matrix(mesh, side))

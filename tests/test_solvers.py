@@ -1,9 +1,11 @@
 import gc
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from conftest import dense_wt
 from scipy.linalg import subspace_angles
 
 from bie2d import solvers
@@ -258,7 +260,7 @@ def test_wt_kernel_matches_a_direct_svd_of_shift_plus_wt(name, n):
     mesh = stock_mesh(name, n)
     for side in (_side("plus"), _side("minus")):
         got = solvers._side_kernels(mesh, side).Wt.vectors
-        _, sv, vt = np.linalg.svd(side.shift * np.eye(mesh.n) + operator_set(mesh).Wt)
+        _, sv, vt = np.linalg.svd(side.shift * np.eye(mesh.n) + dense_wt(mesh))
         ref = vt[mesh.n - int(np.sum(sv < 1e-10 * sv[0])):].T
         assert got.shape == ref.shape
         if ref.shape[1]:
@@ -456,7 +458,7 @@ def _range_datum(mesh, region, seed):
     """A datum in the range of the Neumann operator, of zero total flux."""
     shift = _side(region, "region").shift
     f = seeded_density(mesh, np.random.default_rng(seed), zero_mean=True)
-    return shift * f + operator_set(mesh).Wt @ f
+    return shift * f + dense_wt(mesh) @ f
 
 
 @pytest.mark.parametrize("region", ["interior", "exterior"])
@@ -464,7 +466,7 @@ def _range_datum(mesh, region, seed):
 def test_neumann_density_is_the_minimum_norm_lstsq_solution(name, region):
     mesh = stock_mesh(name, 128)
     g = _range_datum(mesh, region, 5)
-    A = _side(region, "region").shift * np.eye(mesh.n) + operator_set(mesh).Wt
+    A = _side(region, "region").shift * np.eye(mesh.n) + dense_wt(mesh)
     expected, _, rank, _ = np.linalg.lstsq(A, g, rcond=1e-10)
     report = _NEUMANN[region](mesh, g)
     phi = report.densities["phi"]
@@ -528,3 +530,76 @@ def test_too_narrow_border_is_a_singular_system(monkeypatch):
     )
     with pytest.raises(SingularSystem, match="rcond"):
         neumann_interior(mesh, np.zeros(mesh.n))
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("name", ["disk", "kite", "annulus", "two-disks"])
+def test_decompose_density_is_the_minimum_norm_lstsq_solution(name, sign):
+    # psi is read from the factors of the transpose kernel's bordered LU;
+    # the reference solves with the dense sign/2 I + W by SVD
+    mesh = stock_mesh(name, 128)
+    g = seeded_density(mesh, np.random.default_rng(9))
+    g_im, _, psi, _ = solvers._decompose(mesh, g, sign)
+    A = _side(sign).opposite.shift * np.eye(mesh.n) + operator_set(mesh).W
+    expected, _, _, _ = np.linalg.lstsq(A, g_im, rcond=1e-10)
+    assert np.linalg.norm(psi - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_decompose_factors_one_matrix(monkeypatch):
+    mesh = stock_mesh("annulus", 64)
+    operator_set(mesh)  # the single layer's bordered LU is not counted
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lu_factor(*args, **kwargs)
+
+    lu_factor = solvers.lu_factor
+    monkeypatch.setattr(solvers, "lu_factor", counted)
+    for sign in ("plus", "minus"):
+        calls.clear()
+        solvers._decompose(mesh, seeded_density(mesh, np.random.default_rng(2)), sign)
+        assert calls == [(mesh.n + 1, mesh.n + 1)]
+
+
+def test_wt_solve_allocates_two_bordered_sized_arrays():
+    # the bordered matrix, factored in place, and the |M| behind its inf-norm;
+    # a dense Wt copied into the bordered matrix would make three
+    mesh = stock_mesh("annulus", 384)
+    n = mesh.n
+    operator_set(mesh)
+    for side in (_side("plus"), _side("minus")):
+        tracemalloc.start()
+        try:
+            solvers._wt_solve(mesh, side, np.zeros(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * (n + 1) ** 2 + 2**20
+
+
+@pytest.mark.parametrize("name", ["disk", "annulus", "two-disks"])
+def test_svd_inputs_are_shift_plus_w_bit_for_bit(monkeypatch, name):
+    # the in-place builds of shift I + W (and of its J-coordinate rank-one
+    # term) equal the expressions they replaced, entry for entry
+    mesh = stock_mesh(name, 64)
+    ops = operator_set(mesh)
+    seen = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        seen.append(a.copy())
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    v1 = ops.V @ np.ones(mesh.n)
+    rank_one = np.outer(ops.W @ v1 - 0.5 * v1, ops.q)
+    for kind, (side, _) in solvers._OP_KINDS.items():
+        expected = side.shift * np.eye(mesh.n) + ops.W
+        seen.clear()
+        solvers._side_kernels(mesh, side)
+        assert np.array_equal(seen[0], expected)
+        if kind.endswith("Wt"):
+            seen.clear()
+            solvers.transpose_kernel_pair_basis(mesh, kind)
+            assert np.array_equal(seen[0], expected + rank_one)
