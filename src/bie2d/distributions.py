@@ -59,7 +59,7 @@ def as_pair(mesh, tau):
     """Coerce a grid function into a plus-side pair; pass pairs through."""
     if isinstance(tau, PairDistribution):
         return tau
-    g = _check_aligned(mesh, np.asarray(tau, dtype=float))
+    g = _check_aligned(mesh, tau)
     return PairDistribution("plus", g, np.zeros(mesh.n), mesh)
 
 

@@ -14,7 +14,7 @@ class LengthMismatch(Bie2dError):
 
 
 class OutOfRange(Bie2dError):
-    """A component or region index is outside the valid range."""
+    """A component or region index, or a grid value, is outside the valid range."""
 
 
 class NearBoundary(Bie2dError):

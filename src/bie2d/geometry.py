@@ -459,6 +459,9 @@ def indicator(topology, region, index):
 def _check_aligned(mesh, f, block=False):
     # mesh is anything that carries a node count n: a mesh or an OperatorSet;
     # block admits an (n, k) block of grid functions as well
+    f = np.asarray(f)
+    if np.iscomplexobj(f):
+        raise OutOfRange("grid function is complex; its values must be real")
     f = np.asarray(f, dtype=float)
     if f.shape[:1] != (mesh.n,) or f.ndim > (2 if block else 1):
         raise LengthMismatch(f"grid function of length {f.shape} on mesh with {mesh.n} nodes")

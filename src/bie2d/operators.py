@@ -22,24 +22,32 @@ The Dirichlet-to-Neumann maps come from one bordered system
 eta of the single-layer-plus-constant representation of the harmonic
 extension (V eta + c = v with zero-mean eta, a system that stays well posed
 at logarithmic capacity one), and the map of a side is (-1/2 I + sign Wt) R.
-Neither R nor these maps is ever formed: each application is a solve with
-the LU factors of the bordered matrix, and their weighted transposes are
-transposed solves.
+Neither R nor these maps is ever formed.  V = A D with A symmetric, so
+with y = D eta the bordered system is the symmetric [A, 1; 1^T, 0] [y; c]
+= [v; 0].  The Householder reflector H of the ones vector (H 1 = -sqrt(n)
+e_0) turns the constraint 1^T y = 0 into y = H [0; z], and z solves
+T z = -(H v)[1:] with T = -(H A H)[1:, 1:].  T is positive definite,
+because the logarithmic energy of a signed measure of total mass zero is
+positive (Saff & Totik, Logarithmic Potentials with External Fields,
+ch. I), so it is factored once by Cholesky; row 0 of H A H gives the
+constant c.  The bordered matrix is this symmetric one times diag(D, 1),
+so its weighted transposes, and with them the value-at-infinity functional
+q, are solves of the same kind: none takes a transposed solve of the
+bordered system.
 
 The _Side table holds each side's sign, its Neumann shift -sign/2 and the
 name every layer gives it (README, "Sides and signs").  The operators live
 in one OperatorSet per mesh, stored in mesh.operators by operator_set; it
-keeps the node count and the weights it needs, never the mesh itself.  V
-is assembled straight into the bordered matrix and kept as a view of it,
-so the set holds three dense arrays: the bordered matrix, W and the LU
-factors.
+keeps the node count and the weights it needs, never the mesh itself.  The
+set holds three dense arrays: V, W and the Cholesky factor of T.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.blas import dtrsv
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InvalidGeometry, OutOfRange, SingularSystem
 from .geometry import _block_scratch, _check_aligned, _pair_geometry, _row_blocks
@@ -78,8 +86,8 @@ def _assemble(mesh, V):
     curve corrected by the circulant of _log_correction times
     (0.25 / pi) speed_j: together the Kussmaul-Martensen product rule, at
     one logarithm per pair.  No block spans two curves.  V is written into
-    the given (n, n) array (OperatorSet passes a view of its bordered
-    matrix); apart from W only block-sized arrays are allocated.
+    the given (n, n) array; apart from W only block-sized arrays are
+    allocated.
     """
     n = mesh.n
     W = np.empty((n, n))
@@ -163,46 +171,99 @@ def _side(value, by="name"):
     raise OutOfRange(f"unknown {what} {value!r}, expected {known}")
 
 
+def _reflect(x):
+    """H x for the Householder reflector H = I - beta v v^T of the ones vector.
+
+    v = 1 + sqrt(n) e_0 and beta = 1 / (n + sqrt(n)), so H 1 = -sqrt(n) e_0.
+    x is a grid function or an (n, k) block of them.
+    """
+    n = x.shape[0]
+    root = np.sqrt(n)
+    s = (x.sum(axis=0) + root * x[0]) / (n + root)  # beta v^T x
+    out = x - s
+    out[0] -= root * s
+    return out
+
+
+def _projected_cholesky(V, w):
+    """Cholesky factor of T = -(H A H)[1:, 1:] with A = V D^-1, and row 0 of H A H.
+
+    With p = beta A v and u = p - (beta v^T p / 2) v, H A H = A - u v^T - v u^T;
+    as v[1:] = 1, T[i, j] = u_i + u_j - A[i, j] over i, j >= 1.  T is built
+    in a C-ordered array whose transpose, F-ordered, dpotrf factors in place
+    (its lower triangle reads T's upper one, equal to rounding).
+    """
+    n = V.shape[0]
+    root = np.sqrt(n)
+    beta = 1.0 / (n + root)
+    v = np.ones(n)
+    v[0] += root
+    p = beta * (V @ (v / w))
+    u = p - (0.5 * beta * (v @ p)) * v
+    row0 = V[0] / w - u[0] * v - v[0] * u
+    T = np.divide(V[1:, 1:], w[1:], out=np.empty((n - 1, n - 1)))
+    np.subtract(u[1:, None], T, out=T)
+    T += u[1:]
+    factor, info = dpotrf(T.T, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise SingularSystem(f"single-layer system is not definite: leading minor {info} "
+                             f"of its projected {n - 1} x {n - 1} block is not positive")
+    return factor, row0
+
+
 class OperatorSet:
     """All dense operators for one mesh, assembled once and shared.
 
-    The only state is V (a view of the bordered matrix [V, 1; w^T, 0]),
-    W, the LU factors of the bordered matrix and the value-at-infinity
-    functional q (the last row of its inverse, from one transposed solve).
-    Wt is applied from W, and the Dirichlet-to-Neumann maps and their
-    weighted transposes are applied through the factors by dtn and rep;
-    none of them is stored.
+    The only state is V, W, the Cholesky factor of T and row 0 of H A H
+    (see the module docstring), and the value-at-infinity functional q,
+    the last row of the bordered inverse.  Wt is applied from W, and the
+    Dirichlet-to-Neumann maps and their weighted transposes through the
+    factor by dtn and rep, one solve each; none of them is stored.
     """
 
     def __init__(self, mesh):
         self.n = n = mesh.n
         self.weights = w = mesh.weights
-        # V lives in the bordered matrix, which is factored into a copy
-        B = np.empty((n + 1, n + 1))
-        self.V, W = _assemble(mesh, B[:n, :n])
+        self.V, W = _assemble(mesh, np.empty((n, n)))
         self.W = _checked_W(mesh, W)
-        B[:n, n] = 1.0
-        B[n, :n] = w
-        B[n, n] = 0.0
-        try:
-            self._bordered_lu = lu_factor(B)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise SingularSystem("bordered single-layer system is singular") from exc
-        e_n = np.zeros(n + 1)
-        e_n[n] = 1.0
-        self.q = lu_solve(self._bordered_lu, e_n, trans=1)[:n]
+        self._factor, self._row0 = _projected_cholesky(self.V, w)
+        # q is the y of A y + c = 0 with sum(y) = 1: y = 1/n + y0 with mass-free
+        # y0, and A 1 = V D^-1 1
+        self.q = self._solve(-(self.V @ (1.0 / w)) / n)[0] + 1.0 / n
+
+    def _solve(self, g):
+        """(y, c) with A y + c = g and sum(y) = 0, for g a grid function or an (n, k) block.
+
+        y = H [0; z] where the trailing rows of H A H [0; z] = H g - c H 1
+        give T z = -(H g)[1:], and row 0 gives c.
+        """
+        Hg = _reflect(g)
+        z = np.zeros_like(Hg)
+        rhs = np.negative(Hg[1:])
+        if rhs.ndim == 1:  # two triangular solves beat dpotrs on one right-hand side
+            rhs = dtrsv(self._factor, rhs, lower=1, overwrite_x=1)
+            z[1:] = dtrsv(self._factor, rhs, lower=1, trans=1, overwrite_x=1)
+        else:
+            z[1:] = dpotrs(self._factor, rhs, lower=1, overwrite_b=1)[0]
+        c = (self._row0 @ z - Hg[0]) / np.sqrt(self.n)
+        return _reflect(z), c
+
+    def _grid(self, f, block=False):
+        """f as a grid function (or an (n, k) block with block) of finite values."""
+        f = _check_aligned(self, f, block=block)
+        if not np.isfinite(f).all():
+            raise OutOfRange("grid function holds NaN or infinity")
+        return f
+
+    def _density(self, g):
+        """eta and c with V eta + c = g and zero-mean eta: B^-1 [g; 0] for the bordered B."""
+        y, c = self._solve(g)
+        return y / (self.weights if y.ndim == 1 else self.weights[:, None]), c
 
     def harmonic_density(self, g):
         """Density and constant with V eta + c = g and zero-mean eta."""
-        sol = lu_solve(self._bordered_lu, np.append(_check_aligned(self, g), 0.0))
-        return sol[:-1], float(sol[-1])
-
-    def _bordered_solve(self, top, trans=0):
-        """First n rows of B^-1 [top; 0], or of B^-T [top; 0] with trans=1."""
-        top = _check_aligned(self, top, block=True)
-        rhs = np.zeros((self.n + 1,) + top.shape[1:])
-        rhs[: self.n] = top
-        return lu_solve(self._bordered_lu, rhs, trans=trans)[: self.n]
+        eta, c = self._density(self._grid(g))
+        return eta, float(c)
 
     def _wt(self, x):
         """Wt x for a grid function or an (n, k) block, without forming Wt."""
@@ -215,18 +276,19 @@ class OperatorSet:
         v is a grid function or an (n, k) block of them.
         """
         sign = _side(side).sign
-        eta = self._bordered_solve(v)
+        eta = self._density(self._grid(v, block=True))[0]
         return -0.5 * eta + sign * self._wt(eta)
 
     def rep(self, side, mu):
         """Weighted transpose D^-1 S^T D mu of the side's Dirichlet-to-Neumann map S.
 
-        mu is a grid function or an (n, k) block of them.
+        mu is a grid function or an (n, k) block of them.  The bordered matrix
+        is the symmetric [A, 1; 1^T, 0] times diag(D, 1), so the weighted
+        transpose D^-1 R^T D of R is R itself, and this is R (-1/2 I + sign W) mu.
         """
         sign = _side(side).sign
-        mu = _check_aligned(self, mu, block=True)
-        w = self.weights if mu.ndim == 1 else self.weights[:, None]
-        return self._bordered_solve(w * (-0.5 * mu + sign * (self.W @ mu)), trans=1) / w
+        mu = self._grid(mu, block=True)
+        return self._density(-0.5 * mu + sign * (self.W @ mu))[0]
 
     @property
     def S_plus(self):

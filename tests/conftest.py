@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from bie2d.geometry import build_mesh, stock_mesh, CurveSpec
 from bie2d.operators import operator_set
@@ -60,6 +61,60 @@ def dense_wt(mesh):
     """Dense adjoint double layer D^-1 W^T D of a mesh, the reference the library never forms."""
     w = mesh.weights
     return (operator_set(mesh).W.T * w) / w[:, None]
+
+
+class BorderedLU:
+    """The bordered system [V, 1; w^T, 0] of a mesh, factored by a general LU.
+
+    The route the OperatorSet took before its projected Cholesky, kept as
+    that factorisation's reference: solves with the LU factors, and the
+    weighted transposes and the value-at-infinity functional q by
+    transposed solves.
+    """
+
+    def __init__(self, mesh):
+        ops = operator_set(mesh)
+        self.n, self.weights, self.W = mesh.n, mesh.weights, ops.W
+        B = np.zeros((self.n + 1, self.n + 1))
+        B[:self.n, :self.n] = ops.V
+        B[:self.n, self.n] = 1.0
+        B[self.n, :self.n] = self.weights
+        self.factors = lu_factor(B)
+        self.q = self._solve(np.zeros(self.n), last=1.0, trans=1)[:self.n]
+
+    def _solve(self, top, last=0.0, trans=0):
+        rhs = np.full((self.n + 1,) + top.shape[1:], last)
+        rhs[:self.n] = top
+        return lu_solve(self.factors, rhs, trans=trans)
+
+    def harmonic_density(self, g):
+        sol = self._solve(g)
+        return sol[:-1], float(sol[-1])
+
+    def dtn(self, side, v):
+        # v and mu, below, are (n, k) blocks
+        sign = 1.0 if side == "plus" else -1.0
+        w = self.weights[:, None]
+        eta = self._solve(v)[:self.n]
+        return -0.5 * eta + sign * (self.W.T @ (w * eta)) / w
+
+    def rep(self, side, mu):
+        sign = 1.0 if side == "plus" else -1.0
+        w = self.weights[:, None]
+        return self._solve(w * (-0.5 * mu + sign * (self.W @ mu)), trans=1)[:self.n] / w
+
+
+def negated_single_layer(monkeypatch):
+    """Make every OperatorSet assemble -V, whose projected block is negative definite."""
+    from bie2d import operators
+
+    assemble = operators._assemble
+
+    def negated(mesh, V):
+        V, W = assemble(mesh, V)
+        return np.negative(V, out=V), W
+
+    monkeypatch.setattr(operators, "_assemble", negated)
 
 
 def rows_per_block(monkeypatch, rows):

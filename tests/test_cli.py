@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import negated_single_layer
 
 import bie2d
 from bie2d import cli, verify
@@ -284,6 +285,18 @@ def test_under_resolved_double_layer_is_numerical_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and len(err.strip().splitlines()) == 1
     assert "under-resolved" in err and "orientation" not in err
+
+
+def test_indefinite_single_layer_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    negated_single_layer(monkeypatch)
+    path = write_disk_config(tmp_path / "disk.json")
+    code = main(["solve", "--config", path, "--problem", "dirichlet-int",
+                 "--data", "fourier:1", "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and len(err.strip().splitlines()) == 1
+    assert "leading minor 1 " in err
+    assert not (tmp_path / "out" / "solve_report.json").exists()
 
 
 def test_solve_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -3,10 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import dense_wt, rows_per_block
+from conftest import BorderedLU, dense_wt, negated_single_layer, rows_per_block
 from scipy.integrate import quad
 
-from bie2d.errors import LengthMismatch, OutOfRange
+from bie2d.errors import LengthMismatch, OutOfRange, SingularSystem
 from bie2d.geometry import CurveSpec, _TargetBlocks, build_mesh, pairing, stock_mesh
 from bie2d.operators import OperatorSet, _log_correction, operator_set
 from bie2d.potentials import trace_single
@@ -218,7 +218,7 @@ def test_operator_set_holds_only_its_factors():
     n = mesh.n
     ops = operator_set(mesh)
     held = _held_bytes(ops)
-    assert set(held) == {"V", "W", "q", "weights", "_bordered_lu"}
+    assert set(held) == {"V", "W", "q", "weights", "_factor", "_row0"}
     assert sum(held.values()) <= 8 * (2 * n**2 + (n + 1) ** 2) + 64 * (n + 1)
 
     g = np.cos(mesh.t)  # no flux through any component of either side
@@ -259,6 +259,55 @@ def test_dtn_applies_blocks_and_checks_its_input(ellipse, rng):
             apply("sideways", block[:, 0])
         with pytest.raises(LengthMismatch):
             apply("plus", np.ones(ellipse.n + 1))
+
+
+def _relative(x, reference):
+    return np.max(np.abs(x - reference)) / np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("name", ["disk", "disk2", "ellipse", "annulus", "kite", "two-disks"])
+def test_projected_cholesky_matches_the_bordered_lu(name, rng):
+    mesh = stock_mesh(name, 256)
+    ops, lu = operator_set(mesh), BorderedLU(mesh)
+    g = np.cos(3.0 * mesh.t) + mesh.x[:, 0] ** 2
+    eta, c = ops.harmonic_density(g)
+    eta_lu, c_lu = lu.harmonic_density(g)
+    assert _relative(eta, eta_lu) <= 1e-10
+    assert abs(c - c_lu) <= 1e-10 * max(1.0, abs(c_lu))
+    assert _relative(ops.q, lu.q) <= 1e-10
+    block = rng.standard_normal((mesh.n, 3))
+    for side in ("plus", "minus"):
+        assert _relative(ops.dtn(side, block), lu.dtn(side, block)) <= 1e-10
+        assert _relative(ops.rep(side, block), lu.rep(side, block)) <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_operator_set_refuses_non_finite_input(ellipse, bad):
+    ops = operator_set(ellipse)
+    f = np.ones(ellipse.n)
+    f[7] = bad
+    for apply in (ops.harmonic_density, lambda f: ops.dtn("plus", f),
+                  lambda f: ops.rep("minus", f[:, None])):
+        with pytest.raises(OutOfRange, match="NaN or infinity") as info:
+            apply(f)
+        assert len(str(info.value).splitlines()) == 1
+
+
+def test_grid_functions_must_be_real(ellipse):
+    ops = operator_set(ellipse)
+    for apply in (ops.harmonic_density, lambda f: ops.dtn("plus", f)):
+        with pytest.raises(OutOfRange, match="complex") as info:
+            apply(np.ones(ellipse.n) + 1j)
+        assert len(str(info.value).splitlines()) == 1
+    with pytest.raises(OutOfRange, match="complex"):
+        pairing(ellipse, np.ones(ellipse.n), np.ones(ellipse.n, dtype=complex))
+
+
+def test_indefinite_single_layer_names_the_failed_minor(monkeypatch):
+    negated_single_layer(monkeypatch)
+    with pytest.raises(SingularSystem, match="not definite: leading minor 1 of") as info:
+        OperatorSet(stock_mesh("disk", 64))
+    assert len(str(info.value).splitlines()) == 1
 
 
 def _reversed(mesh, curve):
