@@ -20,9 +20,10 @@ components of the offsets.  The near-boundary band check, point location
 and both layer kernels read that one pass.  Every pairwise pass, this one,
 the node-separation check and the operator assembly, walks its rows in
 blocks of about _BLOCK_PAIRS pairs and reuses one set of block arrays, so
-no array over all pairs is ever allocated.  Points are located by Gauss's
-law: the double layer of a curve's indicator is 1 in absolute value inside
-the curve and 0 outside it, to trapezoid accuracy off the band.
+no array over all pairs is ever allocated.  A point off the band is located
+by its nearest node: on the side the node's outward normal points to, it
+lies in the exterior component that the node's curve bounds, and on the
+other side in the component of the open set that the curve bounds.
 """
 
 import math
@@ -201,16 +202,22 @@ def _winding_of_points(curve_nodes, points):
     return np.sum(np.angle(ratio), axis=1) / (2.0 * np.pi)
 
 
+# The most nodes a mesh takes, refused before anything is allocated; the
+# solvers' bound on a datum (solvers._MAX_DATUM) assumes it
+_MAX_NODES = 10**8
+
+
 def build_mesh(specs, nodes_per_component):
     """Assemble a BoundaryMesh from curve specs and per-component node counts.
 
-    Node counts must be even and at least 16.  Curves must be pairwise
-    disjoint and free of self-intersections (checked through node
-    distances), and two curves may not come closer than the node spacing
-    of either: such a gap is under-resolved, and the error suggests node
-    counts that resolve it.  Normals are oriented outward for the open set: curves
-    that contain no other curve are traversed counterclockwise, hole
-    curves clockwise; the input orientation is flipped when needed.
+    Node counts must be even and at least 16, and sum to at most
+    _MAX_NODES.  Curves must be pairwise disjoint and free of
+    self-intersections (checked through node distances), and two curves may
+    not come closer than the node spacing of either: such a gap is
+    under-resolved, and the error suggests node counts that resolve it.
+    Normals are oriented outward for the open set: curves that contain no
+    other curve are traversed counterclockwise, hole curves clockwise; the
+    input orientation is flipped when needed.
     """
     specs = list(specs)
     counts = [int(m) for m in nodes_per_component]
@@ -219,6 +226,9 @@ def build_mesh(specs, nodes_per_component):
     for m in counts:
         if m < 16 or m % 2:
             raise InvalidGeometry(f"node count {m} must be even and >= 16")
+    if sum(counts) > _MAX_NODES:
+        raise InvalidGeometry(f"{sum(counts)} nodes in all, more than the "
+                              f"{_MAX_NODES:.0e} a mesh takes")
 
     parts = []
     for spec, nc in zip(specs, counts):
@@ -481,18 +491,19 @@ def pairing(mesh, f, g):
 class _Targets:
     """One block of a geometry pass: target points x against the n nodes y of a mesh.
 
-    r2 = |x - y|^2 and nd = nu(y) . (x - y) have one row per point, and
-    dist is each point's distance to the nearest node.  The band check,
-    point location and both layer kernels read them.  The kernels are
-    written into the two scratch arrays given, or into new arrays.
+    r2 = |x - y|^2 and nd = nu(y) . (x - y) have one row per point;
+    nearest is each point's nearest node and dist its distance to it.  The
+    band check, point location and both layer kernels read them.  A point
+    off the band is located by its nearest node alone: it lies outside the
+    open set exactly when it is outward, on the side the node's normal
+    points to.  The kernels are written into the two scratch arrays given,
+    or into new arrays.
     """
 
     def __init__(self, mesh, r2, nd, scratch=(None, None)):
         self.mesh, self.r2, self.nd, self._scratch = mesh, r2, nd, scratch
-        self.dist = np.sqrt(np.min(r2, axis=1))
-
-    def rows(self, keep):
-        return _Targets(self.mesh, self.r2[keep], self.nd[keep])
+        self.nearest = np.argmin(r2, axis=1)
+        self.dist = np.sqrt(r2[np.arange(r2.shape[0]), self.nearest])
 
     @cached_property
     def single_kernel(self):
@@ -506,47 +517,19 @@ class _Targets:
         k = np.multiply(2.0 * np.pi, self.r2, out=self._scratch[1])
         return np.negative(np.divide(self.nd, k, out=k), out=k)
 
-    def location_codes(self):
-        """Each point's index into _location_table(mesh.topology).
-
-        Off the band, the double layer of a curve's indicator is +-1 inside
-        the curve and 0 outside.  A point inside a hole lies in the hole's
-        exterior component, though the outer curve around it holds it too.
-        """
-        mesh = self.mesh
-        near = self.dist < mesh.band_width()
-        kernel = (self.rows(~near) if near.any() else self).double_kernel
-        code = np.zeros(near.size, dtype=int)
-        clear = code[~near]
-        # holes come after outer curves, so that they win
-        for k, c in enumerate(mesh.topology.outer_comps + mesh.topology.hole_comps, start=2):
-            sl = mesh.component_slice(c)
-            clear[np.abs(kernel[:, sl] @ mesh.weights[sl]) > 0.5] = k
-        code[~near] = clear
-        code[near] = 1
-        return code
+    @property
+    def outward(self):
+        """Whether each point lies on the side its nearest node's normal points to."""
+        return self.nd[np.arange(self.nd.shape[0]), self.nearest] > 0
 
     def in_region(self, region):
         """Mask of the points in the region, 'interior' or 'exterior'."""
-        return _location_kinds(self.mesh.topology)[self.location_codes()] == region
+        return _in_region(self.mesh, self.dist, self.outward, region)
 
 
-def _location_table(topology):
-    """The Location of each code: exterior(0), near_boundary, then one per curve.
-
-    Outer curves come first, then holes.
-    """
-    holes = topology.hole_comps
-    return [Location("exterior", 0), Location("near_boundary", None)] + [
-        Location("exterior", topology.omega_minus_of_comp[c]) if c in holes
-        else Location("interior", topology.omega_of_comp[c])
-        for c in topology.outer_comps + holes
-    ]
-
-
-def _location_kinds(topology):
-    """The kind of each location code, as an array of strings."""
-    return np.array([loc.kind for loc in _location_table(topology)])
+def _in_region(mesh, dist, outward, region):
+    """Mask of the points off the band whose nearest node's normal puts them in the region."""
+    return (dist >= mesh.band_width()) & (outward == (region == "exterior"))
 
 
 # The largest distance r for which 2 pi r^2, the double-layer kernel's
@@ -589,18 +572,19 @@ class _TargetBlocks:
             yield slice(lo, hi), _Targets(mesh, r2, nd, out[2:])
 
     def locate(self):
-        """Each point's distance to the nearest node and its location code."""
-        dist = np.empty(len(self))
-        code = np.empty(len(self), dtype=int)
+        """Each point's distance to its nearest node, whether it lies on the
+        side that node's normal points to, and the node's curve."""
+        dist, outward = np.empty(len(self)), np.empty(len(self), dtype=bool)
+        comp = np.empty(len(self), dtype=int)
         for rows, targets in self:
-            dist[rows] = targets.dist
-            code[rows] = targets.location_codes()
-        return dist, code
+            dist[rows], outward[rows] = targets.dist, targets.outward
+            comp[rows] = self.mesh.comp[targets.nearest]
+        return dist, outward, comp
 
     def in_region(self, region):
         """Each point's distance to the nearest node, and the mask of the points in the region."""
-        dist, code = self.locate()
-        return dist, _location_kinds(self.mesh.topology)[code] == region
+        dist, outward, _ = self.locate()
+        return dist, _in_region(self.mesh, dist, outward, region)
 
 
 def locate_point(mesh, p):
@@ -609,9 +593,18 @@ def locate_point(mesh, p):
 
 
 def locate_points(mesh, points):
-    """Vectorized locate_point over an array of points, shape (m, 2)."""
-    table = _location_table(mesh.topology)
-    return [table[k] for k in _TargetBlocks(mesh, points).locate()[1].tolist()]
+    """Vectorized locate_point over an array of points, shape (m, 2).
+
+    Off the band, a point on the side its nearest node's normal points to
+    lies in the exterior component the node's curve bounds, and otherwise
+    in the component of the open set.
+    """
+    dist, outward, comp = _TargetBlocks(mesh, points).locate()
+    topo, band = mesh.topology, mesh.band_width()
+    return [Location("near_boundary", None) if d < band
+            else Location("exterior", topo.omega_minus_of_comp[c]) if out
+            else Location("interior", topo.omega_of_comp[c])
+            for d, out, c in zip(dist.tolist(), outward.tolist(), comp.tolist())]
 
 
 # ---------------------------------------------------------------------------

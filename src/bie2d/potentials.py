@@ -43,8 +43,10 @@ def _evaluate(mesh, points, values, region=None, checked=True):
     scanned before either is raised, so NearBoundary reports the minimum
     distance over all points and wins over InvalidProbe, which wins over a
     toolkit error of values; values is not called after the first of them.
+    A region other than 'interior' or 'exterior' raises OutOfRange first.
     """
     blocks = _TargetBlocks(mesh, points)
+    other = _side(region, "region").opposite.region if region is not None else None
     band = mesh.band_width()
     out = np.empty(len(blocks))
     nearest, stray, error = np.inf, False, None
@@ -63,7 +65,6 @@ def _evaluate(mesh, points, values, region=None, checked=True):
         raise NearBoundary(f"point at distance {nearest:.3e} inside "
                            f"the near-boundary band {band:.3e}")
     if stray:
-        other = _side(region, "region").opposite.region
         raise InvalidProbe(f"field is defined on the {region} but a point is {other}")
     if error is not None:
         raise error

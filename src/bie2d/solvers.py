@@ -37,7 +37,7 @@ from .errors import (
     OutOfRange,
     SingularSystem,
 )
-from .geometry import _check_aligned, _TargetBlocks, indicator, integrate
+from .geometry import _check_aligned, _TargetBlocks, indicator, integrate, pairing
 from .operators import _side, operator_set
 from .potentials import (
     HarmonicField,
@@ -48,8 +48,6 @@ from .potentials import (
 from .distributions import (
     JMap,
     PairDistribution,
-    as_pair,
-    dist_pairing,
     to_grid_representer,
 )
 
@@ -126,29 +124,30 @@ def _compat_rows(topology, side):
     return range(0 if side.sign < 0 else 1, getattr(topology, side.kappa) + 1)
 
 
-def _compat_pairings(mesh, g, side):
-    tau = as_pair(mesh, getattr(g, "representer", g))
-    return np.array([dist_pairing(tau, indicator(mesh.topology, side.indicator, k))
+def _compat_pairings(mesh, rep, side):
+    """Pairings of a grid representer with the indicators of the side's compatibility rows."""
+    return np.array([pairing(mesh, rep, indicator(mesh.topology, side.indicator, k))
                      for k in _compat_rows(mesh.topology, side)])
 
 
 def check_compat_interior(mesh, g):
     """Pairings of the datum with the indicators of the open-set components."""
-    return _compat_pairings(mesh, g, _side("plus"))
+    return _compat_pairings(mesh, _as_neumann_rep(mesh, g), _side("plus"))
 
 
 def check_compat_exterior(mesh, g):
     """Pairings with the exterior-component indicators, unbounded one included (row 0)."""
-    return _compat_pairings(mesh, g, _side("minus"))
+    return _compat_pairings(mesh, _as_neumann_rep(mesh, g), _side("minus"))
 
 
 def _as_neumann_rep(mesh, g):
+    """The grid representer of a grid function, DistRep or PairDistribution datum,
+    within _MAX_DATUM (OutOfRange otherwise)."""
     if isinstance(g, PairDistribution):
         for density in (g.mu0, g.mu1):  # the representer's sums would overflow first
             _datum(mesh, density)
-        return _datum(mesh, to_grid_representer(g).representer), g
-    rep = _datum(mesh, getattr(g, "representer", g))
-    return rep, as_pair(mesh, rep)
+        g = to_grid_representer(g)
+    return _datum(mesh, getattr(g, "representer", g))
 
 
 # reciprocal condition estimate below which a bordered matrix counts as singular
@@ -230,10 +229,10 @@ def _neumann(mesh, g, region, kernel_shift):
         raise OutOfRange(f"kernel_shift must be None or a non-negative int, got {kernel_shift!r}")
     side = _side(region, "region")
     exterior = side.sign < 0
-    rep, tau = _as_neumann_rep(mesh, g)
+    rep = _as_neumann_rep(mesh, g)
     ops = operator_set(mesh)
     scale = float(np.max(np.abs(rep))) * integrate(mesh, np.ones(mesh.n))
-    compat = _compat_pairings(mesh, tau, side)
+    compat = _compat_pairings(mesh, rep, side)
     # each gate fails for NaN and inf as well, and a zero datum passes them all
     if not np.max(np.abs(compat)) <= _COMPAT_TOL * scale:
         raise IncompatibleData(f"datum has nonzero flux through "

@@ -174,15 +174,17 @@ def winding_locations(mesh, points):
     """Location tuples by node distances and polygon winding numbers.
 
     The band test and the per-point classification of the location code
-    before Gauss-law location replaced them, kept as its reference.
+    before Gauss-law location replaced them, kept as a reference for point
+    location.
     """
     from bie2d.geometry import _winding_of_points
 
     topo = mesh.topology
     near = np.min(np.linalg.norm(points[:, None, :] - mesh.x[None, :, :], axis=-1),
                   axis=1) < mesh.band_width()
-    inside = [np.abs(_winding_of_points(mesh.x[mesh.component_slice(c)], points)) > 0.5
-              for c in range(mesh.n_components)]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a point on a node is near
+        inside = [np.abs(_winding_of_points(mesh.x[mesh.component_slice(c)], points)) > 0.5
+                  for c in range(mesh.n_components)]
     out = []
     for i in range(points.shape[0]):
         holes = [topo.omega_minus_of_comp[h] for h in topo.hole_comps if inside[h][i]]
@@ -195,4 +197,31 @@ def winding_locations(mesh, points):
             out.append(("interior", outers[0]))
         else:
             out.append(("exterior", 0))
+    return out
+
+
+def gauss_law_locations(mesh, points):
+    """Location tuples by the band test and Gauss's law.
+
+    Off the band, the double layer of a curve's indicator is +-1 inside the
+    curve and 0 outside, to trapezoid accuracy.  A point inside a hole lies
+    in the hole's exterior component, though the outer curve around it
+    holds it too, so holes are tried after outer curves and win.  The route
+    the library located points by before its nearest-node rule, kept as a
+    reference for it.
+    """
+    topo = mesh.topology
+    dx, dy = (points[:, k, None] - mesh.x[:, k] for k in (0, 1))
+    r2 = dx * dx + dy * dy
+    near = np.sqrt(np.min(r2, axis=1)) < mesh.band_width()
+    out = [("near_boundary", None) if n else ("exterior", 0) for n in near]
+    clear = np.flatnonzero(~near)
+    nd = dx[clear] * mesh.normal[:, 0] + dy[clear] * mesh.normal[:, 1]
+    kernel = -nd / (2 * np.pi * r2[clear])
+    for c in topo.outer_comps + topo.hole_comps:
+        sl = mesh.component_slice(c)
+        loc = (("exterior", topo.omega_minus_of_comp[c]) if c in topo.hole_comps
+               else ("interior", topo.omega_of_comp[c]))
+        for i in clear[np.abs(kernel[:, sl] @ mesh.weights[sl]) > 0.5]:
+            out[i] = loc
     return out

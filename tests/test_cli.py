@@ -583,3 +583,30 @@ def test_huge_hadamard_term_count_is_a_quick_config_error(tmp_path, case):
     assert len(run.stderr.strip().splitlines()) == 1
     assert float(run.stdout) < 1.0
     assert not (tmp_path / "out").exists()
+
+
+# argv (with {tmp} for the test directory) whose node counts sum past 1e8;
+# each must be refused before a node is allocated
+_HUGE_NODE_COUNTS = {
+    "solve-config": ["solve", "--config", "{tmp}/huge.json", "--problem", "dirichlet-int",
+                     "--data", "fourier:1", "--out", "{tmp}/out"],
+    "solve-n": ["solve", "--config", "{tmp}/disk.json", "--problem", "dirichlet-int",
+                "--data", "fourier:1", "--n", "100000000000000000", "--out", "{tmp}/out"],
+    "verify-config": ["verify", "--config", "{tmp}/huge.json", "--out", "{tmp}/out"],
+    "verify-n": ["verify", "--n", "100000000000000000", "--out", "{tmp}/out"],
+    "demo-n": ["demo-hadamard", "--terms", "2", "--n", "100000000000000000",
+               "--out", "{tmp}/out"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HUGE_NODE_COUNTS))
+def test_node_count_past_the_mesh_limit_is_a_config_error(tmp_path, capsys, case):
+    write_disk_config(tmp_path / "disk.json")
+    (tmp_path / "huge.json").write_text(json.dumps({"components": [
+        {"kind": "circle", "radius": 1.0, "nodes": 10**30}]}))
+    argv = [arg.format(tmp=tmp_path) for arg in _HUGE_NODE_COUNTS[case]]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"config error: \d+ nodes in all, more than the 1e\+08 a mesh takes\n",
+                        err)
+    assert not (tmp_path / "out").exists()

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import rows_per_block, winding_locations
+from conftest import gauss_law_locations, rows_per_block, winding_locations
 
 from bie2d.errors import InvalidGeometry, LengthMismatch, OutOfRange
 from bie2d.geometry import (
@@ -156,6 +156,11 @@ def test_locate_point_examples():
     assert locate_point(ann, (1.5, 0.0)) == ("interior", 1)
     assert locate_point(ann, (0.5, 0.0)) == ("exterior", 1)
     assert locate_point(ann, (2.5, 0.0)) == ("exterior", 0)
+    for mesh, points in ((disk, [(0.0, 0.0), (3.0, 0.0), (1.0, 0.0)]),
+                         (ann, [(1.5, 0.0), (0.5, 0.0), (2.5, 0.0)])):
+        points = np.array(points)
+        assert locate_points(mesh, points) == gauss_law_locations(mesh, points)
+        assert locate_points(mesh, points) == winding_locations(mesh, points)
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 256])
@@ -169,6 +174,7 @@ def test_gauss_law_location_matches_winding_numbers(name, n):
     points = np.concatenate([rng.uniform(lo, hi, size=(20000, 2)),
                              mesh.x + edge, mesh.x - edge])
     for chunk in np.array_split(points, 10):
+        assert locate_points(mesh, chunk) == gauss_law_locations(mesh, chunk)
         assert locate_points(mesh, chunk) == winding_locations(mesh, chunk)
 
 
@@ -181,6 +187,7 @@ def test_location_in_ragged_blocks_matches_winding_numbers(monkeypatch, name):
     edge = 1.0001 * mesh.band_width() * mesh.normal
     points = np.concatenate([rng.uniform(lo, hi, size=(148, 2)), mesh.x + edge, mesh.x - edge])
     assert len(points) % 7 > 1
+    assert locate_points(mesh, points) == gauss_law_locations(mesh, points)
     assert locate_points(mesh, points) == winding_locations(mesh, points)
 
 

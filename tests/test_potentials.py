@@ -3,11 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import rows_per_block, winding_locations
+from conftest import gauss_law_locations, rows_per_block, winding_locations
 
+from bie2d import geometry
 from bie2d.cli import GridSpec, default_grid, write_field_csv
 from bie2d.distributions import PairDistribution, dist_single_layer_field
-from bie2d.errors import InvalidProbe, LengthMismatch, NearBoundary, NoLimit
+from bie2d.errors import InvalidProbe, LengthMismatch, NearBoundary, NoLimit, OutOfRange
 from bie2d.geometry import CurveSpec, build_mesh, locate_points, stock_mesh
 from bie2d.operators import operator_set
 from bie2d.solvers import dirichlet_exterior, dirichlet_interior
@@ -352,6 +353,8 @@ def test_a_point_on_a_node_is_refused_without_a_warning(seven_row_blocks):
         with pytest.raises(NearBoundary, match="point at distance 0.000e"):
             evaluate(points)
     assert locate_points(mesh, points)[12] == ("near_boundary", None)
+    assert locate_points(mesh, points) == gauss_law_locations(mesh, points)
+    assert locate_points(mesh, points) == winding_locations(mesh, points)
 
 
 def test_eval_allocates_no_array_over_all_pairs():
@@ -366,6 +369,29 @@ def test_eval_allocates_no_array_over_all_pairs():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+def test_fields_are_located_and_evaluated_without_the_double_layer(tmp_path, monkeypatch):
+    # a single-layer field needs no double-layer kernel, to locate its points either
+    mesh = stock_mesh("annulus", 128)
+    fld = dirichlet_interior(mesh, np.cos(mesh.t)).field
+    points = _ring_points(np.random.default_rng(8), 300, 1.3, 1.7)
+    expected = fld.eval(points)
+    write_field_csv(fld, default_grid(mesh), tmp_path / "expected.csv")
+
+    def refuse(targets):
+        raise AssertionError("double-layer kernel computed")
+
+    monkeypatch.setattr(geometry._Targets, "double_kernel", property(refuse))
+    assert np.array_equal(fld.eval(points), expected)
+    write_field_csv(fld, default_grid(mesh), tmp_path / "field.csv")
+    assert (tmp_path / "field.csv").read_text() == (tmp_path / "expected.csv").read_text()
+
+
+def test_a_field_on_an_unknown_region_is_refused(disk128):
+    fld = HarmonicField(disk128, [("single", np.ones(disk128.n))], region="inside")
+    with pytest.raises(OutOfRange, match="unknown region 'inside'"):
+        fld.eval([0.0, 0.0])
 
 
 @pytest.fixture(scope="module")

@@ -31,6 +31,7 @@ from bie2d.distributions import (
     J_inverse,
     PairDistribution,
     _j_forward_matrix,
+    dist_pairing,
     dist_single_layer_field,
     mass_of,
 )
@@ -99,6 +100,18 @@ def test_compat_exterior_examples(disk128, annulus):
     g = indicator(topo, "omega_minus", 1) * np.cos(annulus.t)
     vals = check_compat_exterior(annulus, g)
     assert np.max(np.abs(vals)) < 1e-9
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_compat_of_a_pair_matches_its_distributional_pairings(annulus, side):
+    # the pairings of the grid representer against <tau, indicator> by the pair's own route
+    t = annulus.t
+    tau = PairDistribution(side, np.cos(2 * t) + 0.1 * annulus.comp, np.sin(t) + 0.3, annulus)
+    topo = annulus.topology
+    for check, region, rows in ((check_compat_interior, "omega", range(1, 2)),
+                                (check_compat_exterior, "omega_minus", range(0, 2))):
+        expected = [dist_pairing(tau, indicator(topo, region, k)) for k in rows]
+        assert np.max(np.abs(check(annulus, tau) - expected)) < 1e-13
 
 
 def test_neumann_interior_disk(disk128):
