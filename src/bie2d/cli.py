@@ -1,5 +1,9 @@
 """Command-line front end: solve, verify, and the infinite-energy demo.
 
+A config file gives the domain (the problem and data come from the flags
+alone; keys the loader does not know are ignored), and every command writes
+its outputs through _write_outputs, the strict-JSON report last.
+
 Exit codes are a stable contract: 0 success, 1 verify failures, 2 bad
 configuration, 3 incompatible Neumann data, 4 numerical failure.
 """
@@ -10,7 +14,6 @@ import json
 import os
 import sys
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,14 +41,18 @@ from .solvers import (
 )
 from .verify import DEFAULT_SEED, STOCK_TRIO, check_tol_overrides, probe_points, run_verify
 
-PROBLEMS = (
-    "dirichlet-int",
-    "dirichlet-ext",
-    "neumann-int",
-    "neumann-ext",
-    "verify",
-    "demo-hadamard",
-)
+_SOLVERS = {
+    "dirichlet-int": dirichlet_interior,
+    "dirichlet-ext": dirichlet_exterior,
+    "neumann-int": neumann_interior,
+    "neumann-ext": neumann_exterior,
+}
+
+# independent second solver whose field is compared at one probe point
+_CROSS_SOLVERS = {
+    "dirichlet-int": dirichlet_interior_via_decomposition,
+    "dirichlet-ext": dirichlet_exterior_via_decomposition,
+}
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -56,7 +63,7 @@ EXIT_NUMERICAL = 4
 
 @dataclass
 class RunConfig:
-    """Validated run description assembled from the config file and CLI flags."""
+    """Run description: the domain from the config file, the problem and data from flags."""
 
     components: list = field(default_factory=list)
     nodes: list = field(default_factory=list)
@@ -68,19 +75,10 @@ class RunConfig:
     seed: int = DEFAULT_SEED
 
     def validate(self):
-        if self.problem is not None and self.problem not in PROBLEMS:
-            raise ConfigError(f"unknown problem {self.problem!r}")
-        if self.data is not None:
-            kind = self.data.split(":", 1)[0]
-            if kind == "hadamard" and self.problem not in (
-                "neumann-int",
-                "dirichlet-int",
-                None,
-            ):
-                raise ConfigError(
-                    f"data spec 'hadamard' is only valid with neumann-int or "
-                    f"dirichlet-int, not {self.problem!r}"
-                )
+        hadamard = self.data is not None and self.data.split(":", 1)[0] == "hadamard"
+        if hadamard and self.problem not in ("neumann-int", "dirichlet-int", None):
+            raise ConfigError(f"data spec 'hadamard' is only valid with neumann-int or "
+                              f"dirichlet-int, not {self.problem!r}")
         return self
 
     def node_counts(self):
@@ -109,15 +107,6 @@ def _number(value, where, integer=False):
         need = "an integer" if integer else "a finite number"
         raise ConfigError(f"{where}: expected {need}, got {value!r}")
     return value if integer else float(value)
-
-
-@contextmanager
-def _output(path):
-    """Report an output under path that cannot be created or written as a config error."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"cannot write {exc.filename or path}: {exc.strerror}") from exc
 
 
 def _nonnegative(value, where, integer=False):
@@ -169,7 +158,7 @@ def _curve_from_dict(idx, entry):
 
 
 def load_config(path, **overrides):
-    """Parse a domain config file into a RunConfig; CLI flags override it."""
+    """Parse a domain config file into a RunConfig; overrides (the CLI flags) win."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -188,14 +177,11 @@ def load_config(path, **overrides):
         spec, nc = _curve_from_dict(idx, entry)
         comps.append(spec)
         nodes.append(nc)
-    for key in ("problem", "data", "out"):
-        if not isinstance(raw.get(key, ""), (str, type(None))):
-            raise ConfigError(f"{key}: expected a string, got {raw[key]!r}")
+    if not isinstance(raw.get("out", ""), (str, type(None))):
+        raise ConfigError(f"out: expected a string, got {raw['out']!r}")
     cfg = RunConfig(
         components=comps,
         nodes=nodes,
-        problem=raw.get("problem"),
-        data=raw.get("data"),
         out_dir=raw.get("out"),
         tol_overrides=check_tol_overrides(raw.get("tol_overrides", {})),
         seed=_nonnegative(raw.get("seed", DEFAULT_SEED), "seed", integer=True),
@@ -215,7 +201,13 @@ def build_data(cfg, mesh):
         value = _spec_arg(arg, float, 1.0, "constant data needs a number")
         return _require_finite(np.full(mesh.n, value), f"constant data {arg!r}")
     if name == "fourier":
-        return np.cos(_spec_arg(arg, int, 1, "fourier data needs a mode index") * mesh.t)
+        k = _spec_arg(arg, int, 1, "fourier data needs a mode index")
+        # cos(k t) on n nodes aliases to a lower mode once |k| reaches n/2
+        n = min(mesh.n_per_comp)
+        if 2 * abs(k) >= n:
+            raise ConfigError(f"fourier data cos({k} t) needs more than {2 * abs(k)} "
+                              f"nodes on every curve, got {n}")
+        return np.cos(k * mesh.t)
     if name == "indicator":
         j = _spec_arg(arg, int, 0, "indicator data needs a curve index")
         if not 0 <= j < mesh.n_components:
@@ -362,39 +354,27 @@ def read_field_csv(path):
     return np.array(xs), np.array(ys), np.array(us)
 
 
-def _report_text(path, payload):
-    """A report as strict JSON text; a NaN or infinity in it is a numerical failure."""
-    try:
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise NonFiniteResult(
-            f"{os.path.basename(path)} would hold a non-finite value"
-        ) from exc
+def _write_outputs(out_dir, name, report, *writes):
+    """Run each of writes, then write the report into out_dir as strict JSON; its path.
 
-
-def write_report(path, payload):
-    """Write a report as strict JSON; a NaN or infinity in it is a numerical failure.
-
-    The text is built before the file is opened, so a rejected report
-    leaves no file behind.
+    A NaN or infinity in the report is a numerical failure found before
+    anything is written.  The report, which marks a finished run, comes
+    last, so an output that cannot be written (a config error) leaves none.
     """
-    text = _report_text(path, payload)
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-_SOLVERS = {
-    "dirichlet-int": dirichlet_interior,
-    "dirichlet-ext": dirichlet_exterior,
-    "neumann-int": neumann_interior,
-    "neumann-ext": neumann_exterior,
-}
-
-# independent second solver whose field is compared at one probe point
-_CROSS_SOLVERS = {
-    "dirichlet-int": dirichlet_interior_via_decomposition,
-    "dirichlet-ext": dirichlet_exterior_via_decomposition,
-}
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteResult(f"{name} would hold a non-finite value") from exc
+    path = os.path.join(out_dir, name)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for write in writes:
+            write()
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or out_dir}: {exc.strerror}") from exc
+    return path
 
 
 def cmd_solve(cfg):
@@ -416,16 +396,10 @@ def cmd_solve(cfg):
             )
             report.residuals["cross_solver"] = diff
     out_dir = cfg.out_dir or "."
-    json_path = os.path.join(out_dir, "solve_report.json")
     csv_path = os.path.join(out_dir, "solve_field.csv")
-    # a non-finite report fails before any output, and the report is written
-    # last: it marks a finished run, so a failed CSV write leaves none behind
-    text = _report_text(json_path, report.to_dict())
-    with _output(out_dir):
-        os.makedirs(out_dir, exist_ok=True)
-        write_field_csv(report.field, default_grid(mesh), csv_path)
-        with open(json_path, "w") as fh:
-            fh.write(text)
+    json_path = _write_outputs(
+        out_dir, "solve_report.json", report.to_dict(),
+        lambda: write_field_csv(report.field, default_grid(mesh), csv_path))
     print(f"report: {json_path}")
     print(f"field:  {csv_path}")
     worst = max(report.residuals.values(), default=0.0)
@@ -448,17 +422,13 @@ def cmd_verify(cfg):
         # the suite evaluates fields only at its own probe points, so this
         # means a region too narrow for the band at this node count
         raise ConfigError(f"{exc}; raise --n") from exc
-    out_dir = cfg.out_dir or "."
-    path = os.path.join(out_dir, "verify_report.json")
     for row in report.rows:
         flag = "PASS" if row.passed else "FAIL"
         print(
             f"{flag} {row.geometry:10s} {row.name:24s} "
             f"residual={row.residual:.3e} tol={row.tol:.1e}"
         )
-    with _output(out_dir):
-        os.makedirs(out_dir, exist_ok=True)
-        write_report(path, report.to_dict())
+    path = _write_outputs(cfg.out_dir or ".", "verify_report.json", report.to_dict())
     print(f"report: {path}")
     print("overall:", "PASS" if report.passed else "FAIL")
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
@@ -515,16 +485,14 @@ def cmd_demo_hadamard(terms, n, out_dir="."):
         "energy_table": rows,
         "neumann_residuals": {k: float(v) for k, v in report.residuals.items()},
     }
-    path = os.path.join(out_dir, "hadamard_report.json")
     columns = ("energy_closed_form", "energy_partial_sum", "energy_discrete_partial_sum")
-    with _output(out_dir):
-        os.makedirs(out_dir, exist_ok=True)
-        write_report(path, out)
+
+    def write_energy_csv():
         with open(os.path.join(out_dir, "hadamard_energy.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", *columns])
-            for row in rows:
-                writer.writerow(["%d" % row["k"]] + ["%.17g" % row[c] for c in columns])
+            csv.writer(fh).writerows([["k", *columns]] + [
+                ["%d" % row["k"]] + ["%.17g" % row[c] for c in columns] for row in rows])
+
+    path = _write_outputs(out_dir, "hadamard_report.json", out, write_energy_csv)
     print(f"recovery sup error at r=1/2: {recovery:.3e}")
     print("energy partial sums:", ", ".join("%.6f" % r["energy_partial_sum"] for r in rows))
     print(f"report: {path}")

@@ -55,14 +55,6 @@ class DistRep:
     mass: float
 
 
-def as_pair(mesh, tau):
-    """Coerce a grid function into a plus-side pair; pass pairs through."""
-    if isinstance(tau, PairDistribution):
-        return tau
-    g = _check_aligned(mesh, tau)
-    return PairDistribution("plus", g, np.zeros(mesh.n), mesh)
-
-
 def mass_of(tau):
     """<tau, 1>; the transpose part carries no mass in two dimensions."""
     return integrate(tau.mesh, tau.mu0)

@@ -174,16 +174,30 @@ class BoundaryMesh:
 Location = namedtuple("Location", ["kind", "index"])
 
 
-def _component_arrays(spec, nc, sign):
+# The largest magnitude of a node coordinate or of a component of the
+# velocity x': the curvature divides by |x'|**3, which overflows past 5.6e102
+_MAX_COORD = 1e100
+
+
+def _curve_nodes(spec, nc, sign=None):
+    """t, x, dx, ddx and |x'| at the nc nodes of a curve; sign None keeps its orientation."""
     t = 2.0 * np.pi * np.arange(nc) / nc
     x, dx, ddx = spec.evaluate(t, orientation_sign=sign)
+    top = np.max(np.abs([x, dx]))  # NaN stays NaN
+    if not top <= _MAX_COORD:
+        raise InvalidGeometry(f"curve reaches {top:.1e} in a node coordinate or its "
+                              f"velocity, beyond the {_MAX_COORD:.0e} a mesh takes")
     speed = np.hypot(dx[:, 0], dx[:, 1])
     if np.min(speed) <= 1e-12 * max(1.0, np.max(speed)):
         raise InvalidGeometry("degenerate parametrization: |x'(t)| vanishes at a node")
+    return t, x, dx, ddx, speed
+
+
+def _component_arrays(t, x, dx, ddx, speed):
     tangent = dx / speed[:, None]
     normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=-1)
     curvature = (dx[:, 0] * ddx[:, 1] - dx[:, 1] * ddx[:, 0]) / speed**3
-    weights = speed * (2.0 * np.pi / nc)
+    weights = speed * (2.0 * np.pi / len(t))
     return t, x, normal, curvature, speed, weights
 
 
@@ -215,9 +229,12 @@ def build_mesh(specs, nodes_per_component):
     self-intersections (checked through node distances), and two curves may
     not come closer than the node spacing of either: such a gap is
     under-resolved, and the error suggests node counts that resolve it.
-    Normals are oriented outward for the open set: curves that contain no
-    other curve are traversed counterclockwise, hole curves clockwise; the
-    input orientation is flipped when needed.
+    No node coordinate or velocity component may exceed _MAX_COORD in
+    magnitude.  Normals are oriented outward for the open set: curves that
+    contain no other curve are traversed counterclockwise, hole curves
+    clockwise.  Each curve is evaluated once in its given orientation, which
+    the containment test and the signed area both read, and once more only
+    when that orientation must be flipped.
     """
     specs = list(specs)
     counts = [int(m) for m in nodes_per_component]
@@ -230,21 +247,18 @@ def build_mesh(specs, nodes_per_component):
         raise InvalidGeometry(f"{sum(counts)} nodes in all, more than the "
                               f"{_MAX_NODES:.0e} a mesh takes")
 
-    parts = []
-    for spec, nc in zip(specs, counts):
-        sign = 1.0 if spec.orientation == "positive" else -1.0
-        parts.append([spec, nc, sign, *_component_arrays(spec, nc, sign)])
+    curves = [_curve_nodes(spec, nc) for spec, nc in zip(specs, counts)]
 
     # containment depth from winding numbers of node samples
-    ncomp = len(parts)
+    ncomp = len(curves)
     contains = np.zeros((ncomp, ncomp), dtype=bool)
     for i in range(ncomp):
         for j in range(ncomp):
             if i == j:
                 continue
-            xj = parts[j][4]
+            xj = curves[j][1]
             probe = xj[:: max(1, xj.shape[0] // 16)]  # spread samples of curve j
-            wind = _winding_of_points(parts[i][4], probe)
+            wind = _winding_of_points(curves[i][1], probe)
             inside = np.abs(wind) > 0.5
             if inside.any() and not inside.all():
                 raise InvalidGeometry("curves intersect: ambiguous containment")
@@ -254,20 +268,13 @@ def build_mesh(specs, nodes_per_component):
         raise InvalidGeometry("nesting deeper than one level of holes")
 
     # orientation fix: outer curves CCW (positive area), holes CW
-    for k, part in enumerate(parts):
-        spec, nc, sign = part[:3]
-        dx = spec.evaluate(part[3], orientation_sign=sign)[1]
-        area = _signed_area(part[4], dx, nc)
-        want_ccw = depth[k] == 0
-        if (area > 0) != want_ccw:
-            sign = -sign
-            part[2] = sign
-            part[3:] = _component_arrays(spec, nc, sign)
+    for k, (spec, nc) in enumerate(zip(specs, counts)):
+        if (_signed_area(curves[k][1], curves[k][2], nc) > 0) != (depth[k] == 0):
+            curves[k] = _curve_nodes(spec, nc, -spec._sign())
 
-    t, x, normal, curvature, speed, weights = (
-        np.concatenate([p[i] for p in parts]) for i in range(3, 9)
-    )
-    comp = np.concatenate([np.full(p[1], k, dtype=int) for k, p in enumerate(parts)])
+    t, x, normal, curvature, speed, weights = map(
+        np.concatenate, zip(*(_component_arrays(*curve) for curve in curves)))
+    comp = np.concatenate([np.full(nc, k, dtype=int) for k, nc in enumerate(counts)])
     offsets = np.concatenate([[0], np.cumsum(counts)])
 
     mesh = BoundaryMesh(

@@ -568,15 +568,11 @@ def _subspace_angle(a, b):
     return float(np.max(subspace_angles(a, b)))
 
 
-def _kernel_angle(mesh, op_kind, grid, jmap=None):
-    """Largest principal angle between a grid kernel basis and the pair-route kernel."""
-    return _subspace_angle(grid, transpose_kernel_pair_basis(mesh, op_kind, jmap))
-
-
 def kernel_coincidence_angle(mesh, op_kind):
     """Largest principal angle between grid and distributional kernels.
 
     Kernels of different dimension return pi/2, the largest angle there is.
     """
     _op_kind(op_kind, ("Wt",))  # a W kind is refused before its SVD, not after
-    return _kernel_angle(mesh, op_kind, nullspace(mesh, op_kind).vectors)
+    return _subspace_angle(nullspace(mesh, op_kind).vectors,
+                           transpose_kernel_pair_basis(mesh, op_kind))

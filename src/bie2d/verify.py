@@ -46,7 +46,6 @@ from .solvers import (
     _compat_pairings,
     _compat_rows,
     _dirichlet,
-    _kernel_angle,
     _side_kernels,
     _subspace_angle,
     _wt_solve,
@@ -56,6 +55,7 @@ from .solvers import (
     neumann_interior,
     poisson_exterior,
     poisson_interior,
+    transpose_kernel_pair_basis,
 )
 
 DEFAULT_SEED = 20260810
@@ -390,8 +390,8 @@ def check_nullspace_dims(mesh, rng, cache=None):
             return np.pi / 2
         wt = kernels.Wt.vectors
         lu_kernel = _wt_solve(mesh, side, np.zeros(mesh.n)).kernel
-        worst = max(worst, _kernel_angle(mesh, kind, wt, cache.jmap("plus")),
-                    _subspace_angle(wt, lu_kernel))
+        pair_kernel = transpose_kernel_pair_basis(mesh, kind, cache.jmap("plus"))
+        worst = max(worst, _subspace_angle(wt, pair_kernel), _subspace_angle(wt, lu_kernel))
     return worst
 
 

@@ -150,8 +150,10 @@ def test_solve_without_cross_check_probe(tmp_path):
 
 
 def test_verify_custom_config(tmp_path):
-    # "alpha" is not a config key; the loader must ignore it
-    path = write_disk_config(tmp_path / "disk.json", alpha=0.3)
+    # "alpha" is not a config key, nor are "problem" and "data", which come
+    # from the solve flags alone; the loader must ignore all three
+    path = write_disk_config(tmp_path / "disk.json", alpha=0.3, problem="neumann-ext",
+                             data="hadamard:3")
     code = main(["verify", "--config", path, "--n", "64",
                  "--out", str(tmp_path / "v")])
     assert code == EXIT_OK
@@ -237,6 +239,16 @@ def test_solve_leaves_no_report_behind_a_failed_csv_write(tmp_path, capsys):
     code = main(["solve", "--config", path, "--problem", "dirichlet-int",
                  "--data", "fourier:1", "--out", str(tmp_path / "o")])
     _assert_config_error(code, capsys, tmp_path / "o")
+
+
+def test_demo_leaves_no_report_behind_a_failed_csv_write(tmp_path, capsys):
+    (tmp_path / "o" / "hadamard_energy.csv").mkdir(parents=True)
+    code = main(["demo-hadamard", "--terms", "1", "--n", "64", "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+    assert "hadamard_energy.csv: Is a directory" in err
+    assert not (tmp_path / "o" / "hadamard_report.json").exists()
 
 
 def test_verify_non_finite_residual_is_numerical_failure(tmp_path, capsys, monkeypatch):
@@ -529,6 +541,20 @@ def test_solve_exit_code_contract(tmp_path, capsys, problem, data):
         assert rest == []
 
 
+@pytest.mark.parametrize("data, expected", [
+    ("fourier:31", EXIT_OK),
+    ("fourier:33", EXIT_CONFIG),  # would solve for cos 31t
+    ("fourier:64", EXIT_CONFIG),  # would be the constant 1, of nonzero flux
+    ("fourier:-32", EXIT_CONFIG),
+    ("fourier:99999999999999999999", EXIT_CONFIG),
+])
+def test_fourier_mode_must_be_resolved_by_every_curve(tmp_path, capsys, data, expected):
+    # on 64 nodes a mode of 32 or more aliases to a lower one
+    assert _contract_solve(tmp_path, "neumann-int", data) == expected
+    if expected == EXIT_CONFIG:
+        _assert_config_error(expected, capsys, tmp_path / "out")
+
+
 @pytest.mark.parametrize("side", ["plus", "minus"])
 @pytest.mark.parametrize("problem", ["dirichlet-int", "dirichlet-ext"])
 def test_pair_datum_is_refused_for_dirichlet_problems(tmp_path, capsys, problem, side):
@@ -610,3 +636,27 @@ def test_node_count_past_the_mesh_limit_is_a_config_error(tmp_path, capsys, case
     assert re.fullmatch(r"config error: \d+ nodes in all, more than the 1e\+08 a mesh takes\n",
                         err)
     assert not (tmp_path / "out").exists()
+
+
+# the curvature divides by |x'|**3, which overflows past about 5.6e102
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius", ["1e103", "1e155", "1e200"])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_huge_curve_is_a_config_error(tmp_path, capsys, command, radius):
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"components": [{{"kind": "circle", "radius": {radius}, "nodes": 64}}]}}')
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    if command == "solve":
+        argv += ["--problem", "dirichlet-int", "--data", "fourier:1"]
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert re.fullmatch(r"config error: curve reaches 1\.0e\+\d+ in a node coordinate or its "
+                        r"velocity, beyond the 1e\+100 a mesh takes\n", err)
+    assert out == "" and not (tmp_path / "out").exists()
+
+
+def test_curve_at_the_coordinate_bound_still_solves(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"components": [{"kind": "circle", "radius": 1e100, "nodes": 64}]}')
+    assert main(["solve", "--config", str(path), "--problem", "dirichlet-int",
+                 "--data", "fourier:1", "--out", str(tmp_path / "out")]) == EXIT_OK

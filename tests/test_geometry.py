@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -45,7 +46,7 @@ def test_annulus_hole_normal_points_into_hole():
     assert np.dot(nu, -x / np.linalg.norm(x)) > 0.99
 
 
-def test_orientation_autofix():
+def test_orientation_autofix(monkeypatch):
     # hole declared counterclockwise still ends up with inward normal
     specs = [
         CurveSpec("circle", radius=2.0),
@@ -56,6 +57,28 @@ def test_orientation_autofix():
     sl = mesh.component_slice(topo.hole_comps[0])
     x, nu = mesh.x[sl][0], mesh.normal[sl][0]
     assert np.dot(nu, -x) > 0
+
+    # every curve given in the other orientation builds the same mesh, bit for
+    # bit; each curve is evaluated once as given, and once more only to flip it
+    given = [
+        CurveSpec("circle", radius=3.0),
+        CurveSpec("circle", center=(-1.2, 0.0), radius=0.8, orientation="negative"),
+        CurveSpec("ellipse", center=(1.2, 0.0), axes=(0.6, 0.4), orientation="negative"),
+    ]
+    other = {"positive": "negative", "negative": "positive"}
+    flipped = [dataclasses.replace(s, orientation=other[s.orientation]) for s in given]
+    calls, evaluate = [], CurveSpec.evaluate
+    monkeypatch.setattr(CurveSpec, "evaluate",
+                        lambda spec, *args, **kw: calls.append(spec) or evaluate(spec, *args, **kw))
+    meshes = [build_mesh(specs, [64, 48, 32]) for specs in (given, flipped)]
+    assert calls == given + flipped + flipped
+    for name in ("n_per_comp", "t", "x", "normal", "curvature", "speed", "weights",
+                 "comp", "offsets"):
+        a, b = (getattr(m, name) for m in meshes)
+        assert np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b), name
+    # the topologies agree too; their offsets are the mesh's, compared above
+    first, second = (vars(dataclasses.replace(m.topology, offsets=None)) for m in meshes)
+    assert first == second
 
 
 def test_signed_area_orientation_invariant():
