@@ -18,12 +18,13 @@ Pairwise geometry between the nodes and a set of target points is
 computed in one pass (_TargetBlocks): the squared distances and the normal
 components of the offsets.  The near-boundary band check, point location
 and both layer kernels read that one pass.  Every pairwise pass, this one,
-the node-separation check and the operator assembly, walks its rows in
-blocks of about _BLOCK_PAIRS pairs and reuses one set of block arrays, so
-no array over all pairs is ever allocated.  A point off the band is located
-by its nearest node: on the side the node's outward normal points to, it
-lies in the exterior component that the node's curve bounds, and on the
-other side in the component of the open set that the curve bounds.
+the node-separation check and the operator assembly, iterates one walker,
+_pair_blocks: it takes the rows in blocks of about _BLOCK_PAIRS pairs and
+reuses one set of block arrays, so no array over all pairs is ever
+allocated.  A point off the band is located by its nearest node: on the
+side the node's outward normal points to, it lies in the exterior
+component that the node's curve bounds, and on the other side in the
+component of the open set that the curve bounds.
 """
 
 import math
@@ -345,11 +346,6 @@ def _row_blocks(start, stop, n):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _block_scratch(blocks, n):
-    """Four (rows, n) arrays, enough for any of the blocks; each block reuses them."""
-    return np.empty((4, max((hi - lo for lo, hi in blocks), default=0), n))
-
-
 def _pair_geometry(targets, nodes, normals, out):
     """r2 = |x - y|^2 and, given the normals, nd = nu(y) . (x - y), written into out.
 
@@ -370,15 +366,20 @@ def _pair_geometry(targets, nodes, normals, out):
     return r2, nd
 
 
-def _r2_blocks(targets, nodes):
-    """(lo, r2) of each block of rows of the squared distances from targets to nodes.
+def _pair_blocks(targets, nodes, normals, start, stop):
+    """(lo, hi, r2, nd, scratch) of each block of the rows start..stop of targets.
 
-    The arrays of a block are overwritten by the next block.
+    r2 and nd are _pair_geometry of targets[lo:hi] against nodes (nd is
+    unset without normals), and scratch holds two more arrays of their
+    shape.  The blocks are _row_blocks, and all of them share one set of
+    arrays, so a block's arrays are overwritten by the next block.
     """
-    blocks = _row_blocks(0, targets.shape[0], nodes.shape[0])
-    scratch = _block_scratch(blocks, nodes.shape[0])
+    blocks = _row_blocks(start, stop, nodes.shape[0])
+    arrays = np.empty((4, max((hi - lo for lo, hi in blocks), default=0), nodes.shape[0]))
     for lo, hi in blocks:
-        yield lo, _pair_geometry(targets[lo:hi], nodes, None, scratch[:, : hi - lo])[0]
+        out = arrays[:, : hi - lo]
+        r2, nd = _pair_geometry(targets[lo:hi], nodes, normals, out)
+        yield lo, hi, r2, nd, out[2:]
 
 
 def _check_node_separation(mesh):
@@ -399,7 +400,7 @@ def _check_node_separation(mesh):
         # only pairs closer than half the largest spacing can fail the test
         # d < 0.25 (w_i + w_j) / 2, so they are screened first
         screen = (0.5 * float(np.max(wc))) ** 2
-        for lo, r2 in _r2_blocks(xc, xc):
+        for lo, _, r2, _, _ in _pair_blocks(xc, xc, None, 0, nc):
             i, j = np.nonzero(r2 < screen)
             ring = np.abs(i + lo - j)
             ring = np.minimum(ring, nc - ring)
@@ -412,7 +413,7 @@ def _check_node_separation(mesh):
             sl2 = mesh.component_slice(c2)
             # the first closest pair in row order, as one argmin over all pairs finds it
             gap2, i, j = np.inf, 0, 0
-            for lo, r2 in _r2_blocks(xc, mesh.x[sl2]):
+            for lo, _, r2, _, _ in _pair_blocks(xc, mesh.x[sl2], None, 0, nc):
                 k = int(np.argmin(r2))
                 if r2.flat[k] < gap2:
                     gap2, (i, j) = float(r2.flat[k]), divmod(k, r2.shape[1])
@@ -503,11 +504,10 @@ class _Targets:
     band check, point location and both layer kernels read them.  A point
     off the band is located by its nearest node alone: it lies outside the
     open set exactly when it is outward, on the side the node's normal
-    points to.  The kernels are written into the two scratch arrays given,
-    or into new arrays.
+    points to.  The kernels are written into the two scratch arrays given.
     """
 
-    def __init__(self, mesh, r2, nd, scratch=(None, None)):
+    def __init__(self, mesh, r2, nd, scratch):
         self.mesh, self.r2, self.nd, self._scratch = mesh, r2, nd, scratch
         self.nearest = np.argmin(r2, axis=1)
         self.dist = np.sqrt(r2[np.arange(r2.shape[0]), self.nearest])
@@ -529,10 +529,6 @@ class _Targets:
         """Whether each point lies on the side its nearest node's normal points to."""
         return self.nd[np.arange(self.nd.shape[0]), self.nearest] > 0
 
-    def in_region(self, region):
-        """Mask of the points in the region, 'interior' or 'exterior'."""
-        return _in_region(self.mesh, self.dist, self.outward, region)
-
 
 def _in_region(mesh, dist, outward, region):
     """Mask of the points off the band whose nearest node's normal puts them in the region."""
@@ -550,7 +546,7 @@ class _TargetBlocks:
     The points must be finite, and near enough to the nodes that their
     squared distances cannot overflow (InvalidProbe otherwise).  Iterating
     yields (rows, _Targets) for consecutive blocks of rows (see
-    _row_blocks); the arrays of a block are overwritten by the next block.
+    _pair_blocks); the arrays of a block are overwritten by the next block.
     """
 
     def __init__(self, mesh, points):
@@ -571,12 +567,9 @@ class _TargetBlocks:
 
     def __iter__(self):
         mesh = self.mesh
-        blocks = _row_blocks(0, len(self), mesh.n)
-        scratch = _block_scratch(blocks, mesh.n)
-        for lo, hi in blocks:
-            out = scratch[:, : hi - lo]
-            r2, nd = _pair_geometry(self.points[lo:hi], mesh.x, mesh.normal, out)
-            yield slice(lo, hi), _Targets(mesh, r2, nd, out[2:])
+        for lo, hi, r2, nd, scratch in _pair_blocks(self.points, mesh.x, mesh.normal,
+                                                    0, len(self)):
+            yield slice(lo, hi), _Targets(mesh, r2, nd, scratch)
 
     def locate(self):
         """Each point's distance to its nearest node, whether it lies on the

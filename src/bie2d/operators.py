@@ -12,10 +12,11 @@ so V is the trapezoid rule of log r2 everywhere, corrected on each
 curve's own block by one circulant per curve.  The double-layer kernel is
 smooth on a C^2 curve, so W is plain trapezoid with the curvature limit on
 the diagonal.  V and W are assembled together, from one pass over the
-squared node distances that walks the rows in blocks (geometry._row_blocks)
-and writes each block into V and W.  Wt = D^-1 W^T D (D = diag of quadrature weights), applied
-from W and never stored, is both the Nystrom matrix of the transposed kernel
-and an exact discrete adjoint in the weighted pairing.
+squared node distances that walks each curve's rows in blocks
+(geometry._pair_blocks) and writes each block into V and W.
+Wt = D^-1 W^T D (D = diag of quadrature weights), applied from W and never
+stored, is both the Nystrom matrix of the transposed kernel and an exact
+discrete adjoint in the weighted pairing.
 
 The Dirichlet-to-Neumann maps come from one bordered system
 [V, 1; w^T, 0]: its solution map R takes boundary values v to the density
@@ -50,7 +51,7 @@ from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InvalidGeometry, OutOfRange, SingularSystem
-from .geometry import _block_scratch, _check_aligned, _pair_geometry, _row_blocks
+from .geometry import _check_aligned, _pair_blocks
 
 
 def _log_correction(nc):
@@ -89,19 +90,14 @@ def _assemble(mesh, V):
     the given (n, n) array; apart from W only block-sized arrays are
     allocated.
     """
-    n = mesh.n
-    W = np.empty((n, n))
-    blocks = [_row_blocks(mesh.offsets[c], mesh.offsets[c + 1], n)
-              for c in range(mesh.n_components)]
-    scratch = _block_scratch([b for curve in blocks for b in curve], n)
+    W = np.empty((mesh.n, mesh.n))
     for c, nc in enumerate(mesh.n_per_comp):
         sl = mesh.component_slice(c)
         correction = _circulant(_log_correction(nc))
         scale = (0.25 / np.pi) * mesh.speed[sl]
-        for lo, hi in blocks[c]:
+        for lo, hi, r2, nd, _ in _pair_blocks(mesh.x, mesh.x, mesh.normal, sl.start, sl.stop):
             b, first = hi - lo, lo - sl.start  # first: the block's first node on its curve
             rows = np.arange(b)
-            r2, nd = _pair_geometry(mesh.x[lo:hi], mesh.x, mesh.normal, scratch[:, :b])
             r2[rows, lo + rows] = mesh.speed[lo:hi] ** 2
 
             Wb = np.multiply(2.0 * np.pi, r2, out=W[lo:hi])

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Bie2dError, InvalidProbe, LengthMismatch, NearBoundary, NoLimit, OutOfRange
-from .geometry import _check_aligned, _TargetBlocks, integrate
+from .geometry import _check_aligned, _in_region, _TargetBlocks, integrate
 from .operators import _side, operator_set
 
 
@@ -55,7 +55,8 @@ def _evaluate(mesh, points, values, region=None, checked=True):
             nearest = min(nearest, np.min(targets.dist))
             if nearest < band or stray:
                 continue
-            stray = region is not None and not np.all(targets.in_region(region))
+            stray = region is not None and not np.all(
+                _in_region(mesh, targets.dist, targets.outward, region))
         if not (stray or error):
             try:
                 out[rows] = values(targets)
@@ -137,27 +138,6 @@ class HarmonicField:
             vals += _layer(targets, kind, density)
         return vals
 
-    def single_layer_mass(self):
-        return sum(
-            integrate(self.mesh, density)
-            for kind, density in self.terms
-            if kind == "single"
-        )
-
-    def value_at_infinity_representation(self):
-        """Limit at infinity read off the representation."""
-        if _side(self.region, "region").sign > 0:
-            raise InvalidProbe("value at infinity of an interior field")
-        mass = self.single_layer_mass()
-        scale = 1.0 + max(
-            (float(np.max(np.abs(d))) for _, d in self.terms), default=0.0
-        )
-        if abs(mass) > 1e-8 * scale:
-            raise NoLimit(
-                f"single-layer masses sum to {mass:.3e}: logarithmic growth"
-            )
-        return self.constant
-
 
 InfinityValue = namedtuple("InfinityValue", ["mean", "representation"])
 
@@ -182,12 +162,19 @@ def value_at_infinity(fld, probe_radius):
         raise InvalidProbe(
             f"probe radius {probe_radius} does not enclose the boundary (r_max={rmax:.3f})"
         )
-    rep = fld.value_at_infinity_representation()
+    if _side(fld.region, "region").sign > 0:
+        raise InvalidProbe("value at infinity of an interior field")
+    # the limit read off the representation: its constant, once the single
+    # layers carry no mass in all
+    mass = sum(integrate(mesh, density) for kind, density in fld.terms if kind == "single")
+    scale = 1.0 + max((float(np.max(np.abs(d))) for _, d in fld.terms), default=0.0)
+    if abs(mass) > 1e-8 * scale:
+        raise NoLimit(f"single-layer masses sum to {mass:.3e}: logarithmic growth")
     theta = 2.0 * np.pi * np.arange(_N_PROBE) / _N_PROBE
     circle = probe_radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     mean = float(np.mean(fld.eval_unchecked(circle)))
-    if abs(mean - rep) > _PROBE_TOL:
+    if abs(mean - fld.constant) > _PROBE_TOL:
         raise InvalidProbe(
-            f"probe mean {mean:.3e} disagrees with representation value {rep:.3e}"
+            f"probe mean {mean:.3e} disagrees with representation value {fld.constant:.3e}"
         )
-    return InfinityValue(mean, rep)
+    return InfinityValue(mean, fld.constant)

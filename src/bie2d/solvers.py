@@ -14,8 +14,8 @@ density read from the same LU, and adds a single layer with density in the
 transpose kernel, cross-checking the direct route.  Every +- is the side's sign (README,
 "Sides and signs").  The SVD survives only in nullspace and
 transpose_kernel_pair_basis, as the independent check of those kernels.
-nullspace takes one SVD of shift I + W per side and reads both of the
-side's kernels from it: the right null vectors span the kernel of
+nullspace takes one SVD of the side's shift I + W and reads the kernel it
+is asked for from it: the right null vectors span the kernel of
 shift I + W, and, since Wt = D^-1 W^T D, the left null vectors scaled by
 D^-1 span the kernel of shift I + Wt.
 """
@@ -262,8 +262,8 @@ def _neumann(mesh, g, region, kernel_shift):
     # rep(side, V phi) = sign (shift I + Wt) phi
     check = np.max(np.abs(ops.rep(side.name, trace) - side.sign * A_phi))
     residuals = {"equation": resid, "neumann_identity": float(check)}
-    if exterior:
-        residuals["density_mass"] = abs(phi_mass)
+    if exterior:  # relative to scale, as its gate; a zero datum passed it with no mass
+        residuals["density_mass"] = abs(phi_mass) / scale if scale else 0.0
     return SolveReport(
         field=fld,
         densities={"phi": phi},
@@ -334,18 +334,15 @@ def _op_kind(op_kind, ops=("W", "Wt")):
     return side, op
 
 
-class _SideKernels(NamedTuple):
-    W: NullspaceBasis  # kernel of shift I + W
-    Wt: NullspaceBasis  # kernel of shift I + Wt
+def nullspace(mesh, op_kind):
+    """Null space of one of the four second-kind operators, from one SVD of shift I + W.
 
-
-def _side_kernels(mesh, side):
-    """Kernels of one side's shift I + W and shift I + Wt from one SVD of shift I + W.
-
-    The right null vectors span the W kernel.  The left null vectors
-    scaled by D^-1 span the Wt kernel, and a thin QR orthonormalizes them.
-    Singular values below _RANK_TOL times the largest count as zero.
+    The side's shift I + W is factored by one SVD.  For a W kind its right
+    null vectors span the kernel.  For a Wt kind the left null vectors
+    scaled by D^-1 span it, and a thin QR orthonormalizes them.  Singular
+    values below _RANK_TOL times the largest count as zero.
     """
+    side, op = _op_kind(op_kind)
     n = mesh.n
     A = operator_set(mesh).W.copy()
     A[range(n), range(n)] += side.shift
@@ -358,20 +355,11 @@ def _side_kernels(mesh, side):
         warning = f"singular-value gap {gap:.2e} below 1e4"
         warnings.warn(warning, ConditioningWarning)
     # copies, so that no n x n factor outlives this call
-    w_kernel = vt[n - dim:].T.copy()
-    wt_kernel, _ = np.linalg.qr(u[:, n - dim:] / mesh.weights[:, None])
-    return _SideKernels(NullspaceBasis(w_kernel, sv, gap, warning),
-                        NullspaceBasis(wt_kernel, sv, gap, warning))
-
-
-def nullspace(mesh, op_kind):
-    """Null space of one of the four second-kind operators, from the side's SVD.
-
-    Both kinds of a side read one SVD of shift I + W (see NullspaceBasis),
-    cut at the relative singular value _RANK_TOL.
-    """
-    side, op = _op_kind(op_kind)
-    return getattr(_side_kernels(mesh, side), op)
+    if op == "W":
+        vectors = vt[n - dim:].T.copy()
+    else:
+        vectors, _ = np.linalg.qr(u[:, n - dim:] / mesh.weights[:, None])
+    return NullspaceBasis(vectors, sv, gap, warning)
 
 
 def _decompose(mesh, g, sign):
@@ -453,7 +441,8 @@ def _via_decomposition(mesh, g, side):
             terms.append(("single", mu))
             densities["mu"] = mu
     fld = HarmonicField(mesh, terms, constant=rho, region=side.region)
-    boundary = trace_of_field_terms(mesh, terms, side.name) + rho
+    boundary = sum(trace_single(mesh, d) if kind == "single" else trace_double(mesh, d, side.name)
+                   for kind, d in terms) + rho
     resid = float(np.max(np.abs(boundary - g)))
     if resid > 1e-6 * max(1.0, float(np.max(np.abs(g)))):
         raise SingularSystem(f"boundary residual {resid:.3e}")
@@ -473,17 +462,6 @@ def dirichlet_interior_via_decomposition(mesh, g):
 def dirichlet_exterior_via_decomposition(mesh, g):
     """Exterior Dirichlet solve as double layer + kernel single layer + constant."""
     return _via_decomposition(mesh, g, "minus")
-
-
-def trace_of_field_terms(mesh, terms, side):
-    """Boundary limit of a sum of layer terms from the given side."""
-    out = np.zeros(mesh.n)
-    for kind, density in terms:
-        if kind == "single":
-            out += trace_single(mesh, density)
-        else:
-            out += trace_double(mesh, density, side)
-    return out
 
 
 def _one_point(mesh, x):

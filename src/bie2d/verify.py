@@ -12,9 +12,8 @@ run_verify holds one _MeshCache per mesh: the J factor of each side
 (distributions.JMap), the probe point sets, keyed by (region, count,
 prefer), and the cos(k t), sin(k t) table of the seeded densities.  Each
 is built once on first use, shared read-only by the checks on that mesh,
-and dropped with the cache before the next mesh.  run_verify calls every
-check as run(mesh, rng, cache=cache); every check also runs on its own,
-with a cache of its own, and gives the same residual.
+and dropped with the cache before the next mesh.  Each check takes the
+mesh's _MeshCache: run_verify calls it as run(mesh, rng, cache=cache).
 """
 
 import numbers
@@ -43,16 +42,15 @@ from .distributions import (
 )
 from .solvers import (
     _OP_KINDS,
-    _compat_pairings,
     _compat_rows,
     _dirichlet,
-    _side_kernels,
     _subspace_angle,
     _wt_solve,
     dirichlet_exterior,
     dirichlet_interior,
     neumann_exterior,
     neumann_interior,
+    nullspace,
     poisson_exterior,
     poisson_interior,
     transpose_kernel_pair_basis,
@@ -166,7 +164,7 @@ class _MeshCache:
     sets and the Fourier table of the seeded densities.
 
     Each is built on first use.  run_verify holds one cache per mesh and
-    drops it before the next mesh; a check called on its own builds its own.
+    drops it before the next mesh.
     """
 
     def __init__(self, mesh):
@@ -206,12 +204,11 @@ def _sup(x):
 # --- individual checks -----------------------------------------------------
 
 
-def check_w1_half(mesh, rng, cache=None):
+def check_w1_half(mesh, rng, cache):
     return _sup(operator_set(mesh).W @ np.ones(mesh.n) - 0.5)
 
 
-def check_plemelj_classical(mesh, rng, cache=None):
-    cache = cache or _MeshCache(mesh)
+def check_plemelj_classical(mesh, rng, cache):
     ops = operator_set(mesh)
     res = 0.0
     for _ in range(20):
@@ -230,8 +227,7 @@ def _seeded_pairs(cache, rng, count, zero_mean=False):
     return pairs
 
 
-def check_plemelj_distributional(mesh, rng, cache=None):
-    cache = cache or _MeshCache(mesh)
+def check_plemelj_distributional(mesh, rng, cache):
     ops = operator_set(mesh)
     res = 0.0
     for tau in _seeded_pairs(cache, rng, 10):
@@ -241,8 +237,7 @@ def check_plemelj_distributional(mesh, rng, cache=None):
     return res
 
 
-def check_jump_single(mesh, rng, cache=None):
-    cache = cache or _MeshCache(mesh)
+def check_jump_single(mesh, rng, cache):
     mu = cache.density(rng, zero_mean=True)
     trace = operator_set(mesh).V @ mu
     res = 0.0
@@ -253,8 +248,7 @@ def check_jump_single(mesh, rng, cache=None):
     return res
 
 
-def check_jump_double(mesh, rng, cache=None):
-    cache = cache or _MeshCache(mesh)
+def check_jump_double(mesh, rng, cache):
     psi = cache.density(rng)
     res = 0.0
     for side in _SIDES:
@@ -264,8 +258,7 @@ def check_jump_double(mesh, rng, cache=None):
     return res
 
 
-def check_dist_jump(mesh, rng, cache=None):
-    cache = cache or _MeshCache(mesh)
+def check_dist_jump(mesh, rng, cache):
     res = 0.0
     for tau in _seeded_pairs(cache, rng, 6, zero_mean=True):
         out = dist_jump_check(tau)
@@ -281,9 +274,8 @@ def check_dist_jump(mesh, rng, cache=None):
     return res
 
 
-def _third_green(mesh, rng, region, prefer, cache):
+def _third_green(mesh, rng, cache, region, prefer):
     """Green's third identity in the region; the same integral vanishes off it."""
-    cache = cache or _MeshCache(mesh)
     side = _side(region, "region")
     g = cache.density(rng)
     solution = _dirichlet(mesh, g, region)
@@ -300,17 +292,16 @@ def _third_green(mesh, rng, region, prefer, cache):
     return max(res, _sup(recon(other)))
 
 
-def check_third_green_interior(mesh, rng, prefer="far", cache=None):
-    return _third_green(mesh, rng, "interior", prefer, cache)
+def check_third_green_interior(mesh, rng, cache, prefer="far"):
+    return _third_green(mesh, rng, cache, "interior", prefer)
 
 
-def check_third_green_exterior(mesh, rng, prefer="far", cache=None):
-    return _third_green(mesh, rng, "exterior", prefer, cache)
+def check_third_green_exterior(mesh, rng, cache, prefer="far"):
+    return _third_green(mesh, rng, cache, "exterior", prefer)
 
 
-def _dlintesl(mesh, rng, side, cache=None):
+def _dlintesl(mesh, rng, cache, side):
     """Single layer of (side, 0, mu): its grid representer against the closed form."""
-    cache = cache or _MeshCache(mesh)
     mu = cache.density(rng)
     rep = operator_set(mesh).rep(side, mu)
     tau = PairDistribution(side, np.zeros(mesh.n), mu, mesh)
@@ -322,9 +313,8 @@ def _dlintesl(mesh, rng, side, cache=None):
     return res
 
 
-def check_vst_identities(mesh, rng, cache=None):
+def check_vst_identities(mesh, rng, cache):
     """V rep(side, mu) against the closed trace of the pair (side, 0, mu)."""
-    cache = cache or _MeshCache(mesh)
     ops = operator_set(mesh)
     zero = np.zeros(mesh.n)
     res = 0.0
@@ -336,8 +326,7 @@ def check_vst_identities(mesh, rng, cache=None):
     return res
 
 
-def check_symmetry(mesh, rng, cache=None):
-    cache = cache or _MeshCache(mesh)
+def check_symmetry(mesh, rng, cache):
     ops = operator_set(mesh)
     res = 0.0
     for tau in _seeded_pairs(cache, rng, 10):
@@ -348,8 +337,7 @@ def check_symmetry(mesh, rng, cache=None):
     return res
 
 
-def check_j_roundtrip(mesh, rng, cache=None):
-    cache = cache or _MeshCache(mesh)
+def check_j_roundtrip(mesh, rng, cache):
     res = 0.0
     for tau in _seeded_pairs(cache, rng, 5):
         g = J_isometry(tau)
@@ -360,8 +348,7 @@ def check_j_roundtrip(mesh, rng, cache=None):
     return res
 
 
-def check_space_coincidence(mesh, rng, cache=None):
-    cache = cache or _MeshCache(mesh)
+def check_space_coincidence(mesh, rng, cache):
     res = 0.0
     for tau in _seeded_pairs(cache, rng, 5):
         tau2 = cache.jmap(_side(tau.side).opposite.name).pair(J_isometry(tau))
@@ -370,33 +357,31 @@ def check_space_coincidence(mesh, rng, cache=None):
     return res
 
 
-def check_nullspace_dims(mesh, rng, cache=None):
+def check_nullspace_dims(mesh, rng, cache):
     """Largest angle between each side's Wt kernel and its two twins.
 
-    _side_kernels gives both kernels of a side from one SVD of shift I + W.
-    The twins of the Wt kernel are the pair-route kernel and the measured
-    kernel of the bordered LU the Neumann solvers use; both come from other
-    matrices than that SVD.  pi/2, the largest angle, when a kernel misses
-    its side's component count or its singular-value gap.
+    nullspace reads the Wt kernel from one SVD of shift I + W, whose W
+    kernel has the same dimension.  The twins of the Wt kernel are the
+    pair-route kernel and the measured kernel of the bordered LU the
+    Neumann solvers use; both come from other matrices than that SVD.
+    pi/2, the largest angle, when the kernel misses its side's component
+    count or its singular-value gap.
     """
-    cache = cache or _MeshCache(mesh)
     worst = 0.0
     for kind, (side, op) in _OP_KINDS.items():
         if op != "Wt":
             continue
-        kernels = _side_kernels(mesh, side)
-        count = getattr(mesh.topology, side.kappa)
-        if kernels.W.gap < 1e4 or any(b.dimension != count for b in kernels):
+        basis = nullspace(mesh, kind)
+        if basis.gap < 1e4 or basis.dimension != getattr(mesh.topology, side.kappa):
             return np.pi / 2
-        wt = kernels.Wt.vectors
+        wt = basis.vectors
         lu_kernel = _wt_solve(mesh, side, np.zeros(mesh.n)).kernel
         pair_kernel = transpose_kernel_pair_basis(mesh, kind, cache.jmap("plus"))
         worst = max(worst, _subspace_angle(wt, pair_kernel), _subspace_angle(wt, lu_kernel))
     return worst
 
 
-def check_poisson_reps(mesh, rng, cache=None):
-    cache = cache or _MeshCache(mesh)
+def check_poisson_reps(mesh, rng, cache):
     g = cache.density(rng)
     rd = dirichlet_interior(mesh, g)
     re_ = dirichlet_exterior(mesh, g)
@@ -413,25 +398,24 @@ def check_poisson_reps(mesh, rng, cache=None):
     return res
 
 
-def check_compat_rejection(mesh, rng, cache=None):
+def check_compat_rejection(mesh, rng, cache):
     """Flux pairings against the component lengths; 1.0 if the datum is accepted."""
     topo = mesh.topology
-    ones = np.ones(mesh.n)
     res = 0.0
     for side, solve in zip(_SIDES, (neumann_interior, neumann_exterior)):
         try:
-            solve(mesh, ones)
+            solve(mesh, np.ones(mesh.n))
             return 1.0
-        except IncompatibleData:
-            pass
-        for k, val in zip(_compat_rows(topo, side), _compat_pairings(mesh, ones, side)):
+        except IncompatibleData as exc:
+            pairings = exc.pairings
+        for k, val in zip(_compat_rows(topo, side), pairings):
             res = max(res, abs(val - integrate(mesh, indicator(topo, side.indicator, k))))
     return res
 
 
 class _Check(NamedTuple):
     name: str
-    run: Callable  # (mesh, rng, cache=None) -> residual
+    run: Callable  # (mesh, rng, cache) -> residual
     tol: float  # default tolerance, which tol_overrides may replace
     identity: str
 

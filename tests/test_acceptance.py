@@ -12,6 +12,7 @@ from bie2d.geometry import CurveSpec, build_mesh, pairing, stock_mesh
 from bie2d.operators import operator_set
 from bie2d.potentials import value_at_infinity
 from bie2d.verify import (
+    _MeshCache,
     check_plemelj_classical,
     check_third_green_exterior,
     check_third_green_interior,
@@ -63,7 +64,7 @@ def test_criterion_01_w_half_identity(meshes):
     worst = 0.0
     for name in ("disk", "ellipse", "annulus", "kite"):
         rng = np.random.default_rng(RNG_SEED)
-        worst = max(worst, check_w1_half(meshes[name], rng))
+        worst = max(worst, check_w1_half(meshes[name], rng, _MeshCache(meshes[name])))
     assert _report(1, "W-of-one-is-half", worst, tol)
 
 
@@ -86,7 +87,7 @@ def test_criterion_03_classical_plemelj(meshes):
     worst = 0.0
     for name in ("disk", "ellipse", "annulus", "kite"):
         rng = np.random.default_rng(RNG_SEED)
-        worst = max(worst, check_plemelj_classical(meshes[name], rng))
+        worst = max(worst, check_plemelj_classical(meshes[name], rng, _MeshCache(meshes[name])))
     assert _report(3, "classical-plemelj", worst, tol)
 
 
@@ -144,7 +145,7 @@ def test_criterion_06_closed_trace_identities(meshes):
     worst = 0.0
     for name in ("disk", "ellipse", "annulus"):
         rng = np.random.default_rng(RNG_SEED)
-        worst = max(worst, check_vst_identities(meshes[name], rng))
+        worst = max(worst, check_vst_identities(meshes[name], rng, _MeshCache(meshes[name])))
     assert _report(6, "closed-trace-identities", worst, tol)
 
 
@@ -152,9 +153,9 @@ def test_criterion_07_third_green_identities(meshes):
     tol = 1e-6
     worst = 0.0
     for name in ("disk", "ellipse", "annulus"):
-        rng = np.random.default_rng(RNG_SEED)
-        worst = max(worst, check_third_green_interior(meshes[name], rng))
-        worst = max(worst, check_third_green_exterior(meshes[name], rng))
+        mesh, rng = meshes[name], np.random.default_rng(RNG_SEED)
+        worst = max(worst, check_third_green_interior(mesh, rng, _MeshCache(mesh)))
+        worst = max(worst, check_third_green_exterior(mesh, rng, _MeshCache(mesh)))
     assert _report(7, "third-green-identities", worst, tol)
 
 
@@ -257,9 +258,9 @@ def test_criterion_13_convergence():
         "w1-half": check_w1_half,
         "plemelj": check_plemelj_classical,
         "closed-trace": check_vst_identities,
-        "third-green": lambda m, r: max(
-            check_third_green_interior(m, r, prefer="near"),
-            check_third_green_exterior(m, r, prefer="near"),
+        "third-green": lambda m, r, c: max(
+            check_third_green_interior(m, r, c, prefer="near"),
+            check_third_green_exterior(m, r, c, prefer="near"),
         ),
     }
     coarse = stock_mesh("ellipse", 128)
@@ -269,7 +270,7 @@ def test_criterion_13_convergence():
         res = {}
         for mesh, tag in ((coarse, 128), (fine, 256)):
             rng = np.random.default_rng(RNG_SEED)
-            res[tag] = fn(mesh, rng)
+            res[tag] = fn(mesh, rng, _MeshCache(mesh))
         decreased = res[256] <= res[128] / 10.0
         floored = res[256] <= ROUNDOFF_FLOOR
         ok = decreased or floored

@@ -258,12 +258,11 @@ def test_verify_non_finite_residual_is_numerical_failure(tmp_path, capsys, monke
     _assert_numerical_failure(code, capsys, tmp_path / "verify_report.json")
 
 
-def _short_kernels(real):
-    # drops the first column of both kernels of a side
-    def short(mesh, side):
-        kernels = real(mesh, side)
-        return kernels._make(dataclasses.replace(basis, vectors=basis.vectors[:, 1:])
-                             for basis in kernels)
+def _short_kernel(real):
+    # drops the first column of a null-space basis
+    def short(mesh, op_kind):
+        basis = real(mesh, op_kind)
+        return dataclasses.replace(basis, vectors=basis.vectors[:, 1:])
     return short
 
 
@@ -272,7 +271,7 @@ def test_verify_identity_failure_is_a_failing_row(tmp_path, capsys, monkeypatch,
     # a failed identity has a finite sentinel residual, so the report is written
     # (at 32 or 48 nodes the annulus leaves no interior probe point)
     if row == "nullspace-dims":
-        monkeypatch.setattr(verify, "_side_kernels", _short_kernels(verify._side_kernels))
+        monkeypatch.setattr(verify, "nullspace", _short_kernel(verify.nullspace))
     else:
         monkeypatch.setattr(verify, "neumann_interior", lambda mesh, g, **_: None)
     code = main(["verify", "--n", "64", "--out", str(tmp_path)])
@@ -660,3 +659,16 @@ def test_curve_at_the_coordinate_bound_still_solves(tmp_path):
     path.write_text('{"components": [{"kind": "circle", "radius": 1e100, "nodes": 64}]}')
     assert main(["solve", "--config", str(path), "--problem", "dirichlet-int",
                  "--data", "fourier:1", "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("radius", ["1", "1e20", "1e50"])
+def test_exterior_neumann_density_mass_is_relative(tmp_path, capsys, radius):
+    # the mass is reported as its gate bounds it, relative to max|datum| times
+    # the boundary length, so it does not grow with the size of the curve
+    path = tmp_path / "circle.json"
+    path.write_text(f'{{"components": [{{"kind": "circle", "radius": {radius}, "nodes": 64}}]}}')
+    assert main(["solve", "--config", str(path), "--problem", "neumann-ext",
+                 "--data", "fourier:1", "--out", str(tmp_path / "out")]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+    assert report["residuals"]["density_mass"] <= 1e-15
+    assert float(re.search(r"max residual: (\S+)", capsys.readouterr().out)[1]) <= 1e-11

@@ -8,6 +8,7 @@ from conftest import gauss_law_locations, rows_per_block, winding_locations
 from bie2d.errors import InvalidGeometry, LengthMismatch, OutOfRange
 from bie2d.geometry import (
     CurveSpec,
+    _pair_blocks,
     _row_blocks,
     build_mesh,
     indicator,
@@ -222,6 +223,27 @@ def test_row_blocks_start_on_multiples_of_8_and_leave_no_lone_row():
     assert _row_blocks(0, 0, 768) == []
     # a block holds 8 rows at least, even past 2^16 pairs; curves start anywhere
     assert _row_blocks(64, 89, 9362) == [(64, 72), (72, 80), (80, 89)]
+
+
+@pytest.mark.parametrize("name", ["annulus", "two-disks"])
+def test_pair_blocks_tile_each_curve_and_match_a_direct_computation(name):
+    # 204 nodes per curve: 160-row blocks (2^16 pairs of 408 nodes, rounded
+    # down to a multiple of 8) and a ragged 44-row last block on each curve
+    mesh = stock_mesh(name, 204)
+    nu = mesh.normal
+    for c in range(mesh.n_components):
+        sl = mesh.component_slice(c)
+        bounds = []
+        for lo, hi, r2, nd, scratch in _pair_blocks(mesh.x, mesh.x, nu, sl.start, sl.stop):
+            bounds.append((lo, hi))
+            d = mesh.x[lo:hi, None, :] - mesh.x[None, :, :]
+            assert np.array_equal(r2, d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
+            assert np.array_equal(nd, d[..., 1] * nu[:, 1] + d[..., 0] * nu[:, 0])
+            assert scratch.shape == (2, hi - lo, mesh.n)
+        assert bounds[0][0] == sl.start and bounds[-1][1] == sl.stop
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        assert all((hi - lo) % 8 == 0 for lo, hi in bounds[:-1])
+        assert len(bounds) == 2 and bounds[-1][1] - bounds[-1][0] == 44
 
 
 def test_refinement_consistency():

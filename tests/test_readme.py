@@ -1,8 +1,12 @@
-"""The library example and the domain config of README.md run as written."""
+"""The library example and the domain config of README.md run as written,
+and its list of removed names holds."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import bie2d
 from bie2d import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -22,3 +26,43 @@ def test_readme_domain_config_loads(tmp_path):
     (tmp_path / "domain.json").write_text(blocks[0])
     topology = cli.load_config(str(tmp_path / "domain.json")).build_mesh().topology
     assert (topology.kappa_plus, topology.kappa_minus) == (1, 1)
+
+
+def _removed_names(heading):
+    """The names before the first colon of each bullet under a "Removed names" heading."""
+    section = README.read_text().split("## Removed names\n", 1)[1].split("\n## ", 1)[0]
+    part = section.split(f"### {heading}\n", 1)[1].split("\n### ", 1)[0]
+    names = []
+    for bullet in re.split(r"^- ", part, flags=re.M)[1:]:
+        for span in re.findall(r"`([^`]*)`", bullet.split(":", 1)[0]):
+            name = re.sub(r"\(.*\)", "", span, flags=re.S)  # a signature shown with it
+            assert re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", name), span
+            names.append(name)
+    return names
+
+
+_MODULES = [importlib.import_module(f"bie2d.{m.name}")
+            for m in pkgutil.iter_modules(bie2d.__path__)]
+
+
+def _resolves(name):
+    # the head is looked up in the package and in each of its modules (a
+    # module is an attribute of the package), the rest as attributes of it
+    head, *rest = name.split(".")
+    found = [getattr(owner, head) for owner in (bie2d, *_MODULES) if hasattr(owner, head)]
+    for part in rest:
+        found = [getattr(owner, part) for owner in found if hasattr(owner, part)]
+    return bool(found)
+
+
+def test_readme_removed_names_are_gone():
+    gone = _removed_names("Gone")
+    assert {"steklov", "cli.PROBLEMS", "solvers.trace_of_field_terms",
+            "HarmonicField.single_layer_mass"} <= set(gone)
+    assert [name for name in gone if _resolves(name)] == []
+
+
+def test_readme_changed_signatures_still_resolve():
+    changed = _removed_names("Changed signatures")
+    assert {"locate_point", "value_at_infinity", "JMap.inverse", "cli.cmd_solve"} <= set(changed)
+    assert [name for name in changed if not _resolves(name)] == []

@@ -173,6 +173,7 @@ def test_neumann_exterior_rejects_constant(disk128):
 
 def test_neumann_exterior_zero_datum_and_uniqueness(annulus):
     rep = neumann_exterior(annulus, np.zeros(annulus.n))
+    assert rep.residuals["density_mass"] == 0.0
     far = rep.field.eval(np.array([5.0, 0.0]))
     assert abs(far) < 1e-9
     # shifting by a transpose-kernel density moves the hole constant only
@@ -271,8 +272,9 @@ def test_wt_kernel_matches_a_direct_svd_of_shift_plus_wt(name, n):
     # the reference takes the SVD of shift I + Wt itself, so it does not
     # rest on the duality Wt = D^-1 W^T D that the helper reads its kernel from
     mesh = stock_mesh(name, n)
-    for side in (_side("plus"), _side("minus")):
-        got = solvers._side_kernels(mesh, side).Wt.vectors
+    for kind in ("minus_half_plus_Wt", "half_plus_Wt"):
+        side, _ = solvers._OP_KINDS[kind]
+        got = nullspace(mesh, kind).vectors
         _, sv, vt = np.linalg.svd(side.shift * np.eye(mesh.n) + dense_wt(mesh))
         ref = vt[mesh.n - int(np.sum(sv < 1e-10 * sv[0])):].T
         assert got.shape == ref.shape
@@ -386,10 +388,10 @@ def test_green_and_poisson_take_exactly_one_point():
 
 
 def test_third_green_identities(ellipse, rng):
-    from bie2d.verify import check_third_green_exterior, check_third_green_interior
+    from bie2d.verify import _MeshCache, check_third_green_exterior, check_third_green_interior
 
-    assert check_third_green_interior(ellipse, rng) < 1e-6
-    assert check_third_green_exterior(ellipse, rng) < 1e-6
+    assert check_third_green_interior(ellipse, rng, _MeshCache(ellipse)) < 1e-6
+    assert check_third_green_exterior(ellipse, rng, _MeshCache(ellipse)) < 1e-6
 
 
 def test_interior_solution_reexpressed_as_single_layer(ellipse, rng):
@@ -610,7 +612,7 @@ def test_svd_inputs_are_shift_plus_w_bit_for_bit(monkeypatch, name):
     for kind, (side, _) in solvers._OP_KINDS.items():
         expected = side.shift * np.eye(mesh.n) + ops.W
         seen.clear()
-        solvers._side_kernels(mesh, side)
+        nullspace(mesh, kind)
         assert np.array_equal(seen[0], expected)
         if kind.endswith("Wt"):
             seen.clear()

@@ -50,20 +50,21 @@ def test_default_report_rows_are_pinned():
 
 @pytest.mark.parametrize("name", ["disk", "annulus"])
 def test_each_check_run_alone_gives_its_suite_row(name):
-    # run_verify calls every row as run(mesh, rng, cache=cache); alone, a
-    # check builds its own cache and must give the same residual bit for bit
+    # run_verify calls every row as run(mesh, rng, cache=cache) with the
+    # mesh's shared cache; with a fresh cache a check gives the same residual
+    # bit for bit
     mesh = stock_mesh(name, 64)
     rows = run_verify(meshes={name: mesh}, n=64).rows
     for check, row in zip(verify._CHECKS, rows, strict=True):
         rng = np.random.default_rng([verify.DEFAULT_SEED, zlib.crc32(check.name.encode()),
                                      zlib.crc32(name.encode())])
-        assert check.run(mesh, rng) == row.residual, check.name
+        assert check.run(mesh, rng, verify._MeshCache(mesh)) == row.residual, check.name
 
 
 @pytest.mark.parametrize("name", ["disk", "ellipse", "annulus"])
 def test_verify_takes_four_square_svds_per_mesh(monkeypatch, name):
-    # one SVD of shift I + W per side, which gives both of its null spaces,
-    # and two pair-route transpose kernels
+    # one SVD of shift I + W per side, which gives its Wt null space, and
+    # two pair-route transpose kernels
     mesh = stock_mesh(name, 64)
     svd, shapes = np.linalg.svd, []
 
@@ -169,6 +170,6 @@ def test_nullspace_dims_compares_the_kernel_the_solvers_use(monkeypatch):
         kernel = np.linalg.qr(out.kernel + 1e-3 * np.cos(3 * mesh.t)[:, None])[0]
         return out._replace(kernel=kernel)
 
-    assert verify.check_nullspace_dims(mesh, rng) <= 1e-5
+    assert verify.check_nullspace_dims(mesh, rng, verify._MeshCache(mesh)) <= 1e-5
     monkeypatch.setattr(verify, "_wt_solve", turned)
-    assert verify.check_nullspace_dims(mesh, rng) > 1e-5
+    assert verify.check_nullspace_dims(mesh, rng, verify._MeshCache(mesh)) > 1e-5
