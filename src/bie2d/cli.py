@@ -130,14 +130,6 @@ def _curve_from_dict(idx, entry):
     if not isinstance(entry, dict):
         raise ConfigError(f"{where} is not an object")
     kind = entry.get("kind")
-    if kind not in ("circle", "ellipse", "fourier"):
-        raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
-    orientation = entry.get("orientation", "positive")
-    if orientation not in ("positive", "negative"):
-        raise ConfigError(
-            f"{where}.orientation: got {orientation!r}, "
-            "expected 'positive' or 'negative'"
-        )
     center = _numbers(entry.get("center", [0.0, 0.0]), f"{where}.center", 2)
     try:
         if kind == "circle":
@@ -149,7 +141,8 @@ def _curve_from_dict(idx, entry):
                 key: _numbers(entry.get(key, []), f"{where}.{key}")
                 for key in ("cos_x", "sin_x", "cos_y", "sin_y")
             }
-        spec = CurveSpec(kind, center=center, orientation=orientation, **shape)
+        spec = CurveSpec(kind, center=center, orientation=entry.get("orientation", "positive"),
+                         **shape)
     except KeyError as exc:
         raise ConfigError(f"{where}: missing field {exc}") from exc
     except InvalidGeometry as exc:

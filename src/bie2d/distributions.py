@@ -21,7 +21,6 @@ kernel) passes one in rather than factoring again.
 """
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -29,7 +28,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import OutOfRange, SingularSystem
 from .geometry import _check_aligned, integrate, pairing
 from .operators import _side, operator_set
-from .potentials import _evaluate, _layer
+from .potentials import HarmonicField
 
 
 @dataclass
@@ -183,37 +182,26 @@ def Wt_on_distribution(tau, jmap=None):
 
 
 def dist_single_layer_field(tau, points, region):
-    """Single layer potential of a pair distribution at off-boundary points.
+    """Single layer potential of a pair distribution at off-boundary points in region.
 
     The transpose part is evaluated through the double-layer and
     harmonic-extension representation of its potential, never through the
     grid representer: with V eta + c = mu1 it is
     sign D[mu1] + [exterior side] c - [region is the side's own] (S[eta] + c).
+    That potential takes a different form on each side, so it is evaluated
+    as the HarmonicField of the region: a point outside the region raises
+    InvalidProbe, as for any field.
     """
     side = _side(tau.side)
     own = _side(region, "region") is side
-    mesh = tau.mesh
-    mu1 = tau.mu1
-    transpose = bool(np.any(mu1))
-
-    @cache
-    def extension():
-        # eta and c, solved for at the first block that is evaluated
-        return operator_set(mesh).harmonic_density(mu1)
-
-    def values(targets):
-        vals = _layer(targets, "single", tau.mu0)
-        if transpose:
-            eta, c = extension()
-            vals += side.sign * _layer(targets, "double", mu1)
-            if side.sign < 0:
-                vals += c
-            if own:
-                vals -= _layer(targets, "single", eta) + c
-        return vals
-
-    vals, single = _evaluate(mesh, points, values)
-    return float(vals[0]) if single else vals
+    terms, constant = [("single", tau.mu0)], 0.0
+    if np.any(tau.mu1):
+        eta, c = operator_set(tau.mesh).harmonic_density(tau.mu1)
+        terms.append(("double", side.sign * tau.mu1))
+        if own:
+            terms.append(("single", -eta))
+        constant = (side.sign < 0) * c - own * c
+    return HarmonicField(tau.mesh, terms, constant, region).eval(points)
 
 
 def dist_normal_derivative(mesh, trace, side):

@@ -500,17 +500,25 @@ class _Targets:
     """One block of a geometry pass: target points x against the n nodes y of a mesh.
 
     r2 = |x - y|^2 and nd = nu(y) . (x - y) have one row per point;
-    nearest is each point's nearest node and dist its distance to it.  The
-    band check, point location and both layer kernels read them.  A point
-    off the band is located by its nearest node alone: it lies outside the
-    open set exactly when it is outward, on the side the node's normal
-    points to.  The kernels are written into the two scratch arrays given.
+    nearest is each point's nearest node and dist its distance to it, both
+    found when first read, so a pass that neither checks nor locates its
+    points skips them.  The band check, point location and both layer
+    kernels read them.  A point off the band is located by its nearest node
+    alone: it lies outside the open set exactly when it is outward, on the
+    side the node's normal points to.  The kernels are written into the two
+    scratch arrays given.
     """
 
     def __init__(self, mesh, r2, nd, scratch):
         self.mesh, self.r2, self.nd, self._scratch = mesh, r2, nd, scratch
-        self.nearest = np.argmin(r2, axis=1)
-        self.dist = np.sqrt(r2[np.arange(r2.shape[0]), self.nearest])
+
+    @cached_property
+    def nearest(self):
+        return np.argmin(self.r2, axis=1)
+
+    @cached_property
+    def dist(self):
+        return np.sqrt(self.r2[np.arange(self.r2.shape[0]), self.nearest])
 
     @cached_property
     def single_kernel(self):

@@ -2,7 +2,10 @@
 
 Off-boundary evaluation is plain trapezoid quadrature of the smooth kernel;
 it refuses points inside the near-boundary band (twice the largest node
-spacing) instead of regularizing.  Each evaluation makes one geometry pass
+spacing) instead of regularizing.  Every off-boundary evaluator is a
+HarmonicField: a bare layer potential is a one-term field with no region,
+and distributions.dist_single_layer_field builds the field of a
+distribution's single layer.  Each evaluation makes one geometry pass
 over its points, walked in blocks of rows (geometry._TargetBlocks): the
 band check, the location of the points and the kernels of every layer
 term read the same squared distances of a block, and each block writes
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Bie2dError, InvalidProbe, LengthMismatch, NearBoundary, NoLimit, OutOfRange
+from .errors import Bie2dError, InvalidProbe, NearBoundary, NoLimit, OutOfRange
 from .geometry import _check_aligned, _in_region, _TargetBlocks, integrate
 from .operators import _side, operator_set
 
@@ -30,61 +33,18 @@ def _layer(targets, kind, density):
     elif kind == "double":
         kernel = targets.double_kernel
     else:
-        raise LengthMismatch(f"unknown layer kind {kind!r}")
+        raise OutOfRange(f"unknown layer kind {kind!r}, expected 'single' or 'double'")
     return kernel @ (targets.mesh.weights * density)
 
 
-def _evaluate(mesh, points, values, region=None, checked=True):
-    """values(targets) of each block of the points' pass, gathered in one
-    array, and whether the points were one point (2,).
-
-    checked refuses points in the near-boundary band (NearBoundary) and,
-    given a region, points outside it (InvalidProbe).  Every block is
-    scanned before either is raised, so NearBoundary reports the minimum
-    distance over all points and wins over InvalidProbe, which wins over a
-    toolkit error of values; values is not called after the first of them.
-    A region other than 'interior' or 'exterior' raises OutOfRange first.
-    """
-    blocks = _TargetBlocks(mesh, points)
-    other = _side(region, "region").opposite.region if region is not None else None
-    band = mesh.band_width()
-    out = np.empty(len(blocks))
-    nearest, stray, error = np.inf, False, None
-    for rows, targets in blocks:
-        if checked:
-            nearest = min(nearest, np.min(targets.dist))
-            if nearest < band or stray:
-                continue
-            stray = region is not None and not np.all(
-                _in_region(mesh, targets.dist, targets.outward, region))
-        if not (stray or error):
-            try:
-                out[rows] = values(targets)
-            except Bie2dError as exc:
-                error = exc
-    if nearest < band:
-        raise NearBoundary(f"point at distance {nearest:.3e} inside "
-                           f"the near-boundary band {band:.3e}")
-    if stray:
-        raise InvalidProbe(f"field is defined on the {region} but a point is {other}")
-    if error is not None:
-        raise error
-    return out, blocks.single
-
-
-def _eval_layer(mesh, kind, density, points):
-    vals, single = _evaluate(mesh, points, lambda targets: _layer(targets, kind, density))
-    return vals[0] if single else vals
-
-
 def eval_single_layer(mesh, mu, points):
-    """Single layer potential at off-boundary points."""
-    return _eval_layer(mesh, "single", mu, points)
+    """Single layer potential at off-boundary points, on either side."""
+    return HarmonicField(mesh, [("single", mu)], region=None).eval(points)
 
 
 def eval_double_layer(mesh, psi, points):
-    """Double layer potential at off-boundary points."""
-    return _eval_layer(mesh, "double", psi, points)
+    """Double layer potential at off-boundary points, on either side."""
+    return HarmonicField(mesh, [("double", psi)], region=None).eval(points)
 
 
 def trace_single(mesh, mu):
@@ -114,29 +74,64 @@ def normal_derivative_single(mesh, mu, side):
 class HarmonicField:
     """Evaluable harmonic function built from layer terms plus a constant.
 
-    terms is a list of (kind, density) with kind 'single' or 'double'.
-    region is 'interior' or 'exterior' and restricts where eval() is
-    defined.
+    terms is a list of (kind, density) with kind 'single' or 'double'
+    (OutOfRange otherwise, when evaluated).  region is 'interior' or
+    'exterior' and restricts where eval() is defined; None puts no
+    restriction, as for a bare layer potential, defined on both sides.
     """
 
     mesh: object
     terms: list = field(default_factory=list)
     constant: float = 0.0
-    region: str = "interior"
+    region: str | None = "interior"
 
     def eval(self, points):
-        vals, single = _evaluate(self.mesh, points, self._values, self.region)
+        vals, single = self._evaluate(points)
         return float(vals[0]) if single else vals
 
     def eval_unchecked(self, points):
-        return _evaluate(self.mesh, points, self._values, checked=False)[0]
+        return self._evaluate(points, checked=False)[0]
 
-    def _values(self, targets):
-        """The field at the points of one block of a geometry pass, without checks."""
-        vals = np.full(targets.r2.shape[0], self.constant, dtype=float)
-        for kind, density in self.terms:
-            vals += _layer(targets, kind, density)
-        return vals
+    def _evaluate(self, points, checked=True):
+        """The field at each point of one geometry pass, and whether the
+        points were one point (2,).
+
+        checked refuses points in the near-boundary band (NearBoundary) and,
+        given a region, points outside it (InvalidProbe).  Every block is
+        scanned before either is raised, so NearBoundary reports the minimum
+        distance over all points and wins over InvalidProbe, which wins over a
+        toolkit error of the terms; no block is evaluated after the first of
+        them.  A region other than 'interior', 'exterior' or None raises
+        OutOfRange first.
+        """
+        mesh, region = self.mesh, self.region
+        blocks = _TargetBlocks(mesh, points)
+        other = _side(region, "region").opposite.region if region is not None else None
+        band = mesh.band_width()
+        out = np.empty(len(blocks))
+        nearest, stray, error = np.inf, False, None
+        for rows, targets in blocks:
+            if checked:
+                nearest = min(nearest, np.min(targets.dist))
+                if nearest < band or stray:
+                    continue
+                stray = region is not None and not np.all(
+                    _in_region(mesh, targets.dist, targets.outward, region))
+            if not (stray or error):
+                try:
+                    out[rows] = self.constant
+                    for kind, density in self.terms:
+                        out[rows] += _layer(targets, kind, density)
+                except Bie2dError as exc:
+                    error = exc
+        if nearest < band:
+            raise NearBoundary(f"point at distance {nearest:.3e} inside "
+                               f"the near-boundary band {band:.3e}")
+        if stray:
+            raise InvalidProbe(f"field is defined on the {region} but a point is {other}")
+        if error is not None:
+            raise error
+        return out, blocks.single
 
 
 InfinityValue = namedtuple("InfinityValue", ["mean", "representation"])

@@ -9,18 +9,20 @@ of the open set (interior) and of the bounded exterior components
 (exterior).  One LU of the matrix bordered with them, written from W
 (Wt is never formed), yields a solution and a basis of the right kernel,
 which is then projected out; the rank deficiency is measured on that
-basis.  A second Dirichlet solver splits g under sign/2 I + W, its image's
-density read from the same LU, and adds a single layer with density in the
-transpose kernel, cross-checking the direct route.  Every +- is the side's sign (README,
-"Sides and signs").  The SVD survives only in nullspace and
-transpose_kernel_pair_basis, as the independent check of those kernels.
-nullspace takes one SVD of the side's shift I + W and reads the kernel it
-is asked for from it: the right null vectors span the kernel of
-shift I + W, and, since Wt = D^-1 W^T D, the left null vectors scaled by
-D^-1 span the kernel of shift I + Wt.
+basis.  A second Dirichlet solver splits g under sign/2 I + W, its
+image's density read from the same LU, and adds a single layer with
+density in the transpose kernel, cross-checking the direct route.  Every
++- is the side's sign (README, "Sides and signs").  Full n x n SVDs are
+taken only by nullspace and transpose_kernel_pair_basis, as the
+independent check of those kernels; _wt_solve takes a thin SVD of the
+n x k block of its kernel candidates, and _via_decomposition an SVD of
+one row and a least-squares fit over the transpose kernel.  nullspace
+takes one SVD of the side's shift I + W and reads the kernel it is asked
+for from it: the right null vectors span the kernel of shift I + W, and,
+since Wt = D^-1 W^T D, the left null vectors scaled by D^-1 span the
+kernel of shift I + Wt.
 """
 
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -223,10 +225,7 @@ def _wt_solve(mesh, side, rhs):
     return _Bordered(x - kernel @ (kernel.T @ x), kernel, k, factors)
 
 
-def _neumann(mesh, g, region, kernel_shift):
-    if kernel_shift is not None and (isinstance(kernel_shift, bool) or not isinstance(
-            kernel_shift, numbers.Integral) or kernel_shift < 0):
-        raise OutOfRange(f"kernel_shift must be None or a non-negative int, got {kernel_shift!r}")
+def _neumann(mesh, g, region):
     side = _side(region, "region")
     exterior = side.sign < 0
     rep = _as_neumann_rep(mesh, g)
@@ -247,10 +246,6 @@ def _neumann(mesh, g, region, kernel_shift):
             f"least-squares residual {resid:.3e} exceeds tolerance", pairings=compat
         )
     deficiency = solve.kernel.shape[1]
-    if kernel_shift is not None:
-        rng = np.random.default_rng(kernel_shift)
-        phi = phi + solve.kernel @ rng.uniform(-1.0, 1.0, size=deficiency)
-        A_phi = side.shift * phi + ops._wt(phi)
     if exterior:
         phi_mass = integrate(mesh, phi)
         if not abs(phi_mass) <= 1e-8 * scale:
@@ -275,24 +270,23 @@ def _neumann(mesh, g, region, kernel_shift):
     )
 
 
-def neumann_interior(mesh, g, kernel_shift=None):
+def neumann_interior(mesh, g):
     """Interior Neumann problem with distributional datum g.
 
     g may be a grid function, a DistRep, or a PairDistribution.  The
-    minimum-norm density solves (-1/2 I + Wt) phi = g; kernel_shift (a
-    seed) adds a combination of transpose-kernel vectors, producing a
-    different representative of the same solution family.  kernel_shift
-    must be None or an int >= 0, and the datum's grid representer within
-    _MAX_DATUM, else OutOfRange before anything is solved.  A datum whose
-    component fluxes or solve residual exceed _COMPAT_TOL relative to its
-    size raises IncompatibleData.
+    density is the minimum-norm solution of (-1/2 I + Wt) phi = g; adding
+    any combination of nullspace(mesh, 'minus_half_plus_Wt').vectors gives
+    another representative of the same solution family.  The datum's grid
+    representer must lie within _MAX_DATUM, else OutOfRange before anything
+    is solved.  A datum whose component fluxes or solve residual exceed
+    _COMPAT_TOL relative to its size raises IncompatibleData.
     """
-    return _neumann(mesh, g, "interior", kernel_shift)
+    return _neumann(mesh, g, "interior")
 
 
-def neumann_exterior(mesh, g, kernel_shift=None):
+def neumann_exterior(mesh, g):
     """Exterior Neumann problem (datum is minus the exterior normal derivative)."""
-    return _neumann(mesh, g, "exterior", kernel_shift)
+    return _neumann(mesh, g, "exterior")
 
 
 @dataclass
@@ -308,7 +302,6 @@ class NullspaceBasis:
     vectors: np.ndarray
     singular_values: np.ndarray
     gap: float
-    warning: str | None = None
 
     @property
     def dimension(self):
@@ -350,16 +343,14 @@ def nullspace(mesh, op_kind):
     dim = int(np.sum(sv < _RANK_TOL * sv[0]))
     # _RANK_TOL < 1 keeps sv[0], so the kernel is never all of R^n
     gap = float(sv[n - dim - 1] / sv[n - dim]) if dim else float("inf")
-    warning = None
     if gap < 1e4:
-        warning = f"singular-value gap {gap:.2e} below 1e4"
-        warnings.warn(warning, ConditioningWarning)
+        warnings.warn(f"singular-value gap {gap:.2e} below 1e4", ConditioningWarning)
     # copies, so that no n x n factor outlives this call
     if op == "W":
         vectors = vt[n - dim:].T.copy()
     else:
         vectors, _ = np.linalg.qr(u[:, n - dim:] / mesh.weights[:, None])
-    return NullspaceBasis(vectors, sv, gap, warning)
+    return NullspaceBasis(vectors, sv, gap)
 
 
 def _decompose(mesh, g, sign):

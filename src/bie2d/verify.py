@@ -100,26 +100,9 @@ class VerifyReport:
         }
 
 
-def _fourier_table(t):
-    """cos(k t) and sin(k t) for k = 1..8, the modes of a seeded density."""
-    kt = np.arange(1, 9)[:, None] * t
-    return np.cos(kt), np.sin(kt)
-
-
 def seeded_density(mesh, rng, zero_mean=False):
     """Smooth random density: Fourier series in the parameter, truncated at degree 8."""
-    return _draw(mesh, rng, *_fourier_table(mesh.t), zero_mean)
-
-
-def _draw(mesh, rng, cos_kt, sin_kt, zero_mean):
-    """seeded_density from its _fourier_table."""
-    f = rng.uniform(-1.0, 1.0) * np.ones(mesh.n)
-    for k, (cos_k, sin_k) in enumerate(zip(cos_kt, sin_kt), start=1):
-        a, b = rng.uniform(-1.0, 1.0, size=2) / (1.0 + k)
-        f = f + a * cos_k + b * sin_k
-    if zero_mean:
-        f = f - integrate(mesh, f) / integrate(mesh, np.ones(mesh.n))
-    return f
+    return _MeshCache(mesh).density(rng, zero_mean)
 
 
 def probe_points(mesh, region, count=25, prefer="far"):
@@ -174,12 +157,20 @@ class _MeshCache:
 
     @cached_property
     def fourier(self):
-        """_fourier_table of the mesh."""
-        return _fourier_table(self.mesh.t)
+        """cos(k t) and sin(k t) for k = 1..8, the modes of a seeded density."""
+        kt = np.arange(1, 9)[:, None] * self.mesh.t
+        return np.cos(kt), np.sin(kt)
 
     def density(self, rng, zero_mean=False):
         """seeded_density of the mesh, from the cached Fourier table."""
-        return _draw(self.mesh, rng, *self.fourier, zero_mean)
+        mesh = self.mesh
+        f = rng.uniform(-1.0, 1.0) * np.ones(mesh.n)
+        for k, (cos_k, sin_k) in enumerate(zip(*self.fourier), start=1):
+            a, b = rng.uniform(-1.0, 1.0, size=2) / (1.0 + k)
+            f = f + a * cos_k + b * sin_k
+        if zero_mean:
+            f = f - integrate(mesh, f) / integrate(mesh, np.ones(mesh.n))
+        return f
 
     def jmap(self, side):
         """The JMap of the mesh on one side."""

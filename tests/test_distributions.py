@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bie2d.errors import OutOfRange, SingularSystem
+from bie2d.errors import InvalidProbe, OutOfRange, SingularSystem
 from bie2d.geometry import integrate, pairing, stock_mesh
 from bie2d.operators import operator_set
 from bie2d.potentials import eval_double_layer, eval_single_layer
@@ -241,6 +241,18 @@ def test_dist_field_exterior_against_fine_oracle(disk128):
     fine = stock_mesh("disk", 4096)
     oracle = eval_double_layer(fine, np.cos(fine.t), p)
     assert abs(val - oracle) < 1e-9
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+@pytest.mark.parametrize("region, point, other", [("interior", [3.0, 0.0], "exterior"),
+                                                  ("exterior", [0.2, 0.0], "interior")])
+def test_dist_field_refuses_a_point_outside_its_region(disk128, side, region, point, other):
+    # the transpose part's potential takes a different form on each side:
+    # at (3, 0) the plus side's interior form reads -1.5 where the single
+    # layer is -1/6
+    tau = PairDistribution(side, np.zeros(disk128.n), 1.0 + np.cos(disk128.t), disk128)
+    with pytest.raises(InvalidProbe, match=f"defined on the {region} but a point is {other}"):
+        dist_single_layer_field(tau, np.array(point), region)
 
 
 def test_dist_field_boundary_limit(disk2_fine):

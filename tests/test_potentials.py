@@ -277,13 +277,15 @@ def test_ragged_blocks_fill_every_row(seven_row_blocks, region, radii):
         assert np.array_equal(evaluate(mesh, density, points), expected)
 
     eta, c = operator_set(mesh).harmonic_density(psi)
+    own = region == "exterior"  # the minus side's own region
 
     def closed(p):
-        vals = _layer_by_norms(mesh, "single", mu, p)
-        vals += -1.0 * _layer_by_norms(mesh, "double", psi, p)
-        vals += c
-        if region == "exterior":  # the minus side's own region
-            vals -= _layer_by_norms(mesh, "single", eta, p) + c
+        # summed as a HarmonicField sums: constant, then each term in turn
+        vals = np.full(p.shape[0], c - own * c)
+        vals += _layer_by_norms(mesh, "single", mu, p)
+        vals += _layer_by_norms(mesh, "double", -psi, p)
+        if own:
+            vals += _layer_by_norms(mesh, "single", -eta, p)
         return vals
 
     tau = PairDistribution("minus", mu, psi, mesh)
@@ -386,6 +388,33 @@ def test_fields_are_located_and_evaluated_without_the_double_layer(tmp_path, mon
     assert np.array_equal(fld.eval(points), expected)
     write_field_csv(fld, default_grid(mesh), tmp_path / "field.csv")
     assert (tmp_path / "field.csv").read_text() == (tmp_path / "expected.csv").read_text()
+
+
+def test_an_unknown_layer_kind_is_out_of_range(disk128):
+    fld = HarmonicField(disk128, [("triple", np.ones(disk128.n))])
+    with pytest.raises(OutOfRange, match="unknown layer kind 'triple'"):
+        fld.eval([0.2, 0.0])
+
+
+def test_every_off_boundary_evaluator_is_a_harmonic_field(disk128, monkeypatch):
+    mesh = disk128
+    calls = []
+    evaluate = HarmonicField.eval
+
+    def recording(fld, points):
+        calls.append((fld.terms, fld.constant, fld.region))
+        return evaluate(fld, points)
+
+    monkeypatch.setattr(HarmonicField, "eval", recording)
+    mu, psi = np.cos(mesh.t), np.sin(mesh.t)
+    eval_single_layer(mesh, mu, [3.0, 0.0])
+    eval_double_layer(mesh, psi, [0.2, 0.0])
+    dist_single_layer_field(PairDistribution("minus", mu, psi, mesh), [3.0, 0.0], "exterior")
+    (single, _, free1), (double, _, free2), (dist, _, region) = calls
+    assert [k for k, _ in single] == ["single"] and single[0][1] is mu
+    assert [k for k, _ in double] == ["double"] and double[0][1] is psi
+    assert (free1, free2, region) == (None, None, "exterior")
+    assert [k for k, _ in dist] == ["single", "double", "single"]
 
 
 def test_a_field_on_an_unknown_region_is_refused(disk128):

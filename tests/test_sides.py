@@ -38,7 +38,7 @@ _SIDE_ENTRIES = {
 }
 _REGION_ENTRIES = {
     "dist_single_layer_field": lambda mesh, region: dist_single_layer_field(
-        _pair(mesh, "plus"), np.array([[0.0, 5.0]]), region
+        _pair(mesh, "plus"), np.array([[0.0, 1.5]]), region
     ),
     "green_h": lambda mesh, region: green_h(mesh, np.array([0.0, 1.5]), region),
 }
