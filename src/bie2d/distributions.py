@@ -205,7 +205,8 @@ def dist_single_layer_field(tau, points, region):
 
 
 def dist_normal_derivative(mesh, trace, side):
-    """Distributional normal derivative of the harmonic extension of a trace."""
+    """Distributional normal derivative of the harmonic extension of a trace, along the
+    normal out of the side's region: nu on 'plus', -nu on 'minus' (README, "Sides and signs")."""
     trace = _check_aligned(mesh, trace)
     return PairDistribution(side, np.zeros(mesh.n), trace, mesh)
 

@@ -1,11 +1,12 @@
 """Parametrized closed curves, periodic-trapezoid meshes, and domain topology.
 
-A domain is described by a list of closed curves: outer curves bound the
-connected components of the open set, hole curves bound the bounded
-components of its exterior.  Meshes use uniform parameter nodes, so all
-quadrature is the periodic trapezoid rule (spectrally accurate on analytic
-curves).  Normals always point out of the open set: outer curves end up
-traversed counterclockwise and holes clockwise, whatever the input says.
+A domain is a list of disjoint closed curves nested to any depth: outer
+curves, inside an even number of others, bound components of the open set,
+and holes, inside an odd number, bounded components of its exterior.
+Meshes use uniform parameter nodes, so all quadrature is the periodic
+trapezoid rule (spectrally accurate on analytic curves).  Normals point out
+of the open set: outer curves are traversed counterclockwise and holes
+clockwise, whatever the input says.
 
 A BoundaryMesh owns everything derived from it: build_mesh works out which
 curve contains which once, by polygon winding numbers, and stores the
@@ -21,13 +22,12 @@ and both layer kernels read that one pass.  Every pairwise pass, this one,
 the node-separation check and the operator assembly, iterates one walker,
 _pair_blocks: it takes the rows in blocks of about _BLOCK_PAIRS pairs and
 reuses one set of block arrays, so no array over all pairs is ever
-allocated.  A point off the band is located by its nearest node: on the
-side the node's outward normal points to, it lies in the exterior
-component that the node's curve bounds, and on the other side in the
-component of the open set that the curve bounds.
+allocated.  A point off the band is located by its nearest node
+(locate_points).
 """
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -114,12 +114,15 @@ class CurveSpec:
 class DomainTopology:
     """Component bookkeeping of the open set and of its exterior.
 
-    kappa_plus counts the connected components of the open set, kappa_minus
-    the bounded components of the exterior.  outer_comps / hole_comps list
-    curve indices, and omega_of_comp / omega_minus_of_comp give, for every
-    curve, the component of the open set (1..kappa_plus) and of the
-    exterior (0 = unbounded) it touches.  n and offsets repeat the mesh's
-    node count and component offsets, so indicators need no mesh.
+    outer_comps lists the curves at even depth (the number of curves that
+    contain one), hole_comps those at odd depth.  Each curve bounds a
+    component of its own, numbered from 1 in its list's order: of the open
+    set (kappa_plus in all) or of the exterior (kappa_minus).  On its other
+    side it touches its parent's component, the parent containing it one
+    level up, or the unbounded component 0 when it has none.
+    omega_of_comp / omega_minus_of_comp give, for every curve, the
+    component of the open set and of the exterior it touches.  n and
+    offsets repeat the mesh's node count and component offsets.
     """
 
     n: int
@@ -225,23 +228,26 @@ _MAX_NODES = 10**8
 def build_mesh(specs, nodes_per_component):
     """Assemble a BoundaryMesh from curve specs and per-component node counts.
 
-    Node counts must be even and at least 16, and sum to at most
-    _MAX_NODES.  Curves must be pairwise disjoint and free of
+    Node counts must be even integers (operator.index) of at least 16, and
+    sum to at most _MAX_NODES.  Curves must be pairwise disjoint and free of
     self-intersections (checked through node distances), and two curves may
     not come closer than the node spacing of either: such a gap is
     under-resolved, and the error suggests node counts that resolve it.
     No node coordinate or velocity component may exceed _MAX_COORD in
-    magnitude.  Normals are oriented outward for the open set: curves that
-    contain no other curve are traversed counterclockwise, hole curves
-    clockwise.  Each curve is evaluated once in its given orientation, which
-    the containment test and the signed area both read, and once more only
-    when that orientation must be flipped.
+    magnitude.  Curves may nest to any depth (see DomainTopology); normals
+    point out of the open set, so curves at even depth are traversed
+    counterclockwise and those at odd depth clockwise.  Each curve is
+    evaluated once in its given orientation, which the containment test and
+    the signed area both read, and once more only to flip it.
     """
-    specs = list(specs)
-    counts = [int(m) for m in nodes_per_component]
+    specs, counts = list(specs), list(nodes_per_component)
     if len(specs) != len(counts):
         raise InvalidGeometry("one node count per curve is required")
-    for m in counts:
+    for k, m in enumerate(counts):
+        try:
+            counts[k] = m = operator.index(m)
+        except TypeError:
+            raise InvalidGeometry(f"node count {m!r} is not an integer") from None
         if m < 16 or m % 2:
             raise InvalidGeometry(f"node count {m} must be even and >= 16")
     if sum(counts) > _MAX_NODES:
@@ -259,18 +265,17 @@ def build_mesh(specs, nodes_per_component):
                 continue
             xj = curves[j][1]
             probe = xj[:: max(1, xj.shape[0] // 16)]  # spread samples of curve j
-            wind = _winding_of_points(curves[i][1], probe)
-            inside = np.abs(wind) > 0.5
+            if (probe[:, None] == curves[i][1]).all(axis=-1).any():  # no winding number there
+                raise InvalidGeometry(f"curves {min(i, j)} and {max(i, j)} are not disjoint")
+            inside = np.abs(_winding_of_points(curves[i][1], probe)) > 0.5
             if inside.any() and not inside.all():
                 raise InvalidGeometry("curves intersect: ambiguous containment")
             contains[i, j] = bool(inside.all())
     depth = contains.sum(axis=0)
-    if np.any(depth > 1):
-        raise InvalidGeometry("nesting deeper than one level of holes")
 
-    # orientation fix: outer curves CCW (positive area), holes CW
+    # orientation fix: even depths CCW (positive area), odd depths CW
     for k, (spec, nc) in enumerate(zip(specs, counts)):
-        if (_signed_area(curves[k][1], curves[k][2], nc) > 0) != (depth[k] == 0):
+        if (_signed_area(curves[k][1], curves[k][2], nc) > 0) != (depth[k] % 2 == 0):
             curves[k] = _curve_nodes(spec, nc, -spec._sign())
 
     t, x, normal, curvature, speed, weights = map(
@@ -295,20 +300,13 @@ def build_mesh(specs, nodes_per_component):
 
 
 def _topology(contains, depth, offsets):
-    """DomainTopology from the containment matrix and nesting depths."""
+    """DomainTopology from the containment matrix and nesting depths, by their parity."""
     ncomp = len(depth)
-    outer = [c for c in range(ncomp) if depth[c] == 0]
-    holes = [c for c in range(ncomp) if depth[c] == 1]
-    omega_of_comp = {}
-    for j, o in enumerate(outer, start=1):
-        omega_of_comp[o] = j
-        for h in holes:
-            if contains[o, h]:
-                omega_of_comp[h] = j
-    omega_minus_of_comp = {o: 0 for o in outer}
-    for k, h in enumerate(holes, start=1):
-        omega_minus_of_comp[h] = k
-
+    outer, holes = ([c for c in range(ncomp) if depth[c] % 2 == odd] for odd in (0, 1))
+    own = {c: j for comps in (outer, holes) for j, c in enumerate(comps, start=1)}
+    # the component on a curve's other side: its parent's (one level up), or 0
+    other = {c: next((own[p] for p in range(ncomp)
+                      if contains[p, c] and depth[p] == depth[c] - 1), 0) for c in range(ncomp)}
     return DomainTopology(
         n=int(offsets[-1]),
         offsets=offsets,
@@ -316,8 +314,8 @@ def _topology(contains, depth, offsets):
         kappa_minus=len(holes),
         outer_comps=outer,
         hole_comps=holes,
-        omega_of_comp=omega_of_comp,
-        omega_minus_of_comp=omega_minus_of_comp,
+        omega_of_comp={c: (other if depth[c] % 2 else own)[c] for c in range(ncomp)},
+        omega_minus_of_comp={c: (own if depth[c] % 2 else other)[c] for c in range(ncomp)},
     )
 
 

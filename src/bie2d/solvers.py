@@ -285,7 +285,8 @@ def neumann_interior(mesh, g):
 
 
 def neumann_exterior(mesh, g):
-    """Exterior Neumann problem (datum is minus the exterior normal derivative)."""
+    """Exterior Neumann problem, the datum taken along nu, the normal out of the open set
+    (dist_normal_derivative(mesh, f, 'minus') is along -nu: it yields the field of -f)."""
     return _neumann(mesh, g, "exterior")
 
 

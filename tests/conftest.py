@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from bie2d.geometry import build_mesh, stock_mesh, CurveSpec
+from bie2d.geometry import build_mesh, stock_mesh, stock_specs, CurveSpec
 from bie2d.operators import operator_set
 
 
@@ -170,6 +170,47 @@ def rng():
     return np.random.default_rng(20260810)
 
 
+# Domains nested past one level of holes, named for the tests that take them
+# beside the stock geometries
+NESTED_SPECS = {
+    # a ring 2 < r < 3 and the disk r < 1 inside its hole
+    "nested-2": [CurveSpec("circle", radius=r) for r in (3.0, 2.0, 1.0)],
+    # two rings, 3 < r < 4 and 1 < r < 2
+    "nested-3": [CurveSpec("circle", radius=r) for r in (4.0, 3.0, 2.0, 1.0)],
+    # a disk of radius 5 whose two holes each hold an island
+    "islands": [CurveSpec("circle", radius=5.0)] + [
+        CurveSpec("circle", center=(x, 0.0), radius=r) for r in (1.5, 0.5) for x in (-2.2, 2.2)],
+}
+
+
+def named_mesh(name, n):
+    """A stock geometry or a domain of NESTED_SPECS, meshed with n nodes per curve."""
+    specs = NESTED_SPECS[name] if name in NESTED_SPECS else stock_specs(name)
+    return build_mesh(specs, [n] * len(specs))
+
+
+def _innermost_locations(mesh, near, inside):
+    """Location tuples from the band test and the curves that contain each point.
+
+    inside[c, i] says whether curve c contains point i.  The innermost
+    curve that contains a point decides, the one of least area: a point
+    inside an odd number of curves lies in the component of the open set
+    that curve touches, one inside an even number in the exterior
+    component it touches, and one inside none in the unbounded component.
+    """
+    topo = mesh.topology
+    area = np.array([abs(np.dot(mesh.weights[sl], np.einsum("ij,ij->i", mesh.x[sl],
+                                                              mesh.normal[sl])))
+                     for sl in map(mesh.component_slice, range(mesh.n_components))])
+    count = inside.sum(axis=0).tolist()
+    innermost = np.argmin(np.where(inside, area[:, None], np.inf), axis=0).tolist()
+    return [("near_boundary", None) if close
+            else ("exterior", 0) if not k
+            else ("interior", topo.omega_of_comp[c]) if k % 2
+            else ("exterior", topo.omega_minus_of_comp[c])
+            for close, k, c in zip(near.tolist(), count, innermost)]
+
+
 def winding_locations(mesh, points):
     """Location tuples by node distances and polygon winding numbers.
 
@@ -179,49 +220,31 @@ def winding_locations(mesh, points):
     """
     from bie2d.geometry import _winding_of_points
 
-    topo = mesh.topology
     near = np.min(np.linalg.norm(points[:, None, :] - mesh.x[None, :, :], axis=-1),
                   axis=1) < mesh.band_width()
     with np.errstate(divide="ignore", invalid="ignore"):  # a point on a node is near
-        inside = [np.abs(_winding_of_points(mesh.x[mesh.component_slice(c)], points)) > 0.5
-                  for c in range(mesh.n_components)]
-    out = []
-    for i in range(points.shape[0]):
-        holes = [topo.omega_minus_of_comp[h] for h in topo.hole_comps if inside[h][i]]
-        outers = [topo.omega_of_comp[o] for o in topo.outer_comps if inside[o][i]]
-        if near[i]:
-            out.append(("near_boundary", None))
-        elif holes:
-            out.append(("exterior", holes[0]))
-        elif outers:
-            out.append(("interior", outers[0]))
-        else:
-            out.append(("exterior", 0))
-    return out
+        inside = np.array([
+            np.abs(_winding_of_points(mesh.x[mesh.component_slice(c)], points)) > 0.5
+            for c in range(mesh.n_components)])
+    return _innermost_locations(mesh, near, inside)
 
 
 def gauss_law_locations(mesh, points):
     """Location tuples by the band test and Gauss's law.
 
     Off the band, the double layer of a curve's indicator is +-1 inside the
-    curve and 0 outside, to trapezoid accuracy.  A point inside a hole lies
-    in the hole's exterior component, though the outer curve around it
-    holds it too, so holes are tried after outer curves and win.  The route
-    the library located points by before its nearest-node rule, kept as a
-    reference for it.
+    curve and 0 outside, to trapezoid accuracy.  The route the library
+    located points by before its nearest-node rule, kept as a reference
+    for it.
     """
-    topo = mesh.topology
     dx, dy = (points[:, k, None] - mesh.x[:, k] for k in (0, 1))
     r2 = dx * dx + dy * dy
     near = np.sqrt(np.min(r2, axis=1)) < mesh.band_width()
-    out = [("near_boundary", None) if n else ("exterior", 0) for n in near]
     clear = np.flatnonzero(~near)
     nd = dx[clear] * mesh.normal[:, 0] + dy[clear] * mesh.normal[:, 1]
     kernel = -nd / (2 * np.pi * r2[clear])
-    for c in topo.outer_comps + topo.hole_comps:
+    inside = np.zeros((mesh.n_components, len(points)), dtype=bool)
+    for c in range(mesh.n_components):
         sl = mesh.component_slice(c)
-        loc = (("exterior", topo.omega_minus_of_comp[c]) if c in topo.hole_comps
-               else ("interior", topo.omega_of_comp[c]))
-        for i in clear[np.abs(kernel[:, sl] @ mesh.weights[sl]) > 0.5]:
-            out[i] = loc
-    return out
+        inside[c, clear] = np.abs(kernel[:, sl] @ mesh.weights[sl]) > 0.5
+    return _innermost_locations(mesh, near, inside)

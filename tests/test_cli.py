@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import negated_single_layer
+from conftest import NESTED_SPECS, negated_single_layer
 
 import bie2d
 from bie2d import cli, verify
@@ -472,6 +472,33 @@ def test_under_resolved_gap_is_config_error(tmp_path, capsys):
     assert err.startswith("config error: under-resolved:") and "nodes" in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "v" / "verify_report.json").exists()
+
+
+@pytest.mark.parametrize("second", [{"radius": 1.0}, {"center": [1, 0], "radius": 1.0}],
+                         ids=["coincident", "touching"])
+def test_curves_sharing_a_node_are_a_config_error(tmp_path, capsys, second):
+    # a unit circle on a unit circle, or inside a radius-2 circle touching it
+    # at a node: refused in one line, with no warning before it
+    first = {"radius": 1.0 if "center" not in second else 2.0}
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps({"components": [
+        dict(kind="circle", nodes=32, **first), dict(kind="circle", nodes=32, **second)]}))
+    code = main(["solve", "--config", str(path), "--problem", "dirichlet-int",
+                 "--data", "fourier:1", "--out", str(tmp_path / "out")])
+    _assert_config_error(code, capsys, tmp_path / "out")
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: curves 0 and 1 are not disjoint\n"
+
+
+@pytest.mark.parametrize("name", list(NESTED_SPECS))
+def test_verify_passes_on_nested_domains(tmp_path, capsys, name):
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps({"components": [
+        {"kind": "circle", "center": list(spec.center), "radius": spec.radius, "nodes": 128}
+        for spec in NESTED_SPECS[name]]}))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[:-2]
+    assert len(rows) == 17 and all(row.startswith("PASS config ") for row in rows)
 
 
 # argv (with {tmp} for the test directory) -> text the one stderr line must hold

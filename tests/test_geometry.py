@@ -3,7 +3,8 @@ import re
 
 import numpy as np
 import pytest
-from conftest import gauss_law_locations, rows_per_block, winding_locations
+from conftest import (NESTED_SPECS, gauss_law_locations, named_mesh, rows_per_block,
+                      winding_locations)
 
 from bie2d.errors import InvalidGeometry, LengthMismatch, OutOfRange
 from bie2d.geometry import (
@@ -83,17 +84,18 @@ def test_orientation_autofix(monkeypatch):
 
 
 def test_signed_area_orientation_invariant():
-    mesh = stock_mesh("annulus", 64)
-    topo = mesh.topology
-    for c in range(mesh.n_components):
-        sl = mesh.component_slice(c)
-        area2 = 0.5 * np.sum(
-            mesh.weights[sl] * np.einsum("ij,ij->i", mesh.x[sl], mesh.normal[sl])
-        )
-        if c in topo.outer_comps:
-            assert area2 > 0
-        else:
-            assert area2 < 0
+    for name in ("annulus", *NESTED_SPECS):
+        mesh = named_mesh(name, 64)
+        topo = mesh.topology
+        for c in range(mesh.n_components):
+            sl = mesh.component_slice(c)
+            area2 = 0.5 * np.sum(
+                mesh.weights[sl] * np.einsum("ij,ij->i", mesh.x[sl], mesh.normal[sl])
+            )
+            if c in topo.outer_comps:
+                assert area2 > 0
+            else:
+                assert area2 < 0
 
 
 def test_topology_counts():
@@ -103,16 +105,46 @@ def test_topology_counts():
     assert (topo.kappa_plus, topo.kappa_minus) == (1, 1)
     topo = stock_mesh("two-disks", 32).topology
     assert (topo.kappa_plus, topo.kappa_minus) == (2, 0)
+    # outer curves at even depth, holes at odd depth; each curve bounds a
+    # component of its own and touches its parent's on its other side
+    expected = {
+        "nested-2": ([0, 2], [1], {0: 1, 1: 1, 2: 2}, {0: 0, 1: 1, 2: 1}),
+        "nested-3": ([0, 2], [1, 3], {0: 1, 1: 1, 2: 2, 3: 2}, {0: 0, 1: 1, 2: 1, 3: 2}),
+        "islands": ([0, 3, 4], [1, 2], {0: 1, 1: 1, 2: 1, 3: 2, 4: 3},
+                    {0: 0, 1: 1, 2: 2, 3: 1, 4: 2}),
+    }
+    for name, (outer, holes, omega, omega_minus) in expected.items():
+        topo = named_mesh(name, 32).topology
+        assert (topo.kappa_plus, topo.kappa_minus) == (len(outer), len(holes))
+        assert (topo.outer_comps, topo.hole_comps) == (outer, holes)
+        assert (topo.omega_of_comp, topo.omega_minus_of_comp) == (omega, omega_minus)
 
 
-def test_deep_nesting_rejected():
+def test_deep_nesting_accepted():
+    # an island inside the hole of a ring: the disk r < 1 is a second
+    # component of the open set, whatever orientation each curve is given in
     specs = [
         CurveSpec("circle", radius=3.0),
         CurveSpec("circle", radius=2.0, orientation="negative"),
         CurveSpec("circle", radius=1.0),
     ]
-    with pytest.raises(InvalidGeometry):
-        build_mesh(specs, [64, 64, 64])
+    mesh = build_mesh(specs, [64, 64, 64])
+    topo = mesh.topology
+    assert (topo.kappa_plus, topo.kappa_minus) == (2, 1)
+    # normals point out of the open set: out of the ring and the disk, into the hole
+    radial = np.einsum("ij,ij->i", mesh.normal, mesh.x) / np.linalg.norm(mesh.x, axis=1)
+    assert np.allclose(radial, np.repeat([1.0, -1.0, 1.0], 64))
+
+
+@pytest.mark.parametrize("specs", [
+    [CurveSpec("circle", radius=1.0), CurveSpec("circle", radius=1.0)],
+    [CurveSpec("circle", radius=2.0), CurveSpec("circle", center=(1.0, 0.0), radius=1.0)],
+], ids=["coincident", "touching"])
+def test_curves_sharing_a_node_are_not_disjoint(specs):
+    # a probe on a node has no winding number; it is refused before the
+    # containment test divides by its zero offset
+    with pytest.raises(InvalidGeometry, match=r"^curves 0 and 1 are not disjoint$"):
+        build_mesh(specs, [32, 32])
 
 
 def test_self_intersecting_curve_rejected():
@@ -128,6 +160,12 @@ def test_node_count_validation():
         build_mesh([spec], [15])
     with pytest.raises(InvalidGeometry):
         build_mesh([spec], [34 + 1])
+    # a count is an integer, a NumPy one too, and is never truncated
+    for bad, shown in ((16.9, "16.9"), ("32", "'32'"), (np.float64(32.0), "32.0")):
+        with pytest.raises(InvalidGeometry, match=rf"^node count .*{re.escape(shown)}.* is not "
+                                                  r"an integer$"):
+            build_mesh([spec], [bad])
+    assert build_mesh([spec], [np.int64(32)]).n_per_comp == [32]
 
 
 def test_indicator_examples():
@@ -147,8 +185,8 @@ def test_indicator_examples():
 
 
 def test_indicator_partitions():
-    for name in ("annulus", "two-disks"):
-        mesh = stock_mesh(name, 32)
+    for name in ("annulus", "two-disks", *NESTED_SPECS):
+        mesh = named_mesh(name, 32)
         topo = mesh.topology
         total = sum(
             indicator(topo, "omega", j) for j in range(1, topo.kappa_plus + 1)
@@ -180,17 +218,28 @@ def test_locate_point_examples():
     assert locate_point(ann, (1.5, 0.0)) == ("interior", 1)
     assert locate_point(ann, (0.5, 0.0)) == ("exterior", 1)
     assert locate_point(ann, (2.5, 0.0)) == ("exterior", 0)
+    # the disk r < 1 inside the hole of the ring 2 < r < 3
+    nested = named_mesh("nested-2", 128)
+    assert locate_point(nested, (0.0, 0.0)) == ("interior", 2)
+    assert locate_point(nested, (0.0, 1.5)) == ("exterior", 1)
+    assert locate_point(nested, (-2.5, 0.0)) == ("interior", 1)
+    assert locate_point(nested, (4.0, 0.0)) == ("exterior", 0)
     for mesh, points in ((disk, [(0.0, 0.0), (3.0, 0.0), (1.0, 0.0)]),
-                         (ann, [(1.5, 0.0), (0.5, 0.0), (2.5, 0.0)])):
+                         (ann, [(1.5, 0.0), (0.5, 0.0), (2.5, 0.0)]),
+                         (nested, [(0.0, 0.0), (0.0, 1.5), (-2.5, 0.0), (4.0, 0.0)])):
         points = np.array(points)
         assert locate_points(mesh, points) == gauss_law_locations(mesh, points)
         assert locate_points(mesh, points) == winding_locations(mesh, points)
 
 
-@pytest.mark.parametrize("n", [16, 32, 64, 256])
-@pytest.mark.parametrize("name", ["disk", "disk2", "ellipse", "annulus", "kite", "two-disks"])
+_STOCK = ["disk", "disk2", "ellipse", "annulus", "kite", "two-disks"]
+
+
+# the nested domains need 32 nodes per curve to resolve their gaps
+@pytest.mark.parametrize("name, n", [(name, n) for name in _STOCK for n in (16, 32, 64, 256)]
+                         + [(name, n) for name in NESTED_SPECS for n in (32, 64, 128)])
 def test_gauss_law_location_matches_winding_numbers(name, n):
-    mesh = stock_mesh(name, n)
+    mesh = named_mesh(name, n)
     rng = np.random.default_rng([n, len(name)])
     lo, hi = mesh.x.min(axis=0) - 1.0, mesh.x.max(axis=0) + 1.0
     # just outside the band along both normals, where the quadrature is least accurate
@@ -202,14 +251,16 @@ def test_gauss_law_location_matches_winding_numbers(name, n):
         assert locate_points(mesh, chunk) == winding_locations(mesh, chunk)
 
 
-@pytest.mark.parametrize("name", ["disk", "disk2", "ellipse", "annulus", "kite", "two-disks"])
+@pytest.mark.parametrize("name", [*_STOCK, *NESTED_SPECS])
 def test_location_in_ragged_blocks_matches_winding_numbers(monkeypatch, name):
-    mesh = stock_mesh(name, 64)
+    mesh = named_mesh(name, 64)
     rows_per_block(monkeypatch, 7)
     rng = np.random.default_rng(len(name))
     lo, hi = mesh.x.min(axis=0) - 1.0, mesh.x.max(axis=0) + 1.0
     edge = 1.0001 * mesh.band_width() * mesh.normal
-    points = np.concatenate([rng.uniform(lo, hi, size=(148, 2)), mesh.x + edge, mesh.x - edge])
+    # 148 random points, two more where the rows would leave no ragged block of 2 or more
+    count = 148 + 2 * ((148 + 2 * mesh.n) % 7 < 2)
+    points = np.concatenate([rng.uniform(lo, hi, size=(count, 2)), mesh.x + edge, mesh.x - edge])
     assert len(points) % 7 > 1
     assert locate_points(mesh, points) == gauss_law_locations(mesh, points)
     assert locate_points(mesh, points) == winding_locations(mesh, points)

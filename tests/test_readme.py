@@ -19,13 +19,20 @@ def test_readme_library_example_runs(capsys):
     assert capsys.readouterr().out
 
 
-def test_readme_domain_config_loads(tmp_path):
-    # the annulus of the "Domain config" paragraph: one component, one hole
+def test_readme_domain_config_loads(tmp_path, capsys):
+    # the annulus of the "Domain config" paragraph, one component and one
+    # hole, and the disk inside its hole, which makes a second component
     blocks = re.findall(r"^```json\n(.*?)^```$", README.read_text(), re.M | re.S)
-    assert len(blocks) == 1
-    (tmp_path / "domain.json").write_text(blocks[0])
-    topology = cli.load_config(str(tmp_path / "domain.json")).build_mesh().topology
-    assert (topology.kappa_plus, topology.kappa_minus) == (1, 1)
+    assert len(blocks) == 2
+    for i, (block, counts) in enumerate(zip(blocks, [(1, 1), (2, 1)])):
+        path = tmp_path / f"domain{i}.json"
+        path.write_text(block)
+        topology = cli.load_config(str(path)).build_mesh().topology
+        assert (topology.kappa_plus, topology.kappa_minus) == counts
+    # bie2d verify passes every check on the nested domain
+    assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    rows = capsys.readouterr().out.splitlines()[:-2]
+    assert len(rows) == 17 and all(row.startswith("PASS config ") for row in rows)
 
 
 def _removed_names(heading):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from bie2d.distributions import PairDistribution, dist_single_layer_field
+from bie2d.distributions import (PairDistribution, dist_normal_derivative,
+                                 dist_single_layer_field)
 from bie2d.errors import OutOfRange
 from bie2d.geometry import stock_mesh
 from bie2d.operators import operator_set
@@ -12,6 +13,7 @@ from bie2d.solvers import (
     decompose,
     green_h,
     kernel_coincidence_angle,
+    neumann_exterior,
     nullspace,
     transpose_kernel_pair_basis,
 )
@@ -66,3 +68,15 @@ def test_transpose_kernel_routes_take_only_a_wt_kind(mesh, entry):
             entry(mesh, bad)
     with pytest.raises(OutOfRange, match="unknown operator kind"):
         nullspace(mesh, "half_plus_V")
+
+
+def test_exterior_neumann_datum_is_taken_along_the_open_sets_normal():
+    # u = cos 3theta / r^3 outside the unit disk; along nu, the normal out of
+    # the open set, du/dnu = -3 cos 3t.  dist_normal_derivative on 'minus'
+    # is taken along -nu, so from it neumann_exterior gives -u.
+    disk = stock_mesh("disk", 256)
+    f, point = np.cos(3 * disk.t), np.array([2.0, 0.0])
+    along_nu = neumann_exterior(disk, -3 * f).field.eval(point)
+    along_minus_nu = neumann_exterior(disk, dist_normal_derivative(disk, f, "minus"))
+    assert abs(along_nu - 0.125) < 1e-13
+    assert abs(along_minus_nu.field.eval(point) + 0.125) < 1e-13

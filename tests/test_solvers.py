@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import dense_wt
+from conftest import NESTED_SPECS, dense_wt, named_mesh
 from scipy.linalg import subspace_angles
 
 from bie2d import solvers
@@ -21,6 +21,7 @@ from bie2d.geometry import (
     build_mesh,
     indicator,
     integrate,
+    locate_points,
     stock_mesh,
 )
 from bie2d.operators import _side, operator_set
@@ -428,6 +429,84 @@ def test_off_center_domain():
     p = np.array([3.2, -0.9])
     assert abs(poisson_interior(mesh, g, p) - rd.field.eval(p)) < 1e-8
     assert neumann_interior(mesh, g).residuals["equation"] < 1e-10
+
+
+def _ring(center, radii, angles=(0.3, 2.0, 4.1)):
+    return [(center[0] + r * np.cos(a), center[1] + r * np.sin(a)) for r in radii for a in angles]
+
+
+# points of every component of each nested domain, far enough from the
+# curves that the trapezoid rule is exact to rounding there
+_NESTED_POINTS = {
+    "nested-2": _ring((0, 0), (0.5, 1.5, 2.5, 4.0)),
+    "nested-3": _ring((0, 0), (0.5, 1.5, 2.5, 3.5, 5.0)),
+    "islands": _ring((-2.2, 0), (0.2, 1.0)) + _ring((2.2, 0), (0.2, 1.0))
+    + [(0.0, 0.0), (0.0, 3.2), (0.0, -3.2), (-2.2, 2.6)] + _ring((0, 0), (7.0, 8.5)),
+}
+
+
+def _radial_form(kind, center, x):
+    """Value and gradient at x of log|x - c| ('log'), (x - c)_0 / |x - c|^2
+    ('dipole') or (x - c)_0 + (x - c)_1 / 2 ('linear')."""
+    d = np.atleast_2d(x) - center
+    r2 = np.sum(d * d, axis=1)[:, None]
+    if kind == "log":
+        return 0.5 * np.log(r2[:, 0]), d / r2
+    if kind == "dipole":
+        return d[:, 0] / r2[:, 0], (np.array([1.0, 0.0]) * r2 - 2 * d[:, :1] * d) / r2**2
+    return d[:, 0] + 0.5 * d[:, 1], np.broadcast_to([1.0, 0.5], d.shape)
+
+
+def _closed_forms(mesh, specs, region):
+    """A radial harmonic function on each component of the region, by component label.
+
+    A component around other curves takes the logarithm about the first
+    one's center; the unbounded component a dipole, which vanishes at
+    infinity; any other component a linear function.
+    """
+    topo = mesh.topology
+    labels, own = ((topo.omega_of_comp, topo.outer_comps) if region == "interior"
+                   else (topo.omega_minus_of_comp, topo.hole_comps))
+    forms = {}
+    for c, k in sorted(labels.items()):
+        if k not in forms:
+            forms[k] = ("dipole" if k == 0 else "linear", specs[c].center)
+        if k and c not in own and forms[k][0] != "log":
+            forms[k] = ("log", specs[c].center)
+    return forms
+
+
+@pytest.mark.parametrize("name", list(NESTED_SPECS))
+def test_nested_domains_solve_all_four_problems(name):
+    # radial closed forms on every component, one constant apart from the next
+    mesh, specs = named_mesh(name, 256), NESTED_SPECS[name]
+    points = np.array(_NESTED_POINTS[name])
+    locations = locate_points(mesh, points)
+    topo = mesh.topology
+    for region, labels, count in (("interior", topo.omega_of_comp, topo.kappa_plus),
+                                  ("exterior", topo.omega_minus_of_comp, topo.kappa_minus)):
+        forms = _closed_forms(mesh, specs, region)
+        g, grad = np.empty(mesh.n), np.empty((mesh.n, 2))
+        for c in range(mesh.n_components):
+            sl, k = mesh.component_slice(c), labels[c]
+            g[sl], grad[sl] = _radial_form(*forms[k], mesh.x[sl])
+            g[sl] += 0.25 * k
+        comps = np.array([k for kind, k in locations if kind == region])
+        at = points[[kind == region for kind, _ in locations]]
+        exact = np.concatenate([_radial_form(*forms[k], p)[0] + 0.25 * k
+                                for k, p in zip(comps, at)])
+        assert sorted(set(comps)) == sorted(forms) and len(forms) == count + (region == "exterior")
+        dirichlet = (dirichlet_interior if region == "interior" else dirichlet_exterior)(mesh, g)
+        assert np.max(np.abs(dirichlet.field.eval(at) - exact)) <= 1e-12
+        if region == "exterior":
+            assert abs(dirichlet.u_infinity) <= 1e-12
+        # the Neumann datum is the derivative along the normal out of the open set
+        datum = np.einsum("ij,ij->i", grad, mesh.normal)
+        neumann = (neumann_interior if region == "interior" else neumann_exterior)(mesh, datum)
+        assert neumann.rank_info["deficiency"] == count
+        diff = neumann.field.eval(at) - exact
+        for k in forms:
+            assert np.ptp(diff[comps == k]) <= 1e-12
 
 
 def test_identity_suite_on_kite_with_hole():
