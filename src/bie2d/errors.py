@@ -22,7 +22,7 @@ class NearBoundary(Bie2dError):
 
 
 class SingularSystem(Bie2dError):
-    """A dense solve failed its residual check or its condition estimate."""
+    """A solve failed its residual check, did not converge, or met a singular system."""
 
 
 class NonFiniteResult(Bie2dError):

@@ -6,30 +6,25 @@ nonvariational Neumann problems solve (-1/2 I + Wt) phi = g (interior) and
 (1/2 I + Wt) phi = g (exterior) for the minimum-norm density.  The domain
 topology gives the left kernels: the weighted indicators of the components
 of the open set (interior) and of the bounded exterior components
-(exterior).  One LU of the matrix bordered with them, written from W
-(Wt is never formed), yields a solution and a basis of the right kernel,
-which is then projected out; the rank deficiency is measured on that
-basis.  A second Dirichlet solver splits g under sign/2 I + W, its
-image's density read from the same LU, and adds a single layer with
+(exterior).  GMRES on the matrix bordered with them, applied from W (Wt is
+never formed), yields a solution and a basis of the right kernel, which is
+then projected out; the rank deficiency is measured on that basis.  A
+second Dirichlet solver splits g under sign/2 I + W, its image's density
+solved with the transposed bordered matrix, and adds a single layer with
 density in the transpose kernel, cross-checking the direct route.  Every
-+- is the side's sign (README, "Sides and signs").  Full n x n SVDs are
-taken only by nullspace and transpose_kernel_pair_basis, as the
-independent check of those kernels; _wt_solve takes a thin SVD of the
-n x k block of its kernel candidates, and _via_decomposition an SVD of
-one row and a least-squares fit over the transpose kernel.  nullspace
-takes one SVD of the side's shift I + W and reads the kernel it is asked
-for from it: the right null vectors span the kernel of shift I + W, and,
-since Wt = D^-1 W^T D, the left null vectors scaled by D^-1 span the
-kernel of shift I + Wt.
++- is the side's sign (README, "Sides and signs").  Only the independent
+checks of those kernels factor an n x n matrix: nullspace by one SVD of
+shift I + W, transpose_kernel_pair_basis by one pivoted QR.
 """
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, subspace_angles
-from scipy.linalg.lapack import dgecon
+from scipy.linalg import qr, solve_triangular, subspace_angles
+from scipy.linalg.lapack import dormqr
 
 from .errors import (
     ConditioningWarning,
@@ -39,7 +34,7 @@ from .errors import (
     OutOfRange,
     SingularSystem,
 )
-from .geometry import _check_aligned, _TargetBlocks, indicator, integrate, pairing
+from .geometry import _check_aligned, _row_blocks, _TargetBlocks, indicator, integrate, pairing
 from .operators import _side, operator_set
 from .potentials import (
     HarmonicField,
@@ -152,20 +147,21 @@ def _as_neumann_rep(mesh, g):
     return _datum(mesh, getattr(g, "representer", g))
 
 
-# reciprocal condition estimate below which a bordered matrix counts as singular
-_RCOND_FLOOR = 1e-12
 # singular values below this times the largest count as zero
 _RANK_TOL = 1e-10
 # relative size of a Neumann datum's component fluxes and of the solve's
 # residual above which the datum counts as incompatible
 _COMPAT_TOL = 1e-7
+# GMRES: step cap, relative residual, and the probe's (a singular M misses by ~1/sqrt(n))
+_GMRES_CAP = 100
+_GMRES_TOL = 1e-14
+_PROBE_TOL = 1e-6
 
 
 class _Bordered(NamedTuple):
     solution: np.ndarray  # minimum-norm solution of (shift I + Wt) x = rhs
     kernel: np.ndarray  # orthonormal basis of the measured right kernel of shift I + Wt
-    border: int  # number of border columns: the kernel dimension assumed
-    factors: tuple  # lu_solve factors of the transposed bordered matrix
+    border: np.ndarray  # B, unit columns: as many as the kernel dimension assumed
 
 
 def _indicators(mesh, side):
@@ -181,48 +177,88 @@ def _indicators(mesh, side):
     return np.array(cols).reshape(count, mesh.n).T
 
 
-def _wt_solve(mesh, side, rhs):
-    """Minimum-norm solution of (shift I + Wt) x = rhs by one bordered LU.
+def _bordered(ops, shift, border, transpose, z):
+    """M z for M = [shift I + Wt, B; B^T, 0], or M^T z, whose block is shift I + D W D^-1."""
+    x, w = z[:ops.n], ops.weights
+    image = w * (ops.W @ (x / w)) if transpose else ops._wt(x)
+    return np.concatenate((shift * x + image + border @ z[ops.n:], border.T @ x))
 
-    A = shift I + D^-1 W^T D (the side's shift) is written from W straight
-    into M = [A, B; B^T, 0], B the side's weighted indicators with unit
-    columns, which span the left kernel of A.  LAPACK factors M once, in
-    place, as the Fortran-ordered M^T, whose block shift I + D W D^-1 is
-    written in the order W is stored.  The datum and the unit vectors of the
-    border rows are solved together (trans=1): for rhs in the range of A the
-    first solution solves A x = rhs, the others span the right kernel of A.
-    That span is orthonormalized, the vectors A maps below _RANK_TOL times
-    the inf-norm of M are kept as the measured kernel, and the kernel is
-    projected out of x in the Euclidean norm, the answer of a minimum-norm
-    least-squares solve.  _decompose solves with M^T on the same factors.
-    Raises SingularSystem when their LAPACK condition estimate is below _RCOND_FLOOR.
+
+def _bordered_norm(ops, shift, border):
+    """Inf-norm of M (_bordered); |Wt| has row sums |W|^T w / w, summed over row blocks of W."""
+    w, d, B = ops.weights, np.diagonal(ops.W), np.abs(border)
+    sums = sum(w[lo:hi] @ np.abs(ops.W[lo:hi]) for lo, hi in _row_blocks(0, ops.n, ops.n))
+    rows = sums / w - np.abs(d) + np.abs(shift + d) + np.sum(B, axis=1)
+    return float(np.max(np.append(rows, np.sum(B, axis=0))))
+
+
+def _gmres(apply, b, tol=_GMRES_TOL):
+    """x with |apply(x) - b| <= tol |b|, by GMRES from zero (Saad & Schultz, 1986).
+
+    Classical Gram-Schmidt runs twice; Givens rotations carry the residual,
+    exact while apply is nonsingular.  b is scaled to unit norm, so that any
+    datum within _MAX_DATUM stays finite.  SingularSystem after _GMRES_CAP steps.
     """
-    n, w = mesh.n, mesh.weights
+    size = float(np.linalg.norm(b))
+    if not size:
+        return np.zeros_like(b)
+    basis, H = np.empty((_GMRES_CAP + 1, b.size)), np.zeros((_GMRES_CAP + 1, _GMRES_CAP))
+    rot, g = np.zeros((_GMRES_CAP, 2)), np.zeros(_GMRES_CAP + 1)
+    basis[0], g[0] = b / size, 1.0
+    for j in range(_GMRES_CAP):
+        v = apply(basis[j])
+        for _ in range(2):
+            h = basis[:j + 1] @ v
+            v -= h @ basis[:j + 1]
+            H[:j + 1, j] += h
+        height = float(np.linalg.norm(v))
+        for i, (c, s) in enumerate(rot[:j]):
+            H[i, j], H[i + 1, j] = c * H[i, j] + s * H[i + 1, j], c * H[i + 1, j] - s * H[i, j]
+        r = float(np.hypot(H[j, j], height))
+        rot[j], H[j, j] = (H[j, j] / r, height / r), r
+        g[j + 1], g[j] = -rot[j, 1] * g[j], rot[j, 0] * g[j]
+        if abs(g[j + 1]) <= tol:
+            y = solve_triangular(H[:j + 1, :j + 1], g[:j + 1], check_finite=False)
+            return size * (y @ basis[:j + 1])
+        basis[j + 1] = v / height
+    raise SingularSystem(f"bordered second-kind system is singular: GMRES residual "
+                         f"{abs(g[j + 1]):.1e} after {j + 1} steps")
+
+
+def _wt_solve(mesh, side, rhs):
+    """Minimum-norm solution of (shift I + Wt) x = rhs by GMRES on the bordered system.
+
+    M = [A, B; B^T, 0] borders A = shift I + D^-1 W^T D (the side's shift)
+    with B, the side's weighted indicators in unit columns, which span the
+    left kernel of A.  A is the identity's multiple plus a compact operator,
+    so GMRES takes a number of steps that does not depend on n.  A seeded
+    random probe, which a singular M cannot reach though a consistent datum
+    can, is solved first: SingularSystem unless M maps its solution back to
+    it to _PROBE_TOL.  The datum's solution solves A x = rhs; those of the
+    border rows' unit vectors span the right kernel of A, and the vectors
+    of that span A maps below _RANK_TOL times the inf-norm of M are the
+    measured kernel, projected out of x for the minimum norm.  _decompose
+    solves with M^T on the same border.
+    """
     ops = operator_set(mesh)
-    border = _indicators(mesh, side) * w[:, None]
-    k = border.shape[1]
-    M = np.zeros((n + k, n + k))
-    At = np.multiply(ops.W, w[:, None], out=M.T[:n, :n])
-    At /= w
-    At[range(n), range(n)] += side.shift
-    M[:n, n:] = border / np.linalg.norm(border, axis=0)
-    M[n:, :n] = M[:n, n:].T
-    anorm = float(np.linalg.norm(M, np.inf))
-    factors = lu_factor(M.T, overwrite_a=True, check_finite=False)
-    rcond, _ = dgecon(factors[0], anorm)
-    if not rcond >= _RCOND_FLOOR:
-        raise SingularSystem(f"bordered second-kind system is singular (rcond {rcond:.1e})")
-    rhs_block = np.zeros((n + k, k + 1))
-    rhs_block[:n, 0] = rhs
-    rhs_block[n:, 1:] = np.eye(k)
-    sol = lu_solve(factors, rhs_block, trans=1, check_finite=False)[:n]
+    border = _indicators(mesh, side) * mesh.weights[:, None]
+    border /= np.linalg.norm(border, axis=0)
+    n, k = border.shape
+    product = partial(_bordered, ops, side.shift, border, False)
+    probe = np.random.default_rng(0).standard_normal(n + k)
+    miss = np.linalg.norm(product(_gmres(product, probe, _PROBE_TOL)) - probe)
+    miss /= np.linalg.norm(probe)
+    if not miss <= _PROBE_TOL:
+        raise SingularSystem("bordered second-kind system is singular: "
+                             f"it misses a random right-hand side by {miss:.1e}")
+    x = _gmres(product, np.append(rhs, np.zeros(k)))[:n]
     kernel = np.zeros((n, 0))
     if k:
-        span, _ = np.linalg.qr(sol[:, 1:])
+        span = np.column_stack([_gmres(product, e)[:n] for e in np.eye(k, n + k, n)])
+        span, _ = np.linalg.qr(span)
         _, sv, vt = np.linalg.svd(side.shift * span + ops._wt(span), full_matrices=False)
-        kernel = span @ vt[sv <= _RANK_TOL * anorm].T
-    x = sol[:, 0]
-    return _Bordered(x - kernel @ (kernel.T @ x), kernel, k, factors)
+        kernel = span @ vt[sv <= _RANK_TOL * _bordered_norm(ops, side.shift, border)].T
+    return _Bordered(x - kernel @ (kernel.T @ x), kernel, border)
 
 
 def _neumann(mesh, g, region):
@@ -265,7 +301,7 @@ def _neumann(mesh, g, region):
         residuals=residuals,
         compat=list(compat),
         rank_info={"rank": mesh.n - deficiency, "deficiency": deficiency,
-                   "expected_deficiency": solve.border},
+                   "expected_deficiency": solve.border.shape[1]},
         u_infinity=0.0 if exterior else None,
     )
 
@@ -361,14 +397,15 @@ def _decompose(mesh, g, sign):
     (sign/2 I + W) psi = g_im and P an orthonormal basis of the kernel of
     the transpose operator sign/2 I + Wt.  The kernel of sign/2 I + W is
     spanned by the indicators K of the opposite side, its left kernel by D P.
-    The factors of P's _wt_solve also solve [D (sign/2 I + W) D^-1, D K;
-    (D K)^T, 0] [D psi0; 0] = [D g_im; 0], and psi is psi0 minus its K part.
+    The transpose M^T of the bordered matrix of P's _wt_solve, [D (sign/2 I
+    + W) D^-1, B; B^T, 0], solves M^T [D psi0; 0] = [D g_im; 0] by one more
+    GMRES run, and psi is psi0 minus its K part.
     """
     # sign/2 I + Wt is the operator of the Neumann problem on the opposite side
     side = _side(sign).opposite
     g = _datum(mesh, g)
     K = _indicators(mesh, side)
-    _, P, k, factors = _wt_solve(mesh, side, np.zeros(mesh.n))
+    _, P, border = _wt_solve(mesh, side, np.zeros(mesh.n))
     DP = P * mesh.weights[:, None]
     g_ker = np.zeros(mesh.n)
     if K.shape[1]:
@@ -377,11 +414,11 @@ def _decompose(mesh, g, sign):
         except np.linalg.LinAlgError as exc:
             raise SingularSystem("oblique projection system is singular") from exc
     g_im = g - g_ker
-    rhs = np.append(mesh.weights * g_im, np.zeros(k))
-    psi = lu_solve(factors, rhs, check_finite=False)[:mesh.n] / mesh.weights
+    rhs = np.append(mesh.weights * g_im, np.zeros(K.shape[1]))
+    transposed = partial(_bordered, operator_set(mesh), side.shift, border, True)
+    psi = _gmres(transposed, rhs)[:mesh.n] / mesh.weights
     psi -= K @ ((K.T @ psi) / np.sum(K, axis=0))  # K^T K is diagonal
-    W = operator_set(mesh).W
-    resid = float(np.linalg.norm(side.shift * psi + W @ psi - g_im))
+    resid = float(np.linalg.norm(side.shift * psi + operator_set(mesh).W @ psi - g_im))
     if resid > 1e-7 * max(1.0, float(np.linalg.norm(g))):
         raise SingularSystem(f"image part not reachable: residual {resid:.3e}")
     return g_im, g_ker, psi, P
@@ -506,26 +543,29 @@ def transpose_kernel_pair_basis(mesh, op_kind, jmap=None):
     """Kernel of +-1/2 I + Wt computed through the pair-distribution route.
 
     The operator is realized in J coordinates (image g plus the mass
-    functional), its kernel vectors are mapped back to representers in one
-    block solve with the J map, and the span must coincide with the
-    grid-operator kernel; the subspace angle quantifies the agreement.
-    op_kind is a Wt kind of nullspace; jmap, a JMap of mesh on either side,
-    saves factoring the J map again.
+    functional) as a matrix M.  One pivoted QR of M^T gives its rank, from
+    |R_ii|, and its kernel, the trailing columns of Q, applied to unit
+    vectors without forming Q.  The kernel vectors are mapped back to
+    representers in one block solve with the J map, and the span must
+    coincide with the grid-operator kernel; the subspace angle quantifies
+    the agreement.  op_kind is a Wt kind of nullspace; jmap, a JMap of mesh
+    on either side, saves factoring the J map again.
     """
     side, _ = _op_kind(op_kind, ("Wt",))
     ops = operator_set(mesh)
     v1 = ops.V @ np.ones(mesh.n)
     correction = ops.W @ v1 - 0.5 * v1
-    # J-coordinate matrix of shift I + Wt
-    M = ops.W.copy()
-    M[range(mesh.n), range(mesh.n)] += side.shift
-    M += np.outer(correction, ops.q)
-    _, sv, vt = np.linalg.svd(M)
-    dim = int(np.sum(sv < _RANK_TOL * sv[0]))
+    # the transpose of the J-coordinate matrix of shift I + Wt, Fortran-ordered
+    Mt = ops.W.T.copy(order="K")
+    Mt[range(mesh.n), range(mesh.n)] += side.shift
+    Mt += np.outer(ops.q, correction)
+    (reflectors, tau), R, _ = qr(Mt, overwrite_a=True, mode="raw", pivoting=True)
+    dim = int(np.sum(np.abs(np.diagonal(R)) < _RANK_TOL * abs(R[0, 0])))
     if not dim:
         return np.zeros((mesh.n, 0))
+    kernel = dormqr("L", "N", reflectors, tau, np.eye(mesh.n, dim, dim - mesh.n), 64 * dim)[0]
     jmap = jmap or JMap(mesh, "plus")
-    mu0, mu1 = jmap.inverse(vt[mesh.n - dim:].T)
+    mu0, mu1 = jmap.inverse(kernel)
     return mu0 + ops.rep(jmap.side, mu1)
 
 

@@ -353,8 +353,8 @@ def check_nullspace_dims(mesh, rng, cache):
 
     nullspace reads the Wt kernel from one SVD of shift I + W, whose W
     kernel has the same dimension.  The twins of the Wt kernel are the
-    pair-route kernel and the measured kernel of the bordered LU the
-    Neumann solvers use; both come from other matrices than that SVD.
+    pair-route kernel (a pivoted QR) and the measured kernel of the Neumann
+    solvers' bordered GMRES; both come from other matrices than that SVD.
     pi/2, the largest angle, when the kernel misses its side's component
     count or its singular-value gap.
     """
@@ -366,9 +366,9 @@ def check_nullspace_dims(mesh, rng, cache):
         if basis.gap < 1e4 or basis.dimension != getattr(mesh.topology, side.kappa):
             return np.pi / 2
         wt = basis.vectors
-        lu_kernel = _wt_solve(mesh, side, np.zeros(mesh.n)).kernel
+        gmres_kernel = _wt_solve(mesh, side, np.zeros(mesh.n)).kernel
         pair_kernel = transpose_kernel_pair_basis(mesh, kind, cache.jmap("plus"))
-        worst = max(worst, _subspace_angle(wt, pair_kernel), _subspace_angle(wt, lu_kernel))
+        worst = max(worst, _subspace_angle(wt, pair_kernel), _subspace_angle(wt, gmres_kernel))
     return worst
 
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from bie2d.geometry import build_mesh, stock_mesh, stock_specs, CurveSpec
-from bie2d.operators import operator_set
+from bie2d.operators import _side, operator_set
 
 
 def _openblas_thread_controls():
@@ -102,6 +102,79 @@ class BorderedLU:
         sign = 1.0 if side == "plus" else -1.0
         w = self.weights[:, None]
         return self._solve(w * (-0.5 * mu + sign * (self.W @ mu)), trans=1)[:self.n] / w
+
+
+def lu_wt_solve(mesh, side, rhs):
+    """(x, kernel, factors) of (shift I + Wt) x = rhs by one LU of the formed bordered matrix.
+
+    The route the Neumann solvers took before GMRES, kept as its reference:
+    M = [shift I + Wt, B; B^T, 0], B the side's weighted indicators with
+    unit columns, is written from W as the Fortran-ordered M^T and factored
+    in place.  The datum and the unit vectors of the border rows are solved
+    together; the solutions of the latter span the right kernel, of which
+    the vectors mapped below 1e-10 times the inf-norm of M are kept and
+    projected out of x.  factors solve with M^T (trans=0), as lu_decompose does.
+    """
+    from bie2d.solvers import _indicators
+
+    n, w = mesh.n, mesh.weights
+    ops = operator_set(mesh)
+    border = _indicators(mesh, side) * w[:, None]
+    k = border.shape[1]
+    M = np.zeros((n + k, n + k))
+    At = np.multiply(ops.W, w[:, None], out=M.T[:n, :n])
+    At /= w
+    At[range(n), range(n)] += side.shift
+    M[:n, n:] = border / np.linalg.norm(border, axis=0)
+    M[n:, :n] = M[:n, n:].T
+    anorm = float(np.linalg.norm(M, np.inf))
+    factors = lu_factor(M.T, overwrite_a=True, check_finite=False)
+    rhs_block = np.zeros((n + k, k + 1))
+    rhs_block[:n, 0] = rhs
+    rhs_block[n:, 1:] = np.eye(k)
+    sol = lu_solve(factors, rhs_block, trans=1, check_finite=False)[:n]
+    kernel = np.zeros((n, 0))
+    if k:
+        span, _ = np.linalg.qr(sol[:, 1:])
+        _, sv, vt = np.linalg.svd(side.shift * span + ops._wt(span), full_matrices=False)
+        kernel = span @ vt[sv <= 1e-10 * anorm].T
+    x = sol[:, 0]
+    return x - kernel @ (kernel.T @ x), kernel, factors
+
+
+def lu_decompose(mesh, g, sign):
+    """(g_im, g_ker, psi, P) of solvers._decompose, psi read from the factors of lu_wt_solve."""
+    from bie2d.solvers import _indicators
+
+    side = _side(sign).opposite
+    K = _indicators(mesh, side)
+    _, P, factors = lu_wt_solve(mesh, side, np.zeros(mesh.n))
+    DP = P * mesh.weights[:, None]
+    g_ker = K @ np.linalg.solve(DP.T @ K, DP.T @ g) if K.shape[1] else np.zeros(mesh.n)
+    g_im = g - g_ker
+    rhs = np.append(mesh.weights * g_im, np.zeros(K.shape[1]))
+    psi = lu_solve(factors, rhs, check_finite=False)[:mesh.n] / mesh.weights
+    psi -= K @ ((K.T @ psi) / np.sum(K, axis=0))
+    return g_im, g_ker, psi, P
+
+
+def svd_pair_basis(mesh, op_kind, jmap=None):
+    """transpose_kernel_pair_basis as it was before its pivoted QR: the rank and
+    the null vectors of the J-coordinate matrix are read from one SVD."""
+    from bie2d.distributions import JMap
+    from bie2d.solvers import _OP_KINDS
+
+    side, _ = _OP_KINDS[op_kind]
+    ops = operator_set(mesh)
+    v1 = ops.V @ np.ones(mesh.n)
+    M = ops.W + side.shift * np.eye(mesh.n) + np.outer(ops.W @ v1 - 0.5 * v1, ops.q)
+    _, sv, vt = np.linalg.svd(M)
+    dim = int(np.sum(sv < 1e-10 * sv[0]))
+    if not dim:
+        return np.zeros((mesh.n, 0))
+    jmap = jmap or JMap(mesh, "plus")
+    mu0, mu1 = jmap.inverse(vt[mesh.n - dim:].T)
+    return mu0 + ops.rep(jmap.side, mu1)
 
 
 def negated_single_layer(monkeypatch):

@@ -310,6 +310,24 @@ def test_indefinite_single_layer_is_numerical_failure(tmp_path, capsys, monkeypa
     assert not (tmp_path / "out" / "solve_report.json").exists()
 
 
+def test_too_narrow_border_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    # a border one column short of the two disks' kernel makes the bordered
+    # system singular; GMRES's probe finds it
+    from bie2d import solvers
+
+    indicators = solvers._indicators
+    monkeypatch.setattr(solvers, "_indicators", lambda mesh, side: indicators(mesh, side)[:, :-1])
+    path = tmp_path / "two-disks.json"
+    path.write_text(json.dumps({"components": [
+        {"kind": "circle", "center": [x, 0], "radius": 1.0, "nodes": 64} for x in (-2, 2)]}))
+    code = main(["solve", "--config", str(path), "--problem", "neumann-int",
+                 "--data", "fourier:2", "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: bordered second-kind system is singular")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_solve_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     # a library failure inside the solve maps to exit 4 with a one-line reason
     # (a pair file of the wrong length is a config error: see the table below)

@@ -5,7 +5,14 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import NESTED_SPECS, dense_wt, named_mesh
+from conftest import (
+    NESTED_SPECS,
+    dense_wt,
+    lu_decompose,
+    lu_wt_solve,
+    named_mesh,
+    svd_pair_basis,
+)
 from scipy.linalg import subspace_angles
 
 from bie2d import solvers
@@ -24,7 +31,7 @@ from bie2d.geometry import (
     locate_points,
     stock_mesh,
 )
-from bie2d.operators import _side, operator_set
+from bie2d.operators import OperatorSet, _side, operator_set
 from bie2d.potentials import HarmonicField, value_at_infinity
 from bie2d.cli import default_grid, write_field_csv
 from bie2d.verify import probe_points, run_verify, seeded_density
@@ -546,8 +553,9 @@ def test_dropped_meshes_are_freed_without_gc(tmp_path):
             gc.enable()
 
 
-# The bordered LU replaced SVD least squares on the solver paths; the SVD
-# routes stay here as the independent check of the same answers.
+# Bordered solves replaced SVD least squares on the solver paths, first by
+# LU and now by GMRES; the SVD routes stay here as the independent check of
+# the same answers, and the bordered LU in conftest as GMRES's reference.
 _KERNEL_KINDS = {"interior": "minus_half_plus_Wt", "exterior": "half_plus_Wt"}
 _NEUMANN = {"interior": neumann_interior, "exterior": neumann_exterior}
 
@@ -598,7 +606,7 @@ def test_j_inverse_is_the_minimum_norm_lstsq_solution(name, side):
 
 
 def test_rank_deficiency_is_measured_not_copied(monkeypatch):
-    # a border one column too wide still factors, but the measured kernel
+    # a border one column too wide still solves, but the measured kernel
     # keeps the dimension of the operator, not the width of the border
     mesh = stock_mesh("annulus", 64)
     indicators = solvers._indicators
@@ -615,19 +623,20 @@ def test_rank_deficiency_is_measured_not_copied(monkeypatch):
 
 
 def test_too_narrow_border_is_a_singular_system(monkeypatch):
+    # the datum is consistent and converges, but the random probe cannot
     mesh = stock_mesh("two-disks", 64)
     indicators = solvers._indicators
     monkeypatch.setattr(
         solvers, "_indicators", lambda mesh, side: indicators(mesh, side)[:, :1]
     )
-    with pytest.raises(SingularSystem, match="rcond"):
+    with pytest.raises(SingularSystem, match="singular: it misses a random right-hand side"):
         neumann_interior(mesh, np.zeros(mesh.n))
 
 
 @pytest.mark.parametrize("sign", ["plus", "minus"])
 @pytest.mark.parametrize("name", ["disk", "kite", "annulus", "two-disks"])
 def test_decompose_density_is_the_minimum_norm_lstsq_solution(name, sign):
-    # psi is read from the factors of the transpose kernel's bordered LU;
+    # psi is solved by GMRES with the transposed bordered matrix;
     # the reference solves with the dense sign/2 I + W by SVD
     mesh = stock_mesh(name, 128)
     g = seeded_density(mesh, np.random.default_rng(9))
@@ -637,26 +646,26 @@ def test_decompose_density_is_the_minimum_norm_lstsq_solution(name, sign):
     assert np.linalg.norm(psi - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-def test_decompose_factors_one_matrix(monkeypatch):
+def test_decompose_solves_one_transposed_system(monkeypatch):
+    # _wt_solve's GMRES runs with M (probe, datum, one per border column),
+    # and _decompose adds one run with M^T, whose block is shift I + D W D^-1
     mesh = stock_mesh("annulus", 64)
-    operator_set(mesh)  # the single layer's bordered LU is not counted
-    calls = []
+    runs = []
+    gmres = solvers._gmres
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return lu_factor(*args, **kwargs)
+    def counted(apply, b, *args):
+        runs.append(apply.args[-1])  # the transpose flag of _bordered
+        return gmres(apply, b, *args)
 
-    lu_factor = solvers.lu_factor
-    monkeypatch.setattr(solvers, "lu_factor", counted)
+    monkeypatch.setattr(solvers, "_gmres", counted)
     for sign in ("plus", "minus"):
-        calls.clear()
+        runs.clear()
         solvers._decompose(mesh, seeded_density(mesh, np.random.default_rng(2)), sign)
-        assert calls == [(mesh.n + 1, mesh.n + 1)]
+        assert runs == [False, False, False, True]
 
 
-def test_wt_solve_allocates_two_bordered_sized_arrays():
-    # the bordered matrix, factored in place, and the |M| behind its inf-norm;
-    # a dense Wt copied into the bordered matrix would make three
+def test_wt_solve_allocates_less_than_one_square_array():
+    # M is applied, never formed, and its inf-norm is summed over row blocks
     mesh = stock_mesh("annulus", 384)
     n = mesh.n
     operator_set(mesh)
@@ -667,23 +676,100 @@ def test_wt_solve_allocates_two_bordered_sized_arrays():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 8 * (n + 1) ** 2 + 2**20
+        assert peak < 8 * n**2
+
+
+_SIX_MESHES = ["disk", "disk2", "ellipse", "kite", "annulus", "two-disks"]
+
+
+# 256 nodes: at 64 the kite's operator keeps a singular value near 1.5e-12
+# on its kernel, and the QR and SVD pair kernels differ by 2.6e-11
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("name", _SIX_MESHES)
+def test_gmres_matches_the_bordered_lu(name, sign):
+    mesh = stock_mesh(name, 256)
+    side = _side(sign)
+    rng = np.random.default_rng(4)
+    f = rng.standard_normal(mesh.n)
+    rhs = side.shift * f + operator_set(mesh)._wt(f)  # in the range
+    x, kernel, _ = lu_wt_solve(mesh, side, rhs)
+    solve = solvers._wt_solve(mesh, side, rhs)
+    assert np.linalg.norm(solve.solution - x) <= 1e-12 * np.linalg.norm(x)
+    assert solvers._subspace_angle(solve.kernel, kernel) <= 1e-12
+
+    g = rng.standard_normal(mesh.n)
+    g_im, g_ker, psi, P = lu_decompose(mesh, g, sign)
+    got_im, got_ker, got_psi, got_P = solvers._decompose(mesh, g, sign)
+    assert np.linalg.norm(got_im - g_im) <= 1e-12 * np.linalg.norm(g)
+    assert np.linalg.norm(got_ker - g_ker) <= 1e-12 * np.linalg.norm(g)
+    assert np.linalg.norm(got_psi - psi) <= 1e-12 * np.linalg.norm(psi)
+    assert solvers._subspace_angle(got_P, P) <= 1e-12
+
+
+class _IdentityJMap:
+    """A J map whose inverse is (identity, 0): the pair route then returns its J-coordinate kernel."""
+
+    side = "plus"
+
+    def inverse(self, v):
+        return v, np.zeros_like(v)
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("name", _SIX_MESHES)
+def test_qr_pair_kernel_matches_the_svd(name, sign):
+    mesh = stock_mesh(name, 256)
+    kind = "minus_half_plus_Wt" if sign == "plus" else "half_plus_Wt"
+    qr_kernel = solvers.transpose_kernel_pair_basis(mesh, kind, _IdentityJMap())
+    svd_kernel = svd_pair_basis(mesh, kind, _IdentityJMap())
+    assert qr_kernel.shape[1] == getattr(mesh.topology, _side(sign).kappa)
+    assert solvers._subspace_angle(qr_kernel, svd_kernel) <= 1e-12
+    # and through the J map the QR kernel is the grid kernel
+    mapped = solvers.transpose_kernel_pair_basis(mesh, kind)
+    assert solvers._subspace_angle(mapped, nullspace(mesh, kind).vectors) <= 1e-10
+
+
+def test_neumann_solve_takes_as_many_products_at_every_size(monkeypatch):
+    # GMRES on a second-kind system converges in a number of steps that does
+    # not depend on n: the interior annulus takes 23 products of Wt with a
+    # vector at N = 256 and 22 at N = 1024
+    wt = OperatorSet._wt
+    products = []
+
+    def counted(self, x):
+        products.append(1 if x.ndim == 1 else x.shape[1])
+        return wt(self, x)
+
+    monkeypatch.setattr(OperatorSet, "_wt", counted)
+    counts = []
+    for n in (128, 512):
+        mesh = stock_mesh("annulus", n)
+        g = np.cos(3 * mesh.t) * mesh.x[:, 0] ** 2
+        g -= integrate(mesh, g) / integrate(mesh, np.ones(mesh.n))  # no flux
+        products.clear()
+        neumann_interior(mesh, g)
+        counts.append(sum(products))
+    assert abs(counts[0] - counts[1]) <= 2 and max(counts) <= 40
 
 
 @pytest.mark.parametrize("name", ["disk", "annulus", "two-disks"])
 def test_svd_inputs_are_shift_plus_w_bit_for_bit(monkeypatch, name):
-    # the in-place builds of shift I + W (and of its J-coordinate rank-one
-    # term) equal the expressions they replaced, entry for entry
+    # the in-place builds of shift I + W for nullspace's SVD, and of the
+    # transposed J-coordinate matrix (its rank-one term included) for the
+    # pair route's pivoted QR, equal the expressions they replaced, entry
+    # for entry
     mesh = stock_mesh(name, 64)
     ops = operator_set(mesh)
     seen = []
-    svd = np.linalg.svd
 
-    def recorded(a, *args, **kwargs):
-        seen.append(a.copy())
-        return svd(a, *args, **kwargs)
+    def recorded(factorise):
+        def record(a, *args, **kwargs):
+            seen.append(a.copy())
+            return factorise(a, *args, **kwargs)
+        return record
 
-    monkeypatch.setattr(np.linalg, "svd", recorded)
+    monkeypatch.setattr(np.linalg, "svd", recorded(np.linalg.svd))
+    monkeypatch.setattr(solvers, "qr", recorded(solvers.qr))
     v1 = ops.V @ np.ones(mesh.n)
     rank_one = np.outer(ops.W @ v1 - 0.5 * v1, ops.q)
     for kind, (side, _) in solvers._OP_KINDS.items():
@@ -694,4 +780,4 @@ def test_svd_inputs_are_shift_plus_w_bit_for_bit(monkeypatch, name):
         if kind.endswith("Wt"):
             seen.clear()
             solvers.transpose_kernel_pair_basis(mesh, kind)
-            assert np.array_equal(seen[0], expected + rank_one)
+            assert np.array_equal(seen[0], (expected + rank_one).T)

@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from bie2d import distributions, geometry, verify
+from bie2d import distributions, geometry, solvers, verify
 from bie2d.errors import ConfigError
 from bie2d.geometry import stock_mesh
 from bie2d.verify import run_verify
@@ -62,19 +62,25 @@ def test_each_check_run_alone_gives_its_suite_row(name):
 
 
 @pytest.mark.parametrize("name", ["disk", "ellipse", "annulus"])
-def test_verify_takes_four_square_svds_per_mesh(monkeypatch, name):
+def test_verify_takes_two_square_svds_and_two_pivoted_qrs_per_mesh(monkeypatch, name):
     # one SVD of shift I + W per side, which gives its Wt null space, and
-    # two pair-route transpose kernels
+    # one pivoted QR for each of the two pair-route transpose kernels
     mesh = stock_mesh(name, 64)
-    svd, shapes = np.linalg.svd, []
+    svd, qr, svd_shapes, qr_shapes = np.linalg.svd, solvers.qr, [], []
 
     def counting_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
+        svd_shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
+    def counting_qr(a, *args, **kwargs):
+        qr_shapes.append((np.shape(a), kwargs.get("pivoting")))
+        return qr(a, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(solvers, "qr", counting_qr)
     assert run_verify(meshes={name: mesh}, n=64).passed
-    assert shapes.count((mesh.n, mesh.n)) == 4
+    assert svd_shapes.count((mesh.n, mesh.n)) == 2
+    assert qr_shapes == [((mesh.n, mesh.n), True)] * 2
 
 
 def test_verify_factors_each_j_map_once_and_finds_each_probe_set_once(monkeypatch):
@@ -165,7 +171,7 @@ def test_nullspace_dims_compares_the_kernel_the_solvers_use(monkeypatch):
     real = verify._wt_solve
 
     def turned(mesh, side, rhs):
-        # the bordered-LU kernel, rotated 1e-3 rad out of the true one
+        # the bordered-GMRES kernel, rotated 1e-3 rad out of the true one
         out = real(mesh, side, rhs)
         kernel = np.linalg.qr(out.kernel + 1e-3 * np.cos(3 * mesh.t)[:, None])[0]
         return out._replace(kernel=kernel)
