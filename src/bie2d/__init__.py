@@ -22,7 +22,6 @@ from .geometry import (
     build_mesh,
     indicator,
     integrate,
-    locate_point,
     locate_points,
     pairing,
     stock_mesh,
@@ -42,8 +41,6 @@ from .potentials import (
     value_at_infinity,
 )
 from .distributions import (
-    DistRep,
-    J_inverse,
     J_isometry,
     JMap,
     PairDistribution,
@@ -67,7 +64,6 @@ from .solvers import (
     dirichlet_interior,
     dirichlet_interior_via_decomposition,
     green_h,
-    kernel_coincidence_angle,
     neumann_exterior,
     neumann_interior,
     nullspace,

@@ -287,42 +287,30 @@ def _require_resolution(terms, n):
         )
 
 
-@dataclass
-class GridSpec:
-    xmin: float
-    xmax: float
-    ymin: float
-    ymax: float
-    nx: int = 41
-    ny: int = 41
-
-    def points(self):
-        xs = np.linspace(self.xmin, self.xmax, self.nx)
-        ys = np.linspace(self.ymin, self.ymax, self.ny)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        return np.stack([gx.ravel(), gy.ravel()], axis=-1)
-
-
 def default_grid(mesh):
-    """The 41 x 41 grid over the mesh's bounding box widened by 0.75 on each side."""
+    """The 41 x 41 grid over the mesh's bounding box widened by 0.75 on each side,
+    as (1681, 2) points with y running fastest."""
     lo = np.min(mesh.x, axis=0) - 0.75
     hi = np.max(mesh.x, axis=0) + 0.75
-    return GridSpec(lo[0], hi[0], lo[1], hi[1])
+    xs, ys = np.linspace(lo[0], hi[0], 41), np.linspace(lo[1], hi[1], 41)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    return np.stack([gx.ravel(), gy.ravel()], axis=-1)
 
 
-def write_field_csv(fld, grid, path):
-    """Evaluate a field on a grid and write x,y,u rows (17 significant digits).
+def write_field_csv(fld, points, path):
+    """Evaluate a field at points, shape (m, 2), and write x,y,u rows (17 significant digits).
 
     Points outside the field's region or inside the near-boundary band get
-    an empty value cell.  The grid takes two geometry passes: one locates
-    every point, and a second evaluates the usable points as one set, so
-    that their blocks start on multiples of 8 rows of that set and each
-    value has the bits of one product over all usable points on one BLAS
-    thread.  Evaluating each block's usable rows would move some values
-    by an ulp.
+    an empty value cell; np.genfromtxt(path, delimiter=",", skip_header=1)
+    reads them back as NaN.  The points take two geometry passes: one
+    locates every point, and a second evaluates the usable points as one
+    set, so that their blocks start on multiples of 8 rows of that set and
+    each value has the bits of one product over all usable points on one
+    BLAS thread.  Evaluating each block's usable rows would move some
+    values by an ulp.
     """
-    pts = grid.points()
-    usable = _TargetBlocks(fld.mesh, pts).in_region(fld.region)[1]
+    targets = _TargetBlocks(fld.mesh, points)
+    pts, usable = targets.points, targets.in_region(fld.region)[1]
     values = np.full(pts.shape[0], np.nan)
     values[usable] = fld.eval_unchecked(pts[usable])
     with open(path, "w", newline="") as fh:
@@ -332,19 +320,6 @@ def write_field_csv(fld, grid, path):
             writer.writerow(
                 ["%.17g" % px, "%.17g" % py, "%.17g" % val if ok else ""]
             )
-
-
-def read_field_csv(path):
-    """Read back a field CSV; empty cells become NaN."""
-    xs, ys, us = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            xs.append(float(row[0]))
-            ys.append(float(row[1]))
-            us.append(float(row[2]) if row[2] else np.nan)
-    return np.array(xs), np.array(ys), np.array(us)
 
 
 def _write_outputs(out_dir, name, report, *writes):
@@ -439,6 +414,9 @@ def cmd_demo_hadamard(terms, n, out_dir="."):
     """
     _require_resolution(terms, n)
     mesh = _geometry(build_mesh, [CurveSpec("circle", radius=1.0)], [n])
+    if mesh.band_width() >= 0.5:
+        raise ConfigError(f"the r = 1/2 recovery ring lies in the near-boundary band "
+                          f"of {n} nodes; demo-hadamard needs at least 26")
     ops = operator_set(mesh)
     trace = hadamard_trace(mesh.t, terms)
     tau = dist_normal_derivative(mesh, trace, "plus")

@@ -46,14 +46,6 @@ class PairDistribution:
         self.mu1 = _check_aligned(self.mesh, self.mu1)
 
 
-@dataclass
-class DistRep:
-    """Grid representer of a distribution together with its mass <tau, 1>."""
-
-    representer: np.ndarray
-    mass: float
-
-
 def mass_of(tau):
     """<tau, 1>; the transpose part carries no mass in two dimensions."""
     return integrate(tau.mesh, tau.mu0)
@@ -61,9 +53,7 @@ def mass_of(tau):
 
 def to_grid_representer(tau):
     """Grid function phi with pairing(phi, v) = <tau, v> for all grid v."""
-    ops = operator_set(tau.mesh)
-    phi = tau.mu0 + ops.rep(tau.side, tau.mu1)
-    return DistRep(phi, mass_of(tau))
+    return tau.mu0 + operator_set(tau.mesh).rep(tau.side, tau.mu1)
 
 
 def dist_pairing(tau, v):
@@ -146,11 +136,6 @@ class JMap:
         """The pair distribution of this side with J image g, a grid function."""
         return PairDistribution(self.side, *self.inverse(_check_aligned(self.mesh, g)),
                                 self.mesh)
-
-
-def J_inverse(mesh, g, side="plus"):
-    """A pair distribution of the requested side with J image g (see JMap)."""
-    return JMap(mesh, side).pair(g)
 
 
 def Wt_on_distribution(tau, jmap=None):
@@ -241,7 +226,7 @@ def dist_jump_check(tau):
     mesh = tau.mesh
     ops = operator_set(mesh)
     trace = V_of_distribution(tau)
-    rep = to_grid_representer(tau).representer
+    rep = to_grid_representer(tau)
     basis = _test_basis(mesh)
     scale = max(1.0, float(np.max(np.abs(rep))))
 

@@ -593,13 +593,8 @@ class _TargetBlocks:
         return dist, _in_region(self.mesh, dist, outward, region)
 
 
-def locate_point(mesh, p):
-    """Classify a point: interior(j), exterior(k), or near_boundary."""
-    return locate_points(mesh, [p])[0]
-
-
 def locate_points(mesh, points):
-    """Vectorized locate_point over an array of points, shape (m, 2).
+    """Classify points, shape (m, 2): interior(j), exterior(k), or near_boundary.
 
     Off the band, a point on the side its nearest node's normal points to
     lies in the exterior component the node's curve bounds, and otherwise

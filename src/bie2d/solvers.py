@@ -138,13 +138,13 @@ def check_compat_exterior(mesh, g):
 
 
 def _as_neumann_rep(mesh, g):
-    """The grid representer of a grid function, DistRep or PairDistribution datum,
+    """The grid representer of a grid function or PairDistribution datum,
     within _MAX_DATUM (OutOfRange otherwise)."""
     if isinstance(g, PairDistribution):
         for density in (g.mu0, g.mu1):  # the representer's sums would overflow first
             _datum(mesh, density)
         g = to_grid_representer(g)
-    return _datum(mesh, getattr(g, "representer", g))
+    return _datum(mesh, g)
 
 
 # singular values below this times the largest count as zero
@@ -309,7 +309,7 @@ def _neumann(mesh, g, region):
 def neumann_interior(mesh, g):
     """Interior Neumann problem with distributional datum g.
 
-    g may be a grid function, a DistRep, or a PairDistribution.  The
+    g may be a grid function or a PairDistribution.  The
     density is the minimum-norm solution of (-1/2 I + Wt) phi = g; adding
     any combination of nullspace(mesh, 'minus_half_plus_Wt').vectors gives
     another representative of the same solution family.  The datum's grid
@@ -507,7 +507,11 @@ def green_h(mesh, x, side):
     side 'interior' solves in the open set, 'exterior' outside (harmonic
     at infinity); returns the SolveReport of the bordered solve.
     """
-    source = _one_point(mesh, x)
+    return _green_h(mesh, _one_point(mesh, x), side)
+
+
+def _green_h(mesh, source, side):
+    """green_h of the source point's geometry pass, a _Targets of one row."""
     if source.dist[0] < mesh.band_width():
         raise NearBoundary("source point inside the near-boundary band")
     return _dirichlet(mesh, source.single_kernel[0], side)
@@ -516,10 +520,11 @@ def green_h(mesh, x, side):
 def _poisson(mesh, g, x, region):
     """Pairing of g with d/dnu_y of the Green function of the region at x."""
     g = _check_aligned(mesh, g)
-    eta = green_h(mesh, x, region).densities["eta"]
+    source = _one_point(mesh, x)
+    eta = _green_h(mesh, source, region).densities["eta"]
     dh = normal_derivative_single(mesh, eta, _side(region, "region").name)
-    # d/dnu_y S2(x - y) is the double-layer kernel at x
-    kernel = _one_point(mesh, x).double_kernel[0]
+    # d/dnu_y S2(x - y) is the double-layer kernel at x, in the pass's other scratch array
+    kernel = source.double_kernel[0]
     return float(np.dot(mesh.weights * g, kernel - dh))
 
 
@@ -576,13 +581,3 @@ def _subspace_angle(a, b):
     if a.shape[1] == 0:
         return 0.0
     return float(np.max(subspace_angles(a, b)))
-
-
-def kernel_coincidence_angle(mesh, op_kind):
-    """Largest principal angle between grid and distributional kernels.
-
-    Kernels of different dimension return pi/2, the largest angle there is.
-    """
-    _op_kind(op_kind, ("Wt",))  # a W kind is refused before its SVD, not after
-    return _subspace_angle(nullspace(mesh, op_kind).vectors,
-                           transpose_kernel_pair_basis(mesh, op_kind))

@@ -283,14 +283,6 @@ def _third_green(mesh, rng, cache, region, prefer):
     return max(res, _sup(recon(other)))
 
 
-def check_third_green_interior(mesh, rng, cache, prefer="far"):
-    return _third_green(mesh, rng, cache, "interior", prefer)
-
-
-def check_third_green_exterior(mesh, rng, cache, prefer="far"):
-    return _third_green(mesh, rng, cache, "exterior", prefer)
-
-
 def _dlintesl(mesh, rng, cache, side):
     """Single layer of (side, 0, mu): its grid representer against the closed form."""
     mu = cache.density(rng)
@@ -334,8 +326,8 @@ def check_j_roundtrip(mesh, rng, cache):
         g = J_isometry(tau)
         back = cache.jmap(tau.side).pair(g)
         res = max(res, _sup(J_isometry(back) - g))
-        rep = to_grid_representer(tau).representer
-        res = max(res, _sup(to_grid_representer(back).representer - rep))
+        rep = to_grid_representer(tau)
+        res = max(res, _sup(to_grid_representer(back) - rep))
     return res
 
 
@@ -343,8 +335,8 @@ def check_space_coincidence(mesh, rng, cache):
     res = 0.0
     for tau in _seeded_pairs(cache, rng, 5):
         tau2 = cache.jmap(_side(tau.side).opposite.name).pair(J_isometry(tau))
-        rep = to_grid_representer(tau).representer
-        res = max(res, _sup(to_grid_representer(tau2).representer - rep))
+        rep = to_grid_representer(tau)
+        res = max(res, _sup(to_grid_representer(tau2) - rep))
     return res
 
 
@@ -424,9 +416,9 @@ _CHECKS = (
            "harmonic extensions of +-psi/2 + W psi match the double-layer field"),
     _Check("dist-jump", check_dist_jump, 1e-6,
            "normal derivative of the single layer of tau is -tau/2 +- Wt tau"),
-    _Check("third-green-int", check_third_green_interior, 1e-6,
+    _Check("third-green-int", partial(_third_green, region="interior", prefer="far"), 1e-6,
            "u = double layer of trace minus single layer of normal derivative"),
-    _Check("third-green-ext", check_third_green_exterior, 1e-6,
+    _Check("third-green-ext", partial(_third_green, region="exterior", prefer="far"), 1e-6,
            "u = -double layer - single layer + value at infinity"),
     _Check("dlintesl-plus", partial(_dlintesl, side="plus"), 1e-6,
            "single layer of interior transpose part = double layer minus harmonic extension"),

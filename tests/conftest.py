@@ -190,6 +190,12 @@ def negated_single_layer(monkeypatch):
     monkeypatch.setattr(operators, "_assemble", negated)
 
 
+def grid_points(xs, ys):
+    """The points of the grid xs x ys, shape (len(xs) * len(ys), 2), y running fastest."""
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    return np.stack([gx.ravel(), gy.ravel()], axis=-1)
+
+
 def rows_per_block(monkeypatch, rows):
     """Make every pairwise pass take blocks of the given number of rows."""
     from bie2d import geometry

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import NESTED_SPECS, negated_single_layer
+from conftest import NESTED_SPECS, grid_points, negated_single_layer
 
 import bie2d
 from bie2d import cli, verify
@@ -20,12 +20,10 @@ from bie2d.cli import (
     EXIT_INCOMPATIBLE,
     EXIT_OK,
     EXIT_VERIFY_FAIL,
-    GridSpec,
     cmd_demo_hadamard,
     hadamard_trace,
     load_config,
     main,
-    read_field_csv,
     write_field_csv,
 )
 
@@ -84,7 +82,8 @@ def test_solve_writes_report_and_field(tmp_path):
     assert code == EXIT_OK
     report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
     assert report["residuals"]["equation"] <= 1e-7
-    xs, ys, us = read_field_csv(tmp_path / "out" / "solve_field.csv")
+    xs, ys, us = np.genfromtxt(tmp_path / "out" / "solve_field.csv", delimiter=",",
+                               skip_header=1).T
     assert len(xs) == 41 * 41
     # grid points outside the disk carry empty cells
     outside = np.hypot(xs, ys) > 1.2
@@ -163,12 +162,11 @@ def test_verify_custom_config(tmp_path):
 
 def test_field_csv_roundtrip(tmp_path, disk128):
     fld = HarmonicField(disk128, [], constant=np.pi, region="interior")
-    grid = GridSpec(-0.5, 0.5, -0.5, 0.5, nx=7, ny=7)
+    pts = grid_points(np.linspace(-0.5, 0.5, 7), np.linspace(-0.5, 0.5, 7))
     path = tmp_path / "f.csv"
-    write_field_csv(fld, grid, path)
-    xs, ys, us = read_field_csv(path)
+    write_field_csv(fld, pts, path)
+    xs, ys, us = np.genfromtxt(path, delimiter=",", skip_header=1).T
     assert np.all(np.abs(us - np.pi) < 1e-15)
-    pts = grid.points()
     assert np.max(np.abs(xs - pts[:, 0])) < 1e-15
     assert np.max(np.abs(ys - pts[:, 1])) < 1e-15
 
@@ -199,6 +197,16 @@ def test_demo_hadamard_resolution_guard():
     with pytest.raises(ConfigError):
         cmd_demo_hadamard(6, 64)
     assert main(["demo-hadamard", "--terms", "6", "--n", "64"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("n, code", [("16", EXIT_CONFIG), ("24", EXIT_CONFIG), ("26", EXIT_OK)])
+def test_demo_hadamard_keeps_its_ring_off_the_band(tmp_path, capsys, n, code):
+    # the band on the unit circle is 4 pi / n, which reaches the r = 1/2 ring up to n = 24
+    assert main(["demo-hadamard", "--terms", "1", "--n", n, "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_CONFIG:
+        assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+        assert "at least 26" in err and not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("terms", ["0", "-1"])

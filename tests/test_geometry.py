@@ -14,7 +14,6 @@ from bie2d.geometry import (
     build_mesh,
     indicator,
     integrate,
-    locate_point,
     locate_points,
     pairing,
     stock_mesh,
@@ -211,19 +210,19 @@ def test_integrate_examples():
 
 def test_locate_point_examples():
     disk = stock_mesh("disk", 64)
-    assert locate_point(disk, (0.0, 0.0)) == ("interior", 1)
-    assert locate_point(disk, (3.0, 0.0)) == ("exterior", 0)
-    assert locate_point(disk, (1.0, 0.0)).kind == "near_boundary"
+    assert locate_points(disk, [(0.0, 0.0)])[0] == ("interior", 1)
+    assert locate_points(disk, [(3.0, 0.0)])[0] == ("exterior", 0)
+    assert locate_points(disk, [(1.0, 0.0)])[0].kind == "near_boundary"
     ann = stock_mesh("annulus", 64)
-    assert locate_point(ann, (1.5, 0.0)) == ("interior", 1)
-    assert locate_point(ann, (0.5, 0.0)) == ("exterior", 1)
-    assert locate_point(ann, (2.5, 0.0)) == ("exterior", 0)
+    assert locate_points(ann, [(1.5, 0.0)])[0] == ("interior", 1)
+    assert locate_points(ann, [(0.5, 0.0)])[0] == ("exterior", 1)
+    assert locate_points(ann, [(2.5, 0.0)])[0] == ("exterior", 0)
     # the disk r < 1 inside the hole of the ring 2 < r < 3
     nested = named_mesh("nested-2", 128)
-    assert locate_point(nested, (0.0, 0.0)) == ("interior", 2)
-    assert locate_point(nested, (0.0, 1.5)) == ("exterior", 1)
-    assert locate_point(nested, (-2.5, 0.0)) == ("interior", 1)
-    assert locate_point(nested, (4.0, 0.0)) == ("exterior", 0)
+    assert locate_points(nested, [(0.0, 0.0)])[0] == ("interior", 2)
+    assert locate_points(nested, [(0.0, 1.5)])[0] == ("exterior", 1)
+    assert locate_points(nested, [(-2.5, 0.0)])[0] == ("interior", 1)
+    assert locate_points(nested, [(4.0, 0.0)])[0] == ("exterior", 0)
     for mesh, points in ((disk, [(0.0, 0.0), (3.0, 0.0), (1.0, 0.0)]),
                          (ann, [(1.5, 0.0), (0.5, 0.0), (2.5, 0.0)]),
                          (nested, [(0.0, 0.0), (0.0, 1.5), (-2.5, 0.0), (4.0, 0.0)])):

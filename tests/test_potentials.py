@@ -3,10 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import gauss_law_locations, rows_per_block, winding_locations
+from conftest import gauss_law_locations, grid_points, rows_per_block, winding_locations
 
 from bie2d import geometry
-from bie2d.cli import GridSpec, default_grid, write_field_csv
+from bie2d.cli import default_grid, write_field_csv
 from bie2d.distributions import PairDistribution, dist_single_layer_field
 from bie2d.errors import InvalidProbe, LengthMismatch, NearBoundary, NoLimit, OutOfRange
 from bie2d.geometry import CurveSpec, build_mesh, locate_points, stock_mesh
@@ -214,8 +214,7 @@ def test_one_geometry_pass_is_bit_identical_to_the_norm_route(one_blas_thread, t
     mesh = stock_mesh(name, 256)
     mu, psi = np.cos(3 * mesh.t) + 0.2, np.sin(2 * mesh.t)
     fld = HarmonicField(mesh, [("single", mu), ("double", psi)], constant=0.3, region=region)
-    grid = default_grid(mesh)
-    points = grid.points()
+    points = default_grid(mesh)
     kinds = np.array([kind for kind, _ in winding_locations(mesh, points)])
     clear = points[kinds != "near_boundary"]
     for kind, density, evaluate in (("single", mu, eval_single_layer),
@@ -226,7 +225,7 @@ def test_one_geometry_pass_is_bit_identical_to_the_norm_route(one_blas_thread, t
     assert np.array_equal(fld.eval(points[usable]), _field_by_norms(fld, points[usable]))
 
     path = tmp_path / "field.csv"
-    write_field_csv(fld, grid, path)
+    write_field_csv(fld, points, path)
     with open(path, newline="") as fh:
         assert list(csv.reader(fh)) == _csv_rows(points, usable, _field_by_norms(fld, points[usable]))
 
@@ -296,12 +295,11 @@ def test_field_csv_in_ragged_blocks(seven_row_blocks, tmp_path):
     mesh = seven_row_blocks
     fld = HarmonicField(mesh, [("single", np.cos(3 * mesh.t) + 0.2), ("double", np.sin(mesh.t))],
                         constant=0.3, region="interior")
-    grid = GridSpec(-2.4, 2.4, -2.4, 2.4, 21, 19)
-    points = grid.points()
+    points = grid_points(np.linspace(-2.4, 2.4, 21), np.linspace(-2.4, 2.4, 19))
     usable = np.array([kind for kind, _ in winding_locations(mesh, points)]) == "interior"
     assert usable.sum() == 32  # four whole blocks of 7 and a partial one
     path = tmp_path / "field.csv"
-    write_field_csv(fld, grid, path)
+    write_field_csv(fld, points, path)
     values = _by_rows(7, lambda p: _field_by_norms(fld, p), points[usable])
     with open(path, newline="") as fh:
         assert list(csv.reader(fh)) == _csv_rows(points, usable, values)

@@ -1,9 +1,11 @@
 """The library example and the domain config of README.md run as written,
-and its list of removed names holds."""
+its list of public names is the package's exports, and its list of removed
+names holds."""
 
 import importlib
 import pkgutil
 import re
+import types
 from pathlib import Path
 
 import bie2d
@@ -66,10 +68,28 @@ def test_readme_removed_names_are_gone():
     gone = _removed_names("Gone")
     assert {"steklov", "cli.PROBLEMS", "solvers.trace_of_field_terms",
             "HarmonicField.single_layer_mass"} <= set(gone)
+    assert {"J_inverse", "locate_point", "kernel_coincidence_angle", "DistRep", "cli.GridSpec",
+            "cli.read_field_csv", "check_third_green_interior",
+            "check_third_green_exterior"} <= set(gone)
     assert [name for name in gone if _resolves(name)] == []
 
 
 def test_readme_changed_signatures_still_resolve():
     changed = _removed_names("Changed signatures")
-    assert {"locate_point", "value_at_infinity", "JMap.inverse", "cli.cmd_solve"} <= set(changed)
+    assert {"locate_points", "value_at_infinity", "JMap.inverse", "cli.cmd_solve"} <= set(changed)
     assert [name for name in changed if not _resolves(name)] == []
+
+
+def test_readme_public_names_are_the_exports():
+    # each "### `module`" heading lists the exported names that module defines
+    section = README.read_text().split("## Public names\n", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for part in section.split("\n### ")[1:]:
+        module = re.match(r"`(\w+)`\n", part).group(1)
+        for name in re.findall(r"^- `([A-Za-z_]\w*)", part, flags=re.M):
+            assert name not in listed, name
+            listed[name] = f"bie2d.{module}"
+    exported = {name: getattr(bie2d, name).__module__ for name in dir(bie2d)
+                if not name.startswith("_")
+                and not isinstance(getattr(bie2d, name), types.ModuleType)}
+    assert listed == exported

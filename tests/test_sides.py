@@ -12,7 +12,6 @@ from bie2d.potentials import normal_derivative_single, trace_double
 from bie2d.solvers import (
     decompose,
     green_h,
-    kernel_coincidence_angle,
     neumann_exterior,
     nullspace,
     transpose_kernel_pair_basis,
@@ -60,7 +59,7 @@ def test_unknown_side_or_region_is_out_of_range(mesh, name, valid, bad):
         call(mesh, bad)
 
 
-@pytest.mark.parametrize("entry", [kernel_coincidence_angle, transpose_kernel_pair_basis])
+@pytest.mark.parametrize("entry", [transpose_kernel_pair_basis])
 def test_transpose_kernel_routes_take_only_a_wt_kind(mesh, entry):
     entry(mesh, "half_plus_Wt")
     for bad in ("half_plus_W", "minus_half_plus_W", "half_plus_V", ""):

@@ -36,7 +36,7 @@ from bie2d.potentials import HarmonicField, value_at_infinity
 from bie2d.cli import default_grid, write_field_csv
 from bie2d.verify import probe_points, run_verify, seeded_density
 from bie2d.distributions import (
-    J_inverse,
+    JMap,
     PairDistribution,
     _j_forward_matrix,
     dist_pairing,
@@ -52,7 +52,6 @@ from bie2d.solvers import (
     dirichlet_interior,
     dirichlet_interior_via_decomposition,
     green_h,
-    kernel_coincidence_angle,
     neumann_exterior,
     neumann_interior,
     nullspace,
@@ -296,8 +295,10 @@ def test_wt_kernel_matches_a_direct_svd_of_shift_plus_wt(name, n):
 
 
 def test_transpose_kernel_coincidence(annulus):
-    assert kernel_coincidence_angle(annulus, "half_plus_Wt") < 1e-5
-    assert kernel_coincidence_angle(annulus, "minus_half_plus_Wt") < 1e-5
+    for kind in ("half_plus_Wt", "minus_half_plus_Wt"):
+        angle = solvers._subspace_angle(nullspace(annulus, kind).vectors,
+                                        solvers.transpose_kernel_pair_basis(annulus, kind))
+        assert angle < 1e-5
 
 
 def test_decompose_examples(disk128, annulus, rng):
@@ -383,6 +384,24 @@ def test_poisson_exterior(disk128, rng):
         assert abs(val) < 1e-6
 
 
+def test_poisson_takes_one_geometry_pass_per_call(disk128, monkeypatch):
+    # the band check and both kernels at the source point read one pass
+    passes = []
+
+    class CountedBlocks(solvers._TargetBlocks):
+        def __init__(self, mesh, points):
+            passes.append(points)
+            super().__init__(mesh, points)
+
+    monkeypatch.setattr(solvers, "_TargetBlocks", CountedBlocks)
+    g = np.cos(disk128.t)
+    for x in (np.array([0.3, 0.0]), np.array([2.0, 0.0])):
+        for poisson in (poisson_interior, poisson_exterior):
+            before = len(passes)
+            poisson(disk128, g, x)
+            assert len(passes) == before + 1
+
+
 def test_green_and_poisson_take_exactly_one_point():
     # g = x is harmonic, so the interior Poisson integral at (0.3, 0) is 0.3
     mesh = stock_mesh("disk", 64)
@@ -400,10 +419,10 @@ def test_green_and_poisson_take_exactly_one_point():
 
 
 def test_third_green_identities(ellipse, rng):
-    from bie2d.verify import _MeshCache, check_third_green_exterior, check_third_green_interior
+    from bie2d.verify import _MeshCache, _third_green
 
-    assert check_third_green_interior(ellipse, rng, _MeshCache(ellipse)) < 1e-6
-    assert check_third_green_exterior(ellipse, rng, _MeshCache(ellipse)) < 1e-6
+    assert _third_green(ellipse, rng, _MeshCache(ellipse), "interior", "far") < 1e-6
+    assert _third_green(ellipse, rng, _MeshCache(ellipse), "exterior", "far") < 1e-6
 
 
 def test_interior_solution_reexpressed_as_single_layer(ellipse, rng):
@@ -412,7 +431,7 @@ def test_interior_solution_reexpressed_as_single_layer(ellipse, rng):
     ops = operator_set(ellipse)
     g = seeded_density(ellipse, rng)
     c_star = float(ops.q @ g)
-    tau = J_inverse(ellipse, g - c_star, side="minus")
+    tau = JMap(ellipse, "minus").pair(g - c_star)
     assert abs(mass_of(tau)) < 1e-8
     direct = dirichlet_interior(ellipse, g)
     pts = probe_points(ellipse, "interior", count=10)
@@ -599,7 +618,7 @@ def test_j_inverse_is_the_minimum_norm_lstsq_solution(name, side):
     mesh = stock_mesh(name, 128)
     g = seeded_density(mesh, np.random.default_rng(8))
     expected, _, _, _ = np.linalg.lstsq(_j_forward_matrix(mesh, side), g, rcond=1e-12)
-    tau = J_inverse(mesh, g, side=side)
+    tau = JMap(mesh, side).pair(g)
     z = np.concatenate([tau.mu0, tau.mu1])
     assert tau.side == side
     assert np.linalg.norm(z - expected) <= 1e-10 * np.linalg.norm(expected)
