@@ -70,7 +70,7 @@ def V_of_distribution(tau):
     transpose_part = -0.5 * tau.mu1 + sign * (ops.W @ tau.mu1)
     if sign < 0:
         transpose_part += float(ops.q @ tau.mu1)
-    return ops.V @ tau.mu0 + transpose_part
+    return ops.single_layer(tau.mu0) + transpose_part
 
 
 def J_isometry(tau):
@@ -91,8 +91,8 @@ def _j_forward_matrix(mesh, side):
     length = integrate(mesh, np.ones(n))
     A = np.empty((n, 2 * n))
     # J on the mu0 block: V mu0 - mbar (V 1 - 1) with mbar = w.mu0 / length
-    A0 = np.multiply((ops.V @ np.ones(n) - 1.0)[:, None], mesh.weights / length, out=A[:, :n])
-    np.subtract(ops.V, A0, out=A0)
+    A0 = ops.single_layer_matrix(A[:, :n])
+    A0 -= np.outer(ops.single_layer(np.ones(n)) - 1.0, mesh.weights / length)
     A1 = np.multiply(ops.W, sign, out=A[:, n:])
     A1[range(n), range(n)] -= 0.5
     if sign < 0:
@@ -156,7 +156,7 @@ def Wt_on_distribution(tau, jmap=None):
     g = J_isometry(tau)
     m = mass_of(tau)
     length = integrate(mesh, np.ones(mesh.n))
-    v1 = ops.V @ np.ones(mesh.n)
+    v1 = ops.single_layer(np.ones(mesh.n))
     g_out = ops.W @ g + (ops.W @ v1 - 0.5 * v1) * (m / length)
     out = jmap.pair(g_out)
     # pin the mass law <Wt tau, 1> = <tau, 1> / 2 in the stored densities

@@ -13,7 +13,8 @@ curve's own block by one circulant per curve.  The double-layer kernel is
 smooth on a C^2 curve, so W is plain trapezoid with the curvature limit on
 the diagonal.  V and W are assembled together, from one pass over the
 squared node distances that walks each curve's rows in blocks
-(geometry._pair_blocks) and writes each block into V and W.
+(geometry._pair_blocks) and writes each block into W and into the array
+in which the single layer is factored (below); V is never held in full.
 Wt = D^-1 W^T D (D = diag of quadrature weights), applied from W and never
 stored, is both the Nystrom matrix of the transposed kernel and an exact
 discrete adjoint in the weighted pairing.
@@ -40,14 +41,20 @@ The _Side table holds each side's sign, its Neumann shift -sign/2 and the
 name every layer gives it (README, "Sides and signs").  The operators live
 in one OperatorSet per mesh, stored in mesh.operators by operator_set; it
 keeps the node count and the weights it needs, never the mesh itself.  The
-set holds three dense arrays: V, W and the Cholesky factor of T.
+set holds two dense arrays, W and the Cholesky factor of T, and V only
+inside the factor's array: dpotrf leaves T's other triangle there, and
+A[1:, 1:] = u_i + u_j - T_ij with u a vector (_projected_cholesky), so a
+product with V is one symmetric matrix-vector product on that triangle
+plus vectors.  A = V D^-1 is symmetric only to rounding (about 1e-14
+relative), so such a product differs from one with the assembled V in its
+trailing digits.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.blas import dtrsv
+from scipy.linalg.blas import dsymv, dtrsv
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InvalidGeometry, OutOfRange, SingularSystem
@@ -77,39 +84,60 @@ def _circulant(row):
     return sliding_window_view(np.concatenate((row[::-1], row[:0:-1])), n)[::-1]
 
 
-def _assemble(mesh, V):
-    """V and W, filled one block of rows at a time; W is not yet checked.
+def _assemble(mesh):
+    """W, and A = V D^-1 as its trailing block and its border, one block of rows at a time.
 
     Both read r2 = |x_i - x_j|^2, with speed_i^2 on the diagonal, the limit
     of r2 / 4 sin^2((t_i - t_j)/2).  W is the trapezoid rule of the
-    double-layer kernel with the curvature limit on the diagonal.  V is the
-    smooth (0.25 / pi) w_j log r2 fill, with the columns of each row's own
-    curve corrected by the circulant of _log_correction times
-    (0.25 / pi) speed_j: together the Kussmaul-Martensen product rule, at
-    one logarithm per pair.  No block spans two curves.  V is written into
-    the given (n, n) array; apart from W only block-sized arrays are
-    allocated.
+    double-layer kernel with the curvature limit on the diagonal; it is not
+    yet checked.  V is the smooth (0.25 / pi) w_j log r2 fill, with the
+    columns of each row's own curve corrected by the circulant of
+    _log_correction times (0.25 / pi) speed_j: together the
+    Kussmaul-Martensen product rule, at one logarithm per pair.  No block
+    spans two curves.  A block of V's rows is computed in the block's own
+    r2 and divided by the weights into A: A[1:, 1:] goes into a C-ordered
+    (n - 1, n - 1) array, which the OperatorSet factors in place, and
+    row 0 and column 0 of A into vectors.  So V never exists as a full
+    array, and apart from W and that array only block-sized arrays are
+    allocated.  Returns W, A[1:, 1:], A[0] and A[:, 0].
     """
-    W = np.empty((mesh.n, mesh.n))
-    for c, nc in enumerate(mesh.n_per_comp):
-        sl = mesh.component_slice(c)
-        correction = _circulant(_log_correction(nc))
-        scale = (0.25 / np.pi) * mesh.speed[sl]
-        for lo, hi, r2, nd, _ in _pair_blocks(mesh.x, mesh.x, mesh.normal, sl.start, sl.stop):
-            b, first = hi - lo, lo - sl.start  # first: the block's first node on its curve
-            rows = np.arange(b)
-            r2[rows, lo + rows] = mesh.speed[lo:hi] ** 2
+    n = mesh.n
+    W, inner = np.empty((n, n)), np.empty((n - 1, n - 1))
+    row, col = np.empty(n), np.empty(n)
+    for c in range(mesh.n_components):
+        _assemble_curve(mesh, mesh.component_slice(c), W, inner, row, col)
+    return W, inner, row, col
 
-            Wb = np.multiply(2.0 * np.pi, r2, out=W[lo:hi])
-            np.divide(nd, Wb, out=Wb)
-            np.negative(Wb, out=Wb)
-            Wb[rows, lo + rows] = mesh.curvature[lo:hi] / (4.0 * np.pi)
-            Wb *= mesh.weights
 
-            Vb = np.multiply(np.log(r2, out=r2), 0.25 / np.pi, out=V[lo:hi])
-            Vb *= mesh.weights
-            Vb[:, sl] += correction[first:first + b] * scale
-    return V, W
+def _assemble_curve(mesh, sl, W, inner, row, col):
+    """The rows sl, one curve's, of _assemble's outputs.
+
+    A function of its own, so that one curve's block arrays are freed
+    before the next curve's are allocated.
+    """
+    w = mesh.weights
+    correction = _circulant(_log_correction(sl.stop - sl.start))
+    scale = (0.25 / np.pi) * mesh.speed[sl]
+    for lo, hi, r2, nd, _ in _pair_blocks(mesh.x, mesh.x, mesh.normal, sl.start, sl.stop):
+        b, first = hi - lo, lo - sl.start  # first: the block's first node on its curve
+        rows = np.arange(b)
+        r2[rows, lo + rows] = mesh.speed[lo:hi] ** 2
+
+        Wb = np.multiply(2.0 * np.pi, r2, out=W[lo:hi])
+        np.divide(nd, Wb, out=Wb)
+        np.negative(Wb, out=Wb)
+        Wb[rows, lo + rows] = mesh.curvature[lo:hi] / (4.0 * np.pi)
+        Wb *= w
+
+        Vb = np.log(r2, out=r2)
+        Vb *= 0.25 / np.pi
+        Vb *= w
+        Vb[:, sl] += correction[first:first + b] * scale
+        np.divide(Vb[:, 0], w[0], out=col[lo:hi])
+        skip = lo == 0  # row 0 of A is a vector of its own
+        if skip:
+            np.divide(Vb[0], w, out=row)
+        np.divide(Vb[skip:, 1:], w[1:], out=inner[lo + skip - 1:hi - 1])
 
 
 def _checked_W(mesh, W):
@@ -181,51 +209,62 @@ def _reflect(x):
     return out
 
 
-def _projected_cholesky(V, w):
-    """Cholesky factor of T = -(H A H)[1:, 1:] with A = V D^-1, and row 0 of H A H.
+def _projected_cholesky(inner, row, col, a1):
+    """Cholesky factor L of T = -(H A H)[1:, 1:], L_ii - T_ii, u[1:] and row 0 of H A H.
 
-    With p = beta A v and u = p - (beta v^T p / 2) v, H A H = A - u v^T - v u^T;
-    as v[1:] = 1, T[i, j] = u_i + u_j - A[i, j] over i, j >= 1.  T is built
-    in a C-ordered array whose transpose, F-ordered, dpotrf factors in place
-    (its lower triangle reads T's upper one, equal to rounding).
+    inner is A[1:, 1:], C-ordered, row and col are row 0 and column 0 of A,
+    and a1 is A 1.  With p = beta A v and u = p - (beta v^T p / 2) v,
+    H A H = A - u v^T - v u^T; as v[1:] = 1, T[i, j] = u_i + u_j - A[i, j]
+    over i, j >= 1.  T overwrites inner, whose transpose, F-ordered, dpotrf
+    factors in place: its lower triangle reads T's upper one, equal to
+    rounding.  clean=0 leaves T's strict lower triangle in the factor's
+    strict upper one, from which OperatorSet.single_layer applies A.
     """
-    n = V.shape[0]
+    n = row.size
     root = np.sqrt(n)
     beta = 1.0 / (n + root)
     v = np.ones(n)
     v[0] += root
-    p = beta * (V @ (v / w))
+    p = beta * (a1 + root * col)
     u = p - (0.5 * beta * (v @ p)) * v
-    row0 = V[0] / w - u[0] * v - v[0] * u
-    T = np.divide(V[1:, 1:], w[1:], out=np.empty((n - 1, n - 1)))
-    np.subtract(u[1:, None], T, out=T)
-    T += u[1:]
-    factor, info = dpotrf(T.T, lower=1, clean=0, overwrite_a=1)
+    row0 = row - u[0] * v - v[0] * u
+    np.subtract(u[1:, None], inner, out=inner)
+    inner += u[1:]
+    diag = inner.diagonal().copy()
+    factor, info = dpotrf(inner.T, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise SingularSystem(f"single-layer system is not definite: leading minor {info} "
                              f"of its projected {n - 1} x {n - 1} block is not positive")
-    return factor, row0
+    return factor, np.diagonal(factor) - diag, u[1:], row0
 
 
 class OperatorSet:
     """All dense operators for one mesh, assembled once and shared.
 
-    The only state is V, W, the Cholesky factor of T and row 0 of H A H
-    (see the module docstring), and the value-at-infinity functional q,
-    the last row of the bordered inverse.  Wt is applied from W, and the
-    Dirichlet-to-Neumann maps and their weighted transposes through the
-    factor by dtn and rep, one solve each; none of them is stored.
+    The state is W, the Cholesky factor L of T, and vectors: L_ii - T_ii,
+    u[1:], row 0 of A and its column 0 below row 0, row 0 of H A H (see
+    the module docstring and _projected_cholesky), and the
+    value-at-infinity functional q, the last row of the bordered inverse.
+    W and the factor are the only arrays of size n^2.  V is applied by
+    single_layer from the factor's array, whose other triangle still holds
+    T, and written out in full only on request, by single_layer_matrix.
+    Wt is applied from W, and the Dirichlet-to-Neumann maps and their
+    weighted transposes through the factor by dtn and rep, one solve each;
+    none of them is stored.
     """
 
     def __init__(self, mesh):
         self.n = n = mesh.n
-        self.weights = w = mesh.weights
-        self.V, W = _assemble(mesh, np.empty((n, n)))
+        self.weights = mesh.weights
+        W, inner, self._a_row, col = _assemble(mesh)
         self.W = _checked_W(mesh, W)
-        self._factor, self._row0 = _projected_cholesky(self.V, w)
+        self._a_col = col[1:]
+        a1 = np.append(self._a_row.sum(), inner @ np.ones(n - 1) + self._a_col)
+        self._factor, self._gap, self._u, self._row0 = _projected_cholesky(
+            inner, self._a_row, col, a1)
         # q is the y of A y + c = 0 with sum(y) = 1: y = 1/n + y0 with mass-free
         # y0, and A 1 = V D^-1 1
-        self.q = self._solve(-(self.V @ (1.0 / w)) / n)[0] + 1.0 / n
+        self.q = self._solve(-a1 / n)[0] + 1.0 / n
 
     def _solve(self, g):
         """(y, c) with A y + c = g and sum(y) = 0, for g a grid function or an (n, k) block.
@@ -262,9 +301,64 @@ class OperatorSet:
         return eta, float(c)
 
     def _wt(self, x):
-        """Wt x for a grid function or an (n, k) block, without forming Wt."""
-        w = self.weights if x.ndim == 1 else self.weights[:, None]
-        return (self.W.T @ (w * x)) / w
+        """Wt x for a grid function or an (n, k) block, without forming Wt.
+
+        A block is multiplied from the left of W, as ((D x)^T W)^T: OpenBLAS
+        runs the thin product W^T (D x) several times slower.
+        """
+        if x.ndim == 1:
+            return (self.W.T @ (self.weights * x)) / self.weights
+        w = self.weights[:, None]
+        return ((w * x).T @ self.W).T / w
+
+    def single_layer(self, x):
+        """V x for a grid function or an (n, k) block of them, without forming V.
+
+        V x = A y with y = D x, and over rows and columns 1..n-1,
+        A_ij = u_i + u_j - T_ij.  So A y is one dsymv on the strict upper
+        triangle of the factor's array, which holds T, less (L_ii - T_ii) y_i
+        for the factor's diagonal; two rank-one terms in u; and row 0 and
+        column 0 of A.  dsymv is handed the F-ordered factor itself, which
+        it reads without a copy, and a block takes one dsymv per column.
+        """
+        x = _check_aligned(self, x, block=True)
+        if x.ndim == 2:
+            out = np.empty(x.shape, order="F")
+            for j, column in enumerate(x.T):
+                out[:, j] = self.single_layer(column)
+            return out
+        y = self.weights * x
+        tail = y[1:]
+        out = np.empty(self.n)
+        out[0] = self._a_row @ y
+        rest = np.multiply(tail, self._gap, out=out[1:])
+        rest += y[0] * self._a_col + tail.sum() * self._u
+        rest += tail @ self._u
+        out[1:] = dsymv(-1.0, self._factor, tail, beta=1.0, y=rest, overwrite_y=1)
+        return out
+
+    def single_layer_matrix(self, out):
+        """V written into out, an (n, n) array, and returned; rebuilt on every call.
+
+        The OperatorSet holds V only inside the factor's array; this spells
+        it out, as single_layer applies it: T from the factor's strict upper
+        triangle and its diagonal from L_ii, A[1:, 1:] = u_i + u_j - T_ij,
+        row 0 and column 0 of A, and V = A D.
+        """
+        inner = out[1:, 1:]
+        inner[...] = self._factor.T  # T below the diagonal, the factor above
+        for lo in range(0, self.n - 1, 64):  # mirror T above, 64 rows at a time
+            hi = lo + 64
+            tile = inner[lo:hi, lo:hi]
+            tile[...] = np.tril(tile) + np.tril(tile, -1).T
+            inner[lo:hi, hi:] = inner[hi:, lo:hi].T
+        np.fill_diagonal(inner, np.diagonal(self._factor) - self._gap)
+        np.subtract(self._u[:, None], inner, out=inner)
+        inner += self._u
+        out[0] = self._a_row
+        out[1:, 0] = self._a_col
+        out *= self.weights
+        return out
 
     def dtn(self, side, v):
         """The side's Dirichlet-to-Neumann map (-1/2 I + sign Wt) R applied to v.

@@ -49,7 +49,7 @@ def eval_double_layer(mesh, psi, points):
 
 def trace_single(mesh, mu):
     """Boundary trace of the single layer (shared by both sides)."""
-    return operator_set(mesh).V @ _check_aligned(mesh, mu)
+    return operator_set(mesh).single_layer(mu)
 
 
 def trace_double(mesh, psi, side):

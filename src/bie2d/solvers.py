@@ -93,7 +93,7 @@ def _dirichlet(mesh, g, region):
     g = _datum(mesh, g)
     ops = operator_set(mesh)
     eta, c = ops.harmonic_density(g)
-    resid = float(np.max(np.abs(ops.V @ eta + c - g)))
+    resid = float(np.max(np.abs(ops.single_layer(eta) + c - g)))
     if resid > 1e-7 * max(1.0, float(np.max(np.abs(g)))):
         raise SingularSystem(f"boundary residual {resid:.3e} of the Dirichlet solve")
     fld = HarmonicField(mesh, [("single", eta)], constant=c, region=region)
@@ -289,7 +289,7 @@ def _neumann(mesh, g, region):
                 f"exterior Neumann density carries mass {phi_mass:.3e}"
             )
     fld = HarmonicField(mesh, [("single", phi)], region=region)
-    trace = ops.V @ phi
+    trace = ops.single_layer(phi)
     # rep(side, V phi) = sign (shift I + Wt) phi
     check = np.max(np.abs(ops.rep(side.name, trace) - side.sign * A_phi))
     residuals = {"equation": resid, "neumann_identity": float(check)}
@@ -454,7 +454,7 @@ def _via_decomposition(mesh, g, side):
         if exterior and np.linalg.norm(wp) >= 1e-12:
             _, _, vt = np.linalg.svd(wp[None, :])
             P = P @ vt[1:].T
-        A = ops.V @ P
+        A = ops.single_layer(P)
         if exterior:
             A = np.column_stack([A, np.ones(mesh.n)])
         coeff, _, _, _ = np.linalg.lstsq(A, g_ker, rcond=1e-10)
@@ -558,7 +558,7 @@ def transpose_kernel_pair_basis(mesh, op_kind, jmap=None):
     """
     side, _ = _op_kind(op_kind, ("Wt",))
     ops = operator_set(mesh)
-    v1 = ops.V @ np.ones(mesh.n)
+    v1 = ops.single_layer(np.ones(mesh.n))
     correction = ops.W @ v1 - 0.5 * v1
     # the transpose of the J-coordinate matrix of shift I + Wt, Fortran-ordered
     Mt = ops.W.T.copy(order="K")

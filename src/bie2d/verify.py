@@ -204,7 +204,7 @@ def check_plemelj_classical(mesh, rng, cache):
     res = 0.0
     for _ in range(20):
         f = cache.density(rng)
-        res = max(res, _sup(ops.V @ ops._wt(f) - ops.W @ (ops.V @ f)))
+        res = max(res, _sup(ops.single_layer(ops._wt(f)) - ops.W @ ops.single_layer(f)))
     return res
 
 
@@ -230,7 +230,7 @@ def check_plemelj_distributional(mesh, rng, cache):
 
 def check_jump_single(mesh, rng, cache):
     mu = cache.density(rng, zero_mean=True)
-    trace = operator_set(mesh).V @ mu
+    trace = operator_set(mesh).single_layer(mu)
     res = 0.0
     for side in _SIDES:
         pts = cache.probes(side.region)
@@ -305,7 +305,7 @@ def check_vst_identities(mesh, rng, cache):
         mu = cache.density(rng)
         for side in _SIDES:
             closed = V_of_distribution(PairDistribution(side.name, zero, mu, mesh))
-            res = max(res, _sup(ops.V @ ops.rep(side.name, mu) - closed))
+            res = max(res, _sup(ops.single_layer(ops.rep(side.name, mu)) - closed))
     return res
 
 
@@ -314,7 +314,7 @@ def check_symmetry(mesh, rng, cache):
     res = 0.0
     for tau in _seeded_pairs(cache, rng, 10):
         psi = cache.density(rng)
-        lhs = dist_pairing(tau, ops.V @ psi)
+        lhs = dist_pairing(tau, ops.single_layer(psi))
         rhs = pairing(mesh, V_of_distribution(tau), psi)
         res = max(res, abs(lhs - rhs))
     return res

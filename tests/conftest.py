@@ -76,7 +76,7 @@ class BorderedLU:
         ops = operator_set(mesh)
         self.n, self.weights, self.W = mesh.n, mesh.weights, ops.W
         B = np.zeros((self.n + 1, self.n + 1))
-        B[:self.n, :self.n] = ops.V
+        ops.single_layer_matrix(B[:self.n, :self.n])
         B[:self.n, self.n] = 1.0
         B[self.n, :self.n] = self.weights
         self.factors = lu_factor(B)
@@ -166,7 +166,7 @@ def svd_pair_basis(mesh, op_kind, jmap=None):
 
     side, _ = _OP_KINDS[op_kind]
     ops = operator_set(mesh)
-    v1 = ops.V @ np.ones(mesh.n)
+    v1 = ops.single_layer(np.ones(mesh.n))
     M = ops.W + side.shift * np.eye(mesh.n) + np.outer(ops.W @ v1 - 0.5 * v1, ops.q)
     _, sv, vt = np.linalg.svd(M)
     dim = int(np.sum(sv < 1e-10 * sv[0]))
@@ -183,9 +183,9 @@ def negated_single_layer(monkeypatch):
 
     assemble = operators._assemble
 
-    def negated(mesh, V):
-        V, W = assemble(mesh, V)
-        return np.negative(V, out=V), W
+    def negated(mesh):
+        W, *single_layer = assemble(mesh)  # A = V D^-1 as A[1:, 1:], A[0] and A[:, 0]
+        return W, *(np.negative(part, out=part) for part in single_layer)
 
     monkeypatch.setattr(operators, "_assemble", negated)
 

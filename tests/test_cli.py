@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest

@@ -62,13 +62,13 @@ def test_v_of_distribution(disk128, rng):
     mesh = disk128
     ops = operator_set(mesh)
     f = seeded_density(mesh, rng)
-    assert np.allclose(V_of_distribution(grid_pair(mesh, f)), ops.V @ f)
+    assert np.allclose(V_of_distribution(grid_pair(mesh, f)), ops.single_layer(f))
     tau = PairDistribution("plus", np.zeros(mesh.n), np.ones(mesh.n), mesh)
     assert np.max(np.abs(V_of_distribution(tau))) < 1e-10
     tau = PairDistribution("plus", np.zeros(mesh.n), np.cos(mesh.t), mesh)
     trace = V_of_distribution(tau)
     assert np.max(np.abs(trace + 0.5 * np.cos(mesh.t))) < 1e-8
-    cross = ops.V @ to_grid_representer(tau)
+    cross = ops.single_layer(to_grid_representer(tau))
     assert np.max(np.abs(trace - cross)) < 1e-6
 
 
@@ -77,11 +77,11 @@ def test_closed_trace_identities(ellipse, rng):
     for _ in range(5):
         mu = seeded_density(ellipse, rng)
         plus = PairDistribution("plus", np.zeros(ellipse.n), mu, ellipse)
-        lhs = ops.V @ to_grid_representer(plus)
+        lhs = ops.single_layer(to_grid_representer(plus))
         rhs = -0.5 * mu + ops.W @ mu
         assert np.max(np.abs(lhs - rhs)) < 1e-6
         minus = PairDistribution("minus", np.zeros(ellipse.n), mu, ellipse)
-        lhs = ops.V @ to_grid_representer(minus)
+        lhs = ops.single_layer(to_grid_representer(minus))
         rhs = -0.5 * mu - ops.W @ mu + float(ops.q @ mu)
         assert np.max(np.abs(lhs - rhs)) < 1e-6
 
@@ -128,7 +128,7 @@ def test_wt_on_distribution(disk128, rng):
     mesh = disk128
     ops = operator_set(mesh)
     # circle: the mass-correction term vanishes identically
-    v1 = ops.V @ np.ones(mesh.n)
+    v1 = ops.single_layer(np.ones(mesh.n))
     assert np.max(np.abs(ops.W @ v1 - 0.5 * v1)) < 1e-10
     one = grid_pair(mesh, np.ones(mesh.n))
     out = Wt_on_distribution(one)
@@ -215,7 +215,7 @@ def test_symmetry_condition(ellipse, rng):
             side, seeded_density(ellipse, rng), seeded_density(ellipse, rng), ellipse
         )
         psi = seeded_density(ellipse, rng)
-        lhs = dist_pairing(tau, ops.V @ psi)
+        lhs = dist_pairing(tau, ops.single_layer(psi))
         rhs = pairing(ellipse, V_of_distribution(tau), psi)
         assert abs(lhs - rhs) < 1e-6
 
@@ -331,7 +331,8 @@ def _stacked_j_forward_matrix(mesh, side):
     ops = operator_set(mesh)
     n, ones = mesh.n, np.ones(mesh.n)
     length = integrate(mesh, ones)
-    A0 = ops.V - np.outer(ops.V @ ones - ones, mesh.weights / length)
+    V = ops.single_layer_matrix(np.empty((n, n)))
+    A0 = V - np.outer(ops.single_layer(ones) - ones, mesh.weights / length)
     A1 = -0.5 * np.eye(n) + (1.0 if side == "plus" else -1.0) * ops.W
     if side == "minus":
         A1 += np.outer(ones, ops.q)

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from bie2d.errors import LengthMismatch, OutOfRange, SingularSystem
 from bie2d.geometry import CurveSpec, _TargetBlocks, build_mesh, pairing, stock_mesh
-from bie2d.operators import OperatorSet, _log_correction, operator_set
+from bie2d.operators import OperatorSet, _assemble, _log_correction, operator_set
 from bie2d.potentials import trace_single
 
 
@@ -67,17 +67,17 @@ def test_single_layer_circle_modes(a, k):
     assert abs(eigval + a / (2 * k)) < 1e-10
     mesh = circle_mesh(a, 128)
     f = np.cos(k * mesh.t)
-    V = operator_set(mesh).V
-    assert np.max(np.abs(V @ f - eigval * f)) < 1e-8
+    V = operator_set(mesh).single_layer
+    assert np.max(np.abs(V(f) - eigval * f)) < 1e-8
 
 
 def test_single_layer_circle_constants():
     mesh = circle_mesh(1.0, 64)
-    V = operator_set(mesh).V
-    assert np.max(np.abs(V @ np.ones(64))) < 1e-10
+    V = operator_set(mesh).single_layer
+    assert np.max(np.abs(V(np.ones(64)))) < 1e-10
     mesh = circle_mesh(2.0, 64)
-    V = operator_set(mesh).V
-    assert np.max(np.abs(V @ np.ones(64) - 2 * np.log(2.0))) < 1e-10
+    V = operator_set(mesh).single_layer
+    assert np.max(np.abs(V(np.ones(64)) - 2 * np.log(2.0))) < 1e-10
 
 
 def test_w_of_one_is_half(disk, ellipse, annulus, kite):
@@ -104,10 +104,10 @@ def test_wt_duality_exact(ellipse, rng):
 
 
 def test_v_symmetry(kite, rng):
-    V = operator_set(kite).V
+    V = operator_set(kite).single_layer
     f = rng.standard_normal(kite.n)
     g = rng.standard_normal(kite.n)
-    assert abs(pairing(kite, V @ f, g) - pairing(kite, f, V @ g)) < 1e-8
+    assert abs(pairing(kite, V(f), g) - pairing(kite, f, V(g))) < 1e-8
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
@@ -146,7 +146,7 @@ def test_plemelj_symmetrization(disk, ellipse, kite, rng):
         ops, Wt = operator_set(mesh), dense_wt(mesh)
         for _ in range(5):
             f = seeded_density(mesh, rng)
-            res = np.max(np.abs(ops.V @ (Wt @ f) - ops.W @ (ops.V @ f)))
+            res = np.max(np.abs(ops.single_layer(Wt @ f) - ops.W @ ops.single_layer(f)))
             assert res < 1e-7
 
 
@@ -170,7 +170,7 @@ def test_spectral_convergence_of_w_identity():
 
 def test_operator_matrix_kind_tags(disk128):
     ops = operator_set(disk128)
-    assert np.all(np.isfinite(ops.V))
+    assert np.all(np.isfinite(ops.single_layer_matrix(np.empty((ops.n, ops.n)))))
     assert np.all(np.isfinite(ops.W))
 
 
@@ -218,8 +218,9 @@ def test_operator_set_holds_only_its_factors():
     n = mesh.n
     ops = operator_set(mesh)
     held = _held_bytes(ops)
-    assert set(held) == {"V", "W", "q", "weights", "_factor", "_row0"}
-    assert sum(held.values()) <= 8 * (2 * n**2 + (n + 1) ** 2) + 64 * (n + 1)
+    assert set(held) == {"W", "q", "weights", "_factor", "_gap", "_u", "_a_row", "_a_col",
+                         "_row0"}
+    assert sum(held.values()) <= 8 * (n**2 + (n + 1) ** 2) + 64 * (n + 1)
 
     g = np.cos(mesh.t)  # no flux through any component of either side
     neumann_interior(mesh, g)
@@ -247,13 +248,15 @@ def test_rep_is_the_weighted_transpose_of_the_dense_map(annulus, kite, rng, side
 
 
 def test_dtn_applies_blocks_and_checks_its_input(ellipse, rng):
+    # a block applies Wt as ((D x)^T W)^T, a grid function as W^T (D x)
     ops = operator_set(ellipse)
     block = rng.standard_normal((ellipse.n, 3))
     for side in ("plus", "minus"):
-        out = ops.dtn(side, block)
-        for j in range(3):
-            col = ops.dtn(side, block[:, j])
-            assert np.max(np.abs(out[:, j] - col)) <= 1e-12 * np.max(np.abs(col))
+        for apply in (ops.dtn, ops.rep):
+            out = apply(side, block)
+            for j in range(3):
+                col = apply(side, block[:, j])
+                assert np.max(np.abs(out[:, j] - col)) <= 1e-14 * np.max(np.abs(col))
     for apply in (ops.dtn, ops.rep):
         with pytest.raises(OutOfRange):
             apply("sideways", block[:, 0])
@@ -387,13 +390,22 @@ def _sin_log_V(mesh):
     return V
 
 
-@pytest.mark.parametrize("name, n", [
-    ("disk", 64), ("disk", 1024), ("disk2", 128), ("ellipse", 256), ("kite", 512),
-    ("annulus", 384), ("two-disks", 128),
-])
+def _assembled_V(mesh):
+    """V from what _assemble writes: A = V D^-1 as A[1:, 1:], A[0] and A[:, 0], times D."""
+    _, inner, row, col = _assemble(mesh)
+    A = np.empty((mesh.n, mesh.n))
+    A[0], A[1:, 0], A[1:, 1:] = row, col[1:], inner
+    return A * mesh.weights
+
+
+_SEVEN_MESHES = [("disk", 64), ("disk", 1024), ("disk2", 128), ("ellipse", 256), ("kite", 512),
+                 ("annulus", 384), ("two-disks", 128)]
+
+
+@pytest.mark.parametrize("name, n", _SEVEN_MESHES)
 def test_single_layer_matches_the_sin_log_split(name, n):
     mesh = stock_mesh(name, n)
-    assert np.max(np.abs(operator_set(mesh).V - _sin_log_V(mesh))) <= 1e-15
+    assert np.max(np.abs(_assembled_V(mesh) - _sin_log_V(mesh))) <= 1e-15
 
 
 @pytest.mark.parametrize("nc", [16, 18, 64, 250, 1024, 2048])
@@ -415,12 +427,19 @@ def test_log_correction_allocates_no_table():
     assert peak <= 2**20
 
 
+def _assembly_is(mesh, V, W):
+    """Whether _assemble and the OperatorSet write W, and A = V D^-1 by its parts, bit for bit."""
+    w = mesh.weights
+    W_out, inner, row, col = _assemble(mesh)
+    return (np.array_equal(W_out, W) and np.array_equal(OperatorSet(mesh).W, W)
+            and np.array_equal(inner, V[1:, 1:] / w[1:])
+            and np.array_equal(row, V[0] / w) and np.array_equal(col, V[:, 0] / w[0]))
+
+
 @pytest.mark.parametrize("name", ["disk", "ellipse", "annulus", "kite", "two-disks"])
 def test_shared_pass_matches_separate_assembly(name):
     mesh = stock_mesh(name, 64)
-    V, W = _separate_assembly(mesh)
-    ops = operator_set(mesh)
-    assert np.array_equal(ops.V, V) and np.array_equal(ops.W, W)
+    assert _assembly_is(mesh, *_separate_assembly(mesh))
 
 
 @pytest.mark.parametrize("name", ["disk", "ellipse", "annulus", "kite", "two-disks"])
@@ -428,14 +447,12 @@ def test_assembly_in_ragged_blocks_matches_separate_assembly(monkeypatch, name):
     mesh = stock_mesh(name, 64)
     # blocks of 3 rows, and of 4 rows where the 64 rows of a curve end
     rows_per_block(monkeypatch, 3)
-    V, W = _separate_assembly(mesh)
-    ops = operator_set(mesh)
-    assert np.array_equal(ops.V, V) and np.array_equal(ops.W, W)
+    assert _assembly_is(mesh, *_separate_assembly(mesh))
 
 
-def test_operator_set_build_allocates_three_bordered_sized_arrays():
-    # the bordered matrix holding V, W and the LU factors; the assembly
-    # itself allocates only block-sized arrays besides
+def test_operator_set_build_allocates_two_bordered_sized_arrays():
+    # W and the array in which the single layer is assembled and factored;
+    # the assembly itself allocates only block-sized arrays besides
     mesh = stock_mesh("annulus", 512)
     n = mesh.n
     tracemalloc.start()
@@ -444,4 +461,36 @@ def test_operator_set_build_allocates_three_bordered_sized_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 8 * (n + 1) ** 2 + 4 * 2**20
+    assert peak <= 2 * 8 * (n + 1) ** 2 + 4 * 2**20
+
+
+@pytest.mark.parametrize("name, n", _SEVEN_MESHES)
+def test_single_layer_products_match_the_assembled_V(name, n, rng):
+    # V lives only in the factor's array; A is symmetric to rounding, so its
+    # products move in their trailing digits
+    mesh = stock_mesh(name, n)
+    ops, V = operator_set(mesh), _assembled_V(mesh)
+    x, block = rng.standard_normal(mesh.n), rng.standard_normal((mesh.n, 3))
+    assert _relative(ops.single_layer(x), V @ x) <= 1e-14
+    assert _relative(ops.single_layer(block), V @ block) <= 1e-14
+    assert ops.single_layer(block[:, :0]).shape == (mesh.n, 0)
+    dense = ops.single_layer_matrix(np.empty_like(V))
+    assert _relative(dense @ x, ops.single_layer(x)) <= 1e-14
+    # both triangles of the dense V come from one of A's, symmetric to about 1e-14
+    assert _relative(dense, V) <= 2e-14
+    with pytest.raises(LengthMismatch):
+        ops.single_layer(np.ones(mesh.n + 1))
+
+
+def test_single_layer_product_copies_no_factor():
+    # a copy of the (n - 1)^2 factor, as f2py makes of an array of another
+    # layout, would take 32 MiB here
+    ops = operator_set(stock_mesh("disk", 2048))
+    x = np.cos(np.arange(ops.n))
+    tracemalloc.start()
+    try:
+        ops.single_layer(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

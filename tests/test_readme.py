@@ -70,7 +70,7 @@ def test_readme_removed_names_are_gone():
             "HarmonicField.single_layer_mass"} <= set(gone)
     assert {"J_inverse", "locate_point", "kernel_coincidence_angle", "DistRep", "cli.GridSpec",
             "cli.read_field_csv", "check_third_green_interior",
-            "check_third_green_exterior"} <= set(gone)
+            "check_third_green_exterior", "OperatorSet.V"} <= set(gone)
     assert [name for name in gone if _resolves(name)] == []
 
 

@@ -789,7 +789,7 @@ def test_svd_inputs_are_shift_plus_w_bit_for_bit(monkeypatch, name):
 
     monkeypatch.setattr(np.linalg, "svd", recorded(np.linalg.svd))
     monkeypatch.setattr(solvers, "qr", recorded(solvers.qr))
-    v1 = ops.V @ np.ones(mesh.n)
+    v1 = ops.single_layer(np.ones(mesh.n))
     rank_one = np.outer(ops.W @ v1 - 0.5 * v1, ops.q)
     for kind, (side, _) in solvers._OP_KINDS.items():
         expected = side.shift * np.eye(mesh.n) + ops.W
