@@ -16,14 +16,16 @@ operators point back at the mesh, so a dropped mesh is freed by reference
 counting alone.
 
 Pairwise geometry between the nodes and a set of target points is
-computed in one pass (_TargetBlocks): the squared distances and the normal
-components of the offsets.  The near-boundary band check, point location
-and both layer kernels read that one pass.  Every pairwise pass, this one,
-the node-separation check and the operator assembly, iterates one walker,
-_pair_blocks: it takes the rows in blocks of about _BLOCK_PAIRS pairs and
-reuses one set of block arrays, so no array over all pairs is ever
-allocated.  A point off the band is located by its nearest node
-(locate_points).
+computed in one pass (_TargetBlocks), of the squared distances alone.  The
+near-boundary band check, point location and the single-layer kernel read
+those; the normal components of the offsets are built, from the offsets
+the pass keeps, only when a double-layer kernel reads them.  Every pairwise
+pass, this one, the node-separation check and the operator assembly, which
+builds the normal components at once, iterates one walker, _pair_blocks:
+it takes the rows in blocks of about _BLOCK_PAIRS pairs and reuses one set
+of block arrays, so no array over all pairs is ever allocated.  A point off
+the band is located by its nearest node alone (locate_points): one normal
+component per point tells its side.
 """
 
 import math
@@ -344,46 +346,56 @@ def _row_blocks(start, stop, n):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _pair_geometry(targets, nodes, normals, out):
-    """r2 = |x - y|^2 and, given the normals, nd = nu(y) . (x - y), written into out.
+def _pair_geometry(targets, nodes, out):
+    """r2 = |x - y|^2 written into out, which keeps the offsets d = x - y.
 
-    out is four (m, n) arrays: r2, nd (unused without normals) and two
-    scratch arrays.  With d = x - y, r2 = d_x d_x + d_y d_y and
-    nd = d_y nu_y + d_x nu_x, and no array is allocated.
+    out is four (m, n) arrays: r2, d_x, d_y and one scratch array.  r2 =
+    d_x d_x + d_y d_y takes five elementwise passes and allocates nothing;
+    d_x and d_y are left for _normal_offsets.
     """
-    r2, nd, dx, dy = out
+    r2, dx, dy, scratch = out
     np.subtract(targets[:, 0, None], nodes[None, :, 0], out=dx)
     np.subtract(targets[:, 1, None], nodes[None, :, 1], out=dy)
     np.multiply(dx, dx, out=r2)
-    if normals is not None:
-        np.multiply(dy, normals[:, 1], out=nd)
-        dx *= normals[:, 0]
-        nd += dx
-    dy *= dy
-    r2 += dy
-    return r2, nd
+    r2 += np.multiply(dy, dy, out=scratch)
+    return r2
+
+
+def _normal_offsets(dx, dy, normals):
+    """nd = nu(y) . (x - y) = d_y nu_y + d_x nu_x, written over d_x; d_y is scratch after."""
+    dy *= normals[:, 1]
+    dx *= normals[:, 0]
+    dx += dy
+    return dx
 
 
 def _pair_blocks(targets, nodes, normals, start, stop):
     """(lo, hi, r2, nd, scratch) of each block of the rows start..stop of targets.
 
-    r2 and nd are _pair_geometry of targets[lo:hi] against nodes (nd is
-    unset without normals), and scratch holds two more arrays of their
-    shape.  The blocks are _row_blocks, and all of them share one set of
-    arrays, so a block's arrays are overwritten by the next block.
+    r2 is _pair_geometry of targets[lo:hi] against nodes.  Given normals,
+    nd is _normal_offsets and scratch holds two more arrays of r2's shape.
+    Without them nd is None and scratch holds three: the offsets d_x and
+    d_y, left for nd to be built from later, and one more.  The blocks are
+    _row_blocks, and all of them share one set of arrays, so a block's
+    arrays are overwritten by the next block.
     """
     blocks = _row_blocks(start, stop, nodes.shape[0])
     arrays = np.empty((4, max((hi - lo for lo, hi in blocks), default=0), nodes.shape[0]))
     for lo, hi in blocks:
         out = arrays[:, : hi - lo]
-        r2, nd = _pair_geometry(targets[lo:hi], nodes, normals, out)
-        yield lo, hi, r2, nd, out[2:]
+        r2 = _pair_geometry(targets[lo:hi], nodes, out)
+        if normals is None:
+            yield lo, hi, r2, None, out[1:]
+        else:
+            yield lo, hi, r2, _normal_offsets(out[1], out[2], normals), out[2:]
 
 
 def _check_node_separation(mesh):
     # cross-component disjointness and a cheap self-intersection screen:
     # a simple closed C^1 curve has turning number +-1, and nodes that are
-    # several steps apart along the curve cannot nearly coincide
+    # several steps apart along the curve cannot nearly coincide.  Each
+    # pairwise pass is a function of its own, so that one pass's block
+    # arrays are freed before the next pass allocates its own.
     scale = max(1.0, float(np.max(np.abs(mesh.x))))
     for c in range(mesh.n_components):
         sl = mesh.component_slice(c)
@@ -392,34 +404,44 @@ def _check_node_separation(mesh):
             raise InvalidGeometry(
                 f"curve {c} is not simple (turning number {turning:.3f})"
             )
-        xc = mesh.x[sl]
-        wc = mesh.weights[sl]
-        nc = xc.shape[0]
-        # only pairs closer than half the largest spacing can fail the test
-        # d < 0.25 (w_i + w_j) / 2, so they are screened first
-        screen = (0.5 * float(np.max(wc))) ** 2
-        for lo, _, r2, _, _ in _pair_blocks(xc, xc, None, 0, nc):
-            i, j = np.nonzero(r2 < screen)
-            ring = np.abs(i + lo - j)
-            ring = np.minimum(ring, nc - ring)
-            close = np.sqrt(r2[i, j]) < 0.25 * (0.5 * (wc[i + lo] + wc[j]))
-            if np.any((ring >= 4) & close):
-                raise InvalidGeometry(
-                    f"curve {c} self-intersects (distant nodes nearly coincide)"
-                )
+        if _distant_nodes_coincide(mesh.x[sl], mesh.weights[sl]):
+            raise InvalidGeometry(
+                f"curve {c} self-intersects (distant nodes nearly coincide)"
+            )
         for c2 in range(c + 1, mesh.n_components):
             sl2 = mesh.component_slice(c2)
-            # the first closest pair in row order, as one argmin over all pairs finds it
-            gap2, i, j = np.inf, 0, 0
-            for lo, _, r2, _, _ in _pair_blocks(xc, mesh.x[sl2], None, 0, nc):
-                k = int(np.argmin(r2))
-                if r2.flat[k] < gap2:
-                    gap2, (i, j) = float(r2.flat[k]), divmod(k, r2.shape[1])
-                    i += lo
-            gap = math.sqrt(gap2)
+            gap, i, j = _closest_pair(mesh.x[sl], mesh.x[sl2])
             if gap <= 1e-9 * scale:
                 raise InvalidGeometry(f"curves {c} and {c2} are not disjoint")
-            _check_gap_resolved(mesh, (c, c2), gap, (wc[i], mesh.weights[sl2][j]))
+            _check_gap_resolved(mesh, (c, c2), gap, (mesh.weights[sl][i], mesh.weights[sl2][j]))
+
+
+def _distant_nodes_coincide(xc, wc):
+    """Whether two nodes of a curve, four or more steps apart along it, nearly coincide."""
+    nc = xc.shape[0]
+    # only pairs closer than half the largest spacing can fail the test
+    # d < 0.25 (w_i + w_j) / 2, so they are screened first
+    screen = (0.5 * float(np.max(wc))) ** 2
+    for lo, _, r2, _, _ in _pair_blocks(xc, xc, None, 0, nc):
+        i, j = np.nonzero(r2 < screen)
+        ring = np.abs(i + lo - j)
+        ring = np.minimum(ring, nc - ring)
+        close = np.sqrt(r2[i, j]) < 0.25 * (0.5 * (wc[i + lo] + wc[j]))
+        if np.any((ring >= 4) & close):
+            return True
+    return False
+
+
+def _closest_pair(xa, xb):
+    """The distance between two node sets and the indices of their first
+    closest pair in row order, as one argmin over all pairs finds it."""
+    gap2, i, j = np.inf, 0, 0
+    for lo, _, r2, _, _ in _pair_blocks(xa, xb, None, 0, xa.shape[0]):
+        k = int(np.argmin(r2))
+        if r2.flat[k] < gap2:
+            gap2, (i, j) = float(r2.flat[k]), divmod(k, r2.shape[1])
+            i += lo
+    return math.sqrt(gap2), i, j
 
 
 # The trapezoid rule on one curve loses its accuracy at points of another
@@ -497,18 +519,22 @@ def pairing(mesh, f, g):
 class _Targets:
     """One block of a geometry pass: target points x against the n nodes y of a mesh.
 
-    r2 = |x - y|^2 and nd = nu(y) . (x - y) have one row per point;
-    nearest is each point's nearest node and dist its distance to it, both
-    found when first read, so a pass that neither checks nor locates its
-    points skips them.  The band check, point location and both layer
-    kernels read them.  A point off the band is located by its nearest node
-    alone: it lies outside the open set exactly when it is outward, on the
-    side the node's normal points to.  The kernels are written into the two
-    scratch arrays given.
+    r2 = |x - y|^2 has one row per point; nearest is each point's nearest
+    node and dist its distance to it, both found when first read, so a pass
+    that neither checks nor locates its points skips them.  nd = nu(y) .
+    (x - y) is built from the block's offsets only when first read, which
+    only the double-layer kernel does: a single-layer field, the band check
+    and point location read r2 alone.  A point off the band is located by
+    its nearest node alone: it lies outside the open set exactly when it is
+    outward, on the side the node's normal points to, which takes one
+    normal component per point.  scratch is the block's other arrays (see
+    _pair_blocks): the offsets d_x and d_y, which nd overwrites, and one
+    more, into which the single-layer kernel is written; the double-layer
+    kernel is written over d_y once nd is built.
     """
 
-    def __init__(self, mesh, r2, nd, scratch):
-        self.mesh, self.r2, self.nd, self._scratch = mesh, r2, nd, scratch
+    def __init__(self, mesh, points, r2, scratch):
+        self.mesh, self.points, self.r2, self._scratch = mesh, points, r2, scratch
 
     @cached_property
     def nearest(self):
@@ -519,21 +545,29 @@ class _Targets:
         return np.sqrt(self.r2[np.arange(self.r2.shape[0]), self.nearest])
 
     @cached_property
+    def nd(self):
+        dx, dy, _ = self._scratch
+        return _normal_offsets(dx, dy, self.mesh.normal)
+
+    @cached_property
     def single_kernel(self):
         """log|x - y| / (2 pi)"""
-        k = np.sqrt(self.r2, out=self._scratch[0])
+        k = np.sqrt(self.r2, out=self._scratch[2])
         return np.divide(np.log(k, out=k), 2.0 * np.pi, out=k)
 
     @cached_property
     def double_kernel(self):
         """-nu(y) . (x - y) / (2 pi |x - y|^2)"""
+        nd = self.nd
         k = np.multiply(2.0 * np.pi, self.r2, out=self._scratch[1])
-        return np.negative(np.divide(self.nd, k, out=k), out=k)
+        return np.negative(np.divide(nd, k, out=k), out=k)
 
     @property
     def outward(self):
         """Whether each point lies on the side its nearest node's normal points to."""
-        return self.nd[np.arange(self.nd.shape[0]), self.nearest] > 0
+        d = self.points - self.mesh.x[self.nearest]
+        nu = self.mesh.normal[self.nearest]
+        return d[:, 1] * nu[:, 1] + d[:, 0] * nu[:, 0] > 0
 
 
 def _in_region(mesh, dist, outward, region):
@@ -552,7 +586,9 @@ class _TargetBlocks:
     The points must be finite, and near enough to the nodes that their
     squared distances cannot overflow (InvalidProbe otherwise).  Iterating
     yields (rows, _Targets) for consecutive blocks of rows (see
-    _pair_blocks); the arrays of a block are overwritten by the next block.
+    _pair_blocks), walked without normals: a block computes r2 and keeps
+    its offsets, from which _Targets builds nd only for a double layer.
+    The arrays of a block are overwritten by the next block.
     """
 
     def __init__(self, mesh, points):
@@ -573,9 +609,8 @@ class _TargetBlocks:
 
     def __iter__(self):
         mesh = self.mesh
-        for lo, hi, r2, nd, scratch in _pair_blocks(self.points, mesh.x, mesh.normal,
-                                                    0, len(self)):
-            yield slice(lo, hi), _Targets(mesh, r2, nd, scratch)
+        for lo, hi, r2, _, scratch in _pair_blocks(self.points, mesh.x, None, 0, len(self)):
+            yield slice(lo, hi), _Targets(mesh, self.points[lo:hi], r2, scratch)
 
     def locate(self):
         """Each point's distance to its nearest node, whether it lies on the

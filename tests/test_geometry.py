@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from conftest import (NESTED_SPECS, gauss_law_locations, named_mesh, rows_per_bl
 
 from bie2d.errors import InvalidGeometry, LengthMismatch, OutOfRange
 from bie2d.geometry import (
+    _BLOCK_PAIRS,
     CurveSpec,
+    _check_node_separation,
     _pair_blocks,
     _row_blocks,
     build_mesh,
@@ -275,6 +278,19 @@ def test_row_blocks_start_on_multiples_of_8_and_leave_no_lone_row():
     assert _row_blocks(64, 89, 9362) == [(64, 72), (72, 80), (80, 89)]
 
 
+def test_node_separation_check_holds_one_set_of_block_arrays():
+    # 1024 nodes per curve: each pass's block set is four 2^16-pair arrays,
+    # 2 MiB, and the next pass's set is allocated only once it is freed
+    mesh = stock_mesh("annulus", 1024)
+    tracemalloc.start()
+    try:
+        _check_node_separation(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * _BLOCK_PAIRS + 128 * mesh.n
+
+
 @pytest.mark.parametrize("name", ["annulus", "two-disks"])
 def test_pair_blocks_tile_each_curve_and_match_a_direct_computation(name):
     # 204 nodes per curve: 160-row blocks (2^16 pairs of 408 nodes, rounded
@@ -290,6 +306,12 @@ def test_pair_blocks_tile_each_curve_and_match_a_direct_computation(name):
             assert np.array_equal(r2, d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
             assert np.array_equal(nd, d[..., 1] * nu[:, 1] + d[..., 0] * nu[:, 0])
             assert scratch.shape == (2, hi - lo, mesh.n)
+        for lo, hi, r2, nd, scratch in _pair_blocks(mesh.x, mesh.x, None, sl.start, sl.stop):
+            # without normals the block keeps its offsets d = x - y
+            d = mesh.x[lo:hi, None, :] - mesh.x[None, :, :]
+            assert nd is None and scratch.shape == (3, hi - lo, mesh.n)
+            assert np.array_equal(scratch[0], d[..., 0]) and np.array_equal(scratch[1], d[..., 1])
+            assert np.array_equal(r2, d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
         assert bounds[0][0] == sl.start and bounds[-1][1] == sl.stop
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
         assert all((hi - lo) % 8 == 0 for lo, hi in bounds[:-1])

@@ -11,7 +11,7 @@ from bie2d.distributions import PairDistribution, dist_single_layer_field
 from bie2d.errors import InvalidProbe, LengthMismatch, NearBoundary, NoLimit, OutOfRange
 from bie2d.geometry import CurveSpec, build_mesh, locate_points, stock_mesh
 from bie2d.operators import operator_set
-from bie2d.solvers import dirichlet_exterior, dirichlet_interior
+from bie2d.solvers import dirichlet_exterior, dirichlet_interior, green_h
 from bie2d.potentials import (
     HarmonicField,
     eval_double_layer,
@@ -21,6 +21,7 @@ from bie2d.potentials import (
     trace_single,
     value_at_infinity,
 )
+from bie2d.verify import probe_points
 
 
 def circle_mesh(radius, n):
@@ -372,19 +373,32 @@ def test_eval_allocates_no_array_over_all_pairs():
 
 
 def test_fields_are_located_and_evaluated_without_the_double_layer(tmp_path, monkeypatch):
-    # a single-layer field needs no double-layer kernel, to locate its points either
+    # a single-layer field needs neither the double-layer kernel nor the
+    # normal offsets it is built from, to locate its points either
     mesh = stock_mesh("annulus", 128)
     fld = dirichlet_interior(mesh, np.cos(mesh.t)).field
     points = _ring_points(np.random.default_rng(8), 300, 1.3, 1.7)
+    grid = default_grid(mesh)
+    source = np.array([1.5, 0.1])
     expected = fld.eval(points)
-    write_field_csv(fld, default_grid(mesh), tmp_path / "expected.csv")
+    locations = locate_points(mesh, grid)
+    probes = {region: probe_points(mesh, region) for region in ("interior", "exterior")}
+    green = {side: green_h(mesh, source, side).densities["eta"]
+             for side in ("interior", "exterior")}
+    write_field_csv(fld, grid, tmp_path / "expected.csv")
 
     def refuse(targets):
-        raise AssertionError("double-layer kernel computed")
+        raise AssertionError("normal offsets or double-layer kernel computed")
 
     monkeypatch.setattr(geometry._Targets, "double_kernel", property(refuse))
+    monkeypatch.setattr(geometry._Targets, "nd", property(refuse))
     assert np.array_equal(fld.eval(points), expected)
-    write_field_csv(fld, default_grid(mesh), tmp_path / "field.csv")
+    assert locate_points(mesh, grid) == locations
+    for region, probe in probes.items():
+        assert np.array_equal(probe_points(mesh, region), probe)
+    for side, eta in green.items():
+        assert np.array_equal(green_h(mesh, source, side).densities["eta"], eta)
+    write_field_csv(fld, grid, tmp_path / "field.csv")
     assert (tmp_path / "field.csv").read_text() == (tmp_path / "expected.csv").read_text()
 
 
