@@ -551,9 +551,10 @@ class _Targets:
 
     @cached_property
     def single_kernel(self):
-        """log|x - y| / (2 pi)"""
-        k = np.sqrt(self.r2, out=self._scratch[2])
-        return np.divide(np.log(k, out=k), 2.0 * np.pi, out=k)
+        """log|x - y| / (2 pi), spelled log(|x - y|^2) / (4 pi) to save a square root"""
+        k = np.log(self.r2, out=self._scratch[2])
+        k *= 0.25 / np.pi
+        return k
 
     @cached_property
     def double_kernel(self):

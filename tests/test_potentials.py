@@ -192,14 +192,33 @@ def test_field_region_guard(disk128):
 
 
 def _layer_by_norms(mesh, kind, density, points):
-    """A layer potential with its kernel built from the (m, n, 2) offsets."""
+    """A layer potential with its kernel built from the (m, n, 2) offsets.
+
+    The single kernel is log|d| / (2 pi) spelled as the library spells it,
+    log(|d|^2) / (4 pi); test_single_kernel_matches_the_log_of_the_distance
+    checks that spelling against log(hypot(d)) / (2 pi).
+    """
     d = points[:, None, :] - mesh.x[None, :, :]
+    r2 = np.einsum("ijk,ijk->ij", d, d)
     if kind == "single":
-        kernel = np.log(np.linalg.norm(d, axis=-1)) / (2.0 * np.pi)
+        kernel = np.log(r2) * (0.25 / np.pi)
     else:
         num = d[:, :, 0] * mesh.normal[None, :, 0] + d[:, :, 1] * mesh.normal[None, :, 1]
-        kernel = -num / (2.0 * np.pi * np.einsum("ijk,ijk->ij", d, d))
+        kernel = -num / (2.0 * np.pi * r2)
     return kernel @ (mesh.weights * density)
+
+
+@pytest.mark.parametrize("name", ["disk", "disk2", "ellipse", "annulus", "kite", "two-disks"])
+def test_single_kernel_matches_the_log_of_the_distance(name):
+    # log(r^2) / (4 pi) takes no square root; at the points a field is
+    # evaluated at, it stays within an ulp of log|x - y| / (2 pi)
+    mesh = stock_mesh(name, 256)
+    points = default_grid(mesh)
+    points = points[[kind != "near_boundary" for kind, _ in locate_points(mesh, points)]]
+    for rows, targets in geometry._TargetBlocks(mesh, points):
+        d = points[rows, None, :] - mesh.x[None, :, :]
+        expected = np.log(np.hypot(d[..., 0], d[..., 1])) / (2.0 * np.pi)
+        assert np.max(np.abs(targets.single_kernel - expected)) <= 2.3e-16
 
 
 def _field_by_norms(fld, points):
