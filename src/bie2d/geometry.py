@@ -351,7 +351,7 @@ def _pair_geometry(targets, nodes, out):
 
     out is four (m, n) arrays: r2, d_x, d_y and one scratch array.  r2 =
     d_x d_x + d_y d_y takes five elementwise passes and allocates nothing;
-    d_x and d_y are left for _normal_offsets.
+    d_x and d_y are left for _normal_offsets, and the scratch array is free.
     """
     r2, dx, dy, scratch = out
     np.subtract(targets[:, 0, None], nodes[None, :, 0], out=dx)
@@ -369,25 +369,20 @@ def _normal_offsets(dx, dy, normals):
     return dx
 
 
-def _pair_blocks(targets, nodes, normals, start, stop):
-    """(lo, hi, r2, nd, scratch) of each block of the rows start..stop of targets.
+def _pair_blocks(targets, nodes, start, stop):
+    """(lo, hi, r2, scratch) of each block of the rows start..stop of targets.
 
-    r2 is _pair_geometry of targets[lo:hi] against nodes.  Given normals,
-    nd is _normal_offsets and scratch holds two more arrays of r2's shape.
-    Without them nd is None and scratch holds three: the offsets d_x and
-    d_y, left for nd to be built from later, and one more.  The blocks are
-    _row_blocks, and all of them share one set of arrays, so a block's
-    arrays are overwritten by the next block.
+    r2 is _pair_geometry of targets[lo:hi] against nodes, and scratch holds
+    three more arrays of its shape: the offsets d_x and d_y, from which
+    _normal_offsets builds nd when a pass needs it, and one more.  The
+    blocks are _row_blocks, and all of them share one set of arrays, so a
+    block's arrays are overwritten by the next block.
     """
     blocks = _row_blocks(start, stop, nodes.shape[0])
     arrays = np.empty((4, max((hi - lo for lo, hi in blocks), default=0), nodes.shape[0]))
     for lo, hi in blocks:
         out = arrays[:, : hi - lo]
-        r2 = _pair_geometry(targets[lo:hi], nodes, out)
-        if normals is None:
-            yield lo, hi, r2, None, out[1:]
-        else:
-            yield lo, hi, r2, _normal_offsets(out[1], out[2], normals), out[2:]
+        yield lo, hi, _pair_geometry(targets[lo:hi], nodes, out), out[1:]
 
 
 def _check_node_separation(mesh):
@@ -422,7 +417,7 @@ def _distant_nodes_coincide(xc, wc):
     # only pairs closer than half the largest spacing can fail the test
     # d < 0.25 (w_i + w_j) / 2, so they are screened first
     screen = (0.5 * float(np.max(wc))) ** 2
-    for lo, _, r2, _, _ in _pair_blocks(xc, xc, None, 0, nc):
+    for lo, _, r2, _ in _pair_blocks(xc, xc, 0, nc):
         i, j = np.nonzero(r2 < screen)
         ring = np.abs(i + lo - j)
         ring = np.minimum(ring, nc - ring)
@@ -436,7 +431,7 @@ def _closest_pair(xa, xb):
     """The distance between two node sets and the indices of their first
     closest pair in row order, as one argmin over all pairs finds it."""
     gap2, i, j = np.inf, 0, 0
-    for lo, _, r2, _, _ in _pair_blocks(xa, xb, None, 0, xa.shape[0]):
+    for lo, _, r2, _ in _pair_blocks(xa, xb, 0, xa.shape[0]):
         k = int(np.argmin(r2))
         if r2.flat[k] < gap2:
             gap2, (i, j) = float(r2.flat[k]), divmod(k, r2.shape[1])
@@ -587,9 +582,9 @@ class _TargetBlocks:
     The points must be finite, and near enough to the nodes that their
     squared distances cannot overflow (InvalidProbe otherwise).  Iterating
     yields (rows, _Targets) for consecutive blocks of rows (see
-    _pair_blocks), walked without normals: a block computes r2 and keeps
-    its offsets, from which _Targets builds nd only for a double layer.
-    The arrays of a block are overwritten by the next block.
+    _pair_blocks): a block computes r2 and keeps its offsets, from which
+    _Targets builds nd only for a double layer.  The arrays of a block are
+    overwritten by the next block.
     """
 
     def __init__(self, mesh, points):
@@ -610,7 +605,7 @@ class _TargetBlocks:
 
     def __iter__(self):
         mesh = self.mesh
-        for lo, hi, r2, _, scratch in _pair_blocks(self.points, mesh.x, None, 0, len(self)):
+        for lo, hi, r2, scratch in _pair_blocks(self.points, mesh.x, 0, len(self)):
             yield slice(lo, hi), _Targets(mesh, self.points[lo:hi], r2, scratch)
 
     def locate(self):

@@ -58,7 +58,7 @@ from scipy.linalg.blas import dsymv, dtrsv
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InvalidGeometry, OutOfRange, SingularSystem
-from .geometry import _check_aligned, _pair_blocks
+from .geometry import _check_aligned, _normal_offsets, _pair_blocks
 
 
 def _log_correction(nc):
@@ -118,8 +118,9 @@ def _assemble_curve(mesh, sl, W, inner, row, col):
     w = mesh.weights
     correction = _circulant(_log_correction(sl.stop - sl.start))
     scale = (0.25 / np.pi) * mesh.speed[sl]
-    for lo, hi, r2, nd, _ in _pair_blocks(mesh.x, mesh.x, mesh.normal, sl.start, sl.stop):
+    for lo, hi, r2, (dx, dy, _) in _pair_blocks(mesh.x, mesh.x, sl.start, sl.stop):
         b, first = hi - lo, lo - sl.start  # first: the block's first node on its curve
+        nd = _normal_offsets(dx, dy, mesh.normal)
         rows = np.arange(b)
         r2[rows, lo + rows] = mesh.speed[lo:hi] ** 2
 

@@ -12,6 +12,7 @@ from bie2d.geometry import (
     _BLOCK_PAIRS,
     CurveSpec,
     _check_node_separation,
+    _normal_offsets,
     _pair_blocks,
     _row_blocks,
     build_mesh,
@@ -300,18 +301,15 @@ def test_pair_blocks_tile_each_curve_and_match_a_direct_computation(name):
     for c in range(mesh.n_components):
         sl = mesh.component_slice(c)
         bounds = []
-        for lo, hi, r2, nd, scratch in _pair_blocks(mesh.x, mesh.x, nu, sl.start, sl.stop):
+        for lo, hi, r2, scratch in _pair_blocks(mesh.x, mesh.x, sl.start, sl.stop):
             bounds.append((lo, hi))
             d = mesh.x[lo:hi, None, :] - mesh.x[None, :, :]
             assert np.array_equal(r2, d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
-            assert np.array_equal(nd, d[..., 1] * nu[:, 1] + d[..., 0] * nu[:, 0])
-            assert scratch.shape == (2, hi - lo, mesh.n)
-        for lo, hi, r2, nd, scratch in _pair_blocks(mesh.x, mesh.x, None, sl.start, sl.stop):
-            # without normals the block keeps its offsets d = x - y
-            d = mesh.x[lo:hi, None, :] - mesh.x[None, :, :]
-            assert nd is None and scratch.shape == (3, hi - lo, mesh.n)
+            # the block keeps its offsets d = x - y, and nd is built from them
+            assert scratch.shape == (3, hi - lo, mesh.n)
             assert np.array_equal(scratch[0], d[..., 0]) and np.array_equal(scratch[1], d[..., 1])
-            assert np.array_equal(r2, d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
+            nd = _normal_offsets(scratch[0], scratch[1], nu)
+            assert np.array_equal(nd, d[..., 1] * nu[:, 1] + d[..., 0] * nu[:, 0])
         assert bounds[0][0] == sl.start and bounds[-1][1] == sl.stop
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
         assert all((hi - lo) % 8 == 0 for lo, hi in bounds[:-1])
