@@ -9,7 +9,10 @@ distribution's single layer.  Each evaluation makes one geometry pass
 over its points, walked in blocks of rows (geometry._TargetBlocks): the
 band check, the location of the points and the kernels of every layer
 term read the same squared distances of a block, and each block writes
-its values straight into the result.  Boundary values come from the
+its values straight into the result.  Location reads the nearest node
+alone, and the normal components of the offsets are built only for a
+double-layer term, so a single-layer field, as every solver's field is,
+reads the squared distances and nothing else.  Boundary values come from the
 assembled operators through the jump relations, written once in the
 side's sign (README, "Sides and signs").
 """
