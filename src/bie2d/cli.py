@@ -28,7 +28,7 @@ from .errors import (
     NonFiniteResult,
     OutOfRange,
 )
-from .geometry import CurveSpec, _TargetBlocks, build_mesh, stock_mesh
+from .geometry import CurveSpec, _in_region, _TargetBlocks, build_mesh, stock_mesh
 from .operators import operator_set
 from .distributions import dist_normal_derivative, pair_from_dict
 from .solvers import (
@@ -301,25 +301,29 @@ def write_field_csv(fld, points, path):
     """Evaluate a field at points, shape (m, 2), and write x,y,u rows (17 significant digits).
 
     Points outside the field's region or inside the near-boundary band get
-    an empty value cell; np.genfromtxt(path, delimiter=",", skip_header=1)
-    reads them back as NaN.  The points take two geometry passes: one
-    locates every point, and a second evaluates the usable points as one
-    set, so that their blocks start on multiples of 8 rows of that set and
-    each value has the bits of one product over all usable points on one
-    BLAS thread.  Evaluating each block's usable rows would move some
-    values by an ulp.
+    an empty value cell (a field with no region takes every point off the
+    band); np.genfromtxt(path, delimiter=",", skip_header=1) reads them back
+    as NaN.  The points take two geometry passes: one locates every point
+    against the curves whose boxes hold it (_TargetBlocks.locate), and a
+    second evaluates the usable points as one set, so that their blocks
+    start on multiples of 8 rows of that set and each value has the bits of
+    one product over all usable points on one BLAS thread.  Evaluating each
+    block's usable rows would move some values by an ulp.  The rows are
+    written as csv.writer writes them, \r\n ends included, by one % over
+    a format string joined from one format per row.
     """
     targets = _TargetBlocks(fld.mesh, points)
-    pts, usable = targets.points, targets.in_region(fld.region)[1]
-    values = np.full(pts.shape[0], np.nan)
-    values[usable] = fld.eval_unchecked(pts[usable])
+    dist, outward, _ = targets.locate()
+    usable = _in_region(fld.mesh, dist, outward, fld.region)
+    rows = np.empty((len(targets), 3))
+    rows[:, :2] = targets.points
+    rows[usable, 2] = fld.eval_unchecked(targets.points[usable])
+    cells = np.ones(rows.shape, dtype=bool)
+    cells[:, 2] = usable
+    formats = ["%.17g,%.17g,%.17g\r\n" if ok else "%.17g,%.17g,\r\n" for ok in usable.tolist()]
+    text = "x,y,u\r\n" + "".join(formats) % tuple(rows[cells].tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "u"])
-        for (px, py), ok, val in zip(pts.tolist(), usable.tolist(), values.tolist()):
-            writer.writerow(
-                ["%.17g" % px, "%.17g" % py, "%.17g" % val if ok else ""]
-            )
+        fh.write(text)
 
 
 def _write_outputs(out_dir, name, report, *writes):

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, IncompatibleData, InvalidProbe, OutOfRange
-from .geometry import _TargetBlocks, indicator, integrate, pairing, stock_mesh
+from .geometry import _in_region, _TargetBlocks, indicator, integrate, pairing, stock_mesh
 from .operators import _SIDES, _side, operator_set
 from .potentials import eval_double_layer, eval_single_layer, trace_double
 from .distributions import (
@@ -132,8 +132,10 @@ def probe_points(mesh, region, count=25, prefer="far"):
         theta = np.linspace(0, 2 * np.pi, 8, endpoint=False)
         blocks.append(far * np.stack([np.cos(theta), np.sin(theta)], axis=-1))
     candidates = np.concatenate(blocks)
-    dist, inside = _TargetBlocks(mesh, candidates).in_region(region)
-    keep = np.flatnonzero(inside & (dist >= keep_dist))
+    # the pass over all the nodes: the candidates are ranked by their exact
+    # distance, which the pruned _TargetBlocks.locate gives only below the band
+    dist, outward = _TargetBlocks(mesh, candidates).nearest_nodes()
+    keep = np.flatnonzero(_in_region(mesh, dist, outward, region) & (dist >= keep_dist))
     if not keep.size:
         nodes = "/".join(str(m) for m in mesh.n_per_comp)
         raise InvalidProbe(f"no {region} probe point clears the near-boundary band "

@@ -327,3 +327,32 @@ def gauss_law_locations(mesh, points):
         sl = mesh.component_slice(c)
         inside[c, clear] = np.abs(kernel[:, sl] @ mesh.weights[sl]) > 0.5
     return _innermost_locations(mesh, near, inside)
+
+
+def nearest_node_locations(mesh, points):
+    """Location tuples and region masks of points (m, 2) by their nearest node of all.
+
+    Every point-node pair is formed, in chunks of rows, and each point
+    takes its nearest node; off the band, the side that node's normal
+    points to decides.  The full pass the library located points by before
+    it pruned the pairs by bounding boxes, kept as a reference for it.
+    The masks are keyed by region: 'interior', 'exterior' and None, every
+    point off the band.
+    """
+    topo = mesh.topology
+    dist, outward, comp = [], [], []
+    for chunk in np.array_split(points, max(1, len(points) // 256)):
+        dx, dy = (chunk[:, k, None] - mesh.x[:, k] for k in (0, 1))
+        r2 = dx * dx + dy * dy
+        nearest = np.argmin(r2, axis=1)
+        d, nu = chunk - mesh.x[nearest], mesh.normal[nearest]
+        dist.append(np.sqrt(r2[np.arange(len(chunk)), nearest]))
+        outward.append(d[:, 1] * nu[:, 1] + d[:, 0] * nu[:, 0] > 0)
+        comp.append(mesh.comp[nearest])
+    dist, outward, comp = map(np.concatenate, (dist, outward, comp))
+    off = dist >= mesh.band_width()
+    locations = [("near_boundary", None) if not clear
+                 else ("exterior", topo.omega_minus_of_comp[c]) if out
+                 else ("interior", topo.omega_of_comp[c])
+                 for clear, out, c in zip(off.tolist(), outward.tolist(), comp.tolist())]
+    return locations, {"interior": off & ~outward, "exterior": off & outward, None: off}

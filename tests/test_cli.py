@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -7,13 +8,14 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import NESTED_SPECS, grid_points, negated_single_layer
+from conftest import NESTED_SPECS, grid_points, nearest_node_locations, negated_single_layer
 
 import bie2d
 from bie2d import cli, verify
 from bie2d.errors import ConfigError, SingularSystem
 from bie2d.geometry import stock_mesh
 from bie2d.potentials import HarmonicField
+from bie2d.solvers import dirichlet_exterior, dirichlet_interior
 from bie2d.cli import (
     EXIT_CONFIG,
     EXIT_INCOMPATIBLE,
@@ -168,6 +170,54 @@ def test_field_csv_roundtrip(tmp_path, disk128):
     assert np.all(np.abs(us - np.pi) < 1e-15)
     assert np.max(np.abs(xs - pts[:, 0])) < 1e-15
     assert np.max(np.abs(ys - pts[:, 1])) < 1e-15
+
+
+def _csv_writer_bytes(path, points, usable, values):
+    """The field CSV as a csv.writer loop over its rows writes it, the
+    writer's code before one format call replaced it; its bytes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "u"])
+        for (px, py), ok, val in zip(points.tolist(), usable.tolist(), values.tolist()):
+            writer.writerow(["%.17g" % px, "%.17g" % py, "%.17g" % val if ok else ""])
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def annulus_fields():
+    mesh = stock_mesh("annulus", 128)
+    g = np.cos(2 * mesh.t)
+    return {"interior": dirichlet_interior(mesh, g).field,
+            "exterior": dirichlet_exterior(mesh, g).field,
+            None: HarmonicField(mesh, [("single", g), ("double", np.sin(mesh.t))], region=None)}
+
+
+@pytest.mark.parametrize("region", ["interior", "exterior", None])
+def test_field_csv_bytes_match_the_csv_writer(tmp_path, annulus_fields, region):
+    fld = annulus_fields[region]
+    grid = cli.default_grid(fld.mesh)
+    usable = nearest_node_locations(fld.mesh, grid)[1][region]
+    values = np.full(len(grid), np.nan)
+    values[usable] = fld.eval_unchecked(grid[usable])
+    write_field_csv(fld, grid, tmp_path / "field.csv")
+    data = (tmp_path / "field.csv").read_bytes()
+    assert data == _csv_writer_bytes(tmp_path / "reference.csv", grid, usable, values)
+    assert data.count(b"\r\n") == len(grid) + 1 and b",\r\n" in data
+    write_field_csv(fld, np.empty((0, 2)), tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_bytes() == b"x,y,u\r\n"
+
+
+def test_field_csv_of_a_field_with_no_region_takes_both_sides(tmp_path):
+    # a bare single layer is defined inside and outside the disk alike
+    mesh = stock_mesh("disk", 64)
+    fld = HarmonicField(mesh, [("single", np.cos(mesh.t))], region=None)
+    grid = cli.default_grid(mesh)
+    write_field_csv(fld, grid, tmp_path / "field.csv")
+    us = np.genfromtxt(tmp_path / "field.csv", delimiter=",", skip_header=1)[:, 2]
+    off = nearest_node_locations(mesh, grid)[1][None]
+    assert np.array_equal(~np.isnan(us), off)
+    assert np.array_equal(us[off], fld.eval_unchecked(grid[off]))
+    assert np.sum(off & (np.hypot(*grid.T) > 1.3)) == 1000
 
 
 def test_hadamard_trace_values():

@@ -4,14 +4,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import (NESTED_SPECS, gauss_law_locations, named_mesh, rows_per_block,
-                      winding_locations)
+from conftest import (NESTED_SPECS, gauss_law_locations, named_mesh, nearest_node_locations,
+                      rows_per_block, winding_locations)
 
+from bie2d import geometry
+from bie2d.cli import default_grid
 from bie2d.errors import InvalidGeometry, LengthMismatch, OutOfRange
 from bie2d.geometry import (
     _BLOCK_PAIRS,
     CurveSpec,
+    _TargetBlocks,
     _check_node_separation,
+    _in_region,
     _normal_offsets,
     _pair_blocks,
     _row_blocks,
@@ -250,8 +254,10 @@ def test_gauss_law_location_matches_winding_numbers(name, n):
     points = np.concatenate([rng.uniform(lo, hi, size=(20000, 2)),
                              mesh.x + edge, mesh.x - edge])
     for chunk in np.array_split(points, 10):
-        assert locate_points(mesh, chunk) == gauss_law_locations(mesh, chunk)
-        assert locate_points(mesh, chunk) == winding_locations(mesh, chunk)
+        located = locate_points(mesh, chunk)
+        assert located == gauss_law_locations(mesh, chunk)
+        assert located == winding_locations(mesh, chunk)
+        assert located == nearest_node_locations(mesh, chunk)[0]
 
 
 @pytest.mark.parametrize("name", [*_STOCK, *NESTED_SPECS])
@@ -265,8 +271,99 @@ def test_location_in_ragged_blocks_matches_winding_numbers(monkeypatch, name):
     count = 148 + 2 * ((148 + 2 * mesh.n) % 7 < 2)
     points = np.concatenate([rng.uniform(lo, hi, size=(count, 2)), mesh.x + edge, mesh.x - edge])
     assert len(points) % 7 > 1
-    assert locate_points(mesh, points) == gauss_law_locations(mesh, points)
-    assert locate_points(mesh, points) == winding_locations(mesh, points)
+    located = locate_points(mesh, points)
+    assert located == gauss_law_locations(mesh, points)
+    assert located == winding_locations(mesh, points)
+    assert located == nearest_node_locations(mesh, points)[0]
+
+
+def _location_probes(mesh, seed):
+    """3000 random points around the mesh, its default grid, and points at
+    0.99, 1.00 and 1.01 band widths from every node along both normals."""
+    rng = np.random.default_rng(seed)
+    lo, hi = mesh.x.min(axis=0) - 1.0, mesh.x.max(axis=0) + 1.0
+    edges = [mesh.x + s * f * mesh.band_width() * mesh.normal
+             for f in (0.99, 1.0, 1.01) for s in (1, -1)]
+    return np.concatenate([rng.uniform(lo, hi, size=(3000, 2)), default_grid(mesh), *edges])
+
+
+def _pruned_pass(mesh, points):
+    """locate_points and the interior, exterior and no-region masks a field CSV takes."""
+    dist, outward, _ = _TargetBlocks(mesh, points).locate()
+    return locate_points(mesh, points), {
+        region: _in_region(mesh, dist, outward, region) for region in ("interior", "exterior", None)}
+
+
+# the stock meshes, each at a node count of its own, and four nested circles
+_PRUNED_MESHES = [("disk", 1024), ("disk2", 256), ("ellipse", 256), ("annulus", 384),
+                  ("kite", 128), ("two-disks", 96), ("nested-3", 256)]
+
+
+@pytest.mark.parametrize("name, n", _PRUNED_MESHES)
+def test_pruned_location_matches_the_full_pass(name, n):
+    mesh = named_mesh(name, n)
+    points = _location_probes(mesh, [n, len(name)])
+    locations, masks = _pruned_pass(mesh, points)
+    expected, expected_masks = nearest_node_locations(mesh, points)
+    assert locations == expected
+    for region, mask in masks.items():
+        assert np.array_equal(mask, expected_masks[region]), region
+    # the probes take in all three kinds of point
+    assert {kind for kind, _ in locations} == {"interior", "exterior", "near_boundary"}
+
+
+@pytest.mark.parametrize("name", ["annulus", "two-disks", "nested-3"])
+def test_pruned_location_in_ragged_blocks_matches_the_full_pass(monkeypatch, name):
+    mesh = named_mesh(name, 64)
+    rows_per_block(monkeypatch, 7)
+    points = _location_probes(mesh, len(name))[::5]
+    locations, masks = _pruned_pass(mesh, points)
+    expected, expected_masks = nearest_node_locations(mesh, points)
+    assert locations == expected
+    for region, mask in masks.items():
+        assert np.array_equal(mask, expected_masks[region]), region
+
+
+def test_pruned_location_of_no_points_and_of_one_point():
+    mesh = stock_mesh("annulus", 64)
+    locations, masks = _pruned_pass(mesh, np.empty((0, 2)))
+    assert locations == [] and all(mask.shape == (0,) for mask in masks.values())
+    for point in ([1.5, 0.0], [0.0, 0.5], [3.0, 3.0], [1.0, 0.0], [9.0, 0.0]):
+        assert locate_points(mesh, point) == nearest_node_locations(mesh, np.array([point]))[0]
+
+
+def test_location_walks_only_the_pairs_in_each_curves_box(monkeypatch):
+    # on the default grid of the 768-node annulus the outer curve's box holds
+    # about 56 % of the points and the hole's 15 %: 0.353 of all pairs
+    mesh = stock_mesh("annulus", 384)
+    grid = default_grid(mesh)
+    pairs = []
+    pair_geometry = geometry._pair_geometry
+
+    def counting(targets, nodes, out):
+        pairs.append(targets.shape[0] * nodes.shape[0])
+        return pair_geometry(targets, nodes, out)
+
+    monkeypatch.setattr(geometry, "_pair_geometry", counting)
+    locations = locate_points(mesh, grid)
+    assert 0 < sum(pairs) <= 0.4 * len(grid) * mesh.n
+    assert locations == nearest_node_locations(mesh, grid)[0]
+
+
+def test_location_allocates_no_array_over_all_pairs():
+    # the 4000 points all lie in the outer curve's box, and one (m, n) array
+    # of them and the curve's 256 nodes is 7.8 MiB (15.6 MiB over all nodes)
+    mesh = stock_mesh("annulus", 256)
+    rng = np.random.default_rng(7)
+    radius, theta = rng.uniform(1.2, 1.8, 4000), rng.uniform(0.0, 2.0 * np.pi, 4000)
+    points = radius[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    tracemalloc.start()
+    try:
+        locate_points(mesh, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_row_blocks_start_on_multiples_of_8_and_leave_no_lone_row():
