@@ -13,8 +13,9 @@ second Dirichlet solver splits g under sign/2 I + W, its image's density
 solved with the transposed bordered matrix, and adds a single layer with
 density in the transpose kernel, cross-checking the direct route.  Every
 +- is the side's sign (README, "Sides and signs").  Only the independent
-checks of those kernels factor an n x n matrix: nullspace by one SVD of
-shift I + W, transpose_kernel_pair_basis by one pivoted QR.
+checks of those kernels factor an n x n matrix: nullspace by the singular
+values and one LU of shift I + W, transpose_kernel_pair_basis by one
+pivoted QR.
 """
 
 import warnings
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular, subspace_angles
-from scipy.linalg.lapack import dormqr
+from scipy.linalg.lapack import dgetrf, dgetrs, dormqr
 
 from .errors import (
     ConditioningWarning,
@@ -330,10 +331,10 @@ def neumann_exterior(mesh, g):
 class NullspaceBasis:
     """Orthonormal kernel basis with the singular values that selected it.
 
-    For a W kind these are the SVD of shift I + W and its right null
-    vectors.  A Wt kind shares that SVD: singular_values and gap are those
-    of shift I + W, and the vectors are D^-1 times its left null vectors,
-    orthonormalized (Wt = D^-1 W^T D, so ker(shift I + Wt) = D^-1 ker((shift I + W)^T)).
+    singular_values and gap are those of shift I + W for every kind.  For a
+    W kind the vectors span its right null space; a Wt kind's are D^-1
+    times its left null vectors, orthonormalized (Wt = D^-1 W^T D, so
+    ker(shift I + Wt) = D^-1 ker((shift I + W)^T)).
     """
 
     vectors: np.ndarray
@@ -365,29 +366,41 @@ def _op_kind(op_kind, ops=("W", "Wt")):
 
 
 def nullspace(mesh, op_kind):
-    """Null space of one of the four second-kind operators, from one SVD of shift I + W.
+    """Null space of one of the four second-kind operators, from shift I + W.
 
-    The side's shift I + W is factored by one SVD.  For a W kind its right
-    null vectors span the kernel.  For a Wt kind the left null vectors
-    scaled by D^-1 span it, and a thin QR orthonormalizes them.  Singular
-    values below _RANK_TOL times the largest count as zero.
+    The singular values of the side's A = shift I + W decide the dimension:
+    those below _RANK_TOL times the largest count as zero.  The vectors come
+    from one LU of A whose pivots below eps times the largest singular value
+    are raised to it, as LAPACK's dlaein does, so a singular A divides by no
+    zero.  A seeded block is solved with A^T, then with A (a Wt kind: A,
+    then A^T), a thin QR after each: one step of inverse iteration with
+    A^T A, whose dominant subspace is A's right null space (A A^T: the left).
+    For a Wt kind the left null vectors scaled by D^-1 are orthonormalized.
     """
     side, op = _op_kind(op_kind)
     n = mesh.n
     A = operator_set(mesh).W.copy()
     A[range(n), range(n)] += side.shift
-    u, sv, vt = np.linalg.svd(A)
+    sv = np.linalg.svd(A, compute_uv=False)
     dim = int(np.sum(sv < _RANK_TOL * sv[0]))
-    # _RANK_TOL < 1 keeps sv[0], so the kernel is never all of R^n
-    gap = float(sv[n - dim - 1] / sv[n - dim]) if dim else float("inf")
+    # _RANK_TOL < 1 keeps sv[0], so the kernel is never all of R^n; an exact zero gives gap inf
+    with np.errstate(divide="ignore"):
+        gap = float(sv[n - dim - 1] / sv[n - dim]) if dim else float("inf")
     if gap < 1e4:
         warnings.warn(f"singular-value gap {gap:.2e} below 1e4", ConditioningWarning)
-    # copies, so that no n x n factor outlives this call
-    if op == "W":
-        vectors = vt[n - dim:].T.copy()
-    else:
-        vectors, _ = np.linalg.qr(u[:, n - dim:] / mesh.weights[:, None])
-    return NullspaceBasis(vectors, sv, gap)
+    if not dim:
+        return NullspaceBasis(np.zeros((n, 0)), sv, gap)
+    # A.T is Fortran-ordered, so A is factored in place as A^T: trans=1 solves with A
+    lu, piv, _ = dgetrf(A.T, overwrite_a=True)
+    floor = np.finfo(float).eps * sv[0]
+    small = np.flatnonzero(np.abs(lu.diagonal()) < floor)
+    lu[small, small] = np.copysign(floor, lu[small, small])
+    x = np.random.default_rng(0).standard_normal((n, dim))
+    for trans in ((0, 1) if op == "W" else (1, 0)):
+        x, _ = np.linalg.qr(dgetrs(lu, piv, x, trans=trans)[0])
+    if op == "Wt":
+        x, _ = np.linalg.qr(x / mesh.weights[:, None])
+    return NullspaceBasis(x, sv, gap)
 
 
 def _decompose(mesh, g, sign):

@@ -345,10 +345,11 @@ def check_space_coincidence(mesh, rng, cache):
 def check_nullspace_dims(mesh, rng, cache):
     """Largest angle between each side's Wt kernel and its two twins.
 
-    nullspace reads the Wt kernel from one SVD of shift I + W, whose W
-    kernel has the same dimension.  The twins of the Wt kernel are the
-    pair-route kernel (a pivoted QR) and the measured kernel of the Neumann
-    solvers' bordered GMRES; both come from other matrices than that SVD.
+    nullspace reads the Wt kernel's dimension from the singular values of
+    shift I + W, whose W kernel has the same dimension, and its vectors from
+    one LU of that matrix.  The twins of the Wt kernel are the pair-route
+    kernel (a pivoted QR) and the measured kernel of the Neumann solvers'
+    bordered GMRES; both come from other matrices than shift I + W.
     pi/2, the largest angle, when the kernel misses its side's component
     count or its singular-value gap.
     """

@@ -158,6 +158,25 @@ def lu_decompose(mesh, g, sign):
     return g_im, g_ker, psi, P
 
 
+def svd_nullspace(mesh, op_kind):
+    """The kernel basis of solvers.nullspace as it was before its LU route.
+
+    One full SVD of the side's shift I + W gives both kernels: a W kind's
+    are the right null vectors, a Wt kind's the left ones scaled by D^-1
+    and orthonormalized.  Singular values below 1e-10 times the largest
+    count as zero.
+    """
+    from bie2d.solvers import _OP_KINDS
+
+    side, op = _OP_KINDS[op_kind]
+    n = mesh.n
+    u, sv, vt = np.linalg.svd(side.shift * np.eye(n) + operator_set(mesh).W)
+    dim = int(np.sum(sv < 1e-10 * sv[0]))
+    if op == "W":
+        return vt[n - dim:].T
+    return np.linalg.qr(u[:, n - dim:] / mesh.weights[:, None])[0]
+
+
 def svd_pair_basis(mesh, op_kind, jmap=None):
     """transpose_kernel_pair_basis as it was before its pivoted QR: the rank and
     the null vectors of the J-coordinate matrix are read from one SVD."""

@@ -1,6 +1,7 @@
 import gc
 import json
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -11,9 +12,11 @@ from conftest import (
     lu_decompose,
     lu_wt_solve,
     named_mesh,
+    svd_nullspace,
     svd_pair_basis,
 )
 from scipy.linalg import subspace_angles
+from scipy.linalg.lapack import dgetrf
 
 from bie2d import solvers
 from bie2d.errors import (
@@ -267,14 +270,58 @@ def test_a_datum_past_the_bound_is_refused_and_one_at_it_solves(solve):
 @pytest.mark.parametrize("kind", ["half_plus_W", "minus_half_plus_W"])
 @pytest.mark.parametrize("name", ["disk", "annulus"])
 def test_w_kind_nullspace_is_the_right_singular_vectors(one_blas_thread, name, kind):
-    # the W kernel is the right null vectors of that SVD, bit for bit
+    # the singular values are those of the SVD, bit for bit; the vectors,
+    # from the LU, span the full SVD's right null vectors, and shift I + W
+    # maps them no further from zero than a small multiple of those
     mesh = stock_mesh(name, 128)
     side, _ = solvers._OP_KINDS[kind]
-    _, sv, vt = np.linalg.svd(side.shift * np.eye(mesh.n) + operator_set(mesh).W)
-    dim = int(np.sum(sv < 1e-10 * sv[0]))
+    A = side.shift * np.eye(mesh.n) + operator_set(mesh).W
+    ref = svd_nullspace(mesh, kind)
     basis = nullspace(mesh, kind)
-    assert np.array_equal(basis.singular_values, sv)
-    assert np.array_equal(basis.vectors, vt[mesh.n - dim:].T)
+    assert np.array_equal(basis.singular_values, np.linalg.svd(A, compute_uv=False))
+    assert basis.vectors.shape == ref.shape
+    assert solvers._subspace_angle(basis.vectors, ref) <= 1e-12
+    got = basis.vectors
+    assert np.max(np.abs(got.T @ got - np.eye(got.shape[1])), initial=0.0) <= 1e-14
+    assert np.linalg.norm(A @ got) <= 4 * np.linalg.norm(A @ ref)
+
+
+@pytest.mark.parametrize("column", [False, True])
+@pytest.mark.parametrize("kind", list(solvers._OP_KINDS))
+def test_nullspace_survives_an_exact_zero_pivot(kind, column):
+    # a zero first row of shift I + W is a zero first column of the A^T
+    # that the LU factors: its first pivot is exactly zero, and raised
+    # before any solve divides by it.  With the first column zero too, the
+    # kernel is e_0 and the singular values can end in an exact zero.
+    mesh = stock_mesh("disk", 64)
+    side, _ = solvers._OP_KINDS[kind]
+    W = operator_set(mesh).W
+    W[0] = 0.0
+    if column:
+        W[:, 0] = 0.0
+    W[0, 0] = -side.shift
+    assert dgetrf((side.shift * np.eye(mesh.n) + W).T)[2] == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        basis = nullspace(mesh, kind)
+    got, ref = basis.vectors, svd_nullspace(mesh, kind)
+    assert np.all(np.isfinite(got)) and got.shape == ref.shape == (mesh.n, 1)
+    assert np.max(np.abs(got.T @ got - np.eye(1))) <= 1e-14
+    assert solvers._subspace_angle(got, ref) <= 1e-12
+
+
+def test_nullspace_holds_one_matrix_of_its_size():
+    # the full SVD held A, U and V^T: a peak of 3.0 n^2 floats
+    mesh = stock_mesh("annulus", 256)
+    operator_set(mesh)
+    for kind in solvers._OP_KINDS:
+        tracemalloc.start()
+        try:
+            nullspace(mesh, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * mesh.n ** 2
 
 
 @pytest.mark.parametrize("name, n", [("disk", 64), ("disk", 256), ("ellipse", 256),
