@@ -16,21 +16,24 @@ operators point back at the mesh, so a dropped mesh is freed by reference
 counting alone.
 
 Pairwise geometry between the nodes and a set of target points is
-computed in one pass (_TargetBlocks), of the squared distances alone.  The
-near-boundary band check, point location and the single-layer kernel read
-those; the normal components of the offsets are built, from the offsets
-the pass keeps, only when a double-layer kernel reads them.  Every pairwise
-pass, this one, the node-separation check and the operator assembly, which
-builds the normal components at once, iterates one walker, _pair_blocks:
-it takes the rows in blocks of about _BLOCK_PAIRS pairs and reuses one set
-of block arrays, so no array over all pairs is ever allocated.  A point off
-the band is located by its nearest node alone (locate_points): one normal
-component per point tells its side.  Location alone (locate_points and the
-first pass of a field CSV) walks only the pairs of each curve's nodes with
-the points in the curve's bounding box dilated by the band width; a point
-in no box lies in the unbounded component.  Evaluation keeps the full
-pass, whose kernels read every squared distance anyway, and so does
-verify.probe_points, which ranks points by their exact nearest distance.
+computed in one pass (_TargetBlocks), of the squared distances alone,
+formed in two block arrays without keeping the offsets (_pair_geometry).
+The near-boundary band check, point location and the single-layer kernel
+read those; the offsets and their normal components are formed, from the
+block's points, only when a double-layer kernel reads them.  Every
+pairwise pass, this one, the node-separation check and the operator
+assembly, which reads the normal components on every block and so forms
+the offsets first and the squared distances from them, iterates one
+walker, _block_arrays: it takes the rows in blocks of about _BLOCK_PAIRS
+pairs and reuses one set of block arrays, so no array over all pairs is
+ever allocated.  A point off the band is located by its nearest node
+alone (locate_points): one normal component per point tells its side.
+Location alone (locate_points and the first pass of a field CSV) walks
+only the pairs of each curve's nodes with the points in the curve's
+bounding box dilated by the band width; a point in no box lies in the
+unbounded component.  Evaluation keeps the full pass, whose kernels read
+every squared distance anyway, and so does verify.probe_points, which
+ranks points by their exact nearest distance.
 """
 
 import math
@@ -351,19 +354,51 @@ def _row_blocks(start, stop, n):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _pair_geometry(targets, nodes, out):
-    """r2 = |x - y|^2 written into out, which keeps the offsets d = x - y.
+def _block_arrays(start, stop, n):
+    """(lo, hi, arrays) of each block of the rows start..stop against n columns.
 
-    out is four (m, n) arrays: r2, d_x, d_y and one scratch array.  r2 =
-    d_x d_x + d_y d_y takes five elementwise passes and allocates nothing;
-    d_x and d_y are left for _normal_offsets, and the scratch array is free.
+    arrays is four (hi - lo, n) float arrays.  The blocks are _row_blocks,
+    and all of them share one set of arrays, so a block's arrays are
+    overwritten by the next block; a pass writes only the arrays it needs.
     """
-    r2, dx, dy, scratch = out
-    np.subtract(targets[:, 0, None], nodes[None, :, 0], out=dx)
-    np.subtract(targets[:, 1, None], nodes[None, :, 1], out=dy)
-    np.multiply(dx, dx, out=r2)
-    r2 += np.multiply(dy, dy, out=scratch)
+    blocks = _row_blocks(start, stop, n)
+    arrays = np.empty((4, max((hi - lo for lo, hi in blocks), default=0), n))
+    for lo, hi in blocks:
+        yield lo, hi, arrays[:, : hi - lo]
+
+
+def _coordinate_offsets(targets, nodes, k, out):
+    """x_k - y_k of targets x against nodes y, the offsets' coordinate k, written into out.
+
+    The nodes' coordinates are copied into every row and subtracted from
+    in place, each point's coordinate a scalar for its row.  The bits are
+    those of one broadcast subtraction of the row from the column into
+    out, which takes about 1.4 times as long (numpy 2.4, x86-64 with
+    AVX-512, 80 x 768 and 32 x 2048 blocks).
+    """
+    np.copyto(out, np.ascontiguousarray(nodes[:, k]))
+    return np.subtract(targets[:, k, None], out, out=out)
+
+
+def _pair_geometry(targets, nodes, out):
+    """r2 = |x - y|^2 written into out[0], with out[1] as scratch.
+
+    r2 = d_y d_y + d_x d_x, the sum of the squared offsets of the second and
+    the first coordinates, in elementwise passes over these two arrays
+    alone; the offsets are not kept.  out[1] is free after.
+    """
+    r2, sq = out[0], out[1]
+    _coordinate_offsets(targets, nodes, 0, sq)
+    sq *= sq
+    _coordinate_offsets(targets, nodes, 1, r2)
+    r2 *= r2
+    r2 += sq
     return r2
+
+
+def _offsets(targets, nodes, dx, dy):
+    """The offsets d = x - y of targets x against nodes y, written into dx and dy."""
+    return _coordinate_offsets(targets, nodes, 0, dx), _coordinate_offsets(targets, nodes, 1, dy)
 
 
 def _normal_offsets(dx, dy, normals):
@@ -377,16 +412,12 @@ def _normal_offsets(dx, dy, normals):
 def _pair_blocks(targets, nodes, start, stop):
     """(lo, hi, r2, scratch) of each block of the rows start..stop of targets.
 
-    r2 is _pair_geometry of targets[lo:hi] against nodes, and scratch holds
-    three more arrays of its shape: the offsets d_x and d_y, from which
-    _normal_offsets builds nd when a pass needs it, and one more.  The
-    blocks are _row_blocks, and all of them share one set of arrays, so a
-    block's arrays are overwritten by the next block.
+    r2 is _pair_geometry of targets[lo:hi] against nodes, and scratch is
+    the block's three other arrays (_block_arrays): the first held the
+    squares of the first offsets and is free, and the other two are not
+    written.  A pass that reads r2 alone so walks two arrays per block.
     """
-    blocks = _row_blocks(start, stop, nodes.shape[0])
-    arrays = np.empty((4, max((hi - lo for lo, hi in blocks), default=0), nodes.shape[0]))
-    for lo, hi in blocks:
-        out = arrays[:, : hi - lo]
+    for lo, hi, out in _block_arrays(start, stop, nodes.shape[0]):
         yield lo, hi, _pair_geometry(targets[lo:hi], nodes, out), out[1:]
 
 
@@ -522,15 +553,16 @@ class _Targets:
     r2 = |x - y|^2 has one row per point; nearest is each point's nearest
     node and dist its distance to it, both found when first read, so a pass
     that neither checks nor locates its points skips them.  nd = nu(y) .
-    (x - y) is built from the block's offsets only when first read, which
-    only the double-layer kernel does: a single-layer field, the band check
-    and point location read r2 alone.  A point off the band is located by
-    its nearest node alone: it lies outside the open set exactly when it is
-    outward, on the side the node's normal points to, which takes one
-    normal component per point.  scratch is the block's other arrays (see
-    _pair_blocks): the offsets d_x and d_y, which nd overwrites, and one
-    more, into which the single-layer kernel is written; the double-layer
-    kernel is written over d_y once nd is built.
+    (x - y) is built only when first read, which only the double-layer
+    kernel does, from offsets formed then from the block's points: a
+    single-layer field, the band check and point location read r2 alone.
+    A point off the band is located by its nearest node alone: it lies
+    outside the open set exactly when it is outward, on the side the node's
+    normal points to, which takes one normal component per point.  scratch
+    is the block's other three arrays (see _pair_blocks).  The single-layer
+    kernel is written into the first, the one r2 was formed with; nd forms
+    the offsets d_x and d_y in the other two and is written over d_x, and
+    the double-layer kernel over d_y.
     """
 
     def __init__(self, mesh, points, r2, scratch):
@@ -546,22 +578,23 @@ class _Targets:
 
     @cached_property
     def nd(self):
-        dx, dy, _ = self._scratch
-        return _normal_offsets(dx, dy, self.mesh.normal)
+        _, dx, dy = self._scratch
+        return _normal_offsets(*_offsets(self.points, self.mesh.x, dx, dy), self.mesh.normal)
 
     @cached_property
     def single_kernel(self):
         """log|x - y| / (2 pi), spelled log(|x - y|^2) / (4 pi) to save a square root"""
-        k = np.log(self.r2, out=self._scratch[2])
+        k = np.log(self.r2, out=self._scratch[0])
         k *= 0.25 / np.pi
         return k
 
     @cached_property
     def double_kernel(self):
-        """-nu(y) . (x - y) / (2 pi |x - y|^2)"""
+        """-nu(y) . (x - y) / (2 pi |x - y|^2), spelled nd / (-2 pi r2): rounding
+        is odd, so the sign moves into the denominator at no cost in bits"""
         nd = self.nd
-        k = np.multiply(2.0 * np.pi, self.r2, out=self._scratch[1])
-        return np.negative(np.divide(nd, k, out=k), out=k)
+        k = np.multiply(-2.0 * np.pi, self.r2, out=self._scratch[2])
+        return np.divide(nd, k, out=k)
 
     @property
     def outward(self):
@@ -596,9 +629,9 @@ class _TargetBlocks:
     The points must be finite, and near enough to the nodes that their
     squared distances cannot overflow (InvalidProbe otherwise).  Iterating
     yields (rows, _Targets) for consecutive blocks of rows (see
-    _pair_blocks): a block computes r2 and keeps its offsets, from which
-    _Targets builds nd only for a double layer.  The arrays of a block are
-    overwritten by the next block.
+    _pair_blocks): a block computes r2 alone, and _Targets forms the
+    offsets and nd from the block's points only for a double layer.  The
+    arrays of a block are overwritten by the next block.
     """
 
     def __init__(self, mesh, points):

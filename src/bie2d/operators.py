@@ -13,7 +13,7 @@ curve's own block by one circulant per curve.  The double-layer kernel is
 smooth on a C^2 curve, so W is plain trapezoid with the curvature limit on
 the diagonal.  V and W are assembled together, from one pass over the
 squared node distances that walks each curve's rows in blocks
-(geometry._pair_blocks) and writes each block into W and into the array
+(geometry._block_arrays) and writes each block into W and into the array
 in which the single layer is factored (below); V is never held in full.
 Wt = D^-1 W^T D (D = diag of quadrature weights), applied from W and never
 stored, is both the Nystrom matrix of the transposed kernel and an exact
@@ -58,7 +58,7 @@ from scipy.linalg.blas import dsymv, dtrsv
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InvalidGeometry, OutOfRange, SingularSystem
-from .geometry import _check_aligned, _normal_offsets, _pair_blocks
+from .geometry import _block_arrays, _check_aligned, _normal_offsets, _offsets
 
 
 def _log_correction(nc):
@@ -118,15 +118,18 @@ def _assemble_curve(mesh, sl, W, inner, row, col):
     w = mesh.weights
     correction = _circulant(_log_correction(sl.stop - sl.start))
     scale = (0.25 / np.pi) * mesh.speed[sl]
-    for lo, hi, r2, (dx, dy, _) in _pair_blocks(mesh.x, mesh.x, sl.start, sl.stop):
+    for lo, hi, (r2, dx, dy, sq) in _block_arrays(sl.start, sl.stop, mesh.n):
         b, first = hi - lo, lo - sl.start  # first: the block's first node on its curve
+        # every block reads nd, so the offsets come first and r2 from them
+        _offsets(mesh.x[lo:hi], mesh.x, dx, dy)
+        np.multiply(dx, dx, out=r2)
+        r2 += np.multiply(dy, dy, out=sq)
         nd = _normal_offsets(dx, dy, mesh.normal)
         rows = np.arange(b)
         r2[rows, lo + rows] = mesh.speed[lo:hi] ** 2
 
-        Wb = np.multiply(2.0 * np.pi, r2, out=W[lo:hi])
+        Wb = np.multiply(-2.0 * np.pi, r2, out=W[lo:hi])  # -nd / (2 pi r2), sign below
         np.divide(nd, Wb, out=Wb)
-        np.negative(Wb, out=Wb)
         Wb[rows, lo + rows] = mesh.curvature[lo:hi] / (4.0 * np.pi)
         Wb *= w
 

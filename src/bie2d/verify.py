@@ -159,17 +159,24 @@ class _MeshCache:
 
     @cached_property
     def fourier(self):
-        """cos(k t) and sin(k t) for k = 1..8, the modes of a seeded density."""
+        """The modes of a seeded density, (17, n): 1, then cos(k t) and sin(k t)
+        for k = 1..8, and the divisor of each mode's coefficient, 1 + k."""
         kt = np.arange(1, 9)[:, None] * self.mesh.t
-        return np.cos(kt), np.sin(kt)
+        modes = np.empty((17, self.mesh.n))
+        modes[0], modes[1::2], modes[2::2] = 1.0, np.cos(kt), np.sin(kt)
+        return modes, np.append(1.0, np.repeat(np.arange(2.0, 10.0), 2))
 
     def density(self, rng, zero_mean=False):
-        """seeded_density of the mesh, from the cached Fourier table."""
+        """seeded_density of the mesh, from the cached Fourier table.
+
+        The 17 coefficients are one draw, c then a_k and b_k for k = 1..8 (as
+        17 draws one at a time would give them), and the terms are summed in
+        that order, c + a_1 cos t + b_1 sin t + ..., one row at a time.
+        """
         mesh = self.mesh
-        f = rng.uniform(-1.0, 1.0) * np.ones(mesh.n)
-        for k, (cos_k, sin_k) in enumerate(zip(*self.fourier), start=1):
-            a, b = rng.uniform(-1.0, 1.0, size=2) / (1.0 + k)
-            f = f + a * cos_k + b * sin_k
+        modes, divisors = self.fourier
+        f = np.add.reduce(rng.uniform(-1.0, 1.0, modes.shape[0])[:, None] / divisors[:, None]
+                          * modes, axis=0)
         if zero_mean:
             f = f - integrate(mesh, f) / integrate(mesh, np.ones(mesh.n))
         return f

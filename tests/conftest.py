@@ -177,6 +177,20 @@ def svd_nullspace(mesh, op_kind):
     return np.linalg.qr(u[:, n - dim:] / mesh.weights[:, None])[0]
 
 
+def loop_seeded_density(mesh, rng, zero_mean=False):
+    """verify.seeded_density as it was before its single draw: the constant,
+    then each mode's two coefficients drawn and added in turn."""
+    from bie2d.geometry import integrate
+
+    f = rng.uniform(-1.0, 1.0) * np.ones(mesh.n)
+    for k in range(1, 9):
+        a, b = rng.uniform(-1.0, 1.0, size=2) / (1.0 + k)
+        f = f + a * np.cos(k * mesh.t) + b * np.sin(k * mesh.t)
+    if zero_mean:
+        f = f - integrate(mesh, f) / integrate(mesh, np.ones(mesh.n))
+    return f
+
+
 def svd_pair_basis(mesh, op_kind, jmap=None):
     """transpose_kernel_pair_basis as it was before its pivoted QR: the rank and
     the null vectors of the J-coordinate matrix are read from one SVD."""

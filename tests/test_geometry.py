@@ -17,6 +17,7 @@ from bie2d.geometry import (
     _check_node_separation,
     _in_region,
     _normal_offsets,
+    _offsets,
     _pair_blocks,
     _row_blocks,
     build_mesh,
@@ -402,10 +403,12 @@ def test_pair_blocks_tile_each_curve_and_match_a_direct_computation(name):
             bounds.append((lo, hi))
             d = mesh.x[lo:hi, None, :] - mesh.x[None, :, :]
             assert np.array_equal(r2, d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
-            # the block keeps its offsets d = x - y, and nd is built from them
+            # the block keeps no offsets: they are formed on request, in the
+            # scratch arrays r2 was not formed with, and nd from them
             assert scratch.shape == (3, hi - lo, mesh.n)
-            assert np.array_equal(scratch[0], d[..., 0]) and np.array_equal(scratch[1], d[..., 1])
-            nd = _normal_offsets(scratch[0], scratch[1], nu)
+            dx, dy = _offsets(mesh.x[lo:hi], mesh.x, scratch[1], scratch[2])
+            assert np.array_equal(dx, d[..., 0]) and np.array_equal(dy, d[..., 1])
+            nd = _normal_offsets(dx, dy, nu)
             assert np.array_equal(nd, d[..., 1] * nu[:, 1] + d[..., 0] * nu[:, 0])
         assert bounds[0][0] == sl.start and bounds[-1][1] == sl.stop
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))

@@ -312,6 +312,26 @@ def test_ragged_blocks_fill_every_row(seven_row_blocks, region, radii):
     assert np.array_equal(dist_single_layer_field(tau, points, region), _by_rows(7, closed, points))
 
 
+@pytest.mark.parametrize("name", ["kite", "annulus"])
+@pytest.mark.parametrize("order", [("single", "double"), ("double", "single")])
+def test_both_kernels_of_one_block_hold_in_either_read_order(monkeypatch, name, order):
+    # the single kernel and the offsets formed for the double kernel share
+    # a block's scratch arrays, so reading one must not overwrite the other
+    rows_per_block(monkeypatch, 7)
+    mesh = stock_mesh(name, 64)
+    points = default_grid(mesh)
+    points = points[[kind != "near_boundary" for kind, _ in locate_points(mesh, points)]][::21]
+    densities = {"single": np.cos(3 * mesh.t) + 0.2, "double": np.sin(2 * mesh.t)}
+    sizes = []
+    for rows, targets in geometry._TargetBlocks(mesh, points):
+        kernels = {kind: getattr(targets, f"{kind}_kernel") for kind in order}
+        for kind, kernel in kernels.items():
+            expected = _layer_by_norms(mesh, kind, densities[kind], points[rows])
+            assert np.array_equal(kernel @ (mesh.weights * densities[kind]), expected)
+        sizes.append(rows.stop - rows.start)
+    assert sizes[:-1] == [7] * (len(sizes) - 1) and 1 < sizes[-1] < 7
+
+
 def test_field_csv_in_ragged_blocks(seven_row_blocks, tmp_path):
     mesh = seven_row_blocks
     fld = HarmonicField(mesh, [("single", np.cos(3 * mesh.t) + 0.2), ("double", np.sin(mesh.t))],
@@ -394,7 +414,9 @@ def test_eval_allocates_no_array_over_all_pairs():
 
 def test_fields_are_located_and_evaluated_without_the_double_layer(tmp_path, monkeypatch):
     # a single-layer field needs neither the double-layer kernel nor the
-    # normal offsets it is built from, to locate its points either
+    # normal offsets it is built from, to locate its points either; no pass
+    # that reads only the squared distances, the mesh's separation checks
+    # included, forms the offsets at all
     mesh = stock_mesh("annulus", 128)
     fld = dirichlet_interior(mesh, np.cos(mesh.t)).field
     points = _ring_points(np.random.default_rng(8), 300, 1.3, 1.7)
@@ -407,11 +429,15 @@ def test_fields_are_located_and_evaluated_without_the_double_layer(tmp_path, mon
              for side in ("interior", "exterior")}
     write_field_csv(fld, grid, tmp_path / "expected.csv")
 
-    def refuse(targets):
-        raise AssertionError("normal offsets or double-layer kernel computed")
+    def refuse(*args):
+        raise AssertionError("offsets, normal offsets or double-layer kernel computed")
 
     monkeypatch.setattr(geometry._Targets, "double_kernel", property(refuse))
     monkeypatch.setattr(geometry._Targets, "nd", property(refuse))
+    monkeypatch.setattr(geometry, "_offsets", refuse)
+    rebuilt = stock_mesh("annulus", 128)
+    assert all(np.array_equal(getattr(rebuilt, name), getattr(mesh, name))
+               for name in ("x", "normal", "curvature", "weights"))
     assert np.array_equal(fld.eval(points), expected)
     assert locate_points(mesh, grid) == locations
     for region, probe in probes.items():

@@ -5,6 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
+from conftest import loop_seeded_density
 
 from bie2d import distributions, geometry, solvers, verify
 from bie2d.errors import ConfigError
@@ -130,6 +131,19 @@ def test_verify_drops_each_mesh_cache_before_the_next(monkeypatch):
     assert run_verify(meshes=meshes, n=64).passed
     assert len(built) == 2 * (2 + 4)
     assert all(ref() is None for ref, _ in built)
+
+
+@pytest.mark.parametrize("zero_mean", [False, True])
+@pytest.mark.parametrize("name", ["disk", "ellipse", "annulus", "kite"])
+def test_seeded_densities_match_the_loop_bit_for_bit(name, zero_mean):
+    mesh = stock_mesh(name, 64)
+    cache = verify._MeshCache(mesh)
+    for seed in range(50):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert np.array_equal(cache.density(rng, zero_mean),
+                                  loop_seeded_density(mesh, reference, zero_mean))
+        assert rng.uniform() == reference.uniform()  # the same draws were taken
 
 
 def test_shared_probe_sets_are_read_only(disk128):
