@@ -128,7 +128,8 @@ def _assemble_curve(mesh, sl, W, inner, row, col):
         rows = np.arange(b)
         r2[rows, lo + rows] = mesh.speed[lo:hi] ** 2
 
-        Wb = np.multiply(-2.0 * np.pi, r2, out=W[lo:hi])  # -nd / (2 pi r2), sign below
+        # -nd / (2 pi r2), spelled nd / (-2 pi r2): rounding is odd, so the bits agree
+        Wb = np.multiply(-2.0 * np.pi, r2, out=W[lo:hi])
         np.divide(nd, Wb, out=Wb)
         Wb[rows, lo + rows] = mesh.curvature[lo:hi] / (4.0 * np.pi)
         Wb *= w
