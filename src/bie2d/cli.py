@@ -523,6 +523,11 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        # a legal mesh too large for this machine: numpy names the allocation
+        print(f"config error: out of memory ({str(exc) or 'an allocation failed'}); "
+              "use fewer nodes", file=sys.stderr)
+        return EXIT_CONFIG
     except IncompatibleData as exc:
         print(f"incompatible data: {exc}", file=sys.stderr)
         for i, val in enumerate(exc.pairings):

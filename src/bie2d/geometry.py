@@ -21,19 +21,18 @@ formed in two block arrays without keeping the offsets (_pair_geometry).
 The near-boundary band check, point location and the single-layer kernel
 read those; the offsets and their normal components are formed, from the
 block's points, only when a double-layer kernel reads them.  Every
-pairwise pass, this one, the node-separation check and the operator
-assembly, which reads the normal components on every block and so forms
-the offsets first and the squared distances from them, iterates one
-walker, _block_arrays: it takes the rows in blocks of about _BLOCK_PAIRS
-pairs and reuses one set of block arrays, so no array over all pairs is
-ever allocated.  A point off the band is located by its nearest node
-alone (locate_points): one normal component per point tells its side.
-Location alone (locate_points and the first pass of a field CSV) walks
-only the pairs of each curve's nodes with the points in the curve's
-bounding box dilated by the band width; a point in no box lies in the
-unbounded component.  Evaluation keeps the full pass, whose kernels read
-every squared distance anyway, and so does verify.probe_points, which
-ranks points by their exact nearest distance.
+pairwise pass iterates one walker, _block_arrays: it takes the rows in
+blocks of about _BLOCK_PAIRS pairs and reuses one set of block arrays, as
+many as the pass writes, so no array over all pairs is ever allocated.  A
+pass that reads r2 alone holds two (_pair_blocks); evaluation, and the
+operator assembly, which reads the normal components on every block and
+so forms the offsets first and r2 from them, hold four.  One reduction
+finds nearest nodes (_nearer_nodes), for the node-separation check, for
+verify.probe_points, which ranks points by their exact nearest distance,
+and for location: a point off the band is located by its nearest node
+alone (locate_points), one normal component per point telling its side,
+against the nodes of the curves whose bounding boxes, dilated by the band
+width, hold it; a point in no box lies in the unbounded component.
 """
 
 import math
@@ -354,15 +353,15 @@ def _row_blocks(start, stop, n):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _block_arrays(start, stop, n):
+def _block_arrays(start, stop, n, count):
     """(lo, hi, arrays) of each block of the rows start..stop against n columns.
 
-    arrays is four (hi - lo, n) float arrays.  The blocks are _row_blocks,
-    and all of them share one set of arrays, so a block's arrays are
-    overwritten by the next block; a pass writes only the arrays it needs.
+    arrays is count (hi - lo, n) float arrays, as many as the pass writes.
+    The blocks are _row_blocks, and all of them share one set of arrays,
+    so a block's arrays are overwritten by the next block.
     """
     blocks = _row_blocks(start, stop, n)
-    arrays = np.empty((4, max((hi - lo for lo, hi in blocks), default=0), n))
+    arrays = np.empty((count, max((hi - lo for lo, hi in blocks), default=0), n))
     for lo, hi in blocks:
         yield lo, hi, arrays[:, : hi - lo]
 
@@ -410,15 +409,13 @@ def _normal_offsets(dx, dy, normals):
 
 
 def _pair_blocks(targets, nodes, start, stop):
-    """(lo, hi, r2, scratch) of each block of the rows start..stop of targets.
+    """(lo, hi, r2) of each block of the rows start..stop of targets.
 
-    r2 is _pair_geometry of targets[lo:hi] against nodes, and scratch is
-    the block's three other arrays (_block_arrays): the first held the
-    squares of the first offsets and is free, and the other two are not
-    written.  A pass that reads r2 alone so walks two arrays per block.
+    r2 is _pair_geometry of targets[lo:hi] against nodes, formed in a set of
+    two block arrays (_block_arrays): all that a pass reading r2 alone writes.
     """
-    for lo, hi, out in _block_arrays(start, stop, nodes.shape[0]):
-        yield lo, hi, _pair_geometry(targets[lo:hi], nodes, out), out[1:]
+    for lo, hi, out in _block_arrays(start, stop, nodes.shape[0], 2):
+        yield lo, hi, _pair_geometry(targets[lo:hi], nodes, out)
 
 
 def _check_node_separation(mesh):
@@ -453,7 +450,7 @@ def _distant_nodes_coincide(xc, wc):
     # only pairs closer than half the largest spacing can fail the test
     # d < 0.25 (w_i + w_j) / 2, so they are screened first
     screen = (0.5 * float(np.max(wc))) ** 2
-    for lo, _, r2, _ in _pair_blocks(xc, xc, 0, nc):
+    for lo, _, r2 in _pair_blocks(xc, xc, 0, nc):
         i, j = np.nonzero(r2 < screen)
         ring = np.abs(i + lo - j)
         ring = np.minimum(ring, nc - ring)
@@ -465,14 +462,11 @@ def _distant_nodes_coincide(xc, wc):
 
 def _closest_pair(xa, xb):
     """The distance between two node sets and the indices of their first
-    closest pair in row order, as one argmin over all pairs finds it."""
-    gap2, i, j = np.inf, 0, 0
-    for lo, _, r2, _ in _pair_blocks(xa, xb, 0, xa.shape[0]):
-        k = int(np.argmin(r2))
-        if r2.flat[k] < gap2:
-            gap2, (i, j) = float(r2.flat[k]), divmod(k, r2.shape[1])
-            i += lo
-    return math.sqrt(gap2), i, j
+    closest pair in row order: the least of the rows' minima (_nearer_nodes)."""
+    best, nearest = np.full(xa.shape[0], np.inf), np.zeros(xa.shape[0], dtype=int)
+    _nearer_nodes(xa, np.arange(xa.shape[0]), xb, 0, best, nearest)
+    i = int(np.argmin(best))
+    return math.sqrt(best[i]), i, int(nearest[i])
 
 
 # The trapezoid rule on one curve loses its accuracy at points of another
@@ -559,7 +553,7 @@ class _Targets:
     A point off the band is located by its nearest node alone: it lies
     outside the open set exactly when it is outward, on the side the node's
     normal points to, which takes one normal component per point.  scratch
-    is the block's other three arrays (see _pair_blocks).  The single-layer
+    is the block's other three arrays (see _TargetBlocks).  The single-layer
     kernel is written into the first, the one r2 was formed with; nd forms
     the offsets d_x and d_y in the other two and is written over d_x, and
     the double-layer kernel over d_y.
@@ -627,11 +621,10 @@ class _TargetBlocks:
     """A point (2,) or points (m, 2), checked once, and their geometry pass by blocks.
 
     The points must be finite, and near enough to the nodes that their
-    squared distances cannot overflow (InvalidProbe otherwise).  Iterating
-    yields (rows, _Targets) for consecutive blocks of rows (see
-    _pair_blocks): a block computes r2 alone, and _Targets forms the
-    offsets and nd from the block's points only for a double layer.  The
-    arrays of a block are overwritten by the next block.
+    squared distances cannot overflow (InvalidProbe otherwise).  Iterating,
+    the evaluation pass, yields (rows, _Targets) for consecutive blocks of
+    rows, each in four block arrays (_block_arrays; see _Targets), which
+    the next block overwrites.
     """
 
     def __init__(self, mesh, points):
@@ -652,16 +645,16 @@ class _TargetBlocks:
 
     def __iter__(self):
         mesh = self.mesh
-        for lo, hi, r2, scratch in _pair_blocks(self.points, mesh.x, 0, len(self)):
-            yield slice(lo, hi), _Targets(mesh, self.points[lo:hi], r2, scratch)
+        for lo, hi, out in _block_arrays(0, len(self), mesh.n, 4):
+            pts = self.points[lo:hi]
+            yield slice(lo, hi), _Targets(mesh, pts, _pair_geometry(pts, mesh.x, out), out[1:])
 
     def nearest_nodes(self):
         """Each point's distance to its nearest node over all the nodes, and
         whether it lies on the side that node's normal points to."""
-        dist, outward = np.empty(len(self)), np.empty(len(self), dtype=bool)
-        for rows, targets in self:
-            dist[rows], outward[rows] = targets.dist, targets.outward
-        return dist, outward
+        best, nearest = np.full(len(self), np.inf), np.zeros(len(self), dtype=int)
+        _nearer_nodes(self.points, np.arange(len(self)), self.mesh.x, 0, best, nearest)
+        return np.sqrt(best), _outward(self.mesh, self.points, nearest)
 
     def locate(self):
         """Each point's distance to its nearest node, whether it lies on the
@@ -671,7 +664,7 @@ class _TargetBlocks:
         A curve's box is its nodes' bounding box dilated by the band width,
         so a point outside it is farther than the band from every node of
         the curve.  Only the pairs of a curve's nodes and the points in its
-        box are walked (by _pair_blocks), and a point takes the nearest node
+        box are walked (by _nearer_nodes), and a point takes the nearest node
         of the curves whose boxes hold it.  Below the band that is its
         nearest node, so the distance is exact there; off the band it is the
         nearest node of a curve near enough to tell the point's side of it.
@@ -704,11 +697,13 @@ def _nearer_nodes(points, held, nodes, first, best, nearest):
     nearest, that node, from the pairs of points[held] and nodes, whose
     indices start at first.
 
-    A pass of its own, so that its block arrays are freed before the next
-    curve's pass allocates its own.  A tie keeps the node found first, as
-    one argmin over all the nodes would.
+    The one nearest-node reduction, run by location once per curve box,
+    and over all their pairs by nearest_nodes and _closest_pair.  Its two
+    block arrays are freed when it returns.  A node replaces the one kept
+    only when strictly nearer: a tie keeps the node found first, as one
+    argmin over all the nodes would.
     """
-    for lo, hi, r2, _ in _pair_blocks(points[held], nodes, 0, held.size):
+    for lo, hi, r2 in _pair_blocks(points[held], nodes, 0, held.size):
         k = np.argmin(r2, axis=1)
         d2 = r2[np.arange(hi - lo), k]
         rows = held[lo:hi]

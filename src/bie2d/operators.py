@@ -118,7 +118,7 @@ def _assemble_curve(mesh, sl, W, inner, row, col):
     w = mesh.weights
     correction = _circulant(_log_correction(sl.stop - sl.start))
     scale = (0.25 / np.pi) * mesh.speed[sl]
-    for lo, hi, (r2, dx, dy, sq) in _block_arrays(sl.start, sl.stop, mesh.n):
+    for lo, hi, (r2, dx, dy, sq) in _block_arrays(sl.start, sl.stop, mesh.n, 4):
         b, first = hi - lo, lo - sl.start  # first: the block's first node on its curve
         # every block reads nd, so the offsets come first and r2 from them
         _offsets(mesh.x[lo:hi], mesh.x, dx, dy)
@@ -308,13 +308,11 @@ class OperatorSet:
     def _wt(self, x):
         """Wt x for a grid function or an (n, k) block, without forming Wt.
 
-        A block is multiplied from the left of W, as ((D x)^T W)^T: OpenBLAS
-        runs the thin product W^T (D x) several times slower.
+        x is multiplied from the left of W, as ((D x)^T W)^T: OpenBLAS runs
+        the thin product W^T (D x) of a block several times slower.
         """
-        if x.ndim == 1:
-            return (self.W.T @ (self.weights * x)) / self.weights
-        w = self.weights[:, None]
-        return ((w * x).T @ self.W).T / w
+        w = self.weights
+        return (((x.T * w) @ self.W) / w).T
 
     def single_layer(self, x):
         """V x for a grid function or an (n, k) block of them, without forming V.

@@ -11,7 +11,7 @@ import pytest
 from conftest import NESTED_SPECS, grid_points, nearest_node_locations, negated_single_layer
 
 import bie2d
-from bie2d import cli, verify
+from bie2d import cli, operators, verify
 from bie2d.errors import ConfigError, SingularSystem
 from bie2d.geometry import stock_mesh
 from bie2d.potentials import HarmonicField
@@ -306,6 +306,33 @@ def test_demo_leaves_no_report_behind_a_failed_csv_write(tmp_path, capsys):
     assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
     assert "hadamard_energy.csv: Is a directory" in err
     assert not (tmp_path / "o" / "hadamard_report.json").exists()
+
+
+# numpy's message for the dense arrays of a 40000-node mesh
+_OUT_OF_MEMORY = ("Unable to allocate 11.9 GiB for an array with shape (40000, 40000) "
+                  "and data type float64")
+
+
+@pytest.mark.parametrize("command, report", [
+    (["solve", "--problem", "dirichlet-int", "--data", "fourier:1"], "solve_report.json"),
+    (["verify", "--n", "64"], "verify_report.json"),
+    (["demo-hadamard", "--terms", "1", "--n", "64"], "hadamard_report.json"),
+])
+def test_a_mesh_too_large_for_memory_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                       command, report):
+    # the assembly fails as numpy does, without allocating anything
+    def out_of_memory(mesh):
+        raise MemoryError(_OUT_OF_MEMORY)
+
+    monkeypatch.setattr(operators, "_assemble", out_of_memory)
+    if command[0] == "solve":
+        command = [*command, "--config", write_disk_config(tmp_path / "disk.json")]
+    code = main([*command, "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out of memory") and len(err.strip().splitlines()) == 1
+    assert "11.9 GiB" in err and "fewer nodes" in err
+    assert not (tmp_path / "o" / report).exists()
 
 
 def test_verify_non_finite_residual_is_numerical_failure(tmp_path, capsys, monkeypatch):

@@ -15,6 +15,7 @@ from bie2d.geometry import (
     CurveSpec,
     _TargetBlocks,
     _check_node_separation,
+    _closest_pair,
     _in_region,
     _normal_offsets,
     _offsets,
@@ -28,6 +29,7 @@ from bie2d.geometry import (
     stock_mesh,
     stock_specs,
 )
+from bie2d.verify import probe_points
 
 
 def test_circle_circumference():
@@ -378,16 +380,60 @@ def test_row_blocks_start_on_multiples_of_8_and_leave_no_lone_row():
 
 
 def test_node_separation_check_holds_one_set_of_block_arrays():
-    # 1024 nodes per curve: each pass's block set is four 2^16-pair arrays,
-    # 2 MiB, and the next pass's set is allocated only once it is freed
+    # 1024 nodes per curve: each pass reads r2 alone, so its block set is two
+    # 2^16-pair arrays, 1 MiB, and the next pass's set is allocated only once
+    # it is freed
     mesh = stock_mesh("annulus", 1024)
+    peak = _traced_peak(lambda: _check_node_separation(mesh))
+    assert peak <= 2 * 8 * _BLOCK_PAIRS + 128 * mesh.n
+
+
+def _traced_peak(call):
     tracemalloc.start()
     try:
-        _check_node_separation(mesh)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 8 * _BLOCK_PAIRS + 128 * mesh.n
+
+
+def test_probing_and_location_hold_two_block_arrays():
+    # 1024 nodes per curve: the walks read r2 alone, in two 2^16-pair arrays
+    # (1 MiB); the four the evaluation pass holds would take 2 MiB
+    mesh = stock_mesh("annulus", 1024)
+    grid = default_grid(mesh)
+    for call in (lambda: probe_points(mesh, "interior"), lambda: probe_points(mesh, "exterior"),
+                 lambda: locate_points(mesh, grid)):
+        assert _traced_peak(call) <= 1.25 * 2**20
+
+
+@pytest.mark.parametrize("name", ["annulus", "kite", "nested-3"])
+def test_nearest_nodes_match_a_direct_computation_bit_for_bit(monkeypatch, name):
+    mesh = named_mesh(name, 64)
+    rows_per_block(monkeypatch, 7)
+    points = _location_probes(mesh, len(name))[::3]
+    dist, outward = _TargetBlocks(mesh, points).nearest_nodes()
+    d = points[:, None, :] - mesh.x[None, :, :]
+    r2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    rows, nearest = np.arange(len(points)), np.argmin(r2, axis=1)
+    d, nu = d[rows, nearest], mesh.normal[nearest]
+    assert np.array_equal(dist, np.sqrt(r2[rows, nearest]))
+    assert np.array_equal(outward, d[:, 1] * nu[:, 1] + d[:, 0] * nu[:, 0] > 0)
+
+
+def test_closest_pair_is_the_first_in_row_order_among_tied_pairs(monkeypatch):
+    # integer nodes: squared distances are exact, and several pairs tie for
+    # the least, within a row and across rows and blocks of 7 rows
+    rows_per_block(monkeypatch, 7)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        xa = rng.integers(0, 6, size=(40, 2)).astype(float)
+        xb = rng.integers(0, 6, size=(30, 2)) + [0.0, 7.0]
+        d = xa[:, None, :] - xb[None, :, :]
+        r2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+        assert np.count_nonzero(r2 == r2.min()) > 1
+        i, j = divmod(int(np.argmin(r2)), r2.shape[1])
+        assert _closest_pair(xa, xb) == (np.sqrt(r2[i, j]), i, j)
 
 
 @pytest.mark.parametrize("name", ["annulus", "two-disks"])
@@ -399,14 +445,12 @@ def test_pair_blocks_tile_each_curve_and_match_a_direct_computation(name):
     for c in range(mesh.n_components):
         sl = mesh.component_slice(c)
         bounds = []
-        for lo, hi, r2, scratch in _pair_blocks(mesh.x, mesh.x, sl.start, sl.stop):
+        for lo, hi, r2 in _pair_blocks(mesh.x, mesh.x, sl.start, sl.stop):
             bounds.append((lo, hi))
             d = mesh.x[lo:hi, None, :] - mesh.x[None, :, :]
             assert np.array_equal(r2, d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
-            # the block keeps no offsets: they are formed on request, in the
-            # scratch arrays r2 was not formed with, and nd from them
-            assert scratch.shape == (3, hi - lo, mesh.n)
-            dx, dy = _offsets(mesh.x[lo:hi], mesh.x, scratch[1], scratch[2])
+            # the block keeps no offsets: they are formed on request, and nd from them
+            dx, dy = _offsets(mesh.x[lo:hi], mesh.x, np.empty_like(r2), np.empty_like(r2))
             assert np.array_equal(dx, d[..., 0]) and np.array_equal(dy, d[..., 1])
             nd = _normal_offsets(dx, dy, nu)
             assert np.array_equal(nd, d[..., 1] * nu[:, 1] + d[..., 0] * nu[:, 0])
