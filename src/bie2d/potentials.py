@@ -148,18 +148,17 @@ def value_at_infinity(fld, probe_radius):
 
     Returns the mean over a probe circle of _N_PROBE points together with
     the value implied by the representation; the two must agree within
-    _PROBE_TOL.  Raises NoLimit when the representation grows
-    logarithmically, InvalidProbe when the circle does not safely enclose
+    _PROBE_TOL.  Raises NoLimit when the representation grows logarithmically,
+    InvalidProbe when the circle is not finite or does not safely enclose
     the boundary, and OutOfRange when probe_radius is not a real number.
     """
     if isinstance(probe_radius, bool) or not isinstance(probe_radius, numbers.Real):
         raise OutOfRange(f"probe_radius must be a real number, got {probe_radius!r}")
     mesh = fld.mesh
     rmax = float(np.max(np.linalg.norm(mesh.x, axis=1)))
-    if probe_radius <= rmax + mesh.band_width():
-        raise InvalidProbe(
-            f"probe radius {probe_radius} does not enclose the boundary (r_max={rmax:.3f})"
-        )
+    if not rmax + mesh.band_width() < probe_radius < np.inf:  # NaN fails it too
+        raise InvalidProbe(f"probe radius {probe_radius} is not a finite radius "
+                           f"that encloses the boundary (r_max={rmax:.3f})")
     if _side(fld.region, "region").sign > 0:
         raise InvalidProbe("value at infinity of an interior field")
     # the limit read off the representation: its constant, once the single

@@ -7,21 +7,21 @@ nonvariational Neumann problems solve (-1/2 I + Wt) phi = g (interior) and
 topology gives the left kernels: the weighted indicators of the components
 of the open set (interior) and of the bounded exterior components
 (exterior).  GMRES on the matrix bordered with them, applied from W (Wt is
-never formed), yields a solution and a basis of the right kernel, which is
-then projected out; the rank deficiency is measured on that basis.  A
-second Dirichlet solver splits g under sign/2 I + W, its image's density
-solved with the transposed bordered matrix, and adds a single layer with
-density in the transpose kernel, cross-checking the direct route.  Every
-+- is the side's sign (README, "Sides and signs").  Only the independent
-checks of those kernels factor an n x n matrix: nullspace by the singular
-values and one LU of shift I + W, transpose_kernel_pair_basis by one
-pivoted QR.
+never formed), yields a basis of the right kernel, on which the rank
+deficiency is measured; border and kernel are built once per side and kept
+in the mesh's OperatorSet, and a solve runs GMRES for its datum alone and
+projects the kernel out.  A second Dirichlet solver splits g under
+sign/2 I + W, its image's density solved with the transposed bordered
+matrix, and adds a single layer with density in the transpose kernel,
+cross-checking the direct route.  Every +- is the side's sign (README,
+"Sides and signs").  Only the independent checks of those kernels factor
+an n x n matrix: nullspace by the singular values and one LU of
+shift I + W, transpose_kernel_pair_basis by one pivoted QR.
 """
 
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular, subspace_angles
@@ -159,12 +159,6 @@ _GMRES_TOL = 1e-14
 _PROBE_TOL = 1e-6
 
 
-class _Bordered(NamedTuple):
-    solution: np.ndarray  # minimum-norm solution of (shift I + Wt) x = rhs
-    kernel: np.ndarray  # orthonormal basis of the measured right kernel of shift I + Wt
-    border: np.ndarray  # B, unit columns: as many as the kernel dimension assumed
-
-
 def _indicators(mesh, side):
     """Indicators of the components of one side, one column each.
 
@@ -226,8 +220,8 @@ def _gmres(apply, b, tol=_GMRES_TOL):
                          f"{abs(g[j + 1]):.1e} after {j + 1} steps")
 
 
-def _wt_solve(mesh, side, rhs):
-    """Minimum-norm solution of (shift I + Wt) x = rhs by GMRES on the bordered system.
+def _bordered_system(mesh, side):
+    """The side's border B and measured kernel, built on first use and kept in the OperatorSet.
 
     M = [A, B; B^T, 0] borders A = shift I + D^-1 W^T D (the side's shift)
     with B, the side's weighted indicators in unit columns, which span the
@@ -235,13 +229,15 @@ def _wt_solve(mesh, side, rhs):
     so GMRES takes a number of steps that does not depend on n.  A seeded
     random probe, which a singular M cannot reach though a consistent datum
     can, is solved first: SingularSystem unless M maps its solution back to
-    it to _PROBE_TOL.  The datum's solution solves A x = rhs; those of the
-    border rows' unit vectors span the right kernel of A, and the vectors
-    of that span A maps below _RANK_TOL times the inf-norm of M are the
-    measured kernel, projected out of x for the minimum norm.  _decompose
-    solves with M^T on the same border.
+    it to _PROBE_TOL, and nothing is kept.  The solutions of the border rows'
+    unit vectors span the right kernel of A, and the vectors of that span A
+    maps below _RANK_TOL times the inf-norm of M are the measured kernel.
+    No datum enters: _neumann solves with M, _decompose with M^T.  The
+    record holds arrays only, so it refers back to nothing.
     """
     ops = operator_set(mesh)
+    if side.name in ops.bordered:
+        return ops.bordered[side.name]
     border = _indicators(mesh, side) * mesh.weights[:, None]
     border /= np.linalg.norm(border, axis=0)
     n, k = border.shape
@@ -252,14 +248,14 @@ def _wt_solve(mesh, side, rhs):
     if not miss <= _PROBE_TOL:
         raise SingularSystem("bordered second-kind system is singular: "
                              f"it misses a random right-hand side by {miss:.1e}")
-    x = _gmres(product, np.append(rhs, np.zeros(k)))[:n]
     kernel = np.zeros((n, 0))
     if k:
         span = np.column_stack([_gmres(product, e)[:n] for e in np.eye(k, n + k, n)])
         span, _ = np.linalg.qr(span)
         _, sv, vt = np.linalg.svd(side.shift * span + ops._wt(span), full_matrices=False)
         kernel = span @ vt[sv <= _RANK_TOL * _bordered_norm(ops, side.shift, border)].T
-    return _Bordered(x - kernel @ (kernel.T @ x), kernel, border)
+    ops.bordered[side.name] = border, kernel
+    return border, kernel
 
 
 def _neumann(mesh, g, region):
@@ -274,15 +270,17 @@ def _neumann(mesh, g, region):
         raise IncompatibleData(f"datum has nonzero flux through "
                                f"{'an exterior' if exterior else 'a'} component boundary",
                                pairings=compat)
-    solve = _wt_solve(mesh, side, rep)
-    phi = solve.solution
+    border, kernel = _bordered_system(mesh, side)
+    product = partial(_bordered, ops, side.shift, border, False)
+    x = _gmres(product, np.append(rep, np.zeros(border.shape[1])))[:mesh.n]
+    phi = x - kernel @ (kernel.T @ x)
     A_phi = side.shift * phi + ops._wt(phi)
     resid = float(np.linalg.norm(A_phi - rep))
     if not resid <= _COMPAT_TOL * max(1.0, float(np.linalg.norm(rep))):
         raise IncompatibleData(
             f"least-squares residual {resid:.3e} exceeds tolerance", pairings=compat
         )
-    deficiency = solve.kernel.shape[1]
+    deficiency = kernel.shape[1]
     if exterior:
         phi_mass = integrate(mesh, phi)
         if not abs(phi_mass) <= 1e-8 * scale:
@@ -302,7 +300,7 @@ def _neumann(mesh, g, region):
         residuals=residuals,
         compat=list(compat),
         rank_info={"rank": mesh.n - deficiency, "deficiency": deficiency,
-                   "expected_deficiency": solve.border.shape[1]},
+                   "expected_deficiency": border.shape[1]},
         u_infinity=0.0 if exterior else None,
     )
 
@@ -410,15 +408,15 @@ def _decompose(mesh, g, sign):
     (sign/2 I + W) psi = g_im and P an orthonormal basis of the kernel of
     the transpose operator sign/2 I + Wt.  The kernel of sign/2 I + W is
     spanned by the indicators K of the opposite side, its left kernel by D P.
-    The transpose M^T of the bordered matrix of P's _wt_solve, [D (sign/2 I
-    + W) D^-1, B; B^T, 0], solves M^T [D psi0; 0] = [D g_im; 0] by one more
-    GMRES run, and psi is psi0 minus its K part.
+    P and the border B are the side's record (_bordered_system), whose M^T,
+    [D (sign/2 I + W) D^-1, B; B^T, 0], solves M^T [D psi0; 0] = [D g_im; 0]
+    by one GMRES run, and psi is psi0 minus its K part.
     """
     # sign/2 I + Wt is the operator of the Neumann problem on the opposite side
     side = _side(sign).opposite
     g = _datum(mesh, g)
     K = _indicators(mesh, side)
-    _, P, border = _wt_solve(mesh, side, np.zeros(mesh.n))
+    border, P = _bordered_system(mesh, side)
     DP = P * mesh.weights[:, None]
     g_ker = np.zeros(mesh.n)
     if K.shape[1]:

@@ -42,10 +42,10 @@ from .distributions import (
 )
 from .solvers import (
     _OP_KINDS,
+    _bordered_system,
     _compat_rows,
     _dirichlet,
     _subspace_angle,
-    _wt_solve,
     dirichlet_exterior,
     dirichlet_interior,
     neumann_exterior,
@@ -355,10 +355,10 @@ def check_nullspace_dims(mesh, rng, cache):
     nullspace reads the Wt kernel's dimension from the singular values of
     shift I + W, whose W kernel has the same dimension, and its vectors from
     one LU of that matrix.  The twins of the Wt kernel are the pair-route
-    kernel (a pivoted QR) and the measured kernel of the Neumann solvers'
-    bordered GMRES; both come from other matrices than shift I + W.
-    pi/2, the largest angle, when the kernel misses its side's component
-    count or its singular-value gap.
+    kernel (a pivoted QR) and the measured kernel that the Neumann solvers
+    keep from their bordered GMRES; both come from other matrices than
+    shift I + W.  pi/2, the largest angle, when the kernel misses its side's
+    component count or its singular-value gap.
     """
     worst = 0.0
     for kind, (side, op) in _OP_KINDS.items():
@@ -368,7 +368,7 @@ def check_nullspace_dims(mesh, rng, cache):
         if basis.gap < 1e4 or basis.dimension != getattr(mesh.topology, side.kappa):
             return np.pi / 2
         wt = basis.vectors
-        gmres_kernel = _wt_solve(mesh, side, np.zeros(mesh.n)).kernel
+        gmres_kernel = _bordered_system(mesh, side)[1]
         pair_kernel = transpose_kernel_pair_basis(mesh, kind, cache.jmap("plus"))
         worst = max(worst, _subspace_angle(wt, pair_kernel), _subspace_angle(wt, gmres_kernel))
     return worst

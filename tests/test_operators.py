@@ -229,7 +229,11 @@ def test_operator_set_holds_only_its_factors():
     assert run_verify(meshes={"annulus": mesh}, n=96).passed
     ops.S_plus, ops.S_minus
     assert mesh.operators is ops
-    assert _held_bytes(ops) == held
+    # besides, each side solved keeps the border and kernel of its bordered
+    # Neumann system: two (n, k) arrays, k its component count
+    assert set(ops.bordered) == {"plus", "minus"}
+    widths = (mesh.topology.kappa_plus, mesh.topology.kappa_minus)
+    assert _held_bytes(ops) == {**held, "bordered": sum(2 * 8 * n * k for k in widths)}
 
 
 @pytest.mark.parametrize("side", ["plus", "minus"])

@@ -184,6 +184,15 @@ def test_value_at_infinity_probe_validation(disk128):
         value_at_infinity(interior, 10.0)
 
 
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf])
+def test_value_at_infinity_refuses_a_non_finite_radius(disk128, radius):
+    # the circle is never built: inf used to warn in the multiply, and both
+    # ended on the probe points' finiteness check rather than on the radius
+    fld = HarmonicField(disk128, [], constant=0.0, region="exterior")
+    with pytest.raises(InvalidProbe, match=rf"^probe radius {radius} is not a finite radius"):
+        value_at_infinity(fld, radius)
+
+
 def test_field_region_guard(disk128):
     fld = HarmonicField(disk128, [("single", np.cos(disk128.t))], region="interior")
     with pytest.raises(InvalidProbe):

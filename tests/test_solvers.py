@@ -3,6 +3,7 @@ import json
 import tracemalloc
 import warnings
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -605,6 +606,7 @@ def test_dropped_meshes_are_freed_without_gc(tmp_path):
         for solver in (neumann_interior, neumann_exterior):
             mesh = stock_mesh("annulus", 64)
             operator_set(mesh)
+            solver(mesh, np.cos(mesh.t))  # builds the side's record; the second reads it
             report = solver(mesh, np.cos(mesh.t))
             write_field_csv(report.field, default_grid(mesh), tmp_path / "u.csv")
             refs.append(weakref.ref(mesh))
@@ -652,7 +654,7 @@ def test_neumann_density_is_the_minimum_norm_lstsq_solution(name, region):
 def test_kernel_shift_basis_spans_the_svd_nullspace(name, region):
     mesh = stock_mesh(name, 128)
     side = _side(region, "region")
-    basis = solvers._wt_solve(mesh, side, np.zeros(mesh.n)).kernel
+    _, basis = solvers._bordered_system(mesh, side)
     svd = nullspace(mesh, _KERNEL_KINDS[region]).vectors
     assert basis.shape == svd.shape
     if svd.shape[1]:
@@ -695,8 +697,10 @@ def test_too_narrow_border_is_a_singular_system(monkeypatch):
     monkeypatch.setattr(
         solvers, "_indicators", lambda mesh, side: indicators(mesh, side)[:, :1]
     )
-    with pytest.raises(SingularSystem, match="singular: it misses a random right-hand side"):
-        neumann_interior(mesh, np.zeros(mesh.n))
+    for _ in range(2):  # a failed build keeps no record, so a second solve fails alike
+        with pytest.raises(SingularSystem, match="singular: it misses a random right-hand side"):
+            neumann_interior(mesh, np.zeros(mesh.n))
+        assert operator_set(mesh).bordered == {}
 
 
 @pytest.mark.parametrize("sign", ["plus", "minus"])
@@ -713,9 +717,10 @@ def test_decompose_density_is_the_minimum_norm_lstsq_solution(name, sign):
 
 
 def test_decompose_solves_one_transposed_system(monkeypatch):
-    # _wt_solve's GMRES runs with M (probe, datum, one per border column),
-    # and _decompose adds one run with M^T, whose block is shift I + D W D^-1
-    mesh = stock_mesh("annulus", 64)
+    # a side's first use builds its record by GMRES runs with M (the probe,
+    # one per border column); _decompose adds one run with M^T, whose block
+    # is shift I + D W D^-1, and runs that alone once the side is built, by
+    # _decompose itself or by the side's Neumann solve
     runs = []
     gmres = solvers._gmres
 
@@ -724,10 +729,54 @@ def test_decompose_solves_one_transposed_system(monkeypatch):
         return gmres(apply, b, *args)
 
     monkeypatch.setattr(solvers, "_gmres", counted)
-    for sign in ("plus", "minus"):
+    fresh, solved = stock_mesh("annulus", 64), stock_mesh("annulus", 64)
+    g = seeded_density(fresh, np.random.default_rng(2))
+    for region in ("interior", "exterior"):  # sign "minus" reads the interior side
+        _NEUMANN[region](solved, np.cos(solved.t))
+    for mesh, sign, expected in ((fresh, "plus", [False, False, True]),
+                                 (fresh, "minus", [False, False, True]),
+                                 (fresh, "plus", [True]), (fresh, "minus", [True]),
+                                 (solved, "plus", [True]), (solved, "minus", [True])):
         runs.clear()
-        solvers._decompose(mesh, seeded_density(mesh, np.random.default_rng(2)), sign)
-        assert runs == [False, False, False, True]
+        solvers._decompose(mesh, g, sign)
+        assert runs == expected
+
+
+@pytest.mark.parametrize("region", ["interior", "exterior"])
+def test_a_repeat_neumann_solve_runs_only_the_datums_gmres(monkeypatch, region):
+    # the side's record is built on the first solve; the second makes only
+    # the products of the datum's own GMRES run and returns the same bits,
+    # which a solve on a fresh mesh returns too
+    mesh = stock_mesh("annulus", 64)
+    g = _range_datum(mesh, region, 3)
+    products, runs = [], []
+    bordered, gmres = solvers._bordered, solvers._gmres
+
+    def counted_product(*args):
+        products.append(args[3])  # the transpose flag
+        return bordered(*args)
+
+    def counted_run(apply, b, *args):
+        start = len(products)
+        out = gmres(apply, b, *args)
+        runs.append((b, len(products) - start))
+        return out
+
+    monkeypatch.setattr(solvers, "_bordered", counted_product)
+    monkeypatch.setattr(solvers, "_gmres", counted_run)
+    first = _NEUMANN[region](mesh, g)
+    first_products = len(products)
+    products.clear()
+    runs.clear()
+    second = _NEUMANN[region](mesh, g)
+    k = operator_set(mesh).bordered[_side(region, "region").name][0].shape[1]
+    assert len(runs) == 1 and np.array_equal(runs[0][0], np.append(g, np.zeros(k)))
+    assert products == [False] * runs[0][1] and len(products) < first_products
+    fresh = _NEUMANN[region](stock_mesh("annulus", 64), g)
+    for other in (first, fresh):
+        assert np.array_equal(second.densities["phi"], other.densities["phi"])
+        assert second.residuals == other.residuals
+        assert second.rank_info == other.rank_info
 
 
 def test_wt_solve_allocates_less_than_one_square_array():
@@ -738,7 +787,7 @@ def test_wt_solve_allocates_less_than_one_square_array():
     for side in (_side("plus"), _side("minus")):
         tracemalloc.start()
         try:
-            solvers._wt_solve(mesh, side, np.zeros(n))
+            solvers._bordered_system(mesh, side)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -759,9 +808,13 @@ def test_gmres_matches_the_bordered_lu(name, sign):
     f = rng.standard_normal(mesh.n)
     rhs = side.shift * f + operator_set(mesh)._wt(f)  # in the range
     x, kernel, _ = lu_wt_solve(mesh, side, rhs)
-    solve = solvers._wt_solve(mesh, side, rhs)
-    assert np.linalg.norm(solve.solution - x) <= 1e-12 * np.linalg.norm(x)
-    assert solvers._subspace_angle(solve.kernel, kernel) <= 1e-12
+    # the Neumann solvers' solution: the datum's GMRES on the side's record
+    border, got_kernel = solvers._bordered_system(mesh, side)
+    product = partial(solvers._bordered, operator_set(mesh), side.shift, border, False)
+    got = solvers._gmres(product, np.append(rhs, np.zeros(border.shape[1])))[:mesh.n]
+    got -= got_kernel @ (got_kernel.T @ got)
+    assert np.linalg.norm(got - x) <= 1e-12 * np.linalg.norm(x)
+    assert solvers._subspace_angle(got_kernel, kernel) <= 1e-12
 
     g = rng.standard_normal(mesh.n)
     g_im, g_ker, psi, P = lu_decompose(mesh, g, sign)
