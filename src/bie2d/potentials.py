@@ -17,6 +17,7 @@ assembled operators through the jump relations, written once in the
 side's sign (README, "Sides and signs").
 """
 
+import math
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -150,13 +151,21 @@ def value_at_infinity(fld, probe_radius):
     the value implied by the representation; the two must agree within
     _PROBE_TOL.  Raises NoLimit when the representation grows logarithmically,
     InvalidProbe when the circle is not finite or does not safely enclose
-    the boundary, and OutOfRange when probe_radius is not a real number.
+    the boundary (a radius past the float range, an int or a Fraction,
+    included), and OutOfRange when probe_radius is not a real number.
     """
     if isinstance(probe_radius, bool) or not isinstance(probe_radius, numbers.Real):
         raise OutOfRange(f"probe_radius must be a real number, got {probe_radius!r}")
     mesh = fld.mesh
     rmax = float(np.max(np.linalg.norm(mesh.x, axis=1)))
-    if not rmax + mesh.band_width() < probe_radius < np.inf:  # NaN fails it too
+    try:
+        radius = float(probe_radius)
+    except OverflowError:  # an int or a Fraction past the float range, named by its digits
+        exponent = math.log10(abs(probe_radius.numerator)) - math.log10(probe_radius.denominator)
+        sign = "-" if probe_radius < 0 else ""
+        raise InvalidProbe(f"probe radius {sign}{10 ** (exponent % 1):.3f}e+{math.floor(exponent)} "
+                           "is beyond the float range") from None
+    if not rmax + mesh.band_width() < radius < np.inf:  # NaN fails it too
         raise InvalidProbe(f"probe radius {probe_radius} is not a finite radius "
                            f"that encloses the boundary (r_max={rmax:.3f})")
     if _side(fld.region, "region").sign > 0:
@@ -168,7 +177,7 @@ def value_at_infinity(fld, probe_radius):
     if abs(mass) > 1e-8 * scale:
         raise NoLimit(f"single-layer masses sum to {mass:.3e}: logarithmic growth")
     theta = 2.0 * np.pi * np.arange(_N_PROBE) / _N_PROBE
-    circle = probe_radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    circle = radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     mean = float(np.mean(fld.eval_unchecked(circle)))
     if abs(mean - fld.constant) > _PROBE_TOL:
         raise InvalidProbe(

@@ -15,8 +15,9 @@ sign/2 I + W, its image's density solved with the transposed bordered
 matrix, and adds a single layer with density in the transpose kernel,
 cross-checking the direct route.  Every +- is the side's sign (README,
 "Sides and signs").  Only the independent checks of those kernels factor
-an n x n matrix: nullspace by the singular values and one LU of
-shift I + W, transpose_kernel_pair_basis by one pivoted QR.
+an n x n matrix, each by one LU that decides its rank (_kernels):
+nullspace factors shift I + W, transpose_kernel_pair_basis its
+J-coordinate matrix.
 """
 
 import warnings
@@ -24,8 +25,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular, subspace_angles
-from scipy.linalg.lapack import dgetrf, dgetrs, dormqr
+from scipy.linalg import solve_triangular, subspace_angles
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import (
     ConditioningWarning,
@@ -150,6 +151,13 @@ def _as_neumann_rep(mesh, g):
 
 # singular values below this times the largest count as zero
 _RANK_TOL = 1e-10
+# Golub-Kahan: the top Ritz value is taken once its residual is at most
+# _RITZ_TOL times it, or after _RITZ_CAP steps
+_RITZ_TOL = 1e-4
+_RITZ_CAP = 32
+# block inverse iteration starts this wide, one wider than the largest kernel
+# of the stock meshes (two disks), and doubles while every column comes out null
+_BLOCK = 3
 # relative size of a Neumann datum's component fluxes and of the solve's
 # residual above which the datum counts as incompatible
 _COMPAT_TOL = 1e-7
@@ -327,12 +335,16 @@ def neumann_exterior(mesh, g):
 
 @dataclass
 class NullspaceBasis:
-    """Orthonormal kernel basis with the singular values that selected it.
+    """Orthonormal kernel basis with the singular-value estimates that selected it.
 
-    singular_values and gap are those of shift I + W for every kind.  For a
-    W kind the vectors span its right null space; a Wt kind's are D^-1
-    times its left null vectors, orthonormalized (Wt = D^-1 W^T D, so
-    ker(shift I + Wt) = D^-1 ker((shift I + W)^T)).
+    singular_values and gap are those of shift I + W for every kind.
+    singular_values holds estimates, not the whole spectrum, in descending
+    order: the largest singular value (from below), the smallest nonzero
+    one (from above) and the kernel's Ritz values, the last dimension
+    entries.  gap is the smallest nonzero one over the largest Ritz value, so
+    it errs low.  For a W kind the vectors span its right null space; a Wt
+    kind's are D^-1 times its left null vectors, orthonormalized
+    (Wt = D^-1 W^T D, so ker(shift I + Wt) = D^-1 ker((shift I + W)^T)).
     """
 
     vectors: np.ndarray
@@ -363,42 +375,143 @@ def _op_kind(op_kind, ops=("W", "Wt")):
     return side, op
 
 
+def _largest_singular_value(apply, apply_t, size):
+    """Largest singular value of a size x size operator A, applied by apply and apply_t (A^T).
+
+    Golub-Kahan bidiagonalization (Golub & Kahan, 1965) from a seeded unit
+    vector, reorthogonalized in full: A V_k = U_k B_k with B_k upper
+    bidiagonal, whose largest singular value s bounds A's from below.  The
+    top Ritz triplet (s, U_k p, V_k r) misses A^T U_k p = s V_k r by
+    beta_k |p_k|, the next step's coupling times p's last entry; the steps
+    stop once that is at most _RITZ_TOL s, or after _RITZ_CAP steps.
+    """
+    cap = min(size, _RITZ_CAP)
+    V, U, B = np.empty((cap + 1, size)), np.empty((cap, size)), np.zeros((cap, cap))
+    V[0] = np.random.default_rng(0).standard_normal(size)
+    V[0] /= np.linalg.norm(V[0])
+    p = apply(V[0])
+    for k in range(cap):
+        B[k, k] = np.linalg.norm(p)
+        U[k] = p / B[k, k]
+        w = apply_t(U[k]) - B[k, k] * V[k]
+        w -= (V[:k + 1] @ w) @ V[:k + 1]
+        beta = float(np.linalg.norm(w))
+        left, s, _ = np.linalg.svd(B[:k + 1, :k + 1])
+        if beta * abs(left[k, 0]) <= _RITZ_TOL * s[0] or k + 1 == cap:
+            return float(s[0])
+        B[k, k + 1], V[k + 1] = beta, w / beta
+        p = apply(V[k + 1]) - beta * U[k]
+        p -= (U[:k + 1] @ p) @ U[:k + 1]
+
+
+def _kernels(A, apply, apply_t):
+    """The rank decision on a square A from one LU: (sigma, ritz, U, V, solve).
+
+    sigma, A's largest singular value, comes from Golub-Kahan steps on
+    apply and apply_t, A and A^T as products.  A is then factored in place,
+    and pivots below eps sigma are raised to it, as LAPACK's dlaein does, so
+    a singular A divides by no zero; solve(x, trans) solves with the floored
+    factor, with A for trans=1 and A^T for trans=0.  A seeded block of
+    _BLOCK columns is solved with A^T, then twice with A and A^T, a thin QR
+    after each: block inverse iteration, whose last two blocks, Y and X,
+    hold A's left and right null spaces.  It takes two steps because the
+    floored factor amplifies the null directions of a two-dimensional
+    kernel far apart: one step leaves those of nested circles 1e-12 from
+    the SVD's, two within 1e-13.  The singular values of A X are A's Ritz
+    values on X, each at least the singular value it estimates; those below
+    _RANK_TOL sigma count as zero, and while all of them do, the block
+    doubles.  U and V, the kernels, are the Ritz vectors on Y (from A^T Y)
+    and on X of the values counted, and ritz holds X's in descending order.
+    """
+    n = A.shape[0]
+    sigma = _largest_singular_value(apply, apply_t, n)
+    # A.T is Fortran-ordered, so A is factored in place as A^T: trans=1 solves with A
+    lu, piv, _ = dgetrf(A.T, overwrite_a=True)
+    floor = np.finfo(float).eps * sigma
+    small = np.flatnonzero(np.abs(lu.diagonal()) < floor)
+    lu[small, small] = np.copysign(floor, lu[small, small])
+
+    def solve(x, trans):
+        return dgetrs(lu, piv, x, trans=trans)[0]
+
+    width = _BLOCK
+    while True:
+        Y, _ = np.linalg.qr(solve(np.random.default_rng(0).standard_normal((n, width)), 0))
+        for _ in range(2):
+            X, _ = np.linalg.qr(solve(Y, 1))
+            Y, _ = np.linalg.qr(solve(X, 0))
+        _, ritz, right = np.linalg.svd(apply(X), full_matrices=False)
+        dim = int(np.sum(ritz < _RANK_TOL * sigma))
+        if dim < width or width == n:
+            break
+        width = min(2 * width, n)
+    _, _, left = np.linalg.svd(apply_t(Y), full_matrices=False)
+    kept = slice(width - dim, width)
+    return sigma, ritz[kept], Y @ left[kept].T, X @ right[kept].T, solve
+
+
+def _smallest_nonzero(solve, U, V, sigma):
+    """Smallest nonzero singular value of A, from its floored factor and its kernels (_kernels).
+
+    It is the smallest singular value of M = [A, s U; s V^T, 0], s = sigma,
+    U and V orthonormal bases of A's left and right null spaces: with A's
+    SVD, M is orthogonally equivalent to diag(Sigma_+, s [0, I; I, 0]), so
+    it is nonsingular, and its singular values are A's nonzero ones and s
+    (Govaerts, Numerical Methods for Bifurcations of Dynamical Equilibria,
+    SIAM 2000).  Golub-Kahan steps on M^-1 read it as one over the largest.
+    M and M^T are solved by mixed block elimination on A's floored factor
+    (Govaerts & Pryce, IMA J. Numer. Anal. 13, 1993), one solve with A or
+    A^T each: the border's unknowns are eliminated with A^-T C, then
+    corrected with A^-1 B, which keeps the solve stable though A is
+    singular, as long as M is well conditioned.
+    """
+    n, dim = U.shape
+    if not dim:  # M is A
+        return 1.0 / _largest_singular_value(partial(solve, trans=1), partial(solve, trans=0), n)
+
+    def eliminate(z, B, C, v, w, rows, cols, trans):
+        # [A, B; C^T, 0] [x; y] = z, given v = A^-T C, w = A^-1 B (trans: A^T for A)
+        f, g = z[:n], z[n:]
+        y = np.linalg.solve(rows, g - v.T @ f)
+        x = solve(f - B @ y, trans)
+        extra = np.linalg.solve(cols, g - C.T @ x)
+        return np.concatenate((x - w @ extra, y + extra))
+
+    B, C = sigma * U, sigma * V
+    v, w = solve(C, 0), solve(B, 1)
+    rows, cols = -(v.T @ B), -(C.T @ w)
+    forward = partial(eliminate, B=B, C=C, v=v, w=w, rows=rows, cols=cols, trans=1)
+    backward = partial(eliminate, B=C, C=B, v=w, w=v, rows=cols.T, cols=rows.T, trans=0)
+    return 1.0 / _largest_singular_value(forward, backward, n + dim)
+
+
 def nullspace(mesh, op_kind):
     """Null space of one of the four second-kind operators, from shift I + W.
 
-    The singular values of the side's A = shift I + W decide the dimension:
-    those below _RANK_TOL times the largest count as zero.  The vectors come
-    from one LU of A whose pivots below eps times the largest singular value
-    are raised to it, as LAPACK's dlaein does, so a singular A divides by no
-    zero.  A seeded block is solved with A^T, then with A (a Wt kind: A,
-    then A^T), a thin QR after each: one step of inverse iteration with
-    A^T A, whose dominant subspace is A's right null space (A A^T: the left).
-    For a Wt kind the left null vectors scaled by D^-1 are orthonormalized.
+    One LU of the side's A = shift I + W decides the rank (_kernels): the
+    Ritz values of A on a block of inverse iteration that lie below
+    _RANK_TOL times its largest singular value count as zero, and their
+    Ritz vectors are the kernels, right and left.  The smallest nonzero
+    singular value comes from the matrix bordered by both kernels
+    (_smallest_nonzero), and its ratio to the largest Ritz value counted
+    is the gap; ConditioningWarning when that is below 1e4.  For a Wt kind
+    the left null vectors scaled by D^-1 are orthonormalized.
     """
     side, op = _op_kind(op_kind)
-    n = mesh.n
-    A = operator_set(mesh).W.copy()
+    n, W = mesh.n, operator_set(mesh).W
+    A = W.copy()
     A[range(n), range(n)] += side.shift
-    sv = np.linalg.svd(A, compute_uv=False)
-    dim = int(np.sum(sv < _RANK_TOL * sv[0]))
-    # _RANK_TOL < 1 keeps sv[0], so the kernel is never all of R^n; an exact zero gives gap inf
+    sigma, ritz, U, V, solve = _kernels(A, lambda x: side.shift * x + W @ x,
+                                        lambda x: side.shift * x + W.T @ x)
+    smallest = _smallest_nonzero(solve, U, V, sigma)
+    # an exact zero gives gap inf
     with np.errstate(divide="ignore"):
-        gap = float(sv[n - dim - 1] / sv[n - dim]) if dim else float("inf")
+        gap = float(smallest / ritz[0]) if ritz.size else float("inf")
     if gap < 1e4:
         warnings.warn(f"singular-value gap {gap:.2e} below 1e4", ConditioningWarning)
-    if not dim:
-        return NullspaceBasis(np.zeros((n, 0)), sv, gap)
-    # A.T is Fortran-ordered, so A is factored in place as A^T: trans=1 solves with A
-    lu, piv, _ = dgetrf(A.T, overwrite_a=True)
-    floor = np.finfo(float).eps * sv[0]
-    small = np.flatnonzero(np.abs(lu.diagonal()) < floor)
-    lu[small, small] = np.copysign(floor, lu[small, small])
-    x = np.random.default_rng(0).standard_normal((n, dim))
-    for trans in ((0, 1) if op == "W" else (1, 0)):
-        x, _ = np.linalg.qr(dgetrs(lu, piv, x, trans=trans)[0])
     if op == "Wt":
-        x, _ = np.linalg.qr(x / mesh.weights[:, None])
-    return NullspaceBasis(x, sv, gap)
+        V, _ = np.linalg.qr(U / mesh.weights[:, None])
+    return NullspaceBasis(V, np.concatenate(([sigma, smallest], ritz)), gap)
 
 
 def _decompose(mesh, g, sign):
@@ -559,9 +672,8 @@ def transpose_kernel_pair_basis(mesh, op_kind, jmap=None):
     """Kernel of +-1/2 I + Wt computed through the pair-distribution route.
 
     The operator is realized in J coordinates (image g plus the mass
-    functional) as a matrix M.  One pivoted QR of M^T gives its rank, from
-    |R_ii|, and its kernel, the trailing columns of Q, applied to unit
-    vectors without forming Q.  The kernel vectors are mapped back to
+    functional) as a matrix M, and one LU of M decides its rank and gives
+    its kernel (_kernels).  The kernel vectors are mapped back to
     representers in one block solve with the J map, and the span must
     coincide with the grid-operator kernel; the subspace angle quantifies
     the agreement.  op_kind is a Wt kind of nullspace; jmap, a JMap of mesh
@@ -569,17 +681,18 @@ def transpose_kernel_pair_basis(mesh, op_kind, jmap=None):
     """
     side, _ = _op_kind(op_kind, ("Wt",))
     ops = operator_set(mesh)
-    v1 = ops.single_layer(np.ones(mesh.n))
-    correction = ops.W @ v1 - 0.5 * v1
-    # the transpose of the J-coordinate matrix of shift I + Wt, Fortran-ordered
-    Mt = ops.W.T.copy(order="K")
-    Mt[range(mesh.n), range(mesh.n)] += side.shift
-    Mt += np.outer(ops.q, correction)
-    (reflectors, tau), R, _ = qr(Mt, overwrite_a=True, mode="raw", pivoting=True)
-    dim = int(np.sum(np.abs(np.diagonal(R)) < _RANK_TOL * abs(R[0, 0])))
-    if not dim:
-        return np.zeros((mesh.n, 0))
-    kernel = dormqr("L", "N", reflectors, tau, np.eye(mesh.n, dim, dim - mesh.n), 64 * dim)[0]
+    n, W, q = mesh.n, ops.W, ops.q
+    v1 = ops.single_layer(np.ones(n))
+    correction = W @ v1 - 0.5 * v1
+    # the J-coordinate matrix of shift I + Wt
+    M = W.copy()
+    M[range(n), range(n)] += side.shift
+    M += np.outer(correction, q)
+    _, _, _, kernel, _ = _kernels(
+        M, lambda x: side.shift * x + W @ x + np.multiply.outer(correction, q @ x),
+        lambda x: side.shift * x + W.T @ x + np.multiply.outer(q, correction @ x))
+    if not kernel.shape[1]:
+        return kernel
     jmap = jmap or JMap(mesh, "plus")
     mu0, mu1 = jmap.inverse(kernel)
     return mu0 + ops.rep(jmap.side, mu1)

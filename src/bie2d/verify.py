@@ -352,13 +352,15 @@ def check_space_coincidence(mesh, rng, cache):
 def check_nullspace_dims(mesh, rng, cache):
     """Largest angle between each side's Wt kernel and its two twins.
 
-    nullspace reads the Wt kernel's dimension from the singular values of
-    shift I + W, whose W kernel has the same dimension, and its vectors from
-    one LU of that matrix.  The twins of the Wt kernel are the pair-route
-    kernel (a pivoted QR) and the measured kernel that the Neumann solvers
-    keep from their bordered GMRES; both come from other matrices than
-    shift I + W.  pi/2, the largest angle, when the kernel misses its side's
-    component count or its singular-value gap.
+    nullspace decides the Wt kernel's dimension and vectors by one LU of
+    shift I + W, whose W kernel has the same dimension: Ritz values of block
+    inverse iteration against the largest singular value, and the gap from
+    the matrix bordered by both kernels.  The twins of the Wt kernel are the
+    pair-route kernel (the same rank decision on one LU of its J-coordinate
+    matrix) and the measured kernel that the Neumann solvers keep from their
+    bordered GMRES; both come from other matrices than shift I + W.  pi/2,
+    the largest angle, when the kernel misses its side's component count or
+    its singular-value gap.
     """
     worst = 0.0
     for kind, (side, op) in _OP_KINDS.items():

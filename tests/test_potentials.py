@@ -1,6 +1,8 @@
 import csv
 import os
+import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -190,6 +192,18 @@ def test_value_at_infinity_refuses_a_non_finite_radius(disk128, radius):
     # ended on the probe points' finiteness check rather than on the radius
     fld = HarmonicField(disk128, [], constant=0.0, region="exterior")
     with pytest.raises(InvalidProbe, match=rf"^probe radius {radius} is not a finite radius"):
+        value_at_infinity(fld, radius)
+
+
+@pytest.mark.parametrize("radius, name", [(10 ** 400, "1.000e+400"), (-(10 ** 400), "-1.000e+400"),
+                                          (Fraction(3 * 10 ** 400, 2), "1.500e+400")],
+                         ids=["int", "negative", "fraction"])
+def test_value_at_infinity_refuses_a_radius_past_the_float_range(disk128, radius, name):
+    # such a radius passes the real-number check; float() of it overflows,
+    # which used to escape as a bare OverflowError when the circle was formed
+    fld = HarmonicField(disk128, [], constant=0.0, region="exterior")
+    message = rf"^probe radius {re.escape(name)} is beyond the float range$"
+    with pytest.raises(InvalidProbe, match=message):
         value_at_infinity(fld, radius)
 
 

@@ -19,8 +19,9 @@ from conftest import (
 from scipy.linalg import subspace_angles
 from scipy.linalg.lapack import dgetrf
 
-from bie2d import solvers
+from bie2d import solvers, verify
 from bie2d.errors import (
+    ConditioningWarning,
     IncompatibleData,
     LengthMismatch,
     NearBoundary,
@@ -271,15 +272,20 @@ def test_a_datum_past_the_bound_is_refused_and_one_at_it_solves(solve):
 @pytest.mark.parametrize("kind", ["half_plus_W", "minus_half_plus_W"])
 @pytest.mark.parametrize("name", ["disk", "annulus"])
 def test_w_kind_nullspace_is_the_right_singular_vectors(one_blas_thread, name, kind):
-    # the singular values are those of the SVD, bit for bit; the vectors,
-    # from the LU, span the full SVD's right null vectors, and shift I + W
-    # maps them no further from zero than a small multiple of those
+    # the dimension is the SVD's, and so are the largest and the smallest
+    # nonzero singular value to 1e-3; the vectors, from the LU, span the full
+    # SVD's right null vectors, and shift I + W maps them no further from
+    # zero than a small multiple of those
     mesh = stock_mesh(name, 128)
     side, _ = solvers._OP_KINDS[kind]
     A = side.shift * np.eye(mesh.n) + operator_set(mesh).W
     ref = svd_nullspace(mesh, kind)
     basis = nullspace(mesh, kind)
-    assert np.array_equal(basis.singular_values, np.linalg.svd(A, compute_uv=False))
+    sv = np.linalg.svd(A, compute_uv=False)
+    dim = int(np.sum(sv < solvers._RANK_TOL * sv[0]))
+    assert basis.dimension == dim and basis.singular_values.shape == (dim + 2,)
+    assert abs(basis.singular_values[0] - sv[0]) <= 1e-3 * sv[0]
+    assert abs(basis.singular_values[1] - sv[-dim - 1]) <= 1e-3 * sv[-dim - 1]
     assert basis.vectors.shape == ref.shape
     assert solvers._subspace_angle(basis.vectors, ref) <= 1e-12
     got = basis.vectors
@@ -848,6 +854,96 @@ def test_qr_pair_kernel_matches_the_svd(name, sign):
     assert solvers._subspace_angle(mapped, nullspace(mesh, kind).vectors) <= 1e-10
 
 
+# three unit disks in a row: the interior kernels have dimension 3, which
+# the first block of inverse iteration cannot hold, so it grows
+_THREE_DISKS = [CurveSpec("circle", center=(x, 0.0), radius=1.0) for x in (-3.0, 0.0, 3.0)]
+
+
+@pytest.mark.parametrize("name, n", [(name, n) for n in (128, 256) for name in _SIX_MESHES]
+                         + [("nested-2", 128), ("nested-3", 128), ("three-disks", 128)])
+def test_rank_decisions_match_the_svd(name, n):
+    # on every kind: the dimension of the full SVD, which is the side's
+    # component count, the largest and the smallest nonzero singular value
+    # to 1e-3, and kernel Ritz values below the threshold; a gap below 1e4
+    # would warn, which is an error in the suite
+    mesh = build_mesh(_THREE_DISKS, [n] * 3) if name == "three-disks" else named_mesh(name, n)
+    W = operator_set(mesh).W
+    for kind, (side, _) in solvers._OP_KINDS.items():
+        sv = np.linalg.svd(side.shift * np.eye(mesh.n) + W, compute_uv=False)
+        dim = int(np.sum(sv < solvers._RANK_TOL * sv[0]))
+        basis = nullspace(mesh, kind)
+        assert basis.dimension == dim == getattr(mesh.topology, side.kappa), kind
+        largest, smallest, *ritz = basis.singular_values
+        assert abs(largest - sv[0]) <= 1e-3 * sv[0]
+        assert abs(smallest - sv[-dim - 1]) <= 1e-3 * sv[-dim - 1]
+        assert len(ritz) == dim and all(r < solvers._RANK_TOL * largest for r in ritz)
+
+
+def test_a_planted_gap_below_1e4_warns_and_fails_the_row():
+    # the annulus's -1/2 I + W with its kernel's singular value raised to
+    # 1e-12 sigma_max and its smallest nonzero one lowered to 1e-9 sigma_max:
+    # the full SVD reads a gap of 1e3, and so does the LU route, which keeps
+    # the dimension, warns, and fails the nullspace-dims row
+    mesh = stock_mesh("annulus", 64)
+    ops = operator_set(mesh)
+    side, _ = solvers._OP_KINDS["minus_half_plus_Wt"]
+    eye = np.eye(mesh.n)
+    u, sv, vt = np.linalg.svd(side.shift * eye + ops.W)
+    sv[-2:] = 1e-9 * sv[0], 1e-12 * sv[0]
+    ops.W[:] = (u * sv) @ vt - side.shift * eye
+    sv = np.linalg.svd(side.shift * eye + ops.W, compute_uv=False)
+    assert int(np.sum(sv < solvers._RANK_TOL * sv[0])) == 1 and sv[-2] / sv[-1] < 1e4
+    for kind in ("minus_half_plus_W", "minus_half_plus_Wt"):
+        with pytest.warns(ConditioningWarning, match="gap"):
+            basis = nullspace(mesh, kind)
+        assert basis.dimension == 1
+        assert abs(basis.gap - sv[-2] / sv[-1]) <= 1e-3 * sv[-2] / sv[-1]
+    rng = np.random.default_rng(0)
+    with pytest.warns(ConditioningWarning, match="gap"):
+        assert verify.check_nullspace_dims(mesh, rng, verify._MeshCache(mesh)) == np.pi / 2
+
+
+@pytest.mark.parametrize("name, n", [("two-disks", 128), ("two-disks", 256),
+                                     ("nested-2", 128), ("nested-3", 128)])
+def test_two_dimensional_kernels_stay_close_to_the_svd(name, n):
+    # the two-dimensional interior kernels of both kinds: at most 1e-13 from
+    # the full SVD's, and on two disks mapped no further from zero than 16
+    # times those (the nested meshes read up to 33 times)
+    mesh = named_mesh(name, n)
+    for kind in ("minus_half_plus_W", "minus_half_plus_Wt"):
+        side, op = solvers._OP_KINDS[kind]
+        A = side.shift * np.eye(mesh.n) + (operator_set(mesh).W if op == "W" else dense_wt(mesh))
+        got, ref = nullspace(mesh, kind).vectors, svd_nullspace(mesh, kind)
+        assert got.shape == ref.shape == (mesh.n, 2)
+        assert solvers._subspace_angle(got, ref) <= 1e-13
+        if name == "two-disks":
+            assert np.linalg.norm(A @ got) <= 16 * np.linalg.norm(A @ ref)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("name", ["annulus", "two-disks"])
+def test_pair_kernel_stays_close_to_the_svd_pair_basis(name, n):
+    # the pair route maps its kernel through the J map, which is
+    # ill-conditioned at about 5e-11, so the bound is 1e-10
+    mesh = stock_mesh(name, n)
+    for kind in ("minus_half_plus_Wt", "half_plus_Wt"):
+        got, ref = solvers.transpose_kernel_pair_basis(mesh, kind), svd_pair_basis(mesh, kind)
+        assert got.shape == ref.shape
+        assert solvers._subspace_angle(got, ref) <= 1e-10
+
+
+def test_pair_kernel_counts_the_svd_dimension_on_an_under_resolved_mesh():
+    # at 64 nodes per curve the J-coordinate matrix of the nested ring and
+    # disk keeps a kernel singular value of 6e-12 times its largest: below
+    # the threshold, so its SVD counts 2; the |R_ii| of a pivoted QR counted
+    # 1 and failed the nullspace-dims row
+    mesh = named_mesh("nested-2", 64)
+    got = solvers.transpose_kernel_pair_basis(mesh, "minus_half_plus_Wt")
+    ref = svd_pair_basis(mesh, "minus_half_plus_Wt")
+    assert got.shape[1] == ref.shape[1] == nullspace(mesh, "minus_half_plus_Wt").dimension == 2
+    assert solvers._subspace_angle(got, ref) <= 1e-10
+
+
 def test_neumann_solve_takes_as_many_products_at_every_size(monkeypatch):
     # GMRES on a second-kind system converges in a number of steps that does
     # not depend on n: the interior annulus takes 23 products of Wt with a
@@ -873,30 +969,34 @@ def test_neumann_solve_takes_as_many_products_at_every_size(monkeypatch):
 
 @pytest.mark.parametrize("name", ["disk", "annulus", "two-disks"])
 def test_svd_inputs_are_shift_plus_w_bit_for_bit(monkeypatch, name):
-    # the in-place builds of shift I + W for nullspace's SVD, and of the
-    # transposed J-coordinate matrix (its rank-one term included) for the
-    # pair route's pivoted QR, equal the expressions they replaced, entry
-    # for entry
+    # the in-place builds of shift I + W for nullspace's LU, and of the
+    # J-coordinate matrix (its rank-one term included) for the pair route's
+    # LU, equal the matrices whose SVDs the references in conftest take,
+    # entry for entry; each LU factors the transpose, Fortran-ordered
     mesh = stock_mesh(name, 64)
     ops = operator_set(mesh)
-    seen = []
+    lus, svds = [], []
 
-    def recorded(factorise):
+    def recorded(factorise, seen):
         def record(a, *args, **kwargs):
-            seen.append(a.copy())
+            seen.append(np.array(a))
             return factorise(a, *args, **kwargs)
         return record
 
-    monkeypatch.setattr(np.linalg, "svd", recorded(np.linalg.svd))
-    monkeypatch.setattr(solvers, "qr", recorded(solvers.qr))
+    monkeypatch.setattr(np.linalg, "svd", recorded(np.linalg.svd, svds))
+    monkeypatch.setattr(solvers, "dgetrf", recorded(solvers.dgetrf, lus))
     v1 = ops.single_layer(np.ones(mesh.n))
     rank_one = np.outer(ops.W @ v1 - 0.5 * v1, ops.q)
     for kind, (side, _) in solvers._OP_KINDS.items():
         expected = side.shift * np.eye(mesh.n) + ops.W
-        seen.clear()
+        lus.clear()
         nullspace(mesh, kind)
-        assert np.array_equal(seen[0], expected)
+        svd_nullspace(mesh, kind)
+        assert len(lus) == 1 and np.array_equal(lus[0], expected.T)
+        assert np.array_equal(svds[-1], expected)
         if kind.endswith("Wt"):
-            seen.clear()
+            lus.clear()
             solvers.transpose_kernel_pair_basis(mesh, kind)
-            assert np.array_equal(seen[0], (expected + rank_one).T)
+            svd_pair_basis(mesh, kind)
+            assert len(lus) == 1 and np.array_equal(lus[0], (expected + rank_one).T)
+            assert np.array_equal(svds[-1], expected + rank_one)

@@ -5,6 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import loop_seeded_density
 
 from bie2d import distributions, geometry, solvers, verify
@@ -63,25 +64,48 @@ def test_each_check_run_alone_gives_its_suite_row(name):
 
 
 @pytest.mark.parametrize("name", ["disk", "ellipse", "annulus"])
-def test_verify_takes_two_square_svds_and_two_pivoted_qrs_per_mesh(monkeypatch, name):
-    # one SVD of shift I + W per side, which gives its Wt null space, and
-    # one pivoted QR for each of the two pair-route transpose kernels
+def test_verify_takes_four_square_lus_per_mesh(monkeypatch, name):
+    # one LU of shift I + W per side, which gives its Wt null space, and one
+    # of the J-coordinate matrix for each of the two pair-route transpose kernels
     mesh = stock_mesh(name, 64)
-    svd, qr, svd_shapes, qr_shapes = np.linalg.svd, solvers.qr, [], []
+    dgetrf, shapes = solvers.dgetrf, []
 
-    def counting_svd(a, *args, **kwargs):
-        svd_shapes.append(np.shape(a))
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return dgetrf(a, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "dgetrf", counting)
+    assert run_verify(meshes={name: mesh}, n=64).passed
+    assert shapes == [(mesh.n, mesh.n)] * 4
+
+
+def test_nullspace_dims_takes_no_square_svd_and_no_pivoted_qr(monkeypatch):
+    # the row's rank decisions are LUs: an SVD of a matrix whose sides are
+    # both at least n/2, or a QR with column pivoting, fails it; the thin
+    # n x k SVD of the bordered Neumann system's kernel stays legal
+    mesh = stock_mesh("annulus", 128)
+    svd, qr, thin = np.linalg.svd, scipy.linalg.qr, []
+
+    def guarded_svd(a, *args, **kwargs):
+        if min(np.shape(a)[-2:]) >= mesh.n / 2:
+            raise AssertionError(f"SVD of a {np.shape(a)} matrix")
+        thin.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
-    def counting_qr(a, *args, **kwargs):
-        qr_shapes.append((np.shape(a), kwargs.get("pivoting")))
+    def guarded_qr(a, *args, **kwargs):
+        if kwargs.get("pivoting"):
+            raise AssertionError("QR with column pivoting")
         return qr(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(solvers, "qr", counting_qr)
-    assert run_verify(meshes={name: mesh}, n=64).passed
-    assert svd_shapes.count((mesh.n, mesh.n)) == 2
-    assert qr_shapes == [((mesh.n, mesh.n), True)] * 2
+    monkeypatch.setattr(np.linalg, "svd", guarded_svd)
+    monkeypatch.setattr(scipy.linalg, "qr", guarded_qr)
+    for module in (solvers, verify):
+        for name, value in list(vars(module).items()):
+            if value is qr:
+                monkeypatch.setattr(module, name, guarded_qr)
+    rng = np.random.default_rng(0)
+    assert verify.check_nullspace_dims(mesh, rng, verify._MeshCache(mesh)) <= 1e-10
+    assert (mesh.n, 1) in thin
 
 
 def test_verify_factors_each_j_map_once_and_finds_each_probe_set_once(monkeypatch):
