@@ -13,11 +13,13 @@ side's sign (README, "Sides and signs"): its trace for (side, 0, mu) is
 -mu/2 + sign W mu, plus q.mu on the exterior side.  The J map sends tau to
 V[tau - mean] + mean (mean = <tau,1>/<1,1>) and identifies distributions
 with grid functions.  Its inverse picks the minimum-norm pair through a
-Cholesky factorization of the Gram matrix of the J map's dense matrix.  A
-JMap holds that factor for one (mesh, side): it is built once and applied
-to a vector or to an (n, k) block of them, and a caller that inverts
-often (Wt_on_distribution, the verify suite, the pair-route transpose
-kernel) passes one in rather than factoring again.
+Cholesky factorization of the Gram matrix of the J map's dense matrix.
+That factor is the mesh's: the first JMap of a (mesh, side) builds it and
+keeps it in the mesh's OperatorSet, which then holds one more n x n array
+for each side used, and every later JMap of that side, in
+Wt_on_distribution, the verify suite or the pair-route transpose kernel,
+applies it to a vector or to an (n, k) block of them without factoring
+again.
 """
 
 from dataclasses import dataclass
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import OutOfRange, SingularSystem
-from .geometry import _check_aligned, integrate, pairing
+from .errors import SingularSystem
+from .geometry import _check_aligned, _row_blocks, integrate, pairing
 from .operators import _side, operator_set
 from .potentials import HarmonicField
 
@@ -76,23 +78,23 @@ def V_of_distribution(tau):
 def J_isometry(tau):
     """Grid image of tau under the mean-corrected single-layer trace."""
     mesh = tau.mesh
-    m = mass_of(tau)
-    length = integrate(mesh, np.ones(mesh.n))
-    mbar = m / length
+    mbar = mass_of(tau) / integrate(mesh, np.ones(mesh.n))
     shifted = PairDistribution(tau.side, tau.mu0 - mbar, tau.mu1, mesh)
     return V_of_distribution(shifted) + mbar
 
 
 def _j_forward_matrix(mesh, side):
-    """Dense matrix of (mu0, mu1) -> J[pair] used by the inverse solve."""
+    """Dense matrix of (mu0, mu1) -> J[pair], whose Gram matrix JMap factors."""
     sign = _side(side).sign
     ops = operator_set(mesh)
     n = mesh.n
-    length = integrate(mesh, np.ones(n))
     A = np.empty((n, 2 * n))
-    # J on the mu0 block: V mu0 - mbar (V 1 - 1) with mbar = w.mu0 / length
+    # J on the mu0 block: V mu0 - mbar (V 1 - 1) with mbar = w.mu0 / <1, 1>,
+    # the rank-one term added one block of rows at a time
     A0 = ops.single_layer_matrix(A[:, :n])
-    A0 -= np.outer(ops.single_layer(np.ones(n)) - 1.0, mesh.weights / length)
+    v1, mean = ops.single_layer(np.ones(n)) - 1.0, mesh.weights / integrate(mesh, np.ones(n))
+    for lo, hi in _row_blocks(0, n, n):
+        A0[lo:hi] -= np.outer(v1[lo:hi], mean)
     A1 = np.multiply(ops.W, sign, out=A[:, n:])
     A1[range(n), range(n)] -= 0.5
     if sign < 0:
@@ -101,22 +103,27 @@ def _j_forward_matrix(mesh, side):
 
 
 class JMap:
-    """The J map of one (mesh, side), factored once for its minimum-norm inverse.
+    """The J map of one (mesh, side) and its minimum-norm inverse.
 
     The map (mu0, mu1) -> J[mu0 + transpose-part(mu1)] is onto, so the
     minimum-norm preimage of g is z = A^T (A A^T)^-1 g with A its n x 2n
-    matrix.  A and the Cholesky factor of A A^T are built here, once; every
-    inverse reuses them.  Raises SingularSystem when that factorization fails.
+    matrix (_j_forward_matrix).  The first JMap of a (mesh, side) builds A,
+    factors A A^T by Cholesky in place and keeps only that factor, in the
+    OperatorSet's j_factor; A is dropped.  A JMap is a handle: every inverse
+    applies A and A^T by products with the OperatorSet's V, W and q.  Raises
+    SingularSystem when the factorization fails.
     """
 
     def __init__(self, mesh, side="plus"):
         self.mesh = mesh
         self.side = _side(side).name
-        self._A = _j_forward_matrix(mesh, side)
-        try:
-            self._gram = cho_factor(self._A @ self._A.T)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem("J map is not onto: its Gram matrix is singular") from exc
+        factors = operator_set(mesh).j_factor
+        if self.side not in factors:
+            A = _j_forward_matrix(mesh, side)
+            try:  # A A^T is symmetric to the bit, so its transpose is its F-ordered self
+                factors[self.side] = cho_factor((A @ A.T).T, overwrite_a=True)[0]
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystem("J map is not onto: its Gram matrix is singular") from exc
 
     def inverse(self, g):
         """(mu0, mu1) of the minimum-norm preimage of an (n,) vector or an (n, k) block.
@@ -125,12 +132,24 @@ class JMap:
         times that column's norm (at least 1), or is not finite: no pair
         reaches a column that holds NaN or infinity.
         """
-        g = _check_aligned(self.mesh, g, block=True)
-        z = self._A.T @ cho_solve(self._gram, g, check_finite=False)
-        resid = np.linalg.norm(self._A @ z - g, axis=0)
+        mesh, ops, sign = self.mesh, operator_set(self.mesh), _side(self.side).sign
+        g = _check_aligned(mesh, g, block=True)
+        w = mesh.weights if g.ndim == 1 else mesh.weights[:, None]
+        y = cho_solve((ops.j_factor[self.side], False), g, check_finite=False)
+        # z = A^T y: V^T = D V D^-1, whose column sums are V 1, and W^T y is y^T W
+        u = w * ops.single_layer(y / w)
+        mu0 = u - np.multiply.outer(mesh.weights, u.sum(axis=0) - y.sum(axis=0)) / w.sum()
+        mu1 = sign * (y.T @ ops.W).T - 0.5 * y
+        # and A z, the J image of the pair, as J_isometry forms it
+        mbar = mesh.weights @ mu0 / w.sum()
+        image = ops.single_layer(mu0 - mbar) + mbar
+        if sign < 0:
+            mu1 += np.multiply.outer(ops.q, y.sum(axis=0))
+            image += ops.q @ mu1
+        resid = np.linalg.norm(image + sign * (ops.W @ mu1) - 0.5 * mu1 - g, axis=0)
         if not np.all(resid <= 1e-7 * np.maximum(1.0, np.linalg.norm(g, axis=0))):
             raise SingularSystem(f"J inverse residual {np.max(resid):.3e} too large")
-        return z[: self.mesh.n], z[self.mesh.n:]
+        return mu0, mu1
 
     def pair(self, g):
         """The pair distribution of this side with J image g, a grid function."""
@@ -138,31 +157,24 @@ class JMap:
                                 self.mesh)
 
 
-def Wt_on_distribution(tau, jmap=None):
+def Wt_on_distribution(tau):
     """Adjoint double-layer operator applied to a pair distribution.
 
     Computed in J coordinates: the image of W^t tau is
     W g + (W V 1 - V 1 / 2) <tau,1>/<1,1> with g the image of tau, and the
-    mass halves exactly.  jmap, the JMap of tau's mesh and side, saves
-    factoring the J map again.
+    mass halves exactly.  The J factor of tau's side is the mesh's (JMap),
+    so only the first call on a (mesh, side) factors.
     """
     mesh = tau.mesh
-    if jmap is None:
-        jmap = JMap(mesh, tau.side)
-    elif jmap.mesh is not mesh or jmap.side != tau.side:
-        raise OutOfRange(f"J factor of side {jmap.side!r} given for a {tau.side!r} pair "
-                         "or another mesh")
     ops = operator_set(mesh)
     g = J_isometry(tau)
     m = mass_of(tau)
     length = integrate(mesh, np.ones(mesh.n))
     v1 = ops.single_layer(np.ones(mesh.n))
     g_out = ops.W @ g + (ops.W @ v1 - 0.5 * v1) * (m / length)
-    out = jmap.pair(g_out)
+    out = JMap(mesh, tau.side).pair(g_out)
     # pin the mass law <Wt tau, 1> = <tau, 1> / 2 in the stored densities
-    target = 0.5 * m
-    correction = (target - mass_of(out)) / length
-    out.mu0 = out.mu0 + correction
+    out.mu0 = out.mu0 + (0.5 * m - mass_of(out)) / length
     return out
 
 

@@ -42,12 +42,14 @@ name every layer gives it (README, "Sides and signs").  The operators live
 in one OperatorSet per mesh, stored in mesh.operators by operator_set; it
 keeps the node count and the weights it needs, never the mesh itself.  The
 set holds two dense arrays, W and the Cholesky factor of T, besides the
-O(n k) records of the sides' bordered Neumann systems (solvers), and V only
-inside the factor's array: dpotrf leaves T's other triangle there, and
-A[1:, 1:] = u_i + u_j - T_ij with u a vector (_projected_cholesky), so a
-product with V is one symmetric matrix-vector product on that triangle plus
-vectors.  A = V D^-1 is symmetric only to rounding (about 1e-14 relative),
-so such a product differs from one with the assembled V in its trailing digits.
+O(n k) records of the sides' bordered Neumann systems (solvers) and, once a
+side's J map is used, one more: the n x n Cholesky factor of that side's J
+Gram matrix (distributions.JMap).  It holds V only inside the factor's
+array: dpotrf leaves T's other triangle there, and A[1:, 1:] = u_i + u_j -
+T_ij with u a vector (_projected_cholesky), so a product with V is one
+symmetric matrix-vector product on that triangle plus vectors.  A = V D^-1
+is symmetric only to rounding (about 1e-14 relative), so such a product
+differs from one with the assembled V in its trailing digits.
 """
 
 from typing import NamedTuple
@@ -249,14 +251,17 @@ class OperatorSet:
     The state is W, the Cholesky factor L of T, and vectors: L_ii - T_ii,
     u[1:], row 0 of A and its column 0 below row 0, row 0 of H A H (see the
     module docstring and _projected_cholesky), and the value-at-infinity
-    functional q, the last row of the bordered inverse; and bordered, by
-    side name the (n, k) border and measured kernel of each used side's
-    Neumann system (solvers._bordered_system).  W and the factor are the
-    only arrays of size n^2.  V is applied by single_layer from the factor's
-    array, whose other triangle still holds T, and written out in full only
-    on request, by single_layer_matrix.  Wt is applied from W, and the
-    Dirichlet-to-Neumann maps and their weighted transposes through the
-    factor by dtn and rep, one solve each; none of them is stored.
+    functional q, the last row of the bordered inverse; bordered, by side
+    name the (n, k) border and measured kernel of each used side's Neumann
+    system (solvers._bordered_system); and j_factor, by side name the n x n
+    Cholesky factor of the Gram matrix of each used side's J map
+    (distributions.JMap).  W and the factor are the only arrays of size n^2
+    until a J map is used, and each side's J map adds one.  V is applied by
+    single_layer from the factor's array, whose other triangle still holds
+    T, and written out in full only on request, by single_layer_matrix.  Wt
+    is applied from W, and the Dirichlet-to-Neumann maps and their weighted
+    transposes through the factor by dtn and rep, one solve each; none of
+    them is stored.
     """
 
     def __init__(self, mesh):
@@ -272,6 +277,7 @@ class OperatorSet:
         # y0, and A 1 = V D^-1 1
         self.q = self._solve(-a1 / n)[0] + 1.0 / n
         self.bordered = {}
+        self.j_factor = {}
 
     def _solve(self, g):
         """(y, c) with A y + c = g and sum(y) = 0, for g a grid function or an (n, k) block.

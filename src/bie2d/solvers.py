@@ -642,8 +642,11 @@ def _green_h(mesh, source, side):
 
 
 def _poisson(mesh, g, x, region):
-    """Pairing of g with d/dnu_y of the Green function of the region at x."""
-    g = _check_aligned(mesh, g)
+    """Pairing of g with d/dnu_y of the Green function of the region at x.
+
+    g is a datum within _MAX_DATUM (OutOfRange otherwise).
+    """
+    g = _datum(mesh, g)
     source = _one_point(mesh, x)
     eta = _green_h(mesh, source, region).densities["eta"]
     dh = normal_derivative_single(mesh, eta, _side(region, "region").name)
@@ -664,11 +667,11 @@ def poisson_interior(mesh, g, x):
 def poisson_exterior(mesh, g, x):
     """Exterior Green representation at one point x; returns (value, constant at infinity)."""
     val = _poisson(mesh, g, x, "exterior")
-    c_g = float(operator_set(mesh).q @ _check_aligned(mesh, g))
+    c_g = float(operator_set(mesh).q @ _datum(mesh, g))
     return c_g - val, c_g
 
 
-def transpose_kernel_pair_basis(mesh, op_kind, jmap=None):
+def transpose_kernel_pair_basis(mesh, op_kind):
     """Kernel of +-1/2 I + Wt computed through the pair-distribution route.
 
     The operator is realized in J coordinates (image g plus the mass
@@ -676,26 +679,28 @@ def transpose_kernel_pair_basis(mesh, op_kind, jmap=None):
     its kernel (_kernels).  The kernel vectors are mapped back to
     representers in one block solve with the J map, and the span must
     coincide with the grid-operator kernel; the subspace angle quantifies
-    the agreement.  op_kind is a Wt kind of nullspace; jmap, a JMap of mesh
-    on either side, saves factoring the J map again.
+    the agreement, through the mesh's J factor of the plus side (JMap).
+    op_kind is a Wt kind of nullspace.
     """
     side, _ = _op_kind(op_kind, ("Wt",))
     ops = operator_set(mesh)
     n, W, q = mesh.n, ops.W, ops.q
     v1 = ops.single_layer(np.ones(n))
     correction = W @ v1 - 0.5 * v1
-    # the J-coordinate matrix of shift I + Wt
-    M = W.copy()
-    M[range(n), range(n)] += side.shift
-    M += np.outer(correction, q)
+    # the J-coordinate matrix of shift I + Wt, written over its rank-one term,
+    # so that no second n x n array is formed: as a + b = b + a, every entry
+    # has the bits of (W + shift I) + correction q^T
+    M = np.multiply.outer(correction, q)
+    rank_one = M.diagonal().copy()
+    M += W
+    M[range(n), range(n)] = (np.diagonal(W) + side.shift) + rank_one
     _, _, _, kernel, _ = _kernels(
         M, lambda x: side.shift * x + W @ x + np.multiply.outer(correction, q @ x),
         lambda x: side.shift * x + W.T @ x + np.multiply.outer(q, correction @ x))
     if not kernel.shape[1]:
         return kernel
-    jmap = jmap or JMap(mesh, "plus")
-    mu0, mu1 = jmap.inverse(kernel)
-    return mu0 + ops.rep(jmap.side, mu1)
+    mu0, mu1 = JMap(mesh, "plus").inverse(kernel)
+    return mu0 + ops.rep("plus", mu1)
 
 
 def _subspace_angle(a, b):

@@ -8,12 +8,15 @@ representer (plain quadrature) and through its double-layer/harmonic-
 extension representation.  Randomness is a seeded truncated Fourier
 series, so two runs of the same configuration produce identical reports.
 
-run_verify holds one _MeshCache per mesh: the J factor of each side
-(distributions.JMap), the probe point sets, keyed by (region, count,
-prefer), and the cos(k t), sin(k t) table of the seeded densities.  Each
-is built once on first use, shared read-only by the checks on that mesh,
-and dropped with the cache before the next mesh.  Each check takes the
-mesh's _MeshCache: run_verify calls it as run(mesh, rng, cache=cache).
+run_verify holds one _MeshCache per mesh: the probe point sets, keyed by
+(region, count, prefer), and the cos(k t), sin(k t) table of the seeded
+densities.  Each is built once on first use, shared read-only by the
+checks on that mesh, and dropped with the cache before the next mesh.
+Each check takes the mesh's _MeshCache: run_verify calls it as
+run(mesh, rng, cache=cache).  The J factor of each side belongs to the
+mesh, not to the cache: the first JMap of a side builds it in the mesh's
+OperatorSet, which holds it, one more n x n array per side, for as long as
+the mesh lives.
 """
 
 import numbers
@@ -145,8 +148,8 @@ def probe_points(mesh, region, count=25, prefer="far"):
 
 
 class _MeshCache:
-    """What the checks on one mesh share: the J factor of each side, the probe
-    sets and the Fourier table of the seeded densities.
+    """What the checks on one mesh share: the probe sets and the Fourier table
+    of the seeded densities; the J factors are the mesh's own (JMap).
 
     Each is built on first use.  run_verify holds one cache per mesh and
     drops it before the next mesh.
@@ -154,7 +157,6 @@ class _MeshCache:
 
     def __init__(self, mesh):
         self.mesh = mesh
-        self._jmaps = {}
         self._probes = {}
 
     @cached_property
@@ -180,12 +182,6 @@ class _MeshCache:
         if zero_mean:
             f = f - integrate(mesh, f) / integrate(mesh, np.ones(mesh.n))
         return f
-
-    def jmap(self, side):
-        """The JMap of the mesh on one side."""
-        if side not in self._jmaps:
-            self._jmaps[side] = JMap(self.mesh, side)
-        return self._jmaps[side]
 
     def probes(self, region, count=25, prefer="far"):
         """probe_points of the mesh, found once per (region, count, prefer) and read-only."""
@@ -231,7 +227,7 @@ def check_plemelj_distributional(mesh, rng, cache):
     ops = operator_set(mesh)
     res = 0.0
     for tau in _seeded_pairs(cache, rng, 10):
-        lhs = V_of_distribution(Wt_on_distribution(tau, cache.jmap(tau.side)))
+        lhs = V_of_distribution(Wt_on_distribution(tau))
         rhs = ops.W @ V_of_distribution(tau)
         res = max(res, _sup(lhs - rhs))
     return res
@@ -333,7 +329,7 @@ def check_j_roundtrip(mesh, rng, cache):
     res = 0.0
     for tau in _seeded_pairs(cache, rng, 5):
         g = J_isometry(tau)
-        back = cache.jmap(tau.side).pair(g)
+        back = JMap(mesh, tau.side).pair(g)
         res = max(res, _sup(J_isometry(back) - g))
         rep = to_grid_representer(tau)
         res = max(res, _sup(to_grid_representer(back) - rep))
@@ -343,7 +339,7 @@ def check_j_roundtrip(mesh, rng, cache):
 def check_space_coincidence(mesh, rng, cache):
     res = 0.0
     for tau in _seeded_pairs(cache, rng, 5):
-        tau2 = cache.jmap(_side(tau.side).opposite.name).pair(J_isometry(tau))
+        tau2 = JMap(mesh, _side(tau.side).opposite.name).pair(J_isometry(tau))
         rep = to_grid_representer(tau)
         res = max(res, _sup(to_grid_representer(tau2) - rep))
     return res
@@ -371,7 +367,7 @@ def check_nullspace_dims(mesh, rng, cache):
             return np.pi / 2
         wt = basis.vectors
         gmres_kernel = _bordered_system(mesh, side)[1]
-        pair_kernel = transpose_kernel_pair_basis(mesh, kind, cache.jmap("plus"))
+        pair_kernel = transpose_kernel_pair_basis(mesh, kind)
         worst = max(worst, _subspace_angle(wt, pair_kernel), _subspace_angle(wt, gmres_kernel))
     return worst
 

@@ -191,13 +191,13 @@ def loop_seeded_density(mesh, rng, zero_mean=False):
     return f
 
 
-def svd_pair_basis(mesh, op_kind, jmap=None):
+def svd_pair_basis(mesh, op_kind):
     """transpose_kernel_pair_basis as it was before its pivoted QR: the rank and
-    the null vectors of the J-coordinate matrix are read from one SVD."""
-    from bie2d.distributions import JMap
-    from bie2d.solvers import _OP_KINDS
+    the null vectors of the J-coordinate matrix are read from one SVD, and
+    mapped back through solvers.JMap, as the pair route maps its own."""
+    from bie2d import solvers
 
-    side, _ = _OP_KINDS[op_kind]
+    side, _ = solvers._OP_KINDS[op_kind]
     ops = operator_set(mesh)
     v1 = ops.single_layer(np.ones(mesh.n))
     M = ops.W + side.shift * np.eye(mesh.n) + np.outer(ops.W @ v1 - 0.5 * v1, ops.q)
@@ -205,9 +205,8 @@ def svd_pair_basis(mesh, op_kind, jmap=None):
     dim = int(np.sum(sv < 1e-10 * sv[0]))
     if not dim:
         return np.zeros((mesh.n, 0))
-    jmap = jmap or JMap(mesh, "plus")
-    mu0, mu1 = jmap.inverse(vt[mesh.n - dim:].T)
-    return mu0 + ops.rep(jmap.side, mu1)
+    mu0, mu1 = solvers.JMap(mesh, "plus").inverse(vt[mesh.n - dim:].T)
+    return mu0 + ops.rep("plus", mu1)
 
 
 def negated_single_layer(monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bie2d.errors import InvalidProbe, OutOfRange, SingularSystem
+from bie2d.errors import InvalidProbe, SingularSystem
 from bie2d.geometry import integrate, pairing, stock_mesh
 from bie2d.operators import operator_set
 from bie2d.potentials import eval_double_layer, eval_single_layer
@@ -172,14 +172,33 @@ def test_j_factor_refuses_a_block_with_an_unreachable_column(ellipse, bad):
         jmap.pair(block[:, 1])
 
 
-def test_wt_on_distribution_takes_the_factor_of_its_side(ellipse, rng):
-    tau = PairDistribution("minus", seeded_density(ellipse, rng),
-                           seeded_density(ellipse, rng), ellipse)
-    alone = Wt_on_distribution(tau)
-    given = Wt_on_distribution(tau, JMap(ellipse, "minus"))
-    assert np.array_equal(alone.mu0, given.mu0) and np.array_equal(alone.mu1, given.mu1)
-    with pytest.raises(OutOfRange, match="J factor"):
-        Wt_on_distribution(tau, JMap(ellipse, "plus"))
+def test_a_repeat_wt_on_distribution_builds_no_j_factor(monkeypatch):
+    # the J factor of a side is the mesh's: the first call on a (mesh, side)
+    # builds the J map's matrix and factors its Gram matrix, and no later one does
+    from bie2d import distributions
+
+    mesh = stock_mesh("ellipse", 64)
+    builds, factors = [], []
+
+    def counting(real, calls):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(distributions, "_j_forward_matrix",
+                        counting(distributions._j_forward_matrix, builds))
+    monkeypatch.setattr(distributions, "cho_factor", counting(distributions.cho_factor, factors))
+    rng = np.random.default_rng(3)
+    tau = PairDistribution("minus", seeded_density(mesh, rng), seeded_density(mesh, rng), mesh)
+    first = Wt_on_distribution(tau)
+    assert len(builds) == len(factors) == 1
+    again = Wt_on_distribution(tau)
+    assert len(builds) == len(factors) == 1
+    assert np.array_equal(first.mu0, again.mu0) and np.array_equal(first.mu1, again.mu1)
+    Wt_on_distribution(PairDistribution("plus", tau.mu0, tau.mu1, mesh))
+    assert len(builds) == len(factors) == 2
+    assert set(operator_set(mesh).j_factor) == {"plus", "minus"}
 
 
 def test_mass_laws(ellipse, rng):

@@ -210,7 +210,7 @@ def _held_bytes(ops):
 
 
 def test_operator_set_holds_only_its_factors():
-    from bie2d.distributions import PairDistribution, dist_jump_check
+    from bie2d.distributions import PairDistribution, Wt_on_distribution, dist_jump_check
     from bie2d.solvers import neumann_exterior, neumann_interior
     from bie2d.verify import run_verify
 
@@ -225,15 +225,20 @@ def test_operator_set_holds_only_its_factors():
     g = np.cos(mesh.t)  # no flux through any component of either side
     neumann_interior(mesh, g)
     neumann_exterior(mesh, g)
-    dist_jump_check(PairDistribution("minus", g - np.mean(g), np.sin(mesh.t), mesh))
+    tau = PairDistribution("minus", g - np.mean(g), np.sin(mesh.t), mesh)
+    dist_jump_check(tau)
+    # each side whose J map is used keeps the n x n factor of its Gram matrix
+    Wt_on_distribution(tau)
+    assert set(ops.j_factor) == {"minus"} and _held_bytes(ops)["j_factor"] == 8 * n**2
     assert run_verify(meshes={"annulus": mesh}, n=96).passed
     ops.S_plus, ops.S_minus
     assert mesh.operators is ops
     # besides, each side solved keeps the border and kernel of its bordered
     # Neumann system: two (n, k) arrays, k its component count
-    assert set(ops.bordered) == {"plus", "minus"}
+    assert set(ops.bordered) == set(ops.j_factor) == {"plus", "minus"}
     widths = (mesh.topology.kappa_plus, mesh.topology.kappa_minus)
-    assert _held_bytes(ops) == {**held, "bordered": sum(2 * 8 * n * k for k in widths)}
+    assert _held_bytes(ops) == {**held, "bordered": sum(2 * 8 * n * k for k in widths),
+                                "j_factor": 2 * 8 * n**2}
 
 
 @pytest.mark.parametrize("side", ["plus", "minus"])

@@ -43,6 +43,7 @@ from bie2d.verify import probe_points, run_verify, seeded_density
 from bie2d.distributions import (
     JMap,
     PairDistribution,
+    Wt_on_distribution,
     _j_forward_matrix,
     dist_pairing,
     dist_single_layer_field,
@@ -269,6 +270,19 @@ def test_a_datum_past_the_bound_is_refused_and_one_at_it_solves(solve):
     assert all(np.isfinite(v) for v in report.residuals.values())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+@pytest.mark.parametrize("poisson", [poisson_interior, poisson_exterior])
+def test_poisson_refuses_a_datum_past_the_bound(poisson, bad):
+    # as every solver does, before anything is solved: a NaN datum would
+    # return nan, and one of 1e200 would be accepted
+    mesh = stock_mesh("disk", 64)
+    g = np.cos(mesh.t)
+    g[5] = bad
+    with pytest.raises(OutOfRange, match=r"^datum of magnitude [^\n]*1e\+150"):
+        poisson(mesh, g, np.array([0.3, 0.0]))
+    assert mesh.operators is None
+
+
 @pytest.mark.parametrize("kind", ["half_plus_W", "minus_half_plus_W"])
 @pytest.mark.parametrize("name", ["disk", "annulus"])
 def test_w_kind_nullspace_is_the_right_singular_vectors(one_blas_thread, name, kind):
@@ -318,13 +332,18 @@ def test_nullspace_survives_an_exact_zero_pivot(kind, column):
 
 
 def test_nullspace_holds_one_matrix_of_its_size():
-    # the full SVD held A, U and V^T: a peak of 3.0 n^2 floats
+    # the full SVD held A, U and V^T: a peak of 3.0 n^2 floats; the pair
+    # route, which formed its rank-one term whole, held 2.07 n^2
     mesh = stock_mesh("annulus", 256)
     operator_set(mesh)
-    for kind in solvers._OP_KINDS:
+    JMap(mesh, "plus")  # the pair route's J factor, built once per mesh
+    routes = [partial(nullspace, mesh, kind) for kind in solvers._OP_KINDS]
+    routes += [partial(solvers.transpose_kernel_pair_basis, mesh, kind)
+               for kind, (_, op) in solvers._OP_KINDS.items() if op == "Wt"]
+    for route in routes:
         tracemalloc.start()
         try:
-            nullspace(mesh, kind)
+            route()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -620,8 +639,12 @@ def test_dropped_meshes_are_freed_without_gc(tmp_path):
         mesh = stock_mesh("annulus", 64)
         run_verify(meshes={"annulus": mesh}, n=64)
         refs.append(weakref.ref(mesh))
-        del mesh
-        assert [ref() for ref in refs] == [None, None, None]
+        mesh = stock_mesh("annulus", 64)  # keeps the J factor of one side
+        tau = PairDistribution("minus", np.cos(mesh.t), np.sin(mesh.t), mesh)
+        out = Wt_on_distribution(tau)
+        refs.append(weakref.ref(mesh))
+        del mesh, tau, out
+        assert [ref() for ref in refs] == [None] * 4
     finally:
         if was_enabled:
             gc.enable()
@@ -834,7 +857,8 @@ def test_gmres_matches_the_bordered_lu(name, sign):
 class _IdentityJMap:
     """A J map whose inverse is (identity, 0): the pair route then returns its J-coordinate kernel."""
 
-    side = "plus"
+    def __init__(self, mesh, side):
+        self.side = side
 
     def inverse(self, v):
         return v, np.zeros_like(v)
@@ -842,11 +866,13 @@ class _IdentityJMap:
 
 @pytest.mark.parametrize("sign", ["plus", "minus"])
 @pytest.mark.parametrize("name", _SIX_MESHES)
-def test_qr_pair_kernel_matches_the_svd(name, sign):
+def test_qr_pair_kernel_matches_the_svd(monkeypatch, name, sign):
     mesh = stock_mesh(name, 256)
     kind = "minus_half_plus_Wt" if sign == "plus" else "half_plus_Wt"
-    qr_kernel = solvers.transpose_kernel_pair_basis(mesh, kind, _IdentityJMap())
-    svd_kernel = svd_pair_basis(mesh, kind, _IdentityJMap())
+    with monkeypatch.context() as patched:
+        patched.setattr(solvers, "JMap", _IdentityJMap)
+        qr_kernel = solvers.transpose_kernel_pair_basis(mesh, kind)
+        svd_kernel = svd_pair_basis(mesh, kind)
     assert qr_kernel.shape[1] == getattr(mesh.topology, _side(sign).kappa)
     assert solvers._subspace_angle(qr_kernel, svd_kernel) <= 1e-12
     # and through the J map the QR kernel is the grid kernel

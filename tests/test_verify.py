@@ -135,7 +135,8 @@ def test_verify_factors_each_j_map_once_and_finds_each_probe_set_once(monkeypatc
 
 
 def test_verify_drops_each_mesh_cache_before_the_next(monkeypatch):
-    # (weak reference, mesh) of every J factor and probe set the run builds
+    # (weak reference, mesh) of every probe set the run builds; the J factors
+    # are no part of the cache: each mesh keeps its own in its OperatorSet
     built = []
 
     def gone_before(mesh):
@@ -149,12 +150,15 @@ def test_verify_drops_each_mesh_cache_before_the_next(monkeypatch):
             return out
         return wrapper
 
-    monkeypatch.setattr(verify, "JMap", tracking(verify.JMap))
     monkeypatch.setattr(verify, "probe_points", tracking(verify.probe_points))
     meshes = {name: stock_mesh(name, 64) for name in ("disk", "ellipse")}
     assert run_verify(meshes=meshes, n=64).passed
-    assert len(built) == 2 * (2 + 4)
+    assert len(built) == 2 * 4
     assert all(ref() is None for ref, _ in built)
+    for mesh in meshes.values():
+        factors = mesh.operators.j_factor
+        assert {side: f.shape for side, f in factors.items()} == {
+            "plus": (mesh.n, mesh.n), "minus": (mesh.n, mesh.n)}
 
 
 @pytest.mark.parametrize("zero_mean", [False, True])
