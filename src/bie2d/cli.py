@@ -141,8 +141,7 @@ def _curve_from_dict(idx, entry):
                 key: _numbers(entry.get(key, []), f"{where}.{key}")
                 for key in ("cos_x", "sin_x", "cos_y", "sin_y")
             }
-        spec = CurveSpec(kind, center=center, orientation=entry.get("orientation", "positive"),
-                         **shape)
+        spec = CurveSpec(kind, center=center, **shape)
     except KeyError as exc:
         raise ConfigError(f"{where}: missing field {exc}") from exc
     except InvalidGeometry as exc:

@@ -65,22 +65,32 @@ def dist_pairing(tau, v):
     return pairing(tau.mesh, tau.mu0, v) + pairing(tau.mesh, tau.mu1, flux)
 
 
+def _single_layer_trace(mesh, sign, mu0, mu1):
+    """Trace of the single layer of the pair (mu0, mu1) on the side of sign.
+
+    mu0 and mu1 are (n,) vectors or (n, k) blocks, one pair per column.
+    """
+    ops = operator_set(mesh)
+    transpose_part = -0.5 * mu1 + sign * (ops.W @ mu1)
+    if sign < 0:
+        transpose_part += ops.q @ mu1
+    return ops.single_layer(mu0) + transpose_part
+
+
+def _j_image(mesh, sign, mu0, mu1):
+    """J image V[tau - mbar] + mbar of the pair (mu0, mu1), or of each column of blocks."""
+    mbar = np.dot(mesh.weights, mu0) / integrate(mesh, np.ones(mesh.n))
+    return _single_layer_trace(mesh, sign, mu0 - mbar, mu1) + mbar
+
+
 def V_of_distribution(tau):
     """Boundary trace of the single layer of a pair distribution."""
-    sign = _side(tau.side).sign
-    ops = operator_set(tau.mesh)
-    transpose_part = -0.5 * tau.mu1 + sign * (ops.W @ tau.mu1)
-    if sign < 0:
-        transpose_part += float(ops.q @ tau.mu1)
-    return ops.single_layer(tau.mu0) + transpose_part
+    return _single_layer_trace(tau.mesh, _side(tau.side).sign, tau.mu0, tau.mu1)
 
 
 def J_isometry(tau):
     """Grid image of tau under the mean-corrected single-layer trace."""
-    mesh = tau.mesh
-    mbar = mass_of(tau) / integrate(mesh, np.ones(mesh.n))
-    shifted = PairDistribution(tau.side, tau.mu0 - mbar, tau.mu1, mesh)
-    return V_of_distribution(shifted) + mbar
+    return _j_image(tau.mesh, _side(tau.side).sign, tau.mu0, tau.mu1)
 
 
 def _j_forward_matrix(mesh, side):
@@ -140,13 +150,9 @@ class JMap:
         u = w * ops.single_layer(y / w)
         mu0 = u - np.multiply.outer(mesh.weights, u.sum(axis=0) - y.sum(axis=0)) / w.sum()
         mu1 = sign * (y.T @ ops.W).T - 0.5 * y
-        # and A z, the J image of the pair, as J_isometry forms it
-        mbar = mesh.weights @ mu0 / w.sum()
-        image = ops.single_layer(mu0 - mbar) + mbar
         if sign < 0:
             mu1 += np.multiply.outer(ops.q, y.sum(axis=0))
-            image += ops.q @ mu1
-        resid = np.linalg.norm(image + sign * (ops.W @ mu1) - 0.5 * mu1 - g, axis=0)
+        resid = np.linalg.norm(_j_image(mesh, sign, mu0, mu1) - g, axis=0)
         if not np.all(resid <= 1e-7 * np.maximum(1.0, np.linalg.norm(g, axis=0))):
             raise SingularSystem(f"J inverse residual {np.max(resid):.3e} too large")
         return mu0, mu1

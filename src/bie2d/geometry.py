@@ -6,7 +6,7 @@ and holes, inside an odd number, bounded components of its exterior.
 Meshes use uniform parameter nodes, so all quadrature is the periodic
 trapezoid rule (spectrally accurate on analytic curves).  Normals point out
 of the open set: outer curves are traversed counterclockwise and holes
-clockwise, whatever the input says.
+clockwise, whichever way a curve is parametrized.
 
 A BoundaryMesh owns everything derived from it: build_mesh works out which
 curve contains which once, by polygon winding numbers, and stores the
@@ -58,10 +58,9 @@ class CurveSpec:
         y(t) = center[1] + sum_m cos_y[m] cos(m t) + sin_y[m] sin(m t)
 
     with coefficient arrays indexed by mode m starting at 0; a circle or an
-    ellipse is the fourier curve cos_x = (0, a), sin_y = (0, b).  orientation
-    'positive' means counterclockwise traversal of the parametrization as
-    given; build_mesh may still flip a curve to meet the outward-normal
-    convention.
+    ellipse is the fourier curve cos_x = (0, a), sin_y = (0, b).  A curve
+    has no orientation of its own: build_mesh traverses it in the direction
+    its nesting depth asks for, reversing the parametrization when needed.
     """
 
     kind: str
@@ -72,31 +71,26 @@ class CurveSpec:
     sin_x: tuple = ()
     cos_y: tuple = ()
     sin_y: tuple = ()
-    orientation: str = "positive"
 
     def __post_init__(self):
         if self.kind not in ("circle", "ellipse", "fourier"):
             raise InvalidGeometry(f"unknown curve kind {self.kind!r}")
-        if self.orientation not in ("positive", "negative"):
-            raise InvalidGeometry(f"unknown orientation {self.orientation!r}")
         if self.kind == "circle" and (self.radius is None or self.radius <= 0):
             raise InvalidGeometry("circle needs a positive radius")
         if self.kind == "ellipse":
             if self.axes is None or len(self.axes) != 2 or min(self.axes) <= 0:
                 raise InvalidGeometry("ellipse needs two positive semi-axes")
 
-    def _sign(self):
-        return 1.0 if self.orientation == "positive" else -1.0
-
-    def evaluate(self, t, orientation_sign=None):
+    def evaluate(self, t, orientation_sign=1.0):
         """Positions, velocities and accelerations at parameters t.
 
-        Returns (x, dx, ddx), each of shape (len(t), 2).  Derivatives are
-        with respect to the traversal parameter, orientation folded in.
+        Returns (x, dx, ddx), each of shape (len(t), 2), of the curve
+        traversed as parametrized (orientation_sign 1) or reversed (-1), at
+        the point of parameter orientation_sign * t.  Derivatives are with
+        respect to the traversal parameter t.
         """
         t = np.asarray(t, dtype=float)
-        sg = self._sign() if orientation_sign is None else orientation_sign
-        s = sg * t
+        s = orientation_sign * t
         coeffs = ((self.cos_x, self.sin_x), (self.cos_y, self.sin_y))
         if self.kind != "fourier":
             a, b = self.axes if self.kind == "ellipse" else (self.radius, self.radius)
@@ -114,8 +108,8 @@ class CurveSpec:
                 dx[..., axis] += m * (-a * sm + b * cm)
                 ddx[..., axis] += m * m * (-a * cm - b * sm)
         x = x + np.asarray(self.center, dtype=float)
-        dx = dx * sg
-        # ddx picks up sg**2 == 1
+        dx = dx * orientation_sign
+        # ddx picks up orientation_sign**2 == 1
         return x, dx, ddx
 
 
@@ -192,8 +186,8 @@ Location = namedtuple("Location", ["kind", "index"])
 _MAX_COORD = 1e100
 
 
-def _curve_nodes(spec, nc, sign=None):
-    """t, x, dx, ddx and |x'| at the nc nodes of a curve; sign None keeps its orientation."""
+def _curve_nodes(spec, nc, sign=1.0):
+    """t, x, dx, ddx and |x'| at the nc nodes of a curve, reversed when sign is -1."""
     t = 2.0 * np.pi * np.arange(nc) / nc
     x, dx, ddx = spec.evaluate(t, orientation_sign=sign)
     top = np.max(np.abs([x, dx]))  # NaN stays NaN
@@ -212,11 +206,6 @@ def _component_arrays(t, x, dx, ddx, speed):
     curvature = (dx[:, 0] * ddx[:, 1] - dx[:, 1] * ddx[:, 0]) / speed**3
     weights = speed * (2.0 * np.pi / len(t))
     return t, x, normal, curvature, speed, weights
-
-
-def _signed_area(x, dx, nc):
-    # 0.5 * integral (x y' - y x') dt by the trapezoid rule
-    return 0.5 * np.sum(x[:, 0] * dx[:, 1] - x[:, 1] * dx[:, 0]) * 2.0 * np.pi / nc
 
 
 def _winding_of_points(curve_nodes, points):
@@ -238,16 +227,19 @@ def build_mesh(specs, nodes_per_component):
     """Assemble a BoundaryMesh from curve specs and per-component node counts.
 
     Node counts must be even integers (operator.index) of at least 16, and
-    sum to at most _MAX_NODES.  Curves must be pairwise disjoint and free of
-    self-intersections (checked through node distances), and two curves may
-    not come closer than the node spacing of either: such a gap is
-    under-resolved, and the error suggests node counts that resolve it.
-    No node coordinate or velocity component may exceed _MAX_COORD in
-    magnitude.  Curves may nest to any depth (see DomainTopology); normals
-    point out of the open set, so curves at even depth are traversed
-    counterclockwise and those at odd depth clockwise.  Each curve is
-    evaluated once in its given orientation, which the containment test and
-    the signed area both read, and once more only to flip it.
+    sum to at most _MAX_NODES.  No node coordinate or velocity component may
+    exceed _MAX_COORD in magnitude.  Each curve must be simple: its turning
+    number, the winding of its node velocities about the origin, an exact
+    integer, must be +-1 (Hopf's Umlaufsatz), and it is checked before
+    anything else reads the nodes.  Curves must be pairwise disjoint, and
+    two curves may not come closer than the node spacing of either: such a
+    gap is under-resolved, and the error suggests node counts that resolve
+    it.  Curves may nest to any depth (see DomainTopology); normals point
+    out of the open set, so curves at even depth are traversed
+    counterclockwise (turning number +1) and those at odd depth clockwise
+    (-1).  Each curve is evaluated once as parametrized, which the turning
+    number and the containment test read, and once more, reversed, only
+    when the sign of its turning number disagrees with its depth.
     """
     specs, counts = list(specs), list(nodes_per_component)
     if len(specs) != len(counts):
@@ -264,6 +256,12 @@ def build_mesh(specs, nodes_per_component):
                               f"{_MAX_NODES:.0e} a mesh takes")
 
     curves = [_curve_nodes(spec, nc) for spec, nc in zip(specs, counts)]
+    # the node velocities form a closed polygon whose winding about the
+    # origin is an integer up to n eps
+    turning = [round(float(_winding_of_points(dx, (0.0, 0.0))[0])) for _, _, dx, _, _ in curves]
+    for k, m in enumerate(turning):
+        if abs(m) != 1:
+            raise InvalidGeometry(f"curve {k} is not simple (turning number {m})")
 
     # containment depth from winding numbers of node samples
     ncomp = len(curves)
@@ -282,10 +280,10 @@ def build_mesh(specs, nodes_per_component):
             contains[i, j] = bool(inside.all())
     depth = contains.sum(axis=0)
 
-    # orientation fix: even depths CCW (positive area), odd depths CW
+    # direction fix: even depths counterclockwise, odd depths clockwise
     for k, (spec, nc) in enumerate(zip(specs, counts)):
-        if (_signed_area(curves[k][1], curves[k][2], nc) > 0) != (depth[k] % 2 == 0):
-            curves[k] = _curve_nodes(spec, nc, -spec._sign())
+        if (turning[k] > 0) != (depth[k] % 2 == 0):
+            curves[k] = _curve_nodes(spec, nc, -1.0)
 
     t, x, normal, curvature, speed, weights = map(
         np.concatenate, zip(*(_component_arrays(*curve) for curve in curves)))
@@ -419,23 +417,23 @@ def _pair_blocks(targets, nodes, start, stop):
 
 
 def _check_node_separation(mesh):
-    # cross-component disjointness and a cheap self-intersection screen:
-    # a simple closed C^1 curve has turning number +-1, and nodes that are
-    # several steps apart along the curve cannot nearly coincide.  Each
-    # pairwise pass is a function of its own, so that one pass's block
-    # arrays are freed before the next pass allocates its own.
+    """Refuse nodes too close for the mesh: of one curve, or of two.
+
+    Nodes of one curve that are several steps apart along it cannot nearly
+    coincide; when they do, the curve self-intersects or bends back
+    through a hairpin narrower than its node spacing, and the message names
+    both causes.  Two curves must not come within 1e-9 of the coordinate
+    scale (not disjoint), nor closer than their node spacing there
+    (under-resolved, _check_gap_resolved).  Each pairwise pass is a
+    function of its own, so that one pass's block arrays are freed before
+    the next pass allocates its own.
+    """
     scale = max(1.0, float(np.max(np.abs(mesh.x))))
     for c in range(mesh.n_components):
         sl = mesh.component_slice(c)
-        turning = float(np.dot(mesh.curvature[sl], mesh.weights[sl])) / (2.0 * np.pi)
-        if abs(abs(turning) - 1.0) > 0.1:
-            raise InvalidGeometry(
-                f"curve {c} is not simple (turning number {turning:.3f})"
-            )
         if _distant_nodes_coincide(mesh.x[sl], mesh.weights[sl]):
-            raise InvalidGeometry(
-                f"curve {c} self-intersects (distant nodes nearly coincide)"
-            )
+            raise InvalidGeometry(f"curve {c} self-intersects or is under-resolved "
+                                  f"(distant nodes nearly coincide)")
         for c2 in range(c + 1, mesh.n_components):
             sl2 = mesh.component_slice(c2)
             gap, i, j = _closest_pair(mesh.x[sl], mesh.x[sl2])
@@ -742,7 +740,7 @@ def stock_specs(name):
     if name == "annulus":
         return [
             CurveSpec("circle", radius=2.0),
-            CurveSpec("circle", radius=1.0, orientation="negative"),
+            CurveSpec("circle", radius=1.0),
         ]
     if name == "kite":
         return [

@@ -152,18 +152,20 @@ def _checked_W(mesh, W):
 
     W's diagonal holds the continuous limit kappa_i / (4 pi), and this
     check, made when the OperatorSet is built, pins the sign convention.
-    A reversed normal moves the row sums on its curve by about 1 (to
-    -1/2 on an outer curve, 3/2 on a hole); a smaller miss means the
-    nodes do not resolve the curve or its neighbours.
+    A reversed normal moves every row sum on its curve by about 1 (to
+    -1/2 on an outer curve, 3/2 on a hole), so the curve of the largest
+    miss is reported misoriented only when each of its rows misses by more
+    than 1/2; otherwise the nodes do not resolve the curve or its
+    neighbours.
     """
     w1 = W @ np.ones(mesh.n)
     if np.max(np.abs(w1 - 0.5)) > 1e-8:
-        rows = [w1[mesh.component_slice(c)] for c in range(mesh.n_components)]
-        c = int(np.argmax([np.max(np.abs(r - 0.5)) for r in rows]))
-        resid = float(np.max(np.abs(rows[c] - 0.5)))
-        cause = "sign/orientation check failed" if resid > 0.5 else "under-resolved"
+        misses = [np.abs(w1[mesh.component_slice(c)] - 0.5) for c in range(mesh.n_components)]
+        c = int(np.argmax([np.max(miss) for miss in misses]))
+        resid = float(np.max(misses[c]))
+        cause = "sign/orientation check failed" if np.min(misses[c]) > 0.5 else "under-resolved"
         raise InvalidGeometry(f"double layer {cause}: |W 1 - 1/2| = {resid:.3e} "
-                              f"on curve {c} with {rows[c].size} nodes")
+                              f"on curve {c} with {misses[c].size} nodes")
     return W
 
 

@@ -50,15 +50,20 @@ def test_load_config_defaults(tmp_path):
     assert mesh.n == 128
 
 
-def test_load_config_bad_orientation(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(
-        json.dumps(
-            {"components": [{"kind": "circle", "radius": 1.0, "orientation": "clockwise"}]}
-        )
-    )
-    with pytest.raises(ConfigError, match="orientation"):
-        load_config(str(path))
+def test_ellipse_and_fourier_configs_build_the_stock_meshes(tmp_path):
+    # the config's ellipse and fourier branches build the stock ellipse and
+    # kite, bit for bit
+    entries = {"ellipse": {"kind": "ellipse", "axes": [2.0, 1.0]},
+               "kite": {"kind": "fourier", "cos_x": [-0.65, 1.0, 0.65], "cos_y": [0.0],
+                        "sin_y": [0.0, 1.5]}}
+    for name, entry in entries.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"components": [dict(entry, nodes=64)]}))
+        mesh, stock = load_config(str(path)).build_mesh(), stock_mesh(name, 64)
+        for field in ("n_per_comp", "t", "x", "normal", "curvature", "speed", "weights",
+                      "comp", "offsets"):
+            a, b = (np.asarray(getattr(m, field)) for m in (mesh, stock))
+            assert a.dtype == b.dtype and np.array_equal(a, b), (name, field)
 
 
 def test_load_config_hadamard_mismatch(tmp_path):
@@ -537,6 +542,9 @@ _MALFORMED_CONFIGS = {
     "nodes-fraction": {"components": [dict(_DISK, nodes=64.5)]},
     "top-level-number": 5,
     "center-3d": {"components": [dict(_DISK, center=[0, 0, 0])]},
+    "component-number": {"components": [5]},
+    "circle-without-radius": {"components": [{"kind": "circle", "nodes": 128}]},
+    "ellipse-three-axes": {"components": [{"kind": "ellipse", "axes": [2.0, 1.0, 0.5]}]},
     "radius-nan": {"components": [dict(_DISK, radius=float("nan"))]},
     "seed-text": {"components": [_DISK], "seed": "x"},
     "seed-negative": {"components": [_DISK], "seed": -1},

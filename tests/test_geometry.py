@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import tracemalloc
 
@@ -59,38 +58,18 @@ def test_annulus_hole_normal_points_into_hole():
 
 
 def test_orientation_autofix(monkeypatch):
-    # hole declared counterclockwise still ends up with inward normal
-    specs = [
-        CurveSpec("circle", radius=2.0),
-        CurveSpec("circle", radius=1.0, orientation="positive"),
-    ]
+    # a hole parametrized counterclockwise still ends up with inward normal;
+    # it is evaluated once as parametrized, and once more only to reverse it
+    specs = [CurveSpec("circle", radius=2.0), CurveSpec("circle", radius=1.0)]
+    calls, evaluate = [], CurveSpec.evaluate
+    monkeypatch.setattr(CurveSpec, "evaluate",
+                        lambda spec, *args, **kw: calls.append(spec) or evaluate(spec, *args, **kw))
     mesh = build_mesh(specs, [64, 64])
+    assert calls == specs + specs[1:]
     topo = mesh.topology
     sl = mesh.component_slice(topo.hole_comps[0])
     x, nu = mesh.x[sl][0], mesh.normal[sl][0]
     assert np.dot(nu, -x) > 0
-
-    # every curve given in the other orientation builds the same mesh, bit for
-    # bit; each curve is evaluated once as given, and once more only to flip it
-    given = [
-        CurveSpec("circle", radius=3.0),
-        CurveSpec("circle", center=(-1.2, 0.0), radius=0.8, orientation="negative"),
-        CurveSpec("ellipse", center=(1.2, 0.0), axes=(0.6, 0.4), orientation="negative"),
-    ]
-    other = {"positive": "negative", "negative": "positive"}
-    flipped = [dataclasses.replace(s, orientation=other[s.orientation]) for s in given]
-    calls, evaluate = [], CurveSpec.evaluate
-    monkeypatch.setattr(CurveSpec, "evaluate",
-                        lambda spec, *args, **kw: calls.append(spec) or evaluate(spec, *args, **kw))
-    meshes = [build_mesh(specs, [64, 48, 32]) for specs in (given, flipped)]
-    assert calls == given + flipped + flipped
-    for name in ("n_per_comp", "t", "x", "normal", "curvature", "speed", "weights",
-                 "comp", "offsets"):
-        a, b = (getattr(m, name) for m in meshes)
-        assert np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b), name
-    # the topologies agree too; their offsets are the mesh's, compared above
-    first, second = (vars(dataclasses.replace(m.topology, offsets=None)) for m in meshes)
-    assert first == second
 
 
 def test_signed_area_orientation_invariant():
@@ -132,10 +111,10 @@ def test_topology_counts():
 
 def test_deep_nesting_accepted():
     # an island inside the hole of a ring: the disk r < 1 is a second
-    # component of the open set, whatever orientation each curve is given in
+    # component of the open set, whichever way each curve is parametrized
     specs = [
         CurveSpec("circle", radius=3.0),
-        CurveSpec("circle", radius=2.0, orientation="negative"),
+        CurveSpec("fourier", cos_x=(0.0, 2.0), sin_y=(0.0, -2.0)),
         CurveSpec("circle", radius=1.0),
     ]
     mesh = build_mesh(specs, [64, 64, 64])
@@ -162,6 +141,54 @@ def test_self_intersecting_curve_rejected():
     spec = CurveSpec("fourier", cos_x=(1.0, 1.0, 1.0), sin_y=(0.0, 1.0, 1.0))
     with pytest.raises(InvalidGeometry):
         build_mesh([spec], [64])
+
+
+# x = cos t + 0.3 cos 10t, y = sin t: a simple curve whose hairpins need
+# thousands of nodes
+_WIGGLY = CurveSpec("fourier", cos_x=(0.0, 1.0) + (0.0,) * 8 + (0.3,), sin_y=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("spec, turning", [
+    (CurveSpec("fourier", sin_x=(0.0, 0.0, 1.0), sin_y=(0.0, 1.0)), 0),  # figure-eight
+    (CurveSpec("fourier", cos_x=(0.5, 0.5, 0.5), sin_y=(0.0, 0.5, 0.5)), 2),  # looped limacon
+], ids=["figure-eight", "limacon"])
+@pytest.mark.parametrize("n", [16, 64, 256, 2048])
+def test_turning_number_refuses_a_curve_that_is_not_simple(spec, turning, n):
+    # the winding of the node velocities is an exact integer at every count
+    with pytest.raises(InvalidGeometry,
+                       match=rf"^curve 0 is not simple \(turning number {turning}\)$"):
+        build_mesh([spec], [n])
+
+
+@pytest.mark.parametrize("n", [64, 96, 128, 256, 512, 1024, 2048, 4096])
+def test_under_resolved_simple_curve_is_never_called_not_simple(n):
+    # the wiggly curve's node velocities wind once at every count; where its
+    # nodes under-resolve it a later screen says so
+    try:
+        build_mesh([_WIGGLY], [n])
+    except InvalidGeometry as exc:
+        assert "not simple" not in str(exc) and "under-resolved" in str(exc)
+
+
+@pytest.mark.parametrize("spec, n", [
+    (_WIGGLY, 256),
+    # a dumbbell whose waist is 2e-6 wide
+    (CurveSpec("fourier", cos_x=(0.0, 1.0), sin_y=(0.0, 0.25 + 1e-6, 0.0, 0.25)), 64),
+], ids=["wiggly", "pinched-dumbbell"])
+def test_distant_nodes_name_self_intersection_and_under_resolution(spec, n):
+    # the wiggly curve's hairpins are narrower than its node spacing
+    with pytest.raises(InvalidGeometry, match=r"^curve 0 self-intersects or is under-resolved "
+                                              r"\(distant nodes nearly coincide\)$"):
+        build_mesh([spec], [n])
+
+
+def test_curves_a_hair_apart_are_not_disjoint():
+    # two unit circles 1e-12 apart share no node, and the gap is far below
+    # 1e-9 of the coordinate scale
+    specs = [CurveSpec("circle", center=(-1.0, 0.0), radius=1.0),
+             CurveSpec("circle", center=(1.0 + 1e-12, 0.0), radius=1.0)]
+    with pytest.raises(InvalidGeometry, match=r"^curves 0 and 1 are not disjoint$"):
+        build_mesh(specs, [64, 64])
 
 
 def test_node_count_validation():
@@ -507,9 +534,8 @@ def test_stock_geometries_build_at_the_smallest_node_count(name):
 
 
 def test_outer_curve_declared_clockwise_is_flipped():
-    mesh = build_mesh(
-        [CurveSpec("circle", radius=1.0, orientation="negative")], [64]
-    )
+    # a unit circle parametrized clockwise
+    mesh = build_mesh([CurveSpec("fourier", cos_x=(0.0, 1.0), sin_y=(0.0, -1.0))], [64])
     # outward normal of the open set points away from the center
     assert np.all(np.einsum("ij,ij->i", mesh.normal, mesh.x) > 0.99)
 

@@ -338,11 +338,15 @@ def test_w1_check_tells_under_resolution_from_orientation():
         [CurveSpec("circle", center=(-1.05, 0.0), radius=1.0),
          CurveSpec("circle", center=(1.05, 0.0), radius=1.0)], [64, 64]
     )
-    for mesh, curves in ((stock_mesh("kite", 16), "0"), (two_close, "[01]")):
+    # x = cos t + 0.3 cos 10t, y = sin t at 64 nodes: its largest miss is
+    # about 2, but most of its rows miss by far less than 1/2
+    wiggly = build_mesh([CurveSpec("fourier", cos_x=(0.0, 1.0) + (0.0,) * 8 + (0.3,),
+                                   sin_y=(0.0, 1.0))], [64])
+    for mesh, curves in ((stock_mesh("kite", 16), "0"), (two_close, "[01]"), (wiggly, "0")):
         with pytest.raises(InvalidGeometry, match=f"under-resolved.* on curve {curves} "):
             OperatorSet(mesh)
-    # a reversed normal moves W 1 by about 1 on its curve: to -1/2 on an
-    # outer curve, to 3/2 on a hole
+    # a reversed normal moves W 1 by about 1 on every row of its curve: to
+    # -1/2 on an outer curve, to 3/2 on a hole
     for name, curve in (("disk", 0), ("annulus", 1)):
         with pytest.raises(InvalidGeometry, match=f"orientation.* on curve {curve} "):
             OperatorSet(_reversed(stock_mesh(name, 64), curve))

@@ -613,7 +613,7 @@ def test_identity_suite_on_kite_with_hole():
     from bie2d.verify import run_verify
 
     specs = stock_specs("kite") + [
-        CurveSpec("circle", center=(0.15, 0.2), radius=0.35, orientation="negative")
+        CurveSpec("circle", center=(0.15, 0.2), radius=0.35)
     ]
     mesh = build_mesh(specs, [256, 128])
     assert mesh.topology.kappa_minus == 1
