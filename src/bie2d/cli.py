@@ -28,7 +28,15 @@ from .errors import (
     NonFiniteResult,
     OutOfRange,
 )
-from .geometry import CurveSpec, _in_region, _TargetBlocks, build_mesh, stock_mesh
+from .geometry import (
+    CurveSpec,
+    _in_region,
+    _node_counts,
+    _TargetBlocks,
+    build_mesh,
+    stock_mesh,
+    stock_specs,
+)
 from .operators import operator_set
 from .distributions import dist_normal_derivative, pair_from_dict
 from .solvers import (
@@ -88,6 +96,46 @@ class RunConfig:
 
     def build_mesh(self):
         return _geometry(build_mesh, self.components, self.node_counts())
+
+
+def _memory_limit():
+    """Bytes this process may use: the smaller of the physical memory and the
+    memory.max of its cgroup (version 2), when that file is readable and not
+    'max'.  None when neither is known."""
+    limits = []
+    try:
+        limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        pass
+    try:
+        with open("/proc/self/cgroup") as fh:
+            paths = [line[3:].strip() for line in fh if line.startswith("0::")]
+        with open(os.path.join("/sys/fs/cgroup", *paths[0].split("/"), "memory.max")) as fh:
+            value = fh.read().strip()
+        if value != "max":
+            limits.append(int(value))
+    except (IndexError, ValueError, OSError):
+        pass
+    return min(limits, default=None)
+
+
+def _check_memory(meshes, j_sides=0):
+    """Refuse, before any node is built, meshes whose dense arrays outgrow _memory_limit.
+
+    meshes holds (curve specs, node counts) of each mesh the command keeps
+    at once; the counts are checked first, as build_mesh checks them.  A
+    mesh of N nodes in all has an OperatorSet of 16 N^2 bytes (W and the
+    single layer's factor), and each side whose J map is used adds 8 N^2.
+    Raises ConfigError past the limit.
+    """
+    totals = [sum(_geometry(_node_counts, specs, counts)) for specs, counts in meshes]
+    need = sum((16 + 8 * j_sides) * n**2 for n in totals)
+    limit = _memory_limit()
+    if limit is not None and need > limit:
+        nodes = " + ".join(str(n) for n in totals)
+        raise ConfigError(f"{nodes} nodes need about {need / 2**30:.1f} GiB of dense "
+                          f"operators, more than the {limit / 2**30:.1f} GiB this process "
+                          "may use; use fewer nodes")
 
 
 def _geometry(build, *args):
@@ -352,6 +400,7 @@ def cmd_solve(cfg):
     """Run one boundary value problem; write report JSON and field CSV."""
     if cfg.problem not in _SOLVERS:
         raise ConfigError(f"problem {cfg.problem!r} is not a solve problem")
+    _check_memory([(cfg.components, cfg.node_counts())])
     mesh = cfg.build_mesh()
     data = build_data(cfg, mesh)
     report = _SOLVERS[cfg.problem](mesh, data)
@@ -380,11 +429,15 @@ def cmd_solve(cfg):
 
 def cmd_verify(cfg):
     """Run the identity suite; one row per check and geometry."""
+    # every mesh stays in meshes, with its operators and both J factors, to the end
     if cfg.components:
+        _check_memory([(cfg.components, cfg.node_counts())], j_sides=2)
         meshes = {"config": cfg.build_mesh()}
         n = max(cfg.node_counts())
     else:
         n = 256 if cfg.n_override is None else cfg.n_override
+        specs = [stock_specs(name) for name in STOCK_TRIO]
+        _check_memory([(spec, [n] * len(spec)) for spec in specs], j_sides=2)
         meshes = {name: _geometry(stock_mesh, name, n) for name in STOCK_TRIO}
     try:
         report = run_verify(meshes=meshes, n=n, seed=cfg.seed,
@@ -416,7 +469,9 @@ def cmd_demo_hadamard(terms, n, out_dir="."):
     Dirichlet-to-Neumann pairing).
     """
     _require_resolution(terms, n)
-    mesh = _geometry(build_mesh, [CurveSpec("circle", radius=1.0)], [n])
+    disk = [CurveSpec("circle", radius=1.0)]
+    _check_memory([(disk, [n])])
+    mesh = _geometry(build_mesh, disk, [n])
     if mesh.band_width() >= 0.5:
         raise ConfigError(f"the r = 1/2 recovery ring lies in the near-boundary band "
                           f"of {n} nodes; demo-hadamard needs at least 26")

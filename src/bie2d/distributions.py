@@ -13,29 +13,42 @@ side's sign (README, "Sides and signs"): its trace for (side, 0, mu) is
 -mu/2 + sign W mu, plus q.mu on the exterior side.  The J map sends tau to
 V[tau - mean] + mean (mean = <tau,1>/<1,1>) and identifies distributions
 with grid functions.  Its inverse picks the minimum-norm pair through a
-Cholesky factorization of the Gram matrix of the J map's dense matrix.
+Cholesky factorization of the Gram matrix of the J map's dense matrix,
+which is built one n x n half of that matrix at a time.
 That factor is the mesh's: the first JMap of a (mesh, side) builds it and
 keeps it in the mesh's OperatorSet, which then holds one more n x n array
 for each side used, and every later JMap of that side, in
 Wt_on_distribution, the verify suite or the pair-route transpose kernel,
 applies it to a vector or to an (n, k) block of them without factoring
 again.
+
+A PairDistribution is one pair, or a block of k pairs of one side whose
+mu0 and mu1 are (n, k) blocks.  The pair functions (mass_of,
+to_grid_representer, dist_pairing, V_of_distribution, J_isometry,
+Wt_on_distribution, JMap.pair and dist_jump_check) take a block through
+the same code as one pair, with one column per pair in what they return;
+dist_single_layer_field and pair_to_dict take one pair only.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsyrk
 
-from .errors import SingularSystem
-from .geometry import _check_aligned, _row_blocks, integrate, pairing
+from .errors import LengthMismatch, SingularSystem
+from .geometry import _check_aligned, _pairings, _row_blocks, integrate
 from .operators import _side, operator_set
 from .potentials import HarmonicField
 
 
 @dataclass
 class PairDistribution:
-    """side tag plus densities (mu0, mu1) on a mesh."""
+    """side tag plus densities (mu0, mu1) on a mesh.
+
+    mu0 and mu1 are grid functions, or (n, k) blocks of the same shape: a
+    block of k pairs of one side, one pair per column.
+    """
 
     side: str
     mu0: np.ndarray
@@ -44,13 +57,25 @@ class PairDistribution:
 
     def __post_init__(self):
         _side(self.side)
-        self.mu0 = _check_aligned(self.mesh, self.mu0)
-        self.mu1 = _check_aligned(self.mesh, self.mu1)
+        self.mu0 = _check_aligned(self.mesh, self.mu0, block=True)
+        self.mu1 = _check_aligned(self.mesh, self.mu1, block=True)
+        if self.mu0.shape != self.mu1.shape:
+            raise LengthMismatch(f"mu0 of shape {self.mu0.shape} and mu1 of shape "
+                                 f"{self.mu1.shape} make no pair")
+
+
+def _one_pair(tau):
+    """tau, which must be one pair, not a block of them (LengthMismatch otherwise)."""
+    if tau.mu0.ndim != 1:
+        raise LengthMismatch(f"expected one pair, got a block of shape {tau.mu0.shape}")
+    return tau
 
 
 def mass_of(tau):
-    """<tau, 1>; the transpose part carries no mass in two dimensions."""
-    return integrate(tau.mesh, tau.mu0)
+    """<tau, 1>, or that of each pair of a block; the transpose part carries no
+    mass in two dimensions."""
+    mass = np.dot(tau.mesh.weights, tau.mu0)
+    return float(mass) if tau.mu0.ndim == 1 else mass
 
 
 def to_grid_representer(tau):
@@ -59,10 +84,16 @@ def to_grid_representer(tau):
 
 
 def dist_pairing(tau, v):
-    """<tau, v> = pairing(mu0, v) + pairing(mu1, S_side v)."""
-    v = _check_aligned(tau.mesh, v)
+    """<tau, v> = pairing(mu0, v) + pairing(mu1, S_side v).
+
+    For a block of pairs, v is an (n, k) block, and the result holds each
+    pair's value at its own column of v.
+    """
+    v = _check_aligned(tau.mesh, v, block=True)
+    if v.shape != tau.mu0.shape:
+        raise LengthMismatch(f"{v.shape} grid functions against pairs of shape {tau.mu0.shape}")
     flux = operator_set(tau.mesh).dtn(tau.side, v)
-    return pairing(tau.mesh, tau.mu0, v) + pairing(tau.mesh, tau.mu1, flux)
+    return _pairings(tau.mesh, tau.mu0, v) + _pairings(tau.mesh, tau.mu1, flux)
 
 
 def _single_layer_trace(mesh, sign, mu0, mu1):
@@ -93,23 +124,41 @@ def J_isometry(tau):
     return _j_image(tau.mesh, _side(tau.side).sign, tau.mu0, tau.mu1)
 
 
-def _j_forward_matrix(mesh, side):
-    """Dense matrix of (mu0, mu1) -> J[pair], whose Gram matrix JMap factors."""
+def _j_halves(mesh, side, out):
+    """The n x 2n matrix A = [A0, A1] of (mu0, mu1) -> J[pair], by halves.
+
+    Yields out, an (n, n) array, holding A0 and then, written over it, A1.
+    """
     sign = _side(side).sign
     ops = operator_set(mesh)
     n = mesh.n
-    A = np.empty((n, 2 * n))
     # J on the mu0 block: V mu0 - mbar (V 1 - 1) with mbar = w.mu0 / <1, 1>,
     # the rank-one term added one block of rows at a time
-    A0 = ops.single_layer_matrix(A[:, :n])
+    ops.single_layer_matrix(out)
     v1, mean = ops.single_layer(np.ones(n)) - 1.0, mesh.weights / integrate(mesh, np.ones(n))
     for lo, hi in _row_blocks(0, n, n):
-        A0[lo:hi] -= np.outer(v1[lo:hi], mean)
-    A1 = np.multiply(ops.W, sign, out=A[:, n:])
-    A1[range(n), range(n)] -= 0.5
+        out[lo:hi] -= np.outer(v1[lo:hi], mean)
+    yield out
+    np.multiply(ops.W, sign, out=out)
+    out[range(n), range(n)] -= 0.5
     if sign < 0:
-        A1 += ops.q
-    return A
+        out += ops.q
+    yield out
+
+
+def _j_gram(mesh, side):
+    """The upper triangle of the J map's Gram matrix A A^T = A0 A0^T + A1 A1^T.
+
+    One n x n buffer takes each half of A in turn (_j_halves), so a build
+    holds two n x n arrays, the buffer and the F-ordered Gram matrix, whose
+    strict lower triangle stays zero.  The buffer is C-ordered, so its
+    transpose is the F-ordered array dsyrk reads without a copy, and each
+    half's product is added into the Gram matrix in place.
+    """
+    gram = np.zeros((mesh.n, mesh.n), order="F")
+    for half in _j_halves(mesh, side, np.empty((mesh.n, mesh.n))):
+        dsyrk(1.0, half.T, beta=1.0, c=gram, trans=1, overwrite_c=1)
+    return gram
 
 
 class JMap:
@@ -117,11 +166,12 @@ class JMap:
 
     The map (mu0, mu1) -> J[mu0 + transpose-part(mu1)] is onto, so the
     minimum-norm preimage of g is z = A^T (A A^T)^-1 g with A its n x 2n
-    matrix (_j_forward_matrix).  The first JMap of a (mesh, side) builds A,
-    factors A A^T by Cholesky in place and keeps only that factor, in the
-    OperatorSet's j_factor; A is dropped.  A JMap is a handle: every inverse
-    applies A and A^T by products with the OperatorSet's V, W and q.  Raises
-    SingularSystem when the factorization fails.
+    matrix (_j_halves).  The first JMap of a (mesh, side) builds A A^T one
+    half of A at a time (_j_gram), factors it by Cholesky in place and keeps
+    only that factor, in the OperatorSet's j_factor; A is never whole.  A
+    JMap is a handle: every inverse applies A and A^T by products with the
+    OperatorSet's V, W and q.  Raises SingularSystem when the factorization
+    fails.
     """
 
     def __init__(self, mesh, side="plus"):
@@ -129,9 +179,8 @@ class JMap:
         self.side = _side(side).name
         factors = operator_set(mesh).j_factor
         if self.side not in factors:
-            A = _j_forward_matrix(mesh, side)
-            try:  # A A^T is symmetric to the bit, so its transpose is its F-ordered self
-                factors[self.side] = cho_factor((A @ A.T).T, overwrite_a=True)[0]
+            try:  # cho_factor reads the upper triangle
+                factors[self.side] = cho_factor(_j_gram(mesh, side), overwrite_a=True)[0]
             except np.linalg.LinAlgError as exc:
                 raise SingularSystem("J map is not onto: its Gram matrix is singular") from exc
 
@@ -158,13 +207,14 @@ class JMap:
         return mu0, mu1
 
     def pair(self, g):
-        """The pair distribution of this side with J image g, a grid function."""
-        return PairDistribution(self.side, *self.inverse(_check_aligned(self.mesh, g)),
-                                self.mesh)
+        """The pair distribution of this side with J image g, a grid function, or
+        the block of pairs with the columns of an (n, k) block g as images."""
+        return PairDistribution(self.side, *self.inverse(g), self.mesh)
 
 
 def Wt_on_distribution(tau):
-    """Adjoint double-layer operator applied to a pair distribution.
+    """Adjoint double-layer operator applied to a pair distribution, or to each
+    pair of a block.
 
     Computed in J coordinates: the image of W^t tau is
     W g + (W V 1 - V 1 / 2) <tau,1>/<1,1> with g the image of tau, and the
@@ -177,7 +227,7 @@ def Wt_on_distribution(tau):
     m = mass_of(tau)
     length = integrate(mesh, np.ones(mesh.n))
     v1 = ops.single_layer(np.ones(mesh.n))
-    g_out = ops.W @ g + (ops.W @ v1 - 0.5 * v1) * (m / length)
+    g_out = ops.W @ g + np.multiply.outer(ops.W @ v1 - 0.5 * v1, m / length)
     out = JMap(mesh, tau.side).pair(g_out)
     # pin the mass law <Wt tau, 1> = <tau, 1> / 2 in the stored densities
     out.mu0 = out.mu0 + (0.5 * m - mass_of(out)) / length
@@ -195,7 +245,7 @@ def dist_single_layer_field(tau, points, region):
     as the HarmonicField of the region: a point outside the region raises
     InvalidProbe, as for any field.
     """
-    side = _side(tau.side)
+    side = _side(_one_pair(tau).side)
     own = _side(region, "region") is side
     terms, constant = [("single", tau.mu0)], 0.0
     if np.any(tau.mu1):
@@ -215,13 +265,10 @@ def dist_normal_derivative(mesh, trace, side):
 
 
 def _test_basis(mesh):
-    basis = [np.ones(mesh.n)]
-    k = 1
-    while len(basis) < 16:
-        basis.append(np.cos(k * mesh.t))
-        if len(basis) < 16:
-            basis.append(np.sin(k * mesh.t))
-        k += 1
+    """The 16 test functions 1, cos t, sin t, ..., cos 7t, sin 7t, cos 8t, as (n, 16)."""
+    kt = np.arange(1, 9) * mesh.t[:, None]
+    basis = np.empty((mesh.n, 16))
+    basis[:, 0], basis[:, 1::2], basis[:, 2::2] = 1.0, np.cos(kt), np.sin(kt[:, :7])
     return basis
 
 
@@ -239,28 +286,31 @@ def dist_jump_check(tau):
     Dirichlet-to-Neumann derivative of its boundary trace, must pair like
     -tau/2 + Wt tau against 16 test functions (1, cos t, sin t, cos 2t,
     ...).  Exterior: same with -tau/2 - Wt tau, meaningful only for
-    mass-free tau in two dimensions (otherwise skipped with a note).
+    mass-free tau in two dimensions (otherwise skipped with a note).  For a
+    block of pairs each residual is an array with one entry per pair, and
+    the exterior one is skipped when any pair carries mass.
     """
     mesh = tau.mesh
     ops = operator_set(mesh)
     trace = V_of_distribution(tau)
     rep = to_grid_representer(tau)
-    basis = _test_basis(mesh)
-    scale = max(1.0, float(np.max(np.abs(rep))))
+    weighted_basis = mesh.weights[:, None] * _test_basis(mesh)
+    scale = np.maximum(1.0, np.max(np.abs(rep), axis=0))
 
     def residual(side):
         sign = _side(side).sign
         jump = ops.rep(side, trace) - (-0.5 * rep + sign * ops._wt(rep))
-        return max(abs(pairing(mesh, jump, v)) for v in basis) / scale
+        return np.max(np.abs(weighted_basis.T @ jump), axis=0) / scale
 
     r_int = residual("plus")
-    if abs(mass_of(tau)) > 1e-8 * scale:
+    if np.any(np.abs(mass_of(tau)) > 1e-8 * scale):
         return JumpCheckResult(r_int, None, note="no-limit: <tau,1> != 0")
     return JumpCheckResult(r_int, residual("minus"))
 
 
 def pair_to_dict(tau):
-    """JSON-friendly encoding: side tag plus the two density arrays."""
+    """JSON-friendly encoding of one pair: side tag plus the two density arrays."""
+    _one_pair(tau)
     return {
         "side": tau.side,
         "mu0": [float(v) for v in tau.mu0],

@@ -223,6 +223,24 @@ def _winding_of_points(curve_nodes, points):
 _MAX_NODES = 10**8
 
 
+def _node_counts(specs, nodes_per_component):
+    """The node counts of build_mesh as ints, checked as it checks them (InvalidGeometry)."""
+    counts = list(nodes_per_component)
+    if len(specs) != len(counts):
+        raise InvalidGeometry("one node count per curve is required")
+    for k, m in enumerate(counts):
+        try:
+            counts[k] = m = operator.index(m)
+        except TypeError:
+            raise InvalidGeometry(f"node count {m!r} is not an integer") from None
+        if m < 16 or m % 2:
+            raise InvalidGeometry(f"node count {m} must be even and >= 16")
+    if sum(counts) > _MAX_NODES:
+        raise InvalidGeometry(f"{sum(counts)} nodes in all, more than the "
+                              f"{_MAX_NODES:.0e} a mesh takes")
+    return counts
+
+
 def build_mesh(specs, nodes_per_component):
     """Assemble a BoundaryMesh from curve specs and per-component node counts.
 
@@ -241,20 +259,8 @@ def build_mesh(specs, nodes_per_component):
     number and the containment test read, and once more, reversed, only
     when the sign of its turning number disagrees with its depth.
     """
-    specs, counts = list(specs), list(nodes_per_component)
-    if len(specs) != len(counts):
-        raise InvalidGeometry("one node count per curve is required")
-    for k, m in enumerate(counts):
-        try:
-            counts[k] = m = operator.index(m)
-        except TypeError:
-            raise InvalidGeometry(f"node count {m!r} is not an integer") from None
-        if m < 16 or m % 2:
-            raise InvalidGeometry(f"node count {m} must be even and >= 16")
-    if sum(counts) > _MAX_NODES:
-        raise InvalidGeometry(f"{sum(counts)} nodes in all, more than the "
-                              f"{_MAX_NODES:.0e} a mesh takes")
-
+    specs = list(specs)
+    counts = _node_counts(specs, nodes_per_component)
     curves = [_curve_nodes(spec, nc) for spec, nc in zip(specs, counts)]
     # the node velocities form a closed polygon whose winding about the
     # origin is an integer up to n eps
@@ -537,6 +543,13 @@ def integrate(mesh, f):
 def pairing(mesh, f, g):
     """Weighted duality pairing sum_i w_i f_i g_i."""
     return float(np.dot(mesh.weights * _check_aligned(mesh, f), _check_aligned(mesh, g)))
+
+
+def _pairings(mesh, f, g):
+    """pairing of two grid functions, or of each column of two (n, k) blocks, as (k,)."""
+    if f.ndim == 1:
+        return pairing(mesh, f, g)
+    return np.einsum("i,ij,ij->j", mesh.weights, f, g)
 
 
 class _Targets:

@@ -47,7 +47,8 @@ side's J map is used, one more: the n x n Cholesky factor of that side's J
 Gram matrix (distributions.JMap).  It holds V only inside the factor's
 array: dpotrf leaves T's other triangle there, and A[1:, 1:] = u_i + u_j -
 T_ij with u a vector (_projected_cholesky), so a product with V is one
-symmetric matrix-vector product on that triangle plus vectors.  A = V D^-1
+symmetric product on that triangle plus vectors: dsymv for a vector,
+dsymm for a block of at least _DSYMM_COLUMNS columns.  A = V D^-1
 is symmetric only to rounding (about 1e-14 relative), so such a product
 differs from one with the assembled V in its trailing digits.
 """
@@ -56,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.blas import dsymv, dtrsv
+from scipy.linalg.blas import dsymm, dsymv, dtrsv
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InvalidGeometry, OutOfRange, SingularSystem
@@ -247,6 +248,12 @@ def _projected_cholesky(inner, row, col, a1):
     return factor, np.diagonal(factor) - diag, u[1:], row0
 
 
+# dsymm expands the symmetric factor before it multiplies, at about the cost
+# of five to seven dsymv calls (OpenBLAS, one thread, n = 255 to 1023), so a
+# block narrower than this takes one dsymv per column
+_DSYMM_COLUMNS = 8
+
+
 class OperatorSet:
     """All dense operators for one mesh, assembled once and shared.
 
@@ -328,26 +335,31 @@ class OperatorSet:
         """V x for a grid function or an (n, k) block of them, without forming V.
 
         V x = A y with y = D x, and over rows and columns 1..n-1,
-        A_ij = u_i + u_j - T_ij.  So A y is one dsymv on the strict upper
-        triangle of the factor's array, which holds T, less (L_ii - T_ii) y_i
-        for the factor's diagonal; two rank-one terms in u; and row 0 and
-        column 0 of A.  dsymv is handed the F-ordered factor itself, which
-        it reads without a copy, and a block takes one dsymv per column.
+        A_ij = u_i + u_j - T_ij.  So A y is one symmetric product on the
+        strict upper triangle of the factor's array, which holds T, less
+        (L_ii - T_ii) y_i for the factor's diagonal; two rank-one terms in u;
+        and row 0 and column 0 of A.  The product is handed the F-ordered
+        factor itself, which it reads without a copy: one dsymv for a grid
+        function, one dsymm for a block of at least _DSYMM_COLUMNS columns,
+        and one dsymv per column for a narrower block.
         """
         x = _check_aligned(self, x, block=True)
-        if x.ndim == 2:
-            out = np.empty(x.shape, order="F")
-            for j, column in enumerate(x.T):
-                out[:, j] = self.single_layer(column)
-            return out
-        y = self.weights * x
+        block = x.ndim == 2
+        column = (lambda v: v[:, None]) if block else (lambda v: v)
+        y = column(self.weights) * x
         tail = y[1:]
-        out = np.empty(self.n)
+        out = np.empty(x.shape)
         out[0] = self._a_row @ y
-        rest = np.multiply(tail, self._gap, out=out[1:])
-        rest += y[0] * self._a_col + tail.sum() * self._u
-        rest += tail @ self._u
-        out[1:] = dsymv(-1.0, self._factor, tail, beta=1.0, y=rest, overwrite_y=1)
+        rest = np.multiply(tail, column(self._gap), out=out[1:])
+        rest += np.multiply.outer(self._a_col, y[0]) + np.multiply.outer(self._u, tail.sum(axis=0))
+        rest += self._u @ tail
+        if not block:
+            out[1:] = dsymv(-1.0, self._factor, tail, beta=1.0, y=rest, overwrite_y=1)
+        elif x.shape[1] >= _DSYMM_COLUMNS:
+            out[1:] = dsymm(-1.0, self._factor, tail, beta=1.0, c=rest)
+        else:
+            for j in range(x.shape[1]):
+                out[1:, j] = dsymv(-1.0, self._factor, tail[:, j], beta=1.0, y=rest[:, j])
         return out
 
     def single_layer_matrix(self, out):

@@ -38,12 +38,7 @@ from .errors import (
 )
 from .geometry import _check_aligned, _row_blocks, _TargetBlocks, indicator, integrate, pairing
 from .operators import _side, operator_set
-from .potentials import (
-    HarmonicField,
-    normal_derivative_single,
-    trace_double,
-    trace_single,
-)
+from .potentials import HarmonicField, trace_double, trace_single
 from .distributions import (
     JMap,
     PairDistribution,
@@ -90,14 +85,24 @@ def _datum(mesh, g):
     return g
 
 
+def _boundary_residual(ops, eta, c, g):
+    """max |V eta + c - g| of a Dirichlet solve, or of each column of a block solve.
+
+    Raises SingularSystem when a column's residual exceeds 1e-7 times
+    max(1, max |g|) of that column.
+    """
+    resid = np.max(np.abs(ops.single_layer(eta) + c - g), axis=0)
+    if np.any(resid > 1e-7 * np.maximum(1.0, np.max(np.abs(g), axis=0))):
+        raise SingularSystem(f"boundary residual {np.max(resid):.3e} of the Dirichlet solve")
+    return resid
+
+
 def _dirichlet(mesh, g, region):
     exterior = _side(region, "region").sign < 0
     g = _datum(mesh, g)
     ops = operator_set(mesh)
     eta, c = ops.harmonic_density(g)
-    resid = float(np.max(np.abs(ops.single_layer(eta) + c - g)))
-    if resid > 1e-7 * max(1.0, float(np.max(np.abs(g)))):
-        raise SingularSystem(f"boundary residual {resid:.3e} of the Dirichlet solve")
+    resid = float(_boundary_residual(ops, eta, c, g))
     fld = HarmonicField(mesh, [("single", eta)], constant=c, region=region)
     return SolveReport(
         field=fld,
@@ -618,11 +623,22 @@ def dirichlet_exterior_via_decomposition(mesh, g):
 
 
 def _one_point(mesh, x):
-    """The geometry pass of a single point x of shape (2,)."""
+    """The geometry pass (_TargetBlocks) of a single point x of shape (2,)."""
     blocks = _TargetBlocks(mesh, x)
     if not blocks.single:
         raise LengthMismatch(f"expected one point of shape (2,), got {blocks.points.shape}")
-    return next(iter(blocks))[1]
+    return blocks
+
+
+def _green_sources(mesh, points):
+    """(rows, _Targets) of each block of the points' geometry pass, a _TargetBlocks.
+
+    Raises NearBoundary for a block with a point inside the near-boundary band.
+    """
+    for rows, source in points:
+        if np.min(source.dist) < mesh.band_width():
+            raise NearBoundary("source point inside the near-boundary band")
+        yield rows, source
 
 
 def green_h(mesh, x, side):
@@ -631,28 +647,39 @@ def green_h(mesh, x, side):
     side 'interior' solves in the open set, 'exterior' outside (harmonic
     at infinity); returns the SolveReport of the bordered solve.
     """
-    return _green_h(mesh, _one_point(mesh, x), side)
-
-
-def _green_h(mesh, source, side):
-    """green_h of the source point's geometry pass, a _Targets of one row."""
-    if source.dist[0] < mesh.band_width():
-        raise NearBoundary("source point inside the near-boundary band")
+    _, source = next(_green_sources(mesh, _one_point(mesh, x)))
     return _dirichlet(mesh, source.single_kernel[0], side)
 
 
-def _poisson(mesh, g, x, region):
-    """Pairing of g with d/dnu_y of the Green function of the region at x.
+def _poisson(mesh, g, points, one=False):
+    """Pairings of g with d/dnu_y of both regions' Green functions at each of points.
 
-    g is a datum within _MAX_DATUM (OutOfRange otherwise).
+    g is a datum checked by _datum, and points an (m, 2) array, or with one
+    a single point of shape (2,) (LengthMismatch otherwise).  The Green
+    function of a region at x is the fundamental solution less green_h, the
+    harmonic function whose density eta solves the Dirichlet problem for
+    the fundamental solution's trace.  That density reads only the trace,
+    so it is the same in both regions, and the normal derivatives of the
+    two single layers differ only by the shift term, -eta/2 inside and
+    eta/2 outside.  So one geometry pass takes every point, and one block
+    solve per block of points gives their densities, each column under
+    _dirichlet's residual gate.  Returns the interior and the exterior
+    pairing at each point, two (m,) arrays.
     """
-    g = _datum(mesh, g)
-    source = _one_point(mesh, x)
-    eta = _green_h(mesh, source, region).densities["eta"]
-    dh = normal_derivative_single(mesh, eta, _side(region, "region").name)
-    # d/dnu_y S2(x - y) is the double-layer kernel at x, in the pass's other scratch array
-    kernel = source.double_kernel[0]
-    return float(np.dot(mesh.weights * g, kernel - dh))
+    points = _one_point(mesh, points) if one else _TargetBlocks(mesh, points)
+    ops = operator_set(mesh)
+    wg = mesh.weights * g
+    inner, outer = np.empty(len(points)), np.empty(len(points))
+    for rows, source in _green_sources(mesh, points):
+        traces = source.single_kernel.T
+        eta, c = ops._density(traces)
+        _boundary_residual(ops, eta, c, traces)
+        wt = ops._wt(eta)
+        # d/dnu_y S2(x - y) is the double-layer kernel at x, in the pass's other scratch array
+        kernel = source.double_kernel
+        inner[rows] = (kernel - (wt - 0.5 * eta).T) @ wg
+        outer[rows] = (kernel - (wt + 0.5 * eta).T) @ wg
+    return inner, outer
 
 
 def poisson_interior(mesh, g, x):
@@ -661,14 +688,15 @@ def poisson_interior(mesh, g, x):
     For x in the open set this reproduces the Dirichlet solution; for x in
     the exterior the same integral vanishes.
     """
-    return _poisson(mesh, g, x, "interior")
+    return float(_poisson(mesh, _datum(mesh, g), x, one=True)[0][0])
 
 
 def poisson_exterior(mesh, g, x):
     """Exterior Green representation at one point x; returns (value, constant at infinity)."""
-    val = _poisson(mesh, g, x, "exterior")
-    c_g = float(operator_set(mesh).q @ _datum(mesh, g))
-    return c_g - val, c_g
+    g = _datum(mesh, g)
+    val = _poisson(mesh, g, x, one=True)[1][0]
+    c_g = float(operator_set(mesh).q @ g)
+    return float(c_g - val), c_g
 
 
 def transpose_kernel_pair_basis(mesh, op_kind):

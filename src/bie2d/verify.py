@@ -8,6 +8,18 @@ representer (plain quadrature) and through its double-layer/harmonic-
 extension representation.  Randomness is a seeded truncated Fourier
 series, so two runs of the same configuration produce identical reports.
 
+The checks that loop over seeded densities (plemelj-classical,
+plemelj-distributional, dist-jump, VSt-identities, symmetry,
+J-isometry-roundtrip, space-coincidence) draw them in the order of one
+density or pair at a time, but apply each side's operators once, to one
+(n, k) block: pair i lies on the plus side when i is even, the minus side
+when odd, and the pairs of a side form one block pair distribution.  So
+V, W, Wt, the density solve and the J inverse run as BLAS-3 products and
+solves on a block, and the per-call work is paid once per block.
+poisson-reps takes one geometry pass and one block solve for each
+region's probes (solvers._poisson).  Tests keep the one-at-a-time loops
+as the reference the blocked checks must agree with.
+
 run_verify holds one _MeshCache per mesh: the probe point sets, keyed by
 (region, count, prefer), and the cos(k t), sin(k t) table of the seeded
 densities.  Each is built once on first use, shared read-only by the
@@ -29,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, IncompatibleData, InvalidProbe, OutOfRange
-from .geometry import _in_region, _TargetBlocks, indicator, integrate, pairing, stock_mesh
+from .geometry import _in_region, _pairings, _TargetBlocks, indicator, integrate, stock_mesh
 from .operators import _SIDES, _side, operator_set
 from .potentials import eval_double_layer, eval_single_layer, trace_double
 from .distributions import (
@@ -48,14 +60,13 @@ from .solvers import (
     _bordered_system,
     _compat_rows,
     _dirichlet,
+    _poisson,
     _subspace_angle,
     dirichlet_exterior,
     dirichlet_interior,
     neumann_exterior,
     neumann_interior,
     nullspace,
-    poisson_exterior,
-    poisson_interior,
     transpose_kernel_pair_basis,
 )
 
@@ -169,19 +180,33 @@ class _MeshCache:
         return modes, np.append(1.0, np.repeat(np.arange(2.0, 10.0), 2))
 
     def density(self, rng, zero_mean=False):
-        """seeded_density of the mesh, from the cached Fourier table.
-
-        The 17 coefficients are one draw, c then a_k and b_k for k = 1..8 (as
-        17 draws one at a time would give them), and the terms are summed in
-        that order, c + a_1 cos t + b_1 sin t + ..., one row at a time.
-        """
+        """seeded_density of the mesh: the one column of densities(rng, 1), less
+        its mean as integrate gives it when zero_mean is set."""
         mesh = self.mesh
-        modes, divisors = self.fourier
-        f = np.add.reduce(rng.uniform(-1.0, 1.0, modes.shape[0])[:, None] / divisors[:, None]
-                          * modes, axis=0)
+        f = self.densities(rng, 1)[:, 0]
         if zero_mean:
             f = f - integrate(mesh, f) / integrate(mesh, np.ones(mesh.n))
         return f
+
+    def densities(self, rng, count, zero_mean=False):
+        """count seeded densities from the cached Fourier table, the columns of an
+        (n, count) block.
+
+        The 17 coefficients of a density are c then a_k and b_k for k = 1..8,
+        all count * 17 of them one draw (as draws one at a time would give
+        them), and each column's terms are summed in that order, c + a_1 cos t
+        + b_1 sin t + ..., one row at a time: column j is the j-th of count
+        calls of density.  The zero-mean correction is applied to every column
+        at once, so it may differ from density's in the last bit.
+        """
+        modes, divisors = self.fourier
+        coeffs = rng.uniform(-1.0, 1.0, (count, modes.shape[0])).T / divisors[:, None]
+        f = np.add.reduce(coeffs[:, None, :] * modes[:, :, None], axis=0)
+        return self.zero_mean(f) if zero_mean else f
+
+    def zero_mean(self, f):
+        """Each column of the (n, k) block f less its mean over the boundary."""
+        return f - (self.mesh.weights @ f) / integrate(self.mesh, np.ones(self.mesh.n))
 
     def probes(self, region, count=25, prefer="far"):
         """probe_points of the mesh, found once per (region, count, prefer) and read-only."""
@@ -206,27 +231,34 @@ def check_w1_half(mesh, rng, cache):
 
 def check_plemelj_classical(mesh, rng, cache):
     ops = operator_set(mesh)
-    res = 0.0
-    for _ in range(20):
-        f = cache.density(rng)
-        res = max(res, _sup(ops.single_layer(ops._wt(f)) - ops.W @ ops.single_layer(f)))
-    return res
+    f = cache.densities(rng, 20)
+    return _sup(ops.single_layer(ops._wt(f)) - ops.W @ ops.single_layer(f))
 
 
 def _seeded_pairs(cache, rng, count, zero_mean=False):
-    pairs = []
-    for i in range(count):
-        side = _SIDES[i % 2].name
-        mu0 = cache.density(rng, zero_mean=zero_mean)
-        mu1 = cache.density(rng)
-        pairs.append(PairDistribution(side, mu0, mu1, cache.mesh))
-    return pairs
+    """count seeded pairs, as one block of pairs per side.
+
+    The pairs are drawn mu0 then mu1, pair after pair, and pair i is on the
+    side _SIDES[i % 2]: the plus block holds the even pairs, the minus block
+    the odd ones.  Returns the two blocks and, for each, the indices of its
+    pairs in the draw.
+    """
+    draws = cache.densities(rng, 2 * count)
+    mu0, mu1 = draws[:, ::2], draws[:, 1::2]
+    if zero_mean:
+        mu0 = cache.zero_mean(mu0)
+    blocks = []
+    for first, side in enumerate(_SIDES):
+        taken = slice(first, count, 2)
+        blocks.append((PairDistribution(side.name, mu0[:, taken], mu1[:, taken], cache.mesh),
+                       taken))
+    return blocks
 
 
 def check_plemelj_distributional(mesh, rng, cache):
     ops = operator_set(mesh)
     res = 0.0
-    for tau in _seeded_pairs(cache, rng, 10):
+    for tau, _ in _seeded_pairs(cache, rng, 10):
         lhs = V_of_distribution(Wt_on_distribution(tau))
         rhs = ops.W @ V_of_distribution(tau)
         res = max(res, _sup(lhs - rhs))
@@ -256,11 +288,11 @@ def check_jump_double(mesh, rng, cache):
 
 def check_dist_jump(mesh, rng, cache):
     res = 0.0
-    for tau in _seeded_pairs(cache, rng, 6, zero_mean=True):
+    for tau, _ in _seeded_pairs(cache, rng, 6, zero_mean=True):
         out = dist_jump_check(tau)
-        res = max(res, out.interior)
+        res = max(res, np.max(out.interior))
         if out.exterior is not None:
-            res = max(res, out.exterior)
+            res = max(res, np.max(out.exterior))
     # a massful pair exercises only the interior branch
     tau = PairDistribution(
         "plus", 1.0 + cache.density(rng), cache.density(rng), mesh
@@ -304,30 +336,30 @@ def _dlintesl(mesh, rng, cache, side):
 def check_vst_identities(mesh, rng, cache):
     """V rep(side, mu) against the closed trace of the pair (side, 0, mu)."""
     ops = operator_set(mesh)
-    zero = np.zeros(mesh.n)
+    mu = cache.densities(rng, 10)
+    zero = np.zeros_like(mu)
     res = 0.0
-    for _ in range(10):
-        mu = cache.density(rng)
-        for side in _SIDES:
-            closed = V_of_distribution(PairDistribution(side.name, zero, mu, mesh))
-            res = max(res, _sup(ops.single_layer(ops.rep(side.name, mu)) - closed))
+    for side in _SIDES:
+        closed = V_of_distribution(PairDistribution(side.name, zero, mu, mesh))
+        res = max(res, _sup(ops.single_layer(ops.rep(side.name, mu)) - closed))
     return res
 
 
 def check_symmetry(mesh, rng, cache):
     ops = operator_set(mesh)
+    pairs = _seeded_pairs(cache, rng, 10)
+    psi = cache.densities(rng, 10)
     res = 0.0
-    for tau in _seeded_pairs(cache, rng, 10):
-        psi = cache.density(rng)
-        lhs = dist_pairing(tau, ops.single_layer(psi))
-        rhs = pairing(mesh, V_of_distribution(tau), psi)
-        res = max(res, abs(lhs - rhs))
+    for tau, taken in pairs:
+        lhs = dist_pairing(tau, ops.single_layer(psi[:, taken]))
+        rhs = _pairings(mesh, V_of_distribution(tau), psi[:, taken])
+        res = max(res, np.max(np.abs(lhs - rhs)))
     return res
 
 
 def check_j_roundtrip(mesh, rng, cache):
     res = 0.0
-    for tau in _seeded_pairs(cache, rng, 5):
+    for tau, _ in _seeded_pairs(cache, rng, 5):
         g = J_isometry(tau)
         back = JMap(mesh, tau.side).pair(g)
         res = max(res, _sup(J_isometry(back) - g))
@@ -338,7 +370,7 @@ def check_j_roundtrip(mesh, rng, cache):
 
 def check_space_coincidence(mesh, rng, cache):
     res = 0.0
-    for tau in _seeded_pairs(cache, rng, 5):
+    for tau, _ in _seeded_pairs(cache, rng, 5):
         tau2 = JMap(mesh, _side(tau.side).opposite.name).pair(J_isometry(tau))
         rep = to_grid_representer(tau)
         res = max(res, _sup(to_grid_representer(tau2) - rep))
@@ -373,20 +405,19 @@ def check_nullspace_dims(mesh, rng, cache):
 
 
 def check_poisson_reps(mesh, rng, cache):
+    """Both Green representations at each region's probes, one geometry pass
+    and one block solve per region (solvers._poisson)."""
     g = cache.density(rng)
     rd = dirichlet_interior(mesh, g)
     re_ = dirichlet_exterior(mesh, g)
-    res = 0.0
-    for p in cache.probes("interior", count=10):
-        res = max(res, abs(poisson_interior(mesh, g, p) - rd.field.eval_unchecked(p[None, :])[0]))
-        val, c_g = poisson_exterior(mesh, g, p)
-        res = max(res, abs(val))
-        res = max(res, abs(c_g - re_.u_infinity))
-    for p in cache.probes("exterior", count=10):
-        res = max(res, abs(poisson_interior(mesh, g, p)))
-        val, _ = poisson_exterior(mesh, g, p)
-        res = max(res, abs(val - re_.field.eval_unchecked(p[None, :])[0]))
-    return res
+    c_g = float(operator_set(mesh).q @ g)
+    pts = cache.probes("interior", count=10)
+    inner, outer = _poisson(mesh, g, pts)
+    res = max(_sup(inner - rd.field.eval_unchecked(pts)), _sup(c_g - outer),
+              abs(c_g - re_.u_infinity))
+    pts = cache.probes("exterior", count=10)
+    inner, outer = _poisson(mesh, g, pts)
+    return max(res, _sup(inner), _sup(c_g - outer - re_.field.eval_unchecked(pts)))
 
 
 def check_compat_rejection(mesh, rng, cache):

@@ -191,6 +191,15 @@ def loop_seeded_density(mesh, rng, zero_mean=False):
     return f
 
 
+def j_forward_matrix(mesh, side):
+    """The whole n x 2n matrix A = [A0, A1] of the J map, whose halves JMap's
+    Gram build takes one at a time."""
+    from bie2d.distributions import _j_halves
+
+    return np.concatenate([half.copy() for half in _j_halves(mesh, side, np.empty((mesh.n,) * 2))],
+                          axis=1)
+
+
 def svd_pair_basis(mesh, op_kind):
     """transpose_kernel_pair_basis as it was before its pivoted QR: the rank and
     the null vectors of the J-coordinate matrix are read from one SVD, and

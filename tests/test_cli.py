@@ -340,6 +340,47 @@ def test_a_mesh_too_large_for_memory_is_a_config_error(tmp_path, capsys, monkeyp
     assert not (tmp_path / "o" / report).exists()
 
 
+@pytest.mark.parametrize("command, need", [
+    # 40000 nodes on one curve: W and the factor, 16 N^2 bytes
+    (["solve", "--problem", "dirichlet-int", "--data", "fourier:1", "--n", "40000"], 16 * 40000**2),
+    # the stock trio at 2000 per curve, each mesh with both J factors, 32 N^2 bytes
+    (["verify", "--n", "2000"], 32 * (2000**2 + 2000**2 + 4000**2)),
+    (["demo-hadamard", "--terms", "1", "--n", "40000"], 16 * 40000**2),
+])
+def test_a_mesh_past_the_memory_limit_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch,
+                                                                    command, need):
+    # the limit is patched to one byte short of the need: nothing is allocated,
+    # and no node is built
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("build_mesh ran")
+
+    monkeypatch.setattr(cli, "_memory_limit", lambda: need - 1)
+    monkeypatch.setattr(cli, "build_mesh", no_mesh)
+    monkeypatch.setattr(cli, "stock_mesh", no_mesh)
+    if command[0] == "solve":
+        command = [*command, "--config", write_disk_config(tmp_path / "disk.json")]
+    code = main([*command, "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+    assert "this process may use" in err and "fewer nodes" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_mesh_within_the_memory_limit_runs(tmp_path, capsys, monkeypatch):
+    # the limit exactly at the need of a 64-node disk solve lets it through
+    monkeypatch.setattr(cli, "_memory_limit", lambda: 16 * 64**2)
+    code = main(["solve", "--problem", "dirichlet-int", "--data", "fourier:1", "--n", "64",
+                 "--config", write_disk_config(tmp_path / "disk.json"),
+                 "--out", str(tmp_path / "o")])
+    assert code == 0 and (tmp_path / "o" / "solve_report.json").exists()
+
+
+def test_memory_limit_is_physical_memory_or_less():
+    limit = cli._memory_limit()
+    assert limit is None or 0 < limit <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def test_verify_non_finite_residual_is_numerical_failure(tmp_path, capsys, monkeypatch):
     check = verify._Check("w1-half", lambda mesh, rng, **_: float("inf"), 1e-10, "W 1 = 1/2")
     monkeypatch.setattr("bie2d.verify._CHECKS", [check])

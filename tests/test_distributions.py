@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from bie2d.errors import InvalidProbe, SingularSystem
+from bie2d.errors import InvalidProbe, LengthMismatch, SingularSystem
 from bie2d.geometry import integrate, pairing, stock_mesh
 from bie2d.operators import operator_set
 from bie2d.potentials import eval_double_layer, eval_single_layer
@@ -12,7 +15,7 @@ from bie2d.distributions import (
     PairDistribution,
     V_of_distribution,
     Wt_on_distribution,
-    _j_forward_matrix,
+    _j_halves,
     dist_jump_check,
     dist_normal_derivative,
     dist_pairing,
@@ -174,7 +177,7 @@ def test_j_factor_refuses_a_block_with_an_unreachable_column(ellipse, bad):
 
 def test_a_repeat_wt_on_distribution_builds_no_j_factor(monkeypatch):
     # the J factor of a side is the mesh's: the first call on a (mesh, side)
-    # builds the J map's matrix and factors its Gram matrix, and no later one does
+    # builds the J map's Gram matrix and factors it, and no later one does
     from bie2d import distributions
 
     mesh = stock_mesh("ellipse", 64)
@@ -186,8 +189,7 @@ def test_a_repeat_wt_on_distribution_builds_no_j_factor(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(distributions, "_j_forward_matrix",
-                        counting(distributions._j_forward_matrix, builds))
+    monkeypatch.setattr(distributions, "_j_gram", counting(distributions._j_gram, builds))
     monkeypatch.setattr(distributions, "cho_factor", counting(distributions.cho_factor, factors))
     rng = np.random.default_rng(3)
     tau = PairDistribution("minus", seeded_density(mesh, rng), seeded_density(mesh, rng), mesh)
@@ -361,5 +363,79 @@ def _stacked_j_forward_matrix(mesh, side):
 @pytest.mark.parametrize("side", ["plus", "minus"])
 @pytest.mark.parametrize("name", ["disk", "ellipse", "annulus", "kite", "two-disks"])
 def test_j_forward_matrix_is_built_in_place_bit_for_bit(name, side):
+    # each half of the J map's matrix is written into the one buffer in turn
     mesh = stock_mesh(name, 64)
-    assert np.array_equal(_j_forward_matrix(mesh, side), _stacked_j_forward_matrix(mesh, side))
+    buffer = np.empty((mesh.n, mesh.n))
+    halves = [half.copy() for half in _j_halves(mesh, side, buffer) if half is buffer]
+    assert len(halves) == 2
+    assert np.array_equal(np.concatenate(halves, axis=1), _stacked_j_forward_matrix(mesh, side))
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_j_gram_is_built_one_half_at_a_time(side):
+    # A A^T = A0 A0^T + A1 A1^T, each half written into one n x n buffer:
+    # the build holds that buffer and the Gram matrix, where the whole n x 2n
+    # A and its product held 3.13 * 8 n^2 bytes
+    mesh = stock_mesh("annulus", 512)
+    ops = operator_set(mesh)
+    n = mesh.n
+    tracemalloc.start()
+    try:
+        JMap(mesh, side)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * 8 * n**2
+    # the factor of the whole A's Gram matrix, formed in one product
+    A = _stacked_j_forward_matrix(mesh, side)
+    reference = scipy.linalg.cholesky(A @ A.T)
+    factor = np.triu(ops.j_factor[side])
+    assert np.max(np.abs(factor - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_pair_functions_act_on_a_block_of_pairs_as_on_each_pair(annulus, side):
+    rng = np.random.default_rng(11)
+    mu0, mu1, v = (np.column_stack([seeded_density(annulus, rng) for _ in range(3)])
+                   for _ in range(3))
+    block = PairDistribution(side, mu0, mu1, annulus)
+    pairs = [PairDistribution(side, mu0[:, j], mu1[:, j], annulus) for j in range(3)]
+
+    def close(got, want):
+        want = np.asarray(want)
+        return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    for f in (V_of_distribution, J_isometry, to_grid_representer):
+        assert close(f(block), np.column_stack([f(tau) for tau in pairs])), f.__name__
+    assert close(mass_of(block), [mass_of(tau) for tau in pairs])
+    assert close(dist_pairing(block, v),
+                 [dist_pairing(tau, v[:, j]) for j, tau in enumerate(pairs)])
+    out = Wt_on_distribution(block)
+    assert out.side == side and out.mu0.shape == (annulus.n, 3)
+    for j, tau in enumerate(pairs):
+        single = Wt_on_distribution(tau)
+        assert close(out.mu0[:, j], single.mu0) and close(out.mu1[:, j], single.mu1)
+    back = JMap(annulus, side).pair(J_isometry(block))
+    assert close(to_grid_representer(back), to_grid_representer(block))
+    jumps = dist_jump_check(block)
+    assert jumps.interior.shape == (3,) and jumps.exterior is None  # the pairs carry mass
+    assert close(jumps.interior, [dist_jump_check(tau).interior for tau in pairs])
+    free = PairDistribution(side, mu0 - mass_of(block) / integrate(annulus, np.ones(annulus.n)),
+                            mu1, annulus)
+    jumps = dist_jump_check(free)
+    assert close(jumps.exterior, [dist_jump_check(PairDistribution(side, free.mu0[:, j],
+                                                                   mu1[:, j], annulus)).exterior
+                                  for j in range(3)])
+
+
+def test_a_block_of_pairs_is_refused_where_one_pair_is_meant(annulus):
+    block = np.ones((annulus.n, 2))
+    with pytest.raises(LengthMismatch, match="make no pair"):
+        PairDistribution("plus", block, np.ones((annulus.n, 3)), annulus)
+    tau = PairDistribution("plus", block, block, annulus)
+    with pytest.raises(LengthMismatch, match="one pair"):
+        dist_single_layer_field(tau, np.array([[0.0, 1.5]]), "interior")
+    with pytest.raises(LengthMismatch, match="one pair"):
+        pair_to_dict(tau)
+    with pytest.raises(LengthMismatch):
+        dist_pairing(tau, np.ones(annulus.n))

@@ -507,3 +507,43 @@ def test_single_layer_product_copies_no_factor():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("width", [1, 3, 7, 8, 20])
+def test_single_layer_block_takes_one_dsymm_from_eight_columns(monkeypatch, width):
+    # dsymm expands the symmetric factor first, so a block narrower than
+    # _DSYMM_COLUMNS takes one dsymv per column and a wider one a single dsymm
+    from bie2d import operators
+
+    mesh = stock_mesh("annulus", 64)
+    ops = operator_set(mesh)
+    block = np.random.default_rng(4).standard_normal((mesh.n, width))
+    columns = np.column_stack([ops.single_layer(column) for column in block.T])
+    calls = []
+
+    def counting(name):
+        real = getattr(operators, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("dsymm", "dsymv"):
+        monkeypatch.setattr(operators, name, counting(name))
+    out = ops.single_layer(block)
+    wide = width >= operators._DSYMM_COLUMNS
+    assert calls == (["dsymm"] if wide else ["dsymv"] * width)
+    assert _relative(out, columns) <= 1e-14
+
+
+def test_single_layer_block_product_copies_no_factor():
+    ops = operator_set(stock_mesh("disk", 2048))
+    block = np.cos(np.outer(np.arange(ops.n), np.arange(1, 9)))
+    tracemalloc.start()
+    try:
+        ops.single_layer(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

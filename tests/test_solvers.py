@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     NESTED_SPECS,
     dense_wt,
+    j_forward_matrix,
     lu_decompose,
     lu_wt_solve,
     named_mesh,
@@ -44,7 +45,6 @@ from bie2d.distributions import (
     JMap,
     PairDistribution,
     Wt_on_distribution,
-    _j_forward_matrix,
     dist_pairing,
     dist_single_layer_field,
     mass_of,
@@ -695,7 +695,7 @@ def test_kernel_shift_basis_spans_the_svd_nullspace(name, region):
 def test_j_inverse_is_the_minimum_norm_lstsq_solution(name, side):
     mesh = stock_mesh(name, 128)
     g = seeded_density(mesh, np.random.default_rng(8))
-    expected, _, _, _ = np.linalg.lstsq(_j_forward_matrix(mesh, side), g, rcond=1e-12)
+    expected, _, _, _ = np.linalg.lstsq(j_forward_matrix(mesh, side), g, rcond=1e-12)
     tau = JMap(mesh, side).pair(g)
     z = np.concatenate([tau.mu0, tau.mu1])
     assert tau.side == side

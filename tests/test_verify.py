@@ -1,4 +1,5 @@
-"""The identity suite's table: its rows, and the dense work it does per mesh."""
+"""The identity suite's table: its rows, the dense work it does per mesh, and
+the one-at-a-time route of its looped checks."""
 
 import weakref
 import zlib
@@ -8,9 +9,21 @@ import pytest
 import scipy.linalg
 from conftest import loop_seeded_density
 
-from bie2d import distributions, geometry, solvers, verify
+from bie2d import distributions, geometry, operators, solvers, verify
+from bie2d.distributions import (
+    J_isometry,
+    JMap,
+    PairDistribution,
+    V_of_distribution,
+    Wt_on_distribution,
+    dist_jump_check,
+    dist_pairing,
+    to_grid_representer,
+)
 from bie2d.errors import ConfigError
-from bie2d.geometry import stock_mesh
+from bie2d.geometry import pairing, stock_mesh
+from bie2d.operators import operator_set
+from bie2d.solvers import dirichlet_exterior, dirichlet_interior, poisson_exterior, poisson_interior
 from bie2d.verify import run_verify
 
 # (name, tol, identity) of every check, in report order
@@ -220,3 +233,170 @@ def test_nullspace_dims_compares_the_kernel_the_solvers_use(monkeypatch):
     assert verify.check_nullspace_dims(mesh, rng, verify._MeshCache(mesh)) <= 1e-5
     monkeypatch.setattr(verify, "_bordered_system", turned)
     assert verify.check_nullspace_dims(mesh, rng, verify._MeshCache(mesh)) > 1e-5
+
+
+# --- the one-at-a-time route of the looped checks --------------------------
+# Each check below applies its operators to one seeded density or pair at a
+# time, through the 1-D public functions, and draws from rng in the same
+# order as the check that applies them to one (n, k) block per side.
+
+
+def _loop_pairs(cache, rng, count, zero_mean=False):
+    pairs = []
+    for i in range(count):
+        mu0 = cache.density(rng, zero_mean=zero_mean)
+        mu1 = cache.density(rng)
+        pairs.append(PairDistribution(("plus", "minus")[i % 2], mu0, mu1, cache.mesh))
+    return pairs
+
+
+def _sup(x):
+    return float(np.max(np.abs(x)))
+
+
+def _loop_plemelj_classical(mesh, rng, cache):
+    ops = operator_set(mesh)
+    res = 0.0
+    for _ in range(20):
+        f = cache.density(rng)
+        res = max(res, _sup(ops.single_layer(ops._wt(f)) - ops.W @ ops.single_layer(f)))
+    return res
+
+
+def _loop_plemelj_distributional(mesh, rng, cache):
+    ops = operator_set(mesh)
+    return max(_sup(V_of_distribution(Wt_on_distribution(tau)) - ops.W @ V_of_distribution(tau))
+               for tau in _loop_pairs(cache, rng, 10))
+
+
+def _loop_dist_jump(mesh, rng, cache):
+    res = 0.0
+    for tau in _loop_pairs(cache, rng, 6, zero_mean=True):
+        out = dist_jump_check(tau)
+        res = max(res, out.interior, out.exterior)
+    tau = PairDistribution("plus", 1.0 + cache.density(rng), cache.density(rng), mesh)
+    return max(res, dist_jump_check(tau).interior)
+
+
+def _loop_vst_identities(mesh, rng, cache):
+    ops = operator_set(mesh)
+    res = 0.0
+    for _ in range(10):
+        mu = cache.density(rng)
+        for side in ("plus", "minus"):
+            closed = V_of_distribution(PairDistribution(side, np.zeros(mesh.n), mu, mesh))
+            res = max(res, _sup(ops.single_layer(ops.rep(side, mu)) - closed))
+    return res
+
+
+def _loop_symmetry(mesh, rng, cache):
+    ops = operator_set(mesh)
+    res = 0.0
+    for tau in _loop_pairs(cache, rng, 10):
+        psi = cache.density(rng)
+        lhs = dist_pairing(tau, ops.single_layer(psi))
+        res = max(res, abs(lhs - pairing(mesh, V_of_distribution(tau), psi)))
+    return res
+
+
+def _loop_j_roundtrip(mesh, rng, cache):
+    res = 0.0
+    for tau in _loop_pairs(cache, rng, 5):
+        g = J_isometry(tau)
+        back = JMap(mesh, tau.side).pair(g)
+        res = max(res, _sup(J_isometry(back) - g),
+                  _sup(to_grid_representer(back) - to_grid_representer(tau)))
+    return res
+
+
+def _loop_space_coincidence(mesh, rng, cache):
+    res = 0.0
+    for tau in _loop_pairs(cache, rng, 5):
+        other = "minus" if tau.side == "plus" else "plus"
+        tau2 = JMap(mesh, other).pair(J_isometry(tau))
+        res = max(res, _sup(to_grid_representer(tau2) - to_grid_representer(tau)))
+    return res
+
+
+def _loop_poisson_reps(mesh, rng, cache):
+    g = cache.density(rng)
+    rd, re_ = dirichlet_interior(mesh, g), dirichlet_exterior(mesh, g)
+    res = 0.0
+    for p in cache.probes("interior", count=10):
+        res = max(res, abs(poisson_interior(mesh, g, p) - rd.field.eval_unchecked(p[None])[0]))
+        val, c_g = poisson_exterior(mesh, g, p)
+        res = max(res, abs(val), abs(c_g - re_.u_infinity))
+    for p in cache.probes("exterior", count=10):
+        res = max(res, abs(poisson_interior(mesh, g, p)))
+        val, _ = poisson_exterior(mesh, g, p)
+        res = max(res, abs(val - re_.field.eval_unchecked(p[None])[0]))
+    return res
+
+
+_LOOPS = {
+    "plemelj-classical": _loop_plemelj_classical,
+    "plemelj-distributional": _loop_plemelj_distributional,
+    "dist-jump": _loop_dist_jump,
+    "VSt-identities": _loop_vst_identities,
+    "symmetry": _loop_symmetry,
+    "J-isometry-roundtrip": _loop_j_roundtrip,
+    "space-coincidence": _loop_space_coincidence,
+    "poisson-reps": _loop_poisson_reps,
+}
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("name", ["disk", "ellipse", "annulus"])
+@pytest.mark.parametrize("row", list(_LOOPS))
+def test_blocked_check_agrees_with_the_one_at_a_time_loop(row, name, n):
+    mesh = stock_mesh(name, n)
+    check = next(check for check in verify._CHECKS if check.name == row)
+
+    def rng():
+        return np.random.default_rng([verify.DEFAULT_SEED, zlib.crc32(row.encode()),
+                                      zlib.crc32(name.encode())])
+
+    blocked = check.run(mesh, rng(), verify._MeshCache(mesh))
+    loop = _LOOPS[row](mesh, rng(), verify._MeshCache(mesh))
+    assert blocked <= check.tol and loop <= check.tol
+    assert abs(blocked - loop) <= 1e-11
+
+
+@pytest.mark.parametrize("zero_mean", [False, True])
+def test_a_block_of_seeded_densities_holds_the_densities_drawn_one_at_a_time(zero_mean):
+    mesh = stock_mesh("annulus", 64)
+    cache = verify._MeshCache(mesh)
+    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+    block = cache.densities(rng, 7, zero_mean)
+    columns = np.column_stack([cache.density(reference, zero_mean) for _ in range(7)])
+    assert rng.uniform() == reference.uniform()  # the same draws were taken
+    if zero_mean:  # the mean is taken from the whole block at once
+        assert np.max(np.abs(block - columns)) <= 1e-15
+    else:
+        assert np.array_equal(block, columns)
+
+
+def test_poisson_reps_takes_one_pass_and_one_block_solve_per_region(monkeypatch):
+    # 20 probes and two representations at each: at one point at a time
+    # they took 40 geometry passes and 40 density solves
+    mesh = stock_mesh("annulus", 64)
+    cache = verify._MeshCache(mesh)
+    for region in ("interior", "exterior"):
+        cache.probes(region, count=10)
+    passes, solves = [], []
+    blocks, density = solvers._TargetBlocks, operators.OperatorSet._density
+
+    def counted_blocks(mesh, points):
+        passes.append(np.shape(points))
+        return blocks(mesh, points)
+
+    def counted_density(self, g):
+        solves.append(np.shape(g))
+        return density(self, g)
+
+    monkeypatch.setattr(solvers, "_TargetBlocks", counted_blocks)
+    monkeypatch.setattr(operators.OperatorSet, "_density", counted_density)
+    assert verify.check_poisson_reps(mesh, np.random.default_rng(0), cache) <= 1e-6
+    assert passes == [(10, 2), (10, 2)]
+    # the interior and exterior Dirichlet solves of the datum, then one block per region
+    assert solves == [(mesh.n,), (mesh.n,), (mesh.n, 10), (mesh.n, 10)]
