@@ -98,24 +98,43 @@ class RunConfig:
         return _geometry(build_mesh, self.components, self.node_counts())
 
 
-def _memory_limit():
-    """Bytes this process may use: the smaller of the physical memory and the
-    memory.max of its cgroup (version 2), when that file is readable and not
-    'max'.  None when neither is known."""
+def _memory_limit(cgroup_root="/sys/fs/cgroup", cgroup_list="/proc/self/cgroup"):
+    """Bytes this process may use: the smallest of the physical memory and the
+    memory limits of its cgroups.  None when none of them is known.
+
+    A limit may be set on any ancestor of the process's own cgroup, so each
+    cgroup from the process's own up to the root is read: memory.max for
+    version 2 (the '0::' line of cgroup_list), memory.limit_in_bytes under
+    the version 1 memory controller.  Files that are missing or unreadable
+    or read 'max' set no limit.
+    """
     limits = []
     try:
         limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
     except (AttributeError, ValueError, OSError):
         pass
     try:
-        with open("/proc/self/cgroup") as fh:
-            paths = [line[3:].strip() for line in fh if line.startswith("0::")]
-        with open(os.path.join("/sys/fs/cgroup", *paths[0].split("/"), "memory.max")) as fh:
-            value = fh.read().strip()
-        if value != "max":
-            limits.append(int(value))
-    except (IndexError, ValueError, OSError):
-        pass
+        with open(cgroup_list) as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        lines = []
+    for line in lines:
+        _, controllers, path = (line.split(":", 2) + ["", ""])[:3]
+        if line.startswith("0::"):
+            base, name = cgroup_root, "memory.max"
+        elif "memory" in controllers.split(","):
+            base, name = os.path.join(cgroup_root, "memory"), "memory.limit_in_bytes"
+        else:
+            continue
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts), -1, -1):
+            try:
+                with open(os.path.join(base, *parts[:depth], name)) as fh:
+                    value = fh.read().strip()
+                if value != "max":
+                    limits.append(int(value))
+            except (ValueError, OSError):
+                pass
     return min(limits, default=None)
 
 

@@ -622,12 +622,11 @@ def dirichlet_exterior_via_decomposition(mesh, g):
     return _via_decomposition(mesh, g, "minus")
 
 
-def _one_point(mesh, x):
-    """The geometry pass (_TargetBlocks) of a single point x of shape (2,)."""
-    blocks = _TargetBlocks(mesh, x)
-    if not blocks.single:
-        raise LengthMismatch(f"expected one point of shape (2,), got {blocks.points.shape}")
-    return blocks
+def _one_point(x):
+    """x, checked to be a single point of shape (2,) (LengthMismatch otherwise)."""
+    if np.shape(x) != (2,):
+        raise LengthMismatch(f"expected one point of shape (2,), got {np.shape(x)}")
+    return x
 
 
 def _green_sources(mesh, points):
@@ -647,17 +646,17 @@ def green_h(mesh, x, side):
     side 'interior' solves in the open set, 'exterior' outside (harmonic
     at infinity); returns the SolveReport of the bordered solve.
     """
-    _, source = next(_green_sources(mesh, _one_point(mesh, x)))
+    _, source = next(_green_sources(mesh, _TargetBlocks(mesh, _one_point(x))))
     return _dirichlet(mesh, source.single_kernel[0], side)
 
 
-def _poisson(mesh, g, points, one=False):
+def _poisson(mesh, g, points):
     """Pairings of g with d/dnu_y of both regions' Green functions at each of points.
 
-    g is a datum checked by _datum, and points an (m, 2) array, or with one
-    a single point of shape (2,) (LengthMismatch otherwise).  The Green
-    function of a region at x is the fundamental solution less green_h, the
-    harmonic function whose density eta solves the Dirichlet problem for
+    g is a datum checked by _datum, and points an (m, 2) array or a single
+    point of shape (2,).  The Green function of a region at x is the
+    fundamental solution less green_h, the harmonic function whose density
+    eta solves the Dirichlet problem for
     the fundamental solution's trace.  That density reads only the trace,
     so it is the same in both regions, and the normal derivatives of the
     two single layers differ only by the shift term, -eta/2 inside and
@@ -666,7 +665,7 @@ def _poisson(mesh, g, points, one=False):
     _dirichlet's residual gate.  Returns the interior and the exterior
     pairing at each point, two (m,) arrays.
     """
-    points = _one_point(mesh, points) if one else _TargetBlocks(mesh, points)
+    points = _TargetBlocks(mesh, points)
     ops = operator_set(mesh)
     wg = mesh.weights * g
     inner, outer = np.empty(len(points)), np.empty(len(points))
@@ -688,13 +687,13 @@ def poisson_interior(mesh, g, x):
     For x in the open set this reproduces the Dirichlet solution; for x in
     the exterior the same integral vanishes.
     """
-    return float(_poisson(mesh, _datum(mesh, g), x, one=True)[0][0])
+    return float(_poisson(mesh, _datum(mesh, g), _one_point(x))[0][0])
 
 
 def poisson_exterior(mesh, g, x):
     """Exterior Green representation at one point x; returns (value, constant at infinity)."""
     g = _datum(mesh, g)
-    val = _poisson(mesh, g, x, one=True)[1][0]
+    val = _poisson(mesh, g, _one_point(x))[1][0]
     c_g = float(operator_set(mesh).q @ g)
     return float(c_g - val), c_g
 

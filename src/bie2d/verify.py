@@ -181,14 +181,11 @@ class _MeshCache:
 
     def density(self, rng, zero_mean=False):
         """seeded_density of the mesh: the one column of densities(rng, 1), less
-        its mean as integrate gives it when zero_mean is set."""
-        mesh = self.mesh
+        its mean (zero_mean) when zero_mean is set."""
         f = self.densities(rng, 1)[:, 0]
-        if zero_mean:
-            f = f - integrate(mesh, f) / integrate(mesh, np.ones(mesh.n))
-        return f
+        return self.zero_mean(f) if zero_mean else f
 
-    def densities(self, rng, count, zero_mean=False):
+    def densities(self, rng, count):
         """count seeded densities from the cached Fourier table, the columns of an
         (n, count) block.
 
@@ -196,16 +193,16 @@ class _MeshCache:
         all count * 17 of them one draw (as draws one at a time would give
         them), and each column's terms are summed in that order, c + a_1 cos t
         + b_1 sin t + ..., one row at a time: column j is the j-th of count
-        calls of density.  The zero-mean correction is applied to every column
-        at once, so it may differ from density's in the last bit.
+        calls of density.
         """
         modes, divisors = self.fourier
         coeffs = rng.uniform(-1.0, 1.0, (count, modes.shape[0])).T / divisors[:, None]
-        f = np.add.reduce(coeffs[:, None, :] * modes[:, :, None], axis=0)
-        return self.zero_mean(f) if zero_mean else f
+        return np.add.reduce(coeffs[:, None, :] * modes[:, :, None], axis=0)
 
     def zero_mean(self, f):
-        """Each column of the (n, k) block f less its mean over the boundary."""
+        """f, one density or each column of an (n, k) block, less its mean over
+        the boundary.  On a block the means are one product, so a column may
+        differ in the last bit from the column's own correction."""
         return f - (self.mesh.weights @ f) / integrate(self.mesh, np.ones(self.mesh.n))
 
     def probes(self, region, count=25, prefer="far"):

@@ -381,6 +381,42 @@ def test_memory_limit_is_physical_memory_or_less():
     assert limit is None or 0 < limit <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _cgroup_tree(root, listing, files):
+    """A cgroup file tree under root: the /proc/self/cgroup lines of listing
+    and each of files, a relative path mapped to its contents."""
+    (root / "cgroup").write_text("".join(f"{line}\n" for line in listing))
+    for path, value in files.items():
+        (root / path).parent.mkdir(parents=True, exist_ok=True)
+        (root / path).write_text(f"{value}\n")
+    return str(root), str(root / "cgroup")
+
+
+@pytest.mark.parametrize("listing, files, limit", [
+    # a version-2 limit set on an ancestor of a leaf that reads 'max'
+    (["0::/slice/service/leaf"], {"slice/service/leaf/memory.max": "max",
+                                  "slice/service/memory.max": 7 << 20,
+                                  "slice/memory.max": 9 << 20}, 7 << 20),
+    # the smallest limit of the chain, wherever it is set
+    (["0::/slice/leaf"], {"slice/leaf/memory.max": 8 << 20, "slice/memory.max": 5 << 20},
+     5 << 20),
+    # a version-1 memory controller, whose leaf directory is not mounted
+    (["4:memory:/jobs/one", "0::/"], {"memory/jobs/memory.limit_in_bytes": 6 << 20,
+                                       "memory/memory.limit_in_bytes": 2**63 - 4096}, 6 << 20),
+    (["5:cpu,memory:/", "1:cpuset:/jobs"], {"memory/memory.limit_in_bytes": 3 << 20,
+                                            "cpuset/jobs/memory.limit_in_bytes": 1 << 20},
+     3 << 20),
+])
+def test_memory_limit_reads_every_cgroup_up_to_the_root(tmp_path, listing, files, limit):
+    assert cli._memory_limit(*_cgroup_tree(tmp_path, listing, files)) == limit
+
+
+def test_memory_limit_without_a_cgroup_limit_is_physical_memory(tmp_path):
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    files = {"leaf/memory.max": "max", "memory.max": "not a number"}
+    assert cli._memory_limit(*_cgroup_tree(tmp_path, ["0::/leaf", "bad line"], files)) == physical
+    assert cli._memory_limit(str(tmp_path / "none"), str(tmp_path / "none")) == physical
+
+
 def test_verify_non_finite_residual_is_numerical_failure(tmp_path, capsys, monkeypatch):
     check = verify._Check("w1-half", lambda mesh, rng, **_: float("inf"), 1e-10, "W 1 = 1/2")
     monkeypatch.setattr("bie2d.verify._CHECKS", [check])

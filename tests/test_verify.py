@@ -362,18 +362,19 @@ def test_blocked_check_agrees_with_the_one_at_a_time_loop(row, name, n):
     assert abs(blocked - loop) <= 1e-11
 
 
-@pytest.mark.parametrize("zero_mean", [False, True])
-def test_a_block_of_seeded_densities_holds_the_densities_drawn_one_at_a_time(zero_mean):
+def test_a_block_of_seeded_densities_holds_the_densities_drawn_one_at_a_time():
     mesh = stock_mesh("annulus", 64)
     cache = verify._MeshCache(mesh)
-    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
-    block = cache.densities(rng, 7, zero_mean)
-    columns = np.column_stack([cache.density(reference, zero_mean) for _ in range(7)])
-    assert rng.uniform() == reference.uniform()  # the same draws were taken
-    if zero_mean:  # the mean is taken from the whole block at once
-        assert np.max(np.abs(block - columns)) <= 1e-15
-    else:
-        assert np.array_equal(block, columns)
+    rng = np.random.default_rng(5)
+    references = np.random.default_rng(5), np.random.default_rng(5)
+    block = cache.densities(rng, 7)
+    columns = np.column_stack([cache.density(references[0]) for _ in range(7)])
+    zero_mean = np.column_stack([cache.density(references[1], zero_mean=True) for _ in range(7)])
+    after = rng.uniform()
+    assert all(after == r.uniform() for r in references)  # the same draws were taken
+    assert np.array_equal(block, columns)
+    # the block's means are taken in one product
+    assert np.max(np.abs(cache.zero_mean(block) - zero_mean)) <= 1e-15
 
 
 def test_poisson_reps_takes_one_pass_and_one_block_solve_per_region(monkeypatch):
