@@ -119,8 +119,9 @@ def _memory_limit(cgroup_root="/sys/fs/cgroup", cgroup_list="/proc/self/cgroup")
     except OSError:
         lines = []
     for line in lines:
-        _, controllers, path = (line.split(":", 2) + ["", ""])[:3]
-        if line.startswith("0::"):
+        hierarchy, _, rest = line.partition(":")
+        controllers, _, path = rest.partition(":")
+        if hierarchy == "0" and not controllers:
             base, name = cgroup_root, "memory.max"
         elif "memory" in controllers.split(","):
             base, name = os.path.join(cgroup_root, "memory"), "memory.limit_in_bytes"
