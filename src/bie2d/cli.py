@@ -139,17 +139,17 @@ def _memory_limit(cgroup_root="/sys/fs/cgroup", cgroup_list="/proc/self/cgroup")
     return min(limits, default=None)
 
 
-def _check_memory(meshes, j_sides=0):
+def _check_memory(meshes):
     """Refuse, before any node is built, meshes whose dense arrays outgrow _memory_limit.
 
     meshes holds (curve specs, node counts) of each mesh the command keeps
     at once; the counts are checked first, as build_mesh checks them.  A
     mesh of N nodes in all has an OperatorSet of 16 N^2 bytes (W and the
-    single layer's factor), and each side whose J map is used adds 8 N^2.
-    Raises ConfigError past the limit.
+    single layer's factor, through which the J map inverts too).  Raises
+    ConfigError past the limit.
     """
     totals = [sum(_geometry(_node_counts, specs, counts)) for specs, counts in meshes]
-    need = sum((16 + 8 * j_sides) * n**2 for n in totals)
+    need = sum(16 * n**2 for n in totals)
     limit = _memory_limit()
     if limit is not None and need > limit:
         nodes = " + ".join(str(n) for n in totals)
@@ -449,15 +449,15 @@ def cmd_solve(cfg):
 
 def cmd_verify(cfg):
     """Run the identity suite; one row per check and geometry."""
-    # every mesh stays in meshes, with its operators and both J factors, to the end
+    # every mesh stays in meshes, with its operators, to the end
     if cfg.components:
-        _check_memory([(cfg.components, cfg.node_counts())], j_sides=2)
+        _check_memory([(cfg.components, cfg.node_counts())])
         meshes = {"config": cfg.build_mesh()}
         n = max(cfg.node_counts())
     else:
         n = 256 if cfg.n_override is None else cfg.n_override
         specs = [stock_specs(name) for name in STOCK_TRIO]
-        _check_memory([(spec, [n] * len(spec)) for spec in specs], j_sides=2)
+        _check_memory([(spec, [n] * len(spec)) for spec in specs])
         meshes = {name: _geometry(stock_mesh, name, n) for name in STOCK_TRIO}
     try:
         report = run_verify(meshes=meshes, n=n, seed=cfg.seed,

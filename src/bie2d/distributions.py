@@ -12,15 +12,11 @@ The single layer of a pair is computed through closed identities in the
 side's sign (README, "Sides and signs"): its trace for (side, 0, mu) is
 -mu/2 + sign W mu, plus q.mu on the exterior side.  The J map sends tau to
 V[tau - mean] + mean (mean = <tau,1>/<1,1>) and identifies distributions
-with grid functions.  Its inverse picks the minimum-norm pair through a
-Cholesky factorization of the Gram matrix of the J map's dense matrix,
-which is built one n x n half of that matrix at a time.
-That factor is the mesh's: the first JMap of a (mesh, side) builds it and
-keeps it in the mesh's OperatorSet, which then holds one more n x n array
-for each side used, and every later JMap of that side, in
-Wt_on_distribution, the verify suite or the pair-route transpose kernel,
-applies it to a vector or to an (n, k) block of them without factoring
-again.
+with grid functions.  A pair's J image depends on the pair only through
+its grid representer, so JMap inverts it by the Dirichlet density solve
+of the mesh's OperatorSet: the preimage of g is (eta + c, 0) with
+V eta + c = g, through the single layer's own Cholesky factor.  No J map
+holds an array of its own.
 
 A PairDistribution is one pair, or a block of k pairs of one side whose
 mu0 and mu1 are (n, k) blocks.  The pair functions (mass_of,
@@ -33,11 +29,9 @@ dist_single_layer_field and pair_to_dict take one pair only.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dsyrk
 
 from .errors import LengthMismatch, SingularSystem
-from .geometry import _check_aligned, _pairings, _row_blocks, integrate
+from .geometry import _check_aligned, _pairings, integrate
 from .operators import _side, operator_set
 from .potentials import HarmonicField
 
@@ -124,87 +118,47 @@ def J_isometry(tau):
     return _j_image(tau.mesh, _side(tau.side).sign, tau.mu0, tau.mu1)
 
 
-def _j_halves(mesh, side, out):
-    """The n x 2n matrix A = [A0, A1] of (mu0, mu1) -> J[pair], by halves.
-
-    Yields out, an (n, n) array, holding A0 and then, written over it, A1.
-    """
-    sign = _side(side).sign
-    ops = operator_set(mesh)
-    n = mesh.n
-    # J on the mu0 block: V mu0 - mbar (V 1 - 1) with mbar = w.mu0 / <1, 1>,
-    # the rank-one term added one block of rows at a time
-    ops.single_layer_matrix(out)
-    v1, mean = ops.single_layer(np.ones(n)) - 1.0, mesh.weights / integrate(mesh, np.ones(n))
-    for lo, hi in _row_blocks(0, n, n):
-        out[lo:hi] -= np.outer(v1[lo:hi], mean)
-    yield out
-    np.multiply(ops.W, sign, out=out)
-    out[range(n), range(n)] -= 0.5
-    if sign < 0:
-        out += ops.q
-    yield out
-
-
-def _j_gram(mesh, side):
-    """The upper triangle of the J map's Gram matrix A A^T = A0 A0^T + A1 A1^T.
-
-    One n x n buffer takes each half of A in turn (_j_halves), so a build
-    holds two n x n arrays, the buffer and the F-ordered Gram matrix, whose
-    strict lower triangle stays zero.  The buffer is C-ordered, so its
-    transpose is the F-ordered array dsyrk reads without a copy, and each
-    half's product is added into the Gram matrix in place.
-    """
-    gram = np.zeros((mesh.n, mesh.n), order="F")
-    for half in _j_halves(mesh, side, np.empty((mesh.n, mesh.n))):
-        dsyrk(1.0, half.T, beta=1.0, c=gram, trans=1, overwrite_c=1)
-    return gram
-
-
 class JMap:
-    """The J map of one (mesh, side) and its minimum-norm inverse.
+    """The J map of one (mesh, side) and its inverse through the single layer's factor.
 
-    The map (mu0, mu1) -> J[mu0 + transpose-part(mu1)] is onto, so the
-    minimum-norm preimage of g is z = A^T (A A^T)^-1 g with A its n x 2n
-    matrix (_j_halves).  The first JMap of a (mesh, side) builds A A^T one
-    half of A at a time (_j_gram), factors it by Cholesky in place and keeps
-    only that factor, in the OperatorSet's j_factor; A is never whole.  A
-    JMap is a handle: every inverse applies A and A^T by products with the
-    OperatorSet's V, W and q.  Raises SingularSystem when the factorization
-    fails.
+    A pair's J image depends on it only through its grid representer phi:
+    J(mu0, mu1) = V[phi - mbar] + mbar.  For mu0 this is the definition;
+    for mu1 it holds because q^T (W - I/2) = 0, q the value-at-infinity
+    functional (OperatorSet.q).  So if V eta + c = g, the Dirichlet density
+    solve through the OperatorSet's Cholesky factor, then (eta + c, 0) is a
+    preimage of g (eta has zero mean, so mbar = c), and every preimage of g
+    has the representer eta + c.  A JMap is a handle that holds no array;
+    its preimage does not depend on the side, which only tags the pair.
     """
 
     def __init__(self, mesh, side="plus"):
         self.mesh = mesh
         self.side = _side(side).name
-        factors = operator_set(mesh).j_factor
-        if self.side not in factors:
-            try:  # cho_factor reads the upper triangle
-                factors[self.side] = cho_factor(_j_gram(mesh, side), overwrite_a=True)[0]
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystem("J map is not onto: its Gram matrix is singular") from exc
 
     def inverse(self, g):
-        """(mu0, mu1) of the minimum-norm preimage of an (n,) vector or an (n, k) block.
+        """(mu0, mu1) = (eta + c, 0) of an (n,) vector or of each column of an (n, k) block.
 
-        Raises SingularSystem when the residual of any column exceeds 1e-7
-        times that column's norm (at least 1), or is not finite: no pair
-        reaches a column that holds NaN or infinity.
+        Each column is solved as a vector is (OperatorSet._density), so a
+        block's columns have the bits of their own inverses: a block solve
+        rounds its column sums otherwise, which the solve amplifies.  Raises SingularSystem when a column holds NaN or
+        infinity, before any solve, and when the residual of any column
+        exceeds 1e-7 times that column's norm (at least 1).
         """
-        mesh, ops, sign = self.mesh, operator_set(self.mesh), _side(self.side).sign
+        mesh, ops = self.mesh, operator_set(self.mesh)
         g = _check_aligned(mesh, g, block=True)
-        w = mesh.weights if g.ndim == 1 else mesh.weights[:, None]
-        y = cho_solve((ops.j_factor[self.side], False), g, check_finite=False)
-        # z = A^T y: V^T = D V D^-1, whose column sums are V 1, and W^T y is y^T W
-        u = w * ops.single_layer(y / w)
-        mu0 = u - np.multiply.outer(mesh.weights, u.sum(axis=0) - y.sum(axis=0)) / w.sum()
-        mu1 = sign * (y.T @ ops.W).T - 0.5 * y
-        if sign < 0:
-            mu1 += np.multiply.outer(ops.q, y.sum(axis=0))
-        resid = np.linalg.norm(_j_image(mesh, sign, mu0, mu1) - g, axis=0)
-        if not np.all(resid <= 1e-7 * np.maximum(1.0, np.linalg.norm(g, axis=0))):
+        block = g if g.ndim == 2 else g[:, None]
+        if not np.isfinite(block).all():
+            raise SingularSystem("J inverse residual not finite: g holds NaN or infinity")
+        mu0 = np.empty(block.shape)
+        for j, column in enumerate(block.T):  # one column's solve, whatever the block
+            eta, c = ops._density(column)
+            mu0[:, j] = eta + c
+        mbar = mesh.weights @ mu0 / integrate(mesh, np.ones(mesh.n))
+        resid = np.linalg.norm(ops.single_layer(mu0 - mbar) + mbar - block, axis=0)
+        if not np.all(resid <= 1e-7 * np.maximum(1.0, np.linalg.norm(block, axis=0))):
             raise SingularSystem(f"J inverse residual {np.max(resid):.3e} too large")
-        return mu0, mu1
+        mu0 = mu0.reshape(g.shape)
+        return mu0, np.zeros_like(mu0)
 
     def pair(self, g):
         """The pair distribution of this side with J image g, a grid function, or
@@ -218,8 +172,8 @@ def Wt_on_distribution(tau):
 
     Computed in J coordinates: the image of W^t tau is
     W g + (W V 1 - V 1 / 2) <tau,1>/<1,1> with g the image of tau, and the
-    mass halves exactly.  The J factor of tau's side is the mesh's (JMap),
-    so only the first call on a (mesh, side) factors.
+    mass halves exactly.  The pair comes back through JMap, one density
+    solve with the mesh's single-layer factor.
     """
     mesh = tau.mesh
     ops = operator_set(mesh)

@@ -42,15 +42,14 @@ name every layer gives it (README, "Sides and signs").  The operators live
 in one OperatorSet per mesh, stored in mesh.operators by operator_set; it
 keeps the node count and the weights it needs, never the mesh itself.  The
 set holds two dense arrays, W and the Cholesky factor of T, besides the
-O(n k) records of the sides' bordered Neumann systems (solvers) and, once a
-side's J map is used, one more: the n x n Cholesky factor of that side's J
-Gram matrix (distributions.JMap).  It holds V only inside the factor's
-array: dpotrf leaves T's other triangle there, and A[1:, 1:] = u_i + u_j -
-T_ij with u a vector (_projected_cholesky), so a product with V is one
-symmetric product on that triangle plus vectors: dsymv for a vector,
-dsymm for a block of at least _DSYMM_COLUMNS columns.  A = V D^-1
-is symmetric only to rounding (about 1e-14 relative), so such a product
-differs from one with the assembled V in its trailing digits.
+O(n k) records of the sides' bordered Neumann systems (solvers); the J map
+inverts through the same factor (distributions.JMap).  It holds V only
+inside the factor's array: dpotrf leaves T's other triangle there, and
+A[1:, 1:] = u_i + u_j - T_ij with u a vector (_projected_cholesky), so a
+product with V is one symmetric product on that triangle plus vectors:
+dsymv for a vector, dsymm for a block of at least _DSYMM_COLUMNS columns.
+A = V D^-1 is symmetric only to rounding (about 1e-14 relative), so such a
+product differs from one with the assembled V in its trailing digits.
 """
 
 from typing import NamedTuple
@@ -262,13 +261,10 @@ class OperatorSet:
     module docstring and _projected_cholesky), and the value-at-infinity
     functional q, the last row of the bordered inverse; bordered, by side
     name the (n, k) border and measured kernel of each used side's Neumann
-    system (solvers._bordered_system); and j_factor, by side name the n x n
-    Cholesky factor of the Gram matrix of each used side's J map
-    (distributions.JMap).  W and the factor are the only arrays of size n^2
-    until a J map is used, and each side's J map adds one.  V is applied by
-    single_layer from the factor's array, whose other triangle still holds
-    T, and written out in full only on request, by single_layer_matrix.  Wt
-    is applied from W, and the Dirichlet-to-Neumann maps and their weighted
+    system (solvers._bordered_system).  W and the factor are the only arrays
+    of size n^2.  V is applied by single_layer from the factor's array,
+    whose other triangle still holds T, and never written out.  Wt is
+    applied from W, and the Dirichlet-to-Neumann maps and their weighted
     transposes through the factor by dtn and rep, one solve each; none of
     them is stored.
     """
@@ -286,7 +282,6 @@ class OperatorSet:
         # y0, and A 1 = V D^-1 1
         self.q = self._solve(-a1 / n)[0] + 1.0 / n
         self.bordered = {}
-        self.j_factor = {}
 
     def _solve(self, g):
         """(y, c) with A y + c = g and sum(y) = 0, for g a grid function or an (n, k) block.
@@ -360,29 +355,6 @@ class OperatorSet:
         else:
             for j in range(x.shape[1]):
                 out[1:, j] = dsymv(-1.0, self._factor, tail[:, j], beta=1.0, y=rest[:, j])
-        return out
-
-    def single_layer_matrix(self, out):
-        """V written into out, an (n, n) array, and returned; rebuilt on every call.
-
-        The OperatorSet holds V only inside the factor's array; this spells
-        it out, as single_layer applies it: T from the factor's strict upper
-        triangle and its diagonal from L_ii, A[1:, 1:] = u_i + u_j - T_ij,
-        row 0 and column 0 of A, and V = A D.
-        """
-        inner = out[1:, 1:]
-        inner[...] = self._factor.T  # T below the diagonal, the factor above
-        for lo in range(0, self.n - 1, 64):  # mirror T above, 64 rows at a time
-            hi = lo + 64
-            tile = inner[lo:hi, lo:hi]
-            tile[...] = np.tril(tile) + np.tril(tile, -1).T
-            inner[lo:hi, hi:] = inner[hi:, lo:hi].T
-        np.fill_diagonal(inner, np.diagonal(self._factor) - self._gap)
-        np.subtract(self._u[:, None], inner, out=inner)
-        inner += self._u
-        out[0] = self._a_row
-        out[1:, 0] = self._a_col
-        out *= self.weights
         return out
 
     def dtn(self, side, v):

@@ -704,9 +704,9 @@ def transpose_kernel_pair_basis(mesh, op_kind):
     The operator is realized in J coordinates (image g plus the mass
     functional) as a matrix M, and one LU of M decides its rank and gives
     its kernel (_kernels).  The kernel vectors are mapped back to
-    representers in one block solve with the J map, and the span must
-    coincide with the grid-operator kernel; the subspace angle quantifies
-    the agreement, through the mesh's J factor of the plus side (JMap).
+    representers by the J map (JMap), whose preimage (eta + c, 0) is its
+    own representer, and the span must coincide with the grid-operator
+    kernel; the subspace angle quantifies the agreement.
     op_kind is a Wt kind of nullspace.
     """
     side, _ = _op_kind(op_kind, ("Wt",))
@@ -726,8 +726,7 @@ def transpose_kernel_pair_basis(mesh, op_kind):
         lambda x: side.shift * x + W.T @ x + np.multiply.outer(q, correction @ x))
     if not kernel.shape[1]:
         return kernel
-    mu0, mu1 = JMap(mesh, "plus").inverse(kernel)
-    return mu0 + ops.rep("plus", mu1)
+    return JMap(mesh, "plus").inverse(kernel)[0]
 
 
 def _subspace_angle(a, b):

@@ -14,8 +14,9 @@ J-isometry-roundtrip, space-coincidence) draw them in the order of one
 density or pair at a time, but apply each side's operators once, to one
 (n, k) block: pair i lies on the plus side when i is even, the minus side
 when odd, and the pairs of a side form one block pair distribution.  So
-V, W, Wt, the density solve and the J inverse run as BLAS-3 products and
-solves on a block, and the per-call work is paid once per block.
+V, W, Wt and the density solve run as BLAS-3 products and solves on a
+block, and the per-call work is paid once per block; the J inverse solves
+a block one column at a time (JMap.inverse).
 poisson-reps takes one geometry pass and one block solve for each
 region's probes (solvers._poisson).  Tests keep the one-at-a-time loops
 as the reference the blocked checks must agree with.
@@ -25,10 +26,15 @@ run_verify holds one _MeshCache per mesh: the probe point sets, keyed by
 densities.  Each is built once on first use, shared read-only by the
 checks on that mesh, and dropped with the cache before the next mesh.
 Each check takes the mesh's _MeshCache: run_verify calls it as
-run(mesh, rng, cache=cache).  The J factor of each side belongs to the
-mesh, not to the cache: the first JMap of a side builds it in the mesh's
-OperatorSet, which holds it, one more n x n array per side, for as long as
-the mesh lives.
+run(mesh, rng, cache=cache).  The J map has no factor of its own: JMap
+inverts through the Cholesky factor of the mesh's OperatorSet, so a mesh
+holds its two n x n arrays, W and that factor, whatever the checks use.
+
+J-isometry-roundtrip and space-coincidence both check that a pair's J
+image is V[phi - mean] + mean of its grid representer phi: the J inverse
+(eta + c, 0) of that image is its own representer on either side, and
+must be phi.  The roundtrip row also checks that the inverse's J image is
+the image it came from; the two rows draw their pairs apart.
 """
 
 import numbers
@@ -160,7 +166,7 @@ def probe_points(mesh, region, count=25, prefer="far"):
 
 class _MeshCache:
     """What the checks on one mesh share: the probe sets and the Fourier table
-    of the seeded densities; the J factors are the mesh's own (JMap).
+    of the seeded densities.
 
     Each is built on first use.  run_verify holds one cache per mesh and
     drops it before the next mesh.

@@ -4,9 +4,9 @@ import os
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
-from bie2d.geometry import build_mesh, stock_mesh, stock_specs, CurveSpec
+from bie2d.geometry import build_mesh, integrate, stock_mesh, stock_specs, CurveSpec
 from bie2d.operators import _side, operator_set
 
 
@@ -63,6 +63,33 @@ def dense_wt(mesh):
     return (operator_set(mesh).W.T * w) / w[:, None]
 
 
+def dense_v(mesh, out=None):
+    """The single layer V of a mesh written out in full, into out (an (n, n) array) if given.
+
+    The OperatorSet holds V only inside its factor's array; this spells it
+    out as single_layer applies it: T from the factor's strict upper
+    triangle and its diagonal from L_ii, A[1:, 1:] = u_i + u_j - T_ij, row
+    0 and column 0 of A, and V = A D.
+    """
+    ops = operator_set(mesh)
+    n = ops.n
+    out = np.empty((n, n)) if out is None else out
+    inner = out[1:, 1:]
+    inner[...] = ops._factor.T  # T below the diagonal, the factor above
+    for lo in range(0, n - 1, 64):  # mirror T above, 64 rows at a time
+        hi = lo + 64
+        tile = inner[lo:hi, lo:hi]
+        tile[...] = np.tril(tile) + np.tril(tile, -1).T
+        inner[lo:hi, hi:] = inner[hi:, lo:hi].T
+    np.fill_diagonal(inner, np.diagonal(ops._factor) - ops._gap)
+    np.subtract(ops._u[:, None], inner, out=inner)
+    inner += ops._u
+    out[0] = ops._a_row
+    out[1:, 0] = ops._a_col
+    out *= ops.weights
+    return out
+
+
 class BorderedLU:
     """The bordered system [V, 1; w^T, 0] of a mesh, factored by a general LU.
 
@@ -76,7 +103,7 @@ class BorderedLU:
         ops = operator_set(mesh)
         self.n, self.weights, self.W = mesh.n, mesh.weights, ops.W
         B = np.zeros((self.n + 1, self.n + 1))
-        ops.single_layer_matrix(B[:self.n, :self.n])
+        dense_v(mesh, B[:self.n, :self.n])
         B[:self.n, self.n] = 1.0
         B[self.n, :self.n] = self.weights
         self.factors = lu_factor(B)
@@ -192,12 +219,32 @@ def loop_seeded_density(mesh, rng, zero_mean=False):
 
 
 def j_forward_matrix(mesh, side):
-    """The whole n x 2n matrix A = [A0, A1] of the J map, whose halves JMap's
-    Gram build takes one at a time."""
-    from bie2d.distributions import _j_halves
+    """The whole n x 2n matrix A = [A0, A1] of the J map (mu0, mu1) -> J[pair].
 
-    return np.concatenate([half.copy() for half in _j_halves(mesh, side, np.empty((mesh.n,) * 2))],
-                          axis=1)
+    A0 = V - (V 1 - 1) w^T / <1, 1> and A1 = -I/2 + sign W, plus 1 q^T on
+    the minus side, each written into its half of one array.
+    """
+    ops, n = operator_set(mesh), mesh.n
+    A = np.empty((n, 2 * n))
+    A0 = dense_v(mesh, A[:, :n])
+    A0 -= np.outer(ops.single_layer(np.ones(n)) - 1.0, mesh.weights / integrate(mesh, np.ones(n)))
+    A1 = np.multiply(ops.W, _side(side).sign, out=A[:, n:])
+    A1[range(n), range(n)] -= 0.5
+    if side == "minus":
+        A1 += ops.q
+    return A
+
+
+def min_norm_j_inverse(mesh, side, g):
+    """(mu0, mu1) of the minimum-norm preimage A^T (A A^T)^-1 g of the J map.
+
+    The route JMap took before it inverted through the single layer's
+    factor, kept as its reference: the Cholesky factor of the Gram matrix
+    of the whole A (j_forward_matrix).
+    """
+    A = j_forward_matrix(mesh, side)
+    z = A.T @ cho_solve(cho_factor(A @ A.T), g)
+    return z[:mesh.n], z[mesh.n:]
 
 
 def svd_pair_basis(mesh, op_kind):

@@ -166,6 +166,20 @@ def test_verify_custom_config(tmp_path):
     assert report["geometries"] == ["config"]
 
 
+def test_verify_on_a_large_circle_inverts_the_j_map(tmp_path):
+    # radius 1e5: the J inverse by the density solve keeps the J rows near
+    # 1e-10, where one through the J Gram matrix, of condition about R^2 / 4,
+    # missed its gate (exit 4).  symmetry compares pairings that grow like
+    # R^2 log R against an absolute tolerance, and fails
+    path = tmp_path / "big.json"
+    path.write_text('{"components": [{"kind": "circle", "radius": 1e5}]}')
+    code = main(["verify", "--config", str(path), "--n", "64", "--out", str(tmp_path / "v")])
+    assert code in (EXIT_OK, EXIT_VERIFY_FAIL)
+    report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+    rows = {row["name"]: row["passed"] for row in report["checks"]}
+    assert rows["J-isometry-roundtrip"] and rows["space-coincidence"]
+
+
 def test_field_csv_roundtrip(tmp_path, disk128):
     fld = HarmonicField(disk128, [], constant=np.pi, region="interior")
     pts = grid_points(np.linspace(-0.5, 0.5, 7), np.linspace(-0.5, 0.5, 7))
@@ -343,8 +357,8 @@ def test_a_mesh_too_large_for_memory_is_a_config_error(tmp_path, capsys, monkeyp
 @pytest.mark.parametrize("command, need", [
     # 40000 nodes on one curve: W and the factor, 16 N^2 bytes
     (["solve", "--problem", "dirichlet-int", "--data", "fourier:1", "--n", "40000"], 16 * 40000**2),
-    # the stock trio at 2000 per curve, each mesh with both J factors, 32 N^2 bytes
-    (["verify", "--n", "2000"], 32 * (2000**2 + 2000**2 + 4000**2)),
+    # the stock trio at 2000 per curve, W and the factor of each mesh, 16 N^2 bytes
+    (["verify", "--n", "2000"], 16 * (2000**2 + 2000**2 + 4000**2)),
     (["demo-hadamard", "--terms", "1", "--n", "40000"], 16 * 40000**2),
 ])
 def test_a_mesh_past_the_memory_limit_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch,

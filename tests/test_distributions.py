@@ -2,20 +2,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
+from conftest import dense_v, j_forward_matrix, min_norm_j_inverse
 
 from bie2d.errors import InvalidProbe, LengthMismatch, SingularSystem
 from bie2d.geometry import integrate, pairing, stock_mesh
 from bie2d.operators import operator_set
 from bie2d.potentials import eval_double_layer, eval_single_layer
-from bie2d.verify import seeded_density
+from bie2d.verify import _MeshCache, seeded_density
 from bie2d.distributions import (
     J_isometry,
     JMap,
     PairDistribution,
     V_of_distribution,
     Wt_on_distribution,
-    _j_halves,
     dist_jump_check,
     dist_normal_derivative,
     dist_pairing,
@@ -176,12 +175,14 @@ def test_j_factor_refuses_a_block_with_an_unreachable_column(ellipse, bad):
 
 
 def test_a_repeat_wt_on_distribution_builds_no_j_factor(monkeypatch):
-    # the J factor of a side is the mesh's: the first call on a (mesh, side)
-    # builds the J map's Gram matrix and factors it, and no later one does
-    from bie2d import distributions
+    # the J map inverts through the OperatorSet's own factor: no call factors
+    # anything or keeps an array, and each takes one density solve
+    from bie2d import operators
 
     mesh = stock_mesh("ellipse", 64)
-    builds, factors = [], []
+    ops = operator_set(mesh)
+    held = dict(vars(ops))
+    factors, solves = [], []
 
     def counting(real, calls):
         def wrapper(*args, **kwargs):
@@ -189,18 +190,18 @@ def test_a_repeat_wt_on_distribution_builds_no_j_factor(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(distributions, "_j_gram", counting(distributions._j_gram, builds))
-    monkeypatch.setattr(distributions, "cho_factor", counting(distributions.cho_factor, factors))
+    monkeypatch.setattr(operators, "dpotrf", counting(operators.dpotrf, factors))
+    monkeypatch.setattr(operators.OperatorSet, "_density",
+                        counting(operators.OperatorSet._density, solves))
     rng = np.random.default_rng(3)
     tau = PairDistribution("minus", seeded_density(mesh, rng), seeded_density(mesh, rng), mesh)
     first = Wt_on_distribution(tau)
-    assert len(builds) == len(factors) == 1
     again = Wt_on_distribution(tau)
-    assert len(builds) == len(factors) == 1
     assert np.array_equal(first.mu0, again.mu0) and np.array_equal(first.mu1, again.mu1)
     Wt_on_distribution(PairDistribution("plus", tau.mu0, tau.mu1, mesh))
-    assert len(builds) == len(factors) == 2
-    assert set(operator_set(mesh).j_factor) == {"plus", "minus"}
+    assert not factors and len(solves) == 3
+    assert vars(ops).keys() == held.keys()
+    assert all(vars(ops)[name] is value for name, value in held.items())
 
 
 def test_mass_laws(ellipse, rng):
@@ -352,8 +353,7 @@ def _stacked_j_forward_matrix(mesh, side):
     ops = operator_set(mesh)
     n, ones = mesh.n, np.ones(mesh.n)
     length = integrate(mesh, ones)
-    V = ops.single_layer_matrix(np.empty((n, n)))
-    A0 = V - np.outer(ops.single_layer(ones) - ones, mesh.weights / length)
+    A0 = dense_v(mesh) - np.outer(ops.single_layer(ones) - ones, mesh.weights / length)
     A1 = -0.5 * np.eye(n) + (1.0 if side == "plus" else -1.0) * ops.W
     if side == "minus":
         A1 += np.outer(ones, ops.q)
@@ -363,34 +363,62 @@ def _stacked_j_forward_matrix(mesh, side):
 @pytest.mark.parametrize("side", ["plus", "minus"])
 @pytest.mark.parametrize("name", ["disk", "ellipse", "annulus", "kite", "two-disks"])
 def test_j_forward_matrix_is_built_in_place_bit_for_bit(name, side):
-    # each half of the J map's matrix is written into the one buffer in turn
+    # the reference matrix of the J map, each half written into its part of
+    # one array, and what it maps a pair to
     mesh = stock_mesh(name, 64)
-    buffer = np.empty((mesh.n, mesh.n))
-    halves = [half.copy() for half in _j_halves(mesh, side, buffer) if half is buffer]
-    assert len(halves) == 2
-    assert np.array_equal(np.concatenate(halves, axis=1), _stacked_j_forward_matrix(mesh, side))
+    A = j_forward_matrix(mesh, side)
+    assert np.array_equal(A, _stacked_j_forward_matrix(mesh, side))
+    tau = PairDistribution(side, *_MeshCache(mesh).densities(np.random.default_rng(4), 2).T, mesh)
+    g = J_isometry(tau)
+    assert np.max(np.abs(A @ np.concatenate([tau.mu0, tau.mu1]) - g)) <= 1e-13 * np.max(np.abs(g))
+
+
+# the disk, ellipse and annulus at 64 and 256 per curve, and the kite at 256:
+# at 64 the kite's q^T (W - I/2) reads 1.7e-10 |q|, and the two inverse routes
+# agree only to that level there
+_J_ROUTE_MESHES = [(name, n) for name in ("disk", "ellipse", "annulus") for n in (64, 256)]
+_J_ROUTE_MESHES.append(("kite", 256))
 
 
 @pytest.mark.parametrize("side", ["plus", "minus"])
-def test_j_gram_is_built_one_half_at_a_time(side):
-    # A A^T = A0 A0^T + A1 A1^T, each half written into one n x n buffer:
-    # the build holds that buffer and the Gram matrix, where the whole n x 2n
-    # A and its product held 3.13 * 8 n^2 bytes
+@pytest.mark.parametrize("name, n", _J_ROUTE_MESHES)
+def test_j_inverse_gives_the_distribution_of_the_minimum_norm_pair(name, n, side):
+    # the two routes pick different preimages of each image, (eta + c, 0) and
+    # the minimum-norm pair, of one distribution: the same representer and the
+    # same J image
+    mesh = stock_mesh(name, n)
+    g = _MeshCache(mesh).densities(np.random.default_rng(36), 3)
+    got = JMap(mesh, side).pair(g)
+    ref = PairDistribution(side, *min_norm_j_inverse(mesh, side, g), mesh)
+    rep = to_grid_representer(ref)
+    assert not np.any(got.mu1)
+    assert np.max(np.abs(to_grid_representer(got) - rep)) <= 1e-11 * np.max(np.abs(rep))
+    assert np.max(np.abs(J_isometry(got) - J_isometry(ref))) <= 1e-11 * np.max(np.abs(g))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("name", ["disk", "ellipse", "kite", "annulus"])
+def test_equilibrium_density_is_a_left_null_vector_of_w_minus_half(name, n):
+    # q^T (W - I/2) = 0 makes a pair's J image that of its representer, on
+    # which JMap's inverse rests
+    ops = operator_set(stock_mesh(name, n))
+    assert np.linalg.norm(ops.q @ ops.W - 0.5 * ops.q) <= 1e-9 * np.linalg.norm(ops.q)
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_j_inverse_holds_no_n_by_n_array(side):
+    # a block of 3 images, one density solve each: the Gram route built and
+    # factored A A^T, at a tracemalloc peak of 2.02 * 8 n^2 bytes
     mesh = stock_mesh("annulus", 512)
-    ops = operator_set(mesh)
-    n = mesh.n
+    operator_set(mesh)
+    g = _MeshCache(mesh).densities(np.random.default_rng(5), 3)
     tracemalloc.start()
     try:
-        JMap(mesh, side)
+        JMap(mesh, side).inverse(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * 8 * n**2
-    # the factor of the whole A's Gram matrix, formed in one product
-    A = _stacked_j_forward_matrix(mesh, side)
-    reference = scipy.linalg.cholesky(A @ A.T)
-    factor = np.triu(ops.j_factor[side])
-    assert np.max(np.abs(factor - reference)) <= 1e-12 * np.max(np.abs(reference))
+    assert peak <= 64 * 8 * mesh.n
 
 
 @pytest.mark.parametrize("side", ["plus", "minus"])

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import BorderedLU, dense_wt, negated_single_layer, rows_per_block
+from conftest import BorderedLU, dense_v, dense_wt, negated_single_layer, rows_per_block
 from scipy.integrate import quad
 
 from bie2d.errors import LengthMismatch, OutOfRange, SingularSystem
@@ -170,7 +170,7 @@ def test_spectral_convergence_of_w_identity():
 
 def test_operator_matrix_kind_tags(disk128):
     ops = operator_set(disk128)
-    assert np.all(np.isfinite(ops.single_layer_matrix(np.empty((ops.n, ops.n)))))
+    assert np.all(np.isfinite(dense_v(disk128)))
     assert np.all(np.isfinite(ops.W))
 
 
@@ -223,22 +223,21 @@ def test_operator_set_holds_only_its_factors():
     assert sum(held.values()) <= 8 * (n**2 + (n + 1) ** 2) + 64 * (n + 1)
 
     g = np.cos(mesh.t)  # no flux through any component of either side
-    neumann_interior(mesh, g)
-    neumann_exterior(mesh, g)
     tau = PairDistribution("minus", g - np.mean(g), np.sin(mesh.t), mesh)
     dist_jump_check(tau)
-    # each side whose J map is used keeps the n x n factor of its Gram matrix
+    # the J map inverts through the single layer's factor and keeps nothing
     Wt_on_distribution(tau)
-    assert set(ops.j_factor) == {"minus"} and _held_bytes(ops)["j_factor"] == 8 * n**2
+    assert _held_bytes(ops) == held
+    neumann_interior(mesh, g)
+    neumann_exterior(mesh, g)
     assert run_verify(meshes={"annulus": mesh}, n=96).passed
     ops.S_plus, ops.S_minus
     assert mesh.operators is ops
     # besides, each side solved keeps the border and kernel of its bordered
     # Neumann system: two (n, k) arrays, k its component count
-    assert set(ops.bordered) == set(ops.j_factor) == {"plus", "minus"}
+    assert set(ops.bordered) == {"plus", "minus"}
     widths = (mesh.topology.kappa_plus, mesh.topology.kappa_minus)
-    assert _held_bytes(ops) == {**held, "bordered": sum(2 * 8 * n * k for k in widths),
-                                "j_factor": 2 * 8 * n**2}
+    assert _held_bytes(ops) == {**held, "bordered": sum(2 * 8 * n * k for k in widths)}
 
 
 @pytest.mark.parametrize("side", ["plus", "minus"])
@@ -487,7 +486,7 @@ def test_single_layer_products_match_the_assembled_V(name, n, rng):
     assert _relative(ops.single_layer(x), V @ x) <= 1e-14
     assert _relative(ops.single_layer(block), V @ block) <= 1e-14
     assert ops.single_layer(block[:, :0]).shape == (mesh.n, 0)
-    dense = ops.single_layer_matrix(np.empty_like(V))
+    dense = dense_v(mesh)
     assert _relative(dense @ x, ops.single_layer(x)) <= 1e-14
     # both triangles of the dense V come from one of A's, symmetric to about 1e-14
     assert _relative(dense, V) <= 2e-14

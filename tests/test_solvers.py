@@ -13,6 +13,7 @@ from conftest import (
     j_forward_matrix,
     lu_decompose,
     lu_wt_solve,
+    min_norm_j_inverse,
     named_mesh,
     svd_nullspace,
     svd_pair_basis,
@@ -48,6 +49,7 @@ from bie2d.distributions import (
     dist_pairing,
     dist_single_layer_field,
     mass_of,
+    to_grid_representer,
 )
 from bie2d.solvers import (
     check_compat_exterior,
@@ -336,7 +338,6 @@ def test_nullspace_holds_one_matrix_of_its_size():
     # route, which formed its rank-one term whole, held 2.07 n^2
     mesh = stock_mesh("annulus", 256)
     operator_set(mesh)
-    JMap(mesh, "plus")  # the pair route's J factor, built once per mesh
     routes = [partial(nullspace, mesh, kind) for kind in solvers._OP_KINDS]
     routes += [partial(solvers.transpose_kernel_pair_basis, mesh, kind)
                for kind, (_, op) in solvers._OP_KINDS.items() if op == "Wt"]
@@ -693,13 +694,17 @@ def test_kernel_shift_basis_spans_the_svd_nullspace(name, region):
 @pytest.mark.parametrize("side", ["plus", "minus"])
 @pytest.mark.parametrize("name", ["ellipse", "two-disks"])
 def test_j_inverse_is_the_minimum_norm_lstsq_solution(name, side):
+    # the Gram route's reference is the minimum-norm solution, and JMap's
+    # preimage, (eta + c, 0), is another pair of the same distribution
     mesh = stock_mesh(name, 128)
     g = seeded_density(mesh, np.random.default_rng(8))
     expected, _, _, _ = np.linalg.lstsq(j_forward_matrix(mesh, side), g, rcond=1e-12)
+    mu0, mu1 = min_norm_j_inverse(mesh, side, g)
+    assert np.linalg.norm(np.concatenate([mu0, mu1]) - expected) <= 1e-10 * np.linalg.norm(expected)
     tau = JMap(mesh, side).pair(g)
-    z = np.concatenate([tau.mu0, tau.mu1])
-    assert tau.side == side
-    assert np.linalg.norm(z - expected) <= 1e-10 * np.linalg.norm(expected)
+    rep = to_grid_representer(PairDistribution(side, mu0, mu1, mesh))
+    assert tau.side == side and not np.any(tau.mu1)
+    assert np.linalg.norm(to_grid_representer(tau) - rep) <= 1e-11 * np.linalg.norm(rep)
 
 
 def test_rank_deficiency_is_measured_not_copied(monkeypatch):

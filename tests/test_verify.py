@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 from conftest import loop_seeded_density
 
-from bie2d import distributions, geometry, operators, solvers, verify
+from bie2d import geometry, operators, solvers, verify
 from bie2d.distributions import (
     J_isometry,
     JMap,
@@ -122,8 +122,10 @@ def test_nullspace_dims_takes_no_square_svd_and_no_pivoted_qr(monkeypatch):
 
 
 def test_verify_factors_each_j_map_once_and_finds_each_probe_set_once(monkeypatch):
-    # one J factor per side and one candidate pass per (region, count, prefer),
-    # where each identity check used to redo both (21 factors, 14 passes)
+    # one Cholesky factor per mesh, the single layer's, through which every J
+    # map inverts too, and one candidate pass per (region, count, prefer):
+    # each identity check used to redo both (21 factors, 14 passes), and the
+    # J maps took a factor of their own per side
     factors, passes, requests = [], [], []
 
     def counting(real, calls):
@@ -139,17 +141,17 @@ def test_verify_factors_each_j_map_once_and_finds_each_probe_set_once(monkeypatc
     real_probes = verify.probe_points
     # blocks of 8 rows: each candidate pass spans several, and counts once
     monkeypatch.setattr(geometry, "_BLOCK_PAIRS", 8 * 64)
-    monkeypatch.setattr(distributions, "cho_factor", counting(distributions.cho_factor, factors))
+    monkeypatch.setattr(operators, "dpotrf", counting(operators.dpotrf, factors))
     monkeypatch.setattr(verify, "_TargetBlocks", counting(verify._TargetBlocks, passes))
     monkeypatch.setattr(verify, "probe_points", recording_probes)
     assert run_verify(meshes={"disk": stock_mesh("disk", 64)}, n=64).passed
-    assert len(factors) == 2
+    assert len(factors) == 1
     assert len(passes) == len(requests) == len(set(requests)) == 4
 
 
 def test_verify_drops_each_mesh_cache_before_the_next(monkeypatch):
-    # (weak reference, mesh) of every probe set the run builds; the J factors
-    # are no part of the cache: each mesh keeps its own in its OperatorSet
+    # (weak reference, mesh) of every probe set the run builds; the J maps
+    # keep no factor, so each mesh holds its two n x n arrays and no more
     built = []
 
     def gone_before(mesh):
@@ -169,9 +171,11 @@ def test_verify_drops_each_mesh_cache_before_the_next(monkeypatch):
     assert len(built) == 2 * 4
     assert all(ref() is None for ref, _ in built)
     for mesh in meshes.values():
-        factors = mesh.operators.j_factor
-        assert {side: f.shape for side, f in factors.items()} == {
-            "plus": (mesh.n, mesh.n), "minus": (mesh.n, mesh.n)}
+        held = [v for value in vars(mesh.operators).values()
+                for v in (value.values() if isinstance(value, dict) else [value])]
+        square = [a for a in held if isinstance(a, np.ndarray) and a.ndim == 2
+                  and a.shape[1] >= mesh.n - 1]
+        assert [a.shape for a in square] == [(mesh.n, mesh.n), (mesh.n - 1, mesh.n - 1)]
 
 
 @pytest.mark.parametrize("zero_mean", [False, True])
