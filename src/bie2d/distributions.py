@@ -73,7 +73,13 @@ def mass_of(tau):
 
 
 def to_grid_representer(tau):
-    """Grid function phi with pairing(phi, v) = <tau, v> for all grid v."""
+    """Grid function phi with pairing(phi, v) = <tau, v> for all grid v.
+
+    A pair whose mu1 is zero, as every JMap preimage is, is its own mu0:
+    no density solve is made for the zero transpose part.
+    """
+    if not np.any(tau.mu1):
+        return tau.mu0.copy()
     return tau.mu0 + operator_set(tau.mesh).rep(tau.side, tau.mu1)
 
 

@@ -7,22 +7,24 @@ nonvariational Neumann problems solve (-1/2 I + Wt) phi = g (interior) and
 topology gives the left kernels: the weighted indicators of the components
 of the open set (interior) and of the bounded exterior components
 (exterior).  GMRES on the matrix bordered with them, applied from W (Wt is
-never formed), yields a basis of the right kernel, on which the rank
-deficiency is measured; border and kernel are built once per side and kept
-in the mesh's OperatorSet, and a solve runs GMRES for its datum alone and
-projects the kernel out.  A second Dirichlet solver splits g under
-sign/2 I + W, its image's density solved with the transposed bordered
-matrix, and adds a single layer with density in the transpose kernel,
-cross-checking the direct route.  Every +- is the side's sign (README,
-"Sides and signs").  Only the independent checks of those kernels factor
-an n x n matrix, each by one LU that decides its rank (_kernels):
-nullspace factors shift I + W, transpose_kernel_pair_basis its
-J-coordinate matrix.
+never formed) and right-preconditioned by the two-grid solve of the coarse
+Nystrom rule of every s-th node of each curve, yields a basis of the right
+kernel, on which the rank deficiency is measured; border, kernel and the
+coarse system's LU are built once per side and kept in the mesh's
+OperatorSet, and a solve runs GMRES for its datum alone and projects the
+kernel out.  A second Dirichlet solver splits g under sign/2 I + W, its
+image's density solved with the transposed bordered matrix, and adds a
+single layer with density in the transpose kernel, cross-checking the
+direct route.  Every +- is the side's sign (README, "Sides and signs").
+Only the independent checks of those kernels factor an n x n matrix, each
+by one LU that decides its rank (_kernels): nullspace factors shift I + W,
+transpose_kernel_pair_basis its J-coordinate matrix.
 """
 
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular, subspace_angles
@@ -170,6 +172,10 @@ _COMPAT_TOL = 1e-7
 _GMRES_CAP = 100
 _GMRES_TOL = 1e-14
 _PROBE_TOL = 1e-6
+# the preconditioner's coarse rule keeps at least this many nodes of a curve
+# (_coarse_system): with 32 the annulus datum took 3 GMRES steps and the kite's
+# 5-6, with 64 they take 1-2 and 3, and with 16 the annulus took 4-5 and the kite 10
+_COARSE_NODES = 64
 
 
 def _indicators(mesh, side):
@@ -200,12 +206,15 @@ def _bordered_norm(ops, shift, border):
     return float(np.max(np.append(rows, np.sum(B, axis=0))))
 
 
-def _gmres(apply, b, tol=_GMRES_TOL):
+def _gmres(apply, b, precondition, tol=_GMRES_TOL):
     """x with |apply(x) - b| <= tol |b|, by GMRES from zero (Saad & Schultz, 1986).
 
-    Classical Gram-Schmidt runs twice; Givens rotations carry the residual,
-    exact while apply is nonsingular.  b is scaled to unit norm, so that any
-    datum within _MAX_DATUM stays finite.  SingularSystem after _GMRES_CAP steps.
+    Right-preconditioned: GMRES runs on apply(precondition(.)) and returns
+    precondition of its solution, so the residual it stops on is that of
+    apply itself.  Classical Gram-Schmidt runs twice; Givens rotations carry
+    the residual, exact while apply is nonsingular.  b is scaled to unit
+    norm, so that any datum within _MAX_DATUM stays finite.  SingularSystem
+    after _GMRES_CAP steps.
     """
     size = float(np.linalg.norm(b))
     if not size:
@@ -214,7 +223,7 @@ def _gmres(apply, b, tol=_GMRES_TOL):
     rot, g = np.zeros((_GMRES_CAP, 2)), np.zeros(_GMRES_CAP + 1)
     basis[0], g[0] = b / size, 1.0
     for j in range(_GMRES_CAP):
-        v = apply(basis[j])
+        v = apply(precondition(basis[j]))
         for _ in range(2):
             h = basis[:j + 1] @ v
             v -= h @ basis[:j + 1]
@@ -227,26 +236,111 @@ def _gmres(apply, b, tol=_GMRES_TOL):
         g[j + 1], g[j] = -rot[j, 1] * g[j], rot[j, 0] * g[j]
         if abs(g[j + 1]) <= tol:
             y = solve_triangular(H[:j + 1, :j + 1], g[:j + 1], check_finite=False)
-            return size * (y @ basis[:j + 1])
+            return size * precondition(y @ basis[:j + 1])
         basis[j + 1] = v / height
     raise SingularSystem(f"bordered second-kind system is singular: GMRES residual "
                          f"{abs(g[j + 1]):.1e} after {j + 1} steps")
 
 
+class _Coarse(NamedTuple):
+    """The two-grid preconditioner of a side's bordered system (_coarse_system)."""
+
+    nodes: np.ndarray  # (m,) the coarse nodes C
+    rule: np.ndarray  # (m, n) K_fc^T, the coarse rule's columns s Wt[:, C] as rows
+    lu: np.ndarray  # (m + k, m + k) LU of the coarse system, pivots floored
+    piv: np.ndarray
+
+
+class _Bordered(NamedTuple):
+    """A side's bordered Neumann system (_bordered_system), arrays only."""
+
+    border: np.ndarray  # (n, k) weighted indicators in unit columns
+    kernel: np.ndarray  # (n, d) measured right kernel of shift I + Wt
+    coarse: _Coarse
+
+
+def _coarse_system(mesh, ops, shift, border):
+    """The coarse nodes, rule and floored LU of the preconditioner P of M (_bordered_system).
+
+    Each curve keeps every s-th node, s the largest divisor of its node
+    count that keeps at least _COARSE_NODES nodes, and at least 2, so that
+    the coarse system is never the fine one.  On those nodes C the Nystrom
+    rule of Wt is K_fc = s Wt[:, C] = s D^-1 W[C]^T D_C, each column's s
+    that of its curve: the trapezoid rule at s times the spacing (Brakhage,
+    Numer. Math. 2, 1960; Atkinson, The Numerical Solution of Integral
+    Equations of the Second Kind, 1997, ch. 6), read from W's rows C.  The
+    coarse system is F = [shift I + K_fc[C], B[C]; -B^T K_fc, -B^T B].  Its
+    LU's pivots below eps times F's largest entry are raised to that entry,
+    so that P^-1 stays finite and of F's scale when F is singular, and GMRES
+    takes a step more.  Raised only to eps times it, as _kernels raises its
+    own, a pivot amplifies one direction by 1/eps, and GMRES stalled (at
+    2e-7 on the annulus at 128 nodes per curve, with F's first row zeroed).
+    """
+    nodes, strides = [], []
+    for c in range(mesh.n_components):
+        sl = mesh.component_slice(c)
+        count = sl.stop - sl.start
+        d = np.arange(2, count // _COARSE_NODES + 1)
+        s = int(np.max(d[count % d == 0], initial=2))
+        nodes.append(np.arange(sl.start, sl.stop, s))
+        strides.append(np.full(count // s, float(s)))
+    nodes, strides = np.concatenate(nodes), np.concatenate(strides)
+    w = ops.weights
+    rule = ops.W[nodes]
+    rule *= (strides * w[nodes])[:, None]
+    rule /= w
+    m, k = nodes.size, border.shape[1]
+    F = np.empty((m + k, m + k), order="F")
+    F[:m, :m] = rule[:, nodes].T
+    F[range(m), range(m)] += shift
+    F[:m, m:] = border[nodes]
+    F[m:, :m] = -(rule @ border).T
+    F[m:, m:] = -(border.T @ border)
+    scale = np.max(np.abs(F))
+    lu, piv, _ = dgetrf(F, overwrite_a=True)
+    small = np.flatnonzero(np.abs(lu.diagonal()) < np.finfo(float).eps * scale)
+    lu[small, small] = np.copysign(scale, lu[small, small])
+    return _Coarse(nodes, rule, lu, piv)
+
+
+def _precondition(shift, border, coarse, transpose, z):
+    """P^-1 z, or P^-T z with transpose, for the two-grid preconditioner P of M.
+
+    P^-1 [b; c] solves F [x_C; y] = [b[C]; shift c - B^T b] on the coarse
+    system F (_coarse_system) and returns [(b - K_fc x_C - B y) / shift; y]:
+    the fine values of the coarse solution by the Nystrom interpolation.
+    P^-T is its transpose, which preconditions M^T.
+    """
+    nodes, rule, lu, piv = coarse
+    n, m = rule.shape[1], nodes.size
+    b, c = z[:n], z[n:]
+    if transpose:
+        u = dgetrs(lu, piv, np.append(rule @ b / -shift, c - border.T @ b / shift), trans=1)[0]
+        x = b / shift - border @ u[m:]
+        x[nodes] += u[:m]
+        return np.append(x, shift * u[m:])
+    xy = dgetrs(lu, piv, np.append(b[nodes], shift * c - border.T @ b))[0]
+    x = (b - xy[:m] @ rule - border @ xy[m:]) / shift
+    return np.append(x, xy[m:])
+
+
 def _bordered_system(mesh, side):
-    """The side's border B and measured kernel, built on first use and kept in the OperatorSet.
+    """The side's bordered record (_Bordered), built on first use and kept in the OperatorSet.
 
     M = [A, B; B^T, 0] borders A = shift I + D^-1 W^T D (the side's shift)
     with B, the side's weighted indicators in unit columns, which span the
     left kernel of A.  A is the identity's multiple plus a compact operator,
-    so GMRES takes a number of steps that does not depend on n.  A seeded
-    random probe, which a singular M cannot reach though a consistent datum
-    can, is solved first: SingularSystem unless M maps its solution back to
-    it to _PROBE_TOL, and nothing is kept.  The solutions of the border rows'
-    unit vectors span the right kernel of A, and the vectors of that span A
-    maps below _RANK_TOL times the inf-norm of M are the measured kernel.
-    No datum enters: _neumann solves with M, _decompose with M^T.  The
-    record holds arrays only, so it refers back to nothing.
+    so GMRES takes a number of steps that does not depend on n, and the
+    two-grid preconditioner P (_coarse_system, _precondition), whose coarse
+    rule resolves that compact operator, takes it to a few.  Every GMRES run
+    with M is right-preconditioned by P, every one with M^T by P^T.  A
+    seeded random probe, which a singular M cannot reach though a consistent
+    datum can, is solved first: SingularSystem unless M maps its solution
+    back to it to _PROBE_TOL, and nothing is kept.  The solutions of the
+    border rows' unit vectors span the right kernel of A, and the vectors
+    of that span A maps below _RANK_TOL times the inf-norm of M are the
+    measured kernel.  No datum enters: _neumann solves with M, _decompose
+    with M^T.  The record holds arrays only, so it refers back to nothing.
     """
     ops = operator_set(mesh)
     if side.name in ops.bordered:
@@ -254,21 +348,24 @@ def _bordered_system(mesh, side):
     border = _indicators(mesh, side) * mesh.weights[:, None]
     border /= np.linalg.norm(border, axis=0)
     n, k = border.shape
+    coarse = _coarse_system(mesh, ops, side.shift, border)
     product = partial(_bordered, ops, side.shift, border, False)
+    precondition = partial(_precondition, side.shift, border, coarse, False)
     probe = np.random.default_rng(0).standard_normal(n + k)
-    miss = np.linalg.norm(product(_gmres(product, probe, _PROBE_TOL)) - probe)
+    miss = np.linalg.norm(product(_gmres(product, probe, precondition, _PROBE_TOL)) - probe)
     miss /= np.linalg.norm(probe)
     if not miss <= _PROBE_TOL:
         raise SingularSystem("bordered second-kind system is singular: "
                              f"it misses a random right-hand side by {miss:.1e}")
     kernel = np.zeros((n, 0))
     if k:
-        span = np.column_stack([_gmres(product, e)[:n] for e in np.eye(k, n + k, n)])
+        span = np.column_stack([_gmres(product, e, precondition)[:n]
+                                for e in np.eye(k, n + k, n)])
         span, _ = np.linalg.qr(span)
         _, sv, vt = np.linalg.svd(side.shift * span + ops._wt(span), full_matrices=False)
         kernel = span @ vt[sv <= _RANK_TOL * _bordered_norm(ops, side.shift, border)].T
-    ops.bordered[side.name] = border, kernel
-    return border, kernel
+    ops.bordered[side.name] = record = _Bordered(border, kernel, coarse)
+    return record
 
 
 def _neumann(mesh, g, region):
@@ -283,9 +380,10 @@ def _neumann(mesh, g, region):
         raise IncompatibleData(f"datum has nonzero flux through "
                                f"{'an exterior' if exterior else 'a'} component boundary",
                                pairings=compat)
-    border, kernel = _bordered_system(mesh, side)
+    border, kernel, coarse = _bordered_system(mesh, side)
     product = partial(_bordered, ops, side.shift, border, False)
-    x = _gmres(product, np.append(rep, np.zeros(border.shape[1])))[:mesh.n]
+    precondition = partial(_precondition, side.shift, border, coarse, False)
+    x = _gmres(product, np.append(rep, np.zeros(border.shape[1])), precondition)[:mesh.n]
     phi = x - kernel @ (kernel.T @ x)
     A_phi = side.shift * phi + ops._wt(phi)
     resid = float(np.linalg.norm(A_phi - rep))
@@ -534,7 +632,7 @@ def _decompose(mesh, g, sign):
     side = _side(sign).opposite
     g = _datum(mesh, g)
     K = _indicators(mesh, side)
-    border, P = _bordered_system(mesh, side)
+    border, P, coarse = _bordered_system(mesh, side)
     DP = P * mesh.weights[:, None]
     g_ker = np.zeros(mesh.n)
     if K.shape[1]:
@@ -545,7 +643,8 @@ def _decompose(mesh, g, sign):
     g_im = g - g_ker
     rhs = np.append(mesh.weights * g_im, np.zeros(K.shape[1]))
     transposed = partial(_bordered, operator_set(mesh), side.shift, border, True)
-    psi = _gmres(transposed, rhs)[:mesh.n] / mesh.weights
+    precondition = partial(_precondition, side.shift, border, coarse, True)
+    psi = _gmres(transposed, rhs, precondition)[:mesh.n] / mesh.weights
     psi -= K @ ((K.T @ psi) / np.sum(K, axis=0))  # K^T K is diagonal
     resid = float(np.linalg.norm(side.shift * psi + operator_set(mesh).W @ psi - g_im))
     if resid > 1e-7 * max(1.0, float(np.linalg.norm(g))):

@@ -204,6 +204,31 @@ def test_a_repeat_wt_on_distribution_builds_no_j_factor(monkeypatch):
     assert all(vars(ops)[name] is value for name, value in held.items())
 
 
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_the_representer_of_a_j_map_pair_makes_no_density_solve(monkeypatch, side):
+    # JMap's preimage (eta + c, 0) is its own representer: the zero transpose
+    # part costs no W product and no density solve, for a pair or a block
+    from bie2d import operators
+
+    mesh = stock_mesh("ellipse", 64)
+    rng = np.random.default_rng(5)
+    images = np.column_stack([seeded_density(mesh, rng) for _ in range(3)])
+    pairs = [JMap(mesh, side).pair(images[:, 0]), JMap(mesh, side).pair(images)]
+    expected = [tau.mu0 + operator_set(mesh).rep(side, tau.mu1) for tau in pairs]
+    solves = []
+    density = operators.OperatorSet._density
+
+    def counted(self, g):
+        solves.append(1)
+        return density(self, g)
+
+    monkeypatch.setattr(operators.OperatorSet, "_density", counted)
+    for tau, reference in zip(pairs, expected):
+        rep = to_grid_representer(tau)
+        assert np.array_equal(rep, reference) and rep is not tau.mu0
+    assert not solves
+
+
 def test_mass_laws(ellipse, rng):
     mu0 = seeded_density(ellipse, rng)
     mu1 = seeded_density(ellipse, rng)

@@ -234,10 +234,15 @@ def test_operator_set_holds_only_its_factors():
     ops.S_plus, ops.S_minus
     assert mesh.operators is ops
     # besides, each side solved keeps the border and kernel of its bordered
-    # Neumann system: two (n, k) arrays, k its component count
+    # Neumann system, two (n, k) arrays, k its component count, and its
+    # preconditioner: the m coarse nodes (every second node of a 96-node
+    # curve), the (m, n) coarse rule, and the LU of the (m + k) square coarse
+    # system with its int32 pivots
     assert set(ops.bordered) == {"plus", "minus"}
     widths = (mesh.topology.kappa_plus, mesh.topology.kappa_minus)
-    assert _held_bytes(ops) == {**held, "bordered": sum(2 * 8 * n * k for k in widths)}
+    m = n // 2
+    record = sum(8 * (2 * n * k + m + m * n + (m + k) ** 2) + 4 * (m + k) for k in widths)
+    assert _held_bytes(ops) == {**held, "bordered": record}
 
 
 @pytest.mark.parametrize("side", ["plus", "minus"])

@@ -37,6 +37,7 @@ from bie2d.geometry import (
     integrate,
     locate_points,
     stock_mesh,
+    stock_specs,
 )
 from bie2d.operators import OperatorSet, _side, operator_set
 from bie2d.potentials import HarmonicField, value_at_infinity
@@ -684,7 +685,7 @@ def test_neumann_density_is_the_minimum_norm_lstsq_solution(name, region):
 def test_kernel_shift_basis_spans_the_svd_nullspace(name, region):
     mesh = stock_mesh(name, 128)
     side = _side(region, "region")
-    _, basis = solvers._bordered_system(mesh, side)
+    basis = solvers._bordered_system(mesh, side).kernel
     svd = nullspace(mesh, _KERNEL_KINDS[region]).vectors
     assert basis.shape == svd.shape
     if svd.shape[1]:
@@ -829,23 +830,40 @@ def test_wt_solve_allocates_less_than_one_square_array():
 
 
 _SIX_MESHES = ["disk", "disk2", "ellipse", "kite", "annulus", "two-disks"]
+# the harder inputs of the preconditioned GMRES: two unit circles 0.1 apart,
+# three nested circles, and 262 nodes per curve, where the coarse stride is 2
+_GMRES_MESHES = {
+    **{name: (stock_specs(name), 256) for name in _SIX_MESHES},
+    "close-disks": ([CurveSpec("circle", center=(x, 0.0), radius=1.0) for x in (-1.05, 1.05)],
+                    256),
+    "nested-2": (NESTED_SPECS["nested-2"], 128),
+    "annulus-262": (stock_specs("annulus"), 262),
+}
+
+
+def _bordered_gmres(mesh, side, rhs):
+    """The Neumann solvers' solution of M x = [rhs; 0]: the datum's GMRES on the side's record."""
+    border, kernel, coarse = solvers._bordered_system(mesh, side)
+    product = partial(solvers._bordered, operator_set(mesh), side.shift, border, False)
+    precondition = partial(solvers._precondition, side.shift, border, coarse, False)
+    b = np.append(rhs, np.zeros(border.shape[1]))
+    return solvers._gmres(product, b, precondition), product, b
 
 
 # 256 nodes: at 64 the kite's operator keeps a singular value near 1.5e-12
 # on its kernel, and the QR and SVD pair kernels differ by 2.6e-11
 @pytest.mark.parametrize("sign", ["plus", "minus"])
-@pytest.mark.parametrize("name", _SIX_MESHES)
+@pytest.mark.parametrize("name", list(_GMRES_MESHES))
 def test_gmres_matches_the_bordered_lu(name, sign):
-    mesh = stock_mesh(name, 256)
+    specs, n = _GMRES_MESHES[name]
+    mesh = build_mesh(specs, [n] * len(specs))
     side = _side(sign)
     rng = np.random.default_rng(4)
     f = rng.standard_normal(mesh.n)
     rhs = side.shift * f + operator_set(mesh)._wt(f)  # in the range
     x, kernel, _ = lu_wt_solve(mesh, side, rhs)
-    # the Neumann solvers' solution: the datum's GMRES on the side's record
-    border, got_kernel = solvers._bordered_system(mesh, side)
-    product = partial(solvers._bordered, operator_set(mesh), side.shift, border, False)
-    got = solvers._gmres(product, np.append(rhs, np.zeros(border.shape[1])))[:mesh.n]
+    got = _bordered_gmres(mesh, side, rhs)[0][:mesh.n]
+    got_kernel = solvers._bordered_system(mesh, side).kernel
     got -= got_kernel @ (got_kernel.T @ got)
     assert np.linalg.norm(got - x) <= 1e-12 * np.linalg.norm(x)
     assert solvers._subspace_angle(got_kernel, kernel) <= 1e-12
@@ -857,6 +875,45 @@ def test_gmres_matches_the_bordered_lu(name, sign):
     assert np.linalg.norm(got_ker - g_ker) <= 1e-12 * np.linalg.norm(g)
     assert np.linalg.norm(got_psi - psi) <= 1e-12 * np.linalg.norm(psi)
     assert solvers._subspace_angle(got_P, P) <= 1e-12
+
+
+def test_the_coarse_stride_keeps_sixty_four_nodes_of_each_curve():
+    # the largest divisor of the curve's node count that keeps at least 64
+    # coarse nodes, and 2 where none of at least 2 does
+    for counts, strides in (([768], [12]), ([384, 256], [6, 4]), ([262, 64], [2, 2]),
+                            ([200, 130], [2, 2]), ([16], [2])):
+        specs = [CurveSpec("circle", radius=r) for r in (4.0, 2.0)[:len(counts)]]
+        mesh = build_mesh(specs, counts)
+        nodes = solvers._bordered_system(mesh, _side("plus")).coarse.nodes
+        starts = np.cumsum([0] + counts[:-1])
+        expected = [np.arange(a, a + c, s) for a, c, s in zip(starts, counts, strides)]
+        assert np.array_equal(nodes, np.concatenate(expected))
+
+
+def test_a_singular_coarse_system_only_slows_gmres(monkeypatch):
+    # a coarse matrix with a zero row is exactly singular: its floored
+    # factor keeps P^-1 finite, and the datum still solves to _GMRES_TOL
+    mesh = stock_mesh("annulus", 128)
+    side = _side("plus")
+    infos = []
+
+    def singular(a, *args, **kwargs):
+        a[0] = 0.0
+        lu, piv, info = dgetrf(a, *args, **kwargs)
+        infos.append(info)
+        return lu, piv, info
+
+    monkeypatch.setattr(solvers, "dgetrf", singular)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        border, _, coarse = solvers._bordered_system(mesh, side)
+        assert infos[0] > 0
+        z = np.random.default_rng(1).standard_normal(mesh.n + border.shape[1])
+        for transpose in (False, True):
+            assert np.isfinite(solvers._precondition(side.shift, border, coarse, transpose, z)).all()
+        g = _range_datum(mesh, "interior", 6)
+        x, product, b = _bordered_gmres(mesh, side, g)
+    assert np.linalg.norm(product(x) - b) <= solvers._GMRES_TOL * np.linalg.norm(b)
 
 
 class _IdentityJMap:
@@ -973,6 +1030,31 @@ def test_pair_kernel_counts_the_svd_dimension_on_an_under_resolved_mesh():
     ref = svd_pair_basis(mesh, "minus_half_plus_Wt")
     assert got.shape[1] == ref.shape[1] == nullspace(mesh, "minus_half_plus_Wt").dimension == 2
     assert solvers._subspace_angle(got, ref) <= 1e-10
+
+
+def test_a_cold_neumann_solve_takes_five_bordered_products(monkeypatch):
+    # the annulus's first interior solve, with the datum of u = r^3 cos 3 theta:
+    # 3 for the probe (2 steps and the product that measures its miss), 1 for
+    # the border column and 1 for the datum; a repeat makes the datum's alone
+    # (16 at the unpreconditioned GMRES: 11, 3 and 2)
+    products = []
+    bordered = solvers._bordered
+
+    def counted(*args):
+        products.append(args[3])
+        return bordered(*args)
+
+    monkeypatch.setattr(solvers, "_bordered", counted)
+    for n in (128, 512):
+        mesh = stock_mesh("annulus", n)
+        x, y = mesh.x.T
+        g = mesh.normal[:, 0] * 3.0 * (x**2 - y**2) - mesh.normal[:, 1] * 6.0 * x * y
+        counts = []
+        for _ in range(2):
+            products.clear()
+            neumann_interior(mesh, g)
+            counts.append(len(products))
+        assert counts == [5, 1] and not any(products)
 
 
 def test_neumann_solve_takes_as_many_products_at_every_size(monkeypatch):

@@ -89,7 +89,14 @@ def test_verify_takes_four_square_lus_per_mesh(monkeypatch, name):
 
     monkeypatch.setattr(solvers, "dgetrf", counting)
     assert run_verify(meshes={name: mesh}, n=64).passed
-    assert shapes == [(mesh.n, mesh.n)] * 4
+    square = [shape for shape in shapes if shape == (mesh.n, mesh.n)]
+    assert square == [(mesh.n, mesh.n)] * 4
+    # besides, one LU of each side's coarse system, which preconditions its
+    # bordered GMRES: every second node of a 64-node curve, and the border
+    m = mesh.n // 2
+    coarse = sorted(shape for shape in shapes if shape != (mesh.n, mesh.n))
+    widths = (mesh.topology.kappa_plus, mesh.topology.kappa_minus)
+    assert coarse == sorted((m + k, m + k) for k in widths)
 
 
 def test_nullspace_dims_takes_no_square_svd_and_no_pivoted_qr(monkeypatch):
@@ -231,8 +238,9 @@ def test_nullspace_dims_compares_the_kernel_the_solvers_use(monkeypatch):
 
     def turned(mesh, side):
         # the bordered-GMRES kernel, rotated 1e-3 rad out of the true one
-        border, kernel = real(mesh, side)
-        return border, np.linalg.qr(kernel + 1e-3 * np.cos(3 * mesh.t)[:, None])[0]
+        record = real(mesh, side)
+        return record._replace(
+            kernel=np.linalg.qr(record.kernel + 1e-3 * np.cos(3 * mesh.t)[:, None])[0])
 
     assert verify.check_nullspace_dims(mesh, rng, verify._MeshCache(mesh)) <= 1e-5
     monkeypatch.setattr(verify, "_bordered_system", turned)
