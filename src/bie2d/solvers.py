@@ -276,18 +276,18 @@ def _coarse_system(mesh, ops, shift, border):
     own, a pivot amplifies one direction by 1/eps, and GMRES stalled (at
     2e-7 on the annulus at 128 nodes per curve, with F's first row zeroed).
     """
-    nodes, strides = [], []
+    w = ops.weights
+    nodes, weights = [], []  # weights: s w_C, the coarse trapezoid rule's
     for c in range(mesh.n_components):
         sl = mesh.component_slice(c)
         count = sl.stop - sl.start
         d = np.arange(2, count // _COARSE_NODES + 1)
         s = int(np.max(d[count % d == 0], initial=2))
         nodes.append(np.arange(sl.start, sl.stop, s))
-        strides.append(np.full(count // s, float(s)))
-    nodes, strides = np.concatenate(nodes), np.concatenate(strides)
-    w = ops.weights
+        weights.append(s * w[nodes[-1]])
+    nodes = np.concatenate(nodes)
     rule = ops.W[nodes]
-    rule *= (strides * w[nodes])[:, None]
+    rule *= np.concatenate(weights)[:, None]
     rule /= w
     m, k = nodes.size, border.shape[1]
     F = np.empty((m + k, m + k), order="F")
@@ -626,7 +626,8 @@ def _decompose(mesh, g, sign):
     spanned by the indicators K of the opposite side, its left kernel by D P.
     P and the border B are the side's record (_bordered_system), whose M^T,
     [D (sign/2 I + W) D^-1, B; B^T, 0], solves M^T [D psi0; 0] = [D g_im; 0]
-    by one GMRES run, and psi is psi0 minus its K part.
+    by one GMRES run, preconditioned by the transposed two-grid solve P^-T
+    from the record's coarse LU, and psi is psi0 minus its K part.
     """
     # sign/2 I + Wt is the operator of the Neumann problem on the opposite side
     side = _side(sign).opposite
