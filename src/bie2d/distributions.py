@@ -172,6 +172,13 @@ class JMap:
         return PairDistribution(self.side, *self.inverse(g), self.mesh)
 
 
+def _mass_column(ops):
+    """W V1 - V1/2, V1 the single layer of the constant 1: the J image of
+    Wt tau is W g plus this column times <tau,1>/<1,1>, g the image of tau."""
+    v1 = ops.single_layer(np.ones(ops.n))
+    return ops.W @ v1 - 0.5 * v1
+
+
 def Wt_on_distribution(tau):
     """Adjoint double-layer operator applied to a pair distribution, or to each
     pair of a block.
@@ -186,8 +193,7 @@ def Wt_on_distribution(tau):
     g = J_isometry(tau)
     m = mass_of(tau)
     length = integrate(mesh, np.ones(mesh.n))
-    v1 = ops.single_layer(np.ones(mesh.n))
-    g_out = ops.W @ g + np.multiply.outer(ops.W @ v1 - 0.5 * v1, m / length)
+    g_out = ops.W @ g + np.multiply.outer(_mass_column(ops), m / length)
     out = JMap(mesh, tau.side).pair(g_out)
     # pin the mass law <Wt tau, 1> = <tau, 1> / 2 in the stored densities
     out.mu0 = out.mu0 + (0.5 * m - mass_of(out)) / length

@@ -42,8 +42,8 @@ name every layer gives it (README, "Sides and signs").  The operators live
 in one OperatorSet per mesh, stored in mesh.operators by operator_set; it
 keeps the node count and the weights it needs, never the mesh itself.  The
 set holds two dense arrays, W and the Cholesky factor of T, besides the
-O(n m) records of the sides' bordered Neumann systems, m coarse nodes
-(solvers); the J map
+O(n m) records of the sides' bordered Neumann systems, which share one
+coarse rule of m nodes (solvers); the J map
 inverts through the same factor (distributions.JMap).  It holds V only
 inside the factor's array: dpotrf leaves T's other triangle there, and
 A[1:, 1:] = u_i + u_j - T_ij with u a vector (_projected_cholesky), so a
@@ -263,10 +263,11 @@ class OperatorSet:
     functional q, the last row of the bordered inverse; bordered, by side
     name the record of each used side's Neumann system
     (solvers._bordered_system): its (n, k) border and measured kernel, and
-    its preconditioner's m coarse nodes, (m, n) coarse rule and LU of the
-    (m + k) square coarse system with its pivots,
-    8 (2 n k + m + m n + (m + k)^2) + 4 (m + k) bytes, m at most about 64
-    per curve (0.93 MB for a side of the 768-node annulus, m = 128).  W and
+    the LU of its preconditioner's (m + k) square coarse system with its
+    pivots, 8 (2 n k + (m + k)^2) + 4 (m + k) bytes, and the m coarse nodes
+    and (m, n) coarse rule that both sides' records share, 8 (m + m n)
+    bytes once per mesh; m is at most about 64 per curve (1.08 MB for both
+    sides of the 768-node annulus, m = 128).  W and
     the factor are the only arrays of size n^2.  V is applied by single_layer from the factor's array,
     whose other triangle still holds T, and never written out.  Wt is
     applied from W, and the Dirichlet-to-Neumann maps and their weighted

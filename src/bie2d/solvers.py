@@ -10,9 +10,9 @@ of the open set (interior) and of the bounded exterior components
 never formed) and right-preconditioned by the two-grid solve of the coarse
 Nystrom rule of every s-th node of each curve, yields a basis of the right
 kernel, on which the rank deficiency is measured; border, kernel and the
-coarse system's LU are built once per side and kept in the mesh's
-OperatorSet, and a solve runs GMRES for its datum alone and projects the
-kernel out.  A second Dirichlet solver splits g under sign/2 I + W, its
+coarse system's LU are built once per side, the coarse rule once per mesh,
+and kept in the mesh's OperatorSet, and a solve runs GMRES for its datum
+alone and projects the kernel out.  A second Dirichlet solver splits g under sign/2 I + W, its
 image's density solved with the transposed bordered matrix, and adds a
 single layer with density in the transpose kernel, cross-checking the
 direct route.  Every +- is the side's sign (README, "Sides and signs").
@@ -38,12 +38,13 @@ from .errors import (
     OutOfRange,
     SingularSystem,
 )
-from .geometry import _check_aligned, _row_blocks, _TargetBlocks, indicator, integrate, pairing
+from .geometry import _check_aligned, _TargetBlocks, indicator, integrate, pairing
 from .operators import _side, operator_set
 from .potentials import HarmonicField, trace_double, trace_single
 from .distributions import (
     JMap,
     PairDistribution,
+    _mass_column,
     to_grid_representer,
 )
 
@@ -198,14 +199,6 @@ def _bordered(ops, shift, border, transpose, z):
     return np.concatenate((shift * x + image + border @ z[ops.n:], border.T @ x))
 
 
-def _bordered_norm(ops, shift, border):
-    """Inf-norm of M (_bordered); |Wt| has row sums |W|^T w / w, summed over row blocks of W."""
-    w, d, B = ops.weights, np.diagonal(ops.W), np.abs(border)
-    sums = sum(w[lo:hi] @ np.abs(ops.W[lo:hi]) for lo, hi in _row_blocks(0, ops.n, ops.n))
-    rows = sums / w - np.abs(d) + np.abs(shift + d) + np.sum(B, axis=1)
-    return float(np.max(np.append(rows, np.sum(B, axis=0))))
-
-
 def _gmres(apply, b, precondition, tol=_GMRES_TOL):
     """x with |apply(x) - b| <= tol |b|, by GMRES from zero (Saad & Schultz, 1986).
 
@@ -242,21 +235,16 @@ def _gmres(apply, b, precondition, tol=_GMRES_TOL):
                          f"{abs(g[j + 1]):.1e} after {j + 1} steps")
 
 
-class _Coarse(NamedTuple):
-    """The two-grid preconditioner of a side's bordered system (_coarse_system)."""
+class _Bordered(NamedTuple):
+    """A side's bordered Neumann system and its preconditioner (_bordered_system), arrays only;
+    a mesh's two records hold the same nodes and rule (_coarse_system)."""
 
+    border: np.ndarray  # (n, k) weighted indicators in unit columns
+    kernel: np.ndarray  # (n, d) measured right kernel of shift I + Wt
     nodes: np.ndarray  # (m,) the coarse nodes C
     rule: np.ndarray  # (m, n) K_fc^T, the coarse rule's columns s Wt[:, C] as rows
     lu: np.ndarray  # (m + k, m + k) LU of the coarse system, pivots floored
     piv: np.ndarray
-
-
-class _Bordered(NamedTuple):
-    """A side's bordered Neumann system (_bordered_system), arrays only."""
-
-    border: np.ndarray  # (n, k) weighted indicators in unit columns
-    kernel: np.ndarray  # (n, d) measured right kernel of shift I + Wt
-    coarse: _Coarse
 
 
 def _coarse_system(mesh, ops, shift, border):
@@ -269,26 +257,32 @@ def _coarse_system(mesh, ops, shift, border):
     that of its curve: the trapezoid rule at s times the spacing (Brakhage,
     Numer. Math. 2, 1960; Atkinson, The Numerical Solution of Integral
     Equations of the Second Kind, 1997, ch. 6), read from W's rows C.  The
-    coarse system is F = [shift I + K_fc[C], B[C]; -B^T K_fc, -B^T B].  Its
-    LU's pivots below eps times F's largest entry are raised to that entry,
-    so that P^-1 stays finite and of F's scale when F is singular, and GMRES
-    takes a step more.  Raised only to eps times it, as _kernels raises its
-    own, a pivot amplifies one direction by 1/eps, and GMRES stalled (at
-    2e-7 on the annulus at 128 nodes per curve, with F's first row zeroed).
+    nodes and rule hold no shift or border, so a side built second takes
+    those of the other side's record, the same arrays.  The coarse system
+    is F = [shift I + K_fc[C], B[C]; -B^T K_fc, -B^T B].  Its LU's pivots
+    below eps times F's largest entry are raised to that entry, so that
+    P^-1 stays finite and of F's scale when F is singular, and GMRES takes
+    a step more.  Raised only to eps times it, as _kernels raises its own,
+    a pivot amplifies one direction by 1/eps, and GMRES stalled (at 2e-7 on
+    the annulus at 128 nodes per curve, with F's first row zeroed).
     """
-    w = ops.weights
-    nodes, weights = [], []  # weights: s w_C, the coarse trapezoid rule's
-    for c in range(mesh.n_components):
-        sl = mesh.component_slice(c)
-        count = sl.stop - sl.start
-        d = np.arange(2, count // _COARSE_NODES + 1)
-        s = int(np.max(d[count % d == 0], initial=2))
-        nodes.append(np.arange(sl.start, sl.stop, s))
-        weights.append(s * w[nodes[-1]])
-    nodes = np.concatenate(nodes)
-    rule = ops.W[nodes]
-    rule *= np.concatenate(weights)[:, None]
-    rule /= w
+    other = next(iter(ops.bordered.values()), None)
+    if other is not None:
+        nodes, rule = other.nodes, other.rule
+    else:
+        w = ops.weights
+        nodes, weights = [], []  # weights: s w_C, the coarse trapezoid rule's
+        for c in range(mesh.n_components):
+            sl = mesh.component_slice(c)
+            count = sl.stop - sl.start
+            d = np.arange(2, count // _COARSE_NODES + 1)
+            s = int(np.max(d[count % d == 0], initial=2))
+            nodes.append(np.arange(sl.start, sl.stop, s))
+            weights.append(s * w[nodes[-1]])
+        nodes = np.concatenate(nodes)
+        rule = ops.W[nodes]
+        rule *= np.concatenate(weights)[:, None]
+        rule /= w
     m, k = nodes.size, border.shape[1]
     F = np.empty((m + k, m + k), order="F")
     F[:m, :m] = rule[:, nodes].T
@@ -300,18 +294,19 @@ def _coarse_system(mesh, ops, shift, border):
     lu, piv, _ = dgetrf(F, overwrite_a=True)
     small = np.flatnonzero(np.abs(lu.diagonal()) < np.finfo(float).eps * scale)
     lu[small, small] = np.copysign(scale, lu[small, small])
-    return _Coarse(nodes, rule, lu, piv)
+    return nodes, rule, lu, piv
 
 
-def _precondition(shift, border, coarse, transpose, z):
+def _precondition(shift, record, transpose, z):
     """P^-1 z, or P^-T z with transpose, for the two-grid preconditioner P of M.
 
     P^-1 [b; c] solves F [x_C; y] = [b[C]; shift c - B^T b] on the coarse
-    system F (_coarse_system) and returns [(b - K_fc x_C - B y) / shift; y]:
-    the fine values of the coarse solution by the Nystrom interpolation.
-    P^-T is its transpose, which preconditions M^T.
+    system F (_coarse_system) of the record (_Bordered) and returns
+    [(b - K_fc x_C - B y) / shift; y]: the fine values of the coarse
+    solution by the Nystrom interpolation.  P^-T is its transpose, which
+    preconditions M^T.
     """
-    nodes, rule, lu, piv = coarse
+    border, _, nodes, rule, lu, piv = record
     n, m = rule.shape[1], nodes.size
     b, c = z[:n], z[n:]
     if transpose:
@@ -324,6 +319,13 @@ def _precondition(shift, border, coarse, transpose, z):
     return np.append(x, xy[m:])
 
 
+def _bordered_solve(ops, shift, record, b, transpose=False, tol=_GMRES_TOL):
+    """x with |M x - b| <= tol |b|, or M^T x with transpose, for the side's M
+    (_bordered) of the record: GMRES right-preconditioned by P, or by P^T."""
+    return _gmres(partial(_bordered, ops, shift, record.border, transpose), b,
+                  partial(_precondition, shift, record, transpose), tol)
+
+
 def _bordered_system(mesh, side):
     """The side's bordered record (_Bordered), built on first use and kept in the OperatorSet.
 
@@ -333,14 +335,16 @@ def _bordered_system(mesh, side):
     so GMRES takes a number of steps that does not depend on n, and the
     two-grid preconditioner P (_coarse_system, _precondition), whose coarse
     rule resolves that compact operator, takes it to a few.  Every GMRES run
-    with M is right-preconditioned by P, every one with M^T by P^T.  A
-    seeded random probe, which a singular M cannot reach though a consistent
-    datum can, is solved first: SingularSystem unless M maps its solution
-    back to it to _PROBE_TOL, and nothing is kept.  The solutions of the
-    border rows' unit vectors span the right kernel of A, and the vectors
-    of that span A maps below _RANK_TOL times the inf-norm of M are the
-    measured kernel.  No datum enters: _neumann solves with M, _decompose
-    with M^T.  The record holds arrays only, so it refers back to nothing.
+    with M is right-preconditioned by P, every one with M^T by P^T
+    (_bordered_solve).  A seeded random probe, which a singular M cannot
+    reach though a consistent datum can, is solved first: SingularSystem
+    unless M maps its solution back to it to _PROBE_TOL, and nothing is
+    kept.  The solutions of the border rows' unit vectors span the right
+    kernel of A, and the vectors of that span A maps below _RANK_TOL times
+    B's largest column 1-norm are the measured kernel: a lower bound of
+    the inf-norm of M, equal to it on every mesh measured, that reads no
+    entry of W.  No datum enters: _neumann solves with M, _decompose with
+    M^T.  The record holds arrays only, so it refers back to nothing.
     """
     ops = operator_set(mesh)
     if side.name in ops.bordered:
@@ -348,23 +352,22 @@ def _bordered_system(mesh, side):
     border = _indicators(mesh, side) * mesh.weights[:, None]
     border /= np.linalg.norm(border, axis=0)
     n, k = border.shape
-    coarse = _coarse_system(mesh, ops, side.shift, border)
-    product = partial(_bordered, ops, side.shift, border, False)
-    precondition = partial(_precondition, side.shift, border, coarse, False)
+    record = _Bordered(border, np.zeros((n, 0)), *_coarse_system(mesh, ops, side.shift, border))
     probe = np.random.default_rng(0).standard_normal(n + k)
-    miss = np.linalg.norm(product(_gmres(product, probe, precondition, _PROBE_TOL)) - probe)
+    x = _bordered_solve(ops, side.shift, record, probe, tol=_PROBE_TOL)
+    miss = np.linalg.norm(_bordered(ops, side.shift, border, False, x) - probe)
     miss /= np.linalg.norm(probe)
     if not miss <= _PROBE_TOL:
         raise SingularSystem("bordered second-kind system is singular: "
                              f"it misses a random right-hand side by {miss:.1e}")
-    kernel = np.zeros((n, 0))
     if k:
-        span = np.column_stack([_gmres(product, e, precondition)[:n]
+        span = np.column_stack([_bordered_solve(ops, side.shift, record, e)[:n]
                                 for e in np.eye(k, n + k, n)])
         span, _ = np.linalg.qr(span)
         _, sv, vt = np.linalg.svd(side.shift * span + ops._wt(span), full_matrices=False)
-        kernel = span @ vt[sv <= _RANK_TOL * _bordered_norm(ops, side.shift, border)].T
-    ops.bordered[side.name] = record = _Bordered(border, kernel, coarse)
+        scale = np.max(np.sum(np.abs(border), axis=0))  # B's largest column 1-norm
+        record = record._replace(kernel=span @ vt[sv <= _RANK_TOL * scale].T)
+    ops.bordered[side.name] = record
     return record
 
 
@@ -380,10 +383,9 @@ def _neumann(mesh, g, region):
         raise IncompatibleData(f"datum has nonzero flux through "
                                f"{'an exterior' if exterior else 'a'} component boundary",
                                pairings=compat)
-    border, kernel, coarse = _bordered_system(mesh, side)
-    product = partial(_bordered, ops, side.shift, border, False)
-    precondition = partial(_precondition, side.shift, border, coarse, False)
-    x = _gmres(product, np.append(rep, np.zeros(border.shape[1])), precondition)[:mesh.n]
+    record = _bordered_system(mesh, side)
+    k, kernel = record.border.shape[1], record.kernel
+    x = _bordered_solve(ops, side.shift, record, np.append(rep, np.zeros(k)))[:mesh.n]
     phi = x - kernel @ (kernel.T @ x)
     A_phi = side.shift * phi + ops._wt(phi)
     resid = float(np.linalg.norm(A_phi - rep))
@@ -411,7 +413,7 @@ def _neumann(mesh, g, region):
         residuals=residuals,
         compat=list(compat),
         rank_info={"rank": mesh.n - deficiency, "deficiency": deficiency,
-                   "expected_deficiency": border.shape[1]},
+                   "expected_deficiency": k},
         u_infinity=0.0 if exterior else None,
     )
 
@@ -626,14 +628,15 @@ def _decompose(mesh, g, sign):
     spanned by the indicators K of the opposite side, its left kernel by D P.
     P and the border B are the side's record (_bordered_system), whose M^T,
     [D (sign/2 I + W) D^-1, B; B^T, 0], solves M^T [D psi0; 0] = [D g_im; 0]
-    by one GMRES run, preconditioned by the transposed two-grid solve P^-T
-    from the record's coarse LU, and psi is psi0 minus its K part.
+    by one GMRES run preconditioned by P^T (_bordered_solve), and psi is
+    psi0 minus its K part.
     """
     # sign/2 I + Wt is the operator of the Neumann problem on the opposite side
     side = _side(sign).opposite
     g = _datum(mesh, g)
     K = _indicators(mesh, side)
-    border, P, coarse = _bordered_system(mesh, side)
+    record = _bordered_system(mesh, side)
+    P = record.kernel
     DP = P * mesh.weights[:, None]
     g_ker = np.zeros(mesh.n)
     if K.shape[1]:
@@ -643,9 +646,7 @@ def _decompose(mesh, g, sign):
             raise SingularSystem("oblique projection system is singular") from exc
     g_im = g - g_ker
     rhs = np.append(mesh.weights * g_im, np.zeros(K.shape[1]))
-    transposed = partial(_bordered, operator_set(mesh), side.shift, border, True)
-    precondition = partial(_precondition, side.shift, border, coarse, True)
-    psi = _gmres(transposed, rhs, precondition)[:mesh.n] / mesh.weights
+    psi = _bordered_solve(operator_set(mesh), side.shift, record, rhs, True)[:mesh.n] / mesh.weights
     psi -= K @ ((K.T @ psi) / np.sum(K, axis=0))  # K^T K is diagonal
     resid = float(np.linalg.norm(side.shift * psi + operator_set(mesh).W @ psi - g_im))
     if resid > 1e-7 * max(1.0, float(np.linalg.norm(g))):
@@ -812,8 +813,7 @@ def transpose_kernel_pair_basis(mesh, op_kind):
     side, _ = _op_kind(op_kind, ("Wt",))
     ops = operator_set(mesh)
     n, W, q = mesh.n, ops.W, ops.q
-    v1 = ops.single_layer(np.ones(n))
-    correction = W @ v1 - 0.5 * v1
+    correction = _mass_column(ops)
     # the J-coordinate matrix of shift I + Wt, written over its rank-one term,
     # so that no second n x n array is formed: as a + b = b + a, every entry
     # has the bits of (W + shift I) + correction q^T

@@ -401,7 +401,7 @@ def check_nullspace_dims(mesh, rng, cache):
         if basis.gap < 1e4 or basis.dimension != getattr(mesh.topology, side.kappa):
             return np.pi / 2
         wt = basis.vectors
-        gmres_kernel = _bordered_system(mesh, side)[1]
+        gmres_kernel = _bordered_system(mesh, side).kernel
         pair_kernel = transpose_kernel_pair_basis(mesh, kind)
         worst = max(worst, _subspace_angle(wt, pair_kernel), _subspace_angle(wt, gmres_kernel))
     return worst

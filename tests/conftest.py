@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
-from bie2d.geometry import build_mesh, integrate, stock_mesh, stock_specs, CurveSpec
+from bie2d.geometry import _row_blocks, build_mesh, integrate, stock_mesh, stock_specs, CurveSpec
 from bie2d.operators import _side, operator_set
 
 
@@ -61,6 +61,19 @@ def dense_wt(mesh):
     """Dense adjoint double layer D^-1 W^T D of a mesh, the reference the library never forms."""
     w = mesh.weights
     return (operator_set(mesh).W.T * w) / w[:, None]
+
+
+def bordered_norm(ops, shift, border):
+    """Inf-norm of the bordered Neumann matrix M = [shift I + Wt, B; B^T, 0] (solvers._bordered).
+
+    |Wt| has row sums |W|^T w / w, summed over row blocks of W.  The
+    reference for the measured kernel's threshold scale, B's largest
+    column 1-norm, which reads no entry of W.
+    """
+    w, d, B = ops.weights, np.diagonal(ops.W), np.abs(border)
+    sums = sum(w[lo:hi] @ np.abs(ops.W[lo:hi]) for lo, hi in _row_blocks(0, ops.n, ops.n))
+    rows = sums / w - np.abs(d) + np.abs(shift + d) + np.sum(B, axis=1)
+    return float(np.max(np.append(rows, np.sum(B, axis=0))))
 
 
 def dense_v(mesh, out=None):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import (
     NESTED_SPECS,
+    bordered_norm,
     dense_wt,
     j_forward_matrix,
     lu_decompose,
@@ -815,7 +816,7 @@ def test_a_repeat_neumann_solve_runs_only_the_datums_gmres(monkeypatch, region):
 
 
 def test_wt_solve_allocates_less_than_one_square_array():
-    # M is applied, never formed, and its inf-norm is summed over row blocks
+    # M is applied, never formed, and the rank threshold reads only the border
     mesh = stock_mesh("annulus", 384)
     n = mesh.n
     operator_set(mesh)
@@ -843,11 +844,10 @@ _GMRES_MESHES = {
 
 def _bordered_gmres(mesh, side, rhs):
     """The Neumann solvers' solution of M x = [rhs; 0]: the datum's GMRES on the side's record."""
-    border, kernel, coarse = solvers._bordered_system(mesh, side)
-    product = partial(solvers._bordered, operator_set(mesh), side.shift, border, False)
-    precondition = partial(solvers._precondition, side.shift, border, coarse, False)
-    b = np.append(rhs, np.zeros(border.shape[1]))
-    return solvers._gmres(product, b, precondition), product, b
+    ops, record = operator_set(mesh), solvers._bordered_system(mesh, side)
+    product = partial(solvers._bordered, ops, side.shift, record.border, False)
+    b = np.append(rhs, np.zeros(record.border.shape[1]))
+    return solvers._bordered_solve(ops, side.shift, record, b), product, b
 
 
 # 256 nodes: at 64 the kite's operator keeps a singular value near 1.5e-12
@@ -884,7 +884,7 @@ def test_the_coarse_stride_keeps_sixty_four_nodes_of_each_curve():
                             ([200, 130], [2, 2]), ([16], [2])):
         specs = [CurveSpec("circle", radius=r) for r in (4.0, 2.0)[:len(counts)]]
         mesh = build_mesh(specs, counts)
-        nodes = solvers._bordered_system(mesh, _side("plus")).coarse.nodes
+        nodes = solvers._bordered_system(mesh, _side("plus")).nodes
         starts = np.cumsum([0] + counts[:-1])
         expected = [np.arange(a, a + c, s) for a, c, s in zip(starts, counts, strides)]
         assert np.array_equal(nodes, np.concatenate(expected))
@@ -906,14 +906,63 @@ def test_a_singular_coarse_system_only_slows_gmres(monkeypatch):
     monkeypatch.setattr(solvers, "dgetrf", singular)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        border, _, coarse = solvers._bordered_system(mesh, side)
+        record = solvers._bordered_system(mesh, side)
         assert infos[0] > 0
-        z = np.random.default_rng(1).standard_normal(mesh.n + border.shape[1])
+        z = np.random.default_rng(1).standard_normal(mesh.n + record.border.shape[1])
         for transpose in (False, True):
-            assert np.isfinite(solvers._precondition(side.shift, border, coarse, transpose, z)).all()
+            assert np.isfinite(solvers._precondition(side.shift, record, transpose, z)).all()
         g = _range_datum(mesh, "interior", 6)
         x, product, b = _bordered_gmres(mesh, side, g)
     assert np.linalg.norm(product(x) - b) <= solvers._GMRES_TOL * np.linalg.norm(b)
+
+
+# the stock meshes, and the domains the CI verify runs take: two and three
+# disks, a circle of radius 1e5, three nested circles, and the annulus at
+# 256 and 192 nodes, whose coarse strides are 4 and 3
+_THRESHOLD_MESHES = {
+    **{f"{name}-{n}": (stock_specs(name), n) for name in _SIX_MESHES for n in (64, 256)},
+    "disks-3-apart": ([CurveSpec("circle", center=(x, 0.0), radius=1.0) for x in (-1.5, 1.5)], 64),
+    "three-disks": ([CurveSpec("circle", center=(x, 0.0), radius=1.0) for x in (-3.0, 0.0, 3.0)],
+                    64),
+    "big-circle": ([CurveSpec("circle", radius=1e5)], 64),
+    "nested-three": ([CurveSpec("circle", radius=r) for r in (2.0, 1.0, 0.5)], 128),
+    "annulus-256-192": (stock_specs("annulus"), [256, 192]),
+}
+
+
+@pytest.mark.parametrize("name", list(_THRESHOLD_MESHES))
+def test_the_rank_threshold_scale_is_the_inf_norm_of_m(name):
+    # the measured kernel's threshold scale, B's largest column 1-norm, is
+    # the inf-norm of M bit for bit on each side that has a border (a side
+    # with none has no kernel to measure), so the pass over |W| that the
+    # norm takes never sets the threshold
+    specs, n = _THRESHOLD_MESHES[name]
+    mesh = build_mesh(specs, n if isinstance(n, list) else [n] * len(specs))
+    for side in (_side("plus"), _side("minus")):
+        border = solvers._bordered_system(mesh, side).border
+        if not border.shape[1]:
+            continue
+        scale = np.max(np.sum(np.abs(border), axis=0))
+        assert scale == bordered_norm(operator_set(mesh), side.shift, border)
+
+
+@pytest.mark.parametrize("name", ["annulus", "two-disks"])
+def test_both_sides_share_one_coarse_rule_whichever_is_built_first(name):
+    # the coarse nodes and rule hold no shift or border, so the side built
+    # second takes the first side's arrays; records, Neumann densities and
+    # _decompose's outputs have the same bits in either order
+    outputs = []
+    for regions in (("interior", "exterior"), ("exterior", "interior")):
+        mesh = stock_mesh(name, 128)
+        g = np.cos(mesh.t)  # no flux through any component of either side
+        phi = {region: _NEUMANN[region](mesh, g).densities["phi"] for region in regions}
+        plus, minus = operator_set(mesh).bordered["plus"], operator_set(mesh).bordered["minus"]
+        assert np.shares_memory(plus.nodes, minus.nodes)
+        assert np.shares_memory(plus.rule, minus.rule)
+        split = [a for sign in ("plus", "minus") for a in solvers._decompose(mesh, g, sign)]
+        outputs.append([*plus, *minus, phi["interior"], phi["exterior"], *split])
+    first, second = outputs
+    assert [a.tobytes() for a in first] == [a.tobytes() for a in second]
 
 
 class _IdentityJMap:
