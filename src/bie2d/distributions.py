@@ -173,8 +173,7 @@ class JMap:
 
 
 def _mass_column(ops):
-    """W V1 - V1/2, V1 the single layer of the constant 1: the J image of
-    Wt tau is W g plus this column times <tau,1>/<1,1>, g the image of tau."""
+    """W V1 - V1/2 (V1 = V 1): the J-coordinate column of Wt's mass term <tau,1>/<1,1>."""
     v1 = ops.single_layer(np.ones(ops.n))
     return ops.W @ v1 - 0.5 * v1
 

@@ -12,10 +12,11 @@ Nystrom rule of every s-th node of each curve, yields a basis of the right
 kernel, on which the rank deficiency is measured; border, kernel and the
 coarse system's LU are built once per side, the coarse rule once per mesh,
 and kept in the mesh's OperatorSet, and a solve runs GMRES for its datum
-alone and projects the kernel out.  A second Dirichlet solver splits g under sign/2 I + W, its
-image's density solved with the transposed bordered matrix, and adds a
-single layer with density in the transpose kernel, cross-checking the
-direct route.  Every +- is the side's sign (README, "Sides and signs").
+alone and projects the kernel out.  A second Dirichlet solver splits g
+under sign/2 I + W, its image's density solved with the transposed
+bordered matrix, and adds a single layer with density in the transpose
+kernel, cross-checking the direct route.  Every +- is the side's sign
+(README, "Sides and signs").
 Only the independent checks of those kernels factor an n x n matrix, each
 by one LU that decides its rank (_kernels): nullspace factors shift I + W,
 transpose_kernel_pair_basis its J-coordinate matrix.
@@ -236,13 +237,12 @@ def _gmres(apply, b, precondition, tol=_GMRES_TOL):
 
 
 class _Bordered(NamedTuple):
-    """A side's bordered Neumann system and its preconditioner (_bordered_system), arrays only;
-    a mesh's two records hold the same nodes and rule (_coarse_system)."""
+    """A side's bordered Neumann system and its preconditioner (_bordered_system), arrays only."""
 
     border: np.ndarray  # (n, k) weighted indicators in unit columns
     kernel: np.ndarray  # (n, d) measured right kernel of shift I + Wt
-    nodes: np.ndarray  # (m,) the coarse nodes C
-    rule: np.ndarray  # (m, n) K_fc^T, the coarse rule's columns s Wt[:, C] as rows
+    nodes: np.ndarray  # (m,) the coarse nodes C, the same array in both sides' records
+    rule: np.ndarray  # (m, n) K_fc^T, the coarse rule's columns s Wt[:, C] as rows, likewise
     lu: np.ndarray  # (m + k, m + k) LU of the coarse system, pivots floored
     piv: np.ndarray
 
@@ -365,7 +365,7 @@ def _bordered_system(mesh, side):
                                 for e in np.eye(k, n + k, n)])
         span, _ = np.linalg.qr(span)
         _, sv, vt = np.linalg.svd(side.shift * span + ops._wt(span), full_matrices=False)
-        scale = np.max(np.sum(np.abs(border), axis=0))  # B's largest column 1-norm
+        scale = np.max(np.sum(np.abs(border), axis=0))
         record = record._replace(kernel=span @ vt[sv <= _RANK_TOL * scale].T)
     ops.bordered[side.name] = record
     return record
