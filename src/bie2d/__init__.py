@@ -42,7 +42,7 @@ from .potentials import (
 )
 from .distributions import (
     J_isometry,
-    JMap,
+    J_preimage,
     PairDistribution,
     V_of_distribution,
     Wt_on_distribution,

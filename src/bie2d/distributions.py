@@ -13,15 +13,15 @@ side's sign (README, "Sides and signs"): its trace for (side, 0, mu) is
 -mu/2 + sign W mu, plus q.mu on the exterior side.  The J map sends tau to
 V[tau - mean] + mean (mean = <tau,1>/<1,1>) and identifies distributions
 with grid functions.  A pair's J image depends on the pair only through
-its grid representer, so JMap inverts it by the Dirichlet density solve
-of the mesh's OperatorSet: the preimage of g is (eta + c, 0) with
-V eta + c = g, through the single layer's own Cholesky factor.  No J map
-holds an array of its own.
+its grid representer, so J_preimage inverts it by the Dirichlet density
+solve of the mesh's OperatorSet: the preimage of g is (eta + c, 0) with
+V eta + c = g, through the single layer's own Cholesky factor.  The J map
+holds no array of its own.
 
 A PairDistribution is one pair, or a block of k pairs of one side whose
 mu0 and mu1 are (n, k) blocks.  The pair functions (mass_of,
 to_grid_representer, dist_pairing, V_of_distribution, J_isometry,
-Wt_on_distribution, JMap.pair and dist_jump_check) take a block through
+Wt_on_distribution, J_preimage and dist_jump_check) take a block through
 the same code as one pair, with one column per pair in what they return;
 dist_single_layer_field and pair_to_dict take one pair only.
 """
@@ -75,7 +75,7 @@ def mass_of(tau):
 def to_grid_representer(tau):
     """Grid function phi with pairing(phi, v) = <tau, v> for all grid v.
 
-    A pair whose mu1 is zero, as every JMap preimage is, is its own mu0:
+    A pair whose mu1 is zero, as every pair of J_preimage is, is its own mu0:
     no density solve is made for the zero transpose part.
     """
     if not np.any(tau.mu1):
@@ -108,68 +108,55 @@ def _single_layer_trace(mesh, sign, mu0, mu1):
     return ops.single_layer(mu0) + transpose_part
 
 
-def _j_image(mesh, sign, mu0, mu1):
-    """J image V[tau - mbar] + mbar of the pair (mu0, mu1), or of each column of blocks."""
-    mbar = np.dot(mesh.weights, mu0) / integrate(mesh, np.ones(mesh.n))
-    return _single_layer_trace(mesh, sign, mu0 - mbar, mu1) + mbar
-
-
 def V_of_distribution(tau):
     """Boundary trace of the single layer of a pair distribution."""
     return _single_layer_trace(tau.mesh, _side(tau.side).sign, tau.mu0, tau.mu1)
 
 
 def J_isometry(tau):
-    """Grid image of tau under the mean-corrected single-layer trace."""
-    return _j_image(tau.mesh, _side(tau.side).sign, tau.mu0, tau.mu1)
+    """Grid image V[tau - mbar] + mbar of tau under the mean-corrected single-layer
+    trace, mbar = <tau,1>/<1,1>, or that of each pair of a block."""
+    mesh = tau.mesh
+    mbar = np.dot(mesh.weights, tau.mu0) / integrate(mesh, np.ones(mesh.n))
+    return _single_layer_trace(mesh, _side(tau.side).sign, tau.mu0 - mbar, tau.mu1) + mbar
 
 
-class JMap:
-    """The J map of one (mesh, side) and its inverse through the single layer's factor.
+def J_preimage(mesh, g, side):
+    """The pair distribution (side, eta + c, 0) whose J image is g, with V eta + c = g.
 
     A pair's J image depends on it only through its grid representer phi:
     J(mu0, mu1) = V[phi - mbar] + mbar.  For mu0 this is the definition;
     for mu1 it holds because q^T (W - I/2) = 0, q the value-at-infinity
-    functional (OperatorSet.q).  So if V eta + c = g, the Dirichlet density
-    solve through the OperatorSet's Cholesky factor, then (eta + c, 0) is a
-    preimage of g (eta has zero mean, so mbar = c), and every preimage of g
-    has the representer eta + c.  A JMap is a handle that holds no array;
-    its preimage does not depend on the side, which only tags the pair.
+    functional (OperatorSet.q).  So the Dirichlet density solve through the
+    OperatorSet's Cholesky factor gives a preimage of g (eta has zero mean,
+    so mbar = c), and every preimage of g has the representer eta + c.  The
+    preimage does not depend on the side, which only tags the pair.
+
+    g is a grid function, or an (n, k) block whose columns give a block of
+    pairs.  Each column is solved as a vector is (OperatorSet._density), so
+    a block's columns have the bits of their own preimages: a block solve
+    rounds its column sums otherwise, which the solve amplifies.  An
+    unknown side raises OutOfRange before the OperatorSet is built.  Raises
+    SingularSystem when a column holds NaN or infinity, before any solve,
+    and when the residual of any column exceeds 1e-7 times that column's
+    norm (at least 1).
     """
-
-    def __init__(self, mesh, side="plus"):
-        self.mesh = mesh
-        self.side = _side(side).name
-
-    def inverse(self, g):
-        """(mu0, mu1) = (eta + c, 0) of an (n,) vector or of each column of an (n, k) block.
-
-        Each column is solved as a vector is (OperatorSet._density), so a
-        block's columns have the bits of their own inverses: a block solve
-        rounds its column sums otherwise, which the solve amplifies.  Raises SingularSystem when a column holds NaN or
-        infinity, before any solve, and when the residual of any column
-        exceeds 1e-7 times that column's norm (at least 1).
-        """
-        mesh, ops = self.mesh, operator_set(self.mesh)
-        g = _check_aligned(mesh, g, block=True)
-        block = g if g.ndim == 2 else g[:, None]
-        if not np.isfinite(block).all():
-            raise SingularSystem("J inverse residual not finite: g holds NaN or infinity")
-        mu0 = np.empty(block.shape)
-        for j, column in enumerate(block.T):  # one column's solve, whatever the block
-            eta, c = ops._density(column)
-            mu0[:, j] = eta + c
-        mbar = mesh.weights @ mu0 / integrate(mesh, np.ones(mesh.n))
-        resid = np.linalg.norm(ops.single_layer(mu0 - mbar) + mbar - block, axis=0)
-        if not np.all(resid <= 1e-7 * np.maximum(1.0, np.linalg.norm(block, axis=0))):
-            raise SingularSystem(f"J inverse residual {np.max(resid):.3e} too large")
-        mu0 = mu0.reshape(g.shape)
-        return mu0, np.zeros_like(mu0)
-
-    def pair(self, g):
-        """The pair distribution of this side with J image g, a grid function, or
-        the block of pairs with the columns of an (n, k) block g as images."""
-        return PairDistribution(self.side, *self.inverse(g), self.mesh)
+    side = _side(side).name
+    ops = operator_set(mesh)
+    g = _check_aligned(mesh, g, block=True)
+    block = g if g.ndim == 2 else g[:, None]
+    if not np.isfinite(block).all():
+        raise SingularSystem("J inverse residual not finite: g holds NaN or infinity")
+    mu0 = np.empty(block.shape)
+    for j, column in enumerate(block.T):  # one column's solve, whatever the block
+        eta, c = ops._density(column)
+        mu0[:, j] = eta + c
+    mbar = mesh.weights @ mu0 / integrate(mesh, np.ones(mesh.n))
+    resid = np.linalg.norm(ops.single_layer(mu0 - mbar) + mbar - block, axis=0)
+    if not np.all(resid <= 1e-7 * np.maximum(1.0, np.linalg.norm(block, axis=0))):
+        raise SingularSystem(f"J inverse residual {np.max(resid):.3e} too large")
+    mu0 = mu0.reshape(g.shape)
+    return PairDistribution(side, mu0, np.zeros_like(mu0), mesh)
 
 
 def _mass_column(ops):
@@ -184,8 +171,8 @@ def Wt_on_distribution(tau):
 
     Computed in J coordinates: the image of W^t tau is
     W g + (W V 1 - V 1 / 2) <tau,1>/<1,1> with g the image of tau, and the
-    mass halves exactly.  The pair comes back through JMap, one density
-    solve with the mesh's single-layer factor.
+    mass halves exactly.  The pair comes back through J_preimage, one
+    density solve per pair with the mesh's single-layer factor.
     """
     mesh = tau.mesh
     ops = operator_set(mesh)
@@ -193,7 +180,7 @@ def Wt_on_distribution(tau):
     m = mass_of(tau)
     length = integrate(mesh, np.ones(mesh.n))
     g_out = ops.W @ g + np.multiply.outer(_mass_column(ops), m / length)
-    out = JMap(mesh, tau.side).pair(g_out)
+    out = J_preimage(mesh, g_out, tau.side)
     # pin the mass law <Wt tau, 1> = <tau, 1> / 2 in the stored densities
     out.mu0 = out.mu0 + (0.5 * m - mass_of(out)) / length
     return out

@@ -44,7 +44,7 @@ keeps the node count and the weights it needs, never the mesh itself.  The
 set holds two dense arrays, W and the Cholesky factor of T, besides the
 O(n m) records of the sides' bordered Neumann systems, which share one
 coarse rule of m nodes (solvers); the J map
-inverts through the same factor (distributions.JMap).  It holds V only
+inverts through the same factor (distributions.J_preimage).  It holds V only
 inside the factor's array: dpotrf leaves T's other triangle there, and
 A[1:, 1:] = u_i + u_j - T_ij with u a vector (_projected_cholesky), so a
 product with V is one symmetric product on that triangle plus vectors:

@@ -43,7 +43,7 @@ from .geometry import _check_aligned, _TargetBlocks, indicator, integrate, pairi
 from .operators import _side, operator_set
 from .potentials import HarmonicField, trace_double, trace_single
 from .distributions import (
-    JMap,
+    J_preimage,
     PairDistribution,
     _mass_column,
     to_grid_representer,
@@ -805,9 +805,9 @@ def transpose_kernel_pair_basis(mesh, op_kind):
     The operator is realized in J coordinates (image g plus the mass
     functional) as a matrix M, and one LU of M decides its rank and gives
     its kernel (_kernels).  The kernel vectors are mapped back to
-    representers by the J map (JMap), whose preimage (eta + c, 0) is its
-    own representer, and the span must coincide with the grid-operator
-    kernel; the subspace angle quantifies the agreement.
+    representers by J_preimage: the mu0 of its preimage (eta + c, 0) is
+    the representer.  The span must coincide with the grid-operator kernel;
+    the subspace angle quantifies the agreement.
     op_kind is a Wt kind of nullspace.
     """
     side, _ = _op_kind(op_kind, ("Wt",))
@@ -826,7 +826,7 @@ def transpose_kernel_pair_basis(mesh, op_kind):
         lambda x: side.shift * x + W.T @ x + np.multiply.outer(q, correction @ x))
     if not kernel.shape[1]:
         return kernel
-    return JMap(mesh, "plus").inverse(kernel)[0]
+    return J_preimage(mesh, kernel, "plus").mu0
 
 
 def _subspace_angle(a, b):

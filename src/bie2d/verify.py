@@ -6,7 +6,9 @@ independent computational routes wherever possible, e.g. the single layer
 of a transpose-part distribution is evaluated both through its grid
 representer (plain quadrature) and through its double-layer/harmonic-
 extension representation.  Randomness is a seeded truncated Fourier
-series, so two runs of the same configuration produce identical reports.
+series, so two runs of the same configuration at the same BLAS thread
+count produce identical reports: OpenBLAS splits a block product or solve
+across its threads, and another split rounds it differently.
 
 The checks that loop over seeded densities (plemelj-classical,
 plemelj-distributional, dist-jump, VSt-identities, symmetry,
@@ -16,19 +18,20 @@ density or pair at a time, but apply each side's operators once, to one
 when odd, and the pairs of a side form one block pair distribution.  So
 V, W, Wt and the density solve run as BLAS-3 products and solves on a
 block, and the per-call work is paid once per block; the J inverse solves
-a block one column at a time (JMap.inverse).
+a block one column at a time (J_preimage).
 poisson-reps takes one geometry pass and one block solve for each
 region's probes (solvers._poisson).  Tests keep the one-at-a-time loops
 as the reference the blocked checks must agree with.
 
 run_verify holds one _MeshCache per mesh: the probe point sets, keyed by
-(region, count, prefer), and the cos(k t), sin(k t) table of the seeded
+(region, count), and the cos(k t), sin(k t) table of the seeded
 densities.  Each is built once on first use, shared read-only by the
 checks on that mesh, and dropped with the cache before the next mesh.
 Each check takes the mesh's _MeshCache: run_verify calls it as
-run(mesh, rng, cache=cache).  The J map has no factor of its own: JMap
-inverts through the Cholesky factor of the mesh's OperatorSet, so a mesh
-holds its two n x n arrays, W and that factor, whatever the checks use.
+run(mesh, rng, cache=cache).  The J map has no factor of its own:
+J_preimage inverts through the Cholesky factor of the mesh's OperatorSet,
+so a mesh holds its two n x n arrays, W and that factor, whatever the
+checks use.
 
 J-isometry-roundtrip and space-coincidence both check that a pair's J
 image is V[phi - mean] + mean of its grid representer phi: the J inverse
@@ -52,7 +55,7 @@ from .operators import _SIDES, _side, operator_set
 from .potentials import eval_double_layer, eval_single_layer, trace_double
 from .distributions import (
     J_isometry,
-    JMap,
+    J_preimage,
     PairDistribution,
     V_of_distribution,
     Wt_on_distribution,
@@ -125,22 +128,18 @@ def seeded_density(mesh, rng, zero_mean=False):
     return _MeshCache(mesh).density(rng, zero_mean)
 
 
-def probe_points(mesh, region, count=25, prefer="far"):
+def probe_points(mesh, region, count=25):
     """Probes offset along the normals, at least 0.2 from the nodes.
 
     Several offsets are tried so that narrow regions (an annulus at coarse
     resolution) still yield points clear of both the minimum distance and
-    the near-boundary band.  prefer='far' keeps the most distant
-    candidates (accuracy), prefer='near' the closest admissible ones
-    (useful to expose the convergence rate).  Raises InvalidProbe when no
-    candidate qualifies: the region is too narrow for the band at this
-    node count.  count must be an int >= 1 and prefer 'far' or 'near', else
-    OutOfRange.
+    the near-boundary band, and the count most distant of those are kept.
+    Raises InvalidProbe when no candidate qualifies: the region is too
+    narrow for the band at this node count.  count must be an int >= 1,
+    else OutOfRange.
     """
     if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
         raise OutOfRange(f"count must be an int >= 1, got {count!r}")
-    if prefer not in ("far", "near"):
-        raise OutOfRange(f"prefer must be 'far' or 'near', got {prefer!r}")
     sign = _side(region, "region").sign
     band = mesh.band_width()
     keep_dist = max(0.2, 1.2 * band)
@@ -160,7 +159,7 @@ def probe_points(mesh, region, count=25, prefer="far"):
         nodes = "/".join(str(m) for m in mesh.n_per_comp)
         raise InvalidProbe(f"no {region} probe point clears the near-boundary band "
                            f"with {nodes} nodes per curve")
-    order = np.argsort(dist[keep] if prefer == "near" else -dist[keep], kind="stable")
+    order = np.argsort(-dist[keep], kind="stable")
     return candidates[keep[order]][:count]
 
 
@@ -211,11 +210,11 @@ class _MeshCache:
         differ in the last bit from the column's own correction."""
         return f - (self.mesh.weights @ f) / integrate(self.mesh, np.ones(self.mesh.n))
 
-    def probes(self, region, count=25, prefer="far"):
-        """probe_points of the mesh, found once per (region, count, prefer) and read-only."""
-        key = (region, count, prefer)
+    def probes(self, region, count=25):
+        """probe_points of the mesh, found once per (region, count) and read-only."""
+        key = (region, count)
         if key not in self._probes:
-            pts = probe_points(self.mesh, region, count, prefer=prefer)
+            pts = probe_points(self.mesh, region, count)
             pts.flags.writeable = False
             self._probes[key] = pts
         return self._probes[key]
@@ -305,7 +304,7 @@ def check_dist_jump(mesh, rng, cache):
     return res
 
 
-def _third_green(mesh, rng, cache, region, prefer):
+def _third_green(mesh, rng, cache, region):
     """Green's third identity in the region; the same integral vanishes off it."""
     side = _side(region, "region")
     g = cache.density(rng)
@@ -317,9 +316,9 @@ def _third_green(mesh, rng, cache, region, prefer):
         single = eval_single_layer(mesh, rep_nd, pts)
         return side.sign * eval_double_layer(mesh, g, pts) - single + const
 
-    pts = cache.probes(region, prefer=prefer)
+    pts = cache.probes(region)
     res = _sup(recon(pts) - solution.field.eval_unchecked(pts))
-    other = cache.probes(side.opposite.region, prefer=prefer)
+    other = cache.probes(side.opposite.region)
     return max(res, _sup(recon(other)))
 
 
@@ -364,7 +363,7 @@ def check_j_roundtrip(mesh, rng, cache):
     res = 0.0
     for tau, _ in _seeded_pairs(cache, rng, 5):
         g = J_isometry(tau)
-        back = JMap(mesh, tau.side).pair(g)
+        back = J_preimage(mesh, g, tau.side)
         res = max(res, _sup(J_isometry(back) - g))
         rep = to_grid_representer(tau)
         res = max(res, _sup(to_grid_representer(back) - rep))
@@ -374,7 +373,7 @@ def check_j_roundtrip(mesh, rng, cache):
 def check_space_coincidence(mesh, rng, cache):
     res = 0.0
     for tau, _ in _seeded_pairs(cache, rng, 5):
-        tau2 = JMap(mesh, _side(tau.side).opposite.name).pair(J_isometry(tau))
+        tau2 = J_preimage(mesh, J_isometry(tau), _side(tau.side).opposite.name)
         rep = to_grid_representer(tau)
         res = max(res, _sup(to_grid_representer(tau2) - rep))
     return res
@@ -458,9 +457,9 @@ _CHECKS = (
            "harmonic extensions of +-psi/2 + W psi match the double-layer field"),
     _Check("dist-jump", check_dist_jump, 1e-6,
            "normal derivative of the single layer of tau is -tau/2 +- Wt tau"),
-    _Check("third-green-int", partial(_third_green, region="interior", prefer="far"), 1e-6,
+    _Check("third-green-int", partial(_third_green, region="interior"), 1e-6,
            "u = double layer of trace minus single layer of normal derivative"),
-    _Check("third-green-ext", partial(_third_green, region="exterior", prefer="far"), 1e-6,
+    _Check("third-green-ext", partial(_third_green, region="exterior"), 1e-6,
            "u = -double layer - single layer + value at infinity"),
     _Check("dlintesl-plus", partial(_dlintesl, side="plus"), 1e-6,
            "single layer of interior transpose part = double layer minus harmonic extension"),

@@ -251,7 +251,7 @@ def j_forward_matrix(mesh, side):
 def min_norm_j_inverse(mesh, side, g):
     """(mu0, mu1) of the minimum-norm preimage A^T (A A^T)^-1 g of the J map.
 
-    The route JMap took before it inverted through the single layer's
+    The route the J inverse took before it inverted through the single layer's
     factor, kept as its reference: the Cholesky factor of the Gram matrix
     of the whole A (j_forward_matrix).
     """
@@ -260,10 +260,35 @@ def min_norm_j_inverse(mesh, side, g):
     return z[:mesh.n], z[mesh.n:]
 
 
+def near_probe_points(mesh, region, count=25):
+    """The candidates of probe_points(mesh, region, count), closest first.
+
+    The choice probe_points made with prefer='near' before it kept only the
+    most distant candidates: probes this close to the boundary show a
+    rule's convergence rate where the distant ones read rounding.
+    """
+    from bie2d.geometry import _in_region, _TargetBlocks
+
+    sign = _side(region, "region").sign
+    band = mesh.band_width()
+    keep_dist = max(0.2, 1.2 * band)
+    step = max(1, mesh.n // (2 * count))
+    offsets = sorted({1.25 * keep_dist, 0.25, 0.35, 0.5, 2.5 * band})
+    blocks = [mesh.x[::step] - sign * d * mesh.normal[::step] for d in offsets]
+    if sign < 0:
+        far = 2.0 * float(np.max(np.linalg.norm(mesh.x, axis=1)))
+        theta = np.linspace(0, 2 * np.pi, 8, endpoint=False)
+        blocks.append(far * np.stack([np.cos(theta), np.sin(theta)], axis=-1))
+    candidates = np.concatenate(blocks)
+    dist, outward = _TargetBlocks(mesh, candidates).nearest_nodes()
+    keep = np.flatnonzero(_in_region(mesh, dist, outward, region) & (dist >= keep_dist))
+    return candidates[keep[np.argsort(dist[keep], kind="stable")]][:count]
+
+
 def svd_pair_basis(mesh, op_kind):
     """transpose_kernel_pair_basis as it was before its pivoted QR: the rank and
     the null vectors of the J-coordinate matrix are read from one SVD, and
-    mapped back through solvers.JMap, as the pair route maps its own."""
+    mapped back through solvers.J_preimage, as the pair route maps its own."""
     from bie2d import solvers
 
     side, _ = solvers._OP_KINDS[op_kind]
@@ -274,8 +299,22 @@ def svd_pair_basis(mesh, op_kind):
     dim = int(np.sum(sv < 1e-10 * sv[0]))
     if not dim:
         return np.zeros((mesh.n, 0))
-    mu0, mu1 = solvers.JMap(mesh, "plus").inverse(vt[mesh.n - dim:].T)
-    return mu0 + ops.rep("plus", mu1)
+    tau = solvers.J_preimage(mesh, vt[mesh.n - dim:].T, "plus")
+    return tau.mu0 + ops.rep("plus", tau.mu1)
+
+
+def shifted_density(monkeypatch, shift):
+    """Make every OperatorSet._density return its constant off by shift, so
+    that V eta + c misses the datum by shift at every node."""
+    from bie2d import operators
+
+    density = operators.OperatorSet._density
+
+    def shifted(self, g):
+        eta, c = density(self, g)
+        return eta, c + shift
+
+    monkeypatch.setattr(operators.OperatorSet, "_density", shifted)
 
 
 def negated_single_layer(monkeypatch):

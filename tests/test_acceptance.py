@@ -6,6 +6,7 @@ criteria execute.  Tolerances are fixed here and nowhere else.
 
 import numpy as np
 import pytest
+from conftest import near_probe_points
 
 from bie2d.errors import IncompatibleData
 from bie2d.geometry import CurveSpec, build_mesh, pairing, stock_mesh
@@ -154,8 +155,8 @@ def test_criterion_07_third_green_identities(meshes):
     worst = 0.0
     for name in ("disk", "ellipse", "annulus"):
         mesh, rng = meshes[name], np.random.default_rng(RNG_SEED)
-        worst = max(worst, _third_green(mesh, rng, _MeshCache(mesh), "interior", "far"))
-        worst = max(worst, _third_green(mesh, rng, _MeshCache(mesh), "exterior", "far"))
+        worst = max(worst, _third_green(mesh, rng, _MeshCache(mesh), "interior"))
+        worst = max(worst, _third_green(mesh, rng, _MeshCache(mesh), "exterior"))
     assert _report(7, "third-green-identities", worst, tol)
 
 
@@ -253,14 +254,21 @@ def test_criterion_12_hadamard_demo(tmp_path):
     assert ok_rec and ok_tab
 
 
+class _NearProbes(_MeshCache):
+    """A mesh cache whose probes are the closest admissible ones (near_probe_points)."""
+
+    def probes(self, region, count=25):
+        return near_probe_points(self.mesh, region, count)
+
+
 def test_criterion_13_convergence():
     names = {
         "w1-half": check_w1_half,
         "plemelj": check_plemelj_classical,
         "closed-trace": check_vst_identities,
         "third-green": lambda m, r, c: max(
-            _third_green(m, r, c, "interior", "near"),
-            _third_green(m, r, c, "exterior", "near"),
+            _third_green(m, r, _NearProbes(m), "interior"),
+            _third_green(m, r, _NearProbes(m), "exterior"),
         ),
     }
     coarse = stock_mesh("ellipse", 128)

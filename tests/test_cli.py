@@ -8,7 +8,8 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import NESTED_SPECS, grid_points, nearest_node_locations, negated_single_layer
+from conftest import (NESTED_SPECS, grid_points, nearest_node_locations, negated_single_layer,
+                      shifted_density)
 
 import bie2d
 from bie2d import cli, operators, verify
@@ -506,6 +507,33 @@ def test_too_narrow_border_is_numerical_failure(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: bordered second-kind system is singular")
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_a_gmres_run_past_its_step_cap_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    # the annulus's probe takes two preconditioned GMRES steps
+    from bie2d import solvers
+
+    monkeypatch.setattr(solvers, "_GMRES_CAP", 1)
+    path = tmp_path / "annulus.json"
+    path.write_text(json.dumps({"components": [
+        {"kind": "circle", "radius": r, "nodes": 64} for r in (2.0, 1.0)]}))
+    code = main(["solve", "--config", str(path), "--problem", "neumann-int",
+                 "--data", "fourier:2", "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numerical failure: bordered second-kind system is singular: "
+                        r"GMRES residual \S+ after 1 steps\n", err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_j_inverse_past_its_gate_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    # every density solve's constant off by 1e-6: plemelj-distributional's
+    # J inverse is the first check that solves, and it misses its gate
+    shifted_density(monkeypatch, 1e-6)
+    code = main(["verify", "--n", "64", "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numerical failure: J inverse residual \S+ too large\n", err)
 
 
 def test_solve_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import dense_v, j_forward_matrix, min_norm_j_inverse
+from conftest import dense_v, j_forward_matrix, min_norm_j_inverse, shifted_density
 
 from bie2d.errors import InvalidProbe, LengthMismatch, SingularSystem
 from bie2d.geometry import integrate, pairing, stock_mesh
@@ -11,7 +11,7 @@ from bie2d.potentials import eval_double_layer, eval_single_layer
 from bie2d.verify import _MeshCache, seeded_density
 from bie2d.distributions import (
     J_isometry,
-    JMap,
+    J_preimage,
     PairDistribution,
     V_of_distribution,
     Wt_on_distribution,
@@ -102,7 +102,7 @@ def test_j_roundtrip_property(ellipse, rng):
             side, seeded_density(ellipse, rng), seeded_density(ellipse, rng), ellipse
         )
         g = J_isometry(tau)
-        back = JMap(ellipse, side).pair(g)
+        back = J_preimage(ellipse, g, side)
         assert np.max(np.abs(J_isometry(back) - g)) < 1e-7
         assert (
             np.max(
@@ -119,7 +119,7 @@ def test_space_coincidence(annulus, rng):
     tau = PairDistribution(
         "plus", seeded_density(annulus, rng), seeded_density(annulus, rng), annulus
     )
-    other = JMap(annulus, "minus").pair(J_isometry(tau))
+    other = J_preimage(annulus, J_isometry(tau), "minus")
     diff = (
         to_grid_representer(tau) - to_grid_representer(other)
     )
@@ -154,24 +154,23 @@ def test_j_factor_block_inverse_matches_single_inverses(request, rng, name, side
                                     seeded_density(mesh, rng), mesh))
         for _ in range(3)
     ])
-    mu0, mu1 = JMap(mesh, side).inverse(block)
+    pairs = J_preimage(mesh, block, side)
     for j in range(3):
-        single = JMap(mesh, side).pair(block[:, j])
-        assert np.max(np.abs(mu0[:, j] - single.mu0)) <= 1e-14
-        assert np.max(np.abs(mu1[:, j] - single.mu1)) <= 1e-14
+        single = J_preimage(mesh, block[:, j], side)
+        assert np.max(np.abs(pairs.mu0[:, j] - single.mu0)) <= 1e-14
+        assert np.max(np.abs(pairs.mu1[:, j] - single.mu1)) <= 1e-14
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_j_factor_refuses_a_block_with_an_unreachable_column(ellipse, bad):
-    jmap = JMap(ellipse, "minus")
     block = np.column_stack([np.cos(ellipse.t), np.ones(ellipse.n), np.sin(2 * ellipse.t)])
-    jmap.inverse(block)
+    J_preimage(ellipse, block, "minus")
     # no pair has a non-finite J image; the other two columns stay reachable
     block[7, 1] = bad
     with pytest.raises(SingularSystem, match="J inverse residual"):
-        jmap.inverse(block)
+        J_preimage(ellipse, block, "minus")
     with pytest.raises(SingularSystem, match="J inverse residual"):
-        jmap.pair(block[:, 1])
+        J_preimage(ellipse, block[:, 1], "minus")
 
 
 def test_a_repeat_wt_on_distribution_builds_no_j_factor(monkeypatch):
@@ -206,14 +205,14 @@ def test_a_repeat_wt_on_distribution_builds_no_j_factor(monkeypatch):
 
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_the_representer_of_a_j_map_pair_makes_no_density_solve(monkeypatch, side):
-    # JMap's preimage (eta + c, 0) is its own representer: the zero transpose
+    # J_preimage's pair (eta + c, 0) is its own representer: the zero transpose
     # part costs no W product and no density solve, for a pair or a block
     from bie2d import operators
 
     mesh = stock_mesh("ellipse", 64)
     rng = np.random.default_rng(5)
     images = np.column_stack([seeded_density(mesh, rng) for _ in range(3)])
-    pairs = [JMap(mesh, side).pair(images[:, 0]), JMap(mesh, side).pair(images)]
+    pairs = [J_preimage(mesh, images[:, 0], side), J_preimage(mesh, images, side)]
     expected = [tau.mu0 + operator_set(mesh).rep(side, tau.mu1) for tau in pairs]
     solves = []
     density = operators.OperatorSet._density
@@ -364,7 +363,7 @@ def test_pair_machinery_on_two_components(two_disks, rng):
     )
     g = J_isometry(tau)
     for side in ("plus", "minus"):
-        back = JMap(two_disks, side).pair(g)
+        back = J_preimage(two_disks, g, side)
         assert np.max(np.abs(J_isometry(back) - g)) < 1e-7
         diff = (
             to_grid_representer(back)
@@ -413,7 +412,7 @@ def test_j_inverse_gives_the_distribution_of_the_minimum_norm_pair(name, n, side
     # same J image
     mesh = stock_mesh(name, n)
     g = _MeshCache(mesh).densities(np.random.default_rng(36), 3)
-    got = JMap(mesh, side).pair(g)
+    got = J_preimage(mesh, g, side)
     ref = PairDistribution(side, *min_norm_j_inverse(mesh, side, g), mesh)
     rep = to_grid_representer(ref)
     assert not np.any(got.mu1)
@@ -425,9 +424,25 @@ def test_j_inverse_gives_the_distribution_of_the_minimum_norm_pair(name, n, side
 @pytest.mark.parametrize("name", ["disk", "ellipse", "kite", "annulus"])
 def test_equilibrium_density_is_a_left_null_vector_of_w_minus_half(name, n):
     # q^T (W - I/2) = 0 makes a pair's J image that of its representer, on
-    # which JMap's inverse rests
+    # which J_preimage rests
     ops = operator_set(stock_mesh(name, n))
     assert np.linalg.norm(ops.q @ ops.W - 0.5 * ops.q) <= 1e-9 * np.linalg.norm(ops.q)
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_a_j_inverse_that_misses_its_image_raises(monkeypatch, side):
+    # Wt_on_distribution returns through the J inverse, whose density solves
+    # are the only ones it makes: a constant off by 1e-6 misses the image by
+    # 1e-6 at every node, past the gate of 1e-7 of the image's norm
+    mesh = stock_mesh("ellipse", 64)
+    tau = PairDistribution(side, np.cos(mesh.t), np.sin(2 * mesh.t), mesh)
+    operator_set(mesh)
+    with monkeypatch.context() as within:
+        shifted_density(within, 1e-12)
+        Wt_on_distribution(tau)
+    shifted_density(monkeypatch, 1e-6)
+    with pytest.raises(SingularSystem, match=r"^J inverse residual \S+ too large$"):
+        Wt_on_distribution(tau)
 
 
 @pytest.mark.parametrize("side", ["plus", "minus"])
@@ -439,7 +454,7 @@ def test_j_inverse_holds_no_n_by_n_array(side):
     g = _MeshCache(mesh).densities(np.random.default_rng(5), 3)
     tracemalloc.start()
     try:
-        JMap(mesh, side).inverse(g)
+        J_preimage(mesh, g, side)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -468,7 +483,7 @@ def test_pair_functions_act_on_a_block_of_pairs_as_on_each_pair(annulus, side):
     for j, tau in enumerate(pairs):
         single = Wt_on_distribution(tau)
         assert close(out.mu0[:, j], single.mu0) and close(out.mu1[:, j], single.mu1)
-    back = JMap(annulus, side).pair(J_isometry(block))
+    back = J_preimage(annulus, J_isometry(block), side)
     assert close(to_grid_representer(back), to_grid_representer(block))
     jumps = dist_jump_check(block)
     assert jumps.interior.shape == (3,) and jumps.exterior is None  # the pairs carry mass

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bie2d.distributions import (PairDistribution, dist_normal_derivative,
+from bie2d.distributions import (J_preimage, PairDistribution, dist_normal_derivative,
                                  dist_single_layer_field)
 from bie2d.errors import OutOfRange
 from bie2d.geometry import stock_mesh
@@ -36,6 +36,7 @@ _SIDE_ENTRIES = {
     "rep": lambda mesh, side: operator_set(mesh).rep(side, np.ones(mesh.n)),
     "PairDistribution": _pair,
     "decompose": lambda mesh, side: decompose(mesh, np.cos(mesh.t), side),
+    "J_preimage": lambda mesh, side: J_preimage(mesh, np.cos(mesh.t), side),
 }
 _REGION_ENTRIES = {
     "dist_single_layer_field": lambda mesh, region: dist_single_layer_field(
@@ -57,6 +58,14 @@ def test_unknown_side_or_region_is_out_of_range(mesh, name, valid, bad):
     call(mesh, valid)
     with pytest.raises(OutOfRange, match="unknown"):
         call(mesh, bad)
+
+
+@pytest.mark.parametrize("bad", ["interior", "omega", ""])
+def test_j_preimage_refuses_an_unknown_side_before_building_operators(bad):
+    fresh = stock_mesh("annulus", 64)
+    with pytest.raises(OutOfRange, match="unknown"):
+        J_preimage(fresh, np.cos(fresh.t), bad)
+    assert fresh.operators is None
 
 
 @pytest.mark.parametrize("entry", [transpose_kernel_pair_basis])

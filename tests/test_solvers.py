@@ -16,6 +16,7 @@ from conftest import (
     lu_wt_solve,
     min_norm_j_inverse,
     named_mesh,
+    shifted_density,
     svd_nullspace,
     svd_pair_basis,
 )
@@ -45,7 +46,7 @@ from bie2d.potentials import HarmonicField, value_at_infinity
 from bie2d.cli import default_grid, write_field_csv
 from bie2d.verify import probe_points, run_verify, seeded_density
 from bie2d.distributions import (
-    JMap,
+    J_preimage,
     PairDistribution,
     Wt_on_distribution,
     dist_pairing,
@@ -241,7 +242,7 @@ def test_nullspace_basis_structure():
 
 _BAD_ARGUMENTS = (
     [("count", v) for v in (0, -3, True, 2.0)]
-    + [("prefer", "Near"), ("probe_radius", "10")]
+    + [("probe_radius", "10")]
 )
 
 
@@ -497,8 +498,8 @@ def test_green_and_poisson_take_exactly_one_point():
 def test_third_green_identities(ellipse, rng):
     from bie2d.verify import _MeshCache, _third_green
 
-    assert _third_green(ellipse, rng, _MeshCache(ellipse), "interior", "far") < 1e-6
-    assert _third_green(ellipse, rng, _MeshCache(ellipse), "exterior", "far") < 1e-6
+    assert _third_green(ellipse, rng, _MeshCache(ellipse), "interior") < 1e-6
+    assert _third_green(ellipse, rng, _MeshCache(ellipse), "exterior") < 1e-6
 
 
 def test_interior_solution_reexpressed_as_single_layer(ellipse, rng):
@@ -507,7 +508,7 @@ def test_interior_solution_reexpressed_as_single_layer(ellipse, rng):
     ops = operator_set(ellipse)
     g = seeded_density(ellipse, rng)
     c_star = float(ops.q @ g)
-    tau = JMap(ellipse, "minus").pair(g - c_star)
+    tau = J_preimage(ellipse, g - c_star, "minus")
     assert abs(mass_of(tau)) < 1e-8
     direct = dirichlet_interior(ellipse, g)
     pts = probe_points(ellipse, "interior", count=10)
@@ -696,14 +697,14 @@ def test_kernel_shift_basis_spans_the_svd_nullspace(name, region):
 @pytest.mark.parametrize("side", ["plus", "minus"])
 @pytest.mark.parametrize("name", ["ellipse", "two-disks"])
 def test_j_inverse_is_the_minimum_norm_lstsq_solution(name, side):
-    # the Gram route's reference is the minimum-norm solution, and JMap's
-    # preimage, (eta + c, 0), is another pair of the same distribution
+    # the Gram route's reference is the minimum-norm solution, and J_preimage
+    # returns (eta + c, 0), another pair of the same distribution
     mesh = stock_mesh(name, 128)
     g = seeded_density(mesh, np.random.default_rng(8))
     expected, _, _, _ = np.linalg.lstsq(j_forward_matrix(mesh, side), g, rcond=1e-12)
     mu0, mu1 = min_norm_j_inverse(mesh, side, g)
     assert np.linalg.norm(np.concatenate([mu0, mu1]) - expected) <= 1e-10 * np.linalg.norm(expected)
-    tau = JMap(mesh, side).pair(g)
+    tau = J_preimage(mesh, g, side)
     rep = to_grid_representer(PairDistribution(side, mu0, mu1, mesh))
     assert tau.side == side and not np.any(tau.mu1)
     assert np.linalg.norm(to_grid_representer(tau) - rep) <= 1e-11 * np.linalg.norm(rep)
@@ -965,14 +966,9 @@ def test_both_sides_share_one_coarse_rule_whichever_is_built_first(name):
     assert [a.tobytes() for a in first] == [a.tobytes() for a in second]
 
 
-class _IdentityJMap:
-    """A J map whose inverse is (identity, 0): the pair route then returns its J-coordinate kernel."""
-
-    def __init__(self, mesh, side):
-        self.side = side
-
-    def inverse(self, v):
-        return v, np.zeros_like(v)
+def _identity_preimage(mesh, g, side):
+    """A J inverse that returns (g, 0): the pair route then returns its J-coordinate kernel."""
+    return PairDistribution(side, g, np.zeros_like(g), mesh)
 
 
 @pytest.mark.parametrize("sign", ["plus", "minus"])
@@ -981,7 +977,7 @@ def test_qr_pair_kernel_matches_the_svd(monkeypatch, name, sign):
     mesh = stock_mesh(name, 256)
     kind = "minus_half_plus_Wt" if sign == "plus" else "half_plus_Wt"
     with monkeypatch.context() as patched:
-        patched.setattr(solvers, "JMap", _IdentityJMap)
+        patched.setattr(solvers, "J_preimage", _identity_preimage)
         qr_kernel = solvers.transpose_kernel_pair_basis(mesh, kind)
         svd_kernel = svd_pair_basis(mesh, kind)
     assert qr_kernel.shape[1] == getattr(mesh.topology, _side(sign).kappa)
@@ -1162,3 +1158,90 @@ def test_svd_inputs_are_shift_plus_w_bit_for_bit(monkeypatch, name):
             svd_pair_basis(mesh, kind)
             assert len(lus) == 1 and np.array_equal(lus[0], (expected + rank_one).T)
             assert np.array_equal(svds[-1], expected + rank_one)
+
+
+# Each SingularSystem of a solver, reached through its own code: the systems
+# of the stock meshes never fail, so each test breaks one step of a solve.
+
+
+def test_gmres_raises_after_its_step_cap():
+    # the cyclic shift maps each Krylov vector to the next one, orthogonal to
+    # all before it: GMRES makes no progress on it before step n
+    cap = solvers._GMRES_CAP
+    with pytest.raises(SingularSystem, match=r"^bordered second-kind system is singular: "
+                                             rf"GMRES residual 1\.0e\+00 after {cap} steps$"):
+        solvers._gmres(lambda x: np.roll(x, 1), np.eye(cap + 20)[0], lambda z: z)
+
+
+def test_a_dirichlet_solve_that_misses_its_datum_raises(monkeypatch):
+    mesh = stock_mesh("ellipse", 64)
+    operator_set(mesh)
+    with monkeypatch.context() as within:  # the gate is 1e-7 of max |g|
+        shifted_density(within, 1e-9)
+        dirichlet_interior(mesh, np.cos(mesh.t))
+    shifted_density(monkeypatch, 1e-6)
+    with pytest.raises(SingularSystem, match=r"^boundary residual \S+ of the Dirichlet solve$"):
+        dirichlet_interior(mesh, np.cos(mesh.t))
+
+
+def _broken_kernel(monkeypatch, kernel):
+    """Give every side's bordered record the measured kernel kernel(mesh, record.kernel)."""
+    real = solvers._bordered_system
+
+    def broken(mesh, side):
+        record = real(mesh, side)
+        return record._replace(kernel=kernel(mesh, record.kernel))
+
+    monkeypatch.setattr(solvers, "_bordered_system", broken)
+
+
+def test_a_decomposition_whose_kernel_misses_the_indicators_raises(monkeypatch):
+    # a zero kernel basis P makes the oblique projection's (D P)^T K zero
+    mesh = stock_mesh("disk", 64)
+    _broken_kernel(monkeypatch, lambda mesh, kernel: np.zeros_like(kernel))
+    with pytest.raises(SingularSystem, match=r"^oblique projection system is singular$") as err:
+        decompose(mesh, np.cos(mesh.t), "minus")
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_a_decomposition_with_a_wrong_kernel_raises(monkeypatch):
+    # on a circle the kernel of -1/2 I + Wt is the constants; with 1 + cos t
+    # in its place the image part keeps a mean, which -1/2 I + W cannot reach
+    mesh = stock_mesh("disk", 64)
+    _broken_kernel(monkeypatch, lambda mesh, kernel: (1 + np.cos(mesh.t))[:, None]
+                   / np.linalg.norm(1 + np.cos(mesh.t)))
+    with pytest.raises(SingularSystem, match=r"^image part not reachable: residual \S+$"):
+        decompose(mesh, np.cos(mesh.t), "minus")
+
+
+def _broken_decomposition(monkeypatch, change):
+    """Make solvers._decompose return change(mesh, psi, P) in place of (psi, P)."""
+    real = solvers._decompose
+
+    def broken(mesh, g, sign):
+        g_im, g_ker, psi, P = real(mesh, g, sign)
+        return (g_im, g_ker, *change(mesh, psi, P))
+
+    monkeypatch.setattr(solvers, "_decompose", broken)
+
+
+def test_a_kernel_part_out_of_the_single_layers_reach_raises(monkeypatch):
+    # 1 on the annulus's inner curve is its own kernel part under 1/2 I + W;
+    # with a zero kernel basis no single layer represents it
+    mesh = stock_mesh("annulus", 64)
+    g = np.zeros(mesh.n)
+    g[mesh.component_slice(1)] = 1.0
+    assert np.max(np.abs(decompose(mesh, g, "plus")[1] - g)) < 1e-12
+    _broken_decomposition(monkeypatch, lambda mesh, psi, P: (psi, np.zeros_like(P)))
+    with pytest.raises(SingularSystem, match=r"^kernel part not representable: residual \S+$"):
+        dirichlet_interior_via_decomposition(mesh, g)
+
+
+@pytest.mark.parametrize("solve", [dirichlet_interior_via_decomposition,
+                                   dirichlet_exterior_via_decomposition])
+def test_a_decomposition_solve_that_misses_its_datum_raises(monkeypatch, solve):
+    mesh = stock_mesh("disk", 64)
+    _broken_decomposition(monkeypatch,
+                          lambda mesh, psi, P: (psi + 1e-3 * np.cos(mesh.t), P))
+    with pytest.raises(SingularSystem, match=r"^boundary residual \S+$"):
+        solve(mesh, np.cos(mesh.t))

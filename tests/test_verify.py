@@ -12,7 +12,7 @@ from conftest import loop_seeded_density
 from bie2d import geometry, operators, solvers, verify
 from bie2d.distributions import (
     J_isometry,
-    JMap,
+    J_preimage,
     PairDistribution,
     V_of_distribution,
     Wt_on_distribution,
@@ -130,7 +130,7 @@ def test_nullspace_dims_takes_no_square_svd_and_no_pivoted_qr(monkeypatch):
 
 def test_verify_factors_each_j_map_once_and_finds_each_probe_set_once(monkeypatch):
     # one Cholesky factor per mesh, the single layer's, through which every J
-    # map inverts too, and one candidate pass per (region, count, prefer):
+    # map inverts too, and one candidate pass per (region, count):
     # each identity check used to redo both (21 factors, 14 passes), and the
     # J maps took a factor of their own per side
     factors, passes, requests = [], [], []
@@ -141,9 +141,9 @@ def test_verify_factors_each_j_map_once_and_finds_each_probe_set_once(monkeypatc
             return real(*args, **kwargs)
         return wrapper
 
-    def recording_probes(mesh, region, count=25, prefer="far"):
-        requests.append((region, count, prefer))
-        return real_probes(mesh, region, count, prefer)
+    def recording_probes(mesh, region, count=25):
+        requests.append((region, count))
+        return real_probes(mesh, region, count)
 
     real_probes = verify.probe_points
     # blocks of 8 rows: each candidate pass spans several, and counts once
@@ -315,7 +315,7 @@ def _loop_j_roundtrip(mesh, rng, cache):
     res = 0.0
     for tau in _loop_pairs(cache, rng, 5):
         g = J_isometry(tau)
-        back = JMap(mesh, tau.side).pair(g)
+        back = J_preimage(mesh, g, tau.side)
         res = max(res, _sup(J_isometry(back) - g),
                   _sup(to_grid_representer(back) - to_grid_representer(tau)))
     return res
@@ -325,7 +325,7 @@ def _loop_space_coincidence(mesh, rng, cache):
     res = 0.0
     for tau in _loop_pairs(cache, rng, 5):
         other = "minus" if tau.side == "plus" else "plus"
-        tau2 = JMap(mesh, other).pair(J_isometry(tau))
+        tau2 = J_preimage(mesh, J_isometry(tau), other)
         res = max(res, _sup(to_grid_representer(tau2) - to_grid_representer(tau)))
     return res
 
