@@ -1,8 +1,9 @@
 """Command-line front end: solve, verify, and the infinite-energy demo.
 
-A config file gives the domain (the problem and data come from the flags
-alone; keys the loader does not know are ignored), and every command writes
-its outputs through _write_outputs, the strict-JSON report last.
+A config file gives the domain and the output directory (the problem and
+data come from the flags alone; keys the loader does not know are ignored),
+and every command writes its outputs through _write_outputs, the strict-JSON
+report last.
 
 Exit codes are a stable contract: 0 success, 1 verify failures, 2 bad
 configuration, 3 incompatible Neumann data, 4 numerical failure.
@@ -38,7 +39,7 @@ from .geometry import (
     stock_specs,
 )
 from .operators import operator_set
-from .distributions import dist_normal_derivative, pair_from_dict
+from .distributions import _one_pair, dist_normal_derivative, pair_from_dict
 from .solvers import (
     dirichlet_exterior,
     dirichlet_exterior_via_decomposition,
@@ -47,7 +48,7 @@ from .solvers import (
     neumann_exterior,
     neumann_interior,
 )
-from .verify import DEFAULT_SEED, STOCK_TRIO, check_tol_overrides, probe_points, run_verify
+from .verify import STOCK_TRIO, probe_points, run_verify
 
 _SOLVERS = {
     "dirichlet-int": dirichlet_interior,
@@ -79,8 +80,6 @@ class RunConfig:
     data: str | None = None
     n_override: int | None = None
     out_dir: str | None = None
-    tol_overrides: dict = field(default_factory=dict)
-    seed: int = DEFAULT_SEED
 
     def validate(self):
         hadamard = self.data is not None and self.data.split(":", 1)[0] == "hadamard"
@@ -177,14 +176,6 @@ def _number(value, where, integer=False):
     return value if integer else float(value)
 
 
-def _nonnegative(value, where, integer=False):
-    """_number of a value that must not be negative."""
-    value = _number(value, where, integer)
-    if value < 0:
-        raise ConfigError(f"{where}: expected a non-negative number, got {value!r}")
-    return value
-
-
 def _numbers(value, where, count=None):
     """A JSON list of finite numbers, of the given length if count is set."""
     if not isinstance(value, list) or count not in (None, len(value)):
@@ -239,13 +230,7 @@ def load_config(path, **overrides):
         nodes.append(nc)
     if not isinstance(raw.get("out", ""), (str, type(None))):
         raise ConfigError(f"out: expected a string, got {raw['out']!r}")
-    cfg = RunConfig(
-        components=comps,
-        nodes=nodes,
-        out_dir=raw.get("out"),
-        tol_overrides=check_tol_overrides(raw.get("tol_overrides", {})),
-        seed=_nonnegative(raw.get("seed", DEFAULT_SEED), "seed", integer=True),
-    )
+    cfg = RunConfig(components=comps, nodes=nodes, out_dir=raw.get("out"))
     for key, value in overrides.items():
         if value is not None:
             setattr(cfg, key, value)
@@ -285,18 +270,18 @@ def build_data(cfg, mesh):
     if name == "csv":
         try:
             with warnings.catch_warnings():
-                # an empty file is refused below, as a file of 0 samples
+                # an empty file is refused below, as a table of 0 rows
                 warnings.simplefilter("ignore", UserWarning)
-                values = np.loadtxt(arg, delimiter=",", ndmin=1)
+                values = np.loadtxt(arg, delimiter=",", ndmin=2)
         except OSError as exc:
             raise ConfigError(f"cannot read data file {arg}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"data file {arg} holds a non-numeric value") from exc
-        if values.shape != (mesh.n,):
-            raise ConfigError(
-                f"data file has {values.shape[0]} samples, mesh has {mesh.n} nodes"
-            )
-        return _require_finite(values, f"data file {arg}")
+        if values.shape != (mesh.n, 1):
+            rows, columns = values.shape
+            raise ConfigError(f"data file {arg} holds a {rows} x {columns} table, mesh has "
+                              f"{mesh.n} nodes: expected {mesh.n} rows of one value")
+        return _require_finite(values[:, 0], f"data file {arg}")
     if name == "pairjson":
         try:
             with open(arg) as fh:
@@ -308,7 +293,7 @@ def build_data(cfg, mesh):
         if not isinstance(raw, dict) or not {"side", "mu0", "mu1"} <= raw.keys():
             raise ConfigError(f"pair file {arg} needs an object with side, mu0 and mu1")
         try:
-            tau = pair_from_dict(mesh, raw)
+            tau = _one_pair(pair_from_dict(mesh, raw))
         except (LengthMismatch, OutOfRange, TypeError, ValueError) as exc:
             raise ConfigError(f"pair file {arg}: {exc}") from exc
         _require_finite(np.concatenate([tau.mu0, tau.mu1]), f"pair file {arg}")
@@ -460,8 +445,7 @@ def cmd_verify(cfg):
         _check_memory([(spec, [n] * len(spec)) for spec in specs])
         meshes = {name: _geometry(stock_mesh, name, n) for name in STOCK_TRIO}
     try:
-        report = run_verify(meshes=meshes, n=n, seed=cfg.seed,
-                            tol_overrides=cfg.tol_overrides)
+        report = run_verify(meshes=meshes, n=n)
     except InvalidProbe as exc:
         # the suite evaluates fields only at its own probe points, so this
         # means a region too narrow for the band at this node count

@@ -23,16 +23,18 @@ read those; the offsets and their normal components are formed, from the
 block's points, only when a double-layer kernel reads them.  Every
 pairwise pass iterates one walker, _block_arrays: it takes the rows in
 blocks of about _BLOCK_PAIRS pairs and reuses one set of block arrays, as
-many as the pass writes, so no array over all pairs is ever allocated.  A
-pass that reads r2 alone holds two (_pair_blocks); evaluation, and the
+many as the pass writes, so no array over all pairs is ever allocated.
+_pair_blocks, which reads r2 alone, and the evaluation pass hold two (a
+double-layer kernel forms its offsets in arrays of each block's own); the
 operator assembly, which reads the normal components on every block and
-so forms the offsets first and r2 from them, hold four.  One reduction
-finds nearest nodes (_nearer_nodes), for the node-separation check, for
-verify.probe_points, which ranks points by their exact nearest distance,
-and for location: a point off the band is located by its nearest node
-alone (locate_points), one normal component per point telling its side,
-against the nodes of the curves whose bounding boxes, dilated by the band
-width, hold it; a point in no box lies in the unbounded component.
+so forms the offsets first and r2 from them, holds four.  The
+evaluation pass finds each point's nearest node over all the nodes, which
+verify.probe_points ranks its candidates by.  One more reduction finds
+nearest nodes (_nearer_nodes), for the node-separation check and for
+location: a point off the band is located by its nearest node alone
+(locate_points), one normal component per point telling its side, against
+the nodes of the curves whose bounding boxes, dilated by the band width,
+hold it; a point in no box lies in the unbounded component.
 """
 
 import math
@@ -564,10 +566,11 @@ class _Targets:
     A point off the band is located by its nearest node alone: it lies
     outside the open set exactly when it is outward, on the side the node's
     normal points to, which takes one normal component per point.  scratch
-    is the block's other three arrays (see _TargetBlocks).  The single-layer
-    kernel is written into the first, the one r2 was formed with; nd forms
-    the offsets d_x and d_y in the other two and is written over d_x, and
-    the double-layer kernel over d_y.
+    is the block's other array, the one r2 was formed with (see
+    _TargetBlocks), and the single-layer kernel is written into it.  nd forms
+    the offsets d_x and d_y in two arrays of the block's own and is written
+    over d_x, and the double-layer kernel takes one more once d_y is freed.
+    A pass that reads no double-layer kernel allocates none of them.
     """
 
     def __init__(self, mesh, points, r2, scratch):
@@ -583,13 +586,13 @@ class _Targets:
 
     @cached_property
     def nd(self):
-        _, dx, dy = self._scratch
+        dx, dy = np.empty_like(self.r2), np.empty_like(self.r2)
         return _normal_offsets(*_offsets(self.points, self.mesh.x, dx, dy), self.mesh.normal)
 
     @cached_property
     def single_kernel(self):
         """log|x - y| / (2 pi), spelled log(|x - y|^2) / (4 pi) to save a square root"""
-        k = np.log(self.r2, out=self._scratch[0])
+        k = np.log(self.r2, out=self._scratch)
         k *= 0.25 / np.pi
         return k
 
@@ -598,7 +601,7 @@ class _Targets:
         """-nu(y) . (x - y) / (2 pi |x - y|^2), spelled nd / (-2 pi r2): rounding
         is odd, so the sign moves into the denominator at no cost in bits"""
         nd = self.nd
-        k = np.multiply(-2.0 * np.pi, self.r2, out=self._scratch[2])
+        k = np.multiply(-2.0 * np.pi, self.r2)
         return np.divide(nd, k, out=k)
 
     @property
@@ -634,8 +637,8 @@ class _TargetBlocks:
     The points must be finite, and near enough to the nodes that their
     squared distances cannot overflow (InvalidProbe otherwise).  Iterating,
     the evaluation pass, yields (rows, _Targets) for consecutive blocks of
-    rows, each in four block arrays (_block_arrays; see _Targets), which
-    the next block overwrites.
+    rows, each in two block arrays (_block_arrays; see _Targets), which the
+    next block overwrites.
     """
 
     def __init__(self, mesh, points):
@@ -656,16 +659,9 @@ class _TargetBlocks:
 
     def __iter__(self):
         mesh = self.mesh
-        for lo, hi, out in _block_arrays(0, len(self), mesh.n, 4):
+        for lo, hi, out in _block_arrays(0, len(self), mesh.n, 2):
             pts = self.points[lo:hi]
-            yield slice(lo, hi), _Targets(mesh, pts, _pair_geometry(pts, mesh.x, out), out[1:])
-
-    def nearest_nodes(self):
-        """Each point's distance to its nearest node over all the nodes, and
-        whether it lies on the side that node's normal points to."""
-        best, nearest = np.full(len(self), np.inf), np.zeros(len(self), dtype=int)
-        _nearer_nodes(self.points, np.arange(len(self)), self.mesh.x, 0, best, nearest)
-        return np.sqrt(best), _outward(self.mesh, self.points, nearest)
+            yield slice(lo, hi), _Targets(mesh, pts, _pair_geometry(pts, mesh.x, out), out[1])
 
     def locate(self):
         """Each point's distance to its nearest node, whether it lies on the
@@ -708,8 +704,8 @@ def _nearer_nodes(points, held, nodes, first, best, nearest):
     nearest, that node, from the pairs of points[held] and nodes, whose
     indices start at first.
 
-    The one nearest-node reduction, run by location once per curve box,
-    and over all their pairs by nearest_nodes and _closest_pair.  Its two
+    The nearest-node reduction of location, run once per curve box, and of
+    _closest_pair, over all the pairs of two curves.  Its two
     block arrays are freed when it returns.  A node replaces the one kept
     only when strictly nearer: a tie keeps the node found first, as one
     argmin over all the nodes would.

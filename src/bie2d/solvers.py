@@ -775,7 +775,7 @@ def _poisson(mesh, g, points):
         eta, c = ops._density(traces)
         _boundary_residual(ops, eta, c, traces)
         wt = ops._wt(eta)
-        # d/dnu_y S2(x - y) is the double-layer kernel at x, in the pass's other scratch array
+        # d/dnu_y S2(x - y) is the double-layer kernel at x, in an array of the block's own
         kernel = source.double_kernel
         inner[rows] = (kernel - (wt - 0.5 * eta).T) @ wg
         outer[rows] = (kernel - (wt + 0.5 * eta).T) @ wg

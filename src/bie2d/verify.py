@@ -41,7 +41,6 @@ the image it came from; the two rows draw their pairs apart.
 """
 
 import numbers
-import sys
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -49,7 +48,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, IncompatibleData, InvalidProbe, OutOfRange
+from .errors import IncompatibleData, InvalidProbe, OutOfRange
 from .geometry import _in_region, _pairings, _TargetBlocks, indicator, integrate, stock_mesh
 from .operators import _SIDES, _side, operator_set
 from .potentials import eval_double_layer, eval_single_layer, trace_double
@@ -151,9 +150,12 @@ def probe_points(mesh, region, count=25):
         theta = np.linspace(0, 2 * np.pi, 8, endpoint=False)
         blocks.append(far * np.stack([np.cos(theta), np.sin(theta)], axis=-1))
     candidates = np.concatenate(blocks)
-    # the pass over all the nodes: the candidates are ranked by their exact
-    # distance, which the pruned _TargetBlocks.locate gives only below the band
-    dist, outward = _TargetBlocks(mesh, candidates).nearest_nodes()
+    # the evaluation pass over all the nodes: the candidates are ranked by
+    # their exact distance, which the pruned _TargetBlocks.locate gives only
+    # below the band
+    dist, outward = np.empty(len(candidates)), np.empty(len(candidates), dtype=bool)
+    for rows, targets in _TargetBlocks(mesh, candidates):
+        dist[rows], outward[rows] = targets.dist, targets.outward
     keep = np.flatnonzero(_in_region(mesh, dist, outward, region) & (dist >= keep_dist))
     if not keep.size:
         nodes = "/".join(str(m) for m in mesh.n_per_comp)
@@ -440,7 +442,7 @@ def check_compat_rejection(mesh, rng, cache):
 class _Check(NamedTuple):
     name: str
     run: Callable  # (mesh, rng, cache) -> residual
-    tol: float  # default tolerance, which tol_overrides may replace
+    tol: float  # the row passes when its residual is at most tol
     identity: str
 
 
@@ -484,38 +486,15 @@ _CHECKS = (
 STOCK_TRIO = ("disk", "ellipse", "annulus")
 
 
-def check_tol_overrides(tol_overrides):
-    """tol_overrides (None or a dict check name -> tolerance) as a dict of floats.
-
-    Raises ConfigError for anything but a dict, for a key that names no
-    check, and for a tolerance that is not a finite non-negative number.
-    """
-    if tol_overrides is None:
-        return {}
-    if not isinstance(tol_overrides, dict):
-        raise ConfigError(f"tol_overrides: expected an object, got {tol_overrides!r}")
-    names = {check.name for check in _CHECKS}
-    for name, tol in tol_overrides.items():
-        if name not in names:
-            raise ConfigError(f"tol_overrides: {name!r} names no verify check")
-        # the bound fails for NaN and inf, and an int compares with it exactly
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) \
-                or not 0 <= tol <= sys.float_info.max:
-            raise ConfigError(f"tol_overrides.{name}: expected a finite non-negative "
-                              f"number, got {tol!r}")
-    return {name: float(tol) for name, tol in tol_overrides.items()}
-
-
-def run_verify(meshes=None, n=256, seed=DEFAULT_SEED, tol_overrides=None):
+def run_verify(meshes=None, n=256, seed=DEFAULT_SEED):
     """Run the whole identity suite and collect a VerifyReport.
 
     meshes is a dict name -> BoundaryMesh; by default the stock trio
-    (disk, ellipse, annulus) at n nodes per component.  The checks on one
-    mesh share one _MeshCache, which is dropped before the next mesh.
-    tol_overrides is checked by check_tol_overrides.
+    (disk, ellipse, annulus) at n nodes per component.  seed seeds every
+    check's draws, and each row is judged against its check's tolerance,
+    which no caller can change.  The checks on one mesh share one
+    _MeshCache, which is dropped before the next mesh.
     """
-    tols = {check.name: check.tol for check in _CHECKS}
-    tols.update(check_tol_overrides(tol_overrides))
     if meshes is None:
         meshes = {name: stock_mesh(name, n) for name in STOCK_TRIO}
     report = VerifyReport(seed=seed, n=n, geometries=list(meshes))
@@ -527,8 +506,7 @@ def run_verify(meshes=None, n=256, seed=DEFAULT_SEED, tol_overrides=None):
                 [seed, zlib.crc32(check.name.encode()), zlib.crc32(geom.encode())]
             )
             residual = check.run(mesh, rng, cache=cache)
-            tol = tols[check.name]
             report.rows.append(CheckRow(name=check.name, identity=check.identity,
-                                        geometry=geom, residual=residual, tol=tol,
-                                        passed=bool(residual <= tol)))
+                                        geometry=geom, residual=residual, tol=check.tol,
+                                        passed=bool(residual <= check.tol)))
     return report

@@ -280,7 +280,9 @@ def near_probe_points(mesh, region, count=25):
         theta = np.linspace(0, 2 * np.pi, 8, endpoint=False)
         blocks.append(far * np.stack([np.cos(theta), np.sin(theta)], axis=-1))
     candidates = np.concatenate(blocks)
-    dist, outward = _TargetBlocks(mesh, candidates).nearest_nodes()
+    dist, outward = np.empty(len(candidates)), np.empty(len(candidates), dtype=bool)
+    for rows, targets in _TargetBlocks(mesh, candidates):
+        dist[rows], outward[rows] = targets.dist, targets.outward
     keep = np.flatnonzero(_in_region(mesh, dist, outward, region) & (dist >= keep_dist))
     return candidates[keep[np.argsort(dist[keep], kind="stable")]][:count]
 

@@ -665,13 +665,6 @@ _MALFORMED_CONFIGS = {
     "circle-without-radius": {"components": [{"kind": "circle", "nodes": 128}]},
     "ellipse-three-axes": {"components": [{"kind": "ellipse", "axes": [2.0, 1.0, 0.5]}]},
     "radius-nan": {"components": [dict(_DISK, radius=float("nan"))]},
-    "seed-text": {"components": [_DISK], "seed": "x"},
-    "seed-negative": {"components": [_DISK], "seed": -1},
-    "tol-overrides-number": {"components": [_DISK], "tol_overrides": 5},
-    "tol-overrides-unknown-check": {"components": [_DISK], "tol_overrides": {"w1-hlf": 1e-9}},
-    "tol-overrides-negative": {"components": [_DISK], "tol_overrides": {"w1-half": -1e-9}},
-    "tol-overrides-infinite": {"components": [_DISK], "tol_overrides": {"w1-half": float("inf")}},
-    "tol-overrides-text": {"components": [_DISK], "tol_overrides": {"w1-half": "1e-9"}},
 }
 
 
@@ -683,6 +676,101 @@ def test_malformed_config_is_config_error(tmp_path, capsys, kind):
     code = main(["solve", "--config", str(path), "--problem", "dirichlet-int",
                  "--data", "fourier:1", "--out", str(tmp_path / "out")])
     _assert_config_error(code, capsys, tmp_path / "out")
+
+
+def test_a_pair_file_holding_a_block_of_pairs_is_a_config_error(tmp_path, capsys):
+    # mu0 and mu1 of 128 x 2 are two pairs, where a datum is one
+    mesh = stock_mesh("disk", 128)
+    block = np.stack([np.cos(mesh.t), np.sin(mesh.t)], axis=-1).tolist()
+    pair = tmp_path / "block.json"
+    pair.write_text(json.dumps({"side": "plus", "mu0": block, "mu1": block}))
+    code = main(["solve", "--config", write_disk_config(tmp_path / "disk.json"),
+                 "--problem", "neumann-int", "--data", f"pairjson:{pair}",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: pair file {pair}: expected one pair, "
+                                       "got a block of shape (128, 2)\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rows, columns", [(128, 2), (1, 128), (100, 1)])
+def test_a_csv_refusal_names_the_table_shape(tmp_path, capsys, rows, columns):
+    path = tmp_path / "g.csv"
+    np.savetxt(path, np.ones((rows, columns)), delimiter=",")
+    code = main(["solve", "--config", write_disk_config(tmp_path / "disk.json"),
+                 "--problem", "dirichlet-int", "--data", f"csv:{path}",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: data file {path} holds a {rows} x "
+                                       f"{columns} table, mesh has 128 nodes: expected 128 "
+                                       "rows of one value\n")
+    assert not (tmp_path / "out").exists()
+
+
+# config, data spec and the whole refusal of a solve on it; {tmp} is the test directory
+_REFUSALS = {
+    "curve-refused": ({"components": [dict(_DISK, radius=-1.0)]}, "fourier:1",
+                      "components[0]: circle needs a positive radius"),
+    "components-empty": ({"components": []}, "fourier:1",
+                         "config needs a nonempty 'components' list"),
+    "out-number": ({"components": [_DISK], "out": 5}, "fourier:1",
+                   "out: expected a string, got 5"),
+    "indicator-past-the-curves": ({"components": [_DISK]}, "indicator:1",
+                                  "indicator curve index 1 out of range"),
+    "indicator-negative": ({"components": [_DISK]}, "indicator:-1",
+                           "indicator curve index -1 out of range"),
+    "csv-missing": ({"components": [_DISK]}, "csv:{tmp}/g.csv",
+                    "cannot read data file {tmp}/g.csv: {tmp}/g.csv not found."),
+    "pairjson-missing": ({"components": [_DISK]}, "pairjson:{tmp}/p.json",
+                         "cannot read pair file {tmp}/p.json: [Errno 2] No such file or "
+                         "directory: '{tmp}/p.json'"),
+    "spec-unknown": ({"components": [_DISK]}, "square:1", "unknown data spec 'square:1'"),
+    "spec-not-a-number": ({"components": [_DISK]}, "constant:x",
+                          "constant data needs a number, got 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_a_refused_config_or_datum_prints_its_whole_reason(tmp_path, capsys, case):
+    raw, data, reason = _REFUSALS[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    code = main(["solve", "--config", str(path), "--problem", "neumann-int",
+                 "--data", data.format(tmp=tmp_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {reason.format(tmp=tmp_path)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_entries_refuse_what_the_flags_cannot_give(tmp_path):
+    # the CLI always passes --data and a solve --problem; the entries refuse both
+    cfg = load_config(write_disk_config(tmp_path / "disk.json"))
+    with pytest.raises(ConfigError) as err:
+        cli.build_data(cfg, cfg.build_mesh())
+    assert str(err.value) == "this problem needs a --data specification"
+    cfg.problem, cfg.data = "poisson", "fourier:1"
+    with pytest.raises(ConfigError) as err:
+        cli.cmd_solve(cfg)
+    assert str(err.value) == "problem 'poisson' is not a solve problem"
+
+
+def test_retired_config_keys_leave_the_verify_report_as_it_is(tmp_path, capsys):
+    # tol_overrides and seed are keys the loader does not know: the radius-1e5
+    # circle still fails symmetry at its own 1e-6, under the default seed
+    circle = {"kind": "circle", "radius": 1e5}
+    reports = []
+    for name, extra in (("plain", {}), ("retired", {"tol_overrides": {"symmetry": 1},
+                                                     "seed": 7})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"components": [circle], **extra}))
+        code = main(["verify", "--config", str(path), "--n", "64",
+                     "--out", str(tmp_path / name)])
+        assert code == EXIT_VERIFY_FAIL
+        reports.append((tmp_path / name / "verify_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    report = json.loads(reports[1])
+    assert report["seed"] == verify.DEFAULT_SEED
+    assert [row["tol"] for row in report["checks"] if row["name"] == "symmetry"] == [1e-6]
 
 
 def test_under_resolved_gap_is_config_error(tmp_path, capsys):

@@ -221,6 +221,36 @@ def test_indicator_examples():
         indicator(topo, "omega", 5)
 
 
+@pytest.mark.parametrize("build, reason", [
+    (lambda: CurveSpec("square"), "unknown curve kind 'square'"),
+    (lambda: CurveSpec("circle"), "circle needs a positive radius"),
+    (lambda: CurveSpec("circle", radius=-1.0), "circle needs a positive radius"),
+    (lambda: CurveSpec("ellipse", axes=(2.0,)), "ellipse needs two positive semi-axes"),
+    (lambda: CurveSpec("ellipse", axes=(2.0, 0.0)), "ellipse needs two positive semi-axes"),
+    (lambda: build_mesh([CurveSpec("fourier")], [32]),
+     "degenerate parametrization: |x'(t)| vanishes at a node"),
+    (lambda: build_mesh([CurveSpec("circle", radius=1.0)], [32, 32]),
+     "one node count per curve is required"),
+], ids=["kind", "no-radius", "negative-radius", "one-axis", "zero-axis", "all-zero-fourier",
+        "two-counts-one-curve"])
+def test_curve_and_mesh_refusals_name_their_reason(build, reason):
+    with pytest.raises(InvalidGeometry) as err:
+        build()
+    assert str(err.value) == reason
+
+
+@pytest.mark.parametrize("call, reason", [
+    (lambda topo: indicator(topo, "omega_minus", 2), "omega_minus index 2 not in 0..1"),
+    (lambda topo: indicator(topo, "omega_minus", -1), "omega_minus index -1 not in 0..1"),
+    (lambda topo: indicator(topo, "outside", 0), "unknown region 'outside'"),
+    (lambda topo: stock_mesh("square", 32), "unknown stock geometry 'square'"),
+], ids=["past-the-holes", "negative", "region", "stock"])
+def test_indicator_and_stock_refusals_name_their_reason(call, reason):
+    with pytest.raises(OutOfRange) as err:
+        call(stock_mesh("annulus", 32).topology)
+    assert str(err.value) == reason
+
+
 def test_indicator_partitions():
     for name in ("annulus", "two-disks", *NESTED_SPECS):
         mesh = named_mesh(name, 32)
@@ -426,7 +456,8 @@ def _traced_peak(call):
 
 def test_probing_and_location_hold_two_block_arrays():
     # 1024 nodes per curve: the walks read r2 alone, in two 2^16-pair arrays
-    # (1 MiB); the four the evaluation pass holds would take 2 MiB
+    # (1 MiB), the evaluation pass that probing takes too; the two more of a
+    # double-layer kernel's offsets would take 2 MiB
     mesh = stock_mesh("annulus", 1024)
     grid = default_grid(mesh)
     for call in (lambda: probe_points(mesh, "interior"), lambda: probe_points(mesh, "exterior"),
@@ -439,7 +470,11 @@ def test_nearest_nodes_match_a_direct_computation_bit_for_bit(monkeypatch, name)
     mesh = named_mesh(name, 64)
     rows_per_block(monkeypatch, 7)
     points = _location_probes(mesh, len(name))[::3]
-    dist, outward = _TargetBlocks(mesh, points).nearest_nodes()
+    # the evaluation pass's nearest nodes over all the nodes, which
+    # probe_points ranks its candidates by
+    dist, outward = np.empty(len(points)), np.empty(len(points), dtype=bool)
+    for rows, targets in _TargetBlocks(mesh, points):
+        dist[rows], outward[rows] = targets.dist, targets.outward
     d = points[:, None, :] - mesh.x[None, :, :]
     r2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
     rows, nearest = np.arange(len(points)), np.argmin(r2, axis=1)

@@ -20,7 +20,6 @@ from bie2d.distributions import (
     dist_pairing,
     to_grid_representer,
 )
-from bie2d.errors import ConfigError
 from bie2d.geometry import pairing, stock_mesh
 from bie2d.operators import operator_set
 from bie2d.solvers import dirichlet_exterior, dirichlet_interior, poisson_exterior, poisson_interior
@@ -207,30 +206,6 @@ def test_shared_probe_sets_are_read_only(disk128):
     assert np.array_equal(pts, verify.probe_points(disk128, "exterior", count=10))
 
 
-@pytest.mark.parametrize("overrides, reason", [
-    ({"w1-hlf": 1.0, "symmetry": 1e-6}, "'w1-hlf' names no verify check"),
-    ({"symmetry": -1.0}, "symmetry: expected a finite non-negative number"),
-    ({"symmetry": float("nan")}, "finite non-negative"),
-    ({"symmetry": float("inf")}, "finite non-negative"),
-    ({"symmetry": 10**400}, "finite non-negative"),
-    ({"symmetry": True}, "finite non-negative"),
-    ({"symmetry": "1e-6"}, "finite non-negative"),
-    ([("symmetry", 1e-6)], "expected an object"),
-])
-def test_run_verify_refuses_bad_tol_overrides(overrides, reason):
-    with pytest.raises(ConfigError, match=reason):
-        run_verify(meshes={"disk": stock_mesh("disk", 32)}, n=32, tol_overrides=overrides)
-
-
-def test_run_verify_applies_tol_overrides(monkeypatch):
-    check = verify._Check("symmetry", lambda mesh, rng, cache: 0.25, 1e-6, "a fixed residual")
-    monkeypatch.setattr(verify, "_CHECKS", (check,))
-    mesh = stock_mesh("disk", 32)
-    assert not run_verify(meshes={"disk": mesh}, n=32).passed
-    report = run_verify(meshes={"disk": mesh}, n=32, tol_overrides={"symmetry": 1})
-    assert report.rows[0].tol == 1.0 and report.passed
-
-
 def test_nullspace_dims_compares_the_kernel_the_solvers_use(monkeypatch):
     mesh = stock_mesh("annulus", 64)
     rng = np.random.default_rng(0)
@@ -245,6 +220,20 @@ def test_nullspace_dims_compares_the_kernel_the_solvers_use(monkeypatch):
     assert verify.check_nullspace_dims(mesh, rng, verify._MeshCache(mesh)) <= 1e-5
     monkeypatch.setattr(verify, "_bordered_system", turned)
     assert verify.check_nullspace_dims(mesh, rng, verify._MeshCache(mesh)) > 1e-5
+
+
+def test_nullspace_dims_reads_a_pair_kernel_of_another_dimension_as_the_largest_angle(
+        monkeypatch):
+    mesh = stock_mesh("annulus", 64)
+    real = verify.transpose_kernel_pair_basis
+
+    def wider(mesh, kind):
+        # the pair route's kernel with one column more than the Wt kernel's
+        return np.column_stack([real(mesh, kind), np.cos(3 * mesh.t)])
+
+    monkeypatch.setattr(verify, "transpose_kernel_pair_basis", wider)
+    rng = np.random.default_rng(0)
+    assert verify.check_nullspace_dims(mesh, rng, verify._MeshCache(mesh)) == np.pi / 2
 
 
 # --- the one-at-a-time route of the looped checks --------------------------
