@@ -35,7 +35,6 @@ from .geometry import (
     _node_counts,
     _TargetBlocks,
     build_mesh,
-    stock_mesh,
     stock_specs,
 )
 from .operators import operator_set
@@ -276,7 +275,7 @@ def build_data(cfg, mesh):
         except OSError as exc:
             raise ConfigError(f"cannot read data file {arg}: {exc}") from exc
         except ValueError as exc:
-            raise ConfigError(f"data file {arg} holds a non-numeric value") from exc
+            raise ConfigError(f"data file {arg} {_csv_fault(arg)}") from exc
         if values.shape != (mesh.n, 1):
             rows, columns = values.shape
             raise ConfigError(f"data file {arg} holds a {rows} x {columns} table, mesh has "
@@ -303,6 +302,27 @@ def build_data(cfg, mesh):
                               f"neumann-ext, not {cfg.problem!r}")
         return tau
     raise ConfigError(f"unknown data spec {cfg.data!r}")
+
+
+def _csv_fault(path):
+    """What np.loadtxt refused in a CSV file: the line where its column count
+    changes, or else a value that is not a number.  Read only after a refusal."""
+    first = None
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                data = line.split("#", 1)[0]  # comments and blank lines hold no row
+                if not data.strip():
+                    continue
+                count = data.count(",") + 1
+                if first is None:
+                    first = count
+                elif count != first:
+                    return (f"is ragged: its column count changes from {first} to {count} "
+                            f"at line {lineno}")
+    except (OSError, ValueError):  # a file that cannot be read as text holds no number
+        pass
+    return "holds a non-numeric value"
 
 
 def _spec_arg(arg, cast, default, need):
@@ -434,16 +454,17 @@ def cmd_solve(cfg):
 
 def cmd_verify(cfg):
     """Run the identity suite; one row per check and geometry."""
-    # every mesh stays in meshes, with its operators, to the end
+    # every mesh stays, with its operators, to the end of the run
     if cfg.components:
         _check_memory([(cfg.components, cfg.node_counts())])
         meshes = {"config": cfg.build_mesh()}
         n = max(cfg.node_counts())
     else:
+        # run_verify builds the stock trio once this check accepts its node counts
         n = 256 if cfg.n_override is None else cfg.n_override
         specs = [stock_specs(name) for name in STOCK_TRIO]
         _check_memory([(spec, [n] * len(spec)) for spec in specs])
-        meshes = {name: _geometry(stock_mesh, name, n) for name in STOCK_TRIO}
+        meshes = None
     try:
         report = run_verify(meshes=meshes, n=n)
     except InvalidProbe as exc:

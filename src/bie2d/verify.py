@@ -58,6 +58,7 @@ from .distributions import (
     PairDistribution,
     V_of_distribution,
     Wt_on_distribution,
+    _fourier_modes,
     dist_jump_check,
     dist_pairing,
     dist_single_layer_field,
@@ -179,12 +180,9 @@ class _MeshCache:
 
     @cached_property
     def fourier(self):
-        """The modes of a seeded density, (17, n): 1, then cos(k t) and sin(k t)
-        for k = 1..8, and the divisor of each mode's coefficient, 1 + k."""
-        kt = np.arange(1, 9)[:, None] * self.mesh.t
-        modes = np.empty((17, self.mesh.n))
-        modes[0], modes[1::2], modes[2::2] = 1.0, np.cos(kt), np.sin(kt)
-        return modes, np.append(1.0, np.repeat(np.arange(2.0, 10.0), 2))
+        """The modes of a seeded density, distributions._fourier_modes, and the
+        divisor of each mode's coefficient, 1 + k."""
+        return _fourier_modes(self.mesh), np.append(1.0, np.repeat(np.arange(2.0, 10.0), 2))
 
     def density(self, rng, zero_mean=False):
         """seeded_density of the mesh: the one column of densities(rng, 1), less
