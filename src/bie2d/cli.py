@@ -137,17 +137,20 @@ def _memory_limit(cgroup_root="/sys/fs/cgroup", cgroup_list="/proc/self/cgroup")
     return min(limits, default=None)
 
 
-def _check_memory(meshes):
+def _check_memory(meshes, arrays=2):
     """Refuse, before any node is built, meshes whose dense arrays outgrow _memory_limit.
 
     meshes holds (curve specs, node counts) of each mesh the command keeps
     at once; the counts are checked first, as build_mesh checks them.  A
-    mesh of N nodes in all has an OperatorSet of 16 N^2 bytes (W and the
-    single layer's factor, through which the J map inverts too).  Raises
-    ConfigError past the limit.
+    mesh of N nodes in all has an OperatorSet of 8 N^2 bytes for each of
+    the arrays of that size it builds: 16 N^2 for W and the single layer's
+    factor, through which
+    the Dirichlet solves, the J map and the grid representer of a pair
+    datum solve; 8 N^2 (arrays=1) for W alone, all that a Neumann solve of
+    a grid datum reads.  Raises ConfigError past the limit.
     """
     totals = [sum(_geometry(_node_counts, specs, counts)) for specs, counts in meshes]
-    need = sum(16 * n**2 for n in totals)
+    need = sum(8 * arrays * n**2 for n in totals)
     limit = _memory_limit()
     if limit is not None and need > limit:
         nodes = " + ".join(str(n) for n in totals)
@@ -425,7 +428,10 @@ def cmd_solve(cfg):
     """Run one boundary value problem; write report JSON and field CSV."""
     if cfg.problem not in _SOLVERS:
         raise ConfigError(f"problem {cfg.problem!r} is not a solve problem")
-    _check_memory([(cfg.components, cfg.node_counts())])
+    # pairjson and hadamard data of a Neumann solve are pairs with a transpose part
+    pair = (cfg.data or "").partition(":")[0] in ("pairjson", "hadamard")
+    grid_neumann = cfg.problem.startswith("neumann") and not pair
+    _check_memory([(cfg.components, cfg.node_counts())], arrays=1 if grid_neumann else 2)
     mesh = cfg.build_mesh()
     data = build_data(cfg, mesh)
     report = _SOLVERS[cfg.problem](mesh, data)

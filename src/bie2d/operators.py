@@ -11,10 +11,11 @@ weights differ from the trapezoid rule of the log factor by a circulant,
 so V is the trapezoid rule of log r2 everywhere, corrected on each
 curve's own block by one circulant per curve.  The double-layer kernel is
 smooth on a C^2 curve, so W is plain trapezoid with the curvature limit on
-the diagonal.  V and W are assembled together, from one pass over the
-squared node distances that walks each curve's rows in blocks
-(geometry._block_arrays) and writes each block into W and into the array
-in which the single layer is factored (below); V is never held in full.
+the diagonal.  W and V are assembled by two passes over the squared node
+distances, each walking each curve's rows in blocks
+(geometry._block_arrays): W's pass writes W, and V's pass writes the array
+in which the single layer is factored (below), so V is never held in full.
+V's pass is made only when the single layer is first used.
 Wt = D^-1 W^T D (D = diag of quadrature weights), applied from W and never
 stored, is both the Nystrom matrix of the transposed kernel and an exact
 discrete adjoint in the weighted pairing.
@@ -40,11 +41,16 @@ bordered system.
 The _Side table holds each side's sign, its Neumann shift -sign/2 and the
 name every layer gives it (README, "Sides and signs").  The operators live
 in one OperatorSet per mesh, stored in mesh.operators by operator_set; it
-keeps the node count and the weights it needs, never the mesh itself.  The
-set holds two dense arrays, W and the Cholesky factor of T, besides the
-O(n m) records of the sides' bordered Neumann systems, which share one
-coarse rule of m nodes (solvers); the J map
-inverts through the same factor (distributions.J_preimage).  It holds V only
+keeps the node count, the weights and the O(n) arrays of V's pass, never
+the mesh itself.  W is assembled and checked when the set is built.  The
+Cholesky factor of T, the set's second dense array, is built with its
+vectors and q on the first use of the single layer (a Dirichlet solve, a
+Dirichlet-to-Neumann map, the J map, the representer of a pair with a
+transpose part) and kept; a Neumann solve of a grid datum reads W alone
+and never builds it.  Besides, the set holds the O(n m) records of the
+sides' bordered Neumann systems, which share one coarse rule of m nodes
+(solvers); the J map inverts through the same factor
+(distributions.J_preimage).  It holds V only
 inside the factor's array: dpotrf leaves T's other triangle there, and
 A[1:, 1:] = u_i + u_j - T_ij with u a vector (_projected_cholesky), so a
 product with V is one symmetric product on that triangle plus vectors:
@@ -53,6 +59,7 @@ A = V D^-1 is symmetric only to rounding (about 1e-14 relative), so such a
 product differs from one with the assembled V in its trailing digits.
 """
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -61,7 +68,7 @@ from scipy.linalg.blas import dsymm, dsymv, dtrsv
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InvalidGeometry, OutOfRange, SingularSystem
-from .geometry import _block_arrays, _check_aligned, _normal_offsets, _offsets
+from .geometry import _block_arrays, _check_aligned, _normal_offsets, _offsets, _pair_blocks
 
 
 def _log_correction(nc):
@@ -87,56 +94,78 @@ def _circulant(row):
     return sliding_window_view(np.concatenate((row[::-1], row[:0:-1])), n)[::-1]
 
 
-def _assemble(mesh):
-    """W, and A = V D^-1 as its trailing block and its border, one block of rows at a time.
+def _assemble_W(mesh):
+    """W, the trapezoid rule of the double-layer kernel, one block of rows at a time.
 
-    Both read r2 = |x_i - x_j|^2, with speed_i^2 on the diagonal, the limit
-    of r2 / 4 sin^2((t_i - t_j)/2).  W is the trapezoid rule of the
-    double-layer kernel with the curvature limit on the diagonal; it is not
-    yet checked.  V is the smooth (0.25 / pi) w_j log r2 fill, with the
-    columns of each row's own curve corrected by the circulant of
-    _log_correction times (0.25 / pi) speed_j: together the
-    Kussmaul-Martensen product rule, at one logarithm per pair.  No block
-    spans two curves.  A block of V's rows is computed in the block's own
-    r2 and divided by the weights into A: A[1:, 1:] goes into a C-ordered
-    (n - 1, n - 1) array, which the OperatorSet factors in place, and
-    row 0 and column 0 of A into vectors.  So V never exists as a full
-    array, and apart from W and that array only block-sized arrays are
-    allocated.  Returns W, A[1:, 1:], A[0] and A[:, 0].
+    It reads r2 = |x_i - x_j|^2, with speed_i^2 on the diagonal, and the
+    normal components of the offsets; the diagonal then takes the
+    curvature limit.  W is not yet checked (_checked_W).  r2 is formed in
+    W's own rows, so apart from W only three block arrays are allocated.
     """
-    n = mesh.n
-    W, inner = np.empty((n, n)), np.empty((n - 1, n - 1))
-    row, col = np.empty(n), np.empty(n)
+    W = np.empty((mesh.n, mesh.n))
     for c in range(mesh.n_components):
-        _assemble_curve(mesh, mesh.component_slice(c), W, inner, row, col)
-    return W, inner, row, col
+        _assemble_W_curve(mesh, mesh.component_slice(c), W)
+    return W
 
 
-def _assemble_curve(mesh, sl, W, inner, row, col):
-    """The rows sl, one curve's, of _assemble's outputs.
+def _assemble_W_curve(mesh, sl, W):
+    """The rows sl, one curve's, of W.
 
     A function of its own, so that one curve's block arrays are freed
     before the next curve's are allocated.
     """
-    w = mesh.weights
-    correction = _circulant(_log_correction(sl.stop - sl.start))
-    scale = (0.25 / np.pi) * mesh.speed[sl]
-    for lo, hi, (r2, dx, dy, sq) in _block_arrays(sl.start, sl.stop, mesh.n, 4):
-        b, first = hi - lo, lo - sl.start  # first: the block's first node on its curve
+    for lo, hi, (dx, dy, sq) in _block_arrays(sl.start, sl.stop, mesh.n, 3):
         # every block reads nd, so the offsets come first and r2 from them
         _offsets(mesh.x[lo:hi], mesh.x, dx, dy)
-        np.multiply(dx, dx, out=r2)
-        r2 += np.multiply(dy, dy, out=sq)
+        Wb = np.multiply(dx, dx, out=W[lo:hi])
+        Wb += np.multiply(dy, dy, out=sq)
         nd = _normal_offsets(dx, dy, mesh.normal)
-        rows = np.arange(b)
-        r2[rows, lo + rows] = mesh.speed[lo:hi] ** 2
-
+        rows = np.arange(hi - lo)
+        Wb[rows, lo + rows] = mesh.speed[lo:hi] ** 2
         # -nd / (2 pi r2), spelled nd / (-2 pi r2): rounding is odd, so the bits agree
-        Wb = np.multiply(-2.0 * np.pi, r2, out=W[lo:hi])
+        Wb *= -2.0 * np.pi
         np.divide(nd, Wb, out=Wb)
         Wb[rows, lo + rows] = mesh.curvature[lo:hi] / (4.0 * np.pi)
-        Wb *= w
+        Wb *= mesh.weights
 
+
+def _assemble_V(x, speed, weights, curves):
+    """A = V D^-1 as its trailing block and its border, one block of rows at a time.
+
+    x, speed and weights are the mesh's nodes, speeds and weights, and
+    curves the slice of each curve's nodes: all that the pass reads, so
+    that the OperatorSet can make it without the mesh.  V is the smooth
+    (0.25 / pi) w_j log r2 fill, r2 = |x_i - x_j|^2 with speed_i^2 on the
+    diagonal (the limit of r2 / 4 sin^2((t_i - t_j)/2)), and the columns of
+    each row's own curve are corrected by the circulant of _log_correction
+    times (0.25 / pi) speed_j: together the Kussmaul-Martensen product
+    rule, at one logarithm per pair.  No block spans two curves.  A block
+    of V's rows is computed in the block's own r2 and divided by the
+    weights into A: A[1:, 1:] goes into a C-ordered (n - 1, n - 1) array,
+    which the OperatorSet factors in place, and row 0 and column 0 of A
+    into vectors.  So V never exists as a full array, and apart from that
+    array only two block arrays are allocated.  Returns A[1:, 1:], A[0] and
+    A[:, 0].
+    """
+    n = x.shape[0]
+    inner, row, col = np.empty((n - 1, n - 1)), np.empty(n), np.empty(n)
+    for sl in curves:
+        _assemble_V_curve(x, speed, weights, sl, inner, row, col)
+    return inner, row, col
+
+
+def _assemble_V_curve(x, speed, w, sl, inner, row, col):
+    """The rows sl, one curve's, of _assemble_V's outputs.
+
+    A function of its own, so that one curve's block arrays are freed
+    before the next curve's are allocated.
+    """
+    correction = _circulant(_log_correction(sl.stop - sl.start))
+    scale = (0.25 / np.pi) * speed[sl]
+    for lo, hi, r2 in _pair_blocks(x, x, sl.start, sl.stop):
+        b, first = hi - lo, lo - sl.start  # first: the block's first node on its curve
+        rows = np.arange(b)
+        r2[rows, lo + rows] = speed[lo:hi] ** 2
         Vb = np.log(r2, out=r2)
         Vb *= 0.25 / np.pi
         Vb *= w
@@ -254,42 +283,25 @@ def _projected_cholesky(inner, row, col, a1):
 _DSYMM_COLUMNS = 8
 
 
-class OperatorSet:
-    """All dense operators for one mesh, assembled once and shared.
+class _SingleLayer(NamedTuple):
+    """The single layer's half of an OperatorSet, built on its first use.
 
-    The state is W, the Cholesky factor L of T, and vectors: L_ii - T_ii,
-    u[1:], row 0 of A and its column 0 below row 0, row 0 of H A H (see the
-    module docstring and _projected_cholesky), and the value-at-infinity
-    functional q, the last row of the bordered inverse; bordered, by side
-    name the record of each used side's Neumann system
-    (solvers._bordered_system): its (n, k) border and measured kernel, and
-    the LU of its preconditioner's (m + k) square coarse system with its
-    pivots, 8 (2 n k + (m + k)^2) + 4 (m + k) bytes, and the m coarse nodes
-    and (m, n) coarse rule that both sides' records share, 8 (m + m n)
-    bytes once per mesh; m is at most about 64 per curve (1.08 MB for both
-    sides of the 768-node annulus, m = 128).  W and
-    the factor are the only arrays of size n^2.  V is applied by single_layer from the factor's array,
-    whose other triangle still holds T, and never written out.  Wt is
-    applied from W, and the Dirichlet-to-Neumann maps and their weighted
-    transposes through the factor by dtn and rep, one solve each; none of
-    them is stored.
+    factor is the Cholesky factor L of T, in the F-ordered array whose
+    strict upper triangle still holds T; gap is L_ii - T_ii, u is u[1:] and
+    row0 is row 0 of H A H (_projected_cholesky); a_row is row 0 of A and
+    a_col its column 0 below row 0; q is the value-at-infinity functional,
+    the last row of the bordered inverse.
     """
 
-    def __init__(self, mesh):
-        self.n = n = mesh.n
-        self.weights = mesh.weights
-        W, inner, self._a_row, col = _assemble(mesh)
-        self.W = _checked_W(mesh, W)
-        self._a_col = col[1:]
-        a1 = np.append(self._a_row.sum(), inner @ np.ones(n - 1) + self._a_col)
-        self._factor, self._gap, self._u, self._row0 = _projected_cholesky(
-            inner, self._a_row, col, a1)
-        # q is the y of A y + c = 0 with sum(y) = 1: y = 1/n + y0 with mass-free
-        # y0, and A 1 = V D^-1 1
-        self.q = self._solve(-a1 / n)[0] + 1.0 / n
-        self.bordered = {}
+    factor: np.ndarray
+    gap: np.ndarray
+    u: np.ndarray
+    row0: np.ndarray
+    a_row: np.ndarray
+    a_col: np.ndarray
+    q: np.ndarray = None
 
-    def _solve(self, g):
+    def solve(self, g):
         """(y, c) with A y + c = g and sum(y) = 0, for g a grid function or an (n, k) block.
 
         y = H [0; z] where the trailing rows of H A H [0; z] = H g - c H 1
@@ -299,12 +311,61 @@ class OperatorSet:
         z = np.zeros_like(Hg)
         rhs = np.negative(Hg[1:])
         if rhs.ndim == 1:  # two triangular solves beat dpotrs on one right-hand side
-            rhs = dtrsv(self._factor, rhs, lower=1, overwrite_x=1)
-            z[1:] = dtrsv(self._factor, rhs, lower=1, trans=1, overwrite_x=1)
+            rhs = dtrsv(self.factor, rhs, lower=1, overwrite_x=1)
+            z[1:] = dtrsv(self.factor, rhs, lower=1, trans=1, overwrite_x=1)
         else:
-            z[1:] = dpotrs(self._factor, rhs, lower=1, overwrite_b=1)[0]
-        c = (self._row0 @ z - Hg[0]) / np.sqrt(self.n)
+            z[1:] = dpotrs(self.factor, rhs, lower=1, overwrite_b=1)[0]
+        c = (self.row0 @ z - Hg[0]) / np.sqrt(self.row0.size)
         return _reflect(z), c
+
+
+class OperatorSet:
+    """All dense operators for one mesh, each assembled once, on first need, and shared.
+
+    W is assembled and checked when the set is built.  The single layer's
+    half, _single (a _SingleLayer: the Cholesky factor L of T and its
+    vectors, see the module docstring and _projected_cholesky, and q), is
+    assembled and factored on its first use and then kept; until then the
+    set holds, besides W, the nodes, speeds and weights that its assembly
+    reads and the slices of the curves, never the mesh.  A Neumann solve on
+    a grid datum reads W alone, so its mesh never builds the factor.
+    bordered holds, by side name, the record of each used side's Neumann
+    system (solvers._bordered_system): its (n, k) border and measured
+    kernel, and the LU of its preconditioner's (m + k) square coarse system
+    with its pivots, 8 (2 n k + (m + k)^2) + 4 (m + k) bytes, and the m
+    coarse nodes and (m, n) coarse rule that both sides' records share,
+    8 (m + m n) bytes once per mesh; m is at most about 64 per curve
+    (1.08 MB for both sides of the 768-node annulus, m = 128).  W and the
+    factor are the only arrays of size n^2.  V is applied by single_layer
+    from the factor's array, whose other triangle still holds T, and never
+    written out.  Wt is applied from W, and the Dirichlet-to-Neumann maps
+    and their weighted transposes through the factor by dtn and rep, one
+    solve each; none of them is stored.
+    """
+
+    def __init__(self, mesh):
+        self.n = mesh.n
+        self.weights = mesh.weights
+        self.W = _checked_W(mesh, _assemble_W(mesh))
+        self._x, self._speed = mesh.x, mesh.speed
+        self._curves = tuple(mesh.component_slice(c) for c in range(mesh.n_components))
+        self.bordered = {}
+
+    @cached_property
+    def _single(self):
+        """The single layer's _SingleLayer, assembled and factored on first use."""
+        n = self.n
+        inner, row, col = _assemble_V(self._x, self._speed, self.weights, self._curves)
+        a1 = np.append(row.sum(), inner @ np.ones(n - 1) + col[1:])
+        single = _SingleLayer(*_projected_cholesky(inner, row, col, a1), row, col[1:])
+        # q is the y of A y + c = 0 with sum(y) = 1: y = 1/n + y0 with mass-free
+        # y0, and A 1 = V D^-1 1
+        return single._replace(q=single.solve(-a1 / n)[0] + 1.0 / n)
+
+    @property
+    def q(self):
+        """The value-at-infinity functional, the last row of the bordered inverse."""
+        return self._single.q
 
     def _grid(self, f, block=False):
         """f as a grid function (or an (n, k) block with block) of finite values."""
@@ -315,7 +376,7 @@ class OperatorSet:
 
     def _density(self, g):
         """eta and c with V eta + c = g and zero-mean eta: B^-1 [g; 0] for the bordered B."""
-        y, c = self._solve(g)
+        y, c = self._single.solve(g)
         return y / (self.weights if y.ndim == 1 else self.weights[:, None]), c
 
     def harmonic_density(self, g):
@@ -345,22 +406,24 @@ class OperatorSet:
         and one dsymv per column for a narrower block.
         """
         x = _check_aligned(self, x, block=True)
+        single = self._single
         block = x.ndim == 2
         column = (lambda v: v[:, None]) if block else (lambda v: v)
         y = column(self.weights) * x
         tail = y[1:]
         out = np.empty(x.shape)
-        out[0] = self._a_row @ y
-        rest = np.multiply(tail, column(self._gap), out=out[1:])
-        rest += np.multiply.outer(self._a_col, y[0]) + np.multiply.outer(self._u, tail.sum(axis=0))
-        rest += self._u @ tail
+        out[0] = single.a_row @ y
+        rest = np.multiply(tail, column(single.gap), out=out[1:])
+        rest += (np.multiply.outer(single.a_col, y[0])
+                 + np.multiply.outer(single.u, tail.sum(axis=0)))
+        rest += single.u @ tail
         if not block:
-            out[1:] = dsymv(-1.0, self._factor, tail, beta=1.0, y=rest, overwrite_y=1)
+            out[1:] = dsymv(-1.0, single.factor, tail, beta=1.0, y=rest, overwrite_y=1)
         elif x.shape[1] >= _DSYMM_COLUMNS:
-            out[1:] = dsymm(-1.0, self._factor, tail, beta=1.0, c=rest)
+            out[1:] = dsymm(-1.0, single.factor, tail, beta=1.0, c=rest)
         else:
             for j in range(x.shape[1]):
-                out[1:, j] = dsymv(-1.0, self._factor, tail[:, j], beta=1.0, y=rest[:, j])
+                out[1:, j] = dsymv(-1.0, single.factor, tail[:, j], beta=1.0, y=rest[:, j])
         return out
 
     def dtn(self, side, v):

@@ -85,20 +85,20 @@ def dense_v(mesh, out=None):
     0 and column 0 of A, and V = A D.
     """
     ops = operator_set(mesh)
-    n = ops.n
+    n, single = ops.n, ops._single
     out = np.empty((n, n)) if out is None else out
     inner = out[1:, 1:]
-    inner[...] = ops._factor.T  # T below the diagonal, the factor above
+    inner[...] = single.factor.T  # T below the diagonal, the factor above
     for lo in range(0, n - 1, 64):  # mirror T above, 64 rows at a time
         hi = lo + 64
         tile = inner[lo:hi, lo:hi]
         tile[...] = np.tril(tile) + np.tril(tile, -1).T
         inner[lo:hi, hi:] = inner[hi:, lo:hi].T
-    np.fill_diagonal(inner, np.diagonal(ops._factor) - ops._gap)
-    np.subtract(ops._u[:, None], inner, out=inner)
-    inner += ops._u
-    out[0] = ops._a_row
-    out[1:, 0] = ops._a_col
+    np.fill_diagonal(inner, np.diagonal(single.factor) - single.gap)
+    np.subtract(single.u[:, None], inner, out=inner)
+    inner += single.u
+    out[0] = single.a_row
+    out[1:, 0] = single.a_col
     out *= ops.weights
     return out
 
@@ -323,13 +323,13 @@ def negated_single_layer(monkeypatch):
     """Make every OperatorSet assemble -V, whose projected block is negative definite."""
     from bie2d import operators
 
-    assemble = operators._assemble
+    assemble = operators._assemble_V
 
-    def negated(mesh):
-        W, *single_layer = assemble(mesh)  # A = V D^-1 as A[1:, 1:], A[0] and A[:, 0]
-        return W, *(np.negative(part, out=part) for part in single_layer)
+    def negated(*args):
+        # A = V D^-1 as A[1:, 1:], A[0] and A[:, 0]
+        return tuple(np.negative(part, out=part) for part in assemble(*args))
 
-    monkeypatch.setattr(operators, "_assemble", negated)
+    monkeypatch.setattr(operators, "_assemble_V", negated)
 
 
 def grid_points(xs, ys):

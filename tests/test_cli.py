@@ -350,19 +350,22 @@ _OUT_OF_MEMORY = ("Unable to allocate 11.9 GiB for an array with shape (40000, 4
 ])
 def test_a_mesh_too_large_for_memory_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                        command, report):
-    # the assembly fails as numpy does, without allocating anything
-    def out_of_memory(mesh):
+    # W's pass, when the set is built, or the single layer's, on its first use,
+    # fails as numpy does, without allocating anything
+    def out_of_memory(*args):
         raise MemoryError(_OUT_OF_MEMORY)
 
-    monkeypatch.setattr(operators, "_assemble", out_of_memory)
     if command[0] == "solve":
         command = [*command, "--config", write_disk_config(tmp_path / "disk.json")]
-    code = main([*command, "--out", str(tmp_path / "o")])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error: out of memory") and len(err.strip().splitlines()) == 1
-    assert "11.9 GiB" in err and "fewer nodes" in err
-    assert not (tmp_path / "o" / report).exists()
+    for assembly in ("_assemble_W", "_assemble_V"):
+        with monkeypatch.context() as patched:
+            patched.setattr(operators, assembly, out_of_memory)
+            code = main([*command, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory") and len(err.strip().splitlines()) == 1
+        assert "11.9 GiB" in err and "fewer nodes" in err
+        assert not (tmp_path / "o" / report).exists()
 
 
 @pytest.mark.parametrize("command, need", [
@@ -371,6 +374,12 @@ def test_a_mesh_too_large_for_memory_is_a_config_error(tmp_path, capsys, monkeyp
     # the stock trio at 2000 per curve, W and the factor of each mesh, 16 N^2 bytes
     (["verify", "--n", "2000"], 16 * (2000**2 + 2000**2 + 4000**2)),
     (["demo-hadamard", "--terms", "1", "--n", "40000"], 16 * 40000**2),
+    # a Neumann solve of a grid datum reads W alone, 8 N^2 bytes
+    (["solve", "--problem", "neumann-int", "--data", "fourier:1", "--n", "40000"], 8 * 40000**2),
+    # a pair datum's representer builds the factor too, 16 N^2 bytes; the
+    # file is never read, since the need is refused first
+    (["solve", "--problem", "neumann-ext", "--data", "pairjson:pair.json", "--n", "40000"],
+     16 * 40000**2),
 ])
 def test_a_mesh_past_the_memory_limit_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch,
                                                                     command, need):
@@ -393,12 +402,15 @@ def test_a_mesh_past_the_memory_limit_is_refused_before_it_is_built(tmp_path, ca
 
 
 def test_a_mesh_within_the_memory_limit_runs(tmp_path, capsys, monkeypatch):
-    # the limit exactly at the need of a 64-node disk solve lets it through
-    monkeypatch.setattr(cli, "_memory_limit", lambda: 16 * 64**2)
-    code = main(["solve", "--problem", "dirichlet-int", "--data", "fourier:1", "--n", "64",
-                 "--config", write_disk_config(tmp_path / "disk.json"),
-                 "--out", str(tmp_path / "o")])
-    assert code == 0 and (tmp_path / "o" / "solve_report.json").exists()
+    # the limit exactly at the need of a 64-node disk solve lets it through:
+    # W and the factor for a Dirichlet solve, W alone for a grid Neumann solve
+    config = write_disk_config(tmp_path / "disk.json")
+    for problem, need in (("dirichlet-int", 16 * 64**2), ("neumann-int", 8 * 64**2)):
+        monkeypatch.setattr(cli, "_memory_limit", lambda: need)
+        out = tmp_path / problem
+        code = main(["solve", "--problem", problem, "--data", "fourier:1", "--n", "64",
+                     "--config", config, "--out", str(out)])
+        assert code == 0 and (out / "solve_report.json").exists()
 
 
 def test_memory_limit_is_physical_memory_or_less():

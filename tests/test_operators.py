@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from bie2d.errors import LengthMismatch, OutOfRange, SingularSystem
 from bie2d.geometry import CurveSpec, _TargetBlocks, build_mesh, pairing, stock_mesh
-from bie2d.operators import OperatorSet, _assemble, _log_correction, operator_set
+from bie2d.operators import OperatorSet, _assemble_V, _assemble_W, _log_correction, operator_set
 from bie2d.potentials import trace_single
 
 
@@ -219,10 +219,14 @@ def test_operator_set_holds_only_its_factors():
     mesh = stock_mesh("annulus", 96)
     n = mesh.n
     ops = operator_set(mesh)
-    held = _held_bytes(ops)
-    assert set(held) == {"W", "q", "weights", "_factor", "_gap", "_u", "_a_row", "_a_col",
-                         "_row0"}
-    assert sum(held.values()) <= 8 * (n**2 + (n + 1) ** 2) + 64 * (n + 1)
+    # W, and the nodes, speeds and weights that the single layer's pass reads
+    built = {"W": 8 * n**2, "weights": 8 * n, "_x": 16 * n, "_speed": 8 * n}
+    assert _held_bytes(ops) == built
+    # on first use, the factor in its (n - 1)^2 array, L_ii - T_ii, and u, row 0
+    # of H A H, row 0 and column 0 of A and q, five vectors of n
+    ops.q
+    held = {**built, "_single": 8 * (n - 1) ** 2 + 8 * (n - 1) + 40 * n}
+    assert _held_bytes(ops) == held
 
     g = np.cos(mesh.t)  # no flux through any component of either side
     tau = PairDistribution("minus", g - np.mean(g), np.sin(mesh.t), mesh)
@@ -322,10 +326,16 @@ def test_grid_functions_must_be_real(ellipse):
 
 
 def test_indefinite_single_layer_names_the_failed_minor(monkeypatch):
+    # the set is built from W; the factor fails on its first use, and on every
+    # use after it, since nothing is kept
     negated_single_layer(monkeypatch)
-    with pytest.raises(SingularSystem, match="not definite: leading minor 1 of") as info:
-        OperatorSet(stock_mesh("disk", 64))
-    assert len(str(info.value).splitlines()) == 1
+    mesh = stock_mesh("disk", 64)
+    ops = OperatorSet(mesh)
+    for use in (lambda: ops.q, lambda: ops.harmonic_density(np.cos(mesh.t))):
+        with pytest.raises(SingularSystem, match="not definite: leading minor 1 of") as info:
+            use()
+        assert len(str(info.value).splitlines()) == 1
+    assert "_single" not in vars(ops)
 
 
 def _reversed(mesh, curve):
@@ -409,9 +419,15 @@ def _sin_log_V(mesh):
     return V
 
 
+def _v_pass(mesh):
+    """_assemble_V of the mesh: A = V D^-1 as A[1:, 1:], A[0] and A[:, 0]."""
+    curves = [mesh.component_slice(c) for c in range(mesh.n_components)]
+    return _assemble_V(mesh.x, mesh.speed, mesh.weights, curves)
+
+
 def _assembled_V(mesh):
-    """V from what _assemble writes: A = V D^-1 as A[1:, 1:], A[0] and A[:, 0], times D."""
-    _, inner, row, col = _assemble(mesh)
+    """V from what _assemble_V writes: A[1:, 1:], A[0] and A[:, 0], times D."""
+    inner, row, col = _v_pass(mesh)
     A = np.empty((mesh.n, mesh.n))
     A[0], A[1:, 0], A[1:, 1:] = row, col[1:], inner
     return A * mesh.weights
@@ -447,10 +463,11 @@ def test_log_correction_allocates_no_table():
 
 
 def _assembly_is(mesh, V, W):
-    """Whether _assemble and the OperatorSet write W, and A = V D^-1 by its parts, bit for bit."""
+    """Whether the two passes and the OperatorSet write W, and A = V D^-1 by its parts,
+    bit for bit."""
     w = mesh.weights
-    W_out, inner, row, col = _assemble(mesh)
-    return (np.array_equal(W_out, W) and np.array_equal(OperatorSet(mesh).W, W)
+    inner, row, col = _v_pass(mesh)
+    return (np.array_equal(_assemble_W(mesh), W) and np.array_equal(OperatorSet(mesh).W, W)
             and np.array_equal(inner, V[1:, 1:] / w[1:])
             and np.array_equal(row, V[0] / w) and np.array_equal(col, V[:, 0] / w[0]))
 
@@ -469,18 +486,94 @@ def test_assembly_in_ragged_blocks_matches_separate_assembly(monkeypatch, name):
     assert _assembly_is(mesh, *_separate_assembly(mesh))
 
 
+def _neumann_datum(mesh):
+    """The normal derivative of x^2 - y^2: a grid datum of no flux through any curve."""
+    x, normal = mesh.x, mesh.normal
+    return 2.0 * (x[:, 0] * normal[:, 0] - x[:, 1] * normal[:, 1])
+
+
+@pytest.mark.parametrize("region", ["interior", "exterior"])
+def test_a_grid_neumann_solve_leaves_the_factor_unbuilt(region):
+    from bie2d.solvers import neumann_exterior, neumann_interior
+    from bie2d.verify import probe_points
+
+    mesh = stock_mesh("annulus", 96)
+    solve = neumann_interior if region == "interior" else neumann_exterior
+    report = solve(mesh, _neumann_datum(mesh))
+    report.field.eval(probe_points(mesh, region, count=3))
+    # W, the vectors the single layer's pass would read, and the side's record
+    assert set(_held_bytes(mesh.operators)) == {"W", "weights", "_x", "_speed", "bordered"}
+
+
+@pytest.mark.parametrize("use", ["pair-neumann", "dirichlet", "verify", "dtn"])
+def test_each_use_of_the_single_layer_builds_its_factor_once(monkeypatch, use):
+    from bie2d import operators
+    from bie2d.distributions import dist_normal_derivative
+    from bie2d.solvers import dirichlet_exterior, neumann_interior
+    from bie2d.verify import run_verify
+
+    mesh = stock_mesh("annulus", 96)
+    g = np.cos(mesh.t)
+    run = {
+        "pair-neumann": lambda: neumann_interior(mesh, dist_normal_derivative(mesh, g, "plus")),
+        "dirichlet": lambda: dirichlet_exterior(mesh, g),
+        "verify": lambda: run_verify(meshes={"annulus": mesh}, n=96),
+        "dtn": lambda: operator_set(mesh).dtn("minus", g),
+    }[use]
+    factored = []
+
+    def counting(*args):
+        factored.append(1)
+        return cholesky(*args)
+
+    cholesky = operators._projected_cholesky
+    monkeypatch.setattr(operators, "_projected_cholesky", counting)
+    run()
+    run()
+    assert len(factored) == 1 and "_single" in vars(mesh.operators)
+
+
+@pytest.mark.parametrize("name", ["disk", "ellipse", "annulus", "kite", "two-disks"])
+def test_the_factor_built_after_w_matches_the_separate_assembly(monkeypatch, name, rng):
+    # the reference set factors the separate assembly's V; the mesh's own set
+    # builds W for a Neumann solve, and its factor on the product after it
+    from bie2d import operators
+    from bie2d.solvers import neumann_interior
+
+    mesh = stock_mesh(name, 64)
+    V, W = _separate_assembly(mesh)
+    w = mesh.weights
+    reference = OperatorSet(mesh)
+    with monkeypatch.context() as patched:
+        patched.setattr(operators, "_assemble_V",
+                        lambda *args: (V[1:, 1:] / w[1:], V[0] / w, V[:, 0] / w[0]))
+        reference.q
+    neumann_interior(mesh, _neumann_datum(mesh))
+    ops = mesh.operators
+    assert "_single" not in vars(ops) and np.array_equal(ops.W, W)
+    x, block = rng.standard_normal(mesh.n), rng.standard_normal((mesh.n, 8))
+    assert np.array_equal(ops.single_layer(x), reference.single_layer(x))
+    assert np.array_equal(ops.single_layer(block), reference.single_layer(block))
+    assert all(np.array_equal(got, want) for got, want in zip(ops._single, reference._single))
+    assert np.array_equal(ops.q, reference.q)
+
+
 def test_operator_set_build_allocates_two_bordered_sized_arrays():
-    # W and the array in which the single layer is assembled and factored;
-    # the assembly itself allocates only block-sized arrays besides
+    # W when the set is built, and on first use the array in which the single
+    # layer is assembled and factored; each pass allocates only block-sized
+    # arrays besides
+    def peak(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     mesh = stock_mesh("annulus", 512)
     n = mesh.n
-    tracemalloc.start()
-    try:
-        OperatorSet(mesh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * 8 * (n + 1) ** 2 + 4 * 2**20
+    assert peak(lambda: operator_set(mesh)) <= 8 * (n + 1) ** 2 + 2 * 2**20
+    assert peak(lambda: mesh.operators.q) <= 8 * (n + 1) ** 2 + 2 * 2**20
 
 
 @pytest.mark.parametrize("name, n", _SEVEN_MESHES)
@@ -505,6 +598,7 @@ def test_single_layer_product_copies_no_factor():
     # a copy of the (n - 1)^2 factor, as f2py makes of an array of another
     # layout, would take 32 MiB here
     ops = operator_set(stock_mesh("disk", 2048))
+    ops.q  # the factor is built outside the measured product
     x = np.cos(np.arange(ops.n))
     tracemalloc.start()
     try:
@@ -545,6 +639,7 @@ def test_single_layer_block_takes_one_dsymm_from_eight_columns(monkeypatch, widt
 
 def test_single_layer_block_product_copies_no_factor():
     ops = operator_set(stock_mesh("disk", 2048))
+    ops.q  # the factor is built outside the measured product
     block = np.cos(np.outer(np.arange(ops.n), np.arange(1, 9)))
     tracemalloc.start()
     try:

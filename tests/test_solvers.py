@@ -137,7 +137,11 @@ def test_neumann_interior_disk(disk128):
     diff = rep.field.eval(np.array([0.5, 0.0])) - rep.field.eval(np.array([0.0, 0.0]))
     assert abs(diff - 0.5) < 1e-7
     assert rep.rank_info["deficiency"] == 1
-    assert rep.residuals["neumann_identity"] < 1e-8
+    # rep(side, V phi) = sign (shift I + Wt) phi, which the report no longer carries
+    assert set(rep.residuals) == {"equation"}
+    ops, phi = operator_set(disk128), rep.densities["phi"]
+    A_phi = -0.5 * phi + ops._wt(phi)
+    assert np.max(np.abs(ops.rep("plus", ops.single_layer(phi)) - A_phi)) < 1e-8
 
 
 def test_neumann_interior_rejects_constant(disk128):
@@ -340,7 +344,7 @@ def test_nullspace_holds_one_matrix_of_its_size():
     # the full SVD held A, U and V^T: a peak of 3.0 n^2 floats; the pair
     # route, which formed its rank-one term whole, held 2.07 n^2
     mesh = stock_mesh("annulus", 256)
-    operator_set(mesh)
+    operator_set(mesh).q  # the single layer's factor, which the pair route reads
     routes = [partial(nullspace, mesh, kind) for kind in solvers._OP_KINDS]
     routes += [partial(solvers.transpose_kernel_pair_basis, mesh, kind)
                for kind, (_, op) in solvers._OP_KINDS.items() if op == "Wt"]
@@ -643,12 +647,19 @@ def test_dropped_meshes_are_freed_without_gc(tmp_path):
         mesh = stock_mesh("annulus", 64)
         run_verify(meshes={"annulus": mesh}, n=64)
         refs.append(weakref.ref(mesh))
+        mesh = stock_mesh("annulus", 64)  # builds the single layer's factor after W
+        neumann_interior(mesh, np.cos(mesh.t))
+        assert "_single" not in vars(mesh.operators)
+        report = dirichlet_interior(mesh, np.cos(mesh.t))
+        assert "_single" in vars(mesh.operators)
+        refs.append(weakref.ref(mesh))
+        del report
         mesh = stock_mesh("annulus", 64)  # keeps the J factor of one side
         tau = PairDistribution("minus", np.cos(mesh.t), np.sin(mesh.t), mesh)
         out = Wt_on_distribution(tau)
         refs.append(weakref.ref(mesh))
         del mesh, tau, out
-        assert [ref() for ref in refs] == [None] * 4
+        assert [ref() for ref in refs] == [None] * 5
     finally:
         if was_enabled:
             gc.enable()

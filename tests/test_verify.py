@@ -177,8 +177,10 @@ def test_verify_drops_each_mesh_cache_before_the_next(monkeypatch):
     assert len(built) == 2 * 4
     assert all(ref() is None for ref, _ in built)
     for mesh in meshes.values():
+        # the factor is held in the single layer's record, a tuple
         held = [v for value in vars(mesh.operators).values()
-                for v in (value.values() if isinstance(value, dict) else [value])]
+                for v in (value.values() if isinstance(value, dict)
+                          else value if isinstance(value, tuple) else [value])]
         square = [a for a in held if isinstance(a, np.ndarray) and a.ndim == 2
                   and a.shape[1] >= mesh.n - 1]
         assert [a.shape for a in square] == [(mesh.n, mesh.n), (mesh.n - 1, mesh.n - 1)]
