@@ -144,10 +144,12 @@ def _check_memory(meshes, arrays=2):
     at once; the counts are checked first, as build_mesh checks them.  A
     mesh of N nodes in all has an OperatorSet of 8 N^2 bytes for each of
     the arrays of that size it builds: 16 N^2 for W and the single layer's
-    factor, through which
-    the Dirichlet solves, the J map and the grid representer of a pair
-    datum solve; 8 N^2 (arrays=1) for W alone, all that a Neumann solve of
-    a grid datum reads.  Raises ConfigError past the limit.
+    factor, through which the Dirichlet solves, the J map and the grid
+    representer of a pair datum (pairjson: or a Neumann hadamard:) solve;
+    8 N^2 (arrays=1) for W alone, all that a Neumann solve of a grid datum
+    reads.  A Dirichlet solve of the library reads the factor alone, but
+    cmd_solve's cross-solver (_CROSS_SOLVERS) reads W as well, so a
+    Dirichlet command needs 16 N^2.  Raises ConfigError past the limit.
     """
     totals = [sum(_geometry(_node_counts, specs, counts)) for specs, counts in meshes]
     need = sum(8 * arrays * n**2 for n in totals)
@@ -434,6 +436,10 @@ def cmd_solve(cfg):
     _check_memory([(cfg.components, cfg.node_counts())], arrays=1 if grid_neumann else 2)
     mesh = cfg.build_mesh()
     data = build_data(cfg, mesh)
+    if cfg.problem in _CROSS_SOLVERS:
+        # the cross-solver reads W: built before the solve's factor, W carries
+        # the W 1 = 1/2 gate, which the factor would otherwise make a pass for
+        operator_set(mesh).W
     report = _SOLVERS[cfg.problem](mesh, data)
     if cfg.problem in _CROSS_SOLVERS:
         cross = _CROSS_SOLVERS[cfg.problem](mesh, np.asarray(data, dtype=float))

@@ -12,10 +12,10 @@ so V is the trapezoid rule of log r2 everywhere, corrected on each
 curve's own block by one circulant per curve.  The double-layer kernel is
 smooth on a C^2 curve, so W is plain trapezoid with the curvature limit on
 the diagonal.  W and V are assembled by two passes over the squared node
-distances, each walking each curve's rows in blocks
-(geometry._block_arrays): W's pass writes W, and V's pass writes the array
-in which the single layer is factored (below), so V is never held in full.
-V's pass is made only when the single layer is first used.
+distances, each walking the rows in blocks (geometry._block_arrays): W's
+pass writes W, and V's pass, which walks each curve's rows on their own,
+writes the array in which the single layer is factored (below), so V is
+never held in full.  Each pass is made on the first use of its layer.
 Wt = D^-1 W^T D (D = diag of quadrature weights), applied from W and never
 stored, is both the Nystrom matrix of the transposed kernel and an exact
 discrete adjoint in the weighted pairing.
@@ -40,21 +40,27 @@ bordered system.
 
 The _Side table holds each side's sign, its Neumann shift -sign/2 and the
 name every layer gives it (README, "Sides and signs").  The operators live
-in one OperatorSet per mesh, stored in mesh.operators by operator_set; it
-keeps the node count, the weights and the O(n) arrays of V's pass, never
-the mesh itself.  W is assembled and checked when the set is built.  The
-Cholesky factor of T, the set's second dense array, is built with its
-vectors and q on the first use of the single layer (a Dirichlet solve, a
-Dirichlet-to-Neumann map, the J map, the representer of a pair with a
-transpose part) and kept; a Neumann solve of a grid datum reads W alone
-and never builds it.  Besides, the set holds the O(n m) records of the
-sides' bordered Neumann systems, which share one coarse rule of m nodes
-(solvers); the J map inverts through the same factor
-(distributions.J_preimage).  It holds V only
-inside the factor's array: dpotrf leaves T's other triangle there, and
-A[1:, 1:] = u_i + u_j - T_ij with u a vector (_projected_cholesky), so a
-product with V is one symmetric product on that triangle plus vectors:
-dsymv for a vector, dsymm for a block of at least _DSYMM_COLUMNS columns.
+in one OperatorSet per mesh, stored in mesh.operators by operator_set.
+Building it is O(n) work: it keeps the node count and the O(n) node arrays
+that the passes read (_Nodes), never the mesh itself.  Each of its two
+dense arrays is built on the first use of its layer and kept.  W serves
+the Neumann solves, Wt and the Dirichlet-to-Neumann maps.  The Cholesky
+factor of T is built with its vectors and q on the first use of the
+single layer (a Dirichlet solve, a Dirichlet-to-Neumann map, the J map,
+the representer of a pair with a transpose part).  So a Neumann solve of
+a grid datum never builds the factor, and a Dirichlet solve never builds
+W.  The W 1 = 1/2 gate (_check_w1) runs in whichever dense pass comes
+first: W's, or, when the single layer comes first, a pass that sums W's
+rows block by block and keeps none of them (_w_row_sums).  Every caller
+that reads both halves reads W first, so no mesh pays for that pass and
+then for W's.  Besides, the set holds the O(n m) records of the sides'
+bordered Neumann systems, which share one coarse rule of m nodes
+(solvers); the J map inverts through the factor (distributions.J_preimage).
+It holds V only inside the factor's array: dpotrf leaves T's other
+triangle there, and A[1:, 1:] = u_i + u_j - T_ij with u a vector
+(_projected_cholesky), so a product with V is one symmetric product on
+that triangle plus vectors: dsymv for a vector, dsymm for a block of at
+least _DSYMM_COLUMNS columns.
 A = V D^-1 is symmetric only to rounding (about 1e-14 relative), so such a
 product differs from one with the assembled V in its trailing digits.
 """
@@ -94,52 +100,85 @@ def _circulant(row):
     return sliding_window_view(np.concatenate((row[::-1], row[:0:-1])), n)[::-1]
 
 
-def _assemble_W(mesh):
-    """W, the trapezoid rule of the double-layer kernel, one block of rows at a time.
+class _Nodes(NamedTuple):
+    """What the assembly passes read of a mesh: all that an OperatorSet keeps of it.
 
-    It reads r2 = |x_i - x_j|^2, with speed_i^2 on the diagonal, and the
-    normal components of the offsets; the diagonal then takes the
-    curvature limit.  W is not yet checked (_checked_W).  r2 is formed in
-    W's own rows, so apart from W only three block arrays are allocated.
+    x, normal, speed, curvature and weights are the mesh's node arrays, and
+    curves the slice of each curve's nodes.
     """
-    W = np.empty((mesh.n, mesh.n))
-    for c in range(mesh.n_components):
-        _assemble_W_curve(mesh, mesh.component_slice(c), W)
+
+    x: np.ndarray
+    normal: np.ndarray
+    speed: np.ndarray
+    curvature: np.ndarray
+    weights: np.ndarray
+    curves: tuple
+
+    @classmethod
+    def of(cls, mesh):
+        curves = tuple(mesh.component_slice(c) for c in range(mesh.n_components))
+        return cls(mesh.x, mesh.normal, mesh.speed, mesh.curvature, mesh.weights, curves)
+
+
+def _w_block(nodes, lo, hi, dx, dy, sq, out):
+    """W's rows lo..hi, the trapezoid rule of the double-layer kernel, written into out.
+
+    They read r2 = |x_i - x_j|^2, with speed_i^2 on the diagonal, and the
+    normal components of the offsets; the diagonal then takes the
+    curvature limit.  r2 is formed in out itself, so besides out the block
+    writes only the three block arrays dx, dy and sq.  Returns out.
+    """
+    # every block reads nd, so the offsets come first and r2 from them
+    _offsets(nodes.x[lo:hi], nodes.x, dx, dy)
+    Wb = np.multiply(dx, dx, out=out)
+    Wb += np.multiply(dy, dy, out=sq)
+    nd = _normal_offsets(dx, dy, nodes.normal)
+    rows = np.arange(hi - lo)
+    Wb[rows, lo + rows] = nodes.speed[lo:hi] ** 2
+    # -nd / (2 pi r2), spelled nd / (-2 pi r2): rounding is odd, so the bits agree
+    Wb *= -2.0 * np.pi
+    np.divide(nd, Wb, out=Wb)
+    Wb[rows, lo + rows] = nodes.curvature[lo:hi] / (4.0 * np.pi)
+    Wb *= nodes.weights
+    return Wb
+
+
+def _assemble_W(nodes):
+    """W, one block of rows at a time (_w_block), not yet checked (_check_w1).
+
+    Apart from W only three block arrays are allocated.
+    """
+    n = nodes.x.shape[0]
+    W = np.empty((n, n))
+    for lo, hi, arrays in _block_arrays(0, n, n, 3):
+        _w_block(nodes, lo, hi, *arrays, W[lo:hi])
     return W
 
 
-def _assemble_W_curve(mesh, sl, W):
-    """The rows sl, one curve's, of W.
+def _w_row_sums(nodes):
+    """W 1, from W's rows written block by block into a block array and summed.
 
-    A function of its own, so that one curve's block arrays are freed
-    before the next curve's are allocated.
+    The pass keeps none of W: four block arrays are all it allocates.  Its
+    blocks start on multiples of 8 rows (geometry._row_blocks), so on one
+    BLAS thread each sum has the bits of the same row of W @ 1.
     """
-    for lo, hi, (dx, dy, sq) in _block_arrays(sl.start, sl.stop, mesh.n, 3):
-        # every block reads nd, so the offsets come first and r2 from them
-        _offsets(mesh.x[lo:hi], mesh.x, dx, dy)
-        Wb = np.multiply(dx, dx, out=W[lo:hi])
-        Wb += np.multiply(dy, dy, out=sq)
-        nd = _normal_offsets(dx, dy, mesh.normal)
-        rows = np.arange(hi - lo)
-        Wb[rows, lo + rows] = mesh.speed[lo:hi] ** 2
-        # -nd / (2 pi r2), spelled nd / (-2 pi r2): rounding is odd, so the bits agree
-        Wb *= -2.0 * np.pi
-        np.divide(nd, Wb, out=Wb)
-        Wb[rows, lo + rows] = mesh.curvature[lo:hi] / (4.0 * np.pi)
-        Wb *= mesh.weights
+    n = nodes.x.shape[0]
+    w1, ones = np.empty(n), np.ones(n)
+    for lo, hi, (*arrays, block) in _block_arrays(0, n, n, 4):
+        w1[lo:hi] = _w_block(nodes, lo, hi, *arrays, block) @ ones
+    return w1
 
 
-def _assemble_V(x, speed, weights, curves):
+def _assemble_V(nodes):
     """A = V D^-1 as its trailing block and its border, one block of rows at a time.
 
-    x, speed and weights are the mesh's nodes, speeds and weights, and
-    curves the slice of each curve's nodes: all that the pass reads, so
-    that the OperatorSet can make it without the mesh.  V is the smooth
-    (0.25 / pi) w_j log r2 fill, r2 = |x_i - x_j|^2 with speed_i^2 on the
-    diagonal (the limit of r2 / 4 sin^2((t_i - t_j)/2)), and the columns of
-    each row's own curve are corrected by the circulant of _log_correction
-    times (0.25 / pi) speed_j: together the Kussmaul-Martensen product
-    rule, at one logarithm per pair.  No block spans two curves.  A block
+    nodes is the mesh's _Nodes, of which the pass reads the nodes, speeds,
+    weights and curves.  V is the smooth (0.25 / pi) w_j log r2 fill,
+    r2 = |x_i - x_j|^2 with speed_i^2 on the diagonal (the limit of
+    r2 / 4 sin^2((t_i - t_j)/2)), and the columns of each row's own curve
+    are corrected by the circulant of _log_correction times
+    (0.25 / pi) speed_j: together the Kussmaul-Martensen product rule, at
+    one logarithm per pair.  No block spans two curves.  A block
     of V's rows is computed in the block's own r2 and divided by the
     weights into A: A[1:, 1:] goes into a C-ordered (n - 1, n - 1) array,
     which the OperatorSet factors in place, and row 0 and column 0 of A
@@ -147,10 +186,11 @@ def _assemble_V(x, speed, weights, curves):
     array only two block arrays are allocated.  Returns A[1:, 1:], A[0] and
     A[:, 0].
     """
+    x = nodes.x
     n = x.shape[0]
     inner, row, col = np.empty((n - 1, n - 1)), np.empty(n), np.empty(n)
-    for sl in curves:
-        _assemble_V_curve(x, speed, weights, sl, inner, row, col)
+    for sl in nodes.curves:
+        _assemble_V_curve(x, nodes.speed, nodes.weights, sl, inner, row, col)
     return inner, row, col
 
 
@@ -177,26 +217,24 @@ def _assemble_V_curve(x, speed, w, sl, inner, row, col):
         np.divide(Vb[skip:, 1:], w[1:], out=inner[lo + skip - 1:hi - 1])
 
 
-def _checked_W(mesh, W):
-    """W itself, once W 1 = 1/2 holds on every curve.
+def _check_w1(w1, curves):
+    """Raise InvalidGeometry unless W 1 = 1/2, given as w1, holds on every curve.
 
     W's diagonal holds the continuous limit kappa_i / (4 pi), and this
-    check, made when the OperatorSet is built, pins the sign convention.
-    A reversed normal moves every row sum on its curve by about 1 (to
-    -1/2 on an outer curve, 3/2 on a hole), so the curve of the largest
-    miss is reported misoriented only when each of its rows misses by more
-    than 1/2; otherwise the nodes do not resolve the curve or its
+    check, made on the OperatorSet's first dense pass, pins the sign
+    convention.  A reversed normal moves every row sum on its curve by
+    about 1 (to -1/2 on an outer curve, 3/2 on a hole), so the curve of the
+    largest miss is reported misoriented only when each of its rows misses
+    by more than 1/2; otherwise the nodes do not resolve the curve or its
     neighbours.
     """
-    w1 = W @ np.ones(mesh.n)
     if np.max(np.abs(w1 - 0.5)) > 1e-8:
-        misses = [np.abs(w1[mesh.component_slice(c)] - 0.5) for c in range(mesh.n_components)]
+        misses = [np.abs(w1[sl] - 0.5) for sl in curves]
         c = int(np.argmax([np.max(miss) for miss in misses]))
         resid = float(np.max(misses[c]))
         cause = "sign/orientation check failed" if np.min(misses[c]) > 0.5 else "under-resolved"
         raise InvalidGeometry(f"double layer {cause}: |W 1 - 1/2| = {resid:.3e} "
                               f"on curve {c} with {misses[c].size} nodes")
-    return W
 
 
 class _Side(NamedTuple):
@@ -322,13 +360,16 @@ class _SingleLayer(NamedTuple):
 class OperatorSet:
     """All dense operators for one mesh, each assembled once, on first need, and shared.
 
-    W is assembled and checked when the set is built.  The single layer's
-    half, _single (a _SingleLayer: the Cholesky factor L of T and its
-    vectors, see the module docstring and _projected_cholesky, and q), is
-    assembled and factored on its first use and then kept; until then the
-    set holds, besides W, the nodes, speeds and weights that its assembly
-    reads and the slices of the curves, never the mesh.  A Neumann solve on
-    a grid datum reads W alone, so its mesh never builds the factor.
+    Building the set is O(n) work: it keeps the node count and _nodes (the
+    nodes, normals, speeds, curvatures, weights and curve slices that the
+    passes read), never the mesh.  W is assembled on its first read and
+    checked then (_check_w1).  The single layer's half, _single (a
+    _SingleLayer: the Cholesky factor L of T and its vectors, see the
+    module docstring and _projected_cholesky, and q), is assembled and
+    factored on its first use; when that comes before W, a pass over W's
+    rows that keeps none of them makes the same check first.  Each is kept
+    once built, and a failed one is not.  A Neumann solve on a grid datum
+    reads W alone, and a Dirichlet solve the factor alone.
     bordered holds, by side name, the record of each used side's Neumann
     system (solvers._bordered_system): its (n, k) border and measured
     kernel, and the LU of its preconditioner's (m + k) square coarse system
@@ -345,17 +386,31 @@ class OperatorSet:
 
     def __init__(self, mesh):
         self.n = mesh.n
-        self.weights = mesh.weights
-        self.W = _checked_W(mesh, _assemble_W(mesh))
-        self._x, self._speed = mesh.x, mesh.speed
-        self._curves = tuple(mesh.component_slice(c) for c in range(mesh.n_components))
+        self._nodes = _Nodes.of(mesh)
         self.bordered = {}
+
+    @property
+    def weights(self):
+        return self._nodes.weights
+
+    @cached_property
+    def W(self):
+        """The double layer's matrix, assembled and checked (_check_w1) on first read."""
+        W = _assemble_W(self._nodes)
+        _check_w1(W @ np.ones(self.n), self._nodes.curves)
+        return W
 
     @cached_property
     def _single(self):
-        """The single layer's _SingleLayer, assembled and factored on first use."""
+        """The single layer's _SingleLayer, assembled and factored on first use.
+
+        Before W is built, one pass sums W's rows (_w_row_sums) for the
+        W 1 = 1/2 gate and keeps none of them.
+        """
         n = self.n
-        inner, row, col = _assemble_V(self._x, self._speed, self.weights, self._curves)
+        if "W" not in vars(self):
+            _check_w1(_w_row_sums(self._nodes), self._nodes.curves)
+        inner, row, col = _assemble_V(self._nodes)
         a1 = np.append(row.sum(), inner @ np.ones(n - 1) + col[1:])
         single = _SingleLayer(*_projected_cholesky(inner, row, col, a1), row, col[1:])
         # q is the y of A y + c = 0 with sum(y) = 1: y = 1/n + y0 with mass-free
@@ -432,6 +487,7 @@ class OperatorSet:
         v is a grid function or an (n, k) block of them.
         """
         sign = _side(side).sign
+        self.W  # read before the factor, W carries the W 1 = 1/2 gate (_single)
         eta = self._density(self._grid(v, block=True))[0]
         return -0.5 * eta + sign * self._wt(eta)
 

@@ -387,6 +387,7 @@ def _neumann(mesh, g, region):
     exterior = side.sign < 0
     rep = _as_neumann_rep(mesh, g)
     ops = operator_set(mesh)
+    ops.W  # its gate ends a bad mesh (exit 4) before the datum's pairings are judged
     scale = float(np.max(np.abs(rep))) * integrate(mesh, np.ones(mesh.n))
     compat = _compat_pairings(mesh, rep, side)
     # each gate fails for NaN and inf as well, and a zero datum passes them all
@@ -776,6 +777,7 @@ def _poisson(mesh, g, points):
     """
     points = _TargetBlocks(mesh, points)
     ops = operator_set(mesh)
+    ops.W  # read before the factor, W carries the W 1 = 1/2 gate (OperatorSet._single)
     wg = mesh.weights * g
     inner, outer = np.empty(len(points)), np.empty(len(points))
     for rows, source in _green_sources(mesh, points):

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import itertools
 import os
 
@@ -330,6 +331,15 @@ def negated_single_layer(monkeypatch):
         return tuple(np.negative(part, out=part) for part in assemble(*args))
 
     monkeypatch.setattr(operators, "_assemble_V", negated)
+
+
+def reversed_curve(mesh, curve):
+    """The mesh with the normal and curvature of one curve flipped."""
+    sl = mesh.component_slice(curve)
+    normal, curvature = mesh.normal.copy(), mesh.curvature.copy()
+    normal[sl] *= -1.0
+    curvature[sl] *= -1.0
+    return dataclasses.replace(mesh, normal=normal, curvature=curvature, operators=None)
 
 
 def grid_points(xs, ys):

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 from conftest import (NESTED_SPECS, grid_points, nearest_node_locations, negated_single_layer,
-                      shifted_density)
+                      reversed_curve, shifted_density)
 
 import bie2d
 from bie2d import cli, operators, verify
@@ -350,7 +350,7 @@ _OUT_OF_MEMORY = ("Unable to allocate 11.9 GiB for an array with shape (40000, 4
 ])
 def test_a_mesh_too_large_for_memory_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                        command, report):
-    # W's pass, when the set is built, or the single layer's, on its first use,
+    # W's pass, on its first read, or the single layer's, on its first use,
     # fails as numpy does, without allocating anything
     def out_of_memory(*args):
         raise MemoryError(_OUT_OF_MEMORY)
@@ -379,6 +379,9 @@ def test_a_mesh_too_large_for_memory_is_a_config_error(tmp_path, capsys, monkeyp
     # a pair datum's representer builds the factor too, 16 N^2 bytes; the
     # file is never read, since the need is refused first
     (["solve", "--problem", "neumann-ext", "--data", "pairjson:pair.json", "--n", "40000"],
+     16 * 40000**2),
+    # so is hadamard:K, whose Neumann datum is the pair (0, trace)
+    (["solve", "--problem", "neumann-int", "--data", "hadamard:3", "--n", "40000"],
      16 * 40000**2),
 ])
 def test_a_mesh_past_the_memory_limit_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch,
@@ -509,6 +512,23 @@ def test_under_resolved_double_layer_is_numerical_failure(tmp_path, capsys, case
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and len(err.strip().splitlines()) == 1
     assert "under-resolved" in err and "orientation" not in err and "not simple" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("problem", ["neumann-int", "dirichlet-int"])
+def test_a_reversed_hole_normal_is_numerical_failure(tmp_path, capsys, monkeypatch, problem):
+    # the W 1 = 1/2 gate runs on the set's first dense pass: before the
+    # pairings of constant:1, which has flux through the hole (exit 3), and
+    # before the Dirichlet solve's factor
+    mesh = reversed_curve(stock_mesh("annulus", 64), 1)
+    monkeypatch.setattr(cli.RunConfig, "build_mesh", lambda self: mesh)
+    code = main(["solve", "--problem", problem, "--data", "constant:1",
+                 "--config", write_disk_config(tmp_path / "disk.json"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: double layer sign/orientation check failed: "
+                   "|W 1 - 1/2| = 1.000e+00 on curve 1 with 64 nodes\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -180,7 +180,7 @@ def test_a_repeat_wt_on_distribution_builds_no_j_factor(monkeypatch):
 
     mesh = stock_mesh("ellipse", 64)
     ops = operator_set(mesh)
-    ops.q  # the single layer's own factor, built before the counts start
+    ops.W, ops.q  # W and the single layer's own factor, built before the counts start
     held = dict(vars(ops))
     factors, solves = [], []
 

@@ -1,15 +1,21 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import BorderedLU, dense_v, dense_wt, negated_single_layer, rows_per_block
+from conftest import (BorderedLU, dense_v, dense_wt, negated_single_layer, reversed_curve,
+                      rows_per_block)
 from scipy.integrate import quad
 
+from bie2d import cli
+from bie2d.distributions import PairDistribution, Wt_on_distribution, dist_normal_derivative
 from bie2d.errors import LengthMismatch, OutOfRange, SingularSystem
 from bie2d.geometry import CurveSpec, _TargetBlocks, build_mesh, pairing, stock_mesh
-from bie2d.operators import OperatorSet, _assemble_V, _assemble_W, _log_correction, operator_set
+from bie2d.operators import (OperatorSet, _assemble_V, _assemble_W, _log_correction, _Nodes,
+                             operator_set)
 from bie2d.potentials import trace_single
+from bie2d.solvers import (dirichlet_exterior, dirichlet_interior, green_h, neumann_interior,
+                           poisson_interior)
+from bie2d.verify import run_verify
 
 
 def circle_mesh(radius, n):
@@ -219,13 +225,18 @@ def test_operator_set_holds_only_its_factors():
     mesh = stock_mesh("annulus", 96)
     n = mesh.n
     ops = operator_set(mesh)
-    # W, and the nodes, speeds and weights that the single layer's pass reads
-    built = {"W": 8 * n**2, "weights": 8 * n, "_x": 16 * n, "_speed": 8 * n}
+    # O(n) alone: the nodes and normals, two columns each, and the speeds,
+    # curvatures and weights that the passes read
+    built = {"_nodes": 56 * n}
     assert _held_bytes(ops) == built
-    # on first use, the factor in its (n - 1)^2 array, L_ii - T_ii, and u, row 0
-    # of H A H, row 0 and column 0 of A and q, five vectors of n
-    ops.q
-    held = {**built, "_single": 8 * (n - 1) ** 2 + 8 * (n - 1) + 40 * n}
+    # a Dirichlet solve builds the factor alone: its (n - 1)^2 array,
+    # L_ii - T_ii, and u, row 0 of H A H, row 0 and column 0 of A and q, five
+    # vectors of n
+    dirichlet_interior(mesh, np.cos(mesh.t))
+    factored = {**built, "_single": 8 * (n - 1) ** 2 + 8 * (n - 1) + 40 * n}
+    assert _held_bytes(ops) == factored
+    ops.W
+    held = {**factored, "W": 8 * n**2}
     assert _held_bytes(ops) == held
 
     g = np.cos(mesh.t)  # no flux through any component of either side
@@ -326,8 +337,8 @@ def test_grid_functions_must_be_real(ellipse):
 
 
 def test_indefinite_single_layer_names_the_failed_minor(monkeypatch):
-    # the set is built from W; the factor fails on its first use, and on every
-    # use after it, since nothing is kept
+    # the set is built; the factor fails on its first use, and on every use
+    # after it, since nothing is kept
     negated_single_layer(monkeypatch)
     mesh = stock_mesh("disk", 64)
     ops = OperatorSet(mesh)
@@ -338,16 +349,17 @@ def test_indefinite_single_layer_names_the_failed_minor(monkeypatch):
     assert "_single" not in vars(ops)
 
 
-def _reversed(mesh, curve):
-    """The mesh with the normal and curvature of one curve flipped."""
-    sl = mesh.component_slice(curve)
-    normal, curvature = mesh.normal.copy(), mesh.curvature.copy()
-    normal[sl] *= -1.0
-    curvature[sl] *= -1.0
-    return dataclasses.replace(mesh, normal=normal, curvature=curvature, operators=None)
+_FIRST_USES = {
+    "W": lambda mesh: operator_set(mesh).W,
+    "q": lambda mesh: operator_set(mesh).q,
+    "dirichlet": lambda mesh: dirichlet_interior(mesh, np.ones(mesh.n)),
+}
 
 
-def test_w1_check_tells_under_resolution_from_orientation():
+@pytest.mark.parametrize("use", list(_FIRST_USES))
+def test_w1_check_tells_under_resolution_from_orientation(use):
+    # the gate runs in the set's first dense pass, W's or the row sums that
+    # come before the single layer's factor; building the set checks nothing
     from bie2d.errors import InvalidGeometry
 
     two_close = build_mesh(
@@ -358,14 +370,22 @@ def test_w1_check_tells_under_resolution_from_orientation():
     # about 2, but most of its rows miss by far less than 1/2
     wiggly = build_mesh([CurveSpec("fourier", cos_x=(0.0, 1.0) + (0.0,) * 8 + (0.3,),
                                    sin_y=(0.0, 1.0))], [64])
-    for mesh, curves in ((stock_mesh("kite", 16), "0"), (two_close, "[01]"), (wiggly, "0")):
-        with pytest.raises(InvalidGeometry, match=f"under-resolved.* on curve {curves} "):
-            OperatorSet(mesh)
+    under = "double layer under-resolved: |W 1 - 1/2| = "
     # a reversed normal moves W 1 by about 1 on every row of its curve: to
     # -1/2 on an outer curve, to 3/2 on a hole
-    for name, curve in (("disk", 0), ("annulus", 1)):
-        with pytest.raises(InvalidGeometry, match=f"orientation.* on curve {curve} "):
-            OperatorSet(_reversed(stock_mesh(name, 64), curve))
+    reversed_ = "double layer sign/orientation check failed: |W 1 - 1/2| = 1.000e+00 on curve "
+    cases = [(stock_mesh("kite", 16), under + "5.052e-03 on curve 0 with 16 nodes"),
+             (two_close, under + "2.248e-03 on curve 1 with 64 nodes"),
+             (wiggly, under + "2.042e+00 on curve 0 with 64 nodes"),
+             (reversed_curve(stock_mesh("disk", 64), 0), reversed_ + "0 with 64 nodes"),
+             (reversed_curve(stock_mesh("annulus", 64), 1), reversed_ + "1 with 64 nodes")]
+    for mesh, message in cases:
+        operator_set(mesh)
+        # a failed pass keeps nothing, so the next use fails the same way
+        for _ in range(2):
+            with pytest.raises(InvalidGeometry) as caught:
+                _FIRST_USES[use](mesh)
+            assert str(caught.value) == message
 
 
 def _separate_assembly(mesh):
@@ -421,8 +441,7 @@ def _sin_log_V(mesh):
 
 def _v_pass(mesh):
     """_assemble_V of the mesh: A = V D^-1 as A[1:, 1:], A[0] and A[:, 0]."""
-    curves = [mesh.component_slice(c) for c in range(mesh.n_components)]
-    return _assemble_V(mesh.x, mesh.speed, mesh.weights, curves)
+    return _assemble_V(_Nodes.of(mesh))
 
 
 def _assembled_V(mesh):
@@ -467,7 +486,8 @@ def _assembly_is(mesh, V, W):
     bit for bit."""
     w = mesh.weights
     inner, row, col = _v_pass(mesh)
-    return (np.array_equal(_assemble_W(mesh), W) and np.array_equal(OperatorSet(mesh).W, W)
+    return (np.array_equal(_assemble_W(_Nodes.of(mesh)), W)
+            and np.array_equal(OperatorSet(mesh).W, W)
             and np.array_equal(inner, V[1:, 1:] / w[1:])
             and np.array_equal(row, V[0] / w) and np.array_equal(col, V[:, 0] / w[0]))
 
@@ -501,8 +521,64 @@ def test_a_grid_neumann_solve_leaves_the_factor_unbuilt(region):
     solve = neumann_interior if region == "interior" else neumann_exterior
     report = solve(mesh, _neumann_datum(mesh))
     report.field.eval(probe_points(mesh, region, count=3))
-    # W, the vectors the single layer's pass would read, and the side's record
-    assert set(_held_bytes(mesh.operators)) == {"W", "weights", "_x", "_speed", "bordered"}
+    # W, the node arrays the single layer's pass would read, and the side's record
+    assert set(_held_bytes(mesh.operators)) == {"W", "_nodes", "bordered"}
+
+
+def _cli_dirichlet(mesh, tmp_path):
+    """bie2d solve --problem dirichlet-int on mesh, which the test's patched
+    RunConfig.build_mesh returns; the config only passes the memory check."""
+    config = tmp_path / "domain.json"
+    config.write_text('{"components": [{"kind": "circle", "radius": 1.0, "nodes": 96}]}')
+    assert cli.main(["solve", "--problem", "dirichlet-int", "--data", "fourier:1",
+                     "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+
+# each flow of the pass-count test, and whether it reads W
+_FLOWS = {
+    "dirichlet-interior": (lambda mesh, _: dirichlet_interior(mesh, np.cos(mesh.t)), False),
+    "dirichlet-exterior": (lambda mesh, _: dirichlet_exterior(mesh, np.cos(mesh.t)), False),
+    "green-h": (lambda mesh, _: green_h(mesh, np.array([0.0, 1.5]), "interior"), False),
+    "poisson": (lambda mesh, _: poisson_interior(mesh, np.cos(mesh.t), np.array([0.0, 1.5])),
+                True),
+    "grid-neumann": (lambda mesh, _: neumann_interior(mesh, _neumann_datum(mesh)), True),
+    "pair-neumann": (lambda mesh, _: neumann_interior(
+        mesh, dist_normal_derivative(mesh, np.cos(mesh.t), "plus")), True),
+    "dtn": (lambda mesh, _: operator_set(mesh).dtn("minus", np.cos(mesh.t)), True),
+    "wt-on-distribution": (lambda mesh, _: Wt_on_distribution(
+        PairDistribution("minus", np.cos(mesh.t), np.sin(mesh.t), mesh)), True),
+    "verify": (lambda mesh, _: run_verify(meshes={"annulus": mesh}, n=96), True),
+    "cli-dirichlet-int": (_cli_dirichlet, True),
+}
+
+
+@pytest.mark.parametrize("flow", list(_FLOWS))
+def test_each_flow_computes_each_row_of_w_once(monkeypatch, tmp_path, flow):
+    # the W 1 = 1/2 gate runs in the first dense pass: W's, or the row sums
+    # that come before the single layer's factor when W is not read; no flow
+    # makes both, or either twice, and none makes V's pass twice
+    from bie2d import operators
+
+    run, reads_w = _FLOWS[flow]
+    mesh = stock_mesh("annulus", 96)
+    monkeypatch.setattr(cli.RunConfig, "build_mesh", lambda self: mesh)
+    rows, v_passes = [], []
+
+    def block(nodes, lo, hi, *arrays):
+        rows.append(hi - lo)
+        return w_block(nodes, lo, hi, *arrays)
+
+    def v_pass(*args):
+        v_passes.append(1)
+        return assemble_v(*args)
+
+    w_block, assemble_v = operators._w_block, operators._assemble_V
+    monkeypatch.setattr(operators, "_w_block", block)
+    monkeypatch.setattr(operators, "_assemble_V", v_pass)
+    run(mesh, tmp_path)
+    assert sum(rows) == mesh.n and len(v_passes) <= 1
+    # a Dirichlet-only set holds the factor alone
+    assert ("W" in vars(mesh.operators)) == reads_w
 
 
 @pytest.mark.parametrize("use", ["pair-neumann", "dirichlet", "verify", "dtn"])
@@ -559,9 +635,10 @@ def test_the_factor_built_after_w_matches_the_separate_assembly(monkeypatch, nam
 
 
 def test_operator_set_build_allocates_two_bordered_sized_arrays():
-    # W when the set is built, and on first use the array in which the single
-    # layer is assembled and factored; each pass allocates only block-sized
-    # arrays besides
+    # nothing of size n when the set is built; W on its first read, and on
+    # first use the array in which the single layer is assembled and
+    # factored; each pass allocates only block-sized arrays besides, and so
+    # does the pass that sums W's rows when the single layer comes first
     def peak(build):
         tracemalloc.start()
         try:
@@ -572,8 +649,10 @@ def test_operator_set_build_allocates_two_bordered_sized_arrays():
 
     mesh = stock_mesh("annulus", 512)
     n = mesh.n
-    assert peak(lambda: operator_set(mesh)) <= 8 * (n + 1) ** 2 + 2 * 2**20
+    assert peak(lambda: operator_set(mesh)) <= 8 * n
+    assert peak(lambda: mesh.operators.W) <= 8 * (n + 1) ** 2 + 2 * 2**20
     assert peak(lambda: mesh.operators.q) <= 8 * (n + 1) ** 2 + 2 * 2**20
+    assert peak(lambda: OperatorSet(mesh).q) <= 8 * (n + 1) ** 2 + 2 * 2**20
 
 
 @pytest.mark.parametrize("name, n", _SEVEN_MESHES)

@@ -344,7 +344,8 @@ def test_nullspace_holds_one_matrix_of_its_size():
     # the full SVD held A, U and V^T: a peak of 3.0 n^2 floats; the pair
     # route, which formed its rank-one term whole, held 2.07 n^2
     mesh = stock_mesh("annulus", 256)
-    operator_set(mesh).q  # the single layer's factor, which the pair route reads
+    ops = operator_set(mesh)
+    ops.W, ops.q  # W, and the single layer's factor, which the pair route reads
     routes = [partial(nullspace, mesh, kind) for kind in solvers._OP_KINDS]
     routes += [partial(solvers.transpose_kernel_pair_basis, mesh, kind)
                for kind, (_, op) in solvers._OP_KINDS.items() if op == "Wt"]
@@ -654,12 +655,18 @@ def test_dropped_meshes_are_freed_without_gc(tmp_path):
         assert "_single" in vars(mesh.operators)
         refs.append(weakref.ref(mesh))
         del report
+        mesh = stock_mesh("annulus", 64)  # builds the factor and never W
+        report = dirichlet_exterior(mesh, np.cos(mesh.t))
+        write_field_csv(report.field, default_grid(mesh), tmp_path / "u.csv")
+        assert "W" not in vars(mesh.operators) and "_single" in vars(mesh.operators)
+        refs.append(weakref.ref(mesh))
+        del report
         mesh = stock_mesh("annulus", 64)  # keeps the J factor of one side
         tau = PairDistribution("minus", np.cos(mesh.t), np.sin(mesh.t), mesh)
         out = Wt_on_distribution(tau)
         refs.append(weakref.ref(mesh))
         del mesh, tau, out
-        assert [ref() for ref in refs] == [None] * 5
+        assert [ref() for ref in refs] == [None] * 6
     finally:
         if was_enabled:
             gc.enable()
@@ -831,7 +838,7 @@ def test_wt_solve_allocates_less_than_one_square_array():
     # M is applied, never formed, and the rank threshold reads only the border
     mesh = stock_mesh("annulus", 384)
     n = mesh.n
-    operator_set(mesh)
+    operator_set(mesh).W  # built before the measured regions, as a Neumann solve reads it
     for side in (_side("plus"), _side("minus")):
         tracemalloc.start()
         try:
