@@ -437,8 +437,8 @@ def cmd_solve(cfg):
     mesh = cfg.build_mesh()
     data = build_data(cfg, mesh)
     if cfg.problem in _CROSS_SOLVERS:
-        # the cross-solver reads W: built before the solve's factor, W carries
-        # the W 1 = 1/2 gate, which the factor would otherwise make a pass for
+        # the cross-solver reads W: built before the solve's factor, W's own
+        # pass makes the W 1 = 1/2 gate, which the factor would otherwise make
         operator_set(mesh).W
     report = _SOLVERS[cfg.problem](mesh, data)
     if cfg.problem in _CROSS_SOLVERS:

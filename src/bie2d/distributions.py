@@ -161,9 +161,8 @@ def J_preimage(mesh, g, side):
 
 def _mass_column(ops):
     """W V1 - V1/2 (V1 = V 1): the J-coordinate column of Wt's mass term <tau,1>/<1,1>."""
-    W = ops.W  # read before the factor, W carries the W 1 = 1/2 gate (OperatorSet._single)
     v1 = ops.single_layer(np.ones(ops.n))
-    return W @ v1 - 0.5 * v1
+    return ops.W @ v1 - 0.5 * v1
 
 
 def Wt_on_distribution(tau):

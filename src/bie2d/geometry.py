@@ -24,10 +24,11 @@ block's points, only when a double-layer kernel reads them.  Every
 pairwise pass iterates one walker, _block_arrays: it takes the rows in
 blocks of about _BLOCK_PAIRS pairs and reuses one set of block arrays, as
 many as the pass writes, so no array over all pairs is ever allocated.
-_pair_blocks, which reads r2 alone, and the evaluation pass hold two (a
-double-layer kernel forms its offsets in arrays of each block's own); the
-operator assembly, which reads the normal components on every block and
-so forms the offsets first and r2 from them, holds four.  The
+_pair_blocks, which reads r2 alone, the evaluation pass and V's pass
+hold two (a double-layer kernel forms its offsets in arrays of each
+block's own).  W's pass, which reads the normal components on every
+block and so forms the offsets first and r2 from them, holds three, and
+four when it only sums W's rows for the W 1 = 1/2 gate.  The
 evaluation pass finds each point's nearest node over all the nodes, which
 verify.probe_points ranks its candidates by.  One more reduction finds
 nearest nodes (_nearer_nodes), for the node-separation check and for

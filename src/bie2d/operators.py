@@ -12,10 +12,12 @@ so V is the trapezoid rule of log r2 everywhere, corrected on each
 curve's own block by one circulant per curve.  The double-layer kernel is
 smooth on a C^2 curve, so W is plain trapezoid with the curvature limit on
 the diagonal.  W and V are assembled by two passes over the squared node
-distances, each walking the rows in blocks (geometry._block_arrays): W's
-pass writes W, and V's pass, which walks each curve's rows on their own,
-writes the array in which the single layer is factored (below), so V is
-never held in full.  Each pass is made on the first use of its layer.
+distances, each one walk over all rows from row 0 in blocks, in one set
+of block arrays (geometry._block_arrays).  W's pass (_w_pass) sums each
+block of rows as it computes it and checks W 1 = 1/2 (_check_w1); it
+writes W, or, made for the gate alone, keeps none of it.  V's pass writes
+the array in which the single layer is factored (below), so V is never
+held in full.  Each pass is made on the first use of its layer.
 Wt = D^-1 W^T D (D = diag of quadrature weights), applied from W and never
 stored, is both the Nystrom matrix of the transposed kernel and an exact
 discrete adjoint in the weighted pairing.
@@ -49,9 +51,9 @@ factor of T is built with its vectors and q on the first use of the
 single layer (a Dirichlet solve, a Dirichlet-to-Neumann map, the J map,
 the representer of a pair with a transpose part).  So a Neumann solve of
 a grid datum never builds the factor, and a Dirichlet solve never builds
-W.  The W 1 = 1/2 gate (_check_w1) runs in whichever dense pass comes
-first: W's, or, when the single layer comes first, a pass that sums W's
-rows block by block and keeps none of them (_w_row_sums).  Every caller
+W.  The W 1 = 1/2 gate runs in W's pass, which is always the first dense
+pass: the first read of W makes it and keeps W, and the first use of the
+single layer, before W is read, makes it and keeps nothing.  Every caller
 that reads both halves reads W first, so no mesh pays for that pass and
 then for W's.  Besides, the set holds the O(n m) records of the sides'
 bordered Neumann systems, which share one coarse rule of m nodes
@@ -143,30 +145,23 @@ def _w_block(nodes, lo, hi, dx, dy, sq, out):
     return Wb
 
 
-def _assemble_W(nodes):
-    """W, one block of rows at a time (_w_block), not yet checked (_check_w1).
+def _w_pass(nodes, W=None):
+    """W's rows, block by block (_w_block), each summed as it is computed and
+    checked (_check_w1); returns W.
 
-    Apart from W only three block arrays are allocated.
-    """
-    n = nodes.x.shape[0]
-    W = np.empty((n, n))
-    for lo, hi, arrays in _block_arrays(0, n, n, 3):
-        _w_block(nodes, lo, hi, *arrays, W[lo:hi])
-    return W
-
-
-def _w_row_sums(nodes):
-    """W 1, from W's rows written block by block into a block array and summed.
-
-    The pass keeps none of W: four block arrays are all it allocates.  Its
-    blocks start on multiples of 8 rows (geometry._row_blocks), so on one
-    BLAS thread each sum has the bits of the same row of W @ 1.
+    Given W, the rows are written into it, and apart from W three block
+    arrays are allocated.  Without it they are written into a fourth block
+    array, and the pass keeps none of them.  The blocks start on multiples
+    of 8 rows (geometry._row_blocks), so on one BLAS thread each sum has the
+    bits of the same row of W @ 1.
     """
     n = nodes.x.shape[0]
     w1, ones = np.empty(n), np.ones(n)
-    for lo, hi, (*arrays, block) in _block_arrays(0, n, n, 4):
-        w1[lo:hi] = _w_block(nodes, lo, hi, *arrays, block) @ ones
-    return w1
+    for lo, hi, arrays in _block_arrays(0, n, n, 4 if W is None else 3):
+        out = arrays[3] if W is None else W[lo:hi]
+        w1[lo:hi] = _w_block(nodes, lo, hi, *arrays[:3], out) @ ones
+    _check_w1(w1, nodes.curves)
+    return W
 
 
 def _assemble_V(nodes):
@@ -178,55 +173,48 @@ def _assemble_V(nodes):
     r2 / 4 sin^2((t_i - t_j)/2)), and the columns of each row's own curve
     are corrected by the circulant of _log_correction times
     (0.25 / pi) speed_j: together the Kussmaul-Martensen product rule, at
-    one logarithm per pair.  No block spans two curves.  A block
-    of V's rows is computed in the block's own r2 and divided by the
-    weights into A: A[1:, 1:] goes into a C-ordered (n - 1, n - 1) array,
-    which the OperatorSet factors in place, and row 0 and column 0 of A
-    into vectors.  So V never exists as a full array, and apart from that
-    array only two block arrays are allocated.  Returns A[1:, 1:], A[0] and
-    A[:, 0].
+    one logarithm per pair.  The pass walks all rows in one set of two
+    block arrays, and a block's rows on each curve that it meets take that
+    curve's correction; every operation is elementwise, so the bits do not
+    depend on where a block starts.  A block of V's rows is computed in the
+    block's own r2 and divided by the weights into A: A[1:, 1:] goes into a
+    C-ordered (n - 1, n - 1) array, which the OperatorSet factors in place,
+    and row 0 and column 0 of A into vectors.  So V never exists as a full
+    array.  Returns A[1:, 1:], A[0] and A[:, 0].
     """
-    x = nodes.x
+    x, speed, w = nodes.x, nodes.speed, nodes.weights
     n = x.shape[0]
     inner, row, col = np.empty((n - 1, n - 1)), np.empty(n), np.empty(n)
-    for sl in nodes.curves:
-        _assemble_V_curve(x, nodes.speed, nodes.weights, sl, inner, row, col)
-    return inner, row, col
-
-
-def _assemble_V_curve(x, speed, w, sl, inner, row, col):
-    """The rows sl, one curve's, of _assemble_V's outputs.
-
-    A function of its own, so that one curve's block arrays are freed
-    before the next curve's are allocated.
-    """
-    correction = _circulant(_log_correction(sl.stop - sl.start))
-    scale = (0.25 / np.pi) * speed[sl]
-    for lo, hi, r2 in _pair_blocks(x, x, sl.start, sl.stop):
-        b, first = hi - lo, lo - sl.start  # first: the block's first node on its curve
-        rows = np.arange(b)
+    corrections = [(sl, _circulant(_log_correction(sl.stop - sl.start)),
+                    (0.25 / np.pi) * speed[sl]) for sl in nodes.curves]
+    for lo, hi, r2 in _pair_blocks(x, x, 0, n):
+        rows = np.arange(hi - lo)
         r2[rows, lo + rows] = speed[lo:hi] ** 2
         Vb = np.log(r2, out=r2)
         Vb *= 0.25 / np.pi
         Vb *= w
-        Vb[:, sl] += correction[first:first + b] * scale
+        for sl, correction, scale in corrections:
+            a, b = max(lo, sl.start), min(hi, sl.stop)  # the block's rows on the curve
+            if a < b:
+                Vb[a - lo:b - lo, sl] += correction[a - sl.start:b - sl.start] * scale
         np.divide(Vb[:, 0], w[0], out=col[lo:hi])
         skip = lo == 0  # row 0 of A is a vector of its own
         if skip:
             np.divide(Vb[0], w, out=row)
         np.divide(Vb[skip:, 1:], w[1:], out=inner[lo + skip - 1:hi - 1])
+    return inner, row, col
 
 
 def _check_w1(w1, curves):
     """Raise InvalidGeometry unless W 1 = 1/2, given as w1, holds on every curve.
 
     W's diagonal holds the continuous limit kappa_i / (4 pi), and this
-    check, made on the OperatorSet's first dense pass, pins the sign
-    convention.  A reversed normal moves every row sum on its curve by
-    about 1 (to -1/2 on an outer curve, 3/2 on a hole), so the curve of the
-    largest miss is reported misoriented only when each of its rows misses
-    by more than 1/2; otherwise the nodes do not resolve the curve or its
-    neighbours.
+    check, made by W's pass (_w_pass), the OperatorSet's first dense pass,
+    pins the sign convention.  A reversed normal moves every row sum on its
+    curve by about 1 (to -1/2 on an outer curve, 3/2 on a hole), so the
+    curve of the largest miss is reported misoriented only when each of its
+    rows misses by more than 1/2; otherwise the nodes do not resolve the
+    curve or its neighbours.
     """
     if np.max(np.abs(w1 - 0.5)) > 1e-8:
         misses = [np.abs(w1[sl] - 0.5) for sl in curves]
@@ -362,13 +350,13 @@ class OperatorSet:
 
     Building the set is O(n) work: it keeps the node count and _nodes (the
     nodes, normals, speeds, curvatures, weights and curve slices that the
-    passes read), never the mesh.  W is assembled on its first read and
-    checked then (_check_w1).  The single layer's half, _single (a
-    _SingleLayer: the Cholesky factor L of T and its vectors, see the
+    passes read), never the mesh.  W is assembled on its first read, by the
+    pass that checks W 1 = 1/2 (_w_pass).  The single layer's half, _single
+    (a _SingleLayer: the Cholesky factor L of T and its vectors, see the
     module docstring and _projected_cholesky, and q), is assembled and
-    factored on its first use; when that comes before W, a pass over W's
-    rows that keeps none of them makes the same check first.  Each is kept
-    once built, and a failed one is not.  A Neumann solve on a grid datum
+    factored on its first use; when that comes before W, the same pass,
+    keeping none of W's rows, makes the check first.  Each is kept once
+    built, and a failed one is not.  A Neumann solve on a grid datum
     reads W alone, and a Dirichlet solve the factor alone.
     bordered holds, by side name, the record of each used side's Neumann
     system (solvers._bordered_system): its (n, k) border and measured
@@ -395,21 +383,19 @@ class OperatorSet:
 
     @cached_property
     def W(self):
-        """The double layer's matrix, assembled and checked (_check_w1) on first read."""
-        W = _assemble_W(self._nodes)
-        _check_w1(W @ np.ones(self.n), self._nodes.curves)
-        return W
+        """The double layer's matrix, assembled and checked (_w_pass) on first read."""
+        return _w_pass(self._nodes, np.empty((self.n, self.n)))
 
     @cached_property
     def _single(self):
         """The single layer's _SingleLayer, assembled and factored on first use.
 
-        Before W is built, one pass sums W's rows (_w_row_sums) for the
-        W 1 = 1/2 gate and keeps none of them.
+        Before W is built, W's pass (_w_pass) is made for the W 1 = 1/2
+        gate alone and keeps none of W's rows.
         """
         n = self.n
         if "W" not in vars(self):
-            _check_w1(_w_row_sums(self._nodes), self._nodes.curves)
+            _w_pass(self._nodes)
         inner, row, col = _assemble_V(self._nodes)
         a1 = np.append(row.sum(), inner @ np.ones(n - 1) + col[1:])
         single = _SingleLayer(*_projected_cholesky(inner, row, col, a1), row, col[1:])
@@ -487,7 +473,7 @@ class OperatorSet:
         v is a grid function or an (n, k) block of them.
         """
         sign = _side(side).sign
-        self.W  # read before the factor, W carries the W 1 = 1/2 gate (_single)
+        self.W  # read before the factor, W's own pass makes the W 1 = 1/2 gate (_w_pass)
         eta = self._density(self._grid(v, block=True))[0]
         return -0.5 * eta + sign * self._wt(eta)
 

@@ -145,7 +145,8 @@ _PROBE_TOL = 1e-6
 
 
 def value_at_infinity(fld, probe_radius):
-    """Value of an exterior field at infinity.
+    """Value at infinity of an exterior field or of a field with no region
+    (a bare layer potential, defined on both sides).
 
     Returns the mean over a probe circle of _N_PROBE points together with
     the value implied by the representation; the two must agree within
@@ -168,7 +169,7 @@ def value_at_infinity(fld, probe_radius):
     if not rmax + mesh.band_width() < radius < np.inf:  # NaN fails it too
         raise InvalidProbe(f"probe radius {probe_radius} is not a finite radius "
                            f"that encloses the boundary (r_max={rmax:.3f})")
-    if _side(fld.region, "region").sign > 0:
+    if fld.region is not None and _side(fld.region, "region").sign > 0:
         raise InvalidProbe("value at infinity of an interior field")
     # the limit read off the representation: its constant, once the single
     # layers carry no mass in all

@@ -408,10 +408,9 @@ def _neumann(mesh, g, region):
     deficiency = kernel.shape[1]
     if exterior:
         phi_mass = integrate(mesh, phi)
-        if not abs(phi_mass) <= 1e-8 * scale:
-            raise SingularSystem(
-                f"exterior Neumann density carries mass {phi_mass:.3e}"
-            )
+        if not abs(phi_mass) <= 1e-8 * scale:  # the datum's net flux, below its pairings' gate
+            raise IncompatibleData(f"exterior Neumann density carries mass {phi_mass:.3e}",
+                                   pairings=compat)
     fld = HarmonicField(mesh, [("single", phi)], region=region)
     residuals = {"equation": resid}
     if exterior:  # relative to scale, as its gate; a zero datum passed it with no mass
@@ -443,7 +442,14 @@ def neumann_interior(mesh, g):
 
 def neumann_exterior(mesh, g):
     """Exterior Neumann problem, the datum taken along nu, the normal out of the open set
-    (dist_normal_derivative(mesh, f, 'minus') is along -nu: it yields the field of -f)."""
+    (dist_normal_derivative(mesh, f, 'minus') is along -nu: it yields the field of -f).
+
+    The density's mass is the datum's net flux, so besides neumann_interior's
+    gates a density whose mass exceeds 1e-8 times max|datum| times the
+    boundary length raises IncompatibleData with the datum's pairings: a net
+    flux too small for the pairings' _COMPAT_TOL still leaves the field
+    without a limit at infinity.
+    """
     return _neumann(mesh, g, "exterior")
 
 
@@ -777,7 +783,8 @@ def _poisson(mesh, g, points):
     """
     points = _TargetBlocks(mesh, points)
     ops = operator_set(mesh)
-    ops.W  # read before the factor, W carries the W 1 = 1/2 gate (OperatorSet._single)
+    # read before the factor, W's own pass makes the W 1 = 1/2 gate (operators._w_pass)
+    ops.W
     wg = mesh.weights * g
     inner, outer = np.empty(len(points)), np.empty(len(points))
     for rows, source in _green_sources(mesh, points):

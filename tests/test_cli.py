@@ -357,7 +357,7 @@ def test_a_mesh_too_large_for_memory_is_a_config_error(tmp_path, capsys, monkeyp
 
     if command[0] == "solve":
         command = [*command, "--config", write_disk_config(tmp_path / "disk.json")]
-    for assembly in ("_assemble_W", "_assemble_V"):
+    for assembly in ("_w_pass", "_assemble_V"):
         with monkeypatch.context() as patched:
             patched.setattr(operators, assembly, out_of_memory)
             code = main([*command, "--out", str(tmp_path / "o")])
@@ -455,6 +455,18 @@ def test_memory_limit_without_a_cgroup_limit_is_physical_memory(tmp_path):
     files = {"leaf/memory.max": "max", "memory.max": "not a number"}
     assert cli._memory_limit(*_cgroup_tree(tmp_path, ["0::/leaf", "bad line"], files)) == physical
     assert cli._memory_limit(str(tmp_path / "none"), str(tmp_path / "none")) == physical
+
+
+@pytest.mark.parametrize("fault", [ValueError, OSError, AttributeError])
+def test_memory_limit_without_physical_memory_is_the_cgroups(tmp_path, monkeypatch, fault):
+    # a platform where os.sysconf fails or is missing leaves the cgroups alone
+    def sysconf(name):
+        raise fault(name)
+
+    monkeypatch.setattr(os, "sysconf", sysconf)
+    files = {"leaf/memory.max": "max", "memory.max": 5 << 20}
+    assert cli._memory_limit(*_cgroup_tree(tmp_path, ["0::/leaf"], files)) == 5 << 20
+    assert cli._memory_limit(str(tmp_path / "none"), str(tmp_path / "none")) is None
 
 
 def test_verify_non_finite_residual_is_numerical_failure(tmp_path, capsys, monkeypatch):
@@ -759,6 +771,8 @@ _CSV_REFUSALS = {
     "ragged-after-a-comment": ("# g\n\n1,2\n1,2\n3,4,5\n",
                                "is ragged: its column count changes from 2 to 3 at line 5"),
     "text": ("1\n" * 127 + "x\n", "holds a non-numeric value"),
+    # bytes that do not decode as text: no column count is read, so none changes
+    "not-text": (b"\xff\xfe\x00\x01,\x80\n", "holds a non-numeric value"),
 }
 
 
@@ -766,7 +780,7 @@ _CSV_REFUSALS = {
 def test_a_csv_refusal_names_the_table_shape(tmp_path, capsys, case):
     text, reason = _CSV_REFUSALS[case]
     path = tmp_path / "g.csv"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     code = main(["solve", "--config", write_disk_config(tmp_path / "disk.json"),
                  "--problem", "dirichlet-int", "--data", f"csv:{path}",
                  "--out", str(tmp_path / "out")])
@@ -1167,3 +1181,32 @@ def test_exterior_neumann_density_mass_is_relative(tmp_path, capsys, radius):
     report = json.loads((tmp_path / "out" / "solve_report.json").read_text())
     assert report["residuals"]["density_mass"] <= 1e-15
     assert float(re.search(r"max residual: (\S+)", capsys.readouterr().out)[1]) <= 1e-11
+
+
+@pytest.mark.parametrize("components", [
+    [{"kind": "circle", "radius": 1.0, "nodes": 128}],
+    [{"kind": "circle", "radius": 2.0, "nodes": 128},
+     {"kind": "circle", "radius": 1.0, "orientation": "negative", "nodes": 128}],
+], ids=["disk", "annulus"])
+def test_exterior_neumann_small_net_flux_is_incompatible_data(tmp_path, capsys, components):
+    # cos t + delta: a flux that passes the pairings' gate but leaves the
+    # density a mass past its own gate is incompatible data too, not a
+    # numerical failure, and the pairings are printed
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"components": components}))
+    t = load_config(str(path)).build_mesh().t
+    for delta, code, reason in [(5e-9, EXIT_OK, None),
+                                (2e-8, EXIT_INCOMPATIBLE, "exterior Neumann density carries mass"),
+                                (5e-8, EXIT_INCOMPATIBLE, "exterior Neumann density carries mass"),
+                                (9e-8, EXIT_INCOMPATIBLE, "exterior Neumann density carries mass"),
+                                (2e-7, EXIT_INCOMPATIBLE, "datum has nonzero flux")]:
+        np.savetxt(tmp_path / "g.csv", np.cos(t) + delta, delimiter=",")
+        assert main(["solve", "--config", str(path), "--problem", "neumann-ext",
+                     "--data", f"csv:{tmp_path / 'g.csv'}", "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err.splitlines()
+        if reason is None:
+            assert err == []
+            continue
+        assert err[0].startswith(f"incompatible data: {reason}")
+        assert [line.split(" = ")[0] for line in err[1:]] == [
+            f"  component pairing [{i}]" for i in range(len(components))]

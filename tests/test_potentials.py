@@ -177,6 +177,28 @@ def test_value_at_infinity_rejects_growth(disk128):
         value_at_infinity(fld, 10.0)
 
 
+def test_value_at_infinity_of_a_field_with_no_region(disk128):
+    # a bare layer potential is defined outside too, so it is taken as an
+    # exterior field: a limit without mass, NoLimit with it
+    fld = HarmonicField(disk128, [("single", np.cos(disk128.t))], region=None)
+    out = value_at_infinity(fld, 10.0)
+    assert abs(out.mean) < 1e-6 and out.representation == 0.0
+    with pytest.raises(NoLimit):
+        value_at_infinity(HarmonicField(disk128, [("single", np.ones(disk128.n))], region=None),
+                          10.0)
+
+
+def test_value_at_infinity_refuses_a_probe_mean_off_the_representation():
+    # a zero-mass single layer of amplitude 1e4 on a disk off the origin,
+    # probed just past the band: its mean misses the limit 0 by about 9.27e-6
+    mesh = build_mesh([CurveSpec("circle", center=(3.0, 0.0), radius=1.0)], [64])
+    radius = float(np.max(np.linalg.norm(mesh.x, axis=1))) + 1.01 * mesh.band_width()
+    fld = HarmonicField(mesh, [("single", 1e4 * np.cos(mesh.t))], region="exterior")
+    with pytest.raises(InvalidProbe, match=r"^probe mean -9\.27\de-06 disagrees with "
+                                           r"representation value 0\.000e\+00$"):
+        value_at_infinity(fld, radius)
+
+
 def test_value_at_infinity_probe_validation(disk128):
     fld = HarmonicField(disk128, [], constant=0.0, region="exterior")
     with pytest.raises(InvalidProbe):

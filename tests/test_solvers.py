@@ -202,6 +202,28 @@ def test_neumann_exterior_rejects_constant(disk128):
     assert abs(err.value.pairings[0] - 2 * np.pi) < 1e-10
 
 
+# the boundary length of each exterior component, the unbounded one first
+_EXTERIOR_LENGTHS = {"disk": [2 * np.pi], "annulus": [4 * np.pi, 2 * np.pi]}
+
+
+@pytest.mark.parametrize("name", sorted(_EXTERIOR_LENGTHS))
+def test_neumann_exterior_small_net_flux_is_incompatible(name):
+    # cos t + delta has net flux delta times each exterior length: below
+    # 1e-7 (relative) it passes the pairings' gate and leaves the density
+    # that mass, which the mass gate (1e-8) refuses with the same pairings
+    mesh = stock_mesh(name, 128)
+    lengths = np.array(_EXTERIOR_LENGTHS[name])
+    rep = neumann_exterior(mesh, np.cos(mesh.t) + 5e-9)
+    assert rep.residuals["density_mass"] <= 1e-8
+    for delta in (2e-8, 5e-8, 9e-8):
+        with pytest.raises(IncompatibleData,
+                           match="^exterior Neumann density carries mass ") as err:
+            neumann_exterior(mesh, np.cos(mesh.t) + delta)
+        np.testing.assert_allclose(err.value.pairings, delta * lengths, rtol=1e-6)
+    with pytest.raises(IncompatibleData, match="^datum has nonzero flux through an exterior"):
+        neumann_exterior(mesh, np.cos(mesh.t) + 2e-7)
+
+
 def test_neumann_exterior_zero_datum_and_uniqueness(annulus):
     rep = neumann_exterior(annulus, np.zeros(annulus.n))
     assert rep.residuals["density_mass"] == 0.0
